@@ -20,6 +20,7 @@ from wasserstein_calculus import (
     affine,
     identity_fn,
     lipschitz_probes,
+    polynomial,
     sin_fn,
     smooth_abs,
     random_measure,
@@ -221,6 +222,17 @@ class TestKRLowerBound:
             kr_lower_bound(dirac(0.0), dirac(1.0), affine(2.0, 0.0))
         with pytest.raises(ValueError):
             kr_lower_bound(dirac(0.0), dirac(1.0), lambda x: x)
+
+    def test_rejects_atoms_outside_bound_interval(self):
+        # 0.05 x^2 has Lipschitz bound 1 on [-10, 10] only; at 30 and 20 the
+        # pairing would read 25 against a distance of 10
+        f = polynomial((0.0, 0.0, 0.05))
+        assert f.lipschitz_bound == 1.0
+        assert kr_lower_bound(dirac(10.0), dirac(-10.0), f) == 0.0
+        with pytest.raises(ValueError):
+            kr_lower_bound(dirac(30.0), dirac(20.0), f)
+        with pytest.raises(ValueError):
+            kr_lower_bound(dirac(0.0), DiscreteMeasure([-10.5, 1.0], [0.5, 0.5]), f)
 
     @given(measures(), measures())
     @settings(max_examples=50, deadline=None, derandomize=True)
