@@ -46,6 +46,10 @@ __all__ = [
 
 _SCALAR_KINDS = ("sin", "cos", "tanh", "polynomial", "gaussian", "affine", "smooth_abs")
 
+# A polynomial's declared Lipschitz bound holds on [-R, R] for this R only;
+# every other kind's bound is global.
+POLY_LIPSCHITZ_RADIUS = 10.0
+
 
 @dataclass(frozen=True)
 class ScalarFunction:
@@ -131,7 +135,7 @@ class ScalarFunction:
 
     @property
     def lipschitz_bound(self) -> float:
-        """Upper bound of |f'| on [-10, 10] (global where the sup is global)."""
+        """Upper bound of |f'| on [-R, R], R = ``lipschitz_radius``."""
         kind = self.kind
         if kind in ("sin", "cos", "tanh", "smooth_abs"):
             return 1.0
@@ -141,8 +145,15 @@ class ScalarFunction:
             return math.exp(-0.5) / self.params[1]
         # polynomial: coefficient bound of the derivative on [-10, 10]
         return math.fsum(
-            i * abs(c) * 10.0 ** (i - 1) for i, c in enumerate(self.params) if i >= 1
+            i * abs(c) * POLY_LIPSCHITZ_RADIUS ** (i - 1)
+            for i, c in enumerate(self.params)
+            if i >= 1
         )
+
+    @property
+    def lipschitz_radius(self) -> float:
+        """Half-width R of the interval [-R, R] on which ``lipschitz_bound`` holds."""
+        return POLY_LIPSCHITZ_RADIUS if self.kind == "polynomial" else math.inf
 
     @property
     def name(self) -> str:

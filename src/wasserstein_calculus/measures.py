@@ -217,11 +217,19 @@ def kr_lower_bound(a: DiscreteMeasure, b: DiscreteMeasure, f) -> float:
     """Duality pairing ``integrate(a, f) - integrate(b, f)`` for 1-Lipschitz f.
 
     Never exceeds ``w1(a, b)``: the supremum of this pairing over all
-    1-Lipschitz functions equals the distance.
+    1-Lipschitz functions equals the distance. ``f`` declares its bound as
+    ``lipschitz_bound``; when it also declares ``lipschitz_radius`` R, the
+    bound holds on [-R, R] only, and measures with an atom outside are
+    rejected.
     """
     bound = getattr(f, "lipschitz_bound", None)
     if bound is None or bound > 1.0 + 1e-12:
         raise ValueError("test function must declare a Lipschitz bound <= 1")
+    radius = getattr(f, "lipschitz_radius", math.inf)
+    if max(a.support_bound, b.support_bound) > radius:
+        raise ValueError(
+            f"an atom lies outside [-{radius:g}, {radius:g}], where the Lipschitz bound holds"
+        )
     return integrate(a, f) - integrate(b, f)
 
 
