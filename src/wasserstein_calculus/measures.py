@@ -77,7 +77,7 @@ class DiscreteMeasure:
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1")
         order = np.argsort(pos, kind="stable")
-        pos, w = _merge_atoms(pos[order], w[order])
+        pos, w = _group_atoms(pos[order], w[order], weighted=True)
         keep = w > 0.0
         pos, w = pos[keep], w[keep]
         if pos.size == 0:
@@ -125,25 +125,42 @@ class DiscreteMeasure:
         )
 
 
-def _merge_atoms(pos: np.ndarray, w: np.ndarray):
-    """Combine sorted atoms whose positions chain within MERGE_TOL."""
-    if pos.size == 1 or np.all(np.diff(pos) > MERGE_TOL):
-        return pos.copy(), w.copy()
-    breaks = np.flatnonzero(np.diff(pos) > MERGE_TOL) + 1
-    starts = np.concatenate(([0], breaks))
-    ends = np.concatenate((breaks, [pos.size]))
-    out_p = np.empty(starts.size)
-    out_w = np.empty(starts.size)
-    for g, (i, j) in enumerate(zip(starts, ends)):
-        if j - i == 1:
-            out_p[g], out_w[g] = pos[i], w[i]
-            continue
+def _group_atoms(pos: np.ndarray, w: np.ndarray, weighted: bool):
+    """Combine sorted atoms whose positions chain within MERGE_TOL.
+
+    Each run of atoms becomes one atom whose weight is the ``math.fsum`` of
+    the run's weights. A run of identical positions keeps that position
+    exactly (grid atoms rely on it). Otherwise the atom sits at the
+    weight-averaged position when ``weighted`` and the total is positive, and
+    at the mean position when not. Runs of two, the common case, are done
+    with array arithmetic, which for two terms rounds exactly as ``fsum``
+    and ``mean`` do; only runs of three or more loop.
+    """
+    split = np.diff(pos) > MERGE_TOL
+    if split.all():
+        return pos, w
+    starts = np.flatnonzero(np.concatenate(([True], split)))
+    sizes = np.diff(np.append(starts, pos.size))
+    out_p, out_w = pos[starts], w[starts]
+    pairs = np.flatnonzero(sizes == 2)
+    i = starts[pairs]
+    pa, pb, wa, wb = pos[i], pos[i + 1], w[i], w[i + 1]
+    total = wa + wb
+    centre = (pa + pb) / 2.0
+    if weighted:
+        # + 0.0 turns a -0.0 moment into 0.0, the zero fsum returns
+        moment = (pa * wa + pb * wb) + 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            centre = np.where(total > 0.0, moment / total, centre)
+    out_p[pairs] = np.where(pa == pb, pa, centre)
+    out_w[pairs] = total
+    for g in np.flatnonzero(sizes > 2):
+        i, j = starts[g], starts[g] + sizes[g]
         ww = math.fsum(w[i:j].tolist())
         out_w[g] = ww
         if pos[j - 1] == pos[i]:
-            # identical positions must survive exactly (grid atoms rely on it)
             out_p[g] = pos[i]
-        elif ww > 0.0:
+        elif weighted and ww > 0.0:
             out_p[g] = math.fsum((pos[i:j] * w[i:j]).tolist()) / ww
         else:
             out_p[g] = float(pos[i:j].mean())
@@ -242,20 +259,9 @@ def signed_difference(a: DiscreteMeasure, b: DiscreteMeasure):
     pos = np.concatenate((a.positions, b.positions))
     signed = np.concatenate((a.weights, -b.weights))
     order = np.argsort(pos, kind="stable")
-    pos, signed = pos[order], signed[order]
-    breaks = np.flatnonzero(np.diff(pos) > MERGE_TOL) + 1
-    starts = np.concatenate(([0], breaks))
-    ends = np.concatenate((breaks, [pos.size]))
-    out_p = np.empty(starts.size)
-    out_w = np.empty(starts.size)
-    for g, (i, j) in enumerate(zip(starts, ends)):
-        if j - i == 1:
-            out_p[g], out_w[g] = pos[i], signed[i]
-        else:
-            out_p[g] = pos[i] if pos[j - 1] == pos[i] else float(pos[i:j].mean())
-            out_w[g] = math.fsum(signed[i:j].tolist())
-    keep = out_w != 0.0
-    return out_p[keep], out_w[keep]
+    pos, signed = _group_atoms(pos[order], signed[order], weighted=False)
+    keep = signed != 0.0
+    return pos[keep], signed[keep]
 
 
 def measure_to_dict(m: DiscreteMeasure) -> dict:

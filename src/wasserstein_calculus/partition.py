@@ -13,6 +13,11 @@ contributes at most 1/n more, so the Wasserstein-1 distance between a measure
 and its discretization is at most 3/n whenever n >= K + 1. The bound only
 uses non-negativity and support containment of the bumps, so both bump
 families below satisfy it.
+
+At any point at most two bumps are nonzero: those of the grid indices just
+below and just above n*x. ``discretize`` evaluates only that band and
+scatters it onto the grid, so its cost is O(atoms) whatever n and K are;
+``PartitionScheme.weight_matrix`` densifies the same band into full rows.
 """
 
 from __future__ import annotations
@@ -35,6 +40,9 @@ WEIGHT_FLOOR = 1e-15
 # Cell coordinates this close to an integer snap to it, so grid atoms
 # reproduce exactly despite float rounding of k/n.
 GRID_SNAP = 1e-9
+
+# Column offsets of the two bumps that can be nonzero at a point.
+_PAIR = np.array([0, 1])
 
 
 @dataclass(frozen=True)
@@ -82,27 +90,47 @@ class PartitionScheme:
         """Bump weights at each point: rows sum to one.
 
         Returns an array of shape (len(xs), 2*n*K + 1) whose [i, j] entry is
-        the weight of grid index j - n*K at xs[i].
+        the weight of grid index j - n*K at xs[i]: the two band weights of
+        ``_band`` written into an otherwise zero row.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        u = self.n * xs[:, None] - self.indices[None, :]
+        cols, band = self._band(xs)
+        out = np.zeros((xs.size, self.indices.size))
+        rows = np.arange(xs.size)[:, None]
+        out[rows, cols[:, None] + _PAIR] = band
+        return out
+
+    def _band(self, xs: np.ndarray):
+        """The only bumps that can be nonzero at each point, with their weights.
+
+        At a point x only the bumps of grid indices floor(n*x) and
+        floor(n*x) + 1 can be nonzero, clamped to [-n*K, n*K]; the tail ramps
+        only in the two edge cells. Returns the column (grid index + n*K) of
+        the first of the two bumps for each point, and a (len(xs), 2) array of
+        their weights, each row summing to one.
+        """
+        N = self.edge_index
+        nx = self.n * xs
+        first = np.minimum(np.maximum(np.floor(nx), -N), N - 1)
+        u = nx[:, None] - (first[:, None] + _PAIR)
         # snap near-integer cell coordinates (see GRID_SNAP)
         nearest = np.rint(u)
-        snap = np.abs(u - nearest) <= GRID_SNAP
-        u = np.where(snap, nearest, u)
-        N = self.edge_index
+        u = np.where(np.abs(u - nearest) <= GRID_SNAP, nearest, u)
         if self.bump_shape == "smooth_bump":
-            raw = _mollifier(u)
-            raw[:, 0] = _smoothstep((-N + 1) - self.n * xs)
-            raw[:, -1] = _smoothstep(self.n * xs - (N - 1))
+            raw, ramp = _mollifier(u), _smoothstep
         else:
-            raw = np.clip(1.0 - np.abs(u), 0.0, None)
-            raw[:, 0] = np.clip((-N + 1) - self.n * xs, 0.0, 1.0)
-            raw[:, -1] = np.clip(self.n * xs - (N - 1), 0.0, 1.0)
-        totals = raw.sum(axis=1)
+            raw, ramp = np.clip(1.0 - np.abs(u), 0.0, None), _clip_ramp
+        left = first == -N
+        if left.any():
+            raw[left, 0] = ramp((-N + 1) - nx[left])
+        right = first == N - 1
+        if right.any():
+            raw[right, 1] = ramp(nx[right] - (N - 1))
+        totals = raw[:, 0] + raw[:, 1]
         if np.any(totals <= 0.0):
             raise RuntimeError("bump family failed to cover a point")
-        return raw / totals[:, None]
+        raw /= totals[:, None]
+        return first.astype(np.intp) + N, raw
 
 
 def _mollifier(u: np.ndarray) -> np.ndarray:
@@ -127,6 +155,11 @@ def _smoothstep(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _clip_ramp(u: np.ndarray) -> np.ndarray:
+    """Piecewise-linear ramp: 0 for u <= 0, 1 for u >= 1."""
+    return np.clip(u, 0.0, 1.0)
+
+
 def bump_weight(scheme: PartitionScheme, k: int, x: float) -> float:
     """Weight of grid index k at point x."""
     N = scheme.edge_index
@@ -140,16 +173,20 @@ def discretize(scheme: PartitionScheme, m: DiscreteMeasure) -> DiscreteMeasure:
     """Push a measure onto the grid {k/n}.
 
     Grid point k/n receives the integral of bump k against the measure, an
-    exact finite sum for atomic input. Requires the support to stay inside
-    [-K, K]; mass outside would leak into the tail cells with the wrong
-    transport length.
+    exact finite sum for atomic input over the two bumps nonzero at each
+    atom. Requires the support to stay inside [-K, K]; mass outside would
+    leak into the tail cells with the wrong transport length.
     """
     if m.support_bound > scheme.K:
         raise ValueError(
             f"measure support bound {m.support_bound:g} exceeds the scheme bound K={scheme.K}"
         )
-    psi = scheme.weight_matrix(m.positions)
-    weights = m.weights @ psi
+    cols, band = scheme._band(m.positions)
+    weights = np.bincount(
+        (cols[:, None] + _PAIR).ravel(),
+        (m.weights[:, None] * band).ravel(),
+        minlength=scheme.indices.size,
+    )
     total = math.fsum(weights.tolist())
     if abs(total - 1.0) > 1e-10:
         raise RuntimeError(f"partition of unity leaked mass: total {total!r}")

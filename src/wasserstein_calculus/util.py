@@ -70,17 +70,25 @@ def compensated_cumsum(values) -> np.ndarray:
 
     Keeps cumulative-distribution differences accurate to a few ulp even for
     thousands of terms, which plain ``np.cumsum`` does not guarantee.
+
+    The result equals, bit for bit, the sequential loop that keeps a running
+    ``total`` and adds the rounding error of each step ``total + v`` to a
+    running ``comp``, returning ``total + comp`` at every step. The partial
+    sums ``s`` of that loop are exactly ``np.cumsum`` of the values, because
+    numpy accumulates left to right in the same order. The error of each step
+    depends only on the previous partial sum and the value, so Knuth's
+    TwoSum computes all of them at once; it is exact, hence equal to the
+    error the loop finds by branching on magnitudes. ``comp`` is then a
+    left-to-right ``np.cumsum`` of the errors. Zeros agree in sign too:
+    neither form ever returns -0.0.
     """
-    out = np.empty(len(values))
-    total = 0.0
-    comp = 0.0
-    for i, value in enumerate(values):
-        v = float(value)
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-        out[i] = total + comp
-    return out
+    v = np.asarray(values, dtype=float)
+    sums = np.zeros(v.size + 1)
+    np.add.accumulate(v, out=sums[1:])
+    prev, s = sums[:-1], sums[1:]
+    back = s - prev
+    err = prev - (s - back)
+    err += v - back
+    np.add.accumulate(err, out=err)
+    err += s
+    return err

@@ -1,0 +1,395 @@
+"""Vectorised exact core against loop references and rational oracles.
+
+The loop references are the library's former sequential implementations:
+the Neumaier running sum, the per-group atom merge of construction and of
+``signed_difference``, and the dense partition-of-unity weight matrix. The
+vectorised code must reproduce the loops bit for bit, and the banded grid
+weights must match the dense reference within ``GRID_TOL``. The rational
+oracles recompute ``w1`` and ``linear_hat`` discretization exactly with
+``fractions.Fraction`` on dyadic inputs.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from wasserstein_calculus import (
+    BUMP_MODES,
+    DiscreteMeasure,
+    PartitionScheme,
+    discretize,
+    mix,
+    signed_difference,
+    w1,
+)
+from wasserstein_calculus.measures import MASS_TOL, MERGE_TOL
+from wasserstein_calculus.partition import GRID_SNAP, WEIGHT_FLOOR, _mollifier, _smoothstep
+from wasserstein_calculus.util import compensated_cumsum
+
+# Banded against dense grid weights, absolute; fixed before measuring.
+GRID_TOL = 1e-15
+
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def same_bits(x, y) -> bool:
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+# ------------------------------------------------------------ loop references
+
+
+def neumaier_loop(values) -> np.ndarray:
+    out = np.empty(len(values))
+    total = 0.0
+    comp = 0.0
+    for i, value in enumerate(values):
+        v = float(value)
+        t = total + v
+        if abs(total) >= abs(v):
+            comp += (total - t) + v
+        else:
+            comp += (v - t) + total
+        total = t
+        out[i] = total + comp
+    return out
+
+
+def merge_loop(pos, w):
+    """Per-group merge of sorted atoms, as construction did it."""
+    if pos.size == 1 or np.all(np.diff(pos) > MERGE_TOL):
+        return pos.copy(), w.copy()
+    breaks = np.flatnonzero(np.diff(pos) > MERGE_TOL) + 1
+    starts = np.concatenate(([0], breaks))
+    ends = np.concatenate((breaks, [pos.size]))
+    out_p = np.empty(starts.size)
+    out_w = np.empty(starts.size)
+    for g, (i, j) in enumerate(zip(starts, ends)):
+        if j - i == 1:
+            out_p[g], out_w[g] = pos[i], w[i]
+            continue
+        ww = math.fsum(w[i:j].tolist())
+        out_w[g] = ww
+        if pos[j - 1] == pos[i]:
+            out_p[g] = pos[i]
+        elif ww > 0.0:
+            out_p[g] = math.fsum((pos[i:j] * w[i:j]).tolist()) / ww
+        else:
+            out_p[g] = float(pos[i:j].mean())
+    return out_p, out_w
+
+
+def construct_loop(pos, w):
+    pos, w = np.asarray(pos, dtype=float), np.asarray(w, dtype=float)
+    order = np.argsort(pos, kind="stable")
+    pos, w = merge_loop(pos[order], w[order])
+    keep = w > 0.0
+    return pos[keep], w[keep]
+
+
+def signed_difference_loop(a, b):
+    pos = np.concatenate((a.positions, b.positions))
+    signed = np.concatenate((a.weights, -b.weights))
+    order = np.argsort(pos, kind="stable")
+    pos, signed = pos[order], signed[order]
+    breaks = np.flatnonzero(np.diff(pos) > MERGE_TOL) + 1
+    starts = np.concatenate(([0], breaks))
+    ends = np.concatenate((breaks, [pos.size]))
+    out_p = np.empty(starts.size)
+    out_w = np.empty(starts.size)
+    for g, (i, j) in enumerate(zip(starts, ends)):
+        if j - i == 1:
+            out_p[g], out_w[g] = pos[i], signed[i]
+        else:
+            out_p[g] = pos[i] if pos[j - 1] == pos[i] else float(pos[i:j].mean())
+            out_w[g] = math.fsum(signed[i:j].tolist())
+    keep = out_w != 0.0
+    return out_p[keep], out_w[keep]
+
+
+def dense_weight_matrix(scheme, xs) -> np.ndarray:
+    """Every bump at every point: the full (len(xs), 2nK+1) evaluation."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    u = scheme.n * xs[:, None] - scheme.indices[None, :]
+    nearest = np.rint(u)
+    snap = np.abs(u - nearest) <= GRID_SNAP
+    u = np.where(snap, nearest, u)
+    N = scheme.edge_index
+    if scheme.bump_shape == "smooth_bump":
+        raw = _mollifier(u)
+        raw[:, 0] = _smoothstep((-N + 1) - scheme.n * xs)
+        raw[:, -1] = _smoothstep(scheme.n * xs - (N - 1))
+    else:
+        raw = np.clip(1.0 - np.abs(u), 0.0, None)
+        raw[:, 0] = np.clip((-N + 1) - scheme.n * xs, 0.0, 1.0)
+        raw[:, -1] = np.clip(scheme.n * xs - (N - 1), 0.0, 1.0)
+    totals = raw.sum(axis=1)
+    return raw / totals[:, None]
+
+
+def dense_chunks(scheme, xs, rows=256):
+    """(start, dense rows) in blocks, so large grids stay small in memory."""
+    for i in range(0, len(xs), rows):
+        yield i, dense_weight_matrix(scheme, xs[i : i + rows])
+
+
+def discretize_dense(scheme, m):
+    weights = sum(m.weights[i : i + psi.shape[0]] @ psi for i, psi in dense_chunks(scheme, m.positions))
+    keep = weights > WEIGHT_FLOOR
+    kept = weights[keep]
+    return scheme.grid[keep], kept / math.fsum(kept.tolist())
+
+
+# ------------------------------------------------------------ input strategies
+
+# mantissa x 10^e, e in [-30, 30], plus both zeros
+mixed_floats = st.one_of(
+    st.builds(
+        lambda m, e: m * 10.0**e,
+        st.floats(-10.0, 10.0, allow_nan=False),
+        st.integers(-30, 30),
+    ),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300]),
+)
+
+BASES = (-2.5, -1.0, -0.1, 0.0, 1e-13, 0.1, 1.0 / 3.0, 1.0, 1e3)
+# 0 makes exact coincidences, the sub-MERGE_TOL steps make chains of any
+# length, 2e-12 ends a chain just past the tolerance
+STEPS = (0.0, 0.0, 3e-13, 6e-13, MERGE_TOL, 2e-12, 0.25)
+RAWS = (0.0, 0.0, 1e-18, 1e-9, 0.3, 1.0, 7.0)
+
+
+@st.composite
+def clustered_positions(draw, max_clusters=5, max_run=5):
+    positions = []
+    for _ in range(draw(st.integers(1, max_clusters))):
+        x = draw(st.sampled_from(BASES))
+        for _ in range(draw(st.integers(1, max_run))):
+            positions.append(x)
+            x += draw(st.sampled_from(STEPS))
+    return draw(st.permutations(positions))
+
+
+@st.composite
+def clustered_atoms(draw):
+    """Positions with coincidences and chains; weights of mixed magnitude,
+    zeros included, normalized to unit mass."""
+    positions = draw(clustered_positions())
+    raws = draw(st.lists(st.sampled_from(RAWS), min_size=len(positions), max_size=len(positions)))
+    raws[draw(st.integers(0, len(raws) - 1))] = 1.0  # at least one positive atom
+    return np.array(positions), np.array(raws) / math.fsum(raws)
+
+
+@st.composite
+def dyadic_measure(draw, positions):
+    """Weights in multiples of 1/16 summing to exactly one."""
+    cuts = sorted(draw(st.lists(st.integers(0, 16), min_size=len(positions) - 1, max_size=len(positions) - 1)))
+    parts = np.diff([0] + cuts + [16])
+    if not np.any(parts):
+        parts[0] = 16
+    return DiscreteMeasure(np.array(positions, dtype=float), parts / 16.0)
+
+
+@st.composite
+def difference_pairs(draw):
+    """Two measures whose atoms coincide or chain within MERGE_TOL; with
+    weights in sixteenths, coinciding atoms often cancel exactly."""
+    pos_a = draw(clustered_positions(max_clusters=4, max_run=2))
+    offsets = st.sampled_from([0.0, 0.0, 0.0, 6e-13, -6e-13, 0.5])
+    pos_b = [p + draw(offsets) for p in pos_a[: draw(st.integers(1, len(pos_a)))]]
+    return draw(dyadic_measure(pos_a)), draw(dyadic_measure(pos_b))
+
+
+# ------------------------------------------------------------ bit equality with the loops
+
+
+class TestCompensatedCumsum:
+    @given(st.lists(mixed_floats, min_size=1, max_size=80))
+    @SETTINGS
+    @example([-0.0, -0.0, 1.0, -1.0, -0.0])
+    @example([1e30, 1.0, -1e30, 1e-30])
+    def test_bit_identical_to_neumaier_loop(self, values):
+        assert same_bits(compensated_cumsum(np.array(values)), neumaier_loop(values))
+
+    def test_long_input_bit_identical(self):
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(200_000) * 10.0 ** rng.uniform(-30, 30, 200_000)
+        assert same_bits(compensated_cumsum(values), neumaier_loop(values))
+
+    def test_empty(self):
+        assert compensated_cumsum(np.array([])).size == 0
+
+
+class TestAtomGrouping:
+    @given(clustered_atoms())
+    @SETTINGS
+    def test_construction_bit_identical_to_merge_loop(self, atoms):
+        pos, w = atoms
+        m = DiscreteMeasure(pos, w)
+        ref_p, ref_w = construct_loop(pos, w)
+        assert same_bits(m.positions, ref_p)
+        assert same_bits(m.weights, ref_w)
+
+    @given(clustered_atoms(), clustered_atoms(), st.sampled_from([0.25, 0.5, 1.0 / 3.0]))
+    @SETTINGS
+    def test_mix_bit_identical_to_merge_loop(self, a, b, t):
+        a, b = DiscreteMeasure(*a), DiscreteMeasure(*b)
+        mixed = mix(a, b, t)
+        ref_p, ref_w = construct_loop(
+            np.concatenate((a.positions, b.positions)),
+            np.concatenate(((1.0 - t) * a.weights, t * b.weights)),
+        )
+        assert same_bits(mixed.positions, ref_p)
+        assert same_bits(mixed.weights, ref_w)
+
+    @given(difference_pairs())
+    @SETTINGS
+    def test_signed_difference_bit_identical_to_loop(self, pair):
+        a, b = pair
+        pos, signed = signed_difference(a, b)
+        ref_p, ref_w = signed_difference_loop(a, b)
+        assert same_bits(pos, ref_p)
+        assert same_bits(signed, ref_w)
+
+    def test_chain_of_three_and_zero_weight_group(self):
+        pos = np.array([0.0, 6e-13, 1.2e-12, 0.5, 0.5 + 5e-13, 1.0])
+        w = np.array([0.25, 0.25, 0.125, 0.0, 0.0, 0.375])
+        m = DiscreteMeasure(pos, w)
+        ref_p, ref_w = construct_loop(pos, w)
+        assert len(m) == 2
+        assert same_bits(m.positions, ref_p) and same_bits(m.weights, ref_w)
+
+    def test_negative_zero_moment(self):
+        # both products are -0.0; fsum of them is +0.0
+        pos = np.array([-5e-13, -0.0, 1.0])
+        w = np.array([0.0, 0.5, 0.5])
+        ref_p, ref_w = construct_loop(pos, w)
+        m = DiscreteMeasure(pos, w)
+        assert same_bits(m.positions, ref_p) and same_bits(m.weights, ref_w)
+
+    def test_exact_cancellation_dropped(self):
+        a = DiscreteMeasure([0.0, 0.5, 1.0], [0.25, 0.5, 0.25])
+        b = DiscreteMeasure([0.0, 0.5 + 6e-13, 1.0], [0.5, 0.5, 0.0])
+        pos, signed = signed_difference(a, b)
+        assert list(pos) == [0.0, 1.0]
+        assert list(signed) == [-0.25, 0.25]
+
+
+# ------------------------------------------------------------ banded against dense
+
+
+def grid_points(scheme):
+    """Grid points, points within GRID_SNAP of them, edge cells, and +-K."""
+    n, K, N = scheme.n, scheme.K, scheme.edge_index
+    k = np.arange(-N, N + 1)
+    near = GRID_SNAP / n
+    return np.concatenate(
+        (
+            k / n,
+            k / n + 0.5 * near,
+            k / n - 0.5 * near,
+            k / n + 2.0 * near,
+            (-N + np.array([0.01, 0.5, 0.99])) / n,
+            (N - np.array([0.01, 0.5, 0.99])) / n,
+            [-K, K, -K - 1.5, K + 1.5],
+        )
+    )
+
+
+SCHEMES = [
+    PartitionScheme(n=n, K=K, bump_shape=mode)
+    for mode in BUMP_MODES
+    for n, K in ((2, 1), (3, 2), (256, 2), (1024, 1))
+]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: f"{s.bump_shape}-n{s.n}-K{s.K}")
+class TestBandedGridWeights:
+    def test_weight_matrix_matches_dense(self, scheme):
+        rng = np.random.default_rng(scheme.n)
+        xs = np.concatenate((grid_points(scheme), rng.uniform(-scheme.K, scheme.K, 500)))
+        for i, dense in dense_chunks(scheme, xs):
+            band = scheme.weight_matrix(xs[i : i + dense.shape[0]])
+            assert band.shape == dense.shape
+            assert np.max(np.abs(band - dense)) <= GRID_TOL
+
+    def test_discretize_matches_dense(self, scheme):
+        rng = np.random.default_rng(scheme.n + 1)
+        K = scheme.K
+        for xs in (grid_points(scheme), rng.uniform(-K, K, 2000)):
+            xs = xs[np.abs(xs) <= K]
+            m = DiscreteMeasure(xs, rng.dirichlet(np.ones(xs.size)))
+            out = discretize(scheme, m)
+            ref_p, ref_w = discretize_dense(scheme, m)
+            assert np.array_equal(out.positions, ref_p)
+            assert np.max(np.abs(out.weights - ref_w)) <= GRID_TOL
+
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=30))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_random_points_match_dense(self, scheme, xs):
+        xs = np.array(xs) * scheme.K
+        assert np.max(np.abs(scheme.weight_matrix(xs) - dense_weight_matrix(scheme, xs))) <= GRID_TOL
+
+
+# ------------------------------------------------------------ rational oracles
+
+
+def w1_fraction(a, b) -> Fraction:
+    """Exact integral of |F_a - F_b| in rational arithmetic."""
+    jumps = {}
+    for m, sign in ((a, 1), (b, -1)):
+        for p, w in m.atoms:
+            jumps[Fraction(p)] = jumps.get(Fraction(p), 0) + sign * Fraction(w)
+    xs = sorted(jumps)
+    total, gap = Fraction(0), Fraction(0)
+    for x0, x1 in zip(xs[:-1], xs[1:]):
+        gap += jumps[x0]
+        total += abs(gap) * (x1 - x0)
+    return total
+
+
+def hat_fraction(scheme, k: int, x: Fraction) -> Fraction:
+    """Exact linear_hat weight of grid index k at x (the raw bumps sum to one)."""
+    n, N = scheme.n, scheme.edge_index
+    if k == -N:
+        return min(max((-N + 1) - n * x, Fraction(0)), Fraction(1))
+    if k == N:
+        return min(max(n * x - (N - 1), Fraction(0)), Fraction(1))
+    return max(1 - abs(n * x - k), Fraction(0))
+
+
+dyadic_positions = st.lists(
+    st.builds(lambda k, j: k / 2.0**j, st.integers(-64, 64), st.integers(0, 5)).filter(
+        lambda x: abs(x) <= 2.0
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestRationalOracles:
+    @given(dyadic_positions.flatmap(dyadic_measure), dyadic_positions.flatmap(dyadic_measure))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_w1_within_four_ulp(self, a, b):
+        d = w1(a, b)
+        assert abs(Fraction(d) - w1_fraction(a, b)) <= 4 * Fraction(math.ulp(d))
+
+    @given(
+        dyadic_positions.flatmap(dyadic_measure),
+        st.sampled_from([(2, 1), (4, 1), (16, 1), (4, 2), (8, 2), (64, 2)]),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_linear_hat_discretize_exact(self, m, nK):
+        n, K = nK
+        m = DiscreteMeasure(m.positions * (K / 2), m.weights)  # into [-K, K], still dyadic
+        scheme = PartitionScheme(n=n, K=K, bump_shape="linear_hat")
+        out = discretize(scheme, m)
+        got = dict(zip(out.positions.tolist(), out.weights.tolist()))
+        for k in range(-scheme.edge_index, scheme.edge_index + 1):
+            exact = sum(Fraction(w) * hat_fraction(scheme, k, Fraction(p)) for p, w in m.atoms)
+            assert abs(Fraction(got.get(k / n, 0.0)) - exact) <= Fraction(GRID_TOL)
+        assert abs(sum(Fraction(w) for w in out.weights.tolist()) - 1) <= MASS_TOL
