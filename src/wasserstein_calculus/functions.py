@@ -143,7 +143,7 @@ class ScalarFunction:
             return abs(self.params[0])
         if kind == "gaussian":
             return math.exp(-0.5) / self.params[1]
-        # polynomial: coefficient bound of the derivative on [-10, 10]
+        # polynomial: coefficient bound of the derivative on [-R, R]
         return math.fsum(
             i * abs(c) * POLY_LIPSCHITZ_RADIUS ** (i - 1)
             for i, c in enumerate(self.params)
