@@ -153,6 +153,33 @@ class TestCounterexampleCommand:
         assert "error" in json.loads(err)
 
 
+class TestMalformedJson:
+    """Structurally wrong function JSON is invalid input: exit 2, JSON error."""
+
+    @pytest.mark.parametrize(
+        "command, document",
+        [
+            (
+                "ftc-check",
+                {"kind": "lifted", "cylinder": {"inner": [{"kind": "sin"}], "outer": {"kind": "linear"}}},
+            ),
+            ("ftc-check", {"kind": "counterexample", "phi": {"kind": "polynomial", "coeffs": 5}, "psi": {"kind": "cos"}}),
+            ("dawson", {"inner": [{"kind": "sin"}, {"kind": "cos"}], "outer": {"kind": "product"}}),
+        ],
+        ids=["linear-without-weights", "scalar-coeffs", "product-without-arity"],
+    )
+    def test_exit_code_two(self, files, capsys, tmp_path, command, document):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(document))
+        if command == "dawson":
+            argv = ["dawson", "--x", "0.5", str(path), files["m5.json"]]
+        else:
+            argv = ["ftc-check", "--K", "1", "--samples", "2", str(path)]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert "error" in json.loads(err)
+
+
 class TestConfigPrecedence:
     def test_flag_beats_config_beats_default(self, files, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

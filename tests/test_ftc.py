@@ -9,6 +9,7 @@ from wasserstein_calculus import (
     BASE_POINT,
     DerivativeField,
     DiscreteMeasure,
+    affine,
     antiderivative,
     cos_fn,
     counterexample_closed_antiderivative,
@@ -29,6 +30,7 @@ from wasserstein_calculus import (
     random_point,
     stream_rng,
 )
+from wasserstein_calculus.ftc import ESTIMATED_SYMMETRY_TOL
 
 
 class TestAntiderivative:
@@ -137,6 +139,14 @@ class TestFtcCheck:
         assert report["symmetry_max"] <= 1e-3
         assert report["verdict"] == "derivative"
 
+    def test_exact_mode_verdict_uses_exact_threshold(self):
+        # exact residual 0.074: below the estimated-mode 0.1, far above exact noise
+        H = counterexample_field(affine(0.01, 0.0), cos_fn())
+        report = ftc_check(H, K=math.pi, samples=30)
+        assert report["symmetry_mode"] == "exact"
+        assert 1e-3 < report["symmetry_max"] < 100.0 * ESTIMATED_SYMMETRY_TOL
+        assert report["verdict"] == "not-a-derivative"
+
     def test_deterministic_across_threads(self):
         H = lift_to_field(standard_battery()[3])
         a = ftc_check(H, K=1.0, samples=12, seed=5)
@@ -152,6 +162,11 @@ class TestCounterexampleReport:
         assert report["closed_derivative_vs_field_max"] >= 0.1
         assert report["verdict"] == "not-a-derivative"
         assert report["ok"] is True
+
+    def test_exact_verdict_on_weak_counterexample(self):
+        report = counterexample_report(affine(0.01, 0.0), cos_fn(), K=math.pi, samples=30)
+        assert report["symmetry_max"] < 100.0 * ESTIMATED_SYMMETRY_TOL
+        assert report["verdict"] == "not-a-derivative"
 
     def test_closed_delta_differs_from_field(self):
         phi, psi = sin_fn(), cos_fn()
