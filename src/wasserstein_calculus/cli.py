@@ -17,7 +17,7 @@ from .acceptance import run_sweep
 from .derivative import DEFAULT_EPS, DEFAULT_QUAD_ORDER, DEFAULT_SEED, dawson, dawson_extrapolated
 from .ftc import counterexample_report, field_from_dict, ftc_check
 from .functions import cylinder_from_dict, scalar_from_dict
-from .measures import measure_from_json, measure_to_dict, w1
+from .measures import measure_from_dict, measure_to_dict, w1
 from .partition import BUMP_MODES, PartitionScheme, discretize
 from .util import canonical_json
 
@@ -44,13 +44,7 @@ def _load_json_file(path: str):
 
 
 def _load_measure(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return measure_from_json(fh.read())
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    return measure_from_dict(_load_json_file(path))
 
 
 def _resolve(args, key, cast=None):

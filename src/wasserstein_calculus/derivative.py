@@ -10,8 +10,19 @@ O(eps^2) estimator. The module also verifies the defining integral identity
 
     F(m) - F(mu) = int_0^1 int H((1-t)*mu + t*m, x) d(m - mu)(x) dt
 
-by Gauss-Legendre quadrature in t (the integrand is analytic in t for atomic
-measures, so a fixed order gives near-machine precision).
+whose right side ``segment_integral`` evaluates by Gauss-Legendre quadrature
+in t (the integrand is analytic in t for atomic measures, so a fixed order
+gives near-machine precision). It is the one quadrature routine:
+``verify_deriv2`` and the antiderivative of ``ftc`` both call it.
+
+The measures at the quadrature nodes share one support and differ only in
+their weights, which are linear in t. A field may therefore carry a batched
+evaluator ``batch_value(positions, weights, xs)``: ``weights`` has one row
+per node, and it must return the (rows, len(xs)) array whose row k equals
+``value(DiscreteMeasure(positions, weights[k]), xs)`` bit for bit. The
+fields built in this package carry one; any other field is evaluated node by
+node, as is every segment whose nodes do not share a support (see
+``measures.mix_rows``).
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .measures import DiscreteMeasure, dirac, mix, signed_difference, _values_at
+from .measures import DiscreteMeasure, dirac, mix, mix_rows, signed_difference, _values_at
 from .sampling import random_measure, random_point, stream_rng
 from .util import gauss_legendre_01, parallel_map
 
@@ -33,6 +44,7 @@ __all__ = [
     "dawson",
     "dawson_extrapolated",
     "uniform_dawson_modulus",
+    "segment_integral",
     "verify_deriv2",
     "canonicalize",
     "DEFAULT_EPS",
@@ -54,12 +66,15 @@ class DerivativeField:
     ``value`` and ``dx`` map (measure, point) to a real; point arguments may
     be arrays for the fields built in this package. ``linear_delta``, when
     present, is the exact canonical derivative of m -> value(m, x) at y.
+    ``batch_value``, when present, evaluates ``value`` on a batch of measures
+    sharing one support, as the module docstring specifies.
     """
 
     value: Callable[[DiscreteMeasure, float], float]
     dx: Callable[[DiscreteMeasure, float], float]
     linear_delta: Optional[Callable[[DiscreteMeasure, float, float], float]] = None
     label: str = ""
+    batch_value: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -82,7 +97,12 @@ def zero_field() -> DerivativeField:
         out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
         return float(out) if out.ndim == 0 else out
 
-    return DerivativeField(value=zero2, dx=zero2, linear_delta=zero3, label="zero")
+    def zero_rows(positions, weights, xs):
+        return np.zeros((len(weights), np.size(xs)))
+
+    return DerivativeField(
+        value=zero2, dx=zero2, linear_delta=zero3, label="zero", batch_value=zero_rows
+    )
 
 
 def field_values(H: DerivativeField, m: DiscreteMeasure, xs: np.ndarray) -> np.ndarray:
@@ -138,6 +158,34 @@ def uniform_dawson_modulus(
     return max(parallel_map(one, range(samples), threads))
 
 
+def segment_integral(
+    H: DerivativeField,
+    mu: DiscreteMeasure,
+    m: DiscreteMeasure,
+    quad_order: int = DEFAULT_QUAD_ORDER,
+) -> float:
+    """int_0^1 int H((1-t)*mu + t*m, x) d(m - mu)(x) dt.
+
+    Gauss-Legendre quadrature in t of the exact atom-sum against m - mu; zero
+    when m - mu has no atom. All nodes go to the field as one batch when it
+    has a ``batch_value`` and the nodes share a support; otherwise each node
+    is ``mix(mu, m, t)`` evaluated by ``value``. Both give the same bits.
+    """
+    if quad_order < 2:
+        raise ValueError("quad_order must be at least 2")
+    pos, sw = signed_difference(m, mu)
+    if pos.size == 0:
+        return 0.0
+    nodes, weights = gauss_legendre_01(quad_order)
+    batch = mix_rows(mu, m, nodes) if H.batch_value is not None else None
+    if batch is not None:
+        vals = H.batch_value(*batch, pos)
+    else:
+        vals = [field_values(H, mix(mu, m, float(t)), pos) for t in nodes]
+    terms = (sw * vals).tolist()
+    return math.fsum([gw * math.fsum(row) for gw, row in zip(weights.tolist(), terms)])
+
+
 def verify_deriv2(
     F,
     H: DerivativeField,
@@ -147,21 +195,10 @@ def verify_deriv2(
 ) -> float:
     """Residual of the defining integral identity along the segment mu -> m.
 
-    Returns |F(m) - F(mu) - Q| with Q the Gauss-Legendre quadrature in t of
-    the exact atom-sum of H((1-t)*mu + t*m, .) against m - mu.
+    Returns |F(m) - F(mu) - Q| with Q the ``segment_integral`` of H from mu
+    to m.
     """
-    if quad_order < 2:
-        raise ValueError("quad_order must be at least 2")
-    pos, sw = signed_difference(m, mu)
-    if pos.size == 0:
-        return abs(F(m) - F(mu))
-    nodes, weights = gauss_legendre_01(quad_order)
-    contributions = []
-    for t, gw in zip(nodes, weights):
-        mt = mix(mu, m, float(t))
-        vals = field_values(H, mt, pos)
-        contributions.append(gw * math.fsum((sw * vals).tolist()))
-    q = math.fsum(contributions)
+    q = segment_integral(H, mu, m, quad_order)
     return abs(F(m) - F(mu) - q)
 
 

@@ -15,11 +15,19 @@ counterexample_field builds a smooth canonical field that violates it, whose
 antiderivative has a closed form with a visibly different derivative. Both
 closed forms are implemented here so every quadrature and finite-difference
 path can be checked against exact values.
+
+The t-integral is ``derivative.segment_integral``, the package's one segment
+quadrature; the fields built here carry the batched evaluator it uses (see
+the ``derivative`` module docstring). One verdict rule, ``_verdict``, labels
+a field from its sampled symmetry residual, for both ``ftc_check`` and
+``counterexample_report``.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .derivative import (
     DEFAULT_EPS,
@@ -29,12 +37,19 @@ from .derivative import (
     MeasureFunction,
     dawson_extrapolated,
     field_values,
+    segment_integral,
     zero_field,
 )
-from .functions import ScalarFunction, cylinder_from_dict, lift_to_field, scalar_from_dict
-from .measures import DiscreteMeasure, dirac, integrate, mix, signed_difference
+from .functions import (
+    ScalarFunction,
+    _required,
+    cylinder_from_dict,
+    lift_to_field,
+    scalar_from_dict,
+)
+from .measures import DiscreteMeasure, dirac, integrate, integrate_rows
 from .sampling import random_measure, random_point, stream_rng
-from .util import gauss_legendre_01, parallel_map
+from .util import parallel_map
 
 __all__ = [
     "BASE_POINT",
@@ -48,6 +63,7 @@ __all__ = [
     "field_from_dict",
     "CANONICAL_GATE_TOL",
     "ESTIMATED_SYMMETRY_TOL",
+    "EXACT_SYMMETRY_TOL",
 ]
 
 # Integration base point. Fixed rather than a parameter: any base point works
@@ -62,6 +78,11 @@ CANONICAL_GATE_TOL = 1e-10
 # verdict fires at 100x this value.
 ESTIMATED_SYMMETRY_TOL = 1e-3
 
+# An exact-mode symmetry residual carries rounding error only. The verdict
+# fires above this times the sampled max |H(m, x)| (at least one); the
+# battery's exact residuals are at most 1e-15.
+EXACT_SYMMETRY_TOL = 1e-10
+
 _N_GATE_PROBES = 8
 
 
@@ -73,18 +94,9 @@ def antiderivative(H: DerivativeField, quad_order: int = DEFAULT_QUAD_ORDER) -> 
     """
     if quad_order < 2:
         raise ValueError("quad_order must be at least 2")
-    nodes, weights = gauss_legendre_01(quad_order)
 
     def F(m: DiscreteMeasure) -> float:
-        pos, sw = signed_difference(m, BASE_POINT)
-        if pos.size == 0:
-            return 0.0
-        contributions = []
-        for t, gw in zip(nodes, weights):
-            mt = mix(BASE_POINT, m, float(t))
-            vals = field_values(H, mt, pos)
-            contributions.append(gw * math.fsum((sw * vals).tolist()))
-        return math.fsum(contributions)
+        return segment_integral(H, BASE_POINT, m, quad_order)
 
     return MeasureFunction(F, label=f"antiderivative[{H.label}]" if H.label else "antiderivative")
 
@@ -115,6 +127,22 @@ def symmetry_residual(
     return (dxy - H.value(m, x)) - (dyx - H.value(m, y))
 
 
+def _verdict(symmetry_max: float, estimated: bool, field_max: float) -> str:
+    """"not-a-derivative" when the sampled symmetry residual exceeds the
+    threshold of its mode, else "derivative".
+
+    An estimated residual carries the quotient's O(eps^2) error, so its
+    threshold is 100 x ESTIMATED_SYMMETRY_TOL; an exact one carries rounding
+    only, so its threshold is EXACT_SYMMETRY_TOL x max(1, field_max), where
+    field_max is the sampled max |H(m, x)|.
+    """
+    if estimated:
+        threshold = 100.0 * ESTIMATED_SYMMETRY_TOL
+    else:
+        threshold = EXACT_SYMMETRY_TOL * max(1.0, field_max)
+    return "not-a-derivative" if symmetry_max > threshold else "derivative"
+
+
 def ftc_check(
     H: DerivativeField,
     K: float,
@@ -130,7 +158,7 @@ def ftc_check(
     Reports the sampled max of |estimated derivative - H| and of the symmetry
     residual over measures in [-K, K]. Rejects non-canonical fields: callers
     must ``canonicalize`` first. Verdict is "not-a-derivative" when the
-    symmetry residual exceeds 100x the estimated-mode tolerance.
+    symmetry residual exceeds the threshold of its mode (see ``_verdict``).
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -156,13 +184,13 @@ def ftc_check(
         m = random_measure(rng, K)
         x = random_point(rng, K)
         y = random_point(rng, K)
-        return abs(symmetry_residual(H, m, x, y, eps=eps if estimated else None))
+        residual = symmetry_residual(H, m, x, y, eps=eps if estimated else None)
+        return abs(residual), max(abs(H.value(m, x)), abs(H.value(m, y)))
 
     mismatch_max = max(parallel_map(mismatch_one, range(samples), threads))
-    symmetry_max = max(parallel_map(symmetry_one, range(samples), threads))
-    verdict = (
-        "not-a-derivative" if symmetry_max > 100.0 * ESTIMATED_SYMMETRY_TOL else "derivative"
-    )
+    symmetry = parallel_map(symmetry_one, range(samples), threads)
+    symmetry_max = max(r[0] for r in symmetry)
+    verdict = _verdict(symmetry_max, estimated, max(r[1] for r in symmetry))
     return {
         "check": "ftc",
         "field": H.label,
@@ -196,11 +224,17 @@ def counterexample_field(phi: ScalarFunction, psi: ScalarFunction) -> Derivative
         sm = integrate(m, psi)
         return (phi(x) - pm) * (psi(y) - sm) - (phi(y) - pm) * sm
 
+    def batch_value(positions, weights, xs):
+        pm = integrate_rows(positions, weights, phi)[:, None]
+        sm = integrate_rows(positions, weights, psi)[:, None]
+        return (phi(np.asarray(xs, dtype=float)) - pm) * sm
+
     return DerivativeField(
         value=value,
         dx=dx,
         linear_delta=linear_delta,
         label=f"counterexample[{phi.name},{psi.name}]",
+        batch_value=batch_value,
     )
 
 
@@ -267,18 +301,17 @@ def counterexample_report(
         y = random_point(rng, K)
         a = abs(F_quad(m) - F_closed(m))
         b = abs(dawson_extrapolated(F_quad, m, x, eps) - delta_closed(m, x))
-        c = abs(delta_closed(m, x) - H.value(m, x))
+        h = H.value(m, x)
+        c = abs(delta_closed(m, x) - h)
         s = abs(symmetry_residual(H, m, x, y))
-        return a, b, c, s
+        return a, b, c, s, max(abs(h), abs(H.value(m, y)))
 
     results = parallel_map(one, range(samples), threads)
     a_max = max(r[0] for r in results)
     b_max = max(r[1] for r in results)
     c_max = max(r[2] for r in results)
     symmetry_max = max(r[3] for r in results)
-    verdict = (
-        "not-a-derivative" if symmetry_max > 100.0 * ESTIMATED_SYMMETRY_TOL else "derivative"
-    )
+    verdict = _verdict(symmetry_max, False, max(r[4] for r in results))
     ok = a_max <= closed_f_tol and b_max <= built_delta_tol and c_max >= gap_floor
     return {
         "check": "counterexample",
@@ -310,9 +343,12 @@ def field_from_dict(data: dict) -> DerivativeField:
         raise ValueError('field JSON must be an object with a "kind"')
     kind = data["kind"]
     if kind == "lifted":
-        return lift_to_field(cylinder_from_dict(data["cylinder"]))
+        return lift_to_field(cylinder_from_dict(_required(data, "cylinder", "lifted field")))
     if kind == "counterexample":
-        return counterexample_field(scalar_from_dict(data["phi"]), scalar_from_dict(data["psi"]))
+        return counterexample_field(
+            scalar_from_dict(_required(data, "phi", "counterexample field")),
+            scalar_from_dict(_required(data, "psi", "counterexample field")),
+        )
     if kind == "zero":
         return zero_field()
     raise ValueError(f"unknown field kind {kind!r}")

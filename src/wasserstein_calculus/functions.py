@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiscreteMeasure, integrate
+from .measures import DiscreteMeasure, integrate, integrate_rows
 
 __all__ = [
     "ScalarFunction",
@@ -210,6 +210,30 @@ def scalar_to_dict(f: ScalarFunction) -> dict:
     return out
 
 
+def _required(data: dict, key: str, what: str):
+    if key not in data:
+        raise ValueError(f"{what} JSON needs {key!r}")
+    return data[key]
+
+
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, not {value!r}")
+    return float(value)
+
+
+def _numbers(value, what: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list of numbers, not {value!r}")
+    return tuple(_number(v, what) for v in value)
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def scalar_from_dict(data: dict) -> ScalarFunction:
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError('scalar function JSON must be an object with a "kind"')
@@ -217,13 +241,16 @@ def scalar_from_dict(data: dict) -> ScalarFunction:
     if kind in ("sin", "cos", "tanh"):
         return ScalarFunction(kind)
     if kind == "polynomial":
-        return polynomial(data.get("coeffs", ()))
+        return polynomial(_numbers(data.get("coeffs", ()), "polynomial coeffs"))
     if kind == "gaussian":
-        return gaussian(data.get("center", 0.0), data.get("width", 1.0))
+        return gaussian(
+            _number(data.get("center", 0.0), "gaussian center"),
+            _number(data.get("width", 1.0), "gaussian width"),
+        )
     if kind == "affine":
-        return affine(data.get("a", 1.0), data.get("b", 0.0))
+        return affine(_number(data.get("a", 1.0), "affine a"), _number(data.get("b", 0.0), "affine b"))
     if kind == "smooth_abs":
-        return smooth_abs(data.get("eps", 0.1))
+        return smooth_abs(_number(data.get("eps", 0.1), "smooth_abs eps"))
     raise ValueError(f"unknown scalar function kind {kind!r}")
 
 
@@ -402,16 +429,30 @@ def _outer_from_dict(data: dict) -> OuterMap:
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError('outer map JSON must be an object with a "kind"')
     kind = data["kind"]
+    what = f"{kind} outer map"
     if kind == "linear":
-        return outer_linear(data["weights"], data.get("offset", 0.0))
+        return outer_linear(
+            _numbers(_required(data, "weights", what), "linear weights"),
+            _number(data.get("offset", 0.0), "linear offset"),
+        )
     if kind == "product":
-        return outer_product(data["arity"])
+        return outer_product(_integer(_required(data, "arity", what), "product arity"))
     if kind == "polynomial":
-        return outer_polynomial([(c, e) for c, e in data["terms"]])
-    if kind == "sin_of_sum":
-        return outer_sin(data["weights"])
-    if kind == "exp_of_sum":
-        return outer_exp(data["weights"])
+        terms = _required(data, "terms", what)
+        if not isinstance(terms, list):
+            raise ValueError("polynomial terms must be a list of [coefficient, exponents]")
+        normalized = []
+        for term in terms:
+            if not (isinstance(term, (list, tuple)) and len(term) == 2
+                    and isinstance(term[1], (list, tuple))):
+                raise ValueError(f"polynomial term must be [coefficient, exponents], not {term!r}")
+            coeff, exps = term
+            exps = [_integer(e, "polynomial exponent") for e in exps]
+            normalized.append((_number(coeff, "polynomial coefficient"), exps))
+        return outer_polynomial(normalized)
+    if kind in ("sin_of_sum", "exp_of_sum"):
+        weights = _numbers(_required(data, "weights", what), f"{kind} weights")
+        return outer_sin(weights) if kind == "sin_of_sum" else outer_exp(weights)
     raise ValueError(f"unknown outer map kind {kind!r}")
 
 
@@ -454,6 +495,17 @@ class CylinderFunction:
         for i, f in enumerate(self.inner):
             acc = acc + grad[i] * (f(xs) - v[i])
         return float(acc) if np.ndim(x) == 0 else acc
+
+    def exact_delta_rows(self, positions: np.ndarray, weights: np.ndarray, x) -> np.ndarray:
+        """``exact_delta`` at the points ``x`` for every row measure of a
+        ``mix_rows`` batch, shape (rows, points), bit for bit."""
+        v = np.stack([integrate_rows(positions, weights, f) for f in self.inner], axis=1)
+        grad = np.array([self.outer.gradient(row) for row in v])
+        xs = np.asarray(x, dtype=float)
+        acc = np.zeros((v.shape[0], xs.size))
+        for i, f in enumerate(self.inner):
+            acc = acc + grad[:, i, None] * (f(xs) - v[:, i, None])
+        return acc
 
     def exact_delta2(self, m: DiscreteMeasure, x, y):
         """Canonical second derivative, broadcasting elementwise over x, y.
@@ -500,9 +552,14 @@ def cylinder_to_dict(F: CylinderFunction) -> dict:
 def cylinder_from_dict(data: dict) -> CylinderFunction:
     if not isinstance(data, dict) or "inner" not in data or "outer" not in data:
         raise ValueError('cylinder JSON must be an object with "inner" and "outer"')
+    if not isinstance(data["inner"], list):
+        raise ValueError('cylinder "inner" must be a list of scalar functions')
+    label = data.get("label", "")
+    if not isinstance(label, str):
+        raise ValueError('cylinder "label" must be a string')
     inner = tuple(scalar_from_dict(d) for d in data["inner"])
     outer = _outer_from_dict(data["outer"])
-    return CylinderFunction(inner, outer, label=data.get("label", ""))
+    return CylinderFunction(inner, outer, label=label)
 
 
 def lift_to_field(F: CylinderFunction):
@@ -518,6 +575,7 @@ def lift_to_field(F: CylinderFunction):
         dx=F.delta_dx,
         linear_delta=F.exact_delta2,
         label=f"lift[{F.label}]",
+        batch_value=F.exact_delta_rows,
     )
 
 

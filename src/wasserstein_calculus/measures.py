@@ -189,6 +189,39 @@ def mix(a: DiscreteMeasure, b: DiscreteMeasure, t: float) -> DiscreteMeasure:
     return DiscreteMeasure(pos, w)
 
 
+def mix_rows(a: DiscreteMeasure, b: DiscreteMeasure, ts):
+    """All mixtures (1-t)*a + t*b, t in ``ts``, on their one shared support.
+
+    Returns ``(positions, weights)`` where row k of the 2-D ``weights`` holds
+    the weights of ``mix(a, b, ts[k])`` on ``positions``, bit for bit, with
+    one sort and one grouping for all rows. Every t must lie strictly inside
+    (0, 1). Returns None when the rows do not share a support: when two
+    distinct positions lie within MERGE_TOL (their merged atom sits at a
+    weight average that moves with t), or when a weight underflows to zero
+    (that row drops the atom). Callers then build the rows with ``mix``.
+    """
+    # a row's mass differs from the inputs' by rounding only (< 1e-15), so
+    # inputs this close to one pass the constructor's mass check in every row
+    if max(abs(a.total_mass - 1.0), abs(b.total_mass - 1.0)) > 0.5 * MASS_TOL:
+        return None
+    ts = np.asarray(ts, dtype=float)[:, None]
+    pos = np.concatenate((a.positions, b.positions))
+    order = np.argsort(pos, kind="stable")
+    pos = pos[order]
+    w = np.concatenate(((1.0 - ts) * a.weights, ts * b.weights), axis=1)[:, order]
+    gaps = np.diff(pos)
+    joined = np.flatnonzero(gaps <= MERGE_TOL)
+    if joined.size:
+        # only pairs of identical positions, one atom from each measure, stay put
+        if np.any(gaps[joined] != 0.0) or np.any(np.diff(joined) == 1):
+            return None
+        w[:, joined] += w[:, joined + 1]
+        pos, w = np.delete(pos, joined + 1), np.delete(w, joined + 1, axis=1)
+    if not np.all(w > 0.0):
+        return None
+    return pos, w
+
+
 def _values_at(f, xs: np.ndarray) -> np.ndarray:
     """Evaluate ``f`` on an array of points, falling back to a scalar loop."""
     try:
@@ -200,13 +233,27 @@ def _values_at(f, xs: np.ndarray) -> np.ndarray:
     return np.array([float(f(x)) for x in xs])
 
 
+def _finite_values(f, positions: np.ndarray) -> np.ndarray:
+    vals = _values_at(f, positions)
+    if not np.all(np.isfinite(vals)):
+        bad = positions[~np.isfinite(vals)][0]
+        raise ValueError(f"integrand is not finite at atom {bad!r}")
+    return vals
+
+
 def integrate(m: DiscreteMeasure, f) -> float:
     """Pairing <f, m> = sum of weight * f(position), compensated."""
-    vals = _values_at(f, m.positions)
-    if not np.all(np.isfinite(vals)):
-        bad = m.positions[~np.isfinite(vals)][0]
-        raise ValueError(f"integrand is not finite at atom {bad!r}")
-    return math.fsum((m.weights * vals).tolist())
+    return math.fsum((m.weights * _finite_values(f, m.positions)).tolist())
+
+
+def integrate_rows(positions: np.ndarray, weights: np.ndarray, f) -> np.ndarray:
+    """``integrate`` against every row measure of ``mix_rows``, bit for bit.
+
+    Evaluates ``f`` once on the shared positions; returns one pairing per
+    row of ``weights``.
+    """
+    products = (weights * _finite_values(f, positions)).tolist()
+    return np.array([math.fsum(row) for row in products])
 
 
 def w1(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
