@@ -127,7 +127,7 @@ def symmetry_residual(
     return (dxy - H.value(m, x)) - (dyx - H.value(m, y))
 
 
-def _verdict(symmetry_max: float, estimated: bool, field_max: float) -> str:
+def _verdict(symmetry_max: float, *, estimated: bool, field_max: float) -> str:
     """"not-a-derivative" when the sampled symmetry residual exceeds the
     threshold of its mode, else "derivative".
 
@@ -190,7 +190,7 @@ def ftc_check(
     mismatch_max = max(parallel_map(mismatch_one, range(samples), threads))
     symmetry = parallel_map(symmetry_one, range(samples), threads)
     symmetry_max = max(r[0] for r in symmetry)
-    verdict = _verdict(symmetry_max, estimated, max(r[1] for r in symmetry))
+    verdict = _verdict(symmetry_max, estimated=estimated, field_max=max(r[1] for r in symmetry))
     return {
         "check": "ftc",
         "field": H.label,
@@ -311,7 +311,7 @@ def counterexample_report(
     b_max = max(r[1] for r in results)
     c_max = max(r[2] for r in results)
     symmetry_max = max(r[3] for r in results)
-    verdict = _verdict(symmetry_max, False, max(r[4] for r in results))
+    verdict = _verdict(symmetry_max, estimated=False, field_max=max(r[4] for r in results))
     ok = a_max <= closed_f_tol and b_max <= built_delta_tol and c_max >= gap_floor
     return {
         "check": "counterexample",

@@ -212,8 +212,9 @@ def mix_rows(a: DiscreteMeasure, b: DiscreteMeasure, ts):
     gaps = np.diff(pos)
     joined = np.flatnonzero(gaps <= MERGE_TOL)
     if joined.size:
-        # only pairs of identical positions, one atom from each measure, stay put
-        if np.any(gaps[joined] != 0.0) or np.any(np.diff(joined) == 1):
+        # a measure's own atoms lie farther apart than MERGE_TOL, so a zero
+        # gap joins one atom of a to one of b, at a position that stays put
+        if np.any(gaps[joined] != 0.0):
             return None
         w[:, joined] += w[:, joined + 1]
         pos, w = np.delete(pos, joined + 1), np.delete(w, joined + 1, axis=1)

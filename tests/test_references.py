@@ -2,11 +2,12 @@
 
 The loop references are the library's former sequential implementations:
 the Neumaier running sum, the per-group atom merge of construction and of
-``signed_difference``, and the dense partition-of-unity weight matrix. The
-vectorised code must reproduce the loops bit for bit, and the banded grid
-weights must match the dense reference within ``GRID_TOL``. The rational
-oracles recompute ``w1`` and ``linear_hat`` discretization exactly with
-``fractions.Fraction`` on dyadic inputs.
+``signed_difference``, the dense partition-of-unity weight matrix, and the
+per-node segment quadrature (one ``mix`` and one field evaluation per Gauss
+node). The vectorised code must reproduce the loops bit for bit, and the
+banded grid weights must match the dense reference within ``GRID_TOL``. The
+rational oracles recompute ``w1`` and ``linear_hat`` discretization exactly
+with ``fractions.Fraction`` on dyadic inputs.
 """
 
 import math
@@ -17,17 +18,31 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wasserstein_calculus import (
+    BASE_POINT,
     BUMP_MODES,
+    DerivativeField,
     DiscreteMeasure,
     PartitionScheme,
+    antiderivative,
+    canonicalize,
+    cos_fn,
+    counterexample_field,
+    dirac,
     discretize,
+    gaussian,
+    lift_to_field,
     mix,
+    polynomial,
+    segment_integral,
     signed_difference,
+    sin_fn,
+    standard_battery,
     w1,
+    zero_field,
 )
-from wasserstein_calculus.measures import MASS_TOL, MERGE_TOL
+from wasserstein_calculus.measures import MASS_TOL, MERGE_TOL, _values_at, mix_rows
 from wasserstein_calculus.partition import GRID_SNAP, WEIGHT_FLOOR, _mollifier, _smoothstep
-from wasserstein_calculus.util import compensated_cumsum
+from wasserstein_calculus.util import compensated_cumsum, gauss_legendre_01
 
 # Banded against dense grid weights, absolute; fixed before measuring.
 GRID_TOL = 1e-15
@@ -393,3 +408,151 @@ class TestRationalOracles:
             exact = sum(Fraction(w) * hat_fraction(scheme, k, Fraction(p)) for p, w in m.atoms)
             assert abs(Fraction(got.get(k / n, 0.0)) - exact) <= Fraction(GRID_TOL)
         assert abs(sum(Fraction(w) for w in out.weights.tolist()) - 1) <= MASS_TOL
+
+
+# ------------------------------------------------------------ segment quadrature against the node loop
+
+
+def segment_integral_loop(H, mu, m, quad_order):
+    """The former quadrature loop of ``antiderivative`` and ``verify_deriv2``:
+    one ``mix`` and one field evaluation per Gauss node."""
+    pos, sw = signed_difference(m, mu)
+    if pos.size == 0:
+        return 0.0
+    nodes, weights = gauss_legendre_01(quad_order)
+    contributions = []
+    for t, gw in zip(nodes, weights):
+        mt = mix(mu, m, float(t))
+        vals = _values_at(lambda x: H.value(mt, x), pos)
+        contributions.append(gw * math.fsum((sw * vals).tolist()))
+    return math.fsum(contributions)
+
+
+def scalar_only_field():
+    """A user field with no batched evaluator that accepts scalar points only."""
+
+    def value(m, x):
+        return math.cos(x) * float(m.weights[0]) + float(m.positions[-1]) * x
+
+    return DerivativeField(value=value, dx=lambda m, x: -math.sin(x), label="user")
+
+
+FIELDS = {
+    **{f"lift-{F.label}": lift_to_field(F) for F in standard_battery()},
+    "counterexample-sin-cos": counterexample_field(sin_fn(), cos_fn()),
+    "counterexample-gauss-poly": counterexample_field(gaussian(0.5, 0.7), polynomial((0.1, -1.0, 0.5))),
+    "zero": zero_field(),
+    "canonical-lift": canonicalize(lift_to_field(standard_battery()[2])),
+    "user": scalar_only_field(),
+}
+
+FEATURES = ("plain", "equal", "shared", "near", "chain", "subnormal")
+SUBNORMALS = (5e-324, 1e-320, 1e-310, 2.2e-308)
+
+
+@st.composite
+def segment_pairs(draw, max_atoms=256):
+    """(feature, mu, m) with 1 to ``max_atoms`` atoms each.
+
+    Positions and weights come from a generator seeded by hypothesis; the
+    feature then edits them: m equal to mu; atoms of m placed exactly on
+    atoms of mu; within MERGE_TOL of them; in chains of three or more
+    alternating atoms across mu and m; or with subnormal weights, whose
+    products with some nodes' t underflow to zero.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    feature = draw(st.sampled_from(FEATURES))
+    n_mu, n_m = draw(st.integers(1, max_atoms)), draw(st.integers(1, max_atoms))
+    mu = DiscreteMeasure(rng.uniform(-2.0, 2.0, n_mu), rng.dirichlet(np.ones(n_mu)))
+    if feature == "equal":
+        return feature, mu, DiscreteMeasure(mu.positions, mu.weights)
+    pos, w = rng.uniform(-2.0, 2.0, n_m), rng.dirichlet(np.ones(n_m))
+    k = draw(st.integers(1, min(n_m, n_mu)))
+    targets = mu.positions[rng.choice(n_mu, k, replace=False)]
+    if feature == "shared":
+        pos[:k] = targets
+    elif feature == "near":
+        pos[:k] = targets + draw(st.sampled_from([3e-13, -6e-13, MERGE_TOL, -MERGE_TOL]))
+    elif feature == "chain":
+        # mu's atoms x and x + 1.4e-12 with m's atom x + 7e-13 between them
+        # chain three atoms; m's atom x - 7e-13, where m has room, makes four
+        x = targets[0]
+        mu = DiscreteMeasure(np.append(mu.positions, x + 1.4e-12), np.append(0.5 * mu.weights, 0.5))
+        pos[0] = x + 7e-13
+        if n_m > 1:
+            pos[1] = x - 7e-13
+    elif feature == "subnormal" and n_m > 1:
+        tiny = min(k, n_m - 1)
+        w[:tiny] = draw(st.sampled_from(SUBNORMALS))
+        w[tiny:] = w[tiny:] / math.fsum(w[tiny:].tolist())
+    return feature, mu, DiscreteMeasure(pos, w)
+
+
+SEGMENT_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+class TestSegmentIntegral:
+    @given(segment_pairs(), st.sampled_from([2, 32]))
+    @SEGMENT_SETTINGS
+    def test_bit_identical_to_node_loop(self, name, pair, quad_order):
+        _, mu, m = pair
+        H = FIELDS[name]
+        assert same_bits(segment_integral(H, mu, m, quad_order), segment_integral_loop(H, mu, m, quad_order))
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            dirac(0.0),
+            DiscreteMeasure([0.0, 0.75], [0.5, 0.5]),
+            DiscreteMeasure([-0.0, 0.75], [0.5, 0.5]),
+            DiscreteMeasure([6e-13, -1.25], [0.5, 0.5]),
+            DiscreteMeasure([-7e-13, 7e-13, 1.0], [0.25, 0.25, 0.5]),
+            DiscreteMeasure([0.0, 1.0], [1e-310, 1.0]),
+        ],
+        ids=["base", "shared-zero", "negative-zero", "near-zero", "chain-at-zero", "subnormal"],
+    )
+    def test_antiderivative_bit_identical(self, name, m):
+        H = FIELDS[name]
+        assert same_bits(antiderivative(H, 32)(m), segment_integral_loop(H, BASE_POINT, m, 32))
+
+
+class TestMixRows:
+    @given(segment_pairs())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_rows_are_the_mixtures(self, pair):
+        feature, mu, m = pair
+        nodes, _ = gauss_legendre_01(32)
+        rows = mix_rows(mu, m, nodes)
+        if feature in ("plain", "equal", "shared"):
+            assert rows is not None
+        if feature == "chain":
+            assert rows is None
+        if rows is not None:
+            positions, weights = rows
+            assert weights.shape == (nodes.size, positions.size)
+            for t, row in zip(nodes, weights):
+                mixed = mix(mu, m, float(t))
+                assert same_bits(positions, mixed.positions)
+                assert same_bits(row, mixed.weights)
+
+    def test_subnormal_weight_kept_while_positive(self):
+        nodes, _ = gauss_legendre_01(32)
+        mu, m = dirac(0.5), DiscreteMeasure([0.0, 1.0], [1e-310, 1.0])
+        positions, weights = mix_rows(mu, m, nodes)
+        assert np.all(weights[:, 0] > 0.0) and np.all(weights[:, 0] < 2.3e-308)
+        for t, row in zip(nodes, weights):
+            assert same_bits(row, mix(mu, m, float(t)).weights)
+
+    def test_underflow_to_zero_falls_back(self):
+        nodes, _ = gauss_legendre_01(32)
+        m = DiscreteMeasure([0.0, 1.0], [5e-324, 1.0])
+        assert len(mix(dirac(0.5), m, float(nodes[0]))) == 2  # t * 5e-324 rounds to 0
+        assert mix_rows(dirac(0.5), m, nodes) is None
+
+    def test_mass_near_tolerance_falls_back(self):
+        nodes, _ = gauss_legendre_01(2)
+        heavy = DiscreteMeasure([0.0, 1.0], [0.5, 0.5 + 0.9 * MASS_TOL])
+        assert mix_rows(dirac(0.5), heavy, nodes) is None
+        H = FIELDS["lift-mean"]
+        assert same_bits(segment_integral(H, dirac(0.5), heavy, 2), segment_integral_loop(H, dirac(0.5), heavy, 2))
