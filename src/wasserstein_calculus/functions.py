@@ -499,7 +499,9 @@ class CylinderFunction:
     def exact_delta_rows(self, positions: np.ndarray, weights: np.ndarray, x) -> np.ndarray:
         """``exact_delta`` at the points ``x`` for every row measure of a
         ``mix_rows`` batch, shape (rows, points), bit for bit."""
-        v = np.stack([integrate_rows(positions, weights, f) for f in self.inner], axis=1)
+        v = np.empty((len(weights), len(self.inner)))
+        for i, f in enumerate(self.inner):
+            v[:, i] = integrate_rows(positions, weights, f)
         grad = np.array([self.outer.gradient(row) for row in v])
         xs = np.asarray(x, dtype=float)
         acc = np.zeros((v.shape[0], xs.size))

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from wasserstein_calculus import (
     BASE_POINT,
     BUMP_MODES,
+    CylinderFunction,
     DerivativeField,
     DiscreteMeasure,
     PartitionScheme,
@@ -32,6 +33,7 @@ from wasserstein_calculus import (
     gaussian,
     lift_to_field,
     mix,
+    outer_polynomial,
     polynomial,
     segment_integral,
     signed_difference,
@@ -441,6 +443,7 @@ FIELDS = {
     **{f"lift-{F.label}": lift_to_field(F) for F in standard_battery()},
     "counterexample-sin-cos": counterexample_field(sin_fn(), cos_fn()),
     "counterexample-gauss-poly": counterexample_field(gaussian(0.5, 0.7), polynomial((0.1, -1.0, 0.5))),
+    "lift-constant": lift_to_field(CylinderFunction((), outer_polynomial([(2.0, ())]))),
     "zero": zero_field(),
     "canonical-lift": canonicalize(lift_to_field(standard_battery()[2])),
     "user": scalar_only_field(),
