@@ -217,8 +217,8 @@ def _required(data: dict, key: str, what: str):
 
 
 def _number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, not {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, not {value!r}")
     return float(value)
 
 

@@ -1,6 +1,7 @@
 """Command-line driver: subcommands, exit codes, config precedence."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -165,8 +166,9 @@ class TestMalformedJson:
             ),
             ("ftc-check", {"kind": "counterexample", "phi": {"kind": "polynomial", "coeffs": 5}, "psi": {"kind": "cos"}}),
             ("dawson", {"inner": [{"kind": "sin"}, {"kind": "cos"}], "outer": {"kind": "product"}}),
+            ("dawson", {"inner": [{"kind": "sin"}], "outer": {"kind": "linear", "weights": [math.nan]}}),
         ],
-        ids=["linear-without-weights", "scalar-coeffs", "product-without-arity"],
+        ids=["linear-without-weights", "scalar-coeffs", "product-without-arity", "nan-weight"],
     )
     def test_exit_code_two(self, files, capsys, tmp_path, command, document):
         path = tmp_path / "malformed.json"
