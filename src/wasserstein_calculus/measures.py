@@ -194,11 +194,12 @@ def mix_rows(a: DiscreteMeasure, b: DiscreteMeasure, ts):
 
     Returns ``(positions, weights)`` where row k of the 2-D ``weights`` holds
     the weights of ``mix(a, b, ts[k])`` on ``positions``, bit for bit, with
-    one sort and one grouping for all rows. Every t must lie strictly inside
-    (0, 1). Returns None when the rows do not share a support: when two
-    distinct positions lie within MERGE_TOL (their merged atom sits at a
-    weight average that moves with t), or when a weight underflows to zero
-    (that row drops the atom). Callers then build the rows with ``mix``.
+    one sort and one grouping for all rows. Returns None when the rows do
+    not share a support: when two distinct positions lie within MERGE_TOL
+    (their merged atom sits at a weight average that moves with t), or when
+    a weight is not positive, as when it underflows to zero (that row drops
+    the atom) or t lies outside (0, 1). Callers then build the rows with
+    ``mix``.
     """
     # a row's mass differs from the inputs' by rounding only (< 1e-15), so
     # inputs this close to one pass the constructor's mass check in every row
