@@ -205,6 +205,22 @@ class TestConfigPrecedence:
         assert json.loads(out_default)["eps"] == 1e-3
 
 
+class TestMalformedConfig:
+    """A config file that is not an object of numbers is invalid input."""
+
+    @pytest.mark.parametrize(
+        "document",
+        [[1, 2], {"seed": [1]}],
+        ids=["not-an-object", "list-valued-seed"],
+    )
+    def test_exit_code_two(self, capsys, tmp_path, document):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(document))
+        code, _, err = run_cli(capsys, ["deriv2-check", "--samples", "1", "--config", str(cfg)])
+        assert code == 2
+        assert "error" in json.loads(err)
+
+
 class TestSweepWiring:
     # the full battery runs under tests/test_acceptance.py; here only the
     # report/CSV plumbing, with the sweep stubbed out
