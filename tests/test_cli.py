@@ -1,13 +1,16 @@
 """Command-line driver: subcommands, exit codes, config precedence."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from wasserstein_calculus.cli import main
+from wasserstein_calculus.cli import DEFAULTS, main
 
 
 @pytest.fixture
@@ -219,6 +222,63 @@ class TestMalformedConfig:
         code, _, err = run_cli(capsys, ["deriv2-check", "--samples", "1", "--config", str(cfg)])
         assert code == 2
         assert "error" in json.loads(err)
+
+
+# any JSON value, NaN and infinities included (json reads and writes them)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=8,
+)
+config_documents = json_values | st.dictionaries(
+    st.sampled_from(sorted(DEFAULTS)), json_values, max_size=len(DEFAULTS)
+)
+
+
+class TestConfigFuzz:
+    """Whatever the config file holds, the CLI exits 0, or 2 with one JSON
+    error object on stderr; it never raises. ``--threads`` stays on the
+    command line, so no config can start a thread pool."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("config-fuzz")
+        function = root / "prod.json"
+        function.write_text(
+            json.dumps({"inner": [{"kind": "sin"}, {"kind": "cos"}], "outer": {"kind": "product", "arity": 2}})
+        )
+        measure = root / "m.json"
+        measure.write_text(json.dumps({"atoms": [[-0.5, 0.25], [0.25, 0.5], [0.75, 0.25]]}))
+        return root, str(function), str(measure)
+
+    @given(document=config_documents, command=st.sampled_from(["dawson", "deriv2-check"]))
+    @example(document={"eps": 5e-324}, command="dawson")  # eps / 2 underflows to zero
+    @example(document={"eps": 10**400}, command="dawson")
+    @example(document={"seed": -1}, command="deriv2-check")
+    @example(document={"seed": 1.5}, command="deriv2-check")
+    @settings(
+        max_examples=150,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_exit_zero_or_two(self, inputs, document, command):
+        root, function, measure = inputs
+        cfg = root / "cfg.json"
+        cfg.write_text(json.dumps(document))
+        if command == "dawson":
+            argv = ["dawson", "--x", "0.5", "--config", str(cfg), function, measure]
+        else:
+            argv = ["deriv2-check", "--samples", "1", "--quad", "2", "--threads", "1", "--config", str(cfg)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2)
+        if code == 2:
+            assert isinstance(json.loads(err.getvalue()), dict)
+        else:
+            assert isinstance(json.loads(out.getvalue()), dict)
 
 
 class TestSweepWiring:
