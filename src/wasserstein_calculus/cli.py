@@ -47,13 +47,35 @@ def _load_measure(path: str):
     return measure_from_dict(_load_json_file(path))
 
 
-def _resolve(args, key, cast=None):
+def _resolve(args, key, cast):
+    """Option ``key`` from the command line, else the config file, else DEFAULTS.
+
+    A config file must hold a JSON object; a value it gives must be a finite
+    number, and an integer where ``cast`` is ``int``.
+    """
     value = getattr(args, key, None)
     if value is None and getattr(args, "config", None):
-        value = _load_json_file(args.config).get(key)
+        config = _load_json_file(args.config)
+        if not isinstance(config, dict):
+            raise ValueError(f"{args.config} must hold a JSON object of option values")
+        value = config.get(key)
+        if value is not None:
+            _check_config_value(key, value, cast)
     if value is None:
         value = DEFAULTS[key]
-    return cast(value) if cast else value
+    return cast(value)
+
+
+def _check_config_value(key, value, cast):
+    ok = not isinstance(value, bool) and isinstance(value, int if cast is int else (int, float))
+    if ok and cast is float:
+        try:
+            ok = math.isfinite(float(value))
+        except OverflowError:
+            ok = False
+    if not ok:
+        kind = "an integer" if cast is int else "a finite number"
+        raise ValueError(f"config value of {key!r} must be {kind}, not {type(value).__name__}")
 
 
 def _parse_scalar_arg(text: str):

@@ -121,8 +121,8 @@ def dawson(F, m: DiscreteMeasure, x: float, eps: float) -> float:
 def dawson_extrapolated(F, m: DiscreteMeasure, x: float, eps: float) -> float:
     """Richardson-corrected quotient: 2*q(eps/2) - q(eps), error O(eps^2)."""
     eps = float(eps)
-    if not 0.0 < eps <= 0.25:
-        raise ValueError("eps must lie in (0, 0.25]")
+    if not (0.0 < 0.5 * eps and eps <= 0.25):
+        raise ValueError("eps must lie in (0, 0.25], with eps/2 above zero")
     base = F(m)
     point = dirac(x)
     q_full = (F(mix(m, point, eps)) - base) / eps
