@@ -28,8 +28,8 @@ from .ftc import (
     symmetry_residual,
 )
 from .functions import cos_fn, lift_to_field, lipschitz_probes, sin_fn, standard_battery
-from .measures import dirac, kr_lower_bound, w1
-from .partition import BUMP_MODES, PartitionScheme, discretize
+from .measures import dirac, kr_lower_bound, w1, w1_rows
+from .partition import BUMP_MODES, PartitionScheme, discretize_rows
 from .sampling import random_measure, random_point, stream_rng
 from .util import parallel_map
 
@@ -46,23 +46,22 @@ def check_discretization(seed: int = DEFAULT_SEED, threads: int = 1):
 
     def one(case):
         K, n = case
-        schemes = {mode: PartitionScheme(n=n, K=K, bump_shape=mode) for mode in BUMP_MODES}
+        measures = [
+            random_measure(stream_rng(seed, f"discretize-K{K}-n{n}", i), K)
+            for i in range(MEASURES_PER_CASE)
+        ]
+        originals = [(m.positions, m.weights) for m in measures]
         bound = 3.0 / n
         violations = 0
         ratio_max = 0.0
-        w1_smooth_max = 0.0
-        atoms_out_max = 0
-        for i in range(MEASURES_PER_CASE):
-            m = random_measure(stream_rng(seed, f"discretize-K{K}-n{n}", i), K)
-            for mode in BUMP_MODES:
-                mn = discretize(schemes[mode], m)
-                dist = w1(m, mn)
-                if dist > bound + 1e-10:
-                    violations += 1
-                ratio_max = max(ratio_max, dist * n / 3.0)
-                if mode == "smooth_bump":
-                    w1_smooth_max = max(w1_smooth_max, dist)
-                    atoms_out_max = max(atoms_out_max, len(mn))
+        for mode in BUMP_MODES:
+            grid_rows = discretize_rows(PartitionScheme(n=n, K=K, bump_shape=mode), measures)
+            dists = w1_rows(originals, grid_rows)
+            violations += int(np.count_nonzero(dists > bound + 1e-10))
+            ratio_max = max(ratio_max, float(np.max(dists * n / 3.0)))
+            if mode == "smooth_bump":
+                w1_smooth_max = float(np.max(dists))
+                atoms_out_max = max(positions.size for positions, _ in grid_rows)
         return {
             "K": K,
             "n": n,

@@ -23,6 +23,7 @@ __all__ = [
     "mix",
     "integrate",
     "w1",
+    "w1_rows",
     "kr_lower_bound",
     "signed_difference",
     "measure_to_dict",
@@ -265,18 +266,49 @@ def w1(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
     breakpoint set, where F denotes the cumulative distribution function. In
     one dimension this integral attains the optimal-coupling infimum, and is
     symmetric and zero exactly when the measures coincide.
+
+    This is the one-row case of ``w1_rows``, which computes the distance for
+    many pairs of measures in one array pass with the same bits per pair.
     """
     if a is b:
         return 0.0
-    pos = np.concatenate((a.positions, b.positions))
-    signed = np.concatenate((a.weights, -b.weights))
-    order = np.argsort(pos, kind="stable")
-    pos = pos[order]
-    cdf_gap = compensated_cumsum(signed[order])
-    gaps = np.diff(pos)
-    if gaps.size == 0:
-        return 0.0
-    return math.fsum((np.abs(cdf_gap[:-1]) * gaps).tolist())
+    return float(w1_rows([(a.positions, a.weights)], [(b.positions, b.weights)])[0])
+
+
+def w1_rows(firsts, seconds) -> np.ndarray:
+    """``w1`` of every pair (firsts[r], seconds[r]), one array pass for all.
+
+    Each item is a ``(positions, weights)`` pair of a probability measure, as
+    a ``DiscreteMeasure`` holds them or ``partition.discretize_rows`` returns
+    them. Row r holds the atoms of both measures of pair r, the second with
+    negated weights, padded at the end with atoms at +inf of weight 0. A
+    stable sort of each row puts the padding last and leaves the real atoms in
+    the order the one-row sort gives them; the running sums along the row are
+    sequential, so they see the same terms in the same order; and the gaps
+    that touch the padding are zeroed before one ``math.fsum`` per row. Each
+    distance therefore has the bits of its pair computed alone.
+    """
+    rows = [(pa, wa, pb, wb) for (pa, wa), (pb, wb) in zip(firsts, seconds, strict=True)]
+    if not rows:
+        return np.zeros(0)
+    lengths = [pa.size + pb.size for pa, _, pb, _ in rows]
+    width = max(lengths)
+    inf_pad, zero_pad = np.full(width - min(lengths), np.inf), np.zeros(width - min(lengths))
+    pos = np.concatenate(
+        [x for (pa, _, pb, _), n in zip(rows, lengths) for x in (pa, pb, inf_pad[: width - n])]
+    ).reshape(len(rows), width)
+    signed = np.concatenate(
+        [x for (_, wa, _, wb), n in zip(rows, lengths) for x in (wa, -wb, zero_pad[: width - n])]
+    ).reshape(len(rows), width)
+    order = np.argsort(pos, axis=1, kind="stable")
+    order += np.arange(0, pos.size, width)[:, None]  # flat indices
+    pos = np.take(pos, order)
+    cdf_gap = compensated_cumsum(np.take(signed, order))
+    gaps = np.subtract(
+        pos[:, 1:], pos[:, :-1], out=np.zeros((len(rows), width - 1)), where=pos[:, 1:] < np.inf
+    )
+    products = (np.abs(cdf_gap[:, :-1]) * gaps).tolist()
+    return np.array([math.fsum(row) for row in products])
 
 
 def kr_lower_bound(a: DiscreteMeasure, b: DiscreteMeasure, f) -> float:

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiscreteMeasure
+from .measures import MASS_TOL, DiscreteMeasure
 
-__all__ = ["PartitionScheme", "bump_weight", "discretize", "BUMP_MODES"]
+__all__ = ["PartitionScheme", "bump_weight", "discretize", "discretize_rows", "BUMP_MODES"]
 
 BUMP_MODES = ("smooth_bump", "linear_hat")
 
@@ -175,22 +175,53 @@ def discretize(scheme: PartitionScheme, m: DiscreteMeasure) -> DiscreteMeasure:
     Grid point k/n receives the integral of bump k against the measure, an
     exact finite sum for atomic input over the two bumps nonzero at each
     atom. Requires the support to stay inside [-K, K]; mass outside would
-    leak into the tail cells with the wrong transport length.
+    leak into the tail cells with the wrong transport length. This is the
+    one-row case of ``discretize_rows``.
     """
-    if m.support_bound > scheme.K:
-        raise ValueError(
-            f"measure support bound {m.support_bound:g} exceeds the scheme bound K={scheme.K}"
-        )
-    cols, band = scheme._band(m.positions)
-    weights = np.bincount(
+    return DiscreteMeasure(*discretize_rows(scheme, [m])[0])
+
+
+def discretize_rows(scheme: PartitionScheme, measures) -> list:
+    """``discretize`` of every measure in ``measures``, one array pass for all.
+
+    Returns one ``(positions, weights)`` pair per measure: the grid points
+    that keep more than ``WEIGHT_FLOOR`` and their renormalized weights, the
+    arrays ``discretize`` stores in its measure. The band of every atom of
+    every measure is evaluated at once and scattered by one ``np.bincount``
+    keyed by (measure, grid index); bincount adds each bin's terms in input
+    order, so each row's sums have the bits of that measure discretized
+    alone. The checks are those of ``discretize``, made for every row: the
+    support bound, the cover of every atom, the mass of the grid weights, and
+    the constructor's mass check on the kept weights.
+    """
+    measures = list(measures)
+    if not measures:
+        return []
+    for m in measures:
+        if m.support_bound > scheme.K:
+            raise ValueError(
+                f"measure support bound {m.support_bound:g} exceeds the scheme bound K={scheme.K}"
+            )
+    size = scheme.indices.size
+    counts = [len(m) for m in measures]
+    cols, band = scheme._band(np.concatenate([m.positions for m in measures]))
+    cols += np.repeat(np.arange(len(measures)) * size, counts)
+    masses = np.concatenate([m.weights for m in measures])
+    grid_weights = np.bincount(
         (cols[:, None] + _PAIR).ravel(),
-        (m.weights[:, None] * band).ravel(),
-        minlength=scheme.indices.size,
-    )
-    total = math.fsum(weights.tolist())
-    if abs(total - 1.0) > 1e-10:
-        raise RuntimeError(f"partition of unity leaked mass: total {total!r}")
-    keep = weights > WEIGHT_FLOOR
-    kept = weights[keep]
-    kept = kept / math.fsum(kept.tolist())
-    return DiscreteMeasure(scheme.grid[keep], kept)
+        (masses[:, None] * band).ravel(),
+        minlength=len(measures) * size,
+    ).reshape(len(measures), size)
+    out = []
+    for weights in grid_weights:
+        total = math.fsum(weights.tolist())
+        if abs(total - 1.0) > 1e-10:
+            raise RuntimeError(f"partition of unity leaked mass: total {total!r}")
+        keep = weights > WEIGHT_FLOOR
+        kept = weights[keep]
+        kept = kept / math.fsum(kept.tolist())
+        mass = math.fsum(kept.tolist())
+        if abs(mass - 1.0) > MASS_TOL:
+            raise ValueError(f"weights sum to {mass!r}, not 1")
+        out.append((scheme.grid[keep], kept))
+    return out

@@ -66,10 +66,12 @@ def _plain(obj):
 
 
 def compensated_cumsum(values) -> np.ndarray:
-    """Running sums with Neumaier compensation.
+    """Running sums with Neumaier compensation, along the last axis.
 
     Keeps cumulative-distribution differences accurate to a few ulp even for
-    thousands of terms, which plain ``np.cumsum`` does not guarantee.
+    thousands of terms, which plain ``np.cumsum`` does not guarantee. A 2-D
+    input is summed row by row; each row gives the bits it gives alone, as
+    ``np.add.accumulate`` runs sequentially along the axis.
 
     The result equals, bit for bit, the sequential loop that keeps a running
     ``total`` and adds the rounding error of each step ``total + v`` to a
@@ -83,12 +85,12 @@ def compensated_cumsum(values) -> np.ndarray:
     neither form ever returns -0.0.
     """
     v = np.asarray(values, dtype=float)
-    sums = np.zeros(v.size + 1)
-    np.add.accumulate(v, out=sums[1:])
-    prev, s = sums[:-1], sums[1:]
+    sums = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,))
+    np.add.accumulate(v, axis=-1, out=sums[..., 1:])
+    prev, s = sums[..., :-1], sums[..., 1:]
     back = s - prev
     err = prev - (s - back)
     err += v - back
-    np.add.accumulate(err, out=err)
+    np.add.accumulate(err, axis=-1, out=err)
     err += s
     return err
