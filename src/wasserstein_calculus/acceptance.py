@@ -39,40 +39,44 @@ MEASURES_PER_CASE = 100
 DISCRETIZATION_BUDGET_S = 10.0
 
 
+def discretization_case(seed: int, K: int, n: int) -> dict:
+    """One (K, n) case of criterion 1: 100 seeded measures, both bump modes.
+
+    Each mode discretizes all the measures with one ``discretize_rows`` call
+    and measures every distance with one ``w1_rows`` call.
+    """
+    measures = [
+        random_measure(stream_rng(seed, f"discretize-K{K}-n{n}", i), K)
+        for i in range(MEASURES_PER_CASE)
+    ]
+    originals = [(m.positions, m.weights) for m in measures]
+    bound = 3.0 / n
+    violations = 0
+    ratio_max = 0.0
+    for mode in BUMP_MODES:
+        grid_rows = discretize_rows(PartitionScheme(n=n, K=K, bump_shape=mode), measures)
+        dists = w1_rows(originals, grid_rows)
+        violations += int(np.count_nonzero(dists > bound + 1e-10))
+        ratio_max = max(ratio_max, float(np.max(dists * n / 3.0)))
+        if mode == "smooth_bump":
+            w1_smooth_max = float(np.max(dists))
+            atoms_out_max = max(positions.size for positions, _ in grid_rows)
+    return {
+        "K": K,
+        "n": n,
+        "w1_bound": bound,
+        "w1_actual": w1_smooth_max,
+        "atoms_out": atoms_out_max,
+        "violations": violations,
+        "ratio_max": ratio_max,
+    }
+
+
 def check_discretization(seed: int = DEFAULT_SEED, threads: int = 1):
     """Grid discretization stays within 3/n of the input, in both bump modes."""
     started = time.perf_counter()
     cases = [(K, n) for K in (1, 2) for n in range(K + 1, 65)]
-
-    def one(case):
-        K, n = case
-        measures = [
-            random_measure(stream_rng(seed, f"discretize-K{K}-n{n}", i), K)
-            for i in range(MEASURES_PER_CASE)
-        ]
-        originals = [(m.positions, m.weights) for m in measures]
-        bound = 3.0 / n
-        violations = 0
-        ratio_max = 0.0
-        for mode in BUMP_MODES:
-            grid_rows = discretize_rows(PartitionScheme(n=n, K=K, bump_shape=mode), measures)
-            dists = w1_rows(originals, grid_rows)
-            violations += int(np.count_nonzero(dists > bound + 1e-10))
-            ratio_max = max(ratio_max, float(np.max(dists * n / 3.0)))
-            if mode == "smooth_bump":
-                w1_smooth_max = float(np.max(dists))
-                atoms_out_max = max(positions.size for positions, _ in grid_rows)
-        return {
-            "K": K,
-            "n": n,
-            "w1_bound": bound,
-            "w1_actual": w1_smooth_max,
-            "atoms_out": atoms_out_max,
-            "violations": violations,
-            "ratio_max": ratio_max,
-        }
-
-    rows = parallel_map(one, cases, threads)
+    rows = parallel_map(lambda case: discretization_case(seed, *case), cases, threads)
     elapsed = time.perf_counter() - started
     violations = sum(r["violations"] for r in rows)
     # wall-clock stays out of the report so reruns serialize byte-identically;

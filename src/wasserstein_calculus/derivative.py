@@ -20,8 +20,8 @@ their weights, which are linear in t. A field may therefore carry a batched
 evaluator ``batch_value(positions, weights, xs)``: ``weights`` has one row
 per node, and it must return the (rows, len(xs)) array whose row k equals
 ``value(DiscreteMeasure(positions, weights[k]), xs)`` bit for bit. The
-fields built in this package carry one; any other field is evaluated node by
-node, as is every segment whose nodes do not share a support (see
+fields built in this package carry one, and ``canonicalize`` keeps it; any
+other field is evaluated node by node, as is every segment whose nodes do not share a support (see
 ``measures.mix_rows``).
 """
 
@@ -209,7 +209,8 @@ def canonicalize(H: DerivativeField) -> DerivativeField:
     differentiating m -> int H(m, y) dm(y) in the direction of a point mass
     at y gives H(m, y) - int H dm + int linear_delta(m, z, y) dm(z), which is
     subtracted from the original second derivative. For an already-canonical
-    field both corrections vanish identically.
+    field both corrections vanish identically. When the input has a
+    ``batch_value``, so does the output.
     """
     base_value, base_dx, base_ld = H.value, H.dx, H.linear_delta
 
@@ -232,9 +233,20 @@ def canonicalize(H: DerivativeField) -> DerivativeField:
             correction = base_value(m, y) - mean_of(m) + mean_variation
             return base_ld(m, x, y) - correction
 
+    batch_value = None
+    if H.batch_value is not None:
+        base_rows = H.batch_value
+
+        def batch_value(positions, weights, xs):
+            # mean_of for every row: the same products and one fsum per row
+            at_atoms = (weights * base_rows(positions, weights, positions)).tolist()
+            means = np.array([math.fsum(row) for row in at_atoms])
+            return base_rows(positions, weights, xs) - means[:, None]
+
     return DerivativeField(
         value=value,
         dx=dx,
         linear_delta=linear_delta,
         label=f"canonical[{H.label}]" if H.label else "canonical",
+        batch_value=batch_value,
     )

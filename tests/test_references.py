@@ -2,9 +2,10 @@
 
 The loop references are the library's former sequential implementations:
 the Neumaier running sum, the per-group atom merge of construction and of
-``signed_difference``, the dense partition-of-unity weight matrix, and the
+``signed_difference``, the dense partition-of-unity weight matrix, the
 per-node segment quadrature (one ``mix`` and one field evaluation per Gauss
-node). The vectorised code must reproduce the loops bit for bit, and the
+node), and the per-measure ``discretize`` and ``w1`` that criterion 1 called
+once per measure. The vectorised code must reproduce the loops bit for bit, and the
 banded grid weights must match the dense reference within ``GRID_TOL``. The
 rational oracles recompute ``w1`` and ``linear_hat`` discretization exactly
 with ``fractions.Fraction`` on dyadic inputs.
@@ -30,6 +31,7 @@ from wasserstein_calculus import (
     counterexample_field,
     dirac,
     discretize,
+    discretize_rows,
     gaussian,
     lift_to_field,
     mix,
@@ -40,11 +42,14 @@ from wasserstein_calculus import (
     sin_fn,
     standard_battery,
     w1,
+    w1_rows,
     zero_field,
 )
+from wasserstein_calculus.acceptance import MEASURES_PER_CASE, discretization_case
 from wasserstein_calculus.measures import MASS_TOL, MERGE_TOL, _values_at, mix_rows
 from wasserstein_calculus.partition import GRID_SNAP, WEIGHT_FLOOR, _mollifier, _smoothstep
-from wasserstein_calculus.util import compensated_cumsum, gauss_legendre_01
+from wasserstein_calculus.sampling import random_measure, stream_rng
+from wasserstein_calculus.util import canonical_json, compensated_cumsum, gauss_legendre_01
 
 # Banded against dense grid weights, absolute; fixed before measuring.
 GRID_TOL = 1e-15
@@ -152,6 +157,59 @@ def dense_chunks(scheme, xs, rows=256):
     """(start, dense rows) in blocks, so large grids stay small in memory."""
     for i in range(0, len(xs), rows):
         yield i, dense_weight_matrix(scheme, xs[i : i + rows])
+
+
+def discretize_one(scheme, m):
+    """The former per-measure ``discretize``: one band and one bincount."""
+    if m.support_bound > scheme.K:
+        raise ValueError("support outside [-K, K]")
+    cols, band = scheme._band(m.positions)
+    weights = np.bincount(
+        (cols[:, None] + np.array([0, 1])).ravel(),
+        (m.weights[:, None] * band).ravel(),
+        minlength=scheme.indices.size,
+    )
+    assert abs(math.fsum(weights.tolist()) - 1.0) <= 1e-10
+    keep = weights > WEIGHT_FLOOR
+    kept = weights[keep]
+    return DiscreteMeasure(scheme.grid[keep], kept / math.fsum(kept.tolist()))
+
+
+def w1_one(a, b) -> float:
+    """The former per-pair ``w1``, with the Neumaier loop for the running sums."""
+    pos = np.concatenate((a.positions, b.positions))
+    signed = np.concatenate((a.weights, -b.weights))
+    order = np.argsort(pos, kind="stable")
+    pos = pos[order]
+    cdf_gap = neumaier_loop(signed[order])
+    return math.fsum((np.abs(cdf_gap[:-1]) * np.diff(pos)).tolist())
+
+
+def discretization_case_loop(seed, K, n):
+    """Criterion 1's former per-measure loop for one (K, n) case."""
+    schemes = {mode: PartitionScheme(n=n, K=K, bump_shape=mode) for mode in BUMP_MODES}
+    bound = 3.0 / n
+    violations, ratio_max, w1_smooth_max, atoms_out_max = 0, 0.0, 0.0, 0
+    for i in range(MEASURES_PER_CASE):
+        m = random_measure(stream_rng(seed, f"discretize-K{K}-n{n}", i), K)
+        for mode in BUMP_MODES:
+            mn = discretize_one(schemes[mode], m)
+            dist = w1_one(m, mn)
+            if dist > bound + 1e-10:
+                violations += 1
+            ratio_max = max(ratio_max, dist * n / 3.0)
+            if mode == "smooth_bump":
+                w1_smooth_max = max(w1_smooth_max, dist)
+                atoms_out_max = max(atoms_out_max, len(mn))
+    return {
+        "K": K,
+        "n": n,
+        "w1_bound": bound,
+        "w1_actual": w1_smooth_max,
+        "atoms_out": atoms_out_max,
+        "violations": violations,
+        "ratio_max": ratio_max,
+    }
 
 
 def discretize_dense(scheme, m):
@@ -352,6 +410,125 @@ class TestBandedGridWeights:
         assert np.max(np.abs(scheme.weight_matrix(xs) - dense_weight_matrix(scheme, xs))) <= GRID_TOL
 
 
+# ------------------------------------------------------------ row-batched discretize and w1 against the per-measure loop
+
+# Atom weights around WEIGHT_FLOOR: an atom alone on a grid point gives that
+# point its own weight, so these put grid weights on both sides of the floor.
+FLOOR_RAWS = (0.9e-15, 1e-15, 1.05e-15, 1.1e-15, 2e-15)
+# Cell fractions where a smooth bump's share is near 1e-15 (exp(-1/(1-u^2))
+# at u = 0.985 is about 2.6e-15).
+FLOOR_FRACTIONS = (0.984, 0.985, 0.986)
+POSITION_KINDS = ("uniform", "grid", "snap", "edge", "bound", "floor")
+
+
+@st.composite
+def grid_schemes(draw):
+    K = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(K + 1, 64))
+    return PartitionScheme(n=n, K=K, bump_shape=draw(st.sampled_from(BUMP_MODES)))
+
+
+@st.composite
+def grid_measure(draw, scheme):
+    """1 to 12 atoms inside [-K, K]: uniform, on grid points, within
+    GRID_SNAP of them, in the edge cells, at +-K, or where a bump's share is
+    near WEIGHT_FLOOR; weights of mixed size, some near WEIGHT_FLOOR."""
+    n, K, N = scheme.n, scheme.K, scheme.edge_index
+    positions, raws = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(POSITION_KINDS))
+        k = draw(st.integers(-N, N))
+        if kind == "uniform":
+            x = draw(st.floats(-K, K, allow_nan=False))
+        elif kind == "grid":
+            x = k / n
+        elif kind == "snap":
+            x = k / n + draw(st.sampled_from([-2.0, -0.5, 0.5, 1.0, 2.0])) * GRID_SNAP / n
+        elif kind == "edge":
+            f = draw(st.sampled_from([0.0, 0.01, 0.5, 0.99]))
+            x = draw(st.sampled_from([-1.0, 1.0])) * (N - f) / n
+        elif kind == "bound":
+            x = draw(st.sampled_from([-1.0, 1.0])) * K
+        else:
+            x = (min(k, N - 1) + draw(st.sampled_from(FLOOR_FRACTIONS))) / n
+        positions.append(min(max(x, -K), K))
+        raws.append(draw(st.sampled_from(FLOOR_RAWS + (0.3, 1.0, 7.0))))
+    raws[draw(st.integers(0, len(raws) - 1))] = 1.0
+    return DiscreteMeasure(np.array(positions), np.array(raws) / math.fsum(raws))
+
+
+@st.composite
+def grid_batches(draw):
+    scheme = draw(grid_schemes())
+    return scheme, draw(st.lists(grid_measure(scheme), min_size=1, max_size=6))
+
+
+def rows_of(measures):
+    return [(m.positions, m.weights) for m in measures]
+
+
+def assert_rows_match_loop(scheme, measures):
+    rows = discretize_rows(scheme, measures)
+    dists = w1_rows(rows_of(measures), rows)
+    assert len(rows) == len(measures) and dists.shape == (len(measures),)
+    for m, (positions, weights), dist in zip(measures, rows, dists):
+        ref = discretize_one(scheme, m)
+        assert same_bits(positions, ref.positions) and same_bits(weights, ref.weights)
+        assert same_bits(dist, w1_one(m, ref))
+        one = discretize(scheme, m)
+        assert same_bits(one.positions, ref.positions) and same_bits(one.weights, ref.weights)
+        assert same_bits(w1(m, one), dist)
+
+
+class TestRowBatches:
+    @given(grid_batches())
+    @SETTINGS
+    def test_discretize_and_w1_rows_bit_identical_to_loop(self, batch):
+        assert_rows_match_loop(*batch)
+
+    @pytest.mark.parametrize("mode", BUMP_MODES)
+    def test_long_row_among_short_ones(self, mode):
+        scheme = PartitionScheme(n=64, K=2, bump_shape=mode)
+        rng = np.random.default_rng(11)
+        xs = np.concatenate((rng.uniform(-2.0, 2.0, 12_000), scheme.grid))
+        long = DiscreteMeasure(xs, rng.dirichlet(np.ones(xs.size)))
+        assert_rows_match_loop(scheme, [dirac(0.5), long, DiscreteMeasure([-2.0, 1.0 / 64], [0.25, 0.75])])
+
+    @pytest.mark.parametrize("mode", BUMP_MODES)
+    def test_weights_straddling_floor(self, mode):
+        scheme = PartitionScheme(n=4, K=1, bump_shape=mode)
+        below, above = 0.9e-15, 1.1e-15
+        m = DiscreteMeasure([-0.5, 0.25, 0.5], [below, above, 1.0 - below - above])
+        (positions, weights), = discretize_rows(scheme, [m])
+        assert list(positions) == [0.25, 0.5]  # the grid weight at -0.5 is dropped
+        assert_rows_match_loop(scheme, [m, dirac(0.25)])
+
+    @given(st.lists(st.tuples(clustered_atoms(), clustered_atoms()), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_w1_rows_of_any_pairs(self, pairs):
+        a = [DiscreteMeasure(*p) for p, _ in pairs]
+        b = [DiscreteMeasure(*q) for _, q in pairs]
+        dists = w1_rows(rows_of(a), rows_of(b))
+        for x, y, d in zip(a, b, dists):
+            assert same_bits(d, w1_one(x, y))
+            assert same_bits(w1(x, y), d)
+
+    def test_empty_batches(self):
+        scheme = PartitionScheme(n=2, K=1)
+        assert discretize_rows(scheme, []) == []
+        assert w1_rows([], []).size == 0
+
+    def test_every_row_is_checked(self):
+        scheme = PartitionScheme(n=4, K=1)
+        with pytest.raises(ValueError, match="exceeds the scheme bound"):
+            discretize_rows(scheme, [dirac(0.0), dirac(1.5), dirac(0.5)])
+
+    @pytest.mark.parametrize("K, n", [(1, 2), (2, 37), (1, 64)])
+    def test_criterion_1_cases_match_loop(self, K, n):
+        case = discretization_case(0, K, n)
+        assert canonical_json(case) == canonical_json(discretization_case_loop(0, K, n))
+
+
 # ------------------------------------------------------------ rational oracles
 
 
@@ -446,6 +623,7 @@ FIELDS = {
     "lift-constant": lift_to_field(CylinderFunction((), outer_polynomial([(2.0, ())]))),
     "zero": zero_field(),
     "canonical-lift": canonicalize(lift_to_field(standard_battery()[2])),
+    "canonical-counterexample": canonicalize(counterexample_field(sin_fn(), cos_fn())),
     "user": scalar_only_field(),
 }
 
@@ -559,3 +737,23 @@ class TestMixRows:
         assert mix_rows(dirac(0.5), heavy, nodes) is None
         H = FIELDS["lift-mean"]
         assert same_bits(segment_integral(H, dirac(0.5), heavy, 2), segment_integral_loop(H, dirac(0.5), heavy, 2))
+
+
+class TestCanonicalBatch:
+    def test_batch_kept_only_when_the_base_has_one(self):
+        assert FIELDS["canonical-lift"].batch_value is not None
+        assert FIELDS["canonical-counterexample"].batch_value is not None
+        assert canonicalize(scalar_only_field()).batch_value is None
+
+    @pytest.mark.parametrize("name", ["canonical-lift", "canonical-counterexample"])
+    def test_segments_take_the_batched_path(self, name):
+        H = FIELDS[name]
+
+        def no_nodes(m, x):
+            raise AssertionError("segment evaluated node by node")
+
+        batched_only = DerivativeField(value=no_nodes, dx=H.dx, batch_value=H.batch_value)
+        mu, m = dirac(0.0), DiscreteMeasure([0.0, 0.25, 0.75], [0.25, 0.25, 0.5])
+        for quad_order in (2, 32):
+            got = segment_integral(batched_only, mu, m, quad_order)
+            assert same_bits(got, segment_integral_loop(H, mu, m, quad_order))
