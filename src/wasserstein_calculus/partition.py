@@ -15,8 +15,10 @@ uses non-negativity and support containment of the bumps, so both bump
 families below satisfy it.
 
 At any point at most two bumps are nonzero: those of the grid indices just
-below and just above n*x. ``discretize`` evaluates only that band and
-scatters it onto the grid, so its cost is O(atoms) whatever n and K are;
+below and just above n*x. ``discretize_rows`` evaluates only that band, for
+the atoms of many measures at once, and scatters it onto one grid row per
+measure, so its cost is O(total atoms) whatever n and K are; each row has the
+bits of its measure discretized alone. ``discretize`` is its one-row case.
 ``PartitionScheme.weight_matrix`` densifies the same band into full rows.
 """
 

@@ -497,10 +497,11 @@ class TestRowBatches:
     @pytest.mark.parametrize("mode", BUMP_MODES)
     def test_weights_straddling_floor(self, mode):
         scheme = PartitionScheme(n=4, K=1, bump_shape=mode)
-        below, above = 0.9e-15, 1.1e-15
-        m = DiscreteMeasure([-0.5, 0.25, 0.5], [below, above, 1.0 - below - above])
+        # alone on its grid point, an atom gives that point exactly its weight
+        below, at, above = 0.9e-15, WEIGHT_FLOOR, 1.1e-15
+        m = DiscreteMeasure([-0.5, -0.25, 0.25, 0.5], [below, at, above, 1.0 - below - at - above])
         (positions, weights), = discretize_rows(scheme, [m])
-        assert list(positions) == [0.25, 0.5]  # the grid weight at -0.5 is dropped
+        assert list(positions) == [0.25, 0.5]  # weights at or below the floor are dropped
         assert_rows_match_loop(scheme, [m, dirac(0.25)])
 
     @given(st.lists(st.tuples(clustered_atoms(), clustered_atoms()), min_size=1, max_size=6))
