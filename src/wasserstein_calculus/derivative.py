@@ -21,8 +21,8 @@ evaluator ``batch_value(positions, weights, xs)``: ``weights`` has one row
 per node, and it must return the (rows, len(xs)) array whose row k equals
 ``value(DiscreteMeasure(positions, weights[k]), xs)`` bit for bit. The
 fields built in this package carry one, and ``canonicalize`` keeps it; any
-other field is evaluated node by node, as is every segment whose nodes do not share a support (see
-``measures.mix_rows``).
+other field is evaluated node by node, as is every segment whose nodes do
+not share a support (see ``measures.mix_rows``).
 """
 
 from __future__ import annotations
