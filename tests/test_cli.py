@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wasserstein_calculus.cli import DEFAULTS, main
 
@@ -257,12 +257,7 @@ class TestConfigFuzz:
     @example(document={"eps": 10**400}, command="dawson")
     @example(document={"seed": -1}, command="deriv2-check")
     @example(document={"seed": 1.5}, command="deriv2-check")
-    @settings(
-        max_examples=150,
-        deadline=None,
-        derandomize=True,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
     def test_exit_zero_or_two(self, inputs, document, command):
         root, function, measure = inputs
         cfg = root / "cfg.json"
