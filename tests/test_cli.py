@@ -157,6 +157,34 @@ class TestCounterexampleCommand:
         assert "error" in json.loads(err)
 
 
+class TestNumericBounds:
+    """Numbers the checks cannot use are invalid input: exit 2, JSON error."""
+
+    def test_tiny_eps(self, files, capsys):
+        code, _, err = run_cli(
+            capsys, ["dawson", "--x", "0.5", "--eps", "1e-320", files["prod.json"], files["m5.json"]]
+        )
+        assert code == 2
+        assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize("K", ["inf", "1e308", "nan", "-1"])
+    def test_counterexample_K(self, capsys, K):
+        code, _, err = run_cli(capsys, ["counterexample", f"--K={K}", "--samples", "2", "--quad", "2"])
+        assert code == 2
+        assert "K" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("K", ["inf", "1e308", "nan"])
+    def test_ftc_check_K(self, files, capsys, K):
+        code, _, err = run_cli(capsys, ["ftc-check", f"--K={K}", "--samples", "2", files["lifted.json"]])
+        assert code == 2
+        assert "K" in json.loads(err)["error"]
+
+    def test_counterexample_samples(self, capsys):
+        code, _, err = run_cli(capsys, ["counterexample", "--samples", "0"])
+        assert code == 2
+        assert json.loads(err)["error"] == "samples must be at least 1"
+
+
 class TestMalformedJson:
     """Structurally wrong function JSON is invalid input: exit 2, JSON error."""
 

@@ -67,6 +67,24 @@ class TestDawson:
         with pytest.raises(ValueError):
             dawson_extrapolated(lambda _: 0.0, m, 1.0, 0.3)
 
+    @pytest.mark.parametrize("eps", [1e-320, 1e-300, 1e-17, 2.0**-54])
+    def test_step_the_mixture_cannot_carry(self, eps):
+        # 1 - eps rounds to 1: the mixture would hold mass 1 + eps on paper
+        # and the quotient would be amplified rounding noise
+        F = standard_battery()[2]
+        m = DiscreteMeasure([-0.8, 0.1, 0.6], [0.3, 0.4, 0.3])
+        with pytest.raises(ValueError):
+            dawson(F.evaluate, m, 0.5, eps)
+        with pytest.raises(ValueError):
+            dawson_extrapolated(F.evaluate, m, 0.5, eps)
+
+    def test_smallest_carried_step(self):
+        eps = 2.0**-52  # 1 - eps/2 is the float just below one
+        F = standard_battery()[0]
+        m = DiscreteMeasure([-0.5, 0.3], [0.4, 0.6])
+        assert math.isfinite(dawson(F.evaluate, m, 0.9, eps))
+        assert math.isfinite(dawson_extrapolated(F.evaluate, m, 0.9, eps))
+
 
 class TestExtrapolated:
     def test_identical_to_plain_for_linear(self):

@@ -24,6 +24,7 @@ from wasserstein_calculus import (
     sin_fn,
     smooth_abs,
     random_measure,
+    random_point,
     stream_rng,
 )
 
@@ -292,3 +293,20 @@ class TestJson:
             measure_from_json(json.dumps({"nope": 1}))
         with pytest.raises(ValueError):
             measure_from_json(json.dumps({"atoms": [[0.0, -0.5], [1.0, 1.5]]}))
+
+
+class TestSamplingBounds:
+    """A sampling box [-K, K] needs a finite K >= 0 whose width 2K is finite."""
+
+    @pytest.mark.parametrize("K", [math.inf, -math.inf, math.nan, 1e308, -1.0])
+    def test_rejects_bad_half_width(self, K):
+        with pytest.raises(ValueError, match="K"):
+            random_measure(stream_rng(0, "bounds", 0), K)
+        with pytest.raises(ValueError, match="K"):
+            random_point(stream_rng(0, "bounds", 0), K)
+
+    @pytest.mark.parametrize("K", [0.0, 1.0, 8.9e307])
+    def test_accepts_finite_width(self, K):
+        rng = stream_rng(0, "bounds", 0)
+        assert random_measure(rng, K).support_bound <= K
+        assert abs(random_point(rng, K)) <= K
