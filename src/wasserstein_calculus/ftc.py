@@ -289,6 +289,8 @@ def counterexample_report(
     asserts exactly that, with the large-gap threshold additionally reported
     as half the realized closed-form gap.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     H = counterexample_field(phi, psi)
     F_quad = antiderivative(H, quad_order)
     F_closed = counterexample_closed_antiderivative(phi, psi)

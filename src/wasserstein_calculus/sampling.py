@@ -6,6 +6,7 @@ index), so parallel and serial evaluation orders draw identical values.
 
 from __future__ import annotations
 
+import math
 import zlib
 
 import numpy as np
@@ -23,12 +24,20 @@ def stream_rng(seed: int, stream: str, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), tag, int(index)]))
 
 
+def _check_half_width(K: float) -> None:
+    """Reject a box [-K, K] that cannot be sampled uniformly: K negative or
+    not finite, or a width 2K that overflows."""
+    if not (K >= 0.0 and math.isfinite(2.0 * K)):
+        raise ValueError(f"K must be a finite number >= 0 whose width 2K is finite, not {K!r}")
+
+
 def random_measure(rng: np.random.Generator, K: float, max_atoms: int = MAX_ATOMS) -> DiscreteMeasure:
     """Random measure supported in [-K, K].
 
     Atom count is uniform on 1..max_atoms, positions uniform, weights from a
     flat Dirichlet draw.
     """
+    _check_half_width(K)
     n = int(rng.integers(1, max_atoms + 1))
     positions = rng.uniform(-K, K, size=n)
     weights = rng.dirichlet(np.ones(n))
@@ -36,4 +45,5 @@ def random_measure(rng: np.random.Generator, K: float, max_atoms: int = MAX_ATOM
 
 
 def random_point(rng: np.random.Generator, K: float) -> float:
+    _check_half_width(K)
     return float(rng.uniform(-K, K))
