@@ -16,8 +16,9 @@ from .derivative import (
     DEFAULT_EPS,
     DEFAULT_QUAD_ORDER,
     DEFAULT_SEED,
-    dawson,
     dawson_extrapolated,
+    dawson_rows,
+    richardson,
     verify_deriv2,
 )
 from .ftc import (
@@ -105,7 +106,11 @@ def check_discretization(seed: int = DEFAULT_SEED, threads: int = 1):
 
 
 def check_dawson_linear(seed: int = DEFAULT_SEED, threads: int = 1, samples: int = 200):
-    """The extrapolated quotient matches the exact derivative; order is one."""
+    """The extrapolated quotient matches the exact derivative; order is one.
+
+    Each (function, sample) makes one ``dawson_rows`` call: the steps eps and
+    eps/2 of the extrapolated quotient, then the raw quotient's step grid.
+    """
     started = time.perf_counter()
     battery = standard_battery()
     K = 1.0
@@ -113,16 +118,19 @@ def check_dawson_linear(seed: int = DEFAULT_SEED, threads: int = 1, samples: int
     for i in range(samples):
         rng = stream_rng(seed, "dawson-samples", i)
         draws.append((random_measure(rng, K), random_point(rng, K)))
+    eps = 1e-3
     eps_grid = (1e-2, 5e-3, 2.5e-3)
+    steps = (eps, 0.5 * eps) + eps_grid
 
     def one(F):
         ext_err = 0.0
         raw_err = {e: 0.0 for e in eps_grid}
         for m, x in draws:
             exact = F.exact_delta(m, x)
-            ext_err = max(ext_err, abs(dawson_extrapolated(F.evaluate, m, x, 1e-3) - exact))
-            for e in eps_grid:
-                raw_err[e] = max(raw_err[e], abs(dawson(F.evaluate, m, x, e) - exact))
+            q_full, q_half, *raw = dawson_rows(F, m, x, steps).tolist()
+            ext_err = max(ext_err, abs(richardson(q_full, q_half) - exact))
+            for e, q in zip(eps_grid, raw):
+                raw_err[e] = max(raw_err[e], abs(q - exact))
         degenerate = raw_err[eps_grid[0]] <= 1e-10
         if degenerate:
             order = None
@@ -147,7 +155,7 @@ def check_dawson_linear(seed: int = DEFAULT_SEED, threads: int = 1, samples: int
         "name": "dawson_matches_exact_derivative",
         "ok": all(r["ok"] for r in per_fn),
         "samples": samples,
-        "eps": 1e-3,
+        "eps": eps,
         "eps_grid": list(eps_grid),
         "seed": int(seed),
         "functions": per_fn,
@@ -201,7 +209,7 @@ def check_canonical_normalization(
                 abs(math.fsum((m.weights * F.exact_delta(m, m.positions)).tolist())),
             )
             est = math.fsum(
-                m.weights[j] * dawson_extrapolated(F.evaluate, m, float(p), DEFAULT_EPS)
+                m.weights[j] * dawson_extrapolated(F, m, float(p), DEFAULT_EPS)
                 for j, p in enumerate(m.positions)
             )
             estimated_worst = max(estimated_worst, abs(est))
@@ -312,12 +320,8 @@ def check_second_derivative_symmetry(
         y = random_point(rng, 1.0)
         worst = 0.0
         for F in curved:
-            residual = (
-                F.exact_delta2(m, x, y)
-                - F.exact_delta(m, x)
-                - F.exact_delta2(m, y, x)
-                + F.exact_delta(m, y)
-            )
+            d = F.derivatives(m)  # one moment pass for the four terms
+            residual = d.delta2(x, y) - d.delta(x) - d.delta2(y, x) + d.delta(y)
             worst = max(worst, abs(residual))
         return worst
 

@@ -142,8 +142,8 @@ def cmd_dawson(args) -> int:
     report = {
         "x": args.x,
         "eps": eps,
-        "dawson": float(dawson(F.evaluate, m, args.x, eps)),
-        "dawson_extrapolated": float(dawson_extrapolated(F.evaluate, m, args.x, eps)),
+        "dawson": float(dawson(F, m, args.x, eps)),
+        "dawson_extrapolated": float(dawson_extrapolated(F, m, args.x, eps)),
         "exact_delta": float(F.exact_delta(m, args.x)),
         "function": F.label,
     }

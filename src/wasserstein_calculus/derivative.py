@@ -6,7 +6,15 @@ The directional difference quotient
 
 converges, for differentiable F, to the canonical functional derivative at
 (m, x). One Richardson level cancels the O(eps) truncation term, leaving an
-O(eps^2) estimator. The module also verifies the defining integral identity
+O(eps^2) estimator. ``dawson_rows`` is the one quotient routine: it takes
+any number of steps and evaluates F(m) once; ``dawson`` is its one-step case
+and ``dawson_extrapolated`` combines its steps (eps, eps/2). The perturbed
+measures of all steps share the support of m plus x, so a function of a
+measure may carry a batched evaluator ``evaluate_rows(positions, weights)``
+(as ``CylinderFunction`` does) that returns F of every row measure of a
+``measures.mix_rows`` batch, bit for bit; any other function, and any step
+set whose measures do not share a support, is evaluated step by step. The
+module also verifies the defining integral identity
 
     F(m) - F(mu) = int_0^1 int H((1-t)*mu + t*m, x) d(m - mu)(x) dt
 
@@ -42,6 +50,7 @@ __all__ = [
     "MeasureFunction",
     "zero_field",
     "dawson",
+    "dawson_rows",
     "dawson_extrapolated",
     "uniform_dawson_modulus",
     "segment_integral",
@@ -110,23 +119,49 @@ def field_values(H: DerivativeField, m: DiscreteMeasure, xs: np.ndarray) -> np.n
     return _values_at(lambda t: H.value(m, t), xs)
 
 
+def dawson_rows(F, m: DiscreteMeasure, x: float, steps) -> np.ndarray:
+    """Difference quotients (F(mix(m, dirac(x), s)) - F(m)) / s, one per step s.
+
+    F(m) is evaluated once. When F has an ``evaluate_rows`` and the perturbed
+    measures share one support (see ``measures.mix_rows``), all steps are
+    evaluated as one batch; otherwise each is ``mix(m, dirac(x), s)``
+    evaluated by F. Both give the same bits. A step must lie in (0, 0.5] and
+    be large enough that 1 - s < 1: below that the mixture's weights cannot
+    carry it, and the quotient would be amplified rounding noise.
+    """
+    steps = [float(s) for s in steps]
+    for s in steps:
+        if not (0.0 < s <= 0.5 and 1.0 - s < 1.0):
+            raise ValueError(f"step {s!r} must lie in (0, 0.5], with 1 - step below one")
+    point = dirac(x)
+    base = F(m)
+    rows = getattr(F, "evaluate_rows", None)
+    batch = mix_rows(m, point, steps) if rows is not None else None
+    if batch is not None:
+        values = rows(*batch)
+    else:
+        values = np.array([F(mix(m, point, s)) for s in steps])
+    return (values - base) / np.array(steps)
+
+
 def dawson(F, m: DiscreteMeasure, x: float, eps: float) -> float:
-    """Difference quotient of F at m in the direction of a point mass at x."""
-    eps = float(eps)
-    if not 0.0 < eps <= 0.5:
-        raise ValueError("eps must lie in (0, 0.5]")
-    return (F(mix(m, dirac(x), eps)) - F(m)) / eps
+    """Difference quotient of F at m in the direction of a point mass at x:
+    the one-step case of ``dawson_rows``."""
+    return float(dawson_rows(F, m, x, (eps,))[0])
 
 
 def dawson_extrapolated(F, m: DiscreteMeasure, x: float, eps: float) -> float:
-    """Richardson-corrected quotient: 2*q(eps/2) - q(eps), error O(eps^2)."""
+    """Richardson-corrected quotient: 2*q(eps/2) - q(eps), error O(eps^2),
+    from one ``dawson_rows`` call with the steps (eps, eps/2)."""
     eps = float(eps)
-    if not (0.0 < 0.5 * eps and eps <= 0.25):
-        raise ValueError("eps must lie in (0, 0.25], with eps/2 above zero")
-    base = F(m)
-    point = dirac(x)
-    q_full = (F(mix(m, point, eps)) - base) / eps
-    q_half = (F(mix(m, point, 0.5 * eps)) - base) / (0.5 * eps)
+    if not eps <= 0.25:
+        raise ValueError("eps must lie in (0, 0.25]")
+    return richardson(*dawson_rows(F, m, x, (eps, 0.5 * eps)).tolist())
+
+
+def richardson(q_full: float, q_half: float) -> float:
+    """2*q(eps/2) - q(eps): the quotients at the steps eps and eps/2 with
+    their O(eps) truncation terms cancelled."""
     return 2.0 * q_half - q_full
 
 

@@ -11,6 +11,7 @@ under test.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,7 @@ __all__ = [
     "outer_sin",
     "outer_exp",
     "CylinderFunction",
+    "CylinderDerivatives",
     "cylinder_from_dict",
     "cylinder_to_dict",
     "lift_to_field",
@@ -82,12 +84,12 @@ class ScalarFunction:
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
         out = self._value(xs)
-        return float(out) if np.ndim(x) == 0 else out
+        return float(out) if xs.ndim == 0 else out
 
     def derivative(self, x):
         xs = np.asarray(x, dtype=float)
         out = self._derivative(xs)
-        return float(out) if np.ndim(x) == 0 else out
+        return float(out) if xs.ndim == 0 else out
 
     def _value(self, xs):
         kind = self.kind
@@ -483,25 +485,39 @@ class CylinderFunction:
     def moments(self, m: DiscreteMeasure) -> np.ndarray:
         return np.array([integrate(m, f) for f in self.inner])
 
+    def moments_rows(self, positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """``moments`` of every row measure of a ``mix_rows`` batch, shape
+        (rows, k), bit for bit."""
+        v = np.empty((len(weights), len(self.inner)))
+        for i, f in enumerate(self.inner):
+            v[:, i] = integrate_rows(positions, weights, f)
+        return v
+
     def evaluate(self, m: DiscreteMeasure) -> float:
         return self.outer.value(self.moments(m))
 
+    def __call__(self, m: DiscreteMeasure) -> float:
+        """F(m), as ``evaluate``; a CylinderFunction passed where a function
+        of a measure is expected brings its ``evaluate_rows`` along."""
+        return self.evaluate(m)
+
+    def evaluate_rows(self, positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """``evaluate`` on every row measure of a ``mix_rows`` batch, bit for bit."""
+        return np.array([self.outer.value(v) for v in self.moments_rows(positions, weights)])
+
+    def derivatives(self, m: DiscreteMeasure) -> "CylinderDerivatives":
+        """The moments of m and the outer map's derivatives there, computed
+        once; every exact derivative at m is evaluated from them."""
+        return CylinderDerivatives(self, m)
+
     def exact_delta(self, m: DiscreteMeasure, x):
         """Canonical first derivative: sum_i dg_i(v) * (f_i(x) - v_i)."""
-        v = self.moments(m)
-        grad = self.outer.gradient(v)
-        xs = np.asarray(x, dtype=float)
-        acc = np.zeros(xs.shape)
-        for i, f in enumerate(self.inner):
-            acc = acc + grad[i] * (f(xs) - v[i])
-        return float(acc) if np.ndim(x) == 0 else acc
+        return self.derivatives(m).delta(x)
 
     def exact_delta_rows(self, positions: np.ndarray, weights: np.ndarray, x) -> np.ndarray:
         """``exact_delta`` at the points ``x`` for every row measure of a
         ``mix_rows`` batch, shape (rows, points), bit for bit."""
-        v = np.empty((len(weights), len(self.inner)))
-        for i, f in enumerate(self.inner):
-            v[:, i] = integrate_rows(positions, weights, f)
+        v = self.moments_rows(positions, weights)
         grad = np.array([self.outer.gradient(row) for row in v])
         xs = np.asarray(x, dtype=float)
         acc = np.zeros((v.shape[0], xs.size))
@@ -514,33 +530,85 @@ class CylinderFunction:
 
         Equals (f(x)-v)^T Hessian (f(y)-v) - grad . (f(y)-v).
         """
-        v = self.moments(m)
-        grad = self.outer.gradient(v)
-        hess = self.outer.hessian(v)
-        bx, by = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        dx = np.stack([np.broadcast_to(f(bx) - v[i], bx.shape) for i, f in enumerate(self.inner)])
-        dy = np.stack([np.broadcast_to(f(by) - v[i], by.shape) for i, f in enumerate(self.inner)])
-        quad = np.einsum("i...,ij,j...->...", dx, hess, dy)
-        lin = np.einsum("i,i...->...", grad, dy)
-        out = quad - lin
-        if np.ndim(x) == 0 and np.ndim(y) == 0:
-            return float(out)
-        return out
+        return self.derivatives(m).delta2(x, y)
 
     def delta_dx(self, m: DiscreteMeasure, x):
         """x-derivative of exact_delta: sum_i dg_i(v) * f_i'(x)."""
-        v = self.moments(m)
-        grad = self.outer.gradient(v)
+        return self.derivatives(m).delta_dx(x)
+
+    def has_nontrivial_hessian(self, probe: np.ndarray | None = None) -> bool:
+        if probe is None:
+            probe = np.full(self.outer.arity, 0.37)
+        return bool(np.any(self.outer.hessian(probe) != 0.0))
+
+
+class CylinderDerivatives:
+    """Exact derivatives of a cylinder function F at one measure m.
+
+    Holds the moments v = (<f_1, m>, ..., <f_k, m>) and the outer map's
+    gradient at v; the Hessian is computed on first use. ``delta``,
+    ``delta2`` and ``delta_dx`` are the formulas behind ``exact_delta``,
+    ``exact_delta2`` and ``delta_dx``, so several derivatives at one measure
+    cost one moment pass. Points may be scalars or arrays.
+    """
+
+    def __init__(self, F: CylinderFunction, m: DiscreteMeasure):
+        self.inner = F.inner
+        self.outer = F.outer
+        self.v = F.moments(m)
+        self.grad = F.outer.gradient(self.v)
+        self._at_point = {}
+
+    @functools.cached_property
+    def hess(self) -> np.ndarray:
+        return self.outer.hessian(self.v)
+
+    def centered(self, x) -> np.ndarray:
+        """The vectors (f_i(x) - v_i), i = 1..k, stacked to shape (k,) + shape
+        of x. Those of a scalar point are computed once and kept."""
+        if _is_scalar(x):
+            key = float(x)
+            key = (key, math.copysign(1.0, key))  # 0.0 and -0.0 differ in f
+            found = self._at_point.get(key)
+            if found is None:
+                found = self._at_point[key] = np.array(
+                    [f(x) - self.v[i] for i, f in enumerate(self.inner)], dtype=float
+                )
+            return found
+        xs = np.asarray(x, dtype=float)
+        stacked = [np.broadcast_to(f(xs) - self.v[i], xs.shape) for i, f in enumerate(self.inner)]
+        return np.stack(stacked) if stacked else np.zeros((0,) + xs.shape)
+
+    def delta(self, x):
+        c = self.centered(x)
+        acc = np.zeros(c.shape[1:])
+        for i, g in enumerate(self.grad):
+            acc = acc + g * c[i]
+        return float(acc) if c.ndim == 1 else acc
+
+    def delta2(self, x, y):
+        scalar = _is_scalar(x) and _is_scalar(y)
+        if scalar:
+            dx, dy = self.centered(x), self.centered(y)
+        else:
+            bx, by = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+            dx, dy = self.centered(bx), self.centered(by)
+        quad = np.einsum("i...,ij,j...->...", dx, self.hess, dy)
+        lin = np.einsum("i,i...->...", self.grad, dy)
+        out = quad - lin
+        return float(out) if scalar else out
+
+    def delta_dx(self, x):
+        grad = self.grad
         xs = np.asarray(x, dtype=float)
         acc = np.zeros(xs.shape)
         for i, f in enumerate(self.inner):
             acc = acc + grad[i] * f.derivative(xs)
         return float(acc) if np.ndim(x) == 0 else acc
 
-    def has_nontrivial_hessian(self, probe: np.ndarray | None = None) -> bool:
-        if probe is None:
-            probe = np.full(self.outer.arity, 0.37)
-        return bool(np.any(self.outer.hessian(probe) != 0.0))
+
+def _is_scalar(x) -> bool:
+    return isinstance(x, float) or np.ndim(x) == 0
 
 
 def cylinder_to_dict(F: CylinderFunction) -> dict:

@@ -4,11 +4,14 @@ The loop references are the library's former sequential implementations:
 the Neumaier running sum, the per-group atom merge of construction and of
 ``signed_difference``, the dense partition-of-unity weight matrix, the
 per-node segment quadrature (one ``mix`` and one field evaluation per Gauss
-node), and the per-measure ``discretize`` and ``w1`` that criterion 1 called
-once per measure. The vectorised code must reproduce the loops bit for bit, and the
-banded grid weights must match the dense reference within ``GRID_TOL``. The
-rational oracles recompute ``w1`` and ``linear_hat`` discretization exactly
-with ``fractions.Fraction`` on dyadic inputs.
+node), the per-measure ``discretize`` and ``w1`` that criterion 1 called
+once per measure, the per-step difference quotients (one ``mix`` per step)
+and the per-call cylinder derivatives (one moment pass per call), with the
+criterion 2, 4 and 7 loops built on them. The vectorised code must reproduce
+the loops bit for bit, and the banded grid weights must match the dense
+reference within ``GRID_TOL``. The rational oracles recompute ``w1`` and
+``linear_hat`` discretization exactly with ``fractions.Fraction`` on dyadic
+inputs.
 """
 
 import math
@@ -29,6 +32,9 @@ from wasserstein_calculus import (
     canonicalize,
     cos_fn,
     counterexample_field,
+    dawson,
+    dawson_extrapolated,
+    dawson_rows,
     dirac,
     discretize,
     discretize_rows,
@@ -45,10 +51,16 @@ from wasserstein_calculus import (
     w1_rows,
     zero_field,
 )
-from wasserstein_calculus.acceptance import MEASURES_PER_CASE, discretization_case
+from wasserstein_calculus.acceptance import (
+    MEASURES_PER_CASE,
+    check_canonical_normalization,
+    check_dawson_linear,
+    check_second_derivative_symmetry,
+    discretization_case,
+)
 from wasserstein_calculus.measures import MASS_TOL, MERGE_TOL, _values_at, mix_rows
 from wasserstein_calculus.partition import GRID_SNAP, WEIGHT_FLOOR, _mollifier, _smoothstep
-from wasserstein_calculus.sampling import random_measure, stream_rng
+from wasserstein_calculus.sampling import random_measure, random_point, stream_rng
 from wasserstein_calculus.util import canonical_json, compensated_cumsum, gauss_legendre_01
 
 # Banded against dense grid weights, absolute; fixed before measuring.
@@ -758,3 +770,320 @@ class TestCanonicalBatch:
         for quad_order in (2, 32):
             got = segment_integral(batched_only, mu, m, quad_order)
             assert same_bits(got, segment_integral_loop(H, mu, m, quad_order))
+
+
+# ------------------------------------------------------------ Richardson steps and cylinder derivatives against the loops
+
+
+def dawson_loop(F, m, x, eps):
+    """The former ``dawson``: one ``mix`` and two evaluations of F."""
+    return (F(mix(m, dirac(x), eps)) - F(m)) / eps
+
+
+def dawson_extrapolated_loop(F, m, x, eps):
+    """The former ``dawson_extrapolated``: one ``mix`` per step."""
+    base = F(m)
+    point = dirac(x)
+    q_full = (F(mix(m, point, eps)) - base) / eps
+    q_half = (F(mix(m, point, 0.5 * eps)) - base) / (0.5 * eps)
+    return 2.0 * q_half - q_full
+
+
+def exact_delta_loop(F, m, x):
+    """The former ``CylinderFunction.exact_delta``: a moment pass per call."""
+    v = F.moments(m)
+    grad = F.outer.gradient(v)
+    xs = np.asarray(x, dtype=float)
+    acc = np.zeros(xs.shape)
+    for i, f in enumerate(F.inner):
+        acc = acc + grad[i] * (f(xs) - v[i])
+    return float(acc) if np.ndim(x) == 0 else acc
+
+
+def exact_delta2_loop(F, m, x, y):
+    """The former ``CylinderFunction.exact_delta2``: a moment pass per call."""
+    v = F.moments(m)
+    grad = F.outer.gradient(v)
+    hess = F.outer.hessian(v)
+    bx, by = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    dx = np.stack([np.broadcast_to(f(bx) - v[i], bx.shape) for i, f in enumerate(F.inner)])
+    dy = np.stack([np.broadcast_to(f(by) - v[i], by.shape) for i, f in enumerate(F.inner)])
+    out = np.einsum("i...,ij,j...->...", dx, hess, dy) - np.einsum("i,i...->...", grad, dy)
+    return float(out) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
+
+
+def delta_dx_loop(F, m, x):
+    v = F.moments(m)
+    grad = F.outer.gradient(v)
+    xs = np.asarray(x, dtype=float)
+    acc = np.zeros(xs.shape)
+    for i, f in enumerate(F.inner):
+        acc = acc + grad[i] * f.derivative(xs)
+    return float(acc) if np.ndim(x) == 0 else acc
+
+
+def check_dawson_linear_loop(seed, samples=200):
+    """Criterion 2 as it was: four quotient calls per (function, sample)."""
+    battery = standard_battery()
+    draws = []
+    for i in range(samples):
+        rng = stream_rng(seed, "dawson-samples", i)
+        draws.append((random_measure(rng, 1.0), random_point(rng, 1.0)))
+    eps_grid = (1e-2, 5e-3, 2.5e-3)
+    per_fn = []
+    for F in battery:
+        ext_err = 0.0
+        raw_err = {e: 0.0 for e in eps_grid}
+        for m, x in draws:
+            exact = exact_delta_loop(F, m, x)
+            ext_err = max(ext_err, abs(dawson_extrapolated_loop(F.evaluate, m, x, 1e-3) - exact))
+            for e in eps_grid:
+                raw_err[e] = max(raw_err[e], abs(dawson_loop(F.evaluate, m, x, e) - exact))
+        degenerate = raw_err[eps_grid[0]] <= 1e-10
+        if degenerate:
+            order = None
+            order_ok = all(v <= 1e-10 for v in raw_err.values())
+        else:
+            order = float(np.polyfit(np.log(eps_grid), np.log([raw_err[e] for e in eps_grid]), 1)[0])
+            order_ok = 0.9 <= order <= 1.1
+        per_fn.append(
+            {
+                "label": F.label,
+                "extrapolated_err_max": float(ext_err),
+                "order": order,
+                "degenerate": bool(degenerate),
+                "ok": bool(ext_err <= 1e-5 and order_ok),
+            }
+        )
+    return {
+        "criterion": 2,
+        "name": "dawson_matches_exact_derivative",
+        "ok": all(r["ok"] for r in per_fn),
+        "samples": samples,
+        "eps": 1e-3,
+        "eps_grid": list(eps_grid),
+        "seed": int(seed),
+        "functions": per_fn,
+    }
+
+
+def check_canonical_normalization_loop(seed, samples=25):
+    """Criterion 4 as it was: one quotient call per (atom, step)."""
+    exact_max = estimated_max = 0.0
+    for i in range(samples):
+        m = random_measure(stream_rng(seed, "canonical", i), 1.0)
+        for F in standard_battery():
+            exact_max = max(
+                exact_max, abs(math.fsum((m.weights * exact_delta_loop(F, m, m.positions)).tolist()))
+            )
+            est = math.fsum(
+                m.weights[j] * dawson_extrapolated_loop(F.evaluate, m, float(p), 1e-3)
+                for j, p in enumerate(m.positions)
+            )
+            estimated_max = max(estimated_max, abs(est))
+    return {
+        "criterion": 4,
+        "name": "canonical_normalization",
+        "ok": exact_max <= 1e-12 and estimated_max <= 1e-5,
+        "exact_integral_max": float(exact_max),
+        "estimated_integral_max": float(estimated_max),
+        "samples": samples,
+        "eps": 1e-3,
+        "seed": int(seed),
+    }
+
+
+def check_second_derivative_symmetry_loop(seed, samples=1000):
+    """Criterion 7 as it was: four moment passes per (function, sample)."""
+    curved = [F for F in standard_battery() if F.has_nontrivial_hessian()]
+    residual_max = 0.0
+    for i in range(samples):
+        rng = stream_rng(seed, "symmetry", i)
+        m = random_measure(rng, 1.0)
+        x = random_point(rng, 1.0)
+        y = random_point(rng, 1.0)
+        for F in curved:
+            residual = (
+                exact_delta2_loop(F, m, x, y)
+                - exact_delta_loop(F, m, x)
+                - exact_delta2_loop(F, m, y, x)
+                + exact_delta_loop(F, m, y)
+            )
+            residual_max = max(residual_max, abs(residual))
+    return {
+        "criterion": 7,
+        "name": "second_derivative_symmetry",
+        "ok": residual_max <= 1e-10,
+        "residual_max": float(residual_max),
+        "functions": [F.label for F in curved],
+        "samples": samples,
+        "seed": int(seed),
+    }
+
+
+def user_function(m):
+    """A function of a measure with no batch evaluator."""
+    return math.fsum((m.weights * np.cos(m.positions)).tolist()) * float(m.positions[-1])
+
+
+CONSTANT = CylinderFunction((), outer_polynomial([(2.0, ())]), label="constant")
+QUOTIENT_FUNCTIONS = {
+    **{F.label: F for F in standard_battery()},
+    "constant": CONSTANT,
+    "evaluate-gauss_poly": standard_battery()[-1].evaluate,
+    "evaluate-sin_cos_product": standard_battery()[2].evaluate,
+    "user": user_function,
+}
+QUOTIENT_FEATURES = ("plain", "atom", "near", "subnormal")
+CRITERION_STEPS = (1e-3, 5e-4, 1e-2, 5e-3, 2.5e-3)
+step_values = st.sampled_from(CRITERION_STEPS + (0.5, 0.25, 2.0**-52, 2.0**-53)) | st.floats(2.0**-52, 0.5)
+
+
+@st.composite
+def quotient_cases(draw):
+    """(feature, m, x, steps) with 1 to 12 atoms.
+
+    The feature places x on an atom of m (the rows merge it), within
+    MERGE_TOL of one (no shared support: the step loop runs), or elsewhere;
+    or gives m a subnormal weight, which (1 - s) times underflows to zero for
+    the largest steps.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    feature = draw(st.sampled_from(QUOTIENT_FEATURES))
+    n = draw(st.integers(1, 12))
+    pos, w = rng.uniform(-1.5, 1.5, n), rng.dirichlet(np.ones(n))
+    if feature == "subnormal" and n > 1:
+        w[0] = draw(st.sampled_from(SUBNORMALS))
+        w[1:] = w[1:] / math.fsum(w[1:].tolist())
+    m = DiscreteMeasure(pos, w)
+    x = float(rng.uniform(-1.5, 1.5))
+    atom = float(m.positions[draw(st.integers(0, len(m) - 1))])
+    if feature == "atom":
+        x = atom
+    elif feature == "near":
+        x = atom + draw(st.sampled_from([3e-13, -6e-13, MERGE_TOL, -MERGE_TOL]))
+    steps = draw(st.lists(step_values, min_size=1, max_size=6))
+    return feature, m, x, steps
+
+
+class RowsOnly:
+    """F that answers F(m) at the base measure only; every step must come
+    through ``evaluate_rows``."""
+
+    def __init__(self, F, m):
+        self.F, self.m = F, m
+
+    def __call__(self, measure):
+        assert measure is self.m, "step evaluated through mix"
+        return self.F(measure)
+
+    def evaluate_rows(self, positions, weights):
+        return self.F.evaluate_rows(positions, weights)
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_FUNCTIONS))
+class TestQuotientRows:
+    @given(quotient_cases())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @example(("subnormal", DiscreteMeasure([0.0, 1.0], [5e-324, 1.0]), 0.5, [0.5, 1e-3]))
+    def test_bit_identical_to_step_loop(self, name, case):
+        feature, m, x, steps = case
+        F = QUOTIENT_FUNCTIONS[name]
+        rows = dawson_rows(F, m, x, steps)
+        assert rows.shape == (len(steps),)
+        for s, q in zip(steps, rows.tolist()):
+            expected = dawson_loop(F, m, x, s)
+            assert same_bits(q, expected)
+            assert same_bits(dawson(F, m, x, s), expected)
+            if s <= 0.25 and 1.0 - 0.5 * s < 1.0:
+                assert same_bits(dawson_extrapolated(F, m, x, s), dawson_extrapolated_loop(F, m, x, s))
+            elif s <= 0.25:  # the half step is one the mixture cannot carry
+                with pytest.raises(ValueError):
+                    dawson_extrapolated(F, m, x, s)
+
+
+class TestQuotientPaths:
+    @given(quotient_cases())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_shared_support_unless_merged_or_underflowed(self, case):
+        feature, m, x, steps = case
+        batch = mix_rows(m, dirac(x), steps)
+        if feature in ("plain", "atom"):
+            assert batch is not None
+        gap = float(np.min(np.abs(m.positions - x)))
+        if 0.0 < gap <= MERGE_TOL:
+            assert batch is None
+
+    def test_underflowed_step_falls_back(self):
+        m = DiscreteMeasure([0.0, 1.0], [5e-324, 1.0])
+        assert len(mix(m, dirac(0.5), 0.5)) == 2  # 0.5 * 5e-324 rounds to 0
+        assert mix_rows(m, dirac(0.5), [0.5]) is None
+        with pytest.raises(AssertionError, match="through mix"):
+            dawson_rows(RowsOnly(standard_battery()[2], m), m, 0.5, [0.5])
+
+    @pytest.mark.parametrize("F", standard_battery(), ids=lambda F: F.label)
+    def test_cylinder_steps_take_the_batched_path(self, F):
+        m = DiscreteMeasure([-0.8, 0.1, 0.6], [0.3, 0.4, 0.3])
+        for x in (0.5, 0.1):  # off and on an atom
+            got = dawson_rows(RowsOnly(F, m), m, x, CRITERION_STEPS)
+            assert same_bits(got, [dawson_loop(F, m, x, s) for s in CRITERION_STEPS])
+            assert same_bits(dawson_extrapolated(RowsOnly(F, m), m, x, 1e-3), dawson_extrapolated_loop(F, m, x, 1e-3))
+
+
+# scalar points, both zeros included (f(-0.0) and f(0.0) may differ in sign)
+points = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 1e-300, -1e-300])
+
+
+@st.composite
+def derivative_cases(draw):
+    """(m, x, y, xs, ys): scalars, some on atoms of m, and 1-D point arrays."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 12))
+    m = DiscreteMeasure(rng.uniform(-1.5, 1.5, n), rng.dirichlet(np.ones(n)))
+    x, y = draw(points), draw(points)
+    if draw(st.booleans()):
+        x = float(m.positions[0])
+    if draw(st.booleans()):
+        y = x
+    k = draw(st.integers(1, 6))
+    return m, x, y, rng.uniform(-2.0, 2.0, k), rng.uniform(-2.0, 2.0, k)
+
+
+class TestCylinderDerivatives:
+    @pytest.mark.parametrize("F", standard_battery() + (CONSTANT,), ids=lambda F: F.label)
+    @given(derivative_cases())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @example((dirac(0.0), -0.0, 0.0, np.array([-0.0, 0.0]), np.array([0.0, -0.0])))
+    def test_bit_identical_to_per_call_loop(self, F, case):
+        m, x, y, xs, ys = case
+        d = F.derivatives(m)
+        for p in (x, y, xs):
+            assert same_bits(F.exact_delta(m, p), exact_delta_loop(F, m, p))
+            assert same_bits(d.delta(p), exact_delta_loop(F, m, p))
+            assert same_bits(F.delta_dx(m, p), delta_dx_loop(F, m, p))
+        if not F.inner:  # the former exact_delta2 could not stack zero moments
+            assert d.delta2(x, y) == 0.0
+            return
+        # the criterion-7 order: both scalar terms after the first one reuse
+        # the centred vectors kept for x and y
+        for p, q in ((x, y), (y, x), (xs, ys), (xs[:, None], ys[None, :]), (x, ys), (xs, y)):
+            assert same_bits(d.delta2(p, q), exact_delta2_loop(F, m, p, q))
+            assert same_bits(F.exact_delta2(m, p, q), exact_delta2_loop(F, m, p, q))
+        assert isinstance(d.delta2(x, y), float) and isinstance(d.delta(x), float)
+
+
+@pytest.mark.parametrize("seed", [0, 11, 29])
+class TestCriterionLoops:
+    """Criteria 2, 4 and 7 serialize to the bytes of their former loops."""
+
+    def test_criterion_2(self, seed):
+        report, _ = check_dawson_linear(seed=seed)
+        assert canonical_json(report) == canonical_json(check_dawson_linear_loop(seed))
+
+    def test_criterion_4(self, seed):
+        report, _ = check_canonical_normalization(seed=seed)
+        assert canonical_json(report) == canonical_json(check_canonical_normalization_loop(seed))
+
+    def test_criterion_7(self, seed):
+        report, _ = check_second_derivative_symmetry(seed=seed)
+        assert canonical_json(report) == canonical_json(check_second_derivative_symmetry_loop(seed))
