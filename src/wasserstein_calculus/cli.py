@@ -55,15 +55,24 @@ def _resolve(args, key, cast):
     """
     value = getattr(args, key, None)
     if value is None and getattr(args, "config", None):
-        config = _load_json_file(args.config)
-        if not isinstance(config, dict):
-            raise ValueError(f"{args.config} must hold a JSON object of option values")
-        value = config.get(key)
+        value = _config(args).get(key)
         if value is not None:
             _check_config_value(key, value, cast)
     if value is None:
         value = DEFAULTS[key]
     return cast(value)
+
+
+def _config(args) -> dict:
+    """The --config file's JSON object, read and checked on the first option
+    that needs it and kept on ``args`` for the rest of the command."""
+    config = vars(args).get("_config")
+    if config is None:
+        config = _load_json_file(args.config)
+        if not isinstance(config, dict):
+            raise ValueError(f"{args.config} must hold a JSON object of option values")
+        args._config = config
+    return config
 
 
 def _check_config_value(key, value, cast):

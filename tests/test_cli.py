@@ -235,6 +235,29 @@ class TestConfigPrecedence:
         )
         assert json.loads(out_default)["eps"] == 1e-3
 
+    def test_config_read_once_per_command(self, files, capsys, tmp_path, monkeypatch):
+        from wasserstein_calculus import cli
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": 3, "quad": 4, "seed": 2}))
+        reads = []
+        load = cli._load_json_file
+        monkeypatch.setattr(cli, "_load_json_file", lambda path: reads.append(path) or load(path))
+        code, out, _ = run_cli(capsys, ["ftc-check", "--K", "1", "--config", str(cfg), files["lifted.json"]])
+        assert code == 0
+        report = json.loads(out)
+        assert (report["samples"], report["quad_order"], report["seed"]) == (3, 4, 2)
+        assert reads.count(str(cfg)) == 1
+
+    def test_config_unread_when_flags_give_every_option(self, files, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        code, _, _ = run_cli(
+            capsys,
+            ["dawson", "--x", "1.0", "--eps", "0.02", "--config", str(cfg), files["prod.json"], files["m5.json"]],
+        )
+        assert code == 0
+
 
 class TestMalformedConfig:
     """A config file that is not an object of numbers is invalid input."""
@@ -300,6 +323,65 @@ class TestConfigFuzz:
         assert code in (0, 2)
         if code == 2:
             assert isinstance(json.loads(err.getvalue()), dict)
+        else:
+            assert isinstance(json.loads(out.getvalue()), dict)
+
+
+# the numbers that break numerics: infinities, NaN, subnormals, huge values
+awkward_numbers = st.floats().map(repr) | st.sampled_from(
+    ["inf", "-inf", "nan", "5e-324", "-5e-324", "1e-320", "2.2e-308", "1e-300", "1e308",
+     "8.9e307", "1.7976931348623157e308", "0", "-0", "0.25", "0.3", "1e-3", "3.1416"]
+)
+
+
+class TestArgvFuzz:
+    """Whatever numbers --K, --eps and --x carry, the CLI exits 0 or 1 with a
+    JSON report, or 2 with one JSON error object on stderr; it never raises.
+    Values are passed as --flag=value so that argparse reads "-inf" as a
+    value, not as an option."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("argv-fuzz")
+        paths = {}
+        for name, document in {
+            "function": {"inner": [{"kind": "sin"}, {"kind": "cos"}], "outer": {"kind": "product", "arity": 2}},
+            "measure": {"atoms": [[-0.5, 0.25], [0.25, 0.5], [0.75, 0.25]]},
+            "lifted": {"kind": "lifted", "cylinder": {"inner": [{"kind": "sin"}], "outer": {"kind": "linear", "weights": [1.0]}}},
+            "counter": {"kind": "counterexample", "phi": {"kind": "sin"}, "psi": {"kind": "cos"}},
+        }.items():
+            path = root / f"{name}.json"
+            path.write_text(json.dumps(document))
+            paths[name] = str(path)
+        return paths
+
+    @given(
+        command=st.sampled_from(["dawson", "counterexample", "ftc-check-lifted", "ftc-check-counter"]),
+        K=awkward_numbers,
+        eps=awkward_numbers,
+        x=awkward_numbers,
+    )
+    @example(command="dawson", K="1", eps="1e-320", x="0.5")
+    @example(command="counterexample", K="inf", eps="1e-3", x="0")
+    @example(command="counterexample", K="1e308", eps="1e-3", x="0")
+    @example(command="ftc-check-lifted", K="nan", eps="1e-3", x="0")
+    @example(command="dawson", K="1", eps="1e-3", x="1e308")
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_exit_code_and_json(self, inputs, command, K, eps, x):
+        small = ["--samples", "1", "--quad", "2", "--threads", "1"]
+        if command == "dawson":
+            argv = ["dawson", f"--x={x}", f"--eps={eps}", inputs["function"], inputs["measure"]]
+        elif command == "counterexample":
+            argv = ["counterexample", f"--K={K}", f"--eps={eps}", *small]
+        else:
+            field = inputs[command.rsplit("-", 1)[1]]
+            argv = ["ftc-check", f"--K={K}", f"--eps={eps}", *small, field]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert isinstance(json.loads(err.getvalue())["error"], str)
         else:
             assert isinstance(json.loads(out.getvalue()), dict)
 
