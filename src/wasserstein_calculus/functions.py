@@ -588,11 +588,9 @@ class CylinderDerivatives:
 
     def delta2(self, x, y):
         scalar = _is_scalar(x) and _is_scalar(y)
-        if scalar:
-            dx, dy = self.centered(x), self.centered(y)
-        else:
-            bx, by = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-            dx, dy = self.centered(bx), self.centered(by)
+        if not scalar:
+            x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        dx, dy = self.centered(x), self.centered(y)
         quad = np.einsum("i...,ij,j...->...", dx, self.hess, dy)
         lin = np.einsum("i,i...->...", self.grad, dy)
         out = quad - lin
