@@ -126,8 +126,9 @@ def dawson_rows(F, m: DiscreteMeasure, x: float, steps) -> np.ndarray:
     measures share one support (see ``measures.mix_rows``), all steps are
     evaluated as one batch; otherwise each is ``mix(m, dirac(x), s)``
     evaluated by F. Both give the same bits. A step must lie in (0, 0.5] and
-    be large enough that 1 - s < 1: below that the mixture's weights cannot
-    carry it, and the quotient would be amplified rounding noise.
+    be large enough that 1 - s < 1: a smaller one leaves the weights of m
+    unscaled, so the mixture cannot carry it and the quotient is amplified
+    rounding noise.
     """
     steps = [float(s) for s in steps]
     for s in steps:
