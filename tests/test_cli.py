@@ -167,6 +167,15 @@ class TestNumericBounds:
         assert code == 2
         assert "error" in json.loads(err)
 
+    def test_eps_below_step_bound(self, files, capsys):
+        # 1 - eps still rounds below one here, but the quotient is rounding
+        # noise: it reported dawson_extrapolated 0.121 against exact 0.269
+        code, out, err = run_cli(
+            capsys, ["dawson", "--x", "0.5", "--eps", "2.3e-16", files["prod.json"], files["m5.json"]]
+        )
+        assert code == 2 and out == ""
+        assert "step" in json.loads(err)["error"]
+
     @pytest.mark.parametrize("K", ["inf", "1e308", "nan", "-1"])
     def test_counterexample_K(self, capsys, K):
         code, _, err = run_cli(capsys, ["counterexample", f"--K={K}", "--samples", "2", "--quad", "2"])
