@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wasserstein_calculus.cli import DEFAULTS, main
+from wasserstein_calculus.measures import JSON_MASS_TOL
 
 
 @pytest.fixture
@@ -385,6 +386,77 @@ class TestArgvFuzz:
         else:
             field = inputs[command.rsplit("-", 1)[1]]
             argv = ["ftc-check", f"--K={K}", f"--eps={eps}", *small, field]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert isinstance(json.loads(err.getvalue())["error"], str)
+        else:
+            assert isinstance(json.loads(out.getvalue()), dict)
+
+
+# JSON number literals for measure files: ordinary ones, and literals that
+# parse to +-inf or NaN or overflow a double as integers
+number_literals = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
+    ["1e400", "-1e400", "1" + "0" * 400, "-1" + "0" * 400, "1e-400", "NaN", "Infinity",
+     "-Infinity", "0", "-0.0", "0.5", "1", "-0.25", "2.5"]
+)
+# weight totals just inside and just outside JSON_MASS_TOL, in its units
+MASS_OFFSETS = (0.0, 0.5, -0.5, 0.99, -0.99, 1.01, -1.01, 2.0, -2.0, 1e3)
+
+
+@st.composite
+def measure_texts(draw):
+    """The text of a measure file: well-formed, off in mass, with awkward
+    literals or negative weights, ragged, empty, or not an atoms object."""
+    kind = draw(st.sampled_from(["atoms", "literals", "ragged", "other"]))
+    if kind == "atoms":
+        n = draw(st.integers(1, 6))
+        positions = draw(st.lists(st.floats(-2.5, 2.5), min_size=n, max_size=n))
+        raws = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        raws[0] += 1.0
+        scale = (1.0 + draw(st.sampled_from(MASS_OFFSETS)) * JSON_MASS_TOL) / math.fsum(raws)
+        weights = [r * scale for r in raws]
+        if draw(st.booleans()):
+            weights[draw(st.integers(0, n - 1))] *= -1.0
+        atoms = [[repr(p), repr(w)] for p, w in zip(positions, weights)]
+    elif kind == "literals":
+        atoms = draw(st.lists(st.lists(number_literals, min_size=2, max_size=2), min_size=1, max_size=4))
+    elif kind == "ragged":
+        atoms = draw(st.lists(st.lists(number_literals, max_size=3), max_size=4))
+    else:
+        return draw(st.sampled_from(
+            ["[]", "1", '"atoms"', "null", "true", '[{"atoms": [[0, 1]]}]', "{}",
+             '{"atom": [[0, 1]]}', '{"atoms": {"0": 1}}', '{"atoms": 5}', '{"atoms": "x"}',
+             '{"atoms": null}', '{"atoms": [[0.5, [1.0]]]}', '{"atoms": [[0.5, null]]}']
+        ))
+    return '{"atoms": [' + ", ".join("[" + ", ".join(atom) + "]" for atom in atoms) + "]}"
+
+
+class TestMeasureJsonFuzz:
+    """Whatever a measure file holds, ``w1`` and ``discretize`` exit 0 or 1
+    with a JSON report, or 2 with one JSON error object on stderr; they
+    never raise."""
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("measure-fuzz")
+        (root / "other.json").write_text(json.dumps({"atoms": [[-0.5, 0.25], [0.25, 0.75]]}))
+        return root
+
+    @given(text=measure_texts(), command=st.sampled_from(["w1", "discretize"]))
+    @example(text='{"atoms": [[1' + "0" * 400 + ", 1.0]]}", command="w1")
+    @example(text='{"atoms": [[0.5, 1e400]]}', command="discretize")
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_exit_code_and_json(self, root, text, command):
+        path = str(root / "fuzzed.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if command == "w1":
+            argv = ["w1", path, str(root / "other.json")]
+        else:
+            argv = ["discretize", path, "--n", "4", "--K", "2"]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
