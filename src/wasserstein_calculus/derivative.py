@@ -57,6 +57,7 @@ __all__ = [
     "verify_deriv2",
     "canonicalize",
     "DEFAULT_EPS",
+    "MIN_STEP",
     "DEFAULT_QUAD_ORDER",
     "DEFAULT_SEED",
 ]
@@ -64,6 +65,10 @@ __all__ = [
 # eps near (unit roundoff)^(1/3) balances the O(eps^2) truncation of the
 # extrapolated estimator against the 1/eps amplification of float error.
 DEFAULT_EPS = 1e-3
+# Smallest step a quotient accepts: at 2^-26 (about 1.5e-8) the rounding of
+# F alone, amplified by u/step, already reaches about 1e-8; below it the
+# quotient soon returns rounding noise. DEFAULT_EPS / 2 lies far above it.
+MIN_STEP = 2.0**-26
 DEFAULT_QUAD_ORDER = 32
 DEFAULT_SEED = 0
 
@@ -125,15 +130,15 @@ def dawson_rows(F, m: DiscreteMeasure, x: float, steps) -> np.ndarray:
     F(m) is evaluated once. When F has an ``evaluate_rows`` and the perturbed
     measures share one support (see ``measures.mix_rows``), all steps are
     evaluated as one batch; otherwise each is ``mix(m, dirac(x), s)``
-    evaluated by F. Both give the same bits. A step must lie in (0, 0.5] and
-    be large enough that 1 - s < 1: a smaller one leaves the weights of m
-    unscaled, so the mixture cannot carry it and the quotient is amplified
-    rounding noise.
+    evaluated by F. Both give the same bits. A step must lie in
+    [MIN_STEP, 0.5]: a smaller one amplifies the rounding of F by u/step
+    into the quotient, and below 2^-53 the mixture cannot even carry it
+    (1 - s rounds to one).
     """
     steps = [float(s) for s in steps]
     for s in steps:
-        if not (0.0 < s <= 0.5 and 1.0 - s < 1.0):
-            raise ValueError(f"step {s!r} must lie in (0, 0.5], with 1 - step below one")
+        if not MIN_STEP <= s <= 0.5:
+            raise ValueError(f"step {s!r} must lie in [2**-26, 0.5]")
     point = dirac(x)
     base = F(m)
     rows = getattr(F, "evaluate_rows", None)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,23 +71,36 @@ class DiscreteMeasure:
         w = np.asarray(self.weights, dtype=float).ravel()
         if pos.size == 0 or pos.shape != w.shape:
             raise ValueError("positions and weights must be equal-length and non-empty")
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(w))):
+        if not (np.isfinite(pos).all() and np.isfinite(w).all()):
             raise ValueError("positions and weights must be finite")
-        if np.any(w < 0.0):
+        if (w < 0.0).any():
             raise ValueError("weights must be non-negative")
         total = math.fsum(w.tolist())
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1")
-        order = np.argsort(pos, kind="stable")
+        order = pos.argsort(kind="stable")
         pos, w = _group_atoms(pos[order], w[order], weighted=True)
         keep = w > 0.0
-        pos, w = pos[keep], w[keep]
-        if pos.size == 0:
-            raise ValueError("measure has no atom with positive weight")
-        pos.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "weights", w)
+        if not keep.all():
+            pos, w = pos[keep], w[keep]
+            if pos.size == 0:
+                raise ValueError("measure has no atom with positive weight")
+        _store(self, pos, w)
+
+    @classmethod
+    def _trusted(cls, pos: np.ndarray, w: np.ndarray) -> "DiscreteMeasure":
+        """A measure on arrays the caller guarantees canonical, unchecked.
+
+        ``pos`` must be sorted with gaps above MERGE_TOL, ``w`` positive,
+        both finite 1-D float arrays owned by the measure from now on, and
+        the weights must pass the mass check. The result then equals the
+        validated ``cls(pos, w)`` bit for bit. Only routines that establish
+        all of this themselves call it; input from users and JSON is always
+        validated.
+        """
+        m = object.__new__(cls)
+        _store(m, pos, w)
+        return m
 
     @property
     def atoms(self) -> list[tuple[float, float]]:
@@ -97,7 +111,7 @@ class DiscreteMeasure:
         """Smallest K with every atom inside [-K, K]."""
         return float(max(abs(self.positions[0]), abs(self.positions[-1])))
 
-    @property
+    @cached_property
     def total_mass(self) -> float:
         return math.fsum(self.weights.tolist())
 
@@ -126,6 +140,13 @@ class DiscreteMeasure:
         )
 
 
+def _store(m: DiscreteMeasure, pos: np.ndarray, w: np.ndarray) -> None:
+    pos.setflags(write=False)
+    w.setflags(write=False)
+    object.__setattr__(m, "positions", pos)
+    object.__setattr__(m, "weights", w)
+
+
 def _group_atoms(pos: np.ndarray, w: np.ndarray, weighted: bool):
     """Combine sorted atoms whose positions chain within MERGE_TOL.
 
@@ -137,7 +158,7 @@ def _group_atoms(pos: np.ndarray, w: np.ndarray, weighted: bool):
     with array arithmetic, which for two terms rounds exactly as ``fsum``
     and ``mean`` do; only runs of three or more loop.
     """
-    split = np.diff(pos) > MERGE_TOL
+    split = (pos[1:] - pos[:-1]) > MERGE_TOL
     if split.all():
         return pos, w
     starts = np.flatnonzero(np.concatenate(([True], split)))
@@ -173,7 +194,7 @@ def dirac(x: float) -> DiscreteMeasure:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("dirac position must be finite")
-    return DiscreteMeasure(np.array([x]), np.array([1.0]))
+    return DiscreteMeasure._trusted(np.array([x]), np.array([1.0]))
 
 
 def mix(a: DiscreteMeasure, b: DiscreteMeasure, t: float) -> DiscreteMeasure:
@@ -208,19 +229,19 @@ def mix_rows(a: DiscreteMeasure, b: DiscreteMeasure, ts):
         return None
     ts = np.asarray(ts, dtype=float)[:, None]
     pos = np.concatenate((a.positions, b.positions))
-    order = np.argsort(pos, kind="stable")
+    order = pos.argsort(kind="stable")
     pos = pos[order]
     w = np.concatenate(((1.0 - ts) * a.weights, ts * b.weights), axis=1)[:, order]
-    gaps = np.diff(pos)
+    gaps = pos[1:] - pos[:-1]
     joined = np.flatnonzero(gaps <= MERGE_TOL)
     if joined.size:
         # a measure's own atoms lie farther apart than MERGE_TOL, so a zero
         # gap joins one atom of a to one of b, at a position that stays put
-        if np.any(gaps[joined] != 0.0):
+        if (gaps[joined] != 0.0).any():
             return None
         w[:, joined] += w[:, joined + 1]
         pos, w = np.delete(pos, joined + 1), np.delete(w, joined + 1, axis=1)
-    if not np.all(w > 0.0):
+    if not (w > 0.0).all():
         return None
     return pos, w
 
@@ -238,8 +259,9 @@ def _values_at(f, xs: np.ndarray) -> np.ndarray:
 
 def _finite_values(f, positions: np.ndarray) -> np.ndarray:
     vals = _values_at(f, positions)
-    if not np.all(np.isfinite(vals)):
-        bad = positions[~np.isfinite(vals)][0]
+    finite = np.isfinite(vals)
+    if not finite.all():
+        bad = positions[~finite][0]
         raise ValueError(f"integrand is not finite at atom {bad!r}")
     return vals
 
@@ -362,7 +384,7 @@ def measure_from_dict(data: dict) -> DiscreteMeasure:
         raise ValueError('"atoms" must be a non-empty list of [position, weight] pairs')
     try:
         arr = np.asarray(atoms, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # integers beyond a double overflow
         raise ValueError("atoms must be numeric [position, weight] pairs") from exc
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("atoms must be [position, weight] pairs")

@@ -178,9 +178,10 @@ def discretize(scheme: PartitionScheme, m: DiscreteMeasure) -> DiscreteMeasure:
     exact finite sum for atomic input over the two bumps nonzero at each
     atom. Requires the support to stay inside [-K, K]; mass outside would
     leak into the tail cells with the wrong transport length. This is the
-    one-row case of ``discretize_rows``.
+    one-row case of ``discretize_rows``, whose row is already sorted, merged,
+    positive, finite and mass-checked, so the measure is built unchecked.
     """
-    return DiscreteMeasure(*discretize_rows(scheme, [m])[0])
+    return DiscreteMeasure._trusted(*discretize_rows(scheme, [m])[0])
 
 
 def discretize_rows(scheme: PartitionScheme, measures) -> list:
@@ -214,16 +215,31 @@ def discretize_rows(scheme: PartitionScheme, measures) -> list:
         (masses[:, None] * band).ravel(),
         minlength=len(measures) * size,
     ).reshape(len(measures), size)
+    # A row's zeros leave its exact fsums unchanged, so the per-row
+    # bookkeeping runs on the nonzero weights of all rows, laid flat row
+    # after row, with one tolist per flat array.
+    rows, cols = np.nonzero(grid_weights)
+    values = grid_weights[rows, cols]
+    totals, _ = _row_fsums(values, rows, len(measures))
+    keep = values > WEIGHT_FLOOR
+    rows, kept = rows[keep], values[keep]
+    sums, _ = _row_fsums(kept, rows, len(measures))
+    kept /= np.array(sums)[rows]
+    kept_masses, ends = _row_fsums(kept, rows, len(measures))
+    positions = scheme.grid[cols[keep]]
     out = []
-    for weights in grid_weights:
-        total = math.fsum(weights.tolist())
+    for total, mass, a, b in zip(totals, kept_masses, [0] + ends[:-1], ends):
         if abs(total - 1.0) > 1e-10:
             raise RuntimeError(f"partition of unity leaked mass: total {total!r}")
-        keep = weights > WEIGHT_FLOOR
-        kept = weights[keep]
-        kept = kept / math.fsum(kept.tolist())
-        mass = math.fsum(kept.tolist())
         if abs(mass - 1.0) > MASS_TOL:
             raise ValueError(f"weights sum to {mass!r}, not 1")
-        out.append((scheme.grid[keep], kept))
+        out.append((positions[a:b], kept[a:b]))
     return out
+
+
+def _row_fsums(values: np.ndarray, rows: np.ndarray, count: int):
+    """``math.fsum`` of each of ``count`` rows whose entries lie flat in
+    ``values``, row after row (row index ``rows``); also the end offsets."""
+    ends = np.cumsum(np.bincount(rows, minlength=count)).tolist()
+    flat = values.tolist()
+    return [math.fsum(flat[a:b]) for a, b in zip([0] + ends[:-1], ends)], ends

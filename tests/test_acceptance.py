@@ -2,13 +2,18 @@
 
 One pass/fail line prints per criterion (run with ``pytest -s`` to see them
 live). The first sweep feeds criteria 1-8; criterion 9 reruns the identical
-sweep on a different thread count and compares the serialized bytes.
+sweep on a different thread count and compares the serialized bytes, and a
+sweep in a fresh interpreter must write the same bytes too.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import wasserstein_calculus
 from wasserstein_calculus.acceptance import DISCRETIZATION_BUDGET_S, run_sweep
 from wasserstein_calculus.util import canonical_json
 
@@ -127,3 +132,17 @@ def test_criterion_9_determinism(sweep):
     _line(9, "sweep reports byte-identical for fixed seed, any thread count", identical)
     assert identical
     assert report["all_ok"] is True
+
+
+def test_sweep_bytes_from_a_fresh_process(sweep, tmp_path):
+    # a new interpreter starts with no cached values or module state, which
+    # a rerun inside this process cannot rule out
+    report, _ = sweep
+    out = tmp_path / "report.json"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wasserstein_calculus.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join((src, path)))
+    argv = ["-m", "wasserstein_calculus.cli", "sweep", "--seed", str(ACCEPTANCE_SEED), "--out", str(out)]
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == canonical_json(report).encode("utf-8")

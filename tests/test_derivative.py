@@ -12,6 +12,7 @@ from wasserstein_calculus import (
     canonicalize,
     dawson,
     dawson_extrapolated,
+    dawson_rows,
     dirac,
     identity_fn,
     integrate,
@@ -26,6 +27,7 @@ from wasserstein_calculus import (
     random_point,
     stream_rng,
 )
+from wasserstein_calculus.derivative import MIN_STEP
 
 
 def x_field():
@@ -79,11 +81,24 @@ class TestDawson:
             dawson_extrapolated(F.evaluate, m, 0.5, eps)
 
     def test_smallest_carried_step(self):
-        eps = 2.0**-52  # 1 - eps/2 is the float just below one
+        eps = 2.0 * MIN_STEP  # the half step of the extrapolation is the bound
         F = standard_battery()[0]
         m = DiscreteMeasure([-0.5, 0.3], [0.4, 0.6])
-        assert math.isfinite(dawson(F.evaluate, m, 0.9, eps))
+        assert math.isfinite(dawson(F.evaluate, m, 0.9, MIN_STEP))
         assert math.isfinite(dawson_extrapolated(F.evaluate, m, 0.9, eps))
+
+    @pytest.mark.parametrize("eps", [np.nextafter(MIN_STEP, 0.0), 1e-10, 2.3e-16, 2.0**-52])
+    def test_steps_below_the_bound(self, eps):
+        # 1 - eps is below one, but the quotient is mostly rounding noise:
+        # 2.3e-16 gave dawson_extrapolated 0.121 against exact 0.269
+        F = standard_battery()[2]
+        m = DiscreteMeasure([-0.8, 0.1, 0.6], [0.3, 0.4, 0.3])
+        with pytest.raises(ValueError, match="step"):
+            dawson(F, m, 0.5, eps)
+        with pytest.raises(ValueError, match="step"):
+            dawson_rows(F, m, 0.5, [1e-3, eps])
+        with pytest.raises(ValueError, match="step"):
+            dawson_extrapolated(F, m, 0.5, 2.0 * eps)  # the half step is eps
 
 
 class TestExtrapolated:

@@ -40,6 +40,7 @@ from wasserstein_calculus import (
     discretize_rows,
     gaussian,
     lift_to_field,
+    measure_from_dict,
     mix,
     outer_polynomial,
     polynomial,
@@ -58,6 +59,7 @@ from wasserstein_calculus.acceptance import (
     check_second_derivative_symmetry,
     discretization_case,
 )
+from wasserstein_calculus.derivative import MIN_STEP
 from wasserstein_calculus.measures import MASS_TOL, MERGE_TOL, _values_at, mix_rows
 from wasserstein_calculus.partition import GRID_SNAP, WEIGHT_FLOOR, _mollifier, _smoothstep
 from wasserstein_calculus.sampling import random_measure, random_point, stream_rng
@@ -117,12 +119,27 @@ def merge_loop(pos, w):
     return out_p, out_w
 
 
-def construct_loop(pos, w):
-    pos, w = np.asarray(pos, dtype=float), np.asarray(w, dtype=float)
+def construct_loop(positions, weights):
+    """The former ``DiscreteMeasure.__post_init__``, every check and message
+    included, with the per-group merge loop; returns the stored arrays."""
+    pos = np.asarray(positions, dtype=float).ravel()
+    w = np.asarray(weights, dtype=float).ravel()
+    if pos.size == 0 or pos.shape != w.shape:
+        raise ValueError("positions and weights must be equal-length and non-empty")
+    if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(w))):
+        raise ValueError("positions and weights must be finite")
+    if np.any(w < 0.0):
+        raise ValueError("weights must be non-negative")
+    total = math.fsum(w.tolist())
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValueError(f"weights sum to {total!r}, not 1")
     order = np.argsort(pos, kind="stable")
     pos, w = merge_loop(pos[order], w[order])
     keep = w > 0.0
-    return pos[keep], w[keep]
+    pos, w = pos[keep], w[keep]
+    if pos.size == 0:
+        raise ValueError("measure has no atom with positive weight")
+    return pos, w
 
 
 def signed_difference_loop(a, b):
@@ -542,6 +559,121 @@ class TestRowBatches:
         assert canonical_json(case) == canonical_json(discretization_case_loop(0, K, n))
 
 
+# ------------------------------------------------------------ the validating and the trusted constructor
+
+CONSTRUCTOR_KINDS = ("valid", "nonfinite", "negative", "mass", "signed-zero", "shape", "empty")
+# weight totals near MASS_TOL, in its units; the largest is far outside
+MASS_SCALES = (-2.0, -1.01, -0.99, 0.5, 0.99, 1.01, 2.0, 1e6)
+
+
+@st.composite
+def constructor_inputs(draw):
+    """Positions and weights as a caller may pass them: clustered atoms
+    (coincidences, MERGE_TOL chains, zero weights) made invalid in one way or
+    not, as arrays, lists or columns."""
+    pos, w = draw(clustered_atoms())
+    kind = draw(st.sampled_from(CONSTRUCTOR_KINDS))
+    i = draw(st.integers(0, pos.size - 1))
+    if kind == "nonfinite":
+        (pos if draw(st.booleans()) else w)[i] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "negative":
+        w[i] = -draw(st.sampled_from([5e-324, 1e-18, 0.25]))
+    elif kind == "mass":
+        w = w * (1.0 + draw(st.sampled_from(MASS_SCALES)) * MASS_TOL)
+    elif kind == "signed-zero":
+        w[w == 0.0] = -0.0
+    elif kind == "shape":
+        w = w[:-1] if draw(st.booleans()) else np.append(w, 0.0)
+    elif kind == "empty":
+        pos, w = pos[:0], w[:0]
+    form = draw(st.sampled_from(["array", "list", "column"]))
+    if form == "list":
+        return pos.tolist(), w.tolist()
+    if form == "column":
+        return pos[:, None], w[:, None]
+    return pos, w
+
+
+def outcome(build, pos, w):
+    """The stored arrays' bits, or the ValueError message."""
+    try:
+        positions, weights = build(pos, w)
+    except ValueError as exc:
+        return str(exc)
+    return positions.shape, positions.tobytes(), weights.tobytes()
+
+
+def stored(pos, w):
+    m = DiscreteMeasure(pos, w)
+    assert not (m.positions.flags.writeable or m.weights.flags.writeable)
+    assert same_bits(m.total_mass, math.fsum(m.weights.tolist()))
+    return m.positions, m.weights
+
+
+# point masses: both zeros, subnormals, the largest doubles, ordinary points
+dirac_points = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2e-308, 1.7e308, -1.7e308, 1.7976931348623157e308, -1.5]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def assert_same_measure(trusted, validated):
+    assert type(trusted) is DiscreteMeasure
+    assert same_bits(trusted.positions, validated.positions)
+    assert same_bits(trusted.weights, validated.weights)
+    assert same_bits(trusted.total_mass, validated.total_mass)
+    assert not (trusted.positions.flags.writeable or trusted.weights.flags.writeable)
+
+
+class TestConstruction:
+    @given(constructor_inputs())
+    @SETTINGS
+    @example(([0.0, 0.5], [0.5, 0.5 + 1.01 * MASS_TOL]))
+    @example(([0.0, 0.5], [0.5, 0.5 + 0.99 * MASS_TOL]))
+    @example(([0.0, math.nan], [0.5, 0.5]))
+    @example(([0.0, 0.5], [1.0, -0.0]))
+    def test_lean_constructor_matches_former(self, inputs):
+        pos, w = inputs
+        assert outcome(stored, pos, w) == outcome(construct_loop, pos, w)
+
+    @given(dirac_points)
+    @SETTINGS
+    def test_trusted_dirac_is_the_validated_one(self, x):
+        assert_same_measure(dirac(x), DiscreteMeasure(np.array([x]), np.array([1.0])))
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_dirac_rejects_non_finite(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            dirac(x)
+
+    @given(grid_batches())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_trusted_discretize_rows_are_the_validated_ones(self, batch):
+        scheme, measures = batch
+        for m, (pos, w) in zip(measures, discretize_rows(scheme, measures)):
+            validated = DiscreteMeasure(pos, w)
+            assert_same_measure(DiscreteMeasure._trusted(pos.copy(), w.copy()), validated)
+            assert_same_measure(discretize(scheme, m), validated)
+
+    def test_total_mass_is_cached_per_instance(self):
+        m = DiscreteMeasure([0.3, -0.2, 0.3], [0.1, 0.2, 0.7])
+        assert m.total_mass is m.total_mass
+        assert same_bits(m.total_mass, math.fsum(m.weights.tolist()))
+        assert mix(m, dirac(0.0), 0.25).total_mass == 1.0
+
+    def test_trusted_path_is_private(self):
+        import wasserstein_calculus
+        from wasserstein_calculus import measures
+
+        assert "_trusted" not in wasserstein_calculus.__all__ and "_trusted" not in measures.__all__
+        assert not hasattr(wasserstein_calculus, "_trusted")
+        assert not hasattr(measures, "_trusted")
+        # JSON input is validated: unsorted atoms come back sorted, bad ones raise
+        m = measure_from_dict({"atoms": [[1.0, 0.5], [0.0, 0.5]]})
+        assert list(m.positions) == [0.0, 1.0]
+        with pytest.raises(ValueError, match="finite"):
+            measure_from_dict({"atoms": [[math.inf, 1.0]]})
+
+
 # ------------------------------------------------------------ rational oracles
 
 
@@ -936,7 +1068,7 @@ QUOTIENT_FUNCTIONS = {
 }
 QUOTIENT_FEATURES = ("plain", "atom", "near", "subnormal")
 CRITERION_STEPS = (1e-3, 5e-4, 1e-2, 5e-3, 2.5e-3)
-step_values = st.sampled_from(CRITERION_STEPS + (0.5, 0.25, 2.0**-52, 2.0**-53)) | st.floats(2.0**-52, 0.5)
+step_values = st.sampled_from(CRITERION_STEPS + (0.5, 0.25, MIN_STEP, 2.0 * MIN_STEP)) | st.floats(MIN_STEP, 0.5)
 
 
 @st.composite
@@ -995,9 +1127,9 @@ class TestQuotientRows:
             expected = dawson_loop(F, m, x, s)
             assert same_bits(q, expected)
             assert same_bits(dawson(F, m, x, s), expected)
-            if s <= 0.25 and 1.0 - 0.5 * s < 1.0:
+            if s <= 0.25 and 0.5 * s >= MIN_STEP:
                 assert same_bits(dawson_extrapolated(F, m, x, s), dawson_extrapolated_loop(F, m, x, s))
-            elif s <= 0.25:  # the half step is one the mixture cannot carry
+            elif s <= 0.25:  # the half step lies below the bound
                 with pytest.raises(ValueError):
                     dawson_extrapolated(F, m, x, s)
 
@@ -1013,6 +1145,16 @@ class TestQuotientPaths:
         gap = float(np.min(np.abs(m.positions - x)))
         if 0.0 < gap <= MERGE_TOL:
             assert batch is None
+
+    @given(quotient_cases(), st.floats(0.0, MIN_STEP, exclude_max=True) | st.sampled_from([2.0**-52, 2.3e-16]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_steps_below_the_bound_raise(self, case, small):
+        _, m, x, steps = case
+        for F in (standard_battery()[2], user_function):
+            with pytest.raises(ValueError, match="step"):
+                dawson_rows(F, m, x, steps + [small])
+            with pytest.raises(ValueError, match="step"):
+                dawson_extrapolated(F, m, x, 2.0 * small)
 
     def test_underflowed_step_falls_back(self):
         m = DiscreteMeasure([0.0, 1.0], [5e-324, 1.0])
