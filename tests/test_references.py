@@ -563,7 +563,7 @@ class TestRowBatches:
 
 CONSTRUCTOR_KINDS = ("valid", "nonfinite", "negative", "mass", "signed-zero", "shape", "empty")
 # weight totals near MASS_TOL, in its units; the largest is far outside
-MASS_SCALES = (-2.0, -1.01, -0.99, 0.5, 0.99, 1.01, 2.0, 1e6)
+MASS_SCALES = (-2.0, -1.01, -1.0, -0.99, 0.5, 0.99, 1.0, 1.01, 2.0, 1e6)
 
 
 @st.composite
