@@ -65,9 +65,8 @@ __all__ = [
 # eps near (unit roundoff)^(1/3) balances the O(eps^2) truncation of the
 # extrapolated estimator against the 1/eps amplification of float error.
 DEFAULT_EPS = 1e-3
-# Smallest step a quotient accepts: at 2^-26 (about 1.5e-8) the rounding of
-# F alone, amplified by u/step, already reaches about 1e-8; below it the
-# quotient soon returns rounding noise. DEFAULT_EPS / 2 lies far above it.
+# Smallest quotient step: at 2^-26 (1.5e-8) the rounding of F, amplified by
+# u/step, alone reaches about 1e-8; DEFAULT_EPS / 2 lies far above it.
 MIN_STEP = 2.0**-26
 DEFAULT_QUAD_ORDER = 32
 DEFAULT_SEED = 0

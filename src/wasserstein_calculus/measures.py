@@ -60,7 +60,10 @@ class DiscreteMeasure:
 
     Instances are immutable: the stored arrays are read-only and every
     operation on measures returns a new value, so they are safe to share
-    across threads.
+    across threads. ``total_mass`` is cached on first use. Outside input is
+    always validated; only ``dirac`` and ``discretize``, whose arrays are
+    canonical by construction, skip the checks through the private
+    ``_trusted``, with the same bits.
     """
 
     positions: np.ndarray
@@ -89,15 +92,9 @@ class DiscreteMeasure:
 
     @classmethod
     def _trusted(cls, pos: np.ndarray, w: np.ndarray) -> "DiscreteMeasure":
-        """A measure on arrays the caller guarantees canonical, unchecked.
-
-        ``pos`` must be sorted with gaps above MERGE_TOL, ``w`` positive,
-        both finite 1-D float arrays owned by the measure from now on, and
-        the weights must pass the mass check. The result then equals the
-        validated ``cls(pos, w)`` bit for bit. Only routines that establish
-        all of this themselves call it; input from users and JSON is always
-        validated.
-        """
+        """``cls(pos, w)`` without its checks, for finite 1-D float arrays
+        that the caller hands over and guarantees sorted with gaps above
+        MERGE_TOL, positive and mass-checked; the bits are the same."""
         m = object.__new__(cls)
         _store(m, pos, w)
         return m

@@ -215,9 +215,8 @@ def discretize_rows(scheme: PartitionScheme, measures) -> list:
         (masses[:, None] * band).ravel(),
         minlength=len(measures) * size,
     ).reshape(len(measures), size)
-    # A row's zeros leave its exact fsums unchanged, so the per-row
-    # bookkeeping runs on the nonzero weights of all rows, laid flat row
-    # after row, with one tolist per flat array.
+    # zeros leave an exact fsum unchanged: the rows' nonzero weights, laid
+    # flat row after row, carry all the per-row bookkeeping
     rows, cols = np.nonzero(grid_weights)
     values = grid_weights[rows, cols]
     totals, _ = _row_fsums(values, rows, len(measures))
