@@ -208,8 +208,15 @@ class TestMalformedJson:
             ("ftc-check", {"kind": "counterexample", "phi": {"kind": "polynomial", "coeffs": 5}, "psi": {"kind": "cos"}}),
             ("dawson", {"inner": [{"kind": "sin"}, {"kind": "cos"}], "outer": {"kind": "product"}}),
             ("dawson", {"inner": [{"kind": "sin"}], "outer": {"kind": "linear", "weights": [math.nan]}}),
+            ("dawson", {"inner": [{"kind": "affine", "a": 10**400}], "outer": {"kind": "product", "arity": 1}}),
+            ("dawson", {"inner": [{"kind": "gaussian", "mu": 0, "sigma": 1}], "outer": {"kind": "product", "arity": 1}}),
+            ("dawson", {"inner": [{"kind": "sin"}], "outer": {"kind": "product", "arity": 1, "offset": 1.0}}),
+            ("dawson", {"inner": [{"kind": "sin"}], "outer": {"kind": "product", "arity": 1}, "lable": ""}),
+            ("ftc-check", {"kind": "zero", "cylinder": {"inner": [], "outer": {"kind": "product", "arity": 0}}}),
         ],
-        ids=["linear-without-weights", "scalar-coeffs", "product-without-arity", "nan-weight"],
+        ids=["linear-without-weights", "scalar-coeffs", "product-without-arity", "nan-weight",
+             "integer-beyond-a-double", "unknown-scalar-keys", "unknown-outer-key", "unknown-cylinder-key",
+             "unknown-field-key"],
     )
     def test_exit_code_two(self, files, capsys, tmp_path, command, document):
         path = tmp_path / "malformed.json"
@@ -396,11 +403,12 @@ class TestArgvFuzz:
             assert isinstance(json.loads(out.getvalue()), dict)
 
 
-# JSON number literals for measure files: ordinary ones, and literals that
-# parse to +-inf or NaN or overflow a double as integers
+# JSON leaves for measure files: ordinary number literals, literals that
+# parse to +-inf or NaN or overflow a double as integers, and numeric
+# strings and booleans, which are not numbers
 number_literals = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
     ["1e400", "-1e400", "1" + "0" * 400, "-1" + "0" * 400, "1e-400", "NaN", "Infinity",
-     "-Infinity", "0", "-0.0", "0.5", "1", "-0.25", "2.5"]
+     "-Infinity", "0", "-0.0", "0.5", "1", "-0.25", "2.5", '"1"', '"0.5"', '"-0.0"', "true", "false"]
 )
 # weight totals just inside and just outside JSON_MASS_TOL, in its units
 MASS_OFFSETS = (0.0, 0.5, -0.5, 0.99, -0.99, 1.01, -1.01, 2.0, -2.0, 1e3)
@@ -421,6 +429,10 @@ def measure_texts(draw):
         if draw(st.booleans()):
             weights[draw(st.integers(0, n - 1))] *= -1.0
         atoms = [[repr(p), repr(w)] for p, w in zip(positions, weights)]
+        if draw(st.booleans()):
+            # one leaf as a numeric string or a boolean
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, 1))
+            atoms[i][j] = draw(st.sampled_from([json.dumps(atoms[i][j]), "true", "false"]))
     elif kind == "literals":
         atoms = draw(st.lists(st.lists(number_literals, min_size=2, max_size=2), min_size=1, max_size=4))
     elif kind == "ragged":
@@ -434,10 +446,42 @@ def measure_texts(draw):
     return '{"atoms": [' + ", ".join("[" + ", ".join(atom) + "]" for atom in atoms) + "]}"
 
 
+def has_non_numeric_leaf(text: str) -> bool:
+    """Whether a measure file's atoms hold a string or a boolean."""
+    data = json.loads(text)
+    atoms = data.get("atoms") if isinstance(data, dict) else None
+    return isinstance(atoms, list) and any(
+        isinstance(v, (bool, str)) for atom in atoms if isinstance(atom, list) for v in atom
+    )
+
+
+class TestNumericLeaves:
+    """A number in a JSON file is a JSON number: strings and booleans are
+    invalid input, as are keys a measure does not know."""
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"atoms": [[0.5, "1"]]},
+            {"atoms": [[0.5, True]]},
+            {"atoms": [["0.5", 1.0]]},
+            {"atoms": [[False, 1.0]]},
+            {"atoms": [[0.5, 1.0]], "weights": [1.0]},
+        ],
+        ids=["string-weight", "true-weight", "string-position", "false-position", "unknown-key"],
+    )
+    def test_measure_exit_code_two(self, files, capsys, tmp_path, document):
+        path = tmp_path / "leaves.json"
+        path.write_text(json.dumps(document))
+        code, _, err = run_cli(capsys, ["w1", str(path), files["d0.json"]])
+        assert code == 2
+        assert "error" in json.loads(err)
+
+
 class TestMeasureJsonFuzz:
     """Whatever a measure file holds, ``w1`` and ``discretize`` exit 0 or 1
     with a JSON report, or 2 with one JSON error object on stderr; they
-    never raise."""
+    never raise. A string or a boolean where a number belongs gives 2."""
 
     @pytest.fixture(scope="class")
     def root(self, tmp_path_factory):
@@ -448,6 +492,8 @@ class TestMeasureJsonFuzz:
     @given(text=measure_texts(), command=st.sampled_from(["w1", "discretize"]))
     @example(text='{"atoms": [[1' + "0" * 400 + ", 1.0]]}", command="w1")
     @example(text='{"atoms": [[0.5, 1e400]]}', command="discretize")
+    @example(text='{"atoms": [[0.5, "1"]]}', command="w1")
+    @example(text='{"atoms": [[0.5, true]]}', command="discretize")
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_exit_code_and_json(self, root, text, command):
         path = str(root / "fuzzed.json")
@@ -461,6 +507,8 @@ class TestMeasureJsonFuzz:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in (0, 1, 2)
+        if has_non_numeric_leaf(text):
+            assert code == 2
         if code == 2:
             assert isinstance(json.loads(err.getvalue())["error"], str)
         else:
