@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DiscreteMeasure, integrate, integrate_rows
+from .util import check_keys, json_number
 
 __all__ = [
     "ScalarFunction",
@@ -218,16 +219,10 @@ def _required(data: dict, key: str, what: str):
     return data[key]
 
 
-def _number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{what} must be a finite number, not {value!r}")
-    return float(value)
-
-
 def _numbers(value, what: str) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{what} must be a list of numbers, not {value!r}")
-    return tuple(_number(v, what) for v in value)
+    return tuple(json_number(v, what) for v in value)
 
 
 def _integer(value, what: str) -> int:
@@ -236,24 +231,45 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _kind_of(data: dict, keys: dict, what: str) -> str:
+    """The ``kind`` of a JSON object, checked against ``keys``, the keys each
+    kind takes besides ``kind``."""
+    kind = data["kind"]
+    if not (isinstance(kind, str) and kind in keys):
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    check_keys(data, ("kind", *keys[kind]), f"{kind} {what}")
+    return kind
+
+
+_SCALAR_KEYS = {
+    "sin": (),
+    "cos": (),
+    "tanh": (),
+    "polynomial": ("coeffs",),
+    "gaussian": ("center", "width"),
+    "affine": ("a", "b"),
+    "smooth_abs": ("eps",),
+}
+
+
 def scalar_from_dict(data: dict) -> ScalarFunction:
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError('scalar function JSON must be an object with a "kind"')
-    kind = data["kind"]
+    kind = _kind_of(data, _SCALAR_KEYS, "scalar function")
     if kind in ("sin", "cos", "tanh"):
         return ScalarFunction(kind)
     if kind == "polynomial":
         return polynomial(_numbers(data.get("coeffs", ()), "polynomial coeffs"))
     if kind == "gaussian":
         return gaussian(
-            _number(data.get("center", 0.0), "gaussian center"),
-            _number(data.get("width", 1.0), "gaussian width"),
+            json_number(data.get("center", 0.0), "gaussian center"),
+            json_number(data.get("width", 1.0), "gaussian width"),
         )
     if kind == "affine":
-        return affine(_number(data.get("a", 1.0), "affine a"), _number(data.get("b", 0.0), "affine b"))
-    if kind == "smooth_abs":
-        return smooth_abs(_number(data.get("eps", 0.1), "smooth_abs eps"))
-    raise ValueError(f"unknown scalar function kind {kind!r}")
+        return affine(
+            json_number(data.get("a", 1.0), "affine a"), json_number(data.get("b", 0.0), "affine b")
+        )
+    return smooth_abs(json_number(data.get("eps", 0.1), "smooth_abs eps"))
 
 
 _OUTER_KINDS = ("linear", "product", "polynomial", "sin_of_sum", "exp_of_sum")
@@ -427,15 +443,24 @@ def _outer_to_dict(g: OuterMap) -> dict:
     return {"kind": g.kind, "weights": list(g.params[0])}
 
 
+_OUTER_KEYS = {
+    "linear": ("weights", "offset"),
+    "product": ("arity",),
+    "polynomial": ("terms",),
+    "sin_of_sum": ("weights",),
+    "exp_of_sum": ("weights",),
+}
+
+
 def _outer_from_dict(data: dict) -> OuterMap:
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError('outer map JSON must be an object with a "kind"')
-    kind = data["kind"]
+    kind = _kind_of(data, _OUTER_KEYS, "outer map")
     what = f"{kind} outer map"
     if kind == "linear":
         return outer_linear(
             _numbers(_required(data, "weights", what), "linear weights"),
-            _number(data.get("offset", 0.0), "linear offset"),
+            json_number(data.get("offset", 0.0), "linear offset"),
         )
     if kind == "product":
         return outer_product(_integer(_required(data, "arity", what), "product arity"))
@@ -450,12 +475,10 @@ def _outer_from_dict(data: dict) -> OuterMap:
                 raise ValueError(f"polynomial term must be [coefficient, exponents], not {term!r}")
             coeff, exps = term
             exps = [_integer(e, "polynomial exponent") for e in exps]
-            normalized.append((_number(coeff, "polynomial coefficient"), exps))
+            normalized.append((json_number(coeff, "polynomial coefficient"), exps))
         return outer_polynomial(normalized)
-    if kind in ("sin_of_sum", "exp_of_sum"):
-        weights = _numbers(_required(data, "weights", what), f"{kind} weights")
-        return outer_sin(weights) if kind == "sin_of_sum" else outer_exp(weights)
-    raise ValueError(f"unknown outer map kind {kind!r}")
+    weights = _numbers(_required(data, "weights", what), f"{kind} weights")
+    return outer_sin(weights) if kind == "sin_of_sum" else outer_exp(weights)
 
 
 @dataclass(frozen=True)
@@ -620,6 +643,7 @@ def cylinder_to_dict(F: CylinderFunction) -> dict:
 def cylinder_from_dict(data: dict) -> CylinderFunction:
     if not isinstance(data, dict) or "inner" not in data or "outer" not in data:
         raise ValueError('cylinder JSON must be an object with "inner" and "outer"')
+    check_keys(data, ("inner", "outer", "label"), "cylinder")
     if not isinstance(data["inner"], list):
         raise ValueError('cylinder "inner" must be a list of scalar functions')
     label = data.get("label", "")

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .util import compensated_cumsum
+from .util import check_keys, compensated_cumsum, json_number
 
 __all__ = [
     "DiscreteMeasure",
@@ -64,6 +64,12 @@ class DiscreteMeasure:
     always validated; only ``dirac`` and ``discretize``, whose arrays are
     canonical by construction, skip the checks through the private
     ``_trusted``, with the same bits.
+
+    Validation is one screen on the sorted atoms: one ``math.fsum`` of the
+    weights within ``MASS_TOL`` of one, finite end positions and a
+    non-negative lightest weight. Together these hold exactly when every
+    check passes. Input that fails the screen goes through the checks in
+    order (finite, non-negative, mass) only to pick the error to raise.
     """
 
     positions: np.ndarray
@@ -74,17 +80,26 @@ class DiscreteMeasure:
         w = np.asarray(self.weights, dtype=float).ravel()
         if pos.size == 0 or pos.shape != w.shape:
             raise ValueError("positions and weights must be equal-length and non-empty")
-        if not (np.isfinite(pos).all() and np.isfinite(w).all()):
-            raise ValueError("positions and weights must be finite")
-        if (w < 0.0).any():
-            raise ValueError("weights must be non-negative")
-        total = math.fsum(w.tolist())
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"weights sum to {total!r}, not 1")
         order = pos.argsort(kind="stable")
-        pos, w = _group_atoms(pos[order], w[order], weighted=True)
-        keep = w > 0.0
-        if not keep.all():
+        sorted_pos, sorted_w = pos[order], w[order]
+        try:
+            total = math.fsum(sorted_w.tolist())
+        except (ValueError, OverflowError):  # -inf + inf, or overflow
+            total = math.nan
+        lightest = np.minimum.reduce(sorted_w)
+        # the screen: a finite total near one makes every weight finite, and
+        # sorted positions are finite when both ends are (-inf sorts first,
+        # +inf and NaN last)
+        if not (
+            abs(total - 1.0) <= MASS_TOL
+            and math.isfinite(sorted_pos[0])
+            and math.isfinite(sorted_pos[-1])
+            and lightest >= 0.0
+        ):
+            _reject(pos, w)
+        pos, w = _group_atoms(sorted_pos, sorted_w, weighted=True)
+        if lightest == 0.0:
+            keep = w > 0.0
             pos, w = pos[keep], w[keep]
             if pos.size == 0:
                 raise ValueError("measure has no atom with positive weight")
@@ -135,6 +150,17 @@ class DiscreteMeasure:
             f"DiscreteMeasure({len(self)} atoms on "
             f"[{self.positions[0]:g}, {self.positions[-1]:g}])"
         )
+
+
+def _reject(pos: np.ndarray, w: np.ndarray):
+    """Raise the error of the first check that the atoms, in their given
+    order, fail; only called on atoms that failed the constructor's screen,
+    so one always fails."""
+    if not (np.isfinite(pos).all() and np.isfinite(w).all()):
+        raise ValueError("positions and weights must be finite")
+    if (w < 0.0).any():
+        raise ValueError("weights must be non-negative")
+    raise ValueError(f"weights sum to {math.fsum(w.tolist())!r}, not 1")  # may overflow
 
 
 def _store(m: DiscreteMeasure, pos: np.ndarray, w: np.ndarray) -> None:
@@ -371,22 +397,21 @@ def measure_to_dict(m: DiscreteMeasure) -> dict:
 def measure_from_dict(data: dict) -> DiscreteMeasure:
     """Build a measure from ``{"atoms": [[pos, weight], ...]}``.
 
-    Weight totals within JSON_MASS_TOL of one are renormalized; anything
-    farther off is rejected.
+    Every position and weight must be a finite JSON number (see
+    ``util.json_number``). Weight totals within JSON_MASS_TOL of one are
+    renormalized; anything farther off is rejected.
     """
     if not isinstance(data, dict) or "atoms" not in data:
         raise ValueError('measure JSON must be an object with an "atoms" list')
+    check_keys(data, ("atoms",), "measure")
     atoms = data["atoms"]
     if not isinstance(atoms, list) or not atoms:
         raise ValueError('"atoms" must be a non-empty list of [position, weight] pairs')
-    try:
-        arr = np.asarray(atoms, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:  # integers beyond a double overflow
-        raise ValueError("atoms must be numeric [position, weight] pairs") from exc
-    if arr.ndim != 2 or arr.shape[1] != 2:
+    if not all(isinstance(atom, list) and len(atom) == 2 for atom in atoms):
         raise ValueError("atoms must be [position, weight] pairs")
-    pos, w = arr[:, 0], arr[:, 1]
-    if np.any(w < 0.0):
+    pos = np.array([json_number(position, "atom position") for position, _ in atoms])
+    w = np.array([json_number(weight, "atom weight") for _, weight in atoms])
+    if (w < 0.0).any():
         raise ValueError("weights must be non-negative")
     total = math.fsum(w.tolist())
     if abs(total - 1.0) > JSON_MASS_TOL:

@@ -18,10 +18,24 @@ __all__ = ["stream_rng", "random_measure", "random_point", "MAX_ATOMS"]
 MAX_ATOMS = 12
 
 
+def _words(n: int) -> bytes:
+    """A non-negative int as ``SeedSequence`` reads it: little-endian
+    32-bit words, one word 0 for 0."""
+    return n.to_bytes(4 * max(1, -(-n.bit_length() // 32)), "little")
+
+
 def stream_rng(seed: int, stream: str, index: int) -> np.random.Generator:
-    """Independent generator for one (stream, sample-index) pair."""
+    """Independent generator for one (stream, sample-index) pair.
+
+    The entropy is the words of ``[seed, crc32(stream), index]``, handed to
+    ``SeedSequence`` as the uint32 array it would make of that list itself.
+    """
+    seed, index = int(seed), int(index)
+    if seed < 0 or index < 0:
+        raise ValueError("expected non-negative integer")  # SeedSequence's own error
     tag = zlib.crc32(stream.encode("utf-8"))
-    return np.random.default_rng(np.random.SeedSequence([int(seed), tag, int(index)]))
+    words = np.frombuffer(_words(seed) + _words(tag) + _words(index), dtype="<u4")
+    return np.random.default_rng(np.random.SeedSequence(words))
 
 
 def _check_half_width(K: float) -> None:
@@ -35,12 +49,21 @@ def random_measure(rng: np.random.Generator, K: float, max_atoms: int = MAX_ATOM
     """Random measure supported in [-K, K].
 
     Atom count is uniform on 1..max_atoms, positions uniform, weights from a
-    flat Dirichlet draw.
+    flat Dirichlet draw: n standard exponentials, summed left to right from
+    0.0 and scaled by one over the sum. That is ``rng.dirichlet(np.ones(n))``
+    step for step (numpy draws a gamma variate of shape one as a standard
+    exponential), so the weights and the generator's later draws have the
+    same bits, without dirichlet's checks on its parameter. All-zero draws
+    give NaN weights, as in dirichlet, which the constructor rejects.
     """
     _check_half_width(K)
     n = int(rng.integers(1, max_atoms + 1))
     positions = rng.uniform(-K, K, size=n)
-    weights = rng.dirichlet(np.ones(n))
+    draws = rng.standard_exponential(n)
+    acc = 0.0
+    for d in draws.tolist():
+        acc += d
+    weights = draws * (1.0 / acc) if acc > 0.0 else np.full(n, math.nan)
     return DiscreteMeasure(positions, weights)
 
 

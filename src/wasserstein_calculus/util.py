@@ -1,9 +1,10 @@
 """Shared numerical plumbing: quadrature nodes, deterministic parallel maps,
-canonical JSON."""
+canonical JSON and the one rule for JSON inputs."""
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
@@ -49,6 +50,28 @@ def parallel_map(fn, items, threads: int = 1) -> list:
 def canonical_json(obj) -> str:
     """Serialize a report deterministically (sorted keys, plain floats)."""
     return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def json_number(value, what: str) -> float:
+    """A JSON leaf as a finite float: an int or a float, never a bool or a
+    numeric string, and finite as a double."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a finite number, not {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond a double
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be a finite number, not {number!r}")
+    return number
+
+
+def check_keys(data: dict, known, what: str) -> None:
+    """Reject keys of a JSON object that its kind does not know, so that a
+    misspelled key never loads a default."""
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise ValueError(f"{what} JSON has unknown keys {unknown}; it takes {sorted(known)}")
 
 
 def _plain(obj):

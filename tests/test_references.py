@@ -8,14 +8,20 @@ partition-of-unity weight matrix, the per-node segment quadrature (one
 ``discretize`` and ``w1`` that criterion 1 called once per measure, the
 per-step difference quotients (one ``mix`` per step) and the per-call
 cylinder derivatives (one moment pass per call), with the criterion 2, 4
-and 7 loops built on them. The vectorised code must reproduce the loops bit
-for bit (and the private trusted constructor the validating one), and the
+and 7 loops built on them, the former sampled draws (a ``dirichlet`` weight
+draw from a generator seeded by a list of ints) and the estimated symmetry
+residual that evaluated the field step by step. The vectorised code must
+reproduce the loops bit for bit (and the private trusted constructor the
+validating one), and the
 banded grid weights must match the dense reference within ``GRID_TOL``. The
 rational oracles recompute ``w1`` and ``linear_hat`` discretization exactly
 with ``fractions.Fraction`` on dyadic inputs.
 """
 
+import dataclasses
 import math
+import re
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +55,7 @@ from wasserstein_calculus import (
     signed_difference,
     sin_fn,
     standard_battery,
+    symmetry_residual,
     w1,
     w1_rows,
     zero_field,
@@ -63,7 +70,7 @@ from wasserstein_calculus.acceptance import (
 from wasserstein_calculus.derivative import MIN_STEP
 from wasserstein_calculus.measures import MASS_TOL, MERGE_TOL, _values_at, mix_rows
 from wasserstein_calculus.partition import GRID_SNAP, WEIGHT_FLOOR, _mollifier, _smoothstep
-from wasserstein_calculus.sampling import random_measure, random_point, stream_rng
+from wasserstein_calculus.sampling import MAX_ATOMS, _check_half_width, random_measure, random_point, stream_rng
 from wasserstein_calculus.util import canonical_json, compensated_cumsum, gauss_legendre_01
 
 # Banded against dense grid weights, absolute; fixed before measuring.
@@ -596,11 +603,11 @@ def constructor_inputs(draw):
 
 
 def outcome(build, pos, w):
-    """The stored arrays' bits, or the ValueError message."""
+    """The stored arrays' bits, or the exception's type and message."""
     try:
         positions, weights = build(pos, w)
-    except ValueError as exc:
-        return str(exc)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
     return positions.shape, positions.tobytes(), weights.tobytes()
 
 
@@ -632,6 +639,24 @@ class TestConstruction:
     @example(([0.0, 0.5], [0.5, 0.5 + 0.99 * MASS_TOL]))
     @example(([0.0, math.nan], [0.5, 0.5]))
     @example(([0.0, 0.5], [1.0, -0.0]))
+    # the screen's edges: zero weights, NaN sorting last and -inf first,
+    # weights whose fsum fails or overflows, masses exactly at +-MASS_TOL
+    @example(([0.0, 0.5], [1.0, 0.0]))
+    @example(([0.5, 0.0, 0.5], [0.5, -0.0, 0.5]))
+    @example(([0.0, 0.0], [0.0, 1.0]))
+    @example(([math.nan, 0.0], [0.5, 0.5]))
+    @example(([0.5, -math.inf], [0.5, 0.5]))
+    @example(([math.inf, 0.5], [0.5, 0.5]))
+    @example(([0.0, 0.5], [math.inf, -math.inf]))
+    @example(([0.0, 0.5], [math.nan, 1.0]))
+    @example(([0.0, 0.5], [1e308, 1e308]))
+    @example(([0.0, 0.5, 1.0], [1e308, 1e308, -1e308]))
+    @example(([0.0, 0.5, 1.0], [1e308, -1e308, 1.0]))
+    @example(([0.0, 0.5], [0.5, 0.5 + MASS_TOL]))
+    @example(([0.0, 0.5], [0.5, 0.5 - MASS_TOL]))
+    @example(([0.0, 0.5], [1.0 + MASS_TOL, -0.0]))
+    @example(([0.0, 0.5], [1.0 - MASS_TOL, 0.0]))
+    @example(([0.0, 0.5], [1.5, -0.5]))
     def test_lean_constructor_matches_former(self, inputs):
         pos, w = inputs
         assert outcome(stored, pos, w) == outcome(construct_loop, pos, w)
@@ -668,6 +693,94 @@ class TestConstruction:
         assert list(m.positions) == [0.0, 1.0]
         with pytest.raises(ValueError, match="finite"):
             measure_from_dict({"atoms": [[math.inf, 1.0]]})
+
+
+# ------------------------------------------------------------ sampled draws
+
+
+def stream_rng_former(seed, stream, index):
+    """The former ``stream_rng``: the entropy as a list of Python ints."""
+    tag = zlib.crc32(stream.encode("utf-8"))
+    return np.random.default_rng(np.random.SeedSequence([int(seed), tag, int(index)]))
+
+
+def random_measure_former(rng, K, max_atoms=MAX_ATOMS):
+    """The former ``random_measure``, weights from ``rng.dirichlet``."""
+    _check_half_width(K)
+    n = int(rng.integers(1, max_atoms + 1))
+    positions = rng.uniform(-K, K, size=n)
+    weights = rng.dirichlet(np.ones(n))
+    return DiscreteMeasure(positions, weights)
+
+
+def draws(make_rng, sample, seed, stream, index, K, max_atoms):
+    """A measure and a point drawn from one stream, then the generator's next
+    draws; an exception's type and message in place of what it stopped."""
+    try:
+        rng = make_rng(seed, stream, index)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    out = []
+    for draw in (lambda: sample(rng, K, max_atoms), lambda: random_point(rng, K)):
+        try:
+            value = draw()
+        except ValueError as exc:
+            out.append((type(exc), str(exc)))
+        else:
+            if isinstance(value, DiscreteMeasure):
+                value = (value.positions.tobytes(), value.weights.tobytes())
+            out.append(np.float64(value).tobytes() if isinstance(value, float) else value)
+    return out, rng.random(3).tobytes(), rng.integers(0, 2**63, 2).tobytes()
+
+
+seeds = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96]) | st.integers(0, 2**80)
+half_widths = st.sampled_from([0.0, 5e-324, 1e-300, 1e-8, 1.0, math.pi, 1e300, 8.9e307, 9e307]) | st.floats(
+    0.0, 1e6
+)
+
+
+class TestSampledDraws:
+    @given(
+        seeds,
+        st.sampled_from(["symmetry", "metric", "discretize-K2-n64", ""]) | st.text(max_size=8),
+        st.integers(0, 2**40) | st.sampled_from([0, 2**32 - 1, 2**32]),
+        half_widths,
+        st.sampled_from([MAX_ATOMS, 1, 2]),
+    )
+    @SETTINGS
+    def test_equal_to_the_former_draws(self, seed, stream, index, K, max_atoms):
+        """The exponential weights and the word entropy give the former bits,
+        the generator's next draws included."""
+        new = draws(stream_rng, random_measure, seed, stream, index, K, max_atoms)
+        assert new == draws(stream_rng_former, random_measure_former, seed, stream, index, K, max_atoms)
+
+    @pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1), (-(2**70), 3)])
+    def test_negative_entropy_raises_as_before(self, seed, index):
+        with pytest.raises(ValueError) as new:
+            stream_rng(seed, "x", index)
+        with pytest.raises(ValueError) as former:
+            stream_rng_former(seed, "x", index)
+        assert str(new.value) == str(former.value)
+
+    def test_all_zero_draws_are_rejected_as_not_finite(self):
+        """Exponential draws that are all zero sum to zero; dirichlet then
+        returns NaN weights, and so must the exponential form."""
+
+        class ZeroDraws:
+            def __init__(self):
+                self.rng = np.random.default_rng(0)
+
+            def integers(self, low, high):
+                return self.rng.integers(low, high)
+
+            def uniform(self, low, high, size):
+                return self.rng.uniform(low, high, size)
+
+            def standard_exponential(self, n):
+                return np.zeros(n)
+
+        with pytest.raises(ValueError, match="must be finite"):
+            random_measure(ZeroDraws(), 1.0)
 
 
 # ------------------------------------------------------------ rational oracles
@@ -1225,3 +1338,56 @@ class TestCriterionLoops:
     def test_criterion_7(self, seed):
         report, _ = check_second_derivative_symmetry(seed=seed)
         assert canonical_json(report) == canonical_json(check_second_derivative_symmetry_loop(seed))
+
+
+# ------------------------------------------------------------ estimated symmetry residual
+
+
+def symmetry_residual_former(H, m, x, y, eps):
+    """The former estimated mode: the field wrapped in a lambda, so every
+    step of the quotient went through ``mix``."""
+    dxy = dawson_extrapolated(lambda mm: H.value(mm, x), m, y, eps)
+    dyx = dawson_extrapolated(lambda mm: H.value(mm, y), m, x, eps)
+    return (dxy - H.value(m, x)) - (dyx - H.value(m, y))
+
+
+SYMMETRY_FIELDS = {
+    **{F.label: lift_to_field(F) for F in standard_battery()},
+    "counterexample": counterexample_field(sin_fn(), cos_fn()),
+    "zero": zero_field(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRY_FIELDS))
+class TestEstimatedSymmetry:
+    @given(quotient_cases(), dirac_points.filter(lambda y: abs(y) <= 4.0), step_values.filter(lambda s: s <= 0.25))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_bit_identical_to_the_lambda_form(self, name, case, y, eps):
+        _, m, x, _ = case
+        H = dataclasses.replace(SYMMETRY_FIELDS[name], linear_delta=None)
+        try:
+            expected = symmetry_residual_former(H, m, x, y, eps)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                symmetry_residual(H, m, x, y, eps=eps)
+        else:
+            assert same_bits(symmetry_residual(H, m, x, y, eps=eps), expected)
+
+    def test_steps_take_the_batched_path(self, name):
+        """Each quotient evaluates the field once at m by ``value``; its two
+        steps come from ``batch_value``."""
+        H = SYMMETRY_FIELDS[name]
+        calls = {"value": 0, "batch": 0}
+
+        def value(m, x):
+            calls["value"] += 1
+            return H.value(m, x)
+
+        def batch_value(positions, weights, xs):
+            calls["batch"] += 1
+            return H.batch_value(positions, weights, xs)
+
+        counted = dataclasses.replace(H, value=value, batch_value=batch_value, linear_delta=None)
+        m = random_measure(stream_rng(0, "estimated-symmetry", 0), 1.0)
+        symmetry_residual(counted, m, 0.25, -0.5, eps=1e-3)
+        assert calls == {"value": 4, "batch": 2}
