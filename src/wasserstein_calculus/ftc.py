@@ -348,7 +348,8 @@ def counterexample_report(
     }
 
 
-_FIELD_KEYS = {"lifted": ("cylinder",), "counterexample": ("phi", "psi"), "zero": ()}
+# each kind with the JSON keys it takes besides "kind"
+_FIELD_KINDS = {"lifted": ("cylinder",), "counterexample": ("phi", "psi"), "zero": ()}
 
 
 def field_from_dict(data: dict) -> DerivativeField:
@@ -360,7 +361,7 @@ def field_from_dict(data: dict) -> DerivativeField:
     """
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError('field JSON must be an object with a "kind"')
-    kind = _kind_of(data, _FIELD_KEYS, "field")
+    kind = _kind_of(data, _FIELD_KINDS, "field")
     if kind == "lifted":
         return lift_to_field(cylinder_from_dict(_required(data, "cylinder", "lifted field")))
     if kind == "counterexample":

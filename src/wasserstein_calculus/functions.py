@@ -47,7 +47,16 @@ __all__ = [
     "lipschitz_probes",
 ]
 
-_SCALAR_KINDS = ("sin", "cos", "tanh", "polynomial", "gaussian", "affine", "smooth_abs")
+# each kind with the JSON keys it takes besides "kind"
+_SCALAR_KINDS = {
+    "sin": (),
+    "cos": (),
+    "tanh": (),
+    "polynomial": ("coeffs",),
+    "gaussian": ("center", "width"),
+    "affine": ("a", "b"),
+    "smooth_abs": ("eps",),
+}
 
 # A polynomial's declared Lipschitz bound holds on [-R, R] for this R only;
 # every other kind's bound is global.
@@ -66,7 +75,7 @@ class ScalarFunction:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _SCALAR_KINDS:
+        if not (isinstance(self.kind, str) and self.kind in _SCALAR_KINDS):
             raise ValueError(f"unknown scalar function kind {self.kind!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if not all(math.isfinite(p) for p in self.params):
@@ -241,21 +250,10 @@ def _kind_of(data: dict, keys: dict, what: str) -> str:
     return kind
 
 
-_SCALAR_KEYS = {
-    "sin": (),
-    "cos": (),
-    "tanh": (),
-    "polynomial": ("coeffs",),
-    "gaussian": ("center", "width"),
-    "affine": ("a", "b"),
-    "smooth_abs": ("eps",),
-}
-
-
 def scalar_from_dict(data: dict) -> ScalarFunction:
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError('scalar function JSON must be an object with a "kind"')
-    kind = _kind_of(data, _SCALAR_KEYS, "scalar function")
+    kind = _kind_of(data, _SCALAR_KINDS, "scalar function")
     if kind in ("sin", "cos", "tanh"):
         return ScalarFunction(kind)
     if kind == "polynomial":
@@ -272,7 +270,14 @@ def scalar_from_dict(data: dict) -> ScalarFunction:
     return smooth_abs(json_number(data.get("eps", 0.1), "smooth_abs eps"))
 
 
-_OUTER_KINDS = ("linear", "product", "polynomial", "sin_of_sum", "exp_of_sum")
+# each kind with the JSON keys it takes besides "kind"
+_OUTER_KINDS = {
+    "linear": ("weights", "offset"),
+    "product": ("arity",),
+    "polynomial": ("terms",),
+    "sin_of_sum": ("weights",),
+    "exp_of_sum": ("weights",),
+}
 
 
 @dataclass(frozen=True)
@@ -283,7 +288,7 @@ class OuterMap:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _OUTER_KINDS:
+        if not (isinstance(self.kind, str) and self.kind in _OUTER_KINDS):
             raise ValueError(f"unknown outer map kind {self.kind!r}")
 
     @property
@@ -443,19 +448,10 @@ def _outer_to_dict(g: OuterMap) -> dict:
     return {"kind": g.kind, "weights": list(g.params[0])}
 
 
-_OUTER_KEYS = {
-    "linear": ("weights", "offset"),
-    "product": ("arity",),
-    "polynomial": ("terms",),
-    "sin_of_sum": ("weights",),
-    "exp_of_sum": ("weights",),
-}
-
-
 def _outer_from_dict(data: dict) -> OuterMap:
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError('outer map JSON must be an object with a "kind"')
-    kind = _kind_of(data, _OUTER_KEYS, "outer map")
+    kind = _kind_of(data, _OUTER_KINDS, "outer map")
     what = f"{kind} outer map"
     if kind == "linear":
         return outer_linear(
