@@ -12,10 +12,10 @@ and 7 loops built on them, the former sampled draws (a ``dirichlet`` weight
 draw from a generator seeded by a list of ints) and the estimated symmetry
 residual that evaluated the field step by step. The vectorised code must
 reproduce the loops bit for bit (and the private trusted constructor the
-validating one), and the
-banded grid weights must match the dense reference within ``GRID_TOL``. The
-rational oracles recompute ``w1`` and ``linear_hat`` discretization exactly
-with ``fractions.Fraction`` on dyadic inputs.
+validating one), and the banded grid weights must match the dense reference
+within ``GRID_TOL``. The rational oracles recompute ``w1`` and
+``linear_hat`` discretization exactly with ``fractions.Fraction`` on dyadic
+inputs.
 """
 
 import dataclasses
