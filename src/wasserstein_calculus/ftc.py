@@ -123,22 +123,9 @@ def symmetry_residual(
     else:
         if eps is None:
             raise ValueError("field has no linear_delta; pass eps to estimate it")
-        dxy = dawson_extrapolated(_value_at(H, x), m, y, eps)
-        dyx = dawson_extrapolated(_value_at(H, y), m, x, eps)
+        dxy = dawson_extrapolated(lambda mm: H.value(mm, x), m, y, eps)
+        dyx = dawson_extrapolated(lambda mm: H.value(mm, y), m, x, eps)
     return (dxy - H.value(m, x)) - (dyx - H.value(m, y))
-
-
-def _value_at(H: DerivativeField, x: float):
-    """The function m -> H(m, x). With the field's ``batch_value`` it
-    carries ``evaluate_rows``, so the quotient's steps run as one batch."""
-
-    def value(m):
-        return H.value(m, x)
-
-    if H.batch_value is not None:
-        xs = np.array([x], dtype=float)
-        value.evaluate_rows = lambda positions, weights: H.batch_value(positions, weights, xs)[:, 0]
-    return value
 
 
 def _verdict(symmetry_max: float, *, estimated: bool, field_max: float) -> str:

@@ -397,9 +397,9 @@ def measure_to_dict(m: DiscreteMeasure) -> dict:
 def measure_from_dict(data: dict) -> DiscreteMeasure:
     """Build a measure from ``{"atoms": [[pos, weight], ...]}``.
 
-    Every position and weight must be a finite JSON number (see
-    ``util.json_number``). Weight totals within JSON_MASS_TOL of one are
-    renormalized; anything farther off is rejected.
+    Each atom is a list or tuple of two; every position and weight must be a
+    finite number (see ``util.json_number``). Weight totals within
+    JSON_MASS_TOL of one are renormalized; anything farther off is rejected.
     """
     if not isinstance(data, dict) or "atoms" not in data:
         raise ValueError('measure JSON must be an object with an "atoms" list')
@@ -407,16 +407,25 @@ def measure_from_dict(data: dict) -> DiscreteMeasure:
     atoms = data["atoms"]
     if not isinstance(atoms, list) or not atoms:
         raise ValueError('"atoms" must be a non-empty list of [position, weight] pairs')
-    if not all(isinstance(atom, list) and len(atom) == 2 for atom in atoms):
-        raise ValueError("atoms must be [position, weight] pairs")
-    pos = np.array([json_number(position, "atom position") for position, _ in atoms])
-    w = np.array([json_number(weight, "atom weight") for _, weight in atoms])
+    # lists of two floats, the usual atoms, pass one check and convert in one
+    # step; any other atom, or a non-finite float, goes atom by atom
+    floats = all(type(a) is list and len(a) == 2 and type(a[0]) is float and type(a[1]) is float for a in atoms)
+    arr = np.array(atoms) if floats else None
+    if arr is None or not np.isfinite(arr).all():
+        arr = np.array([_atom_numbers(atom) for atom in atoms])
+    pos, w = arr[:, 0], arr[:, 1]
     if (w < 0.0).any():
         raise ValueError("weights must be non-negative")
     total = math.fsum(w.tolist())
     if abs(total - 1.0) > JSON_MASS_TOL:
         raise ValueError(f"weights sum to {total!r}; beyond the renormalization tolerance")
     return DiscreteMeasure(pos, w / total)
+
+
+def _atom_numbers(atom) -> tuple:
+    if not isinstance(atom, (list, tuple)) or len(atom) != 2:
+        raise ValueError("atoms must be [position, weight] pairs")
+    return json_number(atom[0], "atom position"), json_number(atom[1], "atom weight")
 
 
 def measure_to_json(m: DiscreteMeasure) -> str:

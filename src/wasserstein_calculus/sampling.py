@@ -18,24 +18,10 @@ __all__ = ["stream_rng", "random_measure", "random_point", "MAX_ATOMS"]
 MAX_ATOMS = 12
 
 
-def _words(n: int) -> bytes:
-    """A non-negative int as ``SeedSequence`` reads it: little-endian
-    32-bit words, one word 0 for 0."""
-    return n.to_bytes(4 * max(1, -(-n.bit_length() // 32)), "little")
-
-
 def stream_rng(seed: int, stream: str, index: int) -> np.random.Generator:
-    """Independent generator for one (stream, sample-index) pair.
-
-    The entropy is the words of ``[seed, crc32(stream), index]``, handed to
-    ``SeedSequence`` as the uint32 array it would make of that list itself.
-    """
-    seed, index = int(seed), int(index)
-    if seed < 0 or index < 0:
-        raise ValueError("expected non-negative integer")  # SeedSequence's own error
+    """Independent generator for one (stream, sample-index) pair."""
     tag = zlib.crc32(stream.encode("utf-8"))
-    words = np.frombuffer(_words(seed) + _words(tag) + _words(index), dtype="<u4")
-    return np.random.default_rng(np.random.SeedSequence(words))
+    return np.random.default_rng(np.random.SeedSequence([int(seed), tag, int(index)]))
 
 
 def _check_half_width(K: float) -> None:

@@ -53,9 +53,9 @@ def canonical_json(obj) -> str:
 
 
 def json_number(value, what: str) -> float:
-    """A JSON leaf as a finite float: an int or a float, never a bool or a
-    numeric string, and finite as a double."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A JSON leaf as a finite float: an int or a float (numpy's included),
+    never a bool or a numeric string, and finite as a double."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{what} must be a finite number, not {value!r}")
     try:
         number = float(value)
