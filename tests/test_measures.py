@@ -15,6 +15,7 @@ from wasserstein_calculus import (
     w1,
     kr_lower_bound,
     signed_difference,
+    measure_from_dict,
     measure_from_json,
     measure_to_json,
     affine,
@@ -293,6 +294,38 @@ class TestJson:
             measure_from_json(json.dumps({"nope": 1}))
         with pytest.raises(ValueError):
             measure_from_json(json.dumps({"atoms": [[0.0, -0.5], [1.0, 1.5]]}))
+
+
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            [(0.0, 0.25), (1.5, 0.75)],
+            [[0, 0.25], [1.5, 0.75]],
+            [[np.int64(0), np.float32(0.25)], (np.float64(1.5), 0.75)],
+        ],
+        ids=["tuples", "int-leaf", "numpy-leaves"],
+    )
+    def test_python_atoms_load_as_float_lists(self, atoms):
+        """Tuple atoms, int leaves and numpy numbers give the bits of the
+        lists of floats they stand for."""
+        m = measure_from_dict({"atoms": atoms})
+        expected = measure_from_dict({"atoms": [[0.0, 0.25], [1.5, 0.75]]})
+        assert m.positions.tobytes() == expected.positions.tobytes()
+        assert m.weights.tobytes() == expected.weights.tobytes()
+
+
+    @pytest.mark.parametrize("atoms", [[[0.0, 1.0, 5.0]], [[1.0]], [1.0], [[0.0, 0.5], (1.0, 0.5, 0.0)]])
+    def test_rejects_atoms_that_are_not_pairs(self, atoms):
+        with pytest.raises(ValueError, match="pairs"):
+            measure_from_dict({"atoms": atoms})
+
+    @pytest.mark.parametrize(
+        "atom, what",
+        [([math.nan, 1.0], "position"), ([0.5, math.inf], "weight"), ((0.5, "1"), "weight"), ([True, 1.0], "position")],
+    )
+    def test_leaf_errors_name_the_leaf(self, atom, what):
+        with pytest.raises(ValueError, match=f"atom {what} must be a finite number"):
+            measure_from_dict({"atoms": [atom]})
 
 
 class TestSamplingBounds:
