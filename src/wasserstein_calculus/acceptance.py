@@ -1,8 +1,8 @@
 """Acceptance battery: every guarantee the library makes, runnable as one sweep.
 
 Each check returns a report dictionary containing only deterministic fields,
-so two sweeps with the same seed serialize byte-identically regardless of the
-thread count. Timing is returned separately.
+so two sweeps with the same seed serialize byte-identically. Timing is
+returned separately.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .functions import cos_fn, lift_to_field, lipschitz_probes, sin_fn, standard
 from .measures import dirac, kr_lower_bound, w1_rows
 from .partition import BUMP_MODES, PartitionScheme, discretize_rows
 from .sampling import random_measure, random_point, stream_rng
-from .util import parallel_map
 
 __all__ = ["run_sweep", "CHECKS", "DEFAULT_SEED"]
 
@@ -73,11 +72,11 @@ def discretization_case(seed: int, K: int, n: int) -> dict:
     }
 
 
-def check_discretization(seed: int = DEFAULT_SEED, threads: int = 1):
+def check_discretization(seed: int = DEFAULT_SEED):
     """Grid discretization stays within 3/n of the input, in both bump modes."""
     started = time.perf_counter()
     cases = [(K, n) for K in (1, 2) for n in range(K + 1, 65)]
-    rows = parallel_map(lambda case: discretization_case(seed, *case), cases, threads)
+    rows = [discretization_case(seed, K, n) for K, n in cases]
     elapsed = time.perf_counter() - started
     violations = sum(r["violations"] for r in rows)
     # wall-clock stays out of the report so reruns serialize byte-identically;
@@ -105,7 +104,7 @@ def check_discretization(seed: int = DEFAULT_SEED, threads: int = 1):
     }, elapsed
 
 
-def check_dawson_linear(seed: int = DEFAULT_SEED, threads: int = 1, samples: int = 200):
+def check_dawson_linear(seed: int = DEFAULT_SEED, samples: int = 200):
     """The extrapolated quotient matches the exact derivative; order is one.
 
     Each (function, sample) makes one ``dawson_rows`` call: the steps eps and
@@ -149,7 +148,7 @@ def check_dawson_linear(seed: int = DEFAULT_SEED, threads: int = 1, samples: int
             "ok": bool(ext_err <= 1e-5 and order_ok),
         }
 
-    per_fn = parallel_map(one, battery, threads)
+    per_fn = [one(F) for F in battery]
     return {
         "criterion": 2,
         "name": "dawson_matches_exact_derivative",
@@ -163,10 +162,7 @@ def check_dawson_linear(seed: int = DEFAULT_SEED, threads: int = 1, samples: int
 
 
 def check_integral_identity(
-    seed: int = DEFAULT_SEED,
-    threads: int = 1,
-    samples: int = 100,
-    quad_order: int = DEFAULT_QUAD_ORDER,
+    seed: int = DEFAULT_SEED, samples: int = 100, quad_order: int = DEFAULT_QUAD_ORDER
 ):
     """Matched (function, exact field) pairs satisfy the defining identity."""
     started = time.perf_counter()
@@ -179,7 +175,7 @@ def check_integral_identity(
         mu = random_measure(rng, 1.0)
         return verify_deriv2(F.evaluate, lift_to_field(F), m, mu, quad_order)
 
-    residual_max = max(parallel_map(one, range(samples), threads))
+    residual_max = max(one(i) for i in range(samples))
     return {
         "criterion": 3,
         "name": "derivative_integral_identity",
@@ -191,9 +187,7 @@ def check_integral_identity(
     }, time.perf_counter() - started
 
 
-def check_canonical_normalization(
-    seed: int = DEFAULT_SEED, threads: int = 1, samples: int = 25
-):
+def check_canonical_normalization(seed: int = DEFAULT_SEED, samples: int = 25):
     """Exact and estimated derivatives both integrate to zero."""
     started = time.perf_counter()
     battery = standard_battery()
@@ -215,7 +209,7 @@ def check_canonical_normalization(
             estimated_worst = max(estimated_worst, abs(est))
         return exact_worst, estimated_worst
 
-    results = parallel_map(one, range(samples), threads)
+    results = [one(i) for i in range(samples)]
     exact_max = max(r[0] for r in results)
     estimated_max = max(r[1] for r in results)
     return {
@@ -230,7 +224,7 @@ def check_canonical_normalization(
     }, time.perf_counter() - started
 
 
-def check_ftc_soundness(seed: int = DEFAULT_SEED, threads: int = 1):
+def check_ftc_soundness(seed: int = DEFAULT_SEED):
     """Antiderivatives of lifted fields differentiate back to the field."""
     started = time.perf_counter()
     battery = standard_battery()
@@ -259,7 +253,7 @@ def check_ftc_soundness(seed: int = DEFAULT_SEED, threads: int = 1):
             ),
         }
 
-    per_fn = parallel_map(one, battery, threads)
+    per_fn = [one(F) for F in battery]
     return {
         "criterion": 5,
         "name": "antiderivative_soundness",
@@ -272,18 +266,17 @@ def check_ftc_soundness(seed: int = DEFAULT_SEED, threads: int = 1):
     }, time.perf_counter() - started
 
 
-def check_counterexample(seed: int = DEFAULT_SEED, threads: int = 1):
+def check_counterexample(seed: int = DEFAULT_SEED):
     """The symmetry-violating field is detected and its gaps are as derived."""
     started = time.perf_counter()
     phi, psi = sin_fn(), cos_fn()
     K = math.pi
-    report = counterexample_report(phi, psi, K, samples=200, seed=seed, threads=threads)
+    report = counterexample_report(phi, psi, K, samples=200, seed=seed)
     H = counterexample_field(phi, psi)
     pinned = symmetry_residual(H, dirac(0.0), math.pi / 2.0, math.pi)
     pinned_ok = abs(pinned - (-2.0)) <= 1e-10
     ftc_report = ftc_check(
-        H, K=K, quad_order=DEFAULT_QUAD_ORDER, eps=DEFAULT_EPS, samples=40, seed=seed,
-        threads=threads,
+        H, K=K, quad_order=DEFAULT_QUAD_ORDER, eps=DEFAULT_EPS, samples=40, seed=seed
     )
     mismatch_floor = max(0.1, 0.25 * report["closed_derivative_vs_field_max"])
     ok = (
@@ -306,9 +299,7 @@ def check_counterexample(seed: int = DEFAULT_SEED, threads: int = 1):
     }, time.perf_counter() - started
 
 
-def check_second_derivative_symmetry(
-    seed: int = DEFAULT_SEED, threads: int = 1, samples: int = 1000
-):
+def check_second_derivative_symmetry(seed: int = DEFAULT_SEED, samples: int = 1000):
     """Second derivatives of genuine functions satisfy the symmetry identity."""
     started = time.perf_counter()
     curved = [F for F in standard_battery() if F.has_nontrivial_hessian()]
@@ -325,7 +316,7 @@ def check_second_derivative_symmetry(
             worst = max(worst, abs(residual))
         return worst
 
-    residual_max = max(parallel_map(one, range(samples), threads))
+    residual_max = max(one(i) for i in range(samples))
     return {
         "criterion": 7,
         "name": "second_derivative_symmetry",
@@ -337,9 +328,7 @@ def check_second_derivative_symmetry(
     }, time.perf_counter() - started
 
 
-def check_metric_properties(
-    seed: int = DEFAULT_SEED, threads: int = 1, samples: int = 1000
-):
+def check_metric_properties(seed: int = DEFAULT_SEED, samples: int = 1000):
     """Duality lower bounds never exceed the distance; triangle inequality."""
     started = time.perf_counter()
     probes = lipschitz_probes()
@@ -355,7 +344,7 @@ def check_metric_properties(
         kr_excess = max(kr_lower_bound(a, b, f) - d_ab for f in probes)
         return triangle_excess, kr_excess
 
-    results = parallel_map(one, range(samples), threads)
+    results = [one(i) for i in range(samples)]
     triangle_max = max(r[0] for r in results)
     kr_max = max(r[1] for r in results)
     return {
@@ -382,7 +371,7 @@ CHECKS = (
 )
 
 
-def run_sweep(seed: int = DEFAULT_SEED, threads: int = 1):
+def run_sweep(seed: int = DEFAULT_SEED):
     """Run the whole battery.
 
     Returns (report, timings): the report holds only deterministic values and
@@ -392,7 +381,7 @@ def run_sweep(seed: int = DEFAULT_SEED, threads: int = 1):
     criteria = []
     timings = {}
     for check in CHECKS:
-        report, elapsed = check(seed=seed, threads=threads)
+        report, elapsed = check(seed=seed)
         criteria.append(report)
         timings[report["name"]] = elapsed
     return (

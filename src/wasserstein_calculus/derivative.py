@@ -43,7 +43,7 @@ import numpy as np
 
 from .measures import DiscreteMeasure, dirac, mix, mix_rows, signed_difference, _values_at
 from .sampling import random_measure, random_point, stream_rng
-from .util import gauss_legendre_01, parallel_map
+from .util import gauss_legendre_01
 
 __all__ = [
     "DerivativeField",
@@ -178,7 +178,6 @@ def uniform_dawson_modulus(
     samples: int,
     *,
     seed: int = DEFAULT_SEED,
-    threads: int = 1,
 ) -> float:
     """Sampled sup of |difference quotient - oracle| over measures in [-K, K].
 
@@ -195,7 +194,7 @@ def uniform_dawson_modulus(
         x = random_point(rng, K)
         return abs(dawson(F, m, x, eps) - oracle.value(m, x))
 
-    return max(parallel_map(one, range(samples), threads))
+    return max(one(i) for i in range(samples))
 
 
 def segment_integral(

@@ -50,7 +50,6 @@ from .functions import (
 )
 from .measures import DiscreteMeasure, dirac, integrate, integrate_rows
 from .sampling import random_measure, random_point, stream_rng
-from .util import parallel_map
 
 __all__ = [
     "BASE_POINT",
@@ -152,7 +151,6 @@ def ftc_check(
     samples: int = 200,
     *,
     seed: int = DEFAULT_SEED,
-    threads: int = 1,
 ) -> dict:
     """Build the antiderivative of H and test whether its derivative is H.
 
@@ -188,8 +186,8 @@ def ftc_check(
         residual = symmetry_residual(H, m, x, y, eps=eps if estimated else None)
         return abs(residual), max(abs(H.value(m, x)), abs(H.value(m, y)))
 
-    mismatch_max = max(parallel_map(mismatch_one, range(samples), threads))
-    symmetry = parallel_map(symmetry_one, range(samples), threads)
+    mismatch_max = max(mismatch_one(i) for i in range(samples))
+    symmetry = [symmetry_one(i) for i in range(samples)]
     symmetry_max = max(r[0] for r in symmetry)
     verdict = _verdict(symmetry_max, estimated=estimated, field_max=max(r[1] for r in symmetry))
     return {
@@ -276,7 +274,6 @@ def counterexample_report(
     eps: float = DEFAULT_EPS,
     samples: int = 200,
     seed: int = DEFAULT_SEED,
-    threads: int = 1,
     closed_f_tol: float = 1e-10,
     built_delta_tol: float = 1e-5,
     gap_floor: float = 0.1,
@@ -309,7 +306,7 @@ def counterexample_report(
         s = abs(symmetry_residual(H, m, x, y))
         return a, b, c, s, max(abs(h), abs(H.value(m, y)))
 
-    results = parallel_map(one, range(samples), threads)
+    results = [one(i) for i in range(samples)]
     a_max = max(r[0] for r in results)
     b_max = max(r[1] for r in results)
     c_max = max(r[2] for r in results)

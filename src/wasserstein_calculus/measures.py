@@ -59,11 +59,10 @@ class DiscreteMeasure:
         atoms are dropped.
 
     Instances are immutable: the stored arrays are read-only and every
-    operation on measures returns a new value, so they are safe to share
-    across threads. ``total_mass`` is cached on first use. Outside input is
-    always validated; only ``dirac`` and ``discretize``, whose arrays are
-    canonical by construction, skip the checks through the private
-    ``_trusted``, with the same bits.
+    operation on measures returns a new value. ``total_mass`` is cached on
+    first use. Outside input is always validated; only ``dirac`` and
+    ``discretize``, whose arrays are canonical by construction, skip the
+    checks through the private ``_trusted``, with the same bits.
 
     Validation is one screen on the sorted atoms: one ``math.fsum`` of the
     weights within ``MASS_TOL`` of one, finite end positions and a

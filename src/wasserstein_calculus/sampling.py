@@ -1,7 +1,7 @@
 """Seeded generators for compactly supported random test measures.
 
 Every sampled object owns its generator, keyed by (seed, stream name, sample
-index), so parallel and serial evaluation orders draw identical values.
+index), so a sample draws the same values whatever was drawn before it.
 """
 
 from __future__ import annotations

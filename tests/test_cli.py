@@ -306,8 +306,7 @@ config_documents = json_values | st.dictionaries(
 
 class TestConfigFuzz:
     """Whatever the config file holds, the CLI exits 0, or 2 with one JSON
-    error object on stderr; it never raises. ``--threads`` stays on the
-    command line, so no config can start a thread pool."""
+    error object on stderr; it never raises."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -333,7 +332,7 @@ class TestConfigFuzz:
         if command == "dawson":
             argv = ["dawson", "--x", "0.5", "--config", str(cfg), function, measure]
         else:
-            argv = ["deriv2-check", "--samples", "1", "--quad", "2", "--threads", "1", "--config", str(cfg)]
+            argv = ["deriv2-check", "--samples", "1", "--quad", "2", "--config", str(cfg)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -385,7 +384,7 @@ class TestArgvFuzz:
     @example(command="dawson", K="1", eps="1e-3", x="1e308")
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_exit_code_and_json(self, inputs, command, K, eps, x):
-        small = ["--samples", "1", "--quad", "2", "--threads", "1"]
+        small = ["--samples", "1", "--quad", "2"]
         if command == "dawson":
             argv = ["dawson", f"--x={x}", f"--eps={eps}", inputs["function"], inputs["measure"]]
         elif command == "counterexample":
@@ -537,7 +536,7 @@ class TestSweepWiring:
         }
         import wasserstein_calculus.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod, "run_sweep", lambda seed, threads: (canned, {"x": 0.0}))
+        monkeypatch.setattr(cli_mod, "run_sweep", lambda seed: (canned, {"x": 0.0}))
         return canned
 
     def test_writes_report_and_csv(self, stub_sweep, capsys, tmp_path):
@@ -554,6 +553,12 @@ class TestSweepWiring:
         stub_sweep["all_ok"] = False
         code, _, _ = run_cli(capsys, ["sweep"])
         assert code == 1
+
+    def test_threads_flag_parses_and_changes_nothing(self, stub_sweep, capsys):
+        # the stub takes the seed only, so a thread count passed on fails
+        plain = run_cli(capsys, ["sweep"])
+        for count in ("1", "0", "7"):
+            assert run_cli(capsys, ["sweep", "--threads", count]) == plain
 
 
 class TestModuleInvocation:
