@@ -277,19 +277,31 @@ class TestConfigPrecedence:
 
 
 class TestMalformedConfig:
-    """A config file that is not an object of numbers is invalid input."""
+    """A config file that is not an object of options and numbers is invalid
+    input. Every key and value is checked, those of options the command does
+    not take included, as one file serves every command."""
 
     @pytest.mark.parametrize(
         "document",
-        [[1, 2], {"seed": [1]}],
-        ids=["not-an-object", "list-valued-seed"],
+        [[1, 2], {"seed": [1]}, {"samples": 1, "sead": 5}, {"threads": "x"}, {"K": "x"}],
+        ids=["not-an-object", "list-valued-seed", "unknown-key", "string-threads", "other-commands-option"],
     )
     def test_exit_code_two(self, capsys, tmp_path, document):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(document))
-        code, _, err = run_cli(capsys, ["deriv2-check", "--samples", "1", "--config", str(cfg)])
-        assert code == 2
+        code, out, err = run_cli(capsys, ["deriv2-check", "--samples", "1", "--config", str(cfg)])
+        assert code == 2 and out == ""
         assert "error" in json.loads(err)
+
+    def test_unknown_key_is_named(self, capsys, tmp_path):
+        # a misspelled key used to run the default: this exited 0 with seed 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": 1, "quad": 2, "sead": 5}))
+        code, _, err = run_cli(capsys, ["deriv2-check", "--config", str(cfg)])
+        assert code == 2
+        message = json.loads(err)["error"]
+        assert "'sead'" in message
+        assert all(repr(key) in message for key in DEFAULTS)
 
 
 # any JSON value, NaN and infinities included (json reads and writes them)
@@ -559,6 +571,11 @@ class TestSweepWiring:
         plain = run_cli(capsys, ["sweep"])
         for count in ("1", "0", "7"):
             assert run_cli(capsys, ["sweep", "--threads", count]) == plain
+
+    def test_config_threads_accepted(self, stub_sweep, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threads": 3}))
+        assert run_cli(capsys, ["sweep", "--config", str(cfg)]) == run_cli(capsys, ["sweep"])
 
 
 class TestModuleInvocation:
