@@ -19,7 +19,7 @@ from .ftc import counterexample_report, field_from_dict, ftc_check
 from .functions import cylinder_from_dict, scalar_from_dict
 from .measures import measure_from_dict, measure_to_dict, w1
 from .partition import BUMP_MODES, PartitionScheme, discretize
-from .util import canonical_json
+from .util import canonical_json, check_keys
 
 DEFAULTS = {
     "seed": DEFAULT_SEED,
@@ -48,16 +48,10 @@ def _load_measure(path: str):
 
 
 def _resolve(args, key, cast):
-    """Option ``key`` from the command line, else the config file, else DEFAULTS.
-
-    A config file must hold a JSON object; a value it gives must be a finite
-    number, and an integer where ``cast`` is ``int``.
-    """
+    """Option ``key`` from the command line, else the config file, else DEFAULTS."""
     value = getattr(args, key, None)
     if value is None and getattr(args, "config", None):
         value = _config(args).get(key)
-        if value is not None:
-            _check_config_value(key, value, cast)
     if value is None:
         value = DEFAULTS[key]
     return cast(value)
@@ -65,12 +59,20 @@ def _resolve(args, key, cast):
 
 def _config(args) -> dict:
     """The --config file's JSON object, read and checked on the first option
-    that needs it and kept on ``args`` for the rest of the command."""
+    that needs it and kept on ``args`` for the rest of the command.
+
+    Every key must be an option of some command, a key of DEFAULTS, so one
+    file serves every command; every value must be a finite number, and an
+    integer where the option's default is one.
+    """
     config = vars(args).get("_config")
     if config is None:
         config = _load_json_file(args.config)
         if not isinstance(config, dict):
             raise ValueError(f"{args.config} must hold a JSON object of option values")
+        check_keys(config, DEFAULTS, f"config file {args.config}")
+        for key, value in config.items():
+            _check_config_value(key, value, type(DEFAULTS[key]))
         args._config = config
     return config
 

@@ -283,8 +283,9 @@ class TestMalformedConfig:
 
     @pytest.mark.parametrize(
         "document",
-        [[1, 2], {"seed": [1]}, {"samples": 1, "sead": 5}, {"threads": "x"}, {"K": "x"}],
-        ids=["not-an-object", "list-valued-seed", "unknown-key", "string-threads", "other-commands-option"],
+        [[1, 2], {"seed": [1]}, {"seed": None}, {"samples": 1, "sead": 5}, {"threads": "x"}, {"K": "x"}],
+        ids=["not-an-object", "list-valued-seed", "null-seed", "unknown-key", "string-threads",
+             "other-commands-option"],
     )
     def test_exit_code_two(self, capsys, tmp_path, document):
         cfg = tmp_path / "cfg.json"
