@@ -230,6 +230,32 @@ class TestMalformedJson:
         assert "error" in json.loads(err)
 
 
+class TestArgparseErrors:
+    """A command line argparse rejects is invalid input like any other: exit
+    2 with one JSON error object on stderr, not usage text."""
+
+    def test_bad_int_value(self, capsys):
+        code, out, err = run_cli(capsys, ["sweep", "--seed", "notanint"])
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "argument --seed: invalid int value: 'notanint'"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["w1", "--bogus", "a", "b"], [], ["nosuchcommand"], ["discretize", "m.json"], ["sweep", "--threads", "x"]],
+        ids=["unknown-option", "no-command", "unknown-command", "missing-required", "non-integer-threads"],
+    )
+    def test_exit_code_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert isinstance(json.loads(err)["error"], str)
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: wcalc sweep")
+
+
 class TestConfigPrecedence:
     def test_flag_beats_config_beats_default(self, files, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
