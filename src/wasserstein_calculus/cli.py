@@ -221,10 +221,17 @@ def cmd_sweep(args) -> int:
     return 0 if report["all_ok"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ValueError`` where argparse would print usage and exit, so a
+    bad command line ends in the JSON error of any invalid input. Subparsers
+    are made of the same class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wcalc", description="Wasserstein-space calculus checks"
-    )
+    parser = _Parser(prog="wcalc", description="Wasserstein-space calculus checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *keys):
@@ -292,9 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
