@@ -57,6 +57,35 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_quiet(argv):
+    """``main(argv)`` with both streams captured, for property tests, which
+    cannot take function-scoped fixtures: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """``json.loads`` that refuses NaN and the infinities: Python reads and
+    writes them, but they are no JSON and other readers reject them."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
+def assert_json_outcome(code, out, err):
+    """Exit 0 or 1 with a JSON report on stdout, or 2 with one JSON error
+    object on stderr."""
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert isinstance(strict_json(err)["error"], str)
+    else:
+        assert isinstance(strict_json(out), dict)
+
+
 class TestW1Command:
     def test_unit_distance(self, files, capsys):
         code, out, _ = run_cli(capsys, ["w1", files["d0.json"], files["d1.json"]])
@@ -372,14 +401,9 @@ class TestConfigFuzz:
             argv = ["dawson", "--x", "0.5", "--config", str(cfg), function, measure]
         else:
             argv = ["deriv2-check", "--samples", "1", "--quad", "2", "--config", str(cfg)]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        code, out, err = run_quiet(argv)
         assert code in (0, 2)
-        if code == 2:
-            assert isinstance(json.loads(err.getvalue()), dict)
-        else:
-            assert isinstance(json.loads(out.getvalue()), dict)
+        assert_json_outcome(code, out, err)
 
 
 # the numbers that break numerics: infinities, NaN, subnormals, huge values
@@ -431,14 +455,7 @@ class TestArgvFuzz:
         else:
             field = inputs[command.rsplit("-", 1)[1]]
             argv = ["ftc-check", f"--K={K}", f"--eps={eps}", *small, field]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 1, 2)
-        if code == 2:
-            assert isinstance(json.loads(err.getvalue())["error"], str)
-        else:
-            assert isinstance(json.loads(out.getvalue()), dict)
+        assert_json_outcome(*run_quiet(argv))
 
 
 # JSON leaves for measure files: ordinary number literals, literals that
@@ -541,16 +558,132 @@ class TestMeasureJsonFuzz:
             argv = ["w1", path, str(root / "other.json")]
         else:
             argv = ["discretize", path, "--n", "4", "--K", "2"]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 1, 2)
+        code, out, err = run_quiet(argv)
         if has_non_numeric_leaf(text):
             assert code == 2
-        if code == 2:
-            assert isinstance(json.loads(err.getvalue())["error"], str)
-        else:
-            assert isinstance(json.loads(out.getvalue()), dict)
+        assert_json_outcome(code, out, err)
+
+
+THREE_ATOMS = {"atoms": [[-0.5, 0.25], [0.25, 0.5], [0.75, 0.25]]}
+
+
+class TestNonFiniteResults:
+    """A function whose values overflow a double is invalid input: exit 2
+    with a JSON error, never NaN or Infinity in a report and never a
+    traceback."""
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"inner": [{"kind": "affine", "a": 1e300, "b": 0}], "outer": {"kind": "polynomial", "terms": [[1, [2]]]}},
+            {"inner": [{"kind": "affine", "a": 1e200, "b": 0}], "outer": {"kind": "exp_of_sum", "weights": [1]}},
+        ],
+        ids=["nan-in-report", "overflow-error"],
+    )
+    def test_exit_code_two(self, tmp_path, document):
+        function, measure = tmp_path / "f.json", tmp_path / "m.json"
+        function.write_text(json.dumps(document))
+        measure.write_text(json.dumps(THREE_ATOMS))
+        code, out, err = run_quiet(["dawson", "--x", "0.5", str(function), str(measure)])
+        assert code == 2 and out == ""
+        assert isinstance(strict_json(err)["error"], str)
+
+
+# a number where function JSON wants one: ordinary, huge, tiny and zero
+# values, integers beyond a double, and NaN and the infinities, which
+# json.dumps writes as literals that json.loads reads back
+function_numbers = st.floats() | st.integers(-(2**1100), 2**1100) | st.sampled_from(
+    [0, 1, -1, 2, 0.5, -0.25, 1e-300, 5e-324, 1e200, -1e200, 1e300, 1e308]
+)
+# mostly a number, sometimes a JSON value that is none
+function_leaves = function_numbers | st.sampled_from([None, True, "1", [1.0], {}])
+# arities and exponents: small, negative, huge, or no integer at all
+integer_leaves = st.integers(-2, 5) | st.sampled_from([10**6, 2**63, 10**30, 1.0, True, "2", None])
+SCALAR_KEYS = {"polynomial": ("coeffs",), "gaussian": ("center", "width"), "affine": ("a", "b"), "smooth_abs": ("eps",)}
+
+
+@st.composite
+def scalar_documents(draw):
+    """A scalar function object: any kind, each key mostly present, now and
+    then a key no kind takes."""
+    kind = draw(st.sampled_from(["sin", "cos", "tanh", *SCALAR_KEYS, "sinh"]))
+    document = {"kind": kind}
+    for key in SCALAR_KEYS.get(kind, ()):
+        if draw(st.integers(0, 5)):
+            lists = key == "coeffs" and draw(st.integers(0, 5))
+            document[key] = draw(st.lists(function_leaves, max_size=4) if lists else function_leaves)
+    if draw(st.integers(0, 9)) == 0:
+        document["extra"] = 1
+    return document
+
+
+@st.composite
+def outer_documents(draw, arity):
+    """An outer-map object, mostly of the arity its cylinder needs."""
+    kind = draw(st.sampled_from(["linear", "product", "polynomial", "sin_of_sum", "exp_of_sum", "quadratic"]))
+    n = arity if draw(st.integers(0, 5)) else draw(st.integers(0, 3))
+    if kind in ("linear", "sin_of_sum", "exp_of_sum"):
+        document = {"kind": kind, "weights": draw(st.lists(function_leaves, min_size=n, max_size=n))}
+        if kind == "linear" and draw(st.booleans()):
+            document["offset"] = draw(function_leaves)
+    elif kind == "product":
+        document = {"kind": kind, "arity": n if draw(st.integers(0, 3)) else draw(integer_leaves)}
+    elif kind == "polynomial":
+        exponents = st.lists(integer_leaves, min_size=n, max_size=n)
+        document = {"kind": kind, "terms": draw(st.lists(st.tuples(function_leaves, exponents).map(list), max_size=3))}
+    else:
+        document = {"kind": kind}
+    return document
+
+
+@st.composite
+def cylinder_documents(draw):
+    inner = draw(st.lists(scalar_documents(), max_size=3))
+    document = {"inner": inner, "outer": draw(outer_documents(len(inner)))}
+    if draw(st.integers(0, 9)) == 0:
+        document["label"] = draw(st.sampled_from(["F", 5]))
+    return document
+
+
+field_documents = st.one_of(
+    cylinder_documents().map(lambda cylinder: {"kind": "lifted", "cylinder": cylinder}),
+    st.tuples(scalar_documents(), scalar_documents()).map(
+        lambda pair: {"kind": "counterexample", "phi": pair[0], "psi": pair[1]}
+    ),
+    st.sampled_from([{"kind": "zero"}, {"kind": "zero", "cylinder": {}}, {"kind": "lifted"}]),
+)
+
+
+class TestFunctionJsonFuzz:
+    """Whatever a cylinder or field file holds, ``dawson`` and ``ftc-check``
+    exit 0 or 1 with a strict-JSON report, or 2 with one JSON error object on
+    stderr; they never raise."""
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("function-fuzz")
+        (root / "m.json").write_text(json.dumps(THREE_ATOMS))
+        return root
+
+    @given(document=cylinder_documents())
+    @example(document={"inner": [{"kind": "affine", "a": 1e300, "b": 0}],
+                       "outer": {"kind": "polynomial", "terms": [[1, [2]]]}})
+    @example(document={"inner": [{"kind": "affine", "a": 1e200, "b": 0}],
+                       "outer": {"kind": "exp_of_sum", "weights": [1]}})
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_dawson(self, root, document):
+        path = root / "cylinder.json"
+        path.write_text(json.dumps(document))
+        assert_json_outcome(*run_quiet(["dawson", "--x", "0.5", str(path), str(root / "m.json")]))
+
+    @given(document=field_documents)
+    @example(document={"kind": "lifted", "cylinder": {"inner": [{"kind": "affine", "a": 1e200, "b": 0}],
+                                                      "outer": {"kind": "exp_of_sum", "weights": [1]}}})
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_ftc_check(self, root, document):
+        path = root / "field.json"
+        path.write_text(json.dumps(document))
+        assert_json_outcome(*run_quiet(["ftc-check", "--samples", "1", "--quad", "2", str(path)]))
 
 
 class TestSweepWiring:
