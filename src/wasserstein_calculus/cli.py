@@ -302,11 +302,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a value beyond a double
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(json.dumps({"error": f"invalid JSON: {exc}"}), file=sys.stderr)
         return 2
 
 

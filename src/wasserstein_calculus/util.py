@@ -29,8 +29,14 @@ def gauss_legendre_01(order: int):
 
 
 def canonical_json(obj) -> str:
-    """Serialize a report deterministically (sorted keys, plain floats)."""
-    return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":")) + "\n"
+    """Serialize a report deterministically (sorted keys, plain floats).
+
+    NaN and the infinities raise ``ValueError``: they are no JSON.
+    """
+    try:
+        return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError("the report holds NaN or an infinity, which JSON cannot carry") from None
 
 
 def json_number(value, what: str) -> float:

@@ -589,30 +589,52 @@ class TestNonFiniteResults:
         assert isinstance(strict_json(err)["error"], str)
 
 
-# a number where function JSON wants one: ordinary, huge, tiny and zero
-# values, integers beyond a double, and NaN and the infinities, which
-# json.dumps writes as literals that json.loads reads back
-function_numbers = st.floats() | st.integers(-(2**1100), 2**1100) | st.sampled_from(
-    [0, 1, -1, 2, 0.5, -0.25, 1e-300, 5e-324, 1e200, -1e200, 1e300, 1e308]
+# the awkward numbers: huge, tiny and zero values, integers beyond a
+# double, and NaN and the infinities, which json.dumps writes as literals
+# that json.loads reads back
+awkward_values = st.floats() | st.sampled_from(
+    [0, -1, 2, 5e-324, 1e-300, 1e200, -1e200, 1e300, 1e308, 2**1100, -(2**1100)]
 )
-# mostly a number, sometimes a JSON value that is none
-function_leaves = function_numbers | st.sampled_from([None, True, "1", [1.0], {}])
-# arities and exponents: small, negative, huge, or no integer at all
-integer_leaves = st.integers(-2, 5) | st.sampled_from([10**6, 2**63, 10**30, 1.0, True, "2", None])
 SCALAR_KEYS = {"polynomial": ("coeffs",), "gaussian": ("center", "width"), "affine": ("a", "b"), "smooth_abs": ("eps",)}
+
+
+def rarely(draw) -> bool:
+    # hypothesis favours the ends of a range, so test a value inside it
+    return draw(st.integers(0, 9)) == 7
+
+
+@st.composite
+def function_leaves(draw):
+    """Where function JSON wants a number: mostly an ordinary one, often an
+    awkward one, now and then a value that is no number."""
+    roll = draw(st.integers(0, 9))
+    if roll < 6:
+        return draw(st.floats(-3.0, 3.0))
+    if roll < 9:
+        return draw(awkward_values)
+    return draw(st.sampled_from([None, True, "1", [1.0], {}]))
+
+
+@st.composite
+def integer_leaves(draw):
+    """An arity or an exponent: mostly small, now and then negative, huge or
+    no integer at all."""
+    if rarely(draw):
+        return draw(st.sampled_from([-1, 10**6, 2**63, 2**1100, 1.0, True, "2", None]))
+    return draw(st.integers(0, 3))
 
 
 @st.composite
 def scalar_documents(draw):
-    """A scalar function object: any kind, each key mostly present, now and
-    then a key no kind takes."""
-    kind = draw(st.sampled_from(["sin", "cos", "tanh", *SCALAR_KEYS, "sinh"]))
+    """A scalar function object, now and then of no kind, short of a key or
+    with a key no kind takes."""
+    kind = "sinh" if rarely(draw) else draw(st.sampled_from(["sin", "cos", "tanh", *SCALAR_KEYS]))
     document = {"kind": kind}
     for key in SCALAR_KEYS.get(kind, ()):
-        if draw(st.integers(0, 5)):
-            lists = key == "coeffs" and draw(st.integers(0, 5))
-            document[key] = draw(st.lists(function_leaves, max_size=4) if lists else function_leaves)
-    if draw(st.integers(0, 9)) == 0:
+        if not rarely(draw):
+            document[key] = draw(st.lists(function_leaves(), min_size=int(not rarely(draw)), max_size=4)
+                                 if key == "coeffs" else function_leaves())
+    if rarely(draw):
         document["extra"] = 1
     return document
 
@@ -620,17 +642,19 @@ def scalar_documents(draw):
 @st.composite
 def outer_documents(draw, arity):
     """An outer-map object, mostly of the arity its cylinder needs."""
-    kind = draw(st.sampled_from(["linear", "product", "polynomial", "sin_of_sum", "exp_of_sum", "quadratic"]))
-    n = arity if draw(st.integers(0, 5)) else draw(st.integers(0, 3))
+    kind = "quadratic" if rarely(draw) else draw(
+        st.sampled_from(["linear", "product", "polynomial", "sin_of_sum", "exp_of_sum"])
+    )
+    n = draw(st.integers(0, 3)) if rarely(draw) else arity
     if kind in ("linear", "sin_of_sum", "exp_of_sum"):
-        document = {"kind": kind, "weights": draw(st.lists(function_leaves, min_size=n, max_size=n))}
+        document = {"kind": kind, "weights": draw(st.lists(function_leaves(), min_size=n, max_size=n))}
         if kind == "linear" and draw(st.booleans()):
-            document["offset"] = draw(function_leaves)
+            document["offset"] = draw(function_leaves())
     elif kind == "product":
-        document = {"kind": kind, "arity": n if draw(st.integers(0, 3)) else draw(integer_leaves)}
+        document = {"kind": kind, "arity": draw(integer_leaves()) if rarely(draw) else n}
     elif kind == "polynomial":
-        exponents = st.lists(integer_leaves, min_size=n, max_size=n)
-        document = {"kind": kind, "terms": draw(st.lists(st.tuples(function_leaves, exponents).map(list), max_size=3))}
+        term = st.tuples(function_leaves(), st.lists(integer_leaves(), min_size=n, max_size=n)).map(list)
+        document = {"kind": kind, "terms": draw(st.lists(term, min_size=int(not rarely(draw)), max_size=3))}
     else:
         document = {"kind": kind}
     return document
@@ -638,9 +662,9 @@ def outer_documents(draw, arity):
 
 @st.composite
 def cylinder_documents(draw):
-    inner = draw(st.lists(scalar_documents(), max_size=3))
+    inner = draw(st.lists(scalar_documents(), min_size=int(not rarely(draw)), max_size=3))
     document = {"inner": inner, "outer": draw(outer_documents(len(inner)))}
-    if draw(st.integers(0, 9)) == 0:
+    if rarely(draw):
         document["label"] = draw(st.sampled_from(["F", 5]))
     return document
 
