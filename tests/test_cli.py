@@ -588,6 +588,22 @@ class TestNonFiniteResults:
         assert code == 2 and out == ""
         assert isinstance(strict_json(err)["error"], str)
 
+    def test_stderr_holds_only_the_error(self, tmp_path):
+        # numpy's overflow warnings went to stderr ahead of the JSON error;
+        # pytest captures warnings, so this runs in a fresh interpreter
+        function, measure = tmp_path / "f.json", tmp_path / "m.json"
+        function.write_text(json.dumps(
+            {"inner": [{"kind": "affine", "a": 1e300, "b": 0}], "outer": {"kind": "polynomial", "terms": [[1, [2]]]}}
+        ))
+        measure.write_text(json.dumps(THREE_ATOMS))
+        proc = subprocess.run(
+            [sys.executable, "-m", "wasserstein_calculus.cli", "dawson", "--x", "0.5", str(function), str(measure)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert isinstance(strict_json(proc.stderr)["error"], str)
+
 
 # the awkward numbers: huge, tiny and zero values, integers beyond a
 # double, and NaN and the infinities, which json.dumps writes as literals
