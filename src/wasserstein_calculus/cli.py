@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 check failure, 2 invalid input. Errors go to stderr
 as JSON. Option precedence: command-line flag, then --config file, then the
-module defaults.
+module defaults. numpy's floating-point warnings are silenced, so stderr
+holds nothing but the error: a result that is not finite is refused when
+the report is written.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import csv
 import json
 import math
 import sys
+
+import numpy as np
 
 from .acceptance import run_sweep
 from .derivative import DEFAULT_EPS, DEFAULT_QUAD_ORDER, DEFAULT_SEED, dawson, dawson_extrapolated
@@ -301,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ValueError, OverflowError) as exc:  # OverflowError: a value beyond a double
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
