@@ -51,14 +51,15 @@ def _load_measure(path: str):
     return measure_from_dict(_load_json_file(path))
 
 
-def _resolve(args, key, cast):
-    """Option ``key`` from the command line, else the config file, else DEFAULTS."""
+def _resolve(args, key):
+    """Option ``key`` from the command line, else the config file, else
+    DEFAULTS, as the type of its default."""
     value = getattr(args, key, None)
     if value is None and getattr(args, "config", None):
         value = _config(args).get(key)
     if value is None:
         value = DEFAULTS[key]
-    return cast(value)
+    return type(DEFAULTS[key])(value)
 
 
 def _config(args) -> dict:
@@ -151,7 +152,7 @@ def cmd_discretize(args) -> int:
 
 
 def cmd_dawson(args) -> int:
-    eps = _resolve(args, "eps", float)
+    eps = _resolve(args, "eps")
     F = cylinder_from_dict(_load_json_file(args.function))
     m = _load_measure(args.measure)
     report = {
@@ -170,9 +171,9 @@ def cmd_deriv2_check(args) -> int:
     from .acceptance import check_integral_identity
 
     report, _elapsed = check_integral_identity(
-        seed=_resolve(args, "seed", int),
-        samples=_resolve(args, "samples", int),
-        quad_order=_resolve(args, "quad", int),
+        seed=_resolve(args, "seed"),
+        samples=_resolve(args, "samples"),
+        quad_order=_resolve(args, "quad"),
     )
     report = {
         "check": "deriv2",
@@ -190,11 +191,11 @@ def cmd_ftc_check(args) -> int:
     H = field_from_dict(_load_json_file(args.field))
     report = ftc_check(
         H,
-        K=_resolve(args, "K", float),
-        quad_order=_resolve(args, "quad", int),
-        eps=_resolve(args, "eps", float),
-        samples=_resolve(args, "samples", int),
-        seed=_resolve(args, "seed", int),
+        K=_resolve(args, "K"),
+        quad_order=_resolve(args, "quad"),
+        eps=_resolve(args, "eps"),
+        samples=_resolve(args, "samples"),
+        seed=_resolve(args, "seed"),
     )
     _emit(report)
     passed = report["verdict"] == "derivative" and report["mismatch_max"] <= args.tol
@@ -206,17 +207,17 @@ def cmd_counterexample(args) -> int:
         _parse_scalar_arg(args.phi),
         _parse_scalar_arg(args.psi),
         K=args.K,
-        quad_order=_resolve(args, "quad", int),
-        eps=_resolve(args, "eps", float),
-        samples=_resolve(args, "samples", int),
-        seed=_resolve(args, "seed", int),
+        quad_order=_resolve(args, "quad"),
+        eps=_resolve(args, "eps"),
+        samples=_resolve(args, "samples"),
+        seed=_resolve(args, "seed"),
     )
     _emit(report)
     return 0 if report["ok"] else 1
 
 
 def cmd_sweep(args) -> int:
-    report, timings = run_sweep(seed=_resolve(args, "seed", int))
+    report, timings = run_sweep(seed=_resolve(args, "seed"))
     if args.csv:
         _write_csv(args.csv, report["criteria"][0]["per_n"])
     _emit(report, args.out)
