@@ -13,6 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 from wasserstein_calculus.cli import DEFAULTS, main
 from wasserstein_calculus.measures import JSON_MASS_TOL
 
+# the measure that the config, argv and function fuzzes evaluate functions on
+THREE_ATOMS = {"atoms": [[-0.5, 0.25], [0.25, 0.5], [0.75, 0.25]]}
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -384,7 +387,7 @@ class TestConfigFuzz:
             json.dumps({"inner": [{"kind": "sin"}, {"kind": "cos"}], "outer": {"kind": "product", "arity": 2}})
         )
         measure = root / "m.json"
-        measure.write_text(json.dumps({"atoms": [[-0.5, 0.25], [0.25, 0.5], [0.75, 0.25]]}))
+        measure.write_text(json.dumps(THREE_ATOMS))
         return root, str(function), str(measure)
 
     @given(document=config_documents, command=st.sampled_from(["dawson", "deriv2-check"]))
@@ -425,7 +428,7 @@ class TestArgvFuzz:
         paths = {}
         for name, document in {
             "function": {"inner": [{"kind": "sin"}, {"kind": "cos"}], "outer": {"kind": "product", "arity": 2}},
-            "measure": {"atoms": [[-0.5, 0.25], [0.25, 0.5], [0.75, 0.25]]},
+            "measure": THREE_ATOMS,
             "lifted": {"kind": "lifted", "cylinder": {"inner": [{"kind": "sin"}], "outer": {"kind": "linear", "weights": [1.0]}}},
             "counter": {"kind": "counterexample", "phi": {"kind": "sin"}, "psi": {"kind": "cos"}},
         }.items():
@@ -562,9 +565,6 @@ class TestMeasureJsonFuzz:
         if has_non_numeric_leaf(text):
             assert code == 2
         assert_json_outcome(code, out, err)
-
-
-THREE_ATOMS = {"atoms": [[-0.5, 0.25], [0.25, 0.5], [0.75, 0.25]]}
 
 
 class TestNonFiniteResults:
