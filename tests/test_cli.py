@@ -310,6 +310,21 @@ class TestConfigPrecedence:
         )
         assert json.loads(out_default)["eps"] == 1e-3
 
+    def test_counterexample_K_flag_beats_config_beats_pi(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"K": 2.0}))
+        small = ["counterexample", "--samples", "2", "--quad", "2"]
+        code, out_cfg, _ = run_cli(capsys, [*small, "--config", str(cfg)])
+        assert code == 0 and json.loads(out_cfg)["K"] == 2.0
+        _, out_flag, _ = run_cli(capsys, [*small, "--K", "1.5", "--config", str(cfg)])
+        assert json.loads(out_flag)["K"] == 1.5
+        _, out_default, _ = run_cli(capsys, small)
+        _, out_pi, _ = run_cli(capsys, [*small, "--K", repr(math.pi)])
+        assert json.loads(out_default)["K"] == math.pi and out_default == out_pi
+        cfg.write_text(json.dumps({"K": 1e308}))
+        code, _, err = run_cli(capsys, [*small, "--config", str(cfg)])
+        assert code == 2 and "K" in json.loads(err)["error"]
+
     def test_config_read_once_per_command(self, files, capsys, tmp_path, monkeypatch):
         from wasserstein_calculus import cli
 
