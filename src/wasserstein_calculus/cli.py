@@ -51,14 +51,15 @@ def _load_measure(path: str):
     return measure_from_dict(_load_json_file(path))
 
 
-def _resolve(args, key):
+def _resolve(args, key, default=None):
     """Option ``key`` from the command line, else the config file, else
-    DEFAULTS, as the type of its default."""
+    ``default`` when the command has its own, else DEFAULTS; as the type of
+    the DEFAULTS entry."""
     value = getattr(args, key, None)
     if value is None and getattr(args, "config", None):
         value = _config(args).get(key)
     if value is None:
-        value = DEFAULTS[key]
+        value = DEFAULTS[key] if default is None else default
     return type(DEFAULTS[key])(value)
 
 
@@ -206,7 +207,7 @@ def cmd_counterexample(args) -> int:
     report = counterexample_report(
         _parse_scalar_arg(args.phi),
         _parse_scalar_arg(args.psi),
-        K=args.K,
+        K=_resolve(args, "K", math.pi),
         quad_order=_resolve(args, "quad"),
         eps=_resolve(args, "eps"),
         samples=_resolve(args, "samples"),
@@ -290,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample", help="reproduce the symmetry-violating field report")
     p.add_argument("--phi", default="sin")
     p.add_argument("--psi", default="cos")
-    p.add_argument("--K", type=float, default=math.pi)
+    p.add_argument("--K", type=float, help="sampling half-width (default: pi)")
     common(p, "seed", "threads", "eps", "quad", "samples")
     p.set_defaults(func=cmd_counterexample)
 
