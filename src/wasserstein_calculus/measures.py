@@ -3,8 +3,9 @@
 A measure is a finite list of weighted atoms. The Wasserstein-1 distance
 between two such measures is the integral of the absolute difference of their
 cumulative distribution functions, which in one dimension equals the
-optimal-transport cost exactly, so no solver is involved. All weighted sums
-use compensated summation.
+optimal-transport cost exactly, so no solver is involved. Running sums are
+compensated, and every whole-measure sum is exactly rounded: it has the bits
+of ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .util import check_keys, compensated_cumsum, json_number
+from .util import _FSUM_CUTOFF, check_keys, compensated_cumsum, fsum, json_number
 
 __all__ = [
     "DiscreteMeasure",
@@ -64,11 +65,16 @@ class DiscreteMeasure:
     ``discretize``, whose arrays are canonical by construction, skip the
     checks through the private ``_trusted``, with the same bits.
 
-    Validation is one screen on the sorted atoms: one ``math.fsum`` of the
-    weights within ``MASS_TOL`` of one, finite end positions and a
+    Validation is one screen on the sorted atoms: one exactly rounded sum of
+    the weights within ``MASS_TOL`` of one, finite end positions and a
     non-negative lightest weight. Together these hold exactly when every
     check passes. Input that fails the screen goes through the checks in
     order (finite, non-negative, mass) only to pick the error to raise.
+
+    Every sum over a whole measure, here, in ``total_mass``, ``integrate``,
+    ``w1`` and the JSON reader, has the bits of ``math.fsum`` on the list of
+    its terms. Above ``util._FSUM_CUTOFF`` terms, ``util.fsum`` gives those
+    bits from an integer superaccumulator in numpy, without the list.
     """
 
     positions: np.ndarray
@@ -82,7 +88,7 @@ class DiscreteMeasure:
         order = pos.argsort(kind="stable")
         sorted_pos, sorted_w = pos[order], w[order]
         try:
-            total = math.fsum(sorted_w.tolist())
+            total = math.fsum(sorted_w.tolist()) if sorted_w.size <= _FSUM_CUTOFF else fsum(sorted_w)
         except (ValueError, OverflowError):  # -inf + inf, or overflow
             total = math.nan
         lightest = np.minimum.reduce(sorted_w)
@@ -124,7 +130,8 @@ class DiscreteMeasure:
 
     @cached_property
     def total_mass(self) -> float:
-        return math.fsum(self.weights.tolist())
+        w = self.weights
+        return math.fsum(w.tolist()) if w.size <= _FSUM_CUTOFF else fsum(w)
 
     def __len__(self) -> int:
         return int(self.positions.size)
@@ -159,7 +166,7 @@ def _reject(pos: np.ndarray, w: np.ndarray):
         raise ValueError("positions and weights must be finite")
     if (w < 0.0).any():
         raise ValueError("weights must be non-negative")
-    raise ValueError(f"weights sum to {math.fsum(w.tolist())!r}, not 1")  # may overflow
+    raise ValueError(f"weights sum to {fsum(w)!r}, not 1")  # may overflow
 
 
 def _store(m: DiscreteMeasure, pos: np.ndarray, w: np.ndarray) -> None:
@@ -289,8 +296,8 @@ def _finite_values(f, positions: np.ndarray) -> np.ndarray:
 
 
 def integrate(m: DiscreteMeasure, f) -> float:
-    """Pairing <f, m> = sum of weight * f(position), compensated."""
-    return math.fsum((m.weights * _finite_values(f, m.positions)).tolist())
+    """Pairing <f, m> = sum of weight * f(position), exactly rounded."""
+    return fsum(m.weights * _finite_values(f, m.positions))
 
 
 def integrate_rows(positions: np.ndarray, weights: np.ndarray, f) -> np.ndarray:
@@ -329,8 +336,9 @@ def w1_rows(firsts, seconds) -> np.ndarray:
     stable sort of each row puts the padding last and leaves the real atoms in
     the order the one-row sort gives them; the running sums along the row are
     sequential, so they see the same terms in the same order; and the gaps
-    that touch the padding are zeroed before one ``math.fsum`` per row. Each
-    distance therefore has the bits of its pair computed alone.
+    that touch the padding are zeroed before one exactly rounded sum per row
+    (``util.fsum``, the bits of ``math.fsum``). Each distance therefore has
+    the bits of its pair computed alone.
     """
     rows = [(pa, wa, pb, wb) for (pa, wa), (pb, wb) in zip(firsts, seconds, strict=True)]
     if not rows:
@@ -351,8 +359,10 @@ def w1_rows(firsts, seconds) -> np.ndarray:
     gaps = np.subtract(
         pos[:, 1:], pos[:, :-1], out=np.zeros((len(rows), width - 1)), where=pos[:, 1:] < np.inf
     )
-    products = (np.abs(cdf_gap[:, :-1]) * gaps).tolist()
-    return np.array([math.fsum(row) for row in products])
+    products = np.abs(cdf_gap[:, :-1]) * gaps
+    if width - 1 > _FSUM_CUTOFF:
+        return np.array([fsum(row) for row in products])
+    return np.array([math.fsum(row) for row in products.tolist()])
 
 
 def kr_lower_bound(a: DiscreteMeasure, b: DiscreteMeasure, f) -> float:
@@ -415,7 +425,7 @@ def measure_from_dict(data: dict) -> DiscreteMeasure:
     pos, w = arr[:, 0], arr[:, 1]
     if (w < 0.0).any():
         raise ValueError("weights must be non-negative")
-    total = math.fsum(w.tolist())
+    total = fsum(w)
     if abs(total - 1.0) > JSON_MASS_TOL:
         raise ValueError(f"weights sum to {total!r}; beyond the renormalization tolerance")
     return DiscreteMeasure(pos, w / total)

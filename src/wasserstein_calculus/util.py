@@ -75,6 +75,55 @@ def _plain(obj):
     return obj
 
 
+# Arrays up to this size are summed by ``math.fsum`` on a list. Measured on
+# weights, signed products and w1 gap products alike, the superaccumulator of
+# ``fsum`` overtakes it between 768 and 1024 values.
+_FSUM_CUTOFF = 1024
+
+
+def fsum(values: np.ndarray) -> float:
+    """``math.fsum(values.tolist())`` of a 1-D float64 array, with its bits.
+
+    Large arrays go through an integer superaccumulator. Each value splits
+    exactly into an upper half, the value with the 26 low bits of its
+    fraction cleared, and the rest. One ``np.bincount`` each sums the halves
+    per biased exponent E, where subnormals and zeros count as E = 1. A value
+    of exponent E is a multiple of 2^(E-1075), so its upper half is a
+    multiple of 2^(E-1049) below 2^(E-1022) and the rest a multiple of
+    2^(E-1075) below 2^(E-1049). With at most 2^26 values, every partial sum
+    of a bin is a multiple of the same unit, and below 2^53 of them, so each
+    bin sum is exact. The bins then add up to one Python int in units of
+    2^-1074, and one true division rounds it correctly, as ``math.fsum``
+    rounds its result.
+
+    ``math.fsum`` itself sums arrays up to ``_FSUM_CUTOFF`` values, and the
+    arrays where its own errors must show: a NaN or an infinity, values so
+    large that a partial sum could overflow ("intermediate overflow"), and
+    more than 2^26 values.
+    """
+    if values.size <= _FSUM_CUTOFF or values.size > 1 << 26:
+        return math.fsum(values.tolist())
+    bits = values.view(np.int64)
+    upper = (bits & -(1 << 26)).view(np.float64)
+    exponents = bits >> 52
+    exponents &= 2047
+    upper_sums = np.bincount(exponents, upper)
+    # |x| < 2^(E-1022) for the largest E, so the sum of |x| is below
+    # 2^(E-1022+bit_length(size)). Under 2^1021, math.fsum's partial sums
+    # stay below 2^1023 and it cannot overflow. E = 2047 holds inf and NaN.
+    if upper_sums.size - 1 + values.size.bit_length() > 2043:
+        return math.fsum(values.tolist())
+    lower_sums = np.bincount(exponents, values - upper)
+    used = np.flatnonzero((upper_sums != 0.0) | (lower_sums != 0.0))
+    e = np.maximum(used, 1)
+    uppers = np.ldexp(upper_sums[used], 1049 - e).tolist()  # exact integers
+    lowers = np.ldexp(lower_sums[used], 1075 - e).tolist()
+    total = 0
+    for shift, u, l in zip(e.tolist(), uppers, lowers):
+        total += (int(u) << (shift + 25)) + (int(l) << (shift - 1))
+    return total / (1 << 1074)
+
+
 def compensated_cumsum(values) -> np.ndarray:
     """Running sums with Neumaier compensation, along the last axis.
 

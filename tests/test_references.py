@@ -41,6 +41,7 @@ from wasserstein_calculus import (
     discretize,
     discretize_rows,
     gaussian,
+    integrate,
     lift_to_field,
     measure_from_dict,
     mix,
@@ -62,10 +63,11 @@ from wasserstein_calculus.acceptance import (
     discretization_case,
 )
 from wasserstein_calculus.derivative import MIN_STEP
-from wasserstein_calculus.measures import MASS_TOL, MERGE_TOL, _values_at, mix_rows
+from wasserstein_calculus.measures import JSON_MASS_TOL, MASS_TOL, MERGE_TOL, _values_at, mix_rows
 from wasserstein_calculus.partition import GRID_SNAP, WEIGHT_FLOOR, _mollifier, _smoothstep
 from wasserstein_calculus.sampling import MAX_ATOMS, _check_half_width, random_measure, random_point, stream_rng
-from wasserstein_calculus.util import canonical_json, compensated_cumsum, gauss_legendre_01
+from wasserstein_calculus.util import _FSUM_CUTOFF as FSUM_CUTOFF
+from wasserstein_calculus.util import canonical_json, compensated_cumsum, fsum, gauss_legendre_01
 
 # Banded against dense grid weights, absolute; fixed before measuring.
 GRID_TOL = 1e-15
@@ -758,6 +760,185 @@ class TestSampledDraws:
 
         with pytest.raises(ValueError, match="must be finite"):
             random_measure(ZeroDraws(), 1.0)
+
+
+# ------------------------------------------------------------ exactly rounded sums
+
+# array sizes on both sides of the cutoff, and far above it
+FSUM_SIZES = (1, 2, 5, FSUM_CUTOFF - 1, FSUM_CUTOFF, FSUM_CUTOFF + 1, FSUM_CUTOFF + 2, 3 * FSUM_CUTOFF + 7)
+FSUM_KINDS = ("wide", "weights", "cancel", "zeros", "subnormal", "ints")
+# planted values: the largest doubles, subnormals, both zeros, and the
+# non-finite ones that make math.fsum return NaN or raise
+FSUM_PLANTS = st.floats(width=64) | st.sampled_from(
+    [1.7976931348623157e308, -1.7976931348623157e308, 2.0**1023, 5e-324, -5e-324, 2.2e-308, 0.0, -0.0,
+     math.inf, -math.inf, math.nan]
+)
+
+
+def fsum_outcome(sum_of, values):
+    """The sum's bits (so -0.0 differs from 0.0 and every NaN is alike), or
+    the exception's type and message."""
+    try:
+        total = sum_of(values)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return "nan" if math.isnan(total) else np.float64(total).tobytes()
+
+
+def fsum_former(values):
+    return math.fsum(values.tolist())
+
+
+@st.composite
+def fsum_arrays(draw):
+    """Arrays of a drawn size: exponents over the whole double range,
+    probability weights, x beside -x, signed zeros, subnormals or small
+    integers; a few drawn values planted anywhere."""
+    size = draw(st.sampled_from(FSUM_SIZES))
+    kind = draw(st.sampled_from(FSUM_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "wide":
+        top = draw(st.sampled_from([-1000, 0, 1000, 1010]))
+        x = rng.standard_normal(size) * 2.0 ** rng.integers(-1074, top, size, endpoint=True)
+    elif kind == "weights":
+        x = rng.dirichlet(np.ones(size))
+    elif kind == "cancel":
+        half = rng.standard_normal(size // 2 + 1) * 2.0 ** rng.integers(-60, 60, size // 2 + 1)
+        x = np.stack((half, -half), axis=1).ravel()[:size]
+        x[rng.integers(0, size)] += draw(st.sampled_from([0.0, 5e-324, 1e-300, 2.0**-52]))
+        if draw(st.booleans()):
+            x = rng.permutation(x)
+    elif kind == "zeros":
+        x = np.where(rng.random(size) < 0.5, -0.0, 0.0)
+    elif kind == "subnormal":  # small multiples of 2^-1074 sum to a subnormal
+        bound = 2 ** draw(st.sampled_from([3, 30, 52]))
+        x = rng.integers(-bound, bound, size) * 5e-324
+    else:
+        x = rng.integers(-(2**53), 2**53, size).astype(float)
+    for value in draw(st.lists(FSUM_PLANTS, max_size=3)):
+        x[draw(st.integers(0, size - 1))] = value
+    return x
+
+
+class TestFsum:
+    @given(fsum_arrays())
+    @SETTINGS
+    def test_bits_and_errors_of_math_fsum(self, values):
+        assert fsum_outcome(fsum, values) == fsum_outcome(fsum_former, values)
+
+    @pytest.mark.parametrize("size", [FSUM_CUTOFF - 1, FSUM_CUTOFF + 1])
+    @pytest.mark.parametrize(
+        "plant, expected",
+        [
+            ([math.inf, -math.inf], (ValueError, "-inf + inf in fsum")),
+            ([1.7e308, 1.7e308], (OverflowError, "intermediate overflow in fsum")),
+            ([math.nan], "nan"),
+            ([math.inf], np.float64(math.inf).tobytes()),
+        ],
+        ids=["inf-inf", "intermediate-overflow", "nan", "inf"],
+    )
+    def test_the_errors_of_math_fsum(self, size, plant, expected):
+        values = np.full(size, 0.5)
+        values[: len(plant)] = plant
+        assert fsum_outcome(fsum, values) == fsum_outcome(fsum_former, values) == expected
+
+    @pytest.mark.parametrize("size", [FSUM_CUTOFF + 1, 200_000])
+    def test_never_negative_zero(self, size):
+        rng = np.random.default_rng(size)
+        half = rng.standard_normal(size // 2) * 2.0 ** rng.integers(-1074, 1000, size // 2)
+        for values in (np.full(size, -0.0), rng.permutation(np.concatenate((half, -half, [-0.0])))):
+            assert fsum_outcome(fsum, values) == np.float64(0.0).tobytes()
+
+    def test_long_input_bit_identical(self):
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal(200_000) * 10.0 ** rng.uniform(-300, 300, 200_000)
+        assert fsum_outcome(fsum, values) == fsum_outcome(fsum_former, values)
+        # the largest values one bin takes without the math.fsum fallback
+        values = rng.random(200_000) * 2.0 ** (1021 - (200_000).bit_length())
+        assert fsum_outcome(fsum, values) == fsum_outcome(fsum_former, values)
+
+
+# ------------------------------------------------------------ measures wider than the cutoff
+
+WIDE = 2 * FSUM_CUTOFF + 13
+
+
+@st.composite
+def wide_atoms(draw):
+    """More than FSUM_CUTOFF atoms after merging: a shuffled grid with exact
+    coincidences, MERGE_TOL chains and zero weights, weights of mixed
+    magnitude normalized to unit mass."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pos = np.linspace(-3.0, 3.0, WIDE)
+    copies = rng.integers(0, WIDE, draw(st.sampled_from([0, 5, 300])))
+    pos = np.concatenate((pos, pos[copies] + rng.choice([0.0, 3e-13, 6e-13], copies.size)))
+    raws = rng.random(pos.size) * 10.0 ** rng.integers(-18, 1, pos.size)
+    raws[rng.random(pos.size) < draw(st.sampled_from([0.0, 0.1]))] = 0.0
+    order = rng.permutation(pos.size)
+    return pos[order], raws[order] / math.fsum(raws.tolist())
+
+
+def wide_invalid(pos, w, kind, rng):
+    """The atoms made invalid one way, as constructor_inputs does for small ones."""
+    w = w.copy()
+    i = int(rng.integers(0, w.size))
+    if kind == "mass":
+        w *= 1.0 + 2.0 * MASS_TOL
+    elif kind == "negative":
+        w[i] = -1e-18
+    elif kind == "nonfinite":
+        w[i] = math.nan
+    elif kind == "overflow":  # math.fsum raises, and so does the former constructor
+        w[:3] = 1.7e308
+    elif kind == "inf-inf":
+        w[:2] = (math.inf, -math.inf)
+    return pos, w
+
+
+class TestWideMeasures:
+    """Measures wider than the cutoff, whose sums take the superaccumulator,
+    against the former constructor and the former per-pair ``w1``."""
+
+    @given(wide_atoms(), st.sampled_from(["valid", "valid", "mass", "negative", "nonfinite", "overflow", "inf-inf"]))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_construction_and_total_mass(self, atoms, kind):
+        pos, w = wide_invalid(*atoms, kind, np.random.default_rng(0))
+        result = outcome(stored, pos, w)
+        assert result == outcome(construct_loop, pos, w)
+        if kind == "valid":
+            assert result[0][0] > FSUM_CUTOFF  # total_mass took the wide path in ``stored``
+
+    @given(wide_atoms(), wide_atoms())
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_w1_and_rows(self, a, b):
+        a, b = DiscreteMeasure(*a), DiscreteMeasure(*b)
+        short = dirac(0.25)
+        assert same_bits(w1(a, b), w1_one(a, b))
+        rows = w1_rows([(a.positions, a.weights), (short.positions, short.weights)], [(b.positions, b.weights)] * 2)
+        assert same_bits(rows, [w1_one(a, b), w1_one(short, b)])
+
+    @given(wide_atoms())
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_integrate(self, atoms):
+        m = DiscreteMeasure(*atoms)
+        for f in (np.sin, lambda x: np.cos(x) * 1e300, lambda x: np.full_like(x, 1.7e308)):
+            expected = fsum_outcome(fsum_former, m.weights * f(m.positions))
+            assert fsum_outcome(lambda _: integrate(m, f), None) == expected
+
+    @given(wide_atoms(), st.sampled_from([1.0, 1.0 + 5e-10, 1.0 - 5e-10, 1.0 + 2e-9]))
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_measure_from_dict(self, atoms, scale):
+        pos, w = atoms[0], atoms[1] * scale
+        document = {"atoms": np.stack((pos, w), axis=1).tolist()}
+        total = math.fsum(w.tolist())
+        former = outcome(construct_loop, pos, w / total)
+        if abs(total - 1.0) > JSON_MASS_TOL:
+            former = (ValueError, f"weights sum to {total!r}; beyond the renormalization tolerance")
+        assert outcome(lambda *_: stored_measure(measure_from_dict(document)), None, None) == former
+
+
+def stored_measure(m):
+    return m.positions, m.weights
 
 
 # ------------------------------------------------------------ rational oracles
