@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample", help="reproduce the symmetry-violating field report")
     p.add_argument("--phi", default="sin")
     p.add_argument("--psi", default="cos")
-    p.add_argument("--K", type=float, help="sampling half-width (default: pi)")
+    p.add_argument("--K", type=float)
     common(p, "seed", "threads", "eps", "quad", "samples")
     p.set_defaults(func=cmd_counterexample)
 
