@@ -1,5 +1,6 @@
 """Shared numerical plumbing: quadrature nodes, compensated running sums,
-canonical JSON and the one rule for JSON inputs."""
+exactly rounded sums of large arrays, canonical JSON and the one rule for
+JSON inputs."""
 
 from __future__ import annotations
 

@@ -13,7 +13,9 @@ weight draw). The vectorised code must reproduce the loops bit for bit (and
 the private trusted constructor the validating one), and the banded grid
 weights must match the dense reference within ``GRID_TOL``. The rational
 oracles recompute ``w1`` and ``linear_hat`` discretization exactly with
-``fractions.Fraction`` on dyadic inputs.
+``fractions.Fraction`` on dyadic inputs. The superaccumulator ``util.fsum``
+must give the bits and errors of ``math.fsum``, and measures wider than its
+cutoff must still match the former constructor and per-pair ``w1``.
 """
 
 import math
