@@ -221,6 +221,23 @@ class TestNumericBounds:
         assert code == 2
         assert "K" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "-5e-324", "inf", "-inf"])
+    def test_ftc_check_tol(self, capsys, tmp_path, tol):
+        # a NaN or negative tolerance failed the zero field, a derivative,
+        # with exit 1, and an infinite one passed any field
+        field = tmp_path / "zero.json"
+        field.write_text(json.dumps({"kind": "zero"}))
+        argv = ["ftc-check", str(field), "--samples", "1", "--quad", "2", f"--tol={tol}"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert "tol" in json.loads(err)["error"]
+
+    def test_ftc_check_zero_tol(self, capsys, tmp_path):
+        field = tmp_path / "zero.json"
+        field.write_text(json.dumps({"kind": "zero"}))
+        code, out, _ = run_cli(capsys, ["ftc-check", str(field), "--samples", "1", "--quad", "2", "--tol=0"])
+        assert code == 0 and json.loads(out)["verdict"] == "derivative"
+
     def test_counterexample_samples(self, capsys):
         code, _, err = run_cli(capsys, ["counterexample", "--samples", "0"])
         assert code == 2
@@ -432,7 +449,7 @@ awkward_numbers = st.floats().map(repr) | st.sampled_from(
 
 
 class TestArgvFuzz:
-    """Whatever numbers --K, --eps and --x carry, the CLI exits 0 or 1 with a
+    """Whatever numbers --K, --eps, --x and --tol carry, the CLI exits 0 or 1 with a
     JSON report, or 2 with one JSON error object on stderr; it never raises.
     Values are passed as --flag=value so that argparse reads "-inf" as a
     value, not as an option."""
@@ -457,14 +474,17 @@ class TestArgvFuzz:
         K=awkward_numbers,
         eps=awkward_numbers,
         x=awkward_numbers,
+        tol=awkward_numbers,
     )
-    @example(command="dawson", K="1", eps="1e-320", x="0.5")
-    @example(command="counterexample", K="inf", eps="1e-3", x="0")
-    @example(command="counterexample", K="1e308", eps="1e-3", x="0")
-    @example(command="ftc-check-lifted", K="nan", eps="1e-3", x="0")
-    @example(command="dawson", K="1", eps="1e-3", x="1e308")
+    @example(command="dawson", K="1", eps="1e-320", x="0.5", tol="1e-5")
+    @example(command="counterexample", K="inf", eps="1e-3", x="0", tol="1e-5")
+    @example(command="counterexample", K="1e308", eps="1e-3", x="0", tol="1e-5")
+    @example(command="ftc-check-lifted", K="nan", eps="1e-3", x="0", tol="1e-5")
+    @example(command="ftc-check-lifted", K="1", eps="1e-3", x="0", tol="nan")
+    @example(command="ftc-check-counter", K="1", eps="1e-3", x="0", tol="inf")
+    @example(command="dawson", K="1", eps="1e-3", x="1e308", tol="1e-5")
     @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_exit_code_and_json(self, inputs, command, K, eps, x):
+    def test_exit_code_and_json(self, inputs, command, K, eps, x, tol):
         small = ["--samples", "1", "--quad", "2"]
         if command == "dawson":
             argv = ["dawson", f"--x={x}", f"--eps={eps}", inputs["function"], inputs["measure"]]
@@ -472,7 +492,7 @@ class TestArgvFuzz:
             argv = ["counterexample", f"--K={K}", f"--eps={eps}", *small]
         else:
             field = inputs[command.rsplit("-", 1)[1]]
-            argv = ["ftc-check", f"--K={K}", f"--eps={eps}", *small, field]
+            argv = ["ftc-check", f"--K={K}", f"--eps={eps}", f"--tol={tol}", *small, field]
         assert_json_outcome(*run_quiet(argv))
 
 
