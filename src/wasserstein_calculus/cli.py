@@ -189,6 +189,8 @@ def cmd_deriv2_check(args) -> int:
 
 
 def cmd_ftc_check(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"tol must be a finite number at least 0, not {args.tol!r}")
     H = field_from_dict(_load_json_file(args.field))
     report = ftc_check(
         H,
