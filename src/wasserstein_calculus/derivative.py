@@ -43,7 +43,7 @@ import numpy as np
 
 from .measures import DiscreteMeasure, dirac, mix, mix_rows, signed_difference, _values_at
 from .sampling import random_measure, random_point, stream_rng
-from .util import gauss_legendre_01
+from .util import fsum_rows, gauss_legendre_01
 
 __all__ = [
     "DerivativeField",
@@ -221,8 +221,7 @@ def segment_integral(
         vals = H.batch_value(*batch, pos)
     else:
         vals = [field_values(H, mix(mu, m, float(t)), pos) for t in nodes]
-    terms = (sw * vals).tolist()
-    return math.fsum([gw * math.fsum(row) for gw, row in zip(weights.tolist(), terms)])
+    return math.fsum([gw * s for gw, s in zip(weights.tolist(), fsum_rows(sw * vals))])
 
 
 def verify_deriv2(
@@ -277,9 +276,8 @@ def canonicalize(H: DerivativeField) -> DerivativeField:
         base_rows = H.batch_value
 
         def batch_value(positions, weights, xs):
-            # mean_of for every row: the same products and one fsum per row
-            at_atoms = (weights * base_rows(positions, weights, positions)).tolist()
-            means = np.array([math.fsum(row) for row in at_atoms])
+            # mean_of for every row: the same products, exactly rounded
+            means = np.array(fsum_rows(weights * base_rows(positions, weights, positions)))
             return base_rows(positions, weights, xs) - means[:, None]
 
     return DerivativeField(

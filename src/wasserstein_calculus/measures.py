@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .util import _FSUM_CUTOFF, check_keys, compensated_cumsum, fsum, json_number
+from .util import _FSUM_CUTOFF, check_keys, compensated_cumsum, fsum, fsum_rows, json_number
 
 __all__ = [
     "DiscreteMeasure",
@@ -74,7 +74,7 @@ class DiscreteMeasure:
     Every sum over a whole measure, here, in ``total_mass``, ``integrate``,
     ``w1`` and the JSON reader, has the bits of ``math.fsum`` on the list of
     its terms. Above ``util._FSUM_CUTOFF`` terms, ``util.fsum`` gives those
-    bits from an integer superaccumulator in numpy, without the list.
+    bits from exact per-exponent sums in numpy, without the long list.
     """
 
     positions: np.ndarray
@@ -304,10 +304,9 @@ def integrate_rows(positions: np.ndarray, weights: np.ndarray, f) -> np.ndarray:
     """``integrate`` against every row measure of ``mix_rows``, bit for bit.
 
     Evaluates ``f`` once on the shared positions; returns one pairing per
-    row of ``weights``.
+    row of ``weights``, each exactly rounded by ``util.fsum_rows``.
     """
-    products = (weights * _finite_values(f, positions)).tolist()
-    return np.array([math.fsum(row) for row in products])
+    return np.array(fsum_rows(weights * _finite_values(f, positions)))
 
 
 def w1(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
@@ -337,7 +336,7 @@ def w1_rows(firsts, seconds) -> np.ndarray:
     the order the one-row sort gives them; the running sums along the row are
     sequential, so they see the same terms in the same order; and the gaps
     that touch the padding are zeroed before one exactly rounded sum per row
-    (``util.fsum``, the bits of ``math.fsum``). Each distance therefore has
+    (``util.fsum_rows``, the bits of ``math.fsum``). Each distance therefore has
     the bits of its pair computed alone.
     """
     rows = [(pa, wa, pb, wb) for (pa, wa), (pb, wb) in zip(firsts, seconds, strict=True)]
@@ -359,10 +358,7 @@ def w1_rows(firsts, seconds) -> np.ndarray:
     gaps = np.subtract(
         pos[:, 1:], pos[:, :-1], out=np.zeros((len(rows), width - 1)), where=pos[:, 1:] < np.inf
     )
-    products = np.abs(cdf_gap[:, :-1]) * gaps
-    if width - 1 > _FSUM_CUTOFF:
-        return np.array([fsum(row) for row in products])
-    return np.array([math.fsum(row) for row in products.tolist()])
+    return np.array(fsum_rows(np.abs(cdf_gap[:, :-1]) * gaps))
 
 
 def kr_lower_bound(a: DiscreteMeasure, b: DiscreteMeasure, f) -> float:

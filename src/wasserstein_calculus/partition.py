@@ -24,12 +24,12 @@ bits of its measure discretized alone. ``discretize`` is its one-row case.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import MASS_TOL, DiscreteMeasure
+from .util import fsum_rows
 
 __all__ = ["PartitionScheme", "bump_weight", "discretize", "discretize_rows", "BUMP_MODES"]
 
@@ -219,12 +219,12 @@ def discretize_rows(scheme: PartitionScheme, measures) -> list:
     # flat row after row, carry all the per-row bookkeeping
     rows, cols = np.nonzero(grid_weights)
     values = grid_weights[rows, cols]
-    totals, _ = _row_fsums(values, rows, len(measures))
+    totals = fsum_rows(values, rows, len(measures))
     keep = values > WEIGHT_FLOOR
     rows, kept = rows[keep], values[keep]
-    sums, _ = _row_fsums(kept, rows, len(measures))
-    kept /= np.array(sums)[rows]
-    kept_masses, ends = _row_fsums(kept, rows, len(measures))
+    kept /= np.array(fsum_rows(kept, rows, len(measures)))[rows]
+    kept_masses = fsum_rows(kept, rows, len(measures))
+    ends = np.cumsum(np.bincount(rows, minlength=len(measures))).tolist()
     positions = scheme.grid[cols[keep]]
     out = []
     for total, mass, a, b in zip(totals, kept_masses, [0] + ends[:-1], ends):
@@ -235,10 +235,3 @@ def discretize_rows(scheme: PartitionScheme, measures) -> list:
         out.append((positions[a:b], kept[a:b]))
     return out
 
-
-def _row_fsums(values: np.ndarray, rows: np.ndarray, count: int):
-    """``math.fsum`` of each of ``count`` rows whose entries lie flat in
-    ``values``, row after row (row index ``rows``); also the end offsets."""
-    ends = np.cumsum(np.bincount(rows, minlength=count)).tolist()
-    flat = values.tolist()
-    return [math.fsum(flat[a:b]) for a, b in zip([0] + ends[:-1], ends)], ends

@@ -1,6 +1,9 @@
 """Shared numerical plumbing: quadrature nodes, compensated running sums,
-exactly rounded sums of large arrays, canonical JSON and the one rule for
-JSON inputs."""
+exactly rounded sums, canonical JSON and the one rule for JSON inputs.
+
+``fsum_rows`` gives each row of a batch the bits of ``math.fsum`` from
+per-(row, exponent) bin sums in numpy, and ``fsum`` is its one-row case;
+rows of at most ``_FSUM_ROW_CUTOFF`` = 64 values go to ``math.fsum``."""
 
 from __future__ import annotations
 
@@ -80,49 +83,89 @@ def _plain(obj):
 # weights, signed products and w1 gap products alike, the superaccumulator of
 # ``fsum`` overtakes it between 768 and 1024 values.
 _FSUM_CUTOFF = 1024
+# Batches whose rows hold up to this many values on average are summed by
+# ``math.fsum`` one list per row. Measured on signed weight products (15-30
+# exponents per row), the bins tie with the lists at 32 rows of 64 values,
+# lose at 32 x 48 (102 against 88 us) and win at 32 x 128 (140 against 260).
+_FSUM_ROW_CUTOFF = 64
 
 
 def fsum(values: np.ndarray) -> float:
-    """``math.fsum(values.tolist())`` of a 1-D float64 array, with its bits.
+    """``math.fsum(values.tolist())`` of a 1-D float64 array, with its bits:
+    the one-row case of ``fsum_rows``."""
+    return fsum_rows(values[None, :])[0]
 
-    Large arrays go through an integer superaccumulator. Each value splits
-    exactly into an upper half, the value with the 26 low bits of its
-    fraction cleared, and the rest. One ``np.bincount`` each sums the halves
-    per biased exponent E, where subnormals and zeros count as E = 1. A value
-    of exponent E is a multiple of 2^(E-1075), so its upper half is a
-    multiple of 2^(E-1049) below 2^(E-1022) and the rest a multiple of
-    2^(E-1075) below 2^(E-1049). With at most 2^26 values, every partial sum
-    of a bin is a multiple of the same unit, and below 2^53 of them, so each
-    bin sum is exact. The bins then add up to one Python int in units of
-    2^-1074, and one true division rounds it correctly, as ``math.fsum``
-    rounds its result.
 
-    ``math.fsum`` itself sums arrays up to ``_FSUM_CUTOFF`` values, and the
-    arrays where its own errors must show: a NaN or an infinity, values so
-    large that a partial sum could overflow ("intermediate overflow"), and
-    more than 2^26 values.
+def fsum_rows(values: np.ndarray, rows: np.ndarray | None = None, count: int = 0) -> list:
+    """``math.fsum`` of each row, with its bits and its errors.
+
+    The rows are those of a 2-D float64 array, or ``count`` rows laid flat in
+    a 1-D ``values``, row after row, with ``rows`` giving each entry's row.
+
+    Each value splits exactly into an upper half, the value with the 26 low
+    bits of its fraction cleared, and the rest. One ``np.bincount`` each sums
+    the halves per row and biased exponent E, where subnormals count as
+    E = 1 and zeros, which add nothing, may join any bin. A value of
+    exponent E is a multiple of 2^(E-1075), so its upper half is a multiple
+    of 2^(E-1049) below 2^(E-1022) and the rest a multiple of 2^(E-1075)
+    below 2^(E-1049). With at most 2^26 values, every partial sum of a bin is
+    a multiple of the same unit, and below 2^53 of them, so each bin sum is
+    exact. The nonzero bin sums of a row are then exact parts of its total,
+    and ``math.fsum`` of them rounds that total correctly, as it would round
+    the row itself (Neal 2015, arXiv:1505.05571; Shewchuk 1997).
+
+    ``math.fsum`` sums each row itself when the rows are short (at most
+    ``_FSUM_ROW_CUTOFF`` values on average) or the input small (at most
+    ``_FSUM_CUTOFF`` values), and where its own errors must show: a NaN or
+    an infinity, values so large that a partial sum could overflow
+    ("intermediate overflow"), and more than 2^26 values.
     """
-    if values.size <= _FSUM_CUTOFF or values.size > 1 << 26:
-        return math.fsum(values.tolist())
+    if rows is None:
+        count = len(values)
+    size = values.size
+    if size <= _FSUM_CUTOFF or size <= _FSUM_ROW_CUTOFF * count:
+        return _fsum_each(values, rows, count)
     bits = values.view(np.int64)
     upper = (bits & -(1 << 26)).view(np.float64)
-    exponents = bits >> 52
-    exponents &= 2047
-    upper_sums = np.bincount(exponents, upper)
+    keys = bits >> 52
+    keys &= 2047
+    top = int(keys.max())
     # |x| < 2^(E-1022) for the largest E, so the sum of |x| is below
     # 2^(E-1022+bit_length(size)). Under 2^1021, math.fsum's partial sums
     # stay below 2^1023 and it cannot overflow. E = 2047 holds inf and NaN.
-    if upper_sums.size - 1 + values.size.bit_length() > 2043:
-        return math.fsum(values.tolist())
-    lower_sums = np.bincount(exponents, values - upper)
-    used = np.flatnonzero((upper_sums != 0.0) | (lower_sums != 0.0))
-    e = np.maximum(used, 1)
-    uppers = np.ldexp(upper_sums[used], 1049 - e).tolist()  # exact integers
-    lowers = np.ldexp(lower_sums[used], 1075 - e).tolist()
-    total = 0
-    for shift, u, l in zip(e.tolist(), uppers, lowers):
-        total += (int(u) << (shift + 25)) + (int(l) << (shift - 1))
-    return total / (1 << 1074)
+    if top + size.bit_length() > 2043 or size > 1 << 26:
+        return _fsum_each(values, rows, count)
+    if count > 1:
+        # zeros (exponent field 0) join the largest exponent's bin, so that
+        # the bins of a row span only the exponents of nonzero values
+        keys = np.where(values != 0.0, keys, top)
+        low = int(keys.min())
+        width = top - low + 1
+        if 2 * width >= size // count:  # more bin sums than values per row
+            return _fsum_each(values, rows, count)
+        keys += (np.arange(count)[:, None] if rows is None else rows) * width - low
+    else:
+        width = top + 1
+    keys = keys.ravel()
+    parts = np.concatenate(
+        (
+            np.bincount(keys, upper.ravel(), count * width).reshape(count, width),
+            np.bincount(keys, (values - upper).ravel(), count * width).reshape(count, width),
+        ),
+        axis=1,
+    )
+    if count == 1:  # one row's bins run from exponent 0: keep the used ones
+        return [math.fsum(parts[parts != 0.0].tolist())]
+    return [math.fsum(row) for row in parts.tolist()]
+
+
+def _fsum_each(values: np.ndarray, rows: np.ndarray, count: int) -> list:
+    """``math.fsum`` of each row, one list per row."""
+    if values.ndim == 2:
+        return [math.fsum(row) for row in values.tolist()]
+    ends = np.cumsum(np.bincount(rows, minlength=count)).tolist()
+    flat = values.tolist()
+    return [math.fsum(flat[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
 
 def compensated_cumsum(values) -> np.ndarray:

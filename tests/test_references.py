@@ -13,9 +13,10 @@ weight draw). The vectorised code must reproduce the loops bit for bit (and
 the private trusted constructor the validating one), and the banded grid
 weights must match the dense reference within ``GRID_TOL``. The rational
 oracles recompute ``w1`` and ``linear_hat`` discretization exactly with
-``fractions.Fraction`` on dyadic inputs. The superaccumulator ``util.fsum``
-must give the bits and errors of ``math.fsum``, and measures wider than its
-cutoff must still match the former constructor and per-pair ``w1``.
+``fractions.Fraction`` on dyadic inputs. The binned exact sums ``util.fsum``
+and ``util.fsum_rows`` must give the bits and errors of ``math.fsum``, row
+by row, and measures and rows wider than their cutoffs must still match the
+former constructor, per-pair ``w1`` and per-measure ``discretize``.
 """
 
 import math
@@ -69,7 +70,8 @@ from wasserstein_calculus.measures import JSON_MASS_TOL, MASS_TOL, MERGE_TOL, _v
 from wasserstein_calculus.partition import GRID_SNAP, WEIGHT_FLOOR, _mollifier, _smoothstep
 from wasserstein_calculus.sampling import MAX_ATOMS, _check_half_width, random_measure, random_point, stream_rng
 from wasserstein_calculus.util import _FSUM_CUTOFF as FSUM_CUTOFF
-from wasserstein_calculus.util import canonical_json, compensated_cumsum, fsum, gauss_legendre_01
+from wasserstein_calculus.util import _FSUM_ROW_CUTOFF as ROW_CUTOFF
+from wasserstein_calculus.util import canonical_json, compensated_cumsum, fsum, fsum_rows, gauss_legendre_01
 
 # Banded against dense grid weights, absolute; fixed before measuring.
 GRID_TOL = 1e-15
@@ -778,12 +780,16 @@ FSUM_PLANTS = st.floats(width=64) | st.sampled_from(
 
 
 def fsum_outcome(sum_of, values):
-    """The sum's bits (so -0.0 differs from 0.0 and every NaN is alike), or
-    the exception's type and message."""
+    """The sum's bits (so -0.0 differs from 0.0 and every NaN is alike), a
+    list of them for a list of sums, or the exception's type and message."""
     try:
         total = sum_of(values)
     except (ValueError, OverflowError) as exc:
         return type(exc), str(exc)
+    return [sum_bits(t) for t in total] if isinstance(total, list) else sum_bits(total)
+
+
+def sum_bits(total):
     return "nan" if math.isnan(total) else np.float64(total).tobytes()
 
 
@@ -792,12 +798,14 @@ def fsum_former(values):
 
 
 @st.composite
-def fsum_arrays(draw):
+def fsum_arrays(draw, sizes=FSUM_SIZES, kinds=FSUM_KINDS, plants=3):
     """Arrays of a drawn size: exponents over the whole double range,
     probability weights, x beside -x, signed zeros, subnormals or small
     integers; a few drawn values planted anywhere."""
-    size = draw(st.sampled_from(FSUM_SIZES))
-    kind = draw(st.sampled_from(FSUM_KINDS))
+    size = draw(st.sampled_from(sizes))
+    kind = draw(st.sampled_from(kinds))
+    if size == 0:
+        return np.zeros(0)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "wide":
         top = draw(st.sampled_from([-1000, 0, 1000, 1010]))
@@ -817,7 +825,7 @@ def fsum_arrays(draw):
         x = rng.integers(-bound, bound, size) * 5e-324
     else:
         x = rng.integers(-(2**53), 2**53, size).astype(float)
-    for value in draw(st.lists(FSUM_PLANTS, max_size=3)):
+    for value in draw(st.lists(FSUM_PLANTS, max_size=plants)):
         x[draw(st.integers(0, size - 1))] = value
     return x
 
@@ -860,19 +868,114 @@ class TestFsum:
         assert fsum_outcome(fsum, values) == fsum_outcome(fsum_former, values)
 
 
+# row lengths on both sides of the row cutoff, and far above it; with
+# enough rows, batches of the longer ones take the bins
+ROW_LENGTHS = (0, 1, ROW_CUTOFF - 1, ROW_CUTOFF, ROW_CUTOFF + 1, 2 * ROW_CUTOFF + 5, 300, 700)
+
+
+def fsum_rows_former(values, rows=None, count=0):
+    """``math.fsum`` of each row, one list per row, in row order."""
+    if rows is None:
+        return [math.fsum(row) for row in values.tolist()]
+    return [math.fsum(values[rows == r].tolist()) for r in range(count)]
+
+
+@st.composite
+def fsum_row_batches(draw):
+    """1 to 40 rows of the ``fsum_arrays`` kinds, mostly all of one kind,
+    else each of its own, with values planted in one row or none: a 2-D
+    array of rows of one drawn length, or ragged rows laid flat with their
+    row ids, empty rows included."""
+    count = draw(st.sampled_from([1, 2, 17, 40]))
+    kinds = FSUM_KINDS if draw(st.integers(0, 3)) == 0 else (draw(st.sampled_from(FSUM_KINDS)),)
+    planted = draw(st.integers(0, count))  # count: none
+    if draw(st.booleans()):
+        length = (draw(st.sampled_from(ROW_LENGTHS)),)
+        rows = [draw(fsum_arrays(length, kinds, 3 if r == planted else 0)) for r in range(count)]
+        return np.array(rows).reshape(count, length[0]), None
+    parts = [draw(fsum_arrays(ROW_LENGTHS, kinds, 3 if r == planted else 0)) for r in range(count)]
+    return np.concatenate(parts), np.repeat(np.arange(count), [x.size for x in parts])
+
+
+def sparse_rows(rng, count, length, nonzero):
+    """``count`` rows of mostly zeros, each holding a few ``nonzero()``
+    values."""
+    x = np.zeros((count, length))
+    for row in x:
+        row[rng.integers(0, length, 3)] = nonzero(3)
+    return x
+
+
+class TestFsumRows:
+    @given(fsum_row_batches())
+    @SETTINGS
+    def test_bits_and_errors_of_math_fsum_per_row(self, batch):
+        values, rows = batch
+        if rows is None:
+            assert fsum_outcome(fsum_rows, values) == fsum_outcome(fsum_rows_former, values)
+        else:
+            count = int(rows.max(initial=-1)) + 1 + 2  # two empty rows at the end
+            got = fsum_outcome(lambda v: fsum_rows(v, rows, count), values)
+            assert got == fsum_outcome(lambda v: fsum_rows_former(v, rows, count), values)
+
+    @pytest.mark.parametrize("length", [ROW_CUTOFF, ROW_CUTOFF + 1, 300])
+    @pytest.mark.parametrize(
+        "plant, expected",
+        [
+            ([math.inf, -math.inf], (ValueError, "-inf + inf in fsum")),
+            ([1.7e308, 1.7e308], (OverflowError, "intermediate overflow in fsum")),
+            ([math.nan], "nan"),
+            ([math.inf], np.float64(math.inf).tobytes()),
+        ],
+        ids=["inf-inf", "intermediate-overflow", "nan", "inf"],
+    )
+    def test_the_errors_of_math_fsum_in_one_row(self, length, plant, expected):
+        rng = np.random.default_rng(length)
+        values = rng.dirichlet(np.ones(length), 40)
+        values[7, : len(plant)] = plant
+        former = fsum_outcome(fsum_rows_former, values)
+        assert fsum_outcome(fsum_rows, values) == former
+        assert (former if isinstance(former, tuple) else former[7]) == expected
+        rows = np.repeat(np.arange(40), length)
+        assert fsum_outcome(lambda v: fsum_rows(v, rows, 40), values.ravel()) == former
+
+    @pytest.mark.parametrize(
+        "nonzero",
+        [
+            lambda rng, n: rng.integers(-(2**40), 2**40, n) * 5e-324,  # subnormals
+            lambda rng, n: rng.random(n) * 2.0 ** (1021 - 14),  # the largest the bins take
+            lambda rng, n: rng.random(n) * 2.0**1021,  # beyond: math.fsum, which may raise
+        ],
+        ids=["subnormal", "largest-binned", "near-2^1021"],
+    )
+    def test_zeros_beside_extreme_values(self, nonzero):
+        rng = np.random.default_rng(5)
+        values = sparse_rows(rng, 40, 300, lambda n: nonzero(rng, n))  # 12,000 values: bit length 14
+        values[3] = 0.0
+        values[4] = -0.0
+        former = fsum_outcome(fsum_rows_former, values)
+        assert fsum_outcome(fsum_rows, values) == former
+        rows = np.repeat(np.arange(40), 300)
+        assert fsum_outcome(lambda v: fsum_rows(v, rows, 40), values.ravel()) == former
+
+    def test_empty_batches(self):
+        assert fsum_rows(np.zeros((0, 300))) == [] == fsum_rows(np.zeros(0), np.zeros(0, dtype=int), 0)
+        assert fsum_rows(np.zeros((3, 0))) == [0.0] * 3 == fsum_rows(np.zeros(0), np.zeros(0, dtype=int), 3)
+
+
 # ------------------------------------------------------------ measures wider than the cutoff
 
 WIDE = 2 * FSUM_CUTOFF + 13
 
 
 @st.composite
-def wide_atoms(draw):
-    """More than FSUM_CUTOFF atoms after merging: a shuffled grid with exact
-    coincidences, MERGE_TOL chains and zero weights, weights of mixed
-    magnitude normalized to unit mass."""
+def wide_atoms(draw, size=WIDE, bound=3.0):
+    """More than FSUM_CUTOFF atoms after merging, or ``size``: a shuffled
+    grid in [-bound, bound] with exact coincidences, MERGE_TOL chains and
+    zero weights, weights of mixed magnitude normalized to unit mass."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pos = np.linspace(-3.0, 3.0, WIDE)
-    copies = rng.integers(0, WIDE, draw(st.sampled_from([0, 5, 300])))
+    pos = np.linspace(-bound, bound, size)
+    copies = rng.integers(0, size, draw(st.sampled_from([0, 5, 300])))
     pos = np.concatenate((pos, pos[copies] + rng.choice([0.0, 3e-13, 6e-13], copies.size)))
     raws = rng.random(pos.size) * 10.0 ** rng.integers(-18, 1, pos.size)
     raws[rng.random(pos.size) < draw(st.sampled_from([0.0, 0.1]))] = 0.0
@@ -897,9 +1000,17 @@ def wide_invalid(pos, w, kind):
     return pos, w
 
 
+# 65 to 400 atoms inside [-2, 2]: batches of eight take the bins of fsum_rows
+# in w1_rows (rows of 130 to 800 terms) and in discretize_rows on a grid of
+# 257 points, where a measure alone stays below FSUM_CUTOFF
+row_atoms = st.sampled_from([ROW_CUTOFF + 1, 150, 400]).flatmap(lambda size: wide_atoms(size, 1.9))
+
+
 class TestWideMeasures:
-    """Measures wider than the cutoff, whose sums take the superaccumulator,
-    against the former constructor and the former per-pair ``w1``."""
+    """Measures wider than the cutoff, whose sums take the binned path of
+    ``fsum``, against the former constructor and the former per-pair ``w1``;
+    batches with rows wider than the row cutoff, which take the bins of
+    ``fsum_rows``, against per-pair ``w1`` and per-measure ``discretize``."""
 
     @given(wide_atoms(), st.sampled_from(["valid", "valid", "mass", "negative", "nonfinite", "overflow", "inf-inf"]))
     @settings(max_examples=25, deadline=None, derandomize=True)
@@ -936,6 +1047,21 @@ class TestWideMeasures:
         if abs(total - 1.0) > JSON_MASS_TOL:
             former = (ValueError, f"weights sum to {total!r}; beyond the renormalization tolerance")
         assert outcome(from_document, pos, w) == former
+
+    @given(st.lists(st.tuples(row_atoms, row_atoms), min_size=8, max_size=8))
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_w1_rows_wider_than_the_row_cutoff(self, pairs):
+        a = [DiscreteMeasure(*p) for p, _ in pairs]
+        b = [DiscreteMeasure(*q) for _, q in pairs]
+        dists = w1_rows(rows_of(a), rows_of(b))
+        for x, y, d in zip(a, b, dists):
+            assert same_bits(d, w1_one(x, y))
+            assert same_bits(w1(x, y), d)
+
+    @given(st.lists(row_atoms, min_size=8, max_size=8), st.sampled_from(BUMP_MODES))
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_discretize_rows_wider_than_the_row_cutoff(self, atoms, mode):
+        assert_rows_match_loop(PartitionScheme(n=64, K=2, bump_shape=mode), [DiscreteMeasure(*m) for m in atoms])
 
 
 def from_document(pos, w):
