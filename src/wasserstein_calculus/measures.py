@@ -336,8 +336,8 @@ def w1_rows(firsts, seconds) -> np.ndarray:
     the order the one-row sort gives them; the running sums along the row are
     sequential, so they see the same terms in the same order; and the gaps
     that touch the padding are zeroed before one exactly rounded sum per row
-    (``util.fsum_rows``, the bits of ``math.fsum``). Each distance therefore has
-    the bits of its pair computed alone.
+    (``util.fsum_rows``, the bits of ``math.fsum``). Each distance therefore
+    has the bits of its pair computed alone.
     """
     rows = [(pa, wa, pb, wb) for (pa, wa), (pb, wb) in zip(firsts, seconds, strict=True)]
     if not rows:

@@ -888,7 +888,7 @@ def fsum_row_batches(draw):
     row ids, empty rows included."""
     count = draw(st.sampled_from([1, 2, 17, 40]))
     kinds = FSUM_KINDS if draw(st.integers(0, 3)) == 0 else (draw(st.sampled_from(FSUM_KINDS)),)
-    planted = draw(st.integers(0, count))  # count: none
+    planted = draw(st.integers(0, count))  # a row, or count for none
     if draw(st.booleans()):
         length = (draw(st.sampled_from(ROW_LENGTHS)),)
         rows = [draw(fsum_arrays(length, kinds, 3 if r == planted else 0)) for r in range(count)]
