@@ -238,6 +238,17 @@ class TestNumericBounds:
         code, out, _ = run_cli(capsys, ["ftc-check", str(field), "--samples", "1", "--quad", "2", "--tol=0"])
         assert code == 0 and json.loads(out)["verdict"] == "derivative"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep"], ["deriv2-check", "--samples", "1", "--quad", "2"], ["counterexample", "--samples", "1", "--quad", "2"]],
+        ids=["sweep", "deriv2-check", "counterexample"],
+    )
+    def test_negative_seed(self, capsys, argv):
+        # numpy's own error named no argument: "expected non-negative integer"
+        code, out, err = run_cli(capsys, argv + ["--seed=-1"])
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "seed must be a non-negative integer, not -1"}
+
     def test_counterexample_samples(self, capsys):
         code, _, err = run_cli(capsys, ["counterexample", "--samples", "0"])
         assert code == 2
