@@ -31,7 +31,7 @@ from .ftc import (
 from .functions import cos_fn, lift_to_field, lipschitz_probes, sin_fn, standard_battery
 from .measures import dirac, kr_lower_bound, w1_rows
 from .partition import BUMP_MODES, PartitionScheme, discretize_rows
-from .sampling import random_measure, random_point, stream_rng
+from .sampling import random_measure, random_point, stream_rngs
 
 __all__ = ["run_sweep", "CHECKS", "DEFAULT_SEED"]
 
@@ -46,8 +46,8 @@ def discretization_case(seed: int, K: int, n: int) -> dict:
     and measures every distance with one ``w1_rows`` call.
     """
     measures = [
-        random_measure(stream_rng(seed, f"discretize-K{K}-n{n}", i), K)
-        for i in range(MEASURES_PER_CASE)
+        random_measure(rng, K)
+        for rng in stream_rngs(seed, f"discretize-K{K}-n{n}", range(MEASURES_PER_CASE))
     ]
     originals = [(m.positions, m.weights) for m in measures]
     bound = 3.0 / n
@@ -113,10 +113,10 @@ def check_dawson_linear(seed: int = DEFAULT_SEED, samples: int = 200):
     started = time.perf_counter()
     battery = standard_battery()
     K = 1.0
-    draws = []
-    for i in range(samples):
-        rng = stream_rng(seed, "dawson-samples", i)
-        draws.append((random_measure(rng, K), random_point(rng, K)))
+    draws = [
+        (random_measure(rng, K), random_point(rng, K))
+        for rng in stream_rngs(seed, "dawson-samples", range(samples))
+    ]
     eps = 1e-3
     eps_grid = (1e-2, 5e-3, 2.5e-3)
     steps = (eps, 0.5 * eps) + eps_grid
@@ -168,14 +168,15 @@ def check_integral_identity(
     started = time.perf_counter()
     battery = standard_battery()
 
-    def one(i: int) -> float:
-        rng = stream_rng(seed, "integral-identity", i)
+    def one(i: int, rng) -> float:
         F = battery[i % len(battery)]
         m = random_measure(rng, 1.0)
         mu = random_measure(rng, 1.0)
         return verify_deriv2(F.evaluate, lift_to_field(F), m, mu, quad_order)
 
-    residual_max = max(one(i) for i in range(samples))
+    residual_max = max(
+        one(i, rng) for i, rng in enumerate(stream_rngs(seed, "integral-identity", range(samples)))
+    )
     return {
         "criterion": 3,
         "name": "derivative_integral_identity",
@@ -192,8 +193,7 @@ def check_canonical_normalization(seed: int = DEFAULT_SEED, samples: int = 25):
     started = time.perf_counter()
     battery = standard_battery()
 
-    def one(i: int):
-        rng = stream_rng(seed, "canonical", i)
+    def one(rng):
         m = random_measure(rng, 1.0)
         exact_worst = 0.0
         estimated_worst = 0.0
@@ -209,7 +209,7 @@ def check_canonical_normalization(seed: int = DEFAULT_SEED, samples: int = 25):
             estimated_worst = max(estimated_worst, abs(est))
         return exact_worst, estimated_worst
 
-    results = [one(i) for i in range(samples)]
+    results = [one(rng) for rng in stream_rngs(seed, "canonical", range(samples))]
     exact_max = max(r[0] for r in results)
     estimated_max = max(r[1] for r in results)
     return {
@@ -237,8 +237,8 @@ def check_ftc_soundness(seed: int = DEFAULT_SEED):
         built = antiderivative(H, DEFAULT_QUAD_ORDER)
         base = F.evaluate(dirac(0.0))
         recovery = 0.0
-        for i in range(20):
-            m = random_measure(stream_rng(seed, "ftc-recovery", i), 1.0)
+        for rng in stream_rngs(seed, "ftc-recovery", range(20)):
+            m = random_measure(rng, 1.0)
             recovery = max(recovery, abs(built(m) - (F.evaluate(m) - base)))
         return {
             "label": F.label,
@@ -304,8 +304,7 @@ def check_second_derivative_symmetry(seed: int = DEFAULT_SEED, samples: int = 10
     started = time.perf_counter()
     curved = [F for F in standard_battery() if F.has_nontrivial_hessian()]
 
-    def one(i: int) -> float:
-        rng = stream_rng(seed, "symmetry", i)
+    def one(rng) -> float:
         m = random_measure(rng, 1.0)
         x = random_point(rng, 1.0)
         y = random_point(rng, 1.0)
@@ -316,7 +315,7 @@ def check_second_derivative_symmetry(seed: int = DEFAULT_SEED, samples: int = 10
             worst = max(worst, abs(residual))
         return worst
 
-    residual_max = max(one(i) for i in range(samples))
+    residual_max = max(one(rng) for rng in stream_rngs(seed, "symmetry", range(samples)))
     return {
         "criterion": 7,
         "name": "second_derivative_symmetry",
@@ -333,8 +332,7 @@ def check_metric_properties(seed: int = DEFAULT_SEED, samples: int = 1000):
     started = time.perf_counter()
     probes = lipschitz_probes()
 
-    def one(i: int):
-        rng = stream_rng(seed, "metric", i)
+    def one(rng):
         a = random_measure(rng, 2.0)
         b = random_measure(rng, 2.0)
         c = random_measure(rng, 2.0)
@@ -344,7 +342,7 @@ def check_metric_properties(seed: int = DEFAULT_SEED, samples: int = 1000):
         kr_excess = max(kr_lower_bound(a, b, f) - d_ab for f in probes)
         return triangle_excess, kr_excess
 
-    results = [one(i) for i in range(samples)]
+    results = [one(rng) for rng in stream_rngs(seed, "metric", range(samples))]
     triangle_max = max(r[0] for r in results)
     kr_max = max(r[1] for r in results)
     return {

@@ -49,7 +49,7 @@ from .functions import (
     scalar_from_dict,
 )
 from .measures import DiscreteMeasure, dirac, integrate, integrate_rows
-from .sampling import random_measure, random_point, stream_rng
+from .sampling import random_measure, random_point, stream_rngs
 
 __all__ = [
     "BASE_POINT",
@@ -161,8 +161,8 @@ def ftc_check(
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    for i in range(_N_GATE_PROBES):
-        probe = random_measure(stream_rng(seed, "canonical-gate", i), K)
+    for rng in stream_rngs(seed, "canonical-gate", range(_N_GATE_PROBES)):
+        probe = random_measure(rng, K)
         residual = math.fsum((probe.weights * field_values(H, probe, probe.positions)).tolist())
         if abs(residual) > CANONICAL_GATE_TOL:
             raise ValueError(
@@ -172,22 +172,20 @@ def ftc_check(
     F = antiderivative(H, quad_order)
     estimated = H.linear_delta is None
 
-    def mismatch_one(i: int) -> float:
-        rng = stream_rng(seed, "ftc-mismatch", i)
+    def mismatch_one(rng) -> float:
         m = random_measure(rng, K)
         x = random_point(rng, K)
         return abs(dawson_extrapolated(F, m, x, eps) - H.value(m, x))
 
-    def symmetry_one(i: int) -> float:
-        rng = stream_rng(seed, "ftc-symmetry", i)
+    def symmetry_one(rng):
         m = random_measure(rng, K)
         x = random_point(rng, K)
         y = random_point(rng, K)
         residual = symmetry_residual(H, m, x, y, eps=eps if estimated else None)
         return abs(residual), max(abs(H.value(m, x)), abs(H.value(m, y)))
 
-    mismatch_max = max(mismatch_one(i) for i in range(samples))
-    symmetry = [symmetry_one(i) for i in range(samples)]
+    mismatch_max = max(mismatch_one(rng) for rng in stream_rngs(seed, "ftc-mismatch", range(samples)))
+    symmetry = [symmetry_one(rng) for rng in stream_rngs(seed, "ftc-symmetry", range(samples))]
     symmetry_max = max(r[0] for r in symmetry)
     verdict = _verdict(symmetry_max, estimated=estimated, field_max=max(r[1] for r in symmetry))
     return {
@@ -294,8 +292,7 @@ def counterexample_report(
     F_closed = counterexample_closed_antiderivative(phi, psi)
     delta_closed = counterexample_closed_delta(phi, psi)
 
-    def one(i: int):
-        rng = stream_rng(seed, "counterexample", i)
+    def one(rng):
         m = random_measure(rng, K)
         x = random_point(rng, K)
         y = random_point(rng, K)
@@ -306,7 +303,7 @@ def counterexample_report(
         s = abs(symmetry_residual(H, m, x, y))
         return a, b, c, s, max(abs(h), abs(H.value(m, y)))
 
-    results = [one(i) for i in range(samples)]
+    results = [one(rng) for rng in stream_rngs(seed, "counterexample", range(samples))]
     a_max = max(r[0] for r in results)
     b_max = max(r[1] for r in results)
     c_max = max(r[2] for r in results)

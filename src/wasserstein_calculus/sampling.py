@@ -2,6 +2,12 @@
 
 Every sampled object owns its generator, keyed by (seed, stream name, sample
 index), so a sample draws the same values whatever was drawn before it.
+``stream_rng`` builds one such generator. ``stream_rngs`` yields the
+generators of many indices of one stream in the same states, without
+numpy's per-generator seeding cost: it re-runs numpy's seeding for all the
+indices at once. It yields one generator object per call, reset before each
+yield, so a yielded generator is valid only until the next one. A seed or
+index of 2^32 or more takes ``stream_rng``'s path.
 """
 
 from __future__ import annotations
@@ -13,15 +19,121 @@ import numpy as np
 
 from .measures import DiscreteMeasure
 
-__all__ = ["stream_rng", "random_measure", "random_point", "MAX_ATOMS"]
+__all__ = ["stream_rng", "stream_rngs", "random_measure", "random_point", "MAX_ATOMS"]
 
 MAX_ATOMS = 12
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _word(name: str, value) -> int:
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, not {value}")
+    return value
 
 
 def stream_rng(seed: int, stream: str, index: int) -> np.random.Generator:
     """Independent generator for one (stream, sample-index) pair."""
     tag = zlib.crc32(stream.encode("utf-8"))
-    return np.random.default_rng(np.random.SeedSequence([int(seed), tag, int(index)]))
+    entropy = [_word("seed", seed), tag, _word("index", index)]
+    return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The running constant of ``count`` hash steps of numpy's
+    ``SeedSequence``: step k XORs in entry k, then multiplies by entry k + 1."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
+# mix_entropy hashes 4 + 12 times (hashmix); generate_state(4, uint64), 8 times
+_HASHMIX = _hash_consts(_INIT_A, _MULT_A, 16)
+_GENERATE = _hash_consts(_INIT_B, _MULT_B, 8)
+
+
+def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """One hash step per row of ``values``, with the consecutive steps whose
+    constants ``consts`` (one more than rows) holds: XOR, multiply, fold."""
+    values = values ^ consts[:-1, None]
+    values *= consts[1:, None]
+    values ^= values >> 16
+    return values
+
+
+def _pcg64_seeds(seed: int, tag: int, indices: np.ndarray) -> list:
+    """(initstate, initseq) of ``PCG64(SeedSequence([seed, tag, i]))`` for
+    each index below 2^32, as numpy derives them.
+
+    ``SeedSequence`` pools its three entropy words and a zero, hashed, mixes
+    every pool word into every other, and hashes the pool twice over into
+    eight 32-bit words; ``PCG64`` pairs them, low word first, into four
+    64-bit words: two for its initial state, two for its stream. Every step
+    is uint32 arithmetic modulo 2^32, run here once for all the indices and,
+    where steps do not depend on each other, for several pool words at once.
+    """
+    pool = np.zeros((4, indices.size), dtype=np.uint32)
+    pool[0], pool[1], pool[2] = seed, tag, indices
+    pool = _hash(pool, _HASHMIX[:5])
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        hashed = _hash(pool[src], _HASHMIX[4 + 3 * src : 8 + 3 * src])
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
+        mixed ^= mixed >> 16
+        pool[dst] = mixed
+    state = _hash(np.concatenate((pool, pool)), _GENERATE).astype(np.uint64)
+    words = (state[0::2] | state[1::2] << 32).T.tolist()
+    return [(a << 64 | b, c << 64 | d) for a, b, c, d in words]
+
+
+def stream_rngs(seed: int, stream: str, indices):
+    """Yield, in order, the generator of each index of one stream, in the
+    state ``stream_rng(seed, stream, index)`` starts in, with its bits.
+
+    The seeding runs once for all the indices (``_pcg64_seeds``). Then one
+    ``PCG64`` and its ``Generator``, made once per call, take each index's
+    state before it is yielded: a yielded generator is valid only until the
+    next yield, when it is the same object in the next state. Generators of
+    nested calls are separate. A seed or index of 2^32 or more is more than
+    one entropy word in ``SeedSequence``; such an index, or every index of
+    such a seed, gets its own ``stream_rng``.
+    """
+    seed = _word("seed", seed)
+    indices = [_word("index", i) for i in indices]
+    if seed > _MASK32:
+        for i in indices:
+            yield stream_rng(seed, stream, i)
+        return
+    tag = zlib.crc32(stream.encode("utf-8"))
+    small = np.array([i for i in indices if i <= _MASK32], dtype=np.uint32)
+    seeds = iter(_pcg64_seeds(seed, tag, small))
+    bit_generator = np.random.PCG64()
+    rng = np.random.Generator(bit_generator)
+    for i in indices:
+        if i > _MASK32:
+            yield stream_rng(seed, stream, i)
+            continue
+        initstate, initseq = next(seeds)
+        inc = (initseq << 1 | 1) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": ((initstate + inc) * _PCG_MULT + inc) & _MASK128, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def _check_half_width(K: float) -> None:

@@ -1,8 +1,48 @@
-"""Seeded generators: the index and seed checks of ``stream_rng``."""
+"""Seeded generators: ``stream_rngs`` against numpy's own seeding, and the
+seed and index checks of ``stream_rng`` and ``stream_rngs``."""
 
+import zlib
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wasserstein_calculus.sampling import stream_rng
+from wasserstein_calculus.sampling import stream_rng, stream_rngs
+
+# 2^32 - 1 is the largest single entropy word; 2^32 and above take stream_rng
+WORDS = st.sampled_from([0, 1, 2**31, 2**32 - 1, 2**32, 2**40 + 3]) | st.integers(0, 2**33)
+STREAMS = st.sampled_from(["", "discretize-K1-n2", "é", "ストリーム✓"]) | st.text(max_size=8)
+
+
+def numpy_rng(seed, stream, index):
+    """The generator numpy seeds for (seed, stream, index)."""
+    return np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(stream.encode("utf-8")), index]))
+
+
+def next_draws(rng):
+    return rng.integers(1, 13), rng.uniform(-1.0, 1.0, 3).tobytes(), rng.standard_exponential(4).tobytes()
+
+
+class TestStreamRngs:
+    @given(seed=WORDS, stream=STREAMS, indices=st.lists(WORDS, max_size=12))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_states_and_draws_of_numpy(self, seed, stream, indices):
+        for index, rng in zip(indices, stream_rngs(seed, stream, indices), strict=True):
+            expected = numpy_rng(seed, stream, index)
+            assert rng.bit_generator.state == expected.bit_generator.state
+            assert next_draws(rng) == next_draws(expected)
+
+    def test_one_generator_per_call(self):
+        batch = stream_rngs(7, "reuse", [0, 1])
+        first = next(batch)
+        state = first.bit_generator.state
+        second = next(batch)
+        # the next yield resets the same object: the first state is gone
+        assert second is first
+        assert first.bit_generator.state != state
+        assert first.bit_generator.state == numpy_rng(7, "reuse", 1).bit_generator.state
+        # another call, even inside this one, has its own generator
+        assert next(stream_rngs(7, "reuse", [0])) is not first
 
 
 class TestSeedChecks:
@@ -11,9 +51,15 @@ class TestSeedChecks:
 
     @pytest.mark.parametrize("seed", [-1, -(2**40)])
     def test_negative_seed(self, seed):
-        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, not {seed}$"):
+        message = f"^seed must be a non-negative integer, not {seed}$"
+        with pytest.raises(ValueError, match=message):
             stream_rng(seed, "s", 0)
+        with pytest.raises(ValueError, match=message):
+            list(stream_rngs(seed, "s", [0, 1]))
 
     def test_negative_index(self):
-        with pytest.raises(ValueError, match="^index must be a non-negative integer, not -3$"):
+        message = "^index must be a non-negative integer, not -3$"
+        with pytest.raises(ValueError, match=message):
             stream_rng(0, "s", -3)
+        with pytest.raises(ValueError, match=message):
+            list(stream_rngs(0, "s", [0, -3]))
