@@ -79,10 +79,13 @@ def _plain(obj):
     return obj
 
 
-# Arrays up to this size are summed by ``math.fsum`` on a list. Measured on
-# weights, signed products and w1 gap products alike, the superaccumulator of
-# ``fsum`` overtakes it between 768 and 1024 values.
-_FSUM_CUTOFF = 1024
+# One array up to this size is summed by ``math.fsum`` on a list. Measured on
+# probability weights and signed products, the bins of ``fsum`` tie with the
+# list at 512 values and win from 576 (16-20 against 17-27 us).
+_FSUM_CUTOFF = 512
+# A batch of several rows up to this size is summed one list per row: at 600
+# to 1,000 values in 4 to 10 rows the lists still win (21-37 against 28-51 us).
+_FSUM_BATCH_CUTOFF = 1024
 # Batches whose rows hold up to this many values on average are summed by
 # ``math.fsum`` one list per row. Measured on signed weight products (15-30
 # exponents per row), the bins tie with the lists at 32 rows of 64 values,
@@ -116,14 +119,16 @@ def fsum_rows(values: np.ndarray, rows: np.ndarray | None = None, count: int = 0
 
     ``math.fsum`` sums each row itself when the rows are short (at most
     ``_FSUM_ROW_CUTOFF`` values on average) or the input small (at most
-    ``_FSUM_CUTOFF`` values), and where its own errors must show: a NaN or
+    ``_FSUM_CUTOFF`` values in one row, ``_FSUM_BATCH_CUTOFF`` in several),
+    and where its own errors must show: a NaN or
     an infinity, values so large that a partial sum could overflow
     ("intermediate overflow"), and more than 2^26 values.
     """
     if rows is None:
         count = len(values)
     size = values.size
-    if size <= _FSUM_CUTOFF or size <= _FSUM_ROW_CUTOFF * count:
+    small = _FSUM_CUTOFF if count == 1 else _FSUM_BATCH_CUTOFF
+    if size <= small or size <= _FSUM_ROW_CUTOFF * count:
         return _fsum_each(values, rows, count)
     bits = values.view(np.int64)
     upper = (bits & -(1 << 26)).view(np.float64)

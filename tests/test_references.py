@@ -69,6 +69,7 @@ from wasserstein_calculus.derivative import MIN_STEP
 from wasserstein_calculus.measures import JSON_MASS_TOL, MASS_TOL, MERGE_TOL, _values_at, mix_rows
 from wasserstein_calculus.partition import GRID_SNAP, WEIGHT_FLOOR, _mollifier, _smoothstep
 from wasserstein_calculus.sampling import MAX_ATOMS, _check_half_width, random_measure, random_point, stream_rng
+from wasserstein_calculus.util import _FSUM_BATCH_CUTOFF as BATCH_CUTOFF
 from wasserstein_calculus.util import _FSUM_CUTOFF as FSUM_CUTOFF
 from wasserstein_calculus.util import _FSUM_ROW_CUTOFF as ROW_CUTOFF
 from wasserstein_calculus.util import canonical_json, compensated_cumsum, fsum, fsum_rows, gauss_legendre_01
@@ -957,6 +958,11 @@ class TestFsumRows:
         assert fsum_outcome(fsum_rows, values) == former
         rows = np.repeat(np.arange(40), 300)
         assert fsum_outcome(lambda v: fsum_rows(v, rows, 40), values.ravel()) == former
+
+    @pytest.mark.parametrize("size", [BATCH_CUTOFF, BATCH_CUTOFF + 2])
+    def test_two_rows_beside_the_batch_cutoff(self, size):
+        values = np.random.default_rng(size).dirichlet(np.ones(size // 2), 2)
+        assert fsum_outcome(fsum_rows, values) == fsum_outcome(fsum_rows_former, values)
 
     def test_empty_batches(self):
         assert fsum_rows(np.zeros((0, 300))) == [] == fsum_rows(np.zeros(0), np.zeros(0, dtype=int), 0)
