@@ -120,9 +120,9 @@ def fsum_rows(values: np.ndarray, rows: np.ndarray | None = None, count: int = 0
     ``math.fsum`` sums each row itself when the rows are short (at most
     ``_FSUM_ROW_CUTOFF`` values on average) or the input small (at most
     ``_FSUM_CUTOFF`` values in one row, ``_FSUM_BATCH_CUTOFF`` in several),
-    and where its own errors must show: a NaN or
-    an infinity, values so large that a partial sum could overflow
-    ("intermediate overflow"), and more than 2^26 values.
+    and where its own errors must show: a NaN or an infinity, values so
+    large that a partial sum could overflow ("intermediate overflow"), and
+    more than 2^26 values.
     """
     if rows is None:
         count = len(values)
