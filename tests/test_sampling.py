@@ -1,12 +1,14 @@
 """Seeded generators: ``stream_rngs`` against numpy's own seeding, and the
 seed and index checks of ``stream_rng`` and ``stream_rngs``."""
 
+import re
 import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wasserstein_calculus import ftc_check, lift_to_field, standard_battery
 from wasserstein_calculus.sampling import stream_rng, stream_rngs
 
 # 2^32 - 1 is the largest single entropy word; 2^32 and above take stream_rng
@@ -63,3 +65,32 @@ class TestSeedChecks:
             stream_rng(0, "s", -3)
         with pytest.raises(ValueError, match=message):
             list(stream_rngs(0, "s", [0, -3]))
+
+
+class TestIntegerSeeds:
+    """A seed or index is an integer: a float was truncated (2.9 ran as seed
+    2) and a bool taken as 0 or 1. Integers of other types still work."""
+
+    @pytest.mark.parametrize("value", [2.9, 2.0, np.float64(1.0), True, False, np.True_, "3", None])
+    def test_non_integer_seed_and_index(self, value):
+        for name, call in [
+            ("seed", lambda: stream_rng(value, "s", 0)),
+            ("seed", lambda: list(stream_rngs(value, "s", [0, 1]))),
+            ("index", lambda: stream_rng(0, "s", value)),
+            ("index", lambda: list(stream_rngs(0, "s", [0, value]))),
+        ]:
+            message = f"^{name} must be a non-negative integer, not {re.escape(repr(value))}$"
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_checks_refuse_a_float_seed(self):
+        H = lift_to_field(standard_battery()[0])
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, not 2.9$"):
+            ftc_check(H, 1.0, samples=1, seed=2.9)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint32(7), 2**40 + 7])
+    def test_integer_types(self, seed):
+        expected = numpy_rng(int(seed), "s", 3)
+        assert stream_rng(seed, "s", np.int32(3)).bit_generator.state == expected.bit_generator.state
+        (rng,) = stream_rngs(seed, "s", [np.int64(3)])
+        assert rng.bit_generator.state == expected.bit_generator.state
