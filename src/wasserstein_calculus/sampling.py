@@ -13,6 +13,7 @@ index of 2^32 or more takes ``stream_rng``'s path.
 from __future__ import annotations
 
 import math
+import operator
 import zlib
 
 import numpy as np
@@ -37,10 +38,15 @@ _MASK128 = (1 << 128) - 1
 
 
 def _word(name: str, value) -> int:
-    value = int(value)
-    if value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, not {value}")
-    return value
+    """``value`` as a non-negative int; a float, bool or other non-integer is
+    refused, not truncated."""
+    try:
+        word = -1 if isinstance(value, (bool, np.bool_)) else operator.index(value)
+    except TypeError:
+        word = -1
+    if word < 0:
+        raise ValueError(f"{name} must be a non-negative integer, not {value!r}")
+    return word
 
 
 def stream_rng(seed: int, stream: str, index: int) -> np.random.Generator:
