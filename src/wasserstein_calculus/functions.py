@@ -6,7 +6,8 @@ functional derivatives have closed forms (chain rule through the moment
 vector), which makes them the exact oracle for every finite-difference
 estimator in this package. Gradients and Hessians of the outer maps are
 hand-coded so the oracle does not depend on any differentiation machinery
-under test.
+under test. A gradient takes one moment vector or a (rows, k) array of them,
+one per row measure of a batch, and each row keeps the bits of its own point.
 """
 
 from __future__ import annotations
@@ -301,12 +302,15 @@ class OuterMap:
             return len(self.params[0][0][1])
         return len(self.params[0])  # sin_of_sum / exp_of_sum
 
+    @functools.cached_property
+    def _weights(self) -> np.ndarray:
+        return np.asarray(self.params[0], dtype=float)  # linear, sin_of_sum, exp_of_sum
+
     def value(self, v) -> float:
         v = np.asarray(v, dtype=float)
         kind = self.kind
         if kind == "linear":
-            weights, offset = self.params
-            return float(offset + np.dot(weights, v))
+            return float(self.params[1] + np.dot(self._weights, v))
         if kind == "product":
             return float(np.prod(v))
         if kind == "polynomial":
@@ -314,33 +318,39 @@ class OuterMap:
             return math.fsum(
                 c * math.prod(v[i] ** e for i, e in enumerate(exps)) for c, exps in terms
             )
-        (weights,) = self.params
-        s = float(np.dot(weights, v))
+        s = float(np.dot(self._weights, v))
         return math.sin(s) if kind == "sin_of_sum" else math.exp(s)
 
     def gradient(self, v) -> np.ndarray:
+        """The gradient at one point v, shape (k,), or at each row of v, shape
+        (rows, k). Each kind's formula runs once over the moment columns:
+        floats for a point, 1-D arrays for rows; each row keeps its point's bits."""
         v = np.asarray(v, dtype=float)
         kind = self.kind
-        k = self.arity
+        if kind in ("product", "polynomial"):
+            cols = v.tolist() if v.ndim == 1 else list(v.T)
         if kind == "linear":
-            return np.asarray(self.params[0], dtype=float).copy()
-        if kind == "product":
-            return np.array([_product_skipping(v, (i,)) for i in range(k)])
-        if kind == "polynomial":
-            (terms,) = self.params
-            grad = np.zeros(k)
-            for c, exps in terms:
+            grad = self.params[0]
+        elif kind == "product":  # never divides, so a zero moment is no special case
+            grad = [math.prod(cols[:i] + cols[i + 1 :], start=1.0) for i in range(len(cols))]
+        elif kind == "polynomial":
+            grad = [0.0] * len(cols)
+            for c, exps in self.params[0]:
                 for i, e in enumerate(exps):
                     if e >= 1:
-                        grad[i] += (
-                            c * e * v[i] ** (e - 1)
-                            * math.prod(v[j] ** ej for j, ej in enumerate(exps) if j != i)
-                        )
-            return grad
-        weights = np.asarray(self.params[0], dtype=float)
-        s = float(np.dot(weights, v))
-        scale = math.cos(s) if kind == "sin_of_sum" else math.exp(s)
-        return scale * weights
+                        others = math.prod(_power(cols[j], n) for j, n in enumerate(exps) if j != i)
+                        grad[i] = grad[i] + c * e * _power(cols[i], e - 1) * others
+        else:  # one np.dot per row: a matrix product adds a row's terms in another order
+            weights = self._weights
+            sums = float(np.dot(weights, v)) if v.ndim == 1 else [np.dot(weights, r) for r in v]
+            scale = _each(math.cos if kind == "sin_of_sum" else math.exp, sums)
+            grad = [scale * w for w in self.params[0]]
+        if v.ndim == 1:
+            return np.array(grad)
+        out = np.empty((len(grad), len(v)))
+        for i, g in enumerate(grad):
+            out[i] = g  # a column may be one float for every row
+        return out.T
 
     def hessian(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -350,9 +360,11 @@ class OuterMap:
             return np.zeros((k, k))
         if kind == "product":
             hess = np.zeros((k, k))
+            cols = v.tolist()
             for i in range(k):
                 for j in range(i + 1, k):
-                    hess[i, j] = hess[j, i] = _product_skipping(v, (i, j))
+                    rest = cols[:i] + cols[i + 1 : j] + cols[j + 1 :]
+                    hess[i, j] = hess[j, i] = math.prod(rest, start=1.0)
             return hess
         if kind == "polynomial":
             (terms,) = self.params
@@ -360,44 +372,38 @@ class OuterMap:
             for c, exps in terms:
                 for i, ei in enumerate(exps):
                     if ei >= 2:
-                        hess[i, i] += (
-                            c * ei * (ei - 1) * v[i] ** (ei - 2)
-                            * math.prod(v[j] ** ej for j, ej in enumerate(exps) if j != i)
-                        )
-                    if ei >= 1:
-                        for j in range(i + 1, k):
-                            ej = exps[j]
-                            if ej >= 1:
-                                cross = (
-                                    c * ei * ej * v[i] ** (ei - 1) * v[j] ** (ej - 1)
-                                    * math.prod(
-                                        v[l] ** el
-                                        for l, el in enumerate(exps)
-                                        if l != i and l != j
-                                    )
-                                )
-                                hess[i, j] += cross
-                                hess[j, i] += cross
+                        rest = math.prod(v[j] ** ej for j, ej in enumerate(exps) if j != i)
+                        hess[i, i] += c * ei * (ei - 1) * v[i] ** (ei - 2) * rest
+                    for j, ej in enumerate(exps[i + 1 :], i + 1):
+                        if ei >= 1 and ej >= 1:
+                            rest = math.prod(v[l] ** el for l, el in enumerate(exps) if i != l != j)
+                            cross = c * ei * ej * v[i] ** (ei - 1) * v[j] ** (ej - 1) * rest
+                            hess[i, j] += cross
+                            hess[j, i] += cross
             return hess
-        weights = np.asarray(self.params[0], dtype=float)
-        s = float(np.dot(weights, v))
+        s = float(np.dot(self._weights, v))
         scale = -math.sin(s) if kind == "sin_of_sum" else math.exp(s)
-        return scale * np.outer(weights, weights)
+        return scale * np.outer(self._weights, self._weights)
 
 
-def _product_skipping(v: np.ndarray, skip) -> float:
-    out = 1.0
-    for j, vj in enumerate(v):
-        if j not in skip:
-            out *= float(vj)
-    return out
+def _each(f, x):
+    """f of a float, or of each value as a float: numpy's array cos, exp and ** differ."""
+    return f(x) if isinstance(x, float) else np.array([f(t) for t in np.asarray(x).tolist()])
+
+
+def _power(x, e: int):
+    """x ** e with the bits, and the overflow to inf, of numpy's scalar power."""
+    return x if e == 1 else 1.0 if e == 0 else _each(lambda t: float(np.float64(t) ** e), x)
+
+
+def _weight_tuple(weights, what: str) -> tuple:
+    if not (weights := tuple(float(w) for w in weights)):
+        raise ValueError(f"{what} needs at least one weight")
+    return weights
 
 
 def outer_linear(weights, offset: float = 0.0) -> OuterMap:
-    weights = tuple(float(w) for w in weights)
-    if not weights:
-        raise ValueError("linear outer map needs at least one weight")
-    return OuterMap("linear", (weights, float(offset)))
+    return OuterMap("linear", (_weight_tuple(weights, "linear outer map"), float(offset)))
 
 
 def outer_product(arity: int) -> OuterMap:
@@ -425,17 +431,11 @@ def outer_polynomial(terms) -> OuterMap:
 
 
 def outer_sin(weights) -> OuterMap:
-    weights = tuple(float(w) for w in weights)
-    if not weights:
-        raise ValueError("sin_of_sum needs at least one weight")
-    return OuterMap("sin_of_sum", (weights,))
+    return OuterMap("sin_of_sum", (_weight_tuple(weights, "sin_of_sum"),))
 
 
 def outer_exp(weights) -> OuterMap:
-    weights = tuple(float(w) for w in weights)
-    if not weights:
-        raise ValueError("exp_of_sum needs at least one weight")
-    return OuterMap("exp_of_sum", (weights,))
+    return OuterMap("exp_of_sum", (_weight_tuple(weights, "exp_of_sum"),))
 
 
 def _outer_to_dict(g: OuterMap) -> dict:
@@ -537,7 +537,7 @@ class CylinderFunction:
         """``exact_delta`` at the points ``x`` for every row measure of a
         ``mix_rows`` batch, shape (rows, points), bit for bit."""
         v = self.moments_rows(positions, weights)
-        grad = np.array([self.outer.gradient(row) for row in v])
+        grad = self.outer.gradient(v)
         xs = np.asarray(x, dtype=float)
         acc = np.zeros((v.shape[0], xs.size))
         for i, f in enumerate(self.inner):

@@ -48,7 +48,11 @@ from wasserstein_calculus import (
     lift_to_field,
     measure_from_dict,
     mix,
+    outer_exp,
+    outer_linear,
     outer_polynomial,
+    outer_product,
+    outer_sin,
     polynomial,
     segment_integral,
     signed_difference,
@@ -1323,10 +1327,85 @@ def dawson_extrapolated_loop(F, m, x, eps):
     return 2.0 * q_half - q_full
 
 
+def product_skipping_former(v, skip) -> float:
+    out = 1.0
+    for j, vj in enumerate(v):
+        if j not in skip:
+            out *= float(vj)
+    return out
+
+
+def gradient_former(g, v) -> np.ndarray:
+    """The former per-point ``OuterMap.gradient``, frozen as the oracle."""
+    v = np.asarray(v, dtype=float)
+    kind = g.kind
+    k = g.arity
+    if kind == "linear":
+        return np.asarray(g.params[0], dtype=float).copy()
+    if kind == "product":
+        return np.array([product_skipping_former(v, (i,)) for i in range(k)])
+    if kind == "polynomial":
+        (terms,) = g.params
+        grad = np.zeros(k)
+        for c, exps in terms:
+            for i, e in enumerate(exps):
+                if e >= 1:
+                    grad[i] += (
+                        c * e * v[i] ** (e - 1)
+                        * math.prod(v[j] ** ej for j, ej in enumerate(exps) if j != i)
+                    )
+        return grad
+    weights = np.asarray(g.params[0], dtype=float)
+    s = float(np.dot(weights, v))
+    scale = math.cos(s) if kind == "sin_of_sum" else math.exp(s)
+    return scale * weights
+
+
+def hessian_former(g, v) -> np.ndarray:
+    """The former ``OuterMap.hessian``, frozen as the oracle."""
+    v = np.asarray(v, dtype=float)
+    kind = g.kind
+    k = g.arity
+    if kind == "linear":
+        return np.zeros((k, k))
+    if kind == "product":
+        hess = np.zeros((k, k))
+        for i in range(k):
+            for j in range(i + 1, k):
+                hess[i, j] = hess[j, i] = product_skipping_former(v, (i, j))
+        return hess
+    if kind == "polynomial":
+        (terms,) = g.params
+        hess = np.zeros((k, k))
+        for c, exps in terms:
+            for i, ei in enumerate(exps):
+                if ei >= 2:
+                    hess[i, i] += (
+                        c * ei * (ei - 1) * v[i] ** (ei - 2)
+                        * math.prod(v[j] ** ej for j, ej in enumerate(exps) if j != i)
+                    )
+                if ei >= 1:
+                    for j in range(i + 1, k):
+                        ej = exps[j]
+                        if ej >= 1:
+                            cross = (
+                                c * ei * ej * v[i] ** (ei - 1) * v[j] ** (ej - 1)
+                                * math.prod(v[l] ** el for l, el in enumerate(exps) if l != i and l != j)
+                            )
+                            hess[i, j] += cross
+                            hess[j, i] += cross
+        return hess
+    weights = np.asarray(g.params[0], dtype=float)
+    s = float(np.dot(weights, v))
+    scale = -math.sin(s) if kind == "sin_of_sum" else math.exp(s)
+    return scale * np.outer(weights, weights)
+
+
 def exact_delta_loop(F, m, x):
-    """The former ``CylinderFunction.exact_delta``: a moment pass per call."""
+    """The former ``CylinderFunction.exact_delta``: a moment pass per call,
+    with the frozen gradient."""
     v = F.moments(m)
-    grad = F.outer.gradient(v)
+    grad = gradient_former(F.outer, v)
     xs = np.asarray(x, dtype=float)
     acc = np.zeros(xs.shape)
     for i, f in enumerate(F.inner):
@@ -1337,8 +1416,8 @@ def exact_delta_loop(F, m, x):
 def exact_delta2_loop(F, m, x, y):
     """The former ``CylinderFunction.exact_delta2``: a moment pass per call."""
     v = F.moments(m)
-    grad = F.outer.gradient(v)
-    hess = F.outer.hessian(v)
+    grad = gradient_former(F.outer, v)
+    hess = hessian_former(F.outer, v)
     bx, by = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     dx = np.stack([np.broadcast_to(f(bx) - v[i], bx.shape) for i, f in enumerate(F.inner)])
     dy = np.stack([np.broadcast_to(f(by) - v[i], by.shape) for i, f in enumerate(F.inner)])
@@ -1348,7 +1427,7 @@ def exact_delta2_loop(F, m, x, y):
 
 def delta_dx_loop(F, m, x):
     v = F.moments(m)
-    grad = F.outer.gradient(v)
+    grad = gradient_former(F.outer, v)
     xs = np.asarray(x, dtype=float)
     acc = np.zeros(xs.shape)
     for i, f in enumerate(F.inner):
@@ -1614,6 +1693,146 @@ class TestCylinderDerivatives:
             assert same_bits(d.delta2(p, q), exact_delta2_loop(F, m, p, q))
             assert same_bits(F.exact_delta2(m, p, q), exact_delta2_loop(F, m, p, q))
         assert isinstance(d.delta2(x, y), float) and isinstance(d.delta(x), float)
+
+
+# finite weights and coefficients; moments also zero, -0.0, subnormal, huge and infinite
+OUTER_NUMBERS = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 1.0, -0.5, 3.0])
+MOMENTS = (
+    st.floats(-3.0, 3.0)
+    | st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1e150, -1e150, 1e200, -1e200, 1.7976931348623157e308])
+    | st.floats()
+)
+OUTER_KINDS = ("linear", "product", "polynomial", "sin_of_sum", "exp_of_sum")
+
+
+def outer_map_of(kind, k, draw):
+    weights = draw(st.lists(OUTER_NUMBERS, min_size=k, max_size=k))
+    if kind == "linear":
+        return outer_linear(weights, draw(OUTER_NUMBERS))
+    if kind == "product":
+        return outer_product(k)
+    if kind == "polynomial":
+        exps = st.lists(st.integers(0, 4), min_size=k, max_size=k)
+        return outer_polynomial(draw(st.lists(st.tuples(OUTER_NUMBERS, exps), min_size=1, max_size=3)))
+    return (outer_sin if kind == "sin_of_sum" else outer_exp)(weights)
+
+
+@st.composite
+def outer_rows(draw):
+    """(g, V): an outer map of arity 1 to 4 and a (rows, k) moment array."""
+    k = draw(st.integers(1, 4))
+    g = outer_map_of(draw(st.sampled_from(OUTER_KINDS)), k, draw)
+    rows = draw(st.lists(st.lists(MOMENTS, min_size=k, max_size=k), min_size=1, max_size=24))
+    return g, np.array(rows, dtype=float)
+
+
+def outer_outcome(derivative, v):
+    """The gradient's or Hessian's array, or the type of the error it raises
+    (math.exp overflows, math.cos of an infinite sum)."""
+    try:
+        return derivative(v)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def assert_rows_match_former(g, V):
+    """g.gradient on V as one batch and row by row, against the frozen
+    per-point gradient of each row."""
+    with np.errstate(all="ignore"):
+        expected = [outer_outcome(lambda v: gradient_former(g, v), row.copy()) for row in V]
+        errors = tuple({e for e in expected if isinstance(e, type)})
+        for row, want in zip(V, expected):
+            got = outer_outcome(g.gradient, row.copy())
+            assert got is want if isinstance(want, type) else same_bits(got, want)
+        if errors:
+            with pytest.raises(errors):
+                g.gradient(V)
+            return
+        batch = g.gradient(V)
+    assert batch.shape == V.shape
+    for got, want in zip(batch, expected):
+        assert same_bits(got, want)
+
+
+class TestOuterGradient:
+    """``OuterMap.gradient`` on a point and on a (rows, k) batch: every row
+    keeps the bits of the frozen per-point gradient. The dense tests hold the
+    three batch formulas that lose bits on some values to many rows: a
+    matrix product for the weighted sums (another order of the terms, where
+    np.dot fuses a multiply and add), numpy's array exp and cos, and array
+    powers (x ** 2 squares; numpy's scalar power calls pow)."""
+
+    @given(outer_rows())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_rows_match_the_frozen_gradient(self, case):
+        assert_rows_match_former(*case)
+
+    @pytest.mark.parametrize(
+        "g",
+        [outer_linear((0.75, -1.5)), outer_sin((0.7, -1.3)), outer_exp((0.5, 0.25, -0.75)),
+         outer_polynomial([(1.5, (3, 2)), (-0.5, (4, 0)), (2.0, (1, 3))]), outer_product(3)],
+        ids=lambda g: g.kind,
+    )
+    def test_dense_rows(self, g):
+        V = np.random.default_rng(12).uniform(-2.0, 2.0, (20_000, g.arity))
+        assert_rows_match_former(g, V)
+
+    def test_product_of_zero_moments_does_not_divide(self):
+        V = np.array([[0.0, 2.0, 3.0], [-0.0, 0.0, 5.0], [-0.0, -0.0, -0.0]])
+        assert_rows_match_former(outer_product(3), V)
+        assert same_bits(outer_product(3).gradient(V[0]), [6.0, 0.0, 0.0])
+
+    def test_overflow_gives_inf(self):
+        """numpy's scalar power overflows to inf with a RuntimeWarning, where
+        Python's float power raises OverflowError; the gradient keeps inf."""
+        g = outer_polynomial([(1.0, (3,))])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert same_bits(g.gradient([1e200]), [math.inf])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert same_bits(g.gradient([[1e200], [2.0], [-1e200]]), [[math.inf], [12.0], [math.inf]])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert same_bits(outer_polynomial([(1.0, (4,))]).gradient([[-1e200]]), [[-math.inf]])
+
+    def test_shapes(self):
+        for g in (outer_linear((1.0,)), outer_product(1), outer_polynomial([(2.0, (0, 0))])):
+            rows = np.full((3, g.arity), 0.5)
+            assert g.gradient(rows).shape == rows.shape
+            assert g.gradient(rows[0]).shape == (g.arity,)
+        assert CONSTANT.outer.gradient(np.zeros((4, 0))).shape == (4, 0)
+
+    def test_hessian_matches_the_frozen_hessian(self):
+        for F in standard_battery():
+            for v in ([0.3, -0.7], [-0.0, 0.0], [1e200, 2.0], [0.37, 0.37]):
+                v = np.array(v[: F.outer.arity])
+                with np.errstate(all="ignore"):
+                    got = outer_outcome(F.outer.hessian, v)
+                    want = outer_outcome(lambda v: hessian_former(F.outer, v), v)
+                assert got is want if isinstance(want, type) else same_bits(got, want)
+
+    def test_one_gradient_call_per_batch(self, monkeypatch):
+        """A segment on the batched path calls the gradient once for all its
+        Gauss nodes; one more call per measure whose derivatives are taken."""
+        from wasserstein_calculus import functions
+
+        calls = {"gradient": 0, "rows": 0, "points": 0}
+
+        def counting(name, method):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(functions.OuterMap, "gradient", counting("gradient", functions.OuterMap.gradient))
+        monkeypatch.setattr(functions.CylinderFunction, "exact_delta_rows",
+                            counting("rows", functions.CylinderFunction.exact_delta_rows))
+        monkeypatch.setattr(functions.CylinderDerivatives, "__init__",
+                            counting("points", functions.CylinderDerivatives.__init__))
+        m = DiscreteMeasure([-0.5, 0.25, 1.0], [0.25, 0.25, 0.5])
+        for F in standard_battery():
+            antiderivative(lift_to_field(F), 32)(m)
+        assert calls["rows"] == len(standard_battery())
+        assert calls["gradient"] == calls["rows"] + calls["points"]
 
 
 @pytest.mark.parametrize("seed", [0, 11, 29])
