@@ -283,7 +283,7 @@ _OUTER_KINDS = {
 
 @dataclass(frozen=True)
 class OuterMap:
-    """Smooth map R^k -> R with hand-coded gradient and Hessian."""
+    """Smooth map R^k -> R with hand-coded gradient and Hessian; the gradient also takes rows."""
 
     kind: str
     params: tuple = ()

@@ -38,8 +38,7 @@ _MASK128 = (1 << 128) - 1
 
 
 def _word(name: str, value) -> int:
-    """``value`` as a non-negative int; a float, bool or other non-integer is
-    refused, not truncated."""
+    """``value`` as a non-negative int; a float, bool or other non-integer raises."""
     try:
         word = -1 if isinstance(value, (bool, np.bool_)) else operator.index(value)
     except TypeError:
