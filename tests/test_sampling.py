@@ -1,5 +1,6 @@
-"""Seeded generators: ``stream_rngs`` against numpy's own seeding, and the
-seed and index checks of ``stream_rng`` and ``stream_rngs``."""
+"""Seeded generators: ``stream_rngs`` against numpy's own seeding, the seed
+and index checks of ``stream_rng`` and ``stream_rngs``, and the atom-count
+check of the sampled measures."""
 
 import re
 import zlib
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wasserstein_calculus import ftc_check, lift_to_field, standard_battery
-from wasserstein_calculus.sampling import stream_rng, stream_rngs
+from wasserstein_calculus.sampling import random_measure, stream_rng, stream_rngs
 
 # 2^32 - 1 is the largest single entropy word; 2^32 and above take stream_rng
 WORDS = st.sampled_from([0, 1, 2**31, 2**32 - 1, 2**32, 2**40 + 3]) | st.integers(0, 2**33)
@@ -94,3 +95,18 @@ class TestIntegerSeeds:
         assert stream_rng(seed, "s", np.int32(3)).bit_generator.state == expected.bit_generator.state
         (rng,) = stream_rngs(seed, "s", [np.int64(3)])
         assert rng.bit_generator.state == expected.bit_generator.state
+
+
+class TestMaxAtoms:
+    """An atom bound is a positive integer: 2.5 drew one to three atoms, True
+    acted as 1, and 0 or a negative bound failed in numpy as "low >= high"."""
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(2.0), True, np.True_, 0, -1, -(2**70), "3", None])
+    def test_refused(self, value):
+        message = f"^max_atoms must be a positive integer, not {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            random_measure(stream_rng(0, "s", 0), 1.0, value)
+
+    @pytest.mark.parametrize("value", [1, np.int64(4), np.uint8(12)])
+    def test_integer_types(self, value):
+        assert 1 <= len(random_measure(stream_rng(0, "s", 0), 1.0, value)) <= value
