@@ -31,7 +31,7 @@ from .ftc import (
 from .functions import cos_fn, lift_to_field, lipschitz_probes, sin_fn, standard_battery
 from .measures import dirac, kr_lower_bound, w1_rows
 from .partition import BUMP_MODES, PartitionScheme, discretize_rows
-from .sampling import random_measure, random_point, stream_rngs
+from .sampling import random_draws
 
 __all__ = ["run_sweep", "CHECKS", "DEFAULT_SEED"]
 
@@ -45,10 +45,7 @@ def discretization_case(seed: int, K: int, n: int) -> dict:
     Each mode discretizes all the measures with one ``discretize_rows`` call
     and measures every distance with one ``w1_rows`` call.
     """
-    measures = [
-        random_measure(rng, K)
-        for rng in stream_rngs(seed, f"discretize-K{K}-n{n}", range(MEASURES_PER_CASE))
-    ]
+    measures = [m for (m,) in random_draws(seed, f"discretize-K{K}-n{n}", range(MEASURES_PER_CASE), K)]
     originals = [(m.positions, m.weights) for m in measures]
     bound = 3.0 / n
     violations = 0
@@ -113,10 +110,7 @@ def check_dawson_linear(seed: int = DEFAULT_SEED, samples: int = 200):
     started = time.perf_counter()
     battery = standard_battery()
     K = 1.0
-    draws = [
-        (random_measure(rng, K), random_point(rng, K))
-        for rng in stream_rngs(seed, "dawson-samples", range(samples))
-    ]
+    draws = list(random_draws(seed, "dawson-samples", range(samples), K, points=1))
     eps = 1e-3
     eps_grid = (1e-2, 5e-3, 2.5e-3)
     steps = (eps, 0.5 * eps) + eps_grid
@@ -168,15 +162,12 @@ def check_integral_identity(
     started = time.perf_counter()
     battery = standard_battery()
 
-    def one(i: int, rng) -> float:
+    def one(i: int, m, mu) -> float:
         F = battery[i % len(battery)]
-        m = random_measure(rng, 1.0)
-        mu = random_measure(rng, 1.0)
         return verify_deriv2(F.evaluate, lift_to_field(F), m, mu, quad_order)
 
-    residual_max = max(
-        one(i, rng) for i, rng in enumerate(stream_rngs(seed, "integral-identity", range(samples)))
-    )
+    pairs = random_draws(seed, "integral-identity", range(samples), 1.0, measures=2)
+    residual_max = max(one(i, m, mu) for i, (m, mu) in enumerate(pairs))
     return {
         "criterion": 3,
         "name": "derivative_integral_identity",
@@ -193,8 +184,7 @@ def check_canonical_normalization(seed: int = DEFAULT_SEED, samples: int = 25):
     started = time.perf_counter()
     battery = standard_battery()
 
-    def one(rng):
-        m = random_measure(rng, 1.0)
+    def one(m):
         exact_worst = 0.0
         estimated_worst = 0.0
         for F in battery:
@@ -209,7 +199,7 @@ def check_canonical_normalization(seed: int = DEFAULT_SEED, samples: int = 25):
             estimated_worst = max(estimated_worst, abs(est))
         return exact_worst, estimated_worst
 
-    results = [one(rng) for rng in stream_rngs(seed, "canonical", range(samples))]
+    results = [one(m) for (m,) in random_draws(seed, "canonical", range(samples), 1.0)]
     exact_max = max(r[0] for r in results)
     estimated_max = max(r[1] for r in results)
     return {
@@ -237,8 +227,7 @@ def check_ftc_soundness(seed: int = DEFAULT_SEED):
         built = antiderivative(H, DEFAULT_QUAD_ORDER)
         base = F.evaluate(dirac(0.0))
         recovery = 0.0
-        for rng in stream_rngs(seed, "ftc-recovery", range(20)):
-            m = random_measure(rng, 1.0)
+        for (m,) in random_draws(seed, "ftc-recovery", range(20), 1.0):
             recovery = max(recovery, abs(built(m) - (F.evaluate(m) - base)))
         return {
             "label": F.label,
@@ -304,10 +293,7 @@ def check_second_derivative_symmetry(seed: int = DEFAULT_SEED, samples: int = 10
     started = time.perf_counter()
     curved = [F for F in standard_battery() if F.has_nontrivial_hessian()]
 
-    def one(rng) -> float:
-        m = random_measure(rng, 1.0)
-        x = random_point(rng, 1.0)
-        y = random_point(rng, 1.0)
+    def one(m, x, y) -> float:
         worst = 0.0
         for F in curved:
             d = F.derivatives(m)  # one moment pass for the four terms
@@ -315,7 +301,7 @@ def check_second_derivative_symmetry(seed: int = DEFAULT_SEED, samples: int = 10
             worst = max(worst, abs(residual))
         return worst
 
-    residual_max = max(one(rng) for rng in stream_rngs(seed, "symmetry", range(samples)))
+    residual_max = max(one(*draw) for draw in random_draws(seed, "symmetry", range(samples), 1.0, points=2))
     return {
         "criterion": 7,
         "name": "second_derivative_symmetry",
@@ -332,17 +318,14 @@ def check_metric_properties(seed: int = DEFAULT_SEED, samples: int = 1000):
     started = time.perf_counter()
     probes = lipschitz_probes()
 
-    def one(rng):
-        a = random_measure(rng, 2.0)
-        b = random_measure(rng, 2.0)
-        c = random_measure(rng, 2.0)
+    def one(a, b, c):
         ra, rb, rc = ((m.positions, m.weights) for m in (a, b, c))
         d_ab, d_bc, d_ac = w1_rows([ra, rb, ra], [rb, rc, rc]).tolist()
         triangle_excess = d_ac - d_ab - d_bc
         kr_excess = max(kr_lower_bound(a, b, f) - d_ab for f in probes)
         return triangle_excess, kr_excess
 
-    results = [one(rng) for rng in stream_rngs(seed, "metric", range(samples))]
+    results = [one(*draw) for draw in random_draws(seed, "metric", range(samples), 2.0, measures=3)]
     triangle_max = max(r[0] for r in results)
     kr_max = max(r[1] for r in results)
     return {

@@ -42,7 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .measures import DiscreteMeasure, dirac, mix, mix_rows, signed_difference, _values_at
-from .sampling import random_measure, random_point, stream_rngs
+from .sampling import random_draws
 from .util import fsum_rows, gauss_legendre_01
 
 __all__ = [
@@ -188,12 +188,10 @@ def uniform_dawson_modulus(
     if samples < 1:
         raise ValueError("samples must be at least 1")
 
-    def one(rng) -> float:
-        m = random_measure(rng, K)
-        x = random_point(rng, K)
-        return abs(dawson(F, m, x, eps) - oracle.value(m, x))
-
-    return max(one(rng) for rng in stream_rngs(seed, "dawson-modulus", range(samples)))
+    return max(
+        abs(dawson(F, m, x, eps) - oracle.value(m, x))
+        for m, x in random_draws(seed, "dawson-modulus", range(samples), K, points=1)
+    )
 
 
 def segment_integral(

@@ -49,7 +49,7 @@ from .functions import (
     scalar_from_dict,
 )
 from .measures import DiscreteMeasure, dirac, integrate, integrate_rows
-from .sampling import random_measure, random_point, stream_rngs
+from .sampling import random_draws
 
 __all__ = [
     "BASE_POINT",
@@ -161,8 +161,7 @@ def ftc_check(
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    for rng in stream_rngs(seed, "canonical-gate", range(_N_GATE_PROBES)):
-        probe = random_measure(rng, K)
+    for (probe,) in random_draws(seed, "canonical-gate", range(_N_GATE_PROBES), K):
         residual = math.fsum((probe.weights * field_values(H, probe, probe.positions)).tolist())
         if abs(residual) > CANONICAL_GATE_TOL:
             raise ValueError(
@@ -172,20 +171,15 @@ def ftc_check(
     F = antiderivative(H, quad_order)
     estimated = H.linear_delta is None
 
-    def mismatch_one(rng) -> float:
-        m = random_measure(rng, K)
-        x = random_point(rng, K)
-        return abs(dawson_extrapolated(F, m, x, eps) - H.value(m, x))
-
-    def symmetry_one(rng):
-        m = random_measure(rng, K)
-        x = random_point(rng, K)
-        y = random_point(rng, K)
+    def symmetry_one(m, x, y):
         residual = symmetry_residual(H, m, x, y, eps=eps if estimated else None)
         return abs(residual), max(abs(H.value(m, x)), abs(H.value(m, y)))
 
-    mismatch_max = max(mismatch_one(rng) for rng in stream_rngs(seed, "ftc-mismatch", range(samples)))
-    symmetry = [symmetry_one(rng) for rng in stream_rngs(seed, "ftc-symmetry", range(samples))]
+    mismatch_max = max(
+        abs(dawson_extrapolated(F, m, x, eps) - H.value(m, x))
+        for m, x in random_draws(seed, "ftc-mismatch", range(samples), K, points=1)
+    )
+    symmetry = [symmetry_one(*draw) for draw in random_draws(seed, "ftc-symmetry", range(samples), K, points=2)]
     symmetry_max = max(r[0] for r in symmetry)
     verdict = _verdict(symmetry_max, estimated=estimated, field_max=max(r[1] for r in symmetry))
     return {
@@ -292,10 +286,7 @@ def counterexample_report(
     F_closed = counterexample_closed_antiderivative(phi, psi)
     delta_closed = counterexample_closed_delta(phi, psi)
 
-    def one(rng):
-        m = random_measure(rng, K)
-        x = random_point(rng, K)
-        y = random_point(rng, K)
+    def one(m, x, y):
         a = abs(F_quad(m) - F_closed(m))
         b = abs(dawson_extrapolated(F_quad, m, x, eps) - delta_closed(m, x))
         h = H.value(m, x)
@@ -303,7 +294,7 @@ def counterexample_report(
         s = abs(symmetry_residual(H, m, x, y))
         return a, b, c, s, max(abs(h), abs(H.value(m, y)))
 
-    results = [one(rng) for rng in stream_rngs(seed, "counterexample", range(samples))]
+    results = [one(*draw) for draw in random_draws(seed, "counterexample", range(samples), K, points=2)]
     a_max = max(r[0] for r in results)
     b_max = max(r[1] for r in results)
     c_max = max(r[2] for r in results)

@@ -8,19 +8,26 @@ numpy's per-generator seeding cost: it re-runs numpy's seeding for all the
 indices at once. It yields one generator object per call, reset before each
 yield, so a yielded generator is valid only until the next one. A seed or
 index of 2^32 or more takes ``stream_rng``'s path.
+
+``random_measure`` and ``random_point`` draw from one generator.
+``random_draws`` yields the measures and points of many indices of one
+stream, with the same bits: one ``stream_rngs`` call seeds them, and the
+measures of every ``_DRAW_CHUNK`` indices are built in one array pass.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import zlib
 
 import numpy as np
 
-from .measures import DiscreteMeasure
+from .measures import MASS_TOL, MERGE_TOL, DiscreteMeasure
+from .util import fsum_rows
 
-__all__ = ["stream_rng", "stream_rngs", "random_measure", "random_point", "MAX_ATOMS"]
+__all__ = ["stream_rng", "stream_rngs", "random_measure", "random_point", "random_draws", "MAX_ATOMS"]
 
 MAX_ATOMS = 12
 
@@ -37,14 +44,15 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
-def _word(name: str, value) -> int:
-    """``value`` as a non-negative int; a float, bool or other non-integer raises."""
+def _word(name: str, value, least: int = 0) -> int:
+    """``value`` as an int of at least ``least``, 0 or 1; a float, bool or
+    other non-integer raises."""
     try:
         word = -1 if isinstance(value, (bool, np.bool_)) else operator.index(value)
     except TypeError:
         word = -1
-    if word < 0:
-        raise ValueError(f"{name} must be a non-negative integer, not {value!r}")
+    if word < least:
+        raise ValueError(f"{name} must be a {('non-negative', 'positive')[least]} integer, not {value!r}")
     return word
 
 
@@ -154,28 +162,98 @@ def _check_half_width(K: float) -> None:
         raise ValueError(f"K must be a finite number >= 0 whose width 2K is finite, not {K!r}")
 
 
+def _draw(rng: np.random.Generator, K: float, max_atoms: int):
+    """One measure's draws: its atom count, positions and exponentials."""
+    n = int(rng.integers(1, max_atoms + 1))
+    return rng.uniform(-K, K, size=n), rng.standard_exponential(n)
+
+
+def _measures(draws: list) -> list:
+    """The measure of each ``_draw``, in one array pass for all of them.
+
+    Rows of padded arrays hold the draws: positions padded with +inf,
+    exponentials with zeros. Each row's weights are its exponentials times
+    one over their left-to-right sum (``np.add.accumulate``, which the zero
+    padding does not change). That is ``rng.dirichlet(np.ones(n))`` step for
+    step, as numpy's gamma variate of shape one is a standard exponential,
+    and NaN for all-zero draws. A row sorted by one stable argsort whose
+    ``math.fsum`` mass (``util.fsum_rows``) is within ``MASS_TOL`` of one,
+    whose weights are positive and whose gaps exceed ``MERGE_TOL`` is
+    canonical: ``DiscreteMeasure._trusted`` takes it, with the constructor's
+    bits. Any other row goes through the constructor, with its merges and
+    errors.
+    """
+    counts = np.array([pos.size for pos, _ in draws])
+    real = np.arange(counts.max()) < counts[:, None]
+    pos = np.full(real.shape, np.inf)
+    pos[real] = np.concatenate([pos for pos, _ in draws])
+    weights = np.zeros(real.shape)
+    weights[real] = np.concatenate([exps for _, exps in draws])
+    acc = np.add.accumulate(weights, axis=1)[:, -1]
+    weights *= np.divide(1.0, acc, out=np.full(acc.shape, math.nan), where=acc > 0.0)[:, None]
+    order = np.argsort(pos, axis=1, kind="stable")
+    sorted_pos = np.take_along_axis(pos, order, axis=1)
+    sorted_w = np.take_along_axis(weights, order, axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf between padding atoms
+        close = (sorted_pos[:, 1:] - sorted_pos[:, :-1] <= MERGE_TOL).any(axis=1)
+    trusted = (
+        (np.abs(np.array(fsum_rows(sorted_w)) - 1.0) <= MASS_TOL)
+        & (np.count_nonzero(sorted_w > 0.0, axis=1) == counts)
+        & ~close
+    )
+    # the padding sorts last, so the real atoms of every row stay in place
+    flat_pos, flat_w = sorted_pos[real], sorted_w[real]
+    ends = np.cumsum(counts).tolist()
+    return [
+        DiscreteMeasure._trusted(flat_pos[end - n : end], flat_w[end - n : end])
+        if ok
+        else DiscreteMeasure(draw[0], weights[r, :n])
+        for r, (draw, n, end, ok) in enumerate(zip(draws, counts.tolist(), ends, trusted.tolist()))
+    ]
+
+
 def random_measure(rng: np.random.Generator, K: float, max_atoms: int = MAX_ATOMS) -> DiscreteMeasure:
     """Random measure supported in [-K, K].
 
     Atom count is uniform on 1..max_atoms, positions uniform, weights from a
-    flat Dirichlet draw: n standard exponentials, summed left to right from
-    0.0 and scaled by one over the sum. That is ``rng.dirichlet(np.ones(n))``
-    step for step (numpy draws a gamma variate of shape one as a standard
-    exponential), so the weights and the generator's later draws have the
-    same bits, without dirichlet's checks on its parameter. All-zero draws
-    give NaN weights, as in dirichlet, which the constructor rejects.
+    flat Dirichlet draw: the one-row case of ``_measures``.
     """
     _check_half_width(K)
-    n = int(rng.integers(1, max_atoms + 1))
-    positions = rng.uniform(-K, K, size=n)
-    draws = rng.standard_exponential(n)
-    acc = 0.0
-    for d in draws.tolist():
-        acc += d
-    weights = draws * (1.0 / acc) if acc > 0.0 else np.full(n, math.nan)
-    return DiscreteMeasure(positions, weights)
+    return _measures([_draw(rng, K, _word("max_atoms", max_atoms, least=1))])[0]
 
 
 def random_point(rng: np.random.Generator, K: float) -> float:
     _check_half_width(K)
     return float(rng.uniform(-K, K))
+
+
+# Indices per array pass of ``random_draws``. The sweep's draws measured
+# fastest in chunks of 100, at a traced peak of 0.6 MiB (4.5 MiB at 1,000).
+_DRAW_CHUNK = 100
+
+
+def random_draws(
+    seed: int, stream: str, indices, K: float, *, measures: int = 1, points: int = 0, max_atoms: int = MAX_ATOMS
+):
+    """Yield, for each index in order, a tuple of ``measures`` measures, then
+    ``points`` floats: ``random_measure(rng, K, max_atoms)`` that many times,
+    then ``random_point(rng, K)`` that many times, on
+    ``stream_rng(seed, stream, index)``, with their bits.
+
+    K and ``max_atoms`` are checked once, before any draw. One
+    ``stream_rngs`` call seeds every index, and each generator makes its own
+    draws. The measures of every ``_DRAW_CHUNK`` indices are then built in
+    one ``_measures`` pass, where rows whose atoms merge or whose draws are
+    all zero go through the constructor, with its merges and errors.
+    """
+    _check_half_width(K)
+    max_atoms = _word("max_atoms", max_atoms, least=1)
+    rngs = stream_rngs(seed, stream, indices)
+    while chunk := [
+        ([_draw(rng, K, max_atoms) for _ in range(measures)], rng.uniform(-K, K, points).tolist() if points else [])
+        for rng in itertools.islice(rngs, _DRAW_CHUNK)
+    ]:
+        rows = [draw for draws, _ in chunk for draw in draws]
+        built = iter(_measures(rows) if rows else ())
+        for draws, drawn_points in chunk:
+            yield (*[next(built) for _ in draws], *drawn_points)

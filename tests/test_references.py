@@ -20,7 +20,9 @@ former constructor, per-pair ``w1`` and per-measure ``discretize``.
 """
 
 import math
+import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -72,7 +74,16 @@ from wasserstein_calculus.acceptance import (
 from wasserstein_calculus.derivative import MIN_STEP
 from wasserstein_calculus.measures import JSON_MASS_TOL, MASS_TOL, MERGE_TOL, _values_at, mix_rows
 from wasserstein_calculus.partition import GRID_SNAP, WEIGHT_FLOOR, _mollifier, _smoothstep
-from wasserstein_calculus.sampling import MAX_ATOMS, _check_half_width, random_measure, random_point, stream_rng
+from wasserstein_calculus import sampling
+from wasserstein_calculus.sampling import (
+    _DRAW_CHUNK,
+    MAX_ATOMS,
+    _check_half_width,
+    random_draws,
+    random_measure,
+    random_point,
+    stream_rng,
+)
 from wasserstein_calculus.util import _FSUM_BATCH_CUTOFF as BATCH_CUTOFF
 from wasserstein_calculus.util import _FSUM_CUTOFF as FSUM_CUTOFF
 from wasserstein_calculus.util import _FSUM_ROW_CUTOFF as ROW_CUTOFF
@@ -233,7 +244,7 @@ def discretization_case_loop(seed, K, n):
     bound = 3.0 / n
     violations, ratio_max, w1_smooth_max, atoms_out_max = 0, 0.0, 0.0, 0
     for i in range(MEASURES_PER_CASE):
-        m = random_measure(stream_rng(seed, f"discretize-K{K}-n{n}", i), K)
+        m = random_measure_former(stream_rng(seed, f"discretize-K{K}-n{n}", i), K)
         for mode in BUMP_MODES:
             mn = discretize_one(schemes[mode], m)
             dist = w1_one(m, mn)
@@ -753,22 +764,192 @@ class TestSampledDraws:
     def test_all_zero_draws_are_rejected_as_not_finite(self):
         """Exponential draws that are all zero sum to zero; dirichlet then
         returns NaN weights, and so must the exponential form."""
-
-        class ZeroDraws:
-            def __init__(self):
-                self.rng = np.random.default_rng(0)
-
-            def integers(self, low, high):
-                return self.rng.integers(low, high)
-
-            def uniform(self, low, high, size):
-                return self.rng.uniform(low, high, size)
-
-            def standard_exponential(self, n):
-                return np.zeros(n)
-
         with pytest.raises(ValueError, match="must be finite"):
             random_measure(ZeroDraws(), 1.0)
+
+
+class ZeroDraws:
+    """A generator whose exponential draws are zero on the calls ``zero``
+    names (all by default), and numpy's draws otherwise."""
+
+    def __init__(self, zero=None):
+        self.rng = np.random.default_rng(0)
+        self.zero = zero
+        self.calls = 0
+
+    def integers(self, low, high):
+        return self.rng.integers(low, high)
+
+    def uniform(self, low, high, size=None):
+        return self.rng.uniform(low, high, size)
+
+    def standard_exponential(self, n):
+        self.calls += 1
+        zero = self.zero is None or self.calls in self.zero
+        return np.zeros(n) if zero else self.rng.standard_exponential(n)
+
+
+class FirstWeightZero(ZeroDraws):
+    """Draws at least two atoms, the first of weight zero."""
+
+    def integers(self, low, high):
+        return self.rng.integers(max(low, 2), high)
+
+    def standard_exponential(self, n):
+        draws = self.rng.standard_exponential(n)
+        draws[0] = 0.0
+        return draws
+
+
+class DriftingDraws(ZeroDraws):
+    """100,001 atoms; after a first exponential of 1.0, every one is 0.75
+    ulp of 1.0, which each step of the sum rounds up to a whole ulp."""
+
+    def integers(self, low, high):
+        return 100_001
+
+    def standard_exponential(self, n):
+        return np.array([1.0] + [1.5 * 2.0**-53] * (n - 1))
+
+
+class StreamSpy:
+    """Stands in for ``sampling.stream_rngs``: counts its calls and, when
+    ``random_draws`` asks for the next generator, keeps the previous one's
+    next draws, which follow the draws ``random_draws`` made from it."""
+
+    def __init__(self):
+        self.calls = 0
+        self.after = []
+
+    def __call__(self, seed, stream, indices):
+        self.calls += 1
+        for rng in STREAM_RNGS(seed, stream, indices):
+            yield rng
+            self.after.append(next_draws(rng))
+
+
+STREAM_RNGS = sampling.stream_rngs
+
+
+def next_draws(rng):
+    return rng.random(3).tobytes(), rng.integers(0, 2**63, 2).tobytes()
+
+
+def value_bits(value):
+    if isinstance(value, DiscreteMeasure):
+        return value.positions.tobytes(), value.weights.tobytes()
+    assert type(value) is float
+    return np.float64(value).tobytes()
+
+
+def former_draws(seed, stream, indices, K, measures, points, max_atoms):
+    """Each index's draws by ``random_measure_former`` and ``random_point``
+    on its own ``stream_rng``, with the generator's next draws."""
+    out, after = [], []
+    for index in indices:
+        rng = stream_rng(seed, stream, index)
+        values = [random_measure_former(rng, K, max_atoms) for _ in range(measures)]
+        values += [random_point(rng, K) for _ in range(points)]
+        out.append([value_bits(v) for v in values])
+        after.append(next_draws(rng))
+    return out, after
+
+
+# index lists on both sides of the chunk boundary, and across two of them
+INDEX_LISTS = st.sampled_from([0, 1, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 250]).flatmap(
+    lambda n: st.lists(st.integers(0, 2**33) | st.sampled_from([0, 2**32 - 1, 2**32]), min_size=n, max_size=n)
+)
+
+
+class TestRandomDraws:
+    """``random_draws`` against the former draws of each index alone."""
+
+    @given(
+        seeds,
+        st.sampled_from(["symmetry", "metric", ""]) | st.text(max_size=8),
+        INDEX_LISTS,
+        half_widths,
+        st.integers(1, 3),
+        st.integers(0, 2),
+        st.sampled_from([MAX_ATOMS, 1, 2]),
+    )
+    @example(seed=0, stream="metric", indices=list(range(250)), K=5e-324, measures=3, points=2, max_atoms=MAX_ATOMS)
+    @example(seed=2**32, stream="s", indices=list(range(_DRAW_CHUNK + 1)), K=0.0, measures=1, points=2, max_atoms=2)
+    @example(seed=7, stream="", indices=list(range(_DRAW_CHUNK)), K=1.0, measures=2, points=0, max_atoms=1)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_equal_to_the_former_draws(self, seed, stream, indices, K, measures, points, max_atoms):
+        """Every measure and point has the former bits, and every generator
+        the former state after them; K = 0.0 and 5e-324 merge every atom."""
+        spy = StreamSpy()
+        draws = random_draws(seed, stream, indices, K, measures=measures, points=points, max_atoms=max_atoms)
+        with mock.patch.object(sampling, "stream_rngs", spy):
+            try:
+                _check_half_width(K)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    next(draws)
+                assert spy.calls == 0
+                return
+            got = [[value_bits(v) for v in values] for values in draws]
+        assert (got, spy.after) == former_draws(seed, stream, indices, K, measures, points, max_atoms)
+        assert spy.calls == 1
+
+    @pytest.mark.parametrize("zero", [None, {2}, {_DRAW_CHUNK + 7}])
+    def test_all_zero_draws_are_rejected_as_not_finite(self, zero):
+        """A row of zero exponentials raises the constructor's error, in a
+        chunk of rows that pass and in the second chunk."""
+        rng = ZeroDraws(zero)
+        with mock.patch.object(sampling, "stream_rngs", lambda *args: iter([rng] * 250)):
+            with pytest.raises(ValueError, match="must be finite"):
+                list(random_draws(0, "s", range(250), 1.0))
+
+    def test_zero_weight_atoms_are_dropped(self):
+        """A row with one zero exponential goes through the constructor,
+        which drops that atom, as it does for the former draws."""
+        with mock.patch.object(sampling, "stream_rngs", lambda *args: iter([FirstWeightZero()] * 150)):
+            drawn = list(random_draws(0, "s", range(150), 1.0, measures=2))
+        rng = FirstWeightZero()
+        for ms in drawn:
+            for m in ms:
+                n = int(rng.integers(1, MAX_ATOMS + 1))
+                positions, draws = rng.uniform(-1.0, 1.0, n), rng.standard_exponential(n)
+                expected = DiscreteMeasure(positions, draws * (1.0 / sum(draws.tolist())))
+                assert len(m) == n - 1 and value_bits(m) == value_bits(expected)
+
+    def test_mass_off_by_rounding_is_rejected(self):
+        """100,001 exponentials, each sum step rounding up by a quarter ulp:
+        the weights sum 5.6e-12 short of one, past ``MASS_TOL``, so the row
+        goes through the constructor, which raises."""
+        message = "^weights sum to 0.9999999999944489, not 1$"
+        with pytest.raises(ValueError, match=message):
+            random_measure(DriftingDraws(), 1.0, 200_000)
+        with mock.patch.object(sampling, "stream_rngs", lambda *args: iter([DriftingDraws()])):
+            with pytest.raises(ValueError, match=message):
+                list(random_draws(0, "s", [0], 1.0, max_atoms=200_000))
+
+    @pytest.mark.parametrize(
+        "K, max_atoms, message",
+        [
+            (-1.0, MAX_ATOMS, "^K must be"),
+            (math.nan, MAX_ATOMS, "^K must be"),
+            (9e307, MAX_ATOMS, "^K must be"),
+            (1.0, 0, "^max_atoms must be a positive integer, not 0$"),
+            (1.0, 2.5, "^max_atoms must be a positive integer, not 2.5$"),
+        ],
+    )
+    def test_bad_arguments_raise_before_any_draw(self, K, max_atoms, message):
+        spy = StreamSpy()
+        with mock.patch.object(sampling, "stream_rngs", spy):
+            with pytest.raises(ValueError, match=message):
+                next(random_draws(0, "s", range(5), K, points=1, max_atoms=max_atoms))
+        assert spy.calls == 0
+
+    def test_one_stream_rngs_call(self):
+        spy = StreamSpy()
+        with mock.patch.object(sampling, "stream_rngs", spy):
+            drawn = list(random_draws(3, "s", range(250), 1.0, measures=2, points=1))
+        assert spy.calls == 1 and len(spy.after) == len(drawn) == 250
+        assert all(len(d) == 3 for d in drawn)
 
 
 # ------------------------------------------------------------ exactly rounded sums
@@ -1441,7 +1622,7 @@ def check_dawson_linear_loop(seed, samples=200):
     draws = []
     for i in range(samples):
         rng = stream_rng(seed, "dawson-samples", i)
-        draws.append((random_measure(rng, 1.0), random_point(rng, 1.0)))
+        draws.append((random_measure_former(rng, 1.0), random_point(rng, 1.0)))
     eps_grid = (1e-2, 5e-3, 2.5e-3)
     per_fn = []
     for F in battery:
@@ -1484,7 +1665,7 @@ def check_canonical_normalization_loop(seed, samples=25):
     """Criterion 4 as it was: one quotient call per (atom, step)."""
     exact_max = estimated_max = 0.0
     for i in range(samples):
-        m = random_measure(stream_rng(seed, "canonical", i), 1.0)
+        m = random_measure_former(stream_rng(seed, "canonical", i), 1.0)
         for F in standard_battery():
             exact_max = max(
                 exact_max, abs(math.fsum((m.weights * exact_delta_loop(F, m, m.positions)).tolist()))
@@ -1512,7 +1693,7 @@ def check_second_derivative_symmetry_loop(seed, samples=1000):
     residual_max = 0.0
     for i in range(samples):
         rng = stream_rng(seed, "symmetry", i)
-        m = random_measure(rng, 1.0)
+        m = random_measure_former(rng, 1.0)
         x = random_point(rng, 1.0)
         y = random_point(rng, 1.0)
         for F in curved:
