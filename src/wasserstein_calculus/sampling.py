@@ -163,7 +163,8 @@ def _check_half_width(K: float) -> None:
 
 
 def _draw(rng: np.random.Generator, K: float, max_atoms: int):
-    """One measure's draws: its atom count, positions and exponentials."""
+    """One measure's draws: an atom count, then that many uniform positions
+    and standard exponentials."""
     n = int(rng.integers(1, max_atoms + 1))
     return rng.uniform(-K, K, size=n), rng.standard_exponential(n)
 
@@ -183,19 +184,20 @@ def _measures(draws: list) -> list:
     bits. Any other row goes through the constructor, with its merges and
     errors.
     """
-    counts = np.array([pos.size for pos, _ in draws])
-    real = np.arange(counts.max()) < counts[:, None]
+    sizes = [pos.size for pos, _ in draws]
+    counts = np.array(sizes)
+    real = np.arange(max(sizes)) < counts[:, None]
     pos = np.full(real.shape, np.inf)
     pos[real] = np.concatenate([pos for pos, _ in draws])
     weights = np.zeros(real.shape)
     weights[real] = np.concatenate([exps for _, exps in draws])
-    acc = np.add.accumulate(weights, axis=1)[:, -1]
-    weights *= np.divide(1.0, acc, out=np.full(acc.shape, math.nan), where=acc > 0.0)[:, None]
     order = np.argsort(pos, axis=1, kind="stable")
-    sorted_pos = np.take_along_axis(pos, order, axis=1)
-    sorted_w = np.take_along_axis(weights, order, axis=1)
-    with np.errstate(invalid="ignore"):  # inf - inf between padding atoms
+    order += np.arange(0, pos.size, pos.shape[1])[:, None]  # flat indices
+    sorted_pos = np.take(pos, order)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 1 / 0 for all-zero draws, inf - inf in the padding
+        weights *= 1.0 / np.add.accumulate(weights, axis=1)[:, -1:]
         close = (sorted_pos[:, 1:] - sorted_pos[:, :-1] <= MERGE_TOL).any(axis=1)
+    sorted_w = np.take(weights, order)
     trusted = (
         (np.abs(np.array(fsum_rows(sorted_w)) - 1.0) <= MASS_TOL)
         & (np.count_nonzero(sorted_w > 0.0, axis=1) == counts)
@@ -203,12 +205,11 @@ def _measures(draws: list) -> list:
     )
     # the padding sorts last, so the real atoms of every row stay in place
     flat_pos, flat_w = sorted_pos[real], sorted_w[real]
-    ends = np.cumsum(counts).tolist()
     return [
         DiscreteMeasure._trusted(flat_pos[end - n : end], flat_w[end - n : end])
         if ok
         else DiscreteMeasure(draw[0], weights[r, :n])
-        for r, (draw, n, end, ok) in enumerate(zip(draws, counts.tolist(), ends, trusted.tolist()))
+        for r, (draw, n, end, ok) in enumerate(zip(draws, sizes, itertools.accumulate(sizes), trusted.tolist()))
     ]
 
 
