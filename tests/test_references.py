@@ -9,9 +9,10 @@ partition-of-unity weight matrix, the per-node segment quadrature (one
 per-step difference quotients (one ``mix`` per step) and the per-call
 cylinder derivatives (one moment pass per call), with the criterion 2, 4
 and 7 loops built on them, and the former sampled draws (a ``dirichlet``
-weight draw). The vectorised code must reproduce the loops bit for bit (and
-the private trusted constructor the validating one), and the banded grid
-weights must match the dense reference within ``GRID_TOL``. The rational
+weight draw), which ``random_measure`` and every value ``random_draws``
+yields must reproduce. The vectorised code must reproduce the loops bit
+for bit (and the private trusted constructor the validating one), and the
+banded grid weights must match the dense reference within ``GRID_TOL``. The rational
 oracles recompute ``w1`` and ``linear_hat`` discretization exactly with
 ``fractions.Fraction`` on dyadic inputs. The binned exact sums ``util.fsum``
 and ``util.fsum_rows`` must give the bits and errors of ``math.fsum``, row
