@@ -11,8 +11,8 @@ index of 2^32 or more takes ``stream_rng``'s path.
 
 ``random_measure`` and ``random_point`` draw from one generator.
 ``random_draws`` yields the measures and points of many indices of one
-stream, with the same bits: one ``stream_rngs`` call seeds them, and the
-measures of every ``_DRAW_CHUNK`` indices are built in one array pass.
+stream, with the same bits: one ``stream_rngs`` call seeds them, and every
+``_DRAW_CHUNK`` measures are built in one array pass.
 """
 
 from __future__ import annotations
@@ -217,7 +217,9 @@ def random_measure(rng: np.random.Generator, K: float, max_atoms: int = MAX_ATOM
     """Random measure supported in [-K, K].
 
     Atom count is uniform on 1..max_atoms, positions uniform, weights from a
-    flat Dirichlet draw: the one-row case of ``_measures``.
+    flat Dirichlet draw: the one-row case of ``_measures``. One call makes
+    about 25 numpy calls on a one-row array, so it is the slow form of a
+    draw; a loop over the indices of a stream should use ``random_draws``.
     """
     _check_half_width(K)
     return _measures([_draw(rng, K, _word("max_atoms", max_atoms, least=1))])[0]
@@ -228,33 +230,37 @@ def random_point(rng: np.random.Generator, K: float) -> float:
     return float(rng.uniform(-K, K))
 
 
-# Indices per array pass of ``random_draws``. The sweep's draws measured
-# fastest in chunks of 100, at a traced peak of 0.6 MiB (4.5 MiB at 1,000).
+# Measures per array pass of ``random_draws``, whole indices at a time. The
+# sweep's draws measured fastest in chunks of 100, at a traced peak of 0.6 MiB
+# (4.5 MiB at 1,000).
 _DRAW_CHUNK = 100
 
 
-def random_draws(
-    seed: int, stream: str, indices, K: float, *, measures: int = 1, points: int = 0, max_atoms: int = MAX_ATOMS
-):
+def random_draws(seed: int, stream: str, indices, K: float, *, measures: int = 1, points: int = 0):
     """Yield, for each index in order, a tuple of ``measures`` measures, then
-    ``points`` floats: ``random_measure(rng, K, max_atoms)`` that many times,
-    then ``random_point(rng, K)`` that many times, on
+    ``points`` floats: ``random_measure(rng, K)`` that many times, then
+    ``random_point(rng, K)`` that many times, on
     ``stream_rng(seed, stream, index)``, with their bits.
 
-    K and ``max_atoms`` are checked once, before any draw. One
-    ``stream_rngs`` call seeds every index, and each generator makes its own
-    draws. The measures of every ``_DRAW_CHUNK`` indices are then built in
-    one ``_measures`` pass, where rows whose atoms merge or whose draws are
-    all zero go through the constructor, with its merges and errors.
+    K is checked once, before any draw. One ``stream_rngs`` call seeds every
+    index, and each generator makes its own draws. The measures of every
+    ``_DRAW_CHUNK // measures`` indices (at least one) are then built in one
+    ``_measures`` pass, where rows whose atoms merge or whose draws are all
+    zero go through the constructor, with its merges and errors. So a pass
+    holds at most ``_DRAW_CHUNK`` measures, or one index's, and it frees the
+    draws once the measures are built.
     """
     _check_half_width(K)
-    max_atoms = _word("max_atoms", max_atoms, least=1)
     rngs = stream_rngs(seed, stream, indices)
-    while chunk := [
-        ([_draw(rng, K, max_atoms) for _ in range(measures)], rng.uniform(-K, K, points).tolist() if points else [])
-        for rng in itertools.islice(rngs, _DRAW_CHUNK)
-    ]:
-        rows = [draw for draws, _ in chunk for draw in draws]
+    per_pass = max(1, _DRAW_CHUNK // max(1, measures))
+    while True:
+        rows, drawn_points = [], []
+        for rng in itertools.islice(rngs, per_pass):
+            rows += [_draw(rng, K, MAX_ATOMS) for _ in range(measures)]
+            drawn_points.append(rng.uniform(-K, K, points).tolist() if points else [])
+        if not drawn_points:
+            return
         built = iter(_measures(rows) if rows else ())
-        for draws, drawn_points in chunk:
-            yield (*[next(built) for _ in draws], *drawn_points)
+        rows = None  # copied into the measures: free them while they are used
+        for chunk_points in drawn_points:
+            yield (*[next(built) for _ in range(measures)], *chunk_points)

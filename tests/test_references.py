@@ -22,6 +22,7 @@ former constructor, per-pair ``w1`` and per-measure ``discretize``.
 
 import math
 import re
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -830,6 +831,7 @@ class StreamSpy:
 
 
 STREAM_RNGS = sampling.stream_rngs
+MEASURES = sampling._measures
 
 
 def next_draws(rng):
@@ -843,20 +845,21 @@ def value_bits(value):
     return np.float64(value).tobytes()
 
 
-def former_draws(seed, stream, indices, K, measures, points, max_atoms):
+def former_draws(seed, stream, indices, K, measures, points):
     """Each index's draws by ``random_measure_former`` and ``random_point``
     on its own ``stream_rng``, with the generator's next draws."""
     out, after = [], []
     for index in indices:
         rng = stream_rng(seed, stream, index)
-        values = [random_measure_former(rng, K, max_atoms) for _ in range(measures)]
+        values = [random_measure_former(rng, K) for _ in range(measures)]
         values += [random_point(rng, K) for _ in range(points)]
         out.append([value_bits(v) for v in values])
         after.append(next_draws(rng))
     return out, after
 
 
-# index lists on both sides of the chunk boundary, and across two of them
+# index lists on both sides of a pass boundary, and across two of them: a
+# pass takes _DRAW_CHUNK // measures indices, so 99 and 100 are multiples too
 INDEX_LISTS = st.sampled_from([0, 1, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 250]).flatmap(
     lambda n: st.lists(st.integers(0, 2**33) | st.sampled_from([0, 2**32 - 1, 2**32]), min_size=n, max_size=n)
 )
@@ -872,17 +875,16 @@ class TestRandomDraws:
         half_widths,
         st.integers(1, 3),
         st.integers(0, 2),
-        st.sampled_from([MAX_ATOMS, 1, 2]),
     )
-    @example(seed=0, stream="metric", indices=list(range(250)), K=5e-324, measures=3, points=2, max_atoms=MAX_ATOMS)
-    @example(seed=2**32, stream="s", indices=list(range(_DRAW_CHUNK + 1)), K=0.0, measures=1, points=2, max_atoms=2)
-    @example(seed=7, stream="", indices=list(range(_DRAW_CHUNK)), K=1.0, measures=2, points=0, max_atoms=1)
+    @example(seed=0, stream="metric", indices=list(range(250)), K=5e-324, measures=3, points=2)
+    @example(seed=2**32, stream="s", indices=list(range(_DRAW_CHUNK + 1)), K=0.0, measures=1, points=2)
+    @example(seed=7, stream="", indices=list(range(_DRAW_CHUNK)), K=1.0, measures=2, points=0)
     @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_equal_to_the_former_draws(self, seed, stream, indices, K, measures, points, max_atoms):
+    def test_equal_to_the_former_draws(self, seed, stream, indices, K, measures, points):
         """Every measure and point has the former bits, and every generator
         the former state after them; K = 0.0 and 5e-324 merge every atom."""
         spy = StreamSpy()
-        draws = random_draws(seed, stream, indices, K, measures=measures, points=points, max_atoms=max_atoms)
+        draws = random_draws(seed, stream, indices, K, measures=measures, points=points)
         with mock.patch.object(sampling, "stream_rngs", spy):
             try:
                 _check_half_width(K)
@@ -892,7 +894,7 @@ class TestRandomDraws:
                 assert spy.calls == 0
                 return
             got = [[value_bits(v) for v in values] for values in draws]
-        assert (got, spy.after) == former_draws(seed, stream, indices, K, measures, points, max_atoms)
+        assert (got, spy.after) == former_draws(seed, stream, indices, K, measures, points)
         assert spy.calls == 1
 
     @pytest.mark.parametrize("zero", [None, {2}, {_DRAW_CHUNK + 7}])
@@ -926,24 +928,35 @@ class TestRandomDraws:
             random_measure(DriftingDraws(), 1.0, 200_000)
         with mock.patch.object(sampling, "stream_rngs", lambda *args: iter([DriftingDraws()])):
             with pytest.raises(ValueError, match=message):
-                list(random_draws(0, "s", [0], 1.0, max_atoms=200_000))
+                list(random_draws(0, "s", [0], 1.0))
 
-    @pytest.mark.parametrize(
-        "K, max_atoms, message",
-        [
-            (-1.0, MAX_ATOMS, "^K must be"),
-            (math.nan, MAX_ATOMS, "^K must be"),
-            (9e307, MAX_ATOMS, "^K must be"),
-            (1.0, 0, "^max_atoms must be a positive integer, not 0$"),
-            (1.0, 2.5, "^max_atoms must be a positive integer, not 2.5$"),
-        ],
-    )
-    def test_bad_arguments_raise_before_any_draw(self, K, max_atoms, message):
+    @pytest.mark.parametrize("K", [-1.0, math.nan, 9e307])
+    def test_bad_K_raises_before_any_draw(self, K):
         spy = StreamSpy()
         with mock.patch.object(sampling, "stream_rngs", spy):
-            with pytest.raises(ValueError, match=message):
-                next(random_draws(0, "s", range(5), K, points=1, max_atoms=max_atoms))
+            with pytest.raises(ValueError, match="^K must be"):
+                next(random_draws(0, "s", range(5), K, points=1))
         assert spy.calls == 0
+
+    @pytest.mark.parametrize("measures, count", [(1, 250), (2, 250), (3, 250), (150, 3)])
+    def test_a_pass_holds_a_chunk_of_measures_and_frees_its_draws(self, measures, count):
+        """Each ``_measures`` pass takes at most ``_DRAW_CHUNK`` rows, or one
+        index's, and its draw arrays are gone before its measures are used."""
+        passes, alive = [], []
+
+        def spy(rows):
+            passes.append(len(rows))
+            alive.append([weakref.ref(array) for draw in rows for array in draw])
+            return MEASURES(rows)
+
+        with mock.patch.object(sampling, "_measures", spy):
+            for _ in random_draws(3, "s", range(count), 1.0, measures=measures):
+                assert not any(ref() for ref in alive[-1])
+        per_pass = max(1, _DRAW_CHUNK // measures) * measures
+        assert passes == [per_pass] * (count * measures // per_pass) + [count * measures % per_pass] * (
+            count * measures % per_pass > 0
+        )
+        assert max(passes) <= max(_DRAW_CHUNK, measures)
 
     def test_one_stream_rngs_call(self):
         spy = StreamSpy()

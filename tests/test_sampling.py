@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wasserstein_calculus import ftc_check, lift_to_field, standard_battery
-from wasserstein_calculus.sampling import random_draws, random_measure, stream_rng, stream_rngs
+from wasserstein_calculus.sampling import random_measure, stream_rng, stream_rngs
 
 # 2^32 - 1 is the largest single entropy word; 2^32 and above take stream_rng
 WORDS = st.sampled_from([0, 1, 2**31, 2**32 - 1, 2**32, 2**40 + 3]) | st.integers(0, 2**33)
@@ -106,11 +106,7 @@ class TestMaxAtoms:
         message = f"^max_atoms must be a positive integer, not {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message):
             random_measure(stream_rng(0, "s", 0), 1.0, value)
-        with pytest.raises(ValueError, match=message):
-            next(random_draws(0, "s", [0], 1.0, max_atoms=value))
 
     @pytest.mark.parametrize("value", [1, np.int64(4), np.uint8(12)])
     def test_integer_types(self, value):
         assert 1 <= len(random_measure(stream_rng(0, "s", 0), 1.0, value)) <= value
-        ((m,),) = random_draws(0, "s", [0], 1.0, max_atoms=value)
-        assert m == random_measure(stream_rng(0, "s", 0), 1.0, value)
