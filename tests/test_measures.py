@@ -205,6 +205,16 @@ class TestW1:
         assert w1(mix(a, b, t), b) <= (1.0 - t) * w1(a, b) + TOL
 
 
+class Declared:
+    """A function with the Lipschitz bound and radius it declares."""
+
+    def __init__(self, f, lipschitz_bound, lipschitz_radius=math.inf):
+        self.f, self.lipschitz_bound, self.lipschitz_radius = f, lipschitz_bound, lipschitz_radius
+
+    def __call__(self, x):
+        return self.f(x)
+
+
 class TestKRLowerBound:
     def test_identity_is_tight_for_diracs(self):
         v = kr_lower_bound(dirac(1.0), dirac(0.0), identity_fn())
@@ -235,6 +245,21 @@ class TestKRLowerBound:
             kr_lower_bound(dirac(30.0), dirac(20.0), f)
         with pytest.raises(ValueError):
             kr_lower_bound(dirac(0.0), DiscreteMeasure([-10.5, 1.0], [0.5, 0.5]), f)
+
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [
+            # a slope of 5 would read 5.0 at a distance of 1
+            (Declared(affine(5.0, 0.0), math.nan), dirac(1.0), dirac(0.0)),
+            # bound 1 on [-10, 10] only: 124.95 at a distance of 49
+            (Declared(polynomial((0.0, 0.0, 0.05)), 1.0, math.nan), dirac(50.0), dirac(1.0)),
+        ],
+        ids=["nan-bound", "nan-radius"],
+    )
+    def test_rejects_a_nan_bound_or_radius(self, f, a, b):
+        """NaN fails every comparison, so it must not pass for a bound."""
+        with pytest.raises(ValueError, match="Lipschitz"):
+            kr_lower_bound(a, b, f)
 
     @given(measures(), measures())
     @settings(max_examples=50, deadline=None, derandomize=True)
