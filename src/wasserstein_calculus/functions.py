@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiscreteMeasure, integrate, integrate_rows
-from .util import check_keys, json_number
+from .measures import DiscreteMeasure, integrate, integrate_each, integrate_rows
+from .util import check_keys, fsum_rows, json_number
 
 __all__ = [
     "ScalarFunction",
@@ -283,7 +283,8 @@ _OUTER_KINDS = {
 
 @dataclass(frozen=True)
 class OuterMap:
-    """Smooth map R^k -> R with hand-coded gradient and Hessian; the gradient also takes rows."""
+    """Smooth map R^k -> R with hand-coded gradient and Hessian; value,
+    gradient and Hessian take one point or rows of points."""
 
     kind: str
     params: tuple = ()
@@ -306,20 +307,27 @@ class OuterMap:
     def _weights(self) -> np.ndarray:
         return np.asarray(self.params[0], dtype=float)  # linear, sin_of_sum, exp_of_sum
 
-    def value(self, v) -> float:
+    def _of_sum(self, f, v):
+        """f of the weighted sum np.dot(weights, v), at a point or per row: one
+        np.dot per row, as a matrix product adds a row's terms in another order."""
+        weights = self._weights
+        return _each(f, float(np.dot(weights, v)) if v.ndim == 1 else [np.dot(weights, r) for r in v])
+
+    def value(self, v):
+        """g at one point v, shape (k,), as a float, or at each row of v, shape
+        (rows, k), as an array; each row keeps the bits of its point."""
         v = np.asarray(v, dtype=float)
         kind = self.kind
         if kind == "linear":
-            return float(self.params[1] + np.dot(self._weights, v))
+            offset = self.params[1]
+            return self._of_sum(lambda s: offset + s, v)
         if kind == "product":
-            return float(np.prod(v))
+            return float(np.prod(v)) if v.ndim == 1 else np.prod(v, axis=1)
         if kind == "polynomial":
-            (terms,) = self.params
-            return math.fsum(
-                c * math.prod(v[i] ** e for i, e in enumerate(exps)) for c, exps in terms
-            )
-        s = float(np.dot(self._weights, v))
-        return math.sin(s) if kind == "sin_of_sum" else math.exp(s)
+            cols = _columns(v, v.ndim == 2)
+            terms = [c * math.prod(_power(cols[i], e) for i, e in enumerate(n)) for c, n in self.params[0]]
+            return math.fsum(terms) if v.ndim == 1 else np.array(fsum_rows(_from_columns(terms, v)))
+        return self._of_sum(math.sin if kind == "sin_of_sum" else math.exp, v)
 
     def gradient(self, v) -> np.ndarray:
         """The gradient at one point v, shape (k,), or at each row of v, shape
@@ -328,7 +336,7 @@ class OuterMap:
         v = np.asarray(v, dtype=float)
         kind = self.kind
         if kind in ("product", "polynomial"):
-            cols = v.tolist() if v.ndim == 1 else list(v.T)
+            cols = _columns(v, v.ndim == 2)
         if kind == "linear":
             grad = self.params[0]
         elif kind == "product":  # never divides, so a zero moment is no special case
@@ -340,50 +348,58 @@ class OuterMap:
                     if e >= 1:
                         others = math.prod(_power(cols[j], n) for j, n in enumerate(exps) if j != i)
                         grad[i] = grad[i] + c * e * _power(cols[i], e - 1) * others
-        else:  # one np.dot per row: a matrix product adds a row's terms in another order
-            weights = self._weights
-            sums = float(np.dot(weights, v)) if v.ndim == 1 else [np.dot(weights, r) for r in v]
-            scale = _each(math.cos if kind == "sin_of_sum" else math.exp, sums)
+        else:
+            scale = self._of_sum(math.cos if kind == "sin_of_sum" else math.exp, v)
             grad = [scale * w for w in self.params[0]]
-        if v.ndim == 1:
-            return np.array(grad)
-        out = np.empty((len(grad), len(v)))
-        for i, g in enumerate(grad):
-            out[i] = g  # a column may be one float for every row
-        return out.T
+        return _from_columns(grad, v)
 
     def hessian(self, v) -> np.ndarray:
+        """The Hessian at one point v, shape (k, k), or at each row of v, shape
+        (rows, k, k), written once over the moment columns as ``gradient``."""
         v = np.asarray(v, dtype=float)
         kind = self.kind
+        cols = _columns(v, v.ndim == 2)
         k = self.arity
-        if kind == "linear":
-            return np.zeros((k, k))
+        hess = [[0.0] * k for _ in range(k)]
         if kind == "product":
-            hess = np.zeros((k, k))
-            cols = v.tolist()
             for i in range(k):
                 for j in range(i + 1, k):
-                    rest = cols[:i] + cols[i + 1 : j] + cols[j + 1 :]
-                    hess[i, j] = hess[j, i] = math.prod(rest, start=1.0)
-            return hess
-        if kind == "polynomial":
-            (terms,) = self.params
-            hess = np.zeros((k, k))
-            for c, exps in terms:
+                    hess[i][j] = hess[j][i] = math.prod(cols[:i] + cols[i + 1 : j] + cols[j + 1 :], start=1.0)
+        elif kind == "polynomial":
+            for c, exps in self.params[0]:
                 for i, ei in enumerate(exps):
                     if ei >= 2:
-                        rest = math.prod(v[j] ** ej for j, ej in enumerate(exps) if j != i)
-                        hess[i, i] += c * ei * (ei - 1) * v[i] ** (ei - 2) * rest
+                        rest = math.prod(_power(cols[j], ej) for j, ej in enumerate(exps) if j != i)
+                        hess[i][i] = hess[i][i] + c * ei * (ei - 1) * _power(cols[i], ei - 2) * rest
                     for j, ej in enumerate(exps[i + 1 :], i + 1):
                         if ei >= 1 and ej >= 1:
-                            rest = math.prod(v[l] ** el for l, el in enumerate(exps) if i != l != j)
-                            cross = c * ei * ej * v[i] ** (ei - 1) * v[j] ** (ej - 1) * rest
-                            hess[i, j] += cross
-                            hess[j, i] += cross
-            return hess
-        s = float(np.dot(self._weights, v))
-        scale = -math.sin(s) if kind == "sin_of_sum" else math.exp(s)
-        return scale * np.outer(self._weights, self._weights)
+                            rest = math.prod(_power(cols[l], el) for l, el in enumerate(exps) if i != l != j)
+                            cross = c * ei * ej * _power(cols[i], ei - 1) * _power(cols[j], ej - 1) * rest
+                            hess[i][j] = hess[i][j] + cross
+                            hess[j][i] = hess[j][i] + cross
+        elif kind != "linear":
+            scale = self._of_sum((lambda s: -math.sin(s)) if kind == "sin_of_sum" else math.exp, v)
+            hess = [[scale * (wi * wj) for wj in self.params[0]] for wi in self.params[0]]
+        return _from_columns([h for row in hess for h in row], v).reshape(v.shape[:-1] + (k, k))
+
+
+def _columns(a: np.ndarray, rows: bool) -> list:
+    """The columns of a formula's input: a point's values, shape (k,) or
+    (k, k), as floats, or with ``rows`` those of each row, shape (rows, k)
+    or (rows, k, k), as (rows,) arrays."""
+    return list(np.transpose(a, (*range(1, a.ndim), 0))) if rows else a.tolist()
+
+
+def _from_columns(cols: list, v: np.ndarray) -> np.ndarray:
+    """A formula's columns as an array: shape (n,) at a point v, or
+    (rows, n), C-contiguous, when v has rows; a float column holds for
+    every row."""
+    if v.ndim == 1:
+        return np.array(cols, dtype=float)
+    out = np.empty((len(v), len(cols)))
+    for i, c in enumerate(cols):
+        out[:, i] = c
+    return out
 
 
 def _each(f, x):
@@ -507,9 +523,12 @@ class CylinderFunction:
     def moments_rows(self, positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """``moments`` of every row measure of a ``mix_rows`` batch, shape
         (rows, k), bit for bit."""
-        v = np.empty((len(weights), len(self.inner)))
+        return self._moment_rows(lambda f: integrate_rows(positions, weights, f), len(weights))
+
+    def _moment_rows(self, pairing, rows: int) -> np.ndarray:
+        v = np.empty((rows, len(self.inner)))
         for i, f in enumerate(self.inner):
-            v[:, i] = integrate_rows(positions, weights, f)
+            v[:, i] = pairing(f)
         return v
 
     def evaluate(self, m: DiscreteMeasure) -> float:
@@ -522,12 +541,16 @@ class CylinderFunction:
 
     def evaluate_rows(self, positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """``evaluate`` on every row measure of a ``mix_rows`` batch, bit for bit."""
-        return np.array([self.outer.value(v) for v in self.moments_rows(positions, weights)])
+        return self.outer.value(self.moments_rows(positions, weights))
 
-    def derivatives(self, m: DiscreteMeasure) -> "CylinderDerivatives":
-        """The moments of m and the outer map's derivatives there, computed
-        once; every exact derivative at m is evaluated from them."""
-        return CylinderDerivatives(self, m)
+    def derivatives(self, m) -> "CylinderDerivatives":
+        """The moments of m, or of each measure of a list m (one
+        ``integrate_each`` per inner function), and the outer map's
+        derivatives there, computed once; every exact derivative there is
+        evaluated from them."""
+        if isinstance(m, DiscreteMeasure):
+            return CylinderDerivatives(self, self.moments(m))
+        return CylinderDerivatives(self, self._moment_rows(lambda f: integrate_each(m, f), len(m)))
 
     def exact_delta(self, m: DiscreteMeasure, x):
         """Canonical first derivative: sum_i dg_i(v) * (f_i(x) - v_i)."""
@@ -536,13 +559,8 @@ class CylinderFunction:
     def exact_delta_rows(self, positions: np.ndarray, weights: np.ndarray, x) -> np.ndarray:
         """``exact_delta`` at the points ``x`` for every row measure of a
         ``mix_rows`` batch, shape (rows, points), bit for bit."""
-        v = self.moments_rows(positions, weights)
-        grad = self.outer.gradient(v)
-        xs = np.asarray(x, dtype=float)
-        acc = np.zeros((v.shape[0], xs.size))
-        for i, f in enumerate(self.inner):
-            acc = acc + grad[:, i, None] * (f(xs) - v[:, i, None])
-        return acc
+        d = CylinderDerivatives(self, self.moments_rows(positions, weights))
+        return np.ascontiguousarray(d.delta(np.asarray(x, dtype=float)[:, None]).T)
 
     def exact_delta2(self, m: DiscreteMeasure, x, y):
         """Canonical second derivative, broadcasting elementwise over x, y.
@@ -562,66 +580,76 @@ class CylinderFunction:
 
 
 class CylinderDerivatives:
-    """Exact derivatives of a cylinder function F at one measure m.
+    """Exact derivatives of a cylinder function F at one measure, or at each
+    row measure of a batch.
 
-    Holds the moments v = (<f_1, m>, ..., <f_k, m>) and the outer map's
-    gradient at v; the Hessian is computed on first use. ``delta``,
-    ``delta2`` and ``delta_dx`` are the formulas behind ``exact_delta``,
-    ``exact_delta2`` and ``delta_dx``, so several derivatives at one measure
-    cost one moment pass. Points may be scalars or arrays.
+    Holds the moments v = (<f_1, m>, ..., <f_k, m>), shape (k,) for one
+    measure or (rows, k) for rows, and the outer map's gradient at v; the
+    Hessian is computed on first use. ``delta``, ``delta2`` and ``delta_dx``
+    are the formulas behind ``exact_delta``, ``exact_delta_rows``,
+    ``exact_delta2`` and ``delta_dx``, each written once over the k moment
+    columns: floats for one measure, (rows,) arrays for rows, against which
+    the points broadcast. So on rows, points of shape (rows,) give one point
+    per row measure, and points of shape (n, 1) give n points on every row,
+    as an (n, rows) array. ``delta2`` on rows takes one point pair per row.
     """
 
-    def __init__(self, F: CylinderFunction, m: DiscreteMeasure):
+    def __init__(self, F: CylinderFunction, v: np.ndarray):
         self.inner = F.inner
         self.outer = F.outer
-        self.v = F.moments(m)
-        self.grad = F.outer.gradient(self.v)
-        self._at_point = {}
+        self.v = v
+        self.grad = F.outer.gradient(v)
+        self._rows = v.ndim == 2
+        self._v = _columns(v, self._rows)
+        self._grad = _columns(self.grad, self._rows)
 
     @functools.cached_property
     def hess(self) -> np.ndarray:
         return self.outer.hessian(self.v)
 
-    def centered(self, x) -> np.ndarray:
-        """The vectors (f_i(x) - v_i), i = 1..k, stacked to shape (k,) + shape
-        of x. Those of a scalar point are computed once and kept."""
-        if _is_scalar(x):
-            key = float(x)
-            key = (key, math.copysign(1.0, key))  # 0.0 and -0.0 differ in f
-            found = self._at_point.get(key)
-            if found is None:
-                found = self._at_point[key] = np.array(
-                    [f(x) - self.v[i] for i, f in enumerate(self.inner)], dtype=float
-                )
-            return found
-        xs = np.asarray(x, dtype=float)
-        stacked = [np.broadcast_to(f(xs) - self.v[i], xs.shape) for i, f in enumerate(self.inner)]
-        return np.stack(stacked) if stacked else np.zeros((0,) + xs.shape)
+    def centered(self, x) -> list:
+        """The columns f_i(x) - v_i, i = 1..k."""
+        return [f(x) - v for f, v in zip(self.inner, self._v)]
+
+    def _sized(self, acc, *points):
+        """acc, a sum over the k terms from 0.0, or at k = 0 zeros of its shape."""
+        if self.inner:
+            return acc
+        shape = np.broadcast_shapes(self.v.shape[:-1], *(np.shape(p) for p in points))
+        return np.zeros(shape) if shape else 0.0
 
     def delta(self, x):
-        c = self.centered(x)
-        acc = np.zeros(c.shape[1:])
-        for i, g in enumerate(self.grad):
-            acc = acc + g * c[i]
-        return float(acc) if c.ndim == 1 else acc
+        acc = 0.0
+        for g, c in zip(self._grad, self.centered(x)):
+            acc = acc + g * c
+        return self._sized(acc, x)
 
     def delta2(self, x, y):
-        scalar = _is_scalar(x) and _is_scalar(y)
-        if not scalar:
-            x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        """(f(x)-v)^T Hessian (f(y)-v) - grad . (f(y)-v), with np.einsum's bits:
+        called as such on arrays of points at one measure; at one point pair,
+        or at each row's own pair, the quadratic term adds as einsum("i,ij,j")
+        does (row by row at k = 2, else in sequence) and the linear term is
+        einsum's dot."""
         dx, dy = self.centered(x), self.centered(y)
-        quad = np.einsum("i...,ij,j...->...", dx, self.hess, dy)
-        lin = np.einsum("i,i...->...", self.grad, dy)
-        out = quad - lin
-        return float(out) if scalar else out
+        if not (self._rows or _is_scalar(x) and _is_scalar(y)):
+            shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+            dx, dy = (np.array([np.broadcast_to(c, shape) for c in d]).reshape((len(d),) + shape) for d in (dx, dy))
+            return np.einsum("i...,ij,j...->...", dx, self.hess, dy) - np.einsum("i,i...->...", self.grad, dy)
+        by_rows = len(dx) == 2
+        quad = 0.0
+        for dxi, hess_row in zip(dx, _columns(self.hess, self._rows)):
+            run = 0.0 if by_rows else quad
+            for h, dyj in zip(hess_row, dy):
+                run = run + dxi * h * dyj
+            quad = quad + run if by_rows else run
+        lin = np.einsum("...i,...i->...", self.grad, np.stack(dy, axis=-1)) if dy else 0.0
+        return self._sized(quad - lin, x, y) if self._rows else float(quad - lin)
 
     def delta_dx(self, x):
-        grad = self.grad
-        xs = np.asarray(x, dtype=float)
-        acc = np.zeros(xs.shape)
-        for i, f in enumerate(self.inner):
-            acc = acc + grad[i] * f.derivative(xs)
-        return float(acc) if np.ndim(x) == 0 else acc
+        acc = 0.0
+        for g, f in zip(self._grad, self.inner):
+            acc = acc + g * f.derivative(x)
+        return self._sized(acc, x)
 
 
 def _is_scalar(x) -> bool:

@@ -24,9 +24,11 @@ __all__ = [
     "dirac",
     "mix",
     "integrate",
+    "integrate_each",
     "w1",
     "w1_rows",
     "kr_lower_bound",
+    "kr_lower_bound_rows",
     "signed_difference",
     "measure_to_dict",
     "measure_from_dict",
@@ -300,6 +302,20 @@ def integrate(m: DiscreteMeasure, f) -> float:
     return fsum(m.weights * _finite_values(f, m.positions))
 
 
+def integrate_each(measures, f) -> np.ndarray:
+    """``integrate(m, f)`` for each measure of a list, with its bits and errors.
+
+    Evaluates ``f`` once on all their atoms, laid out flat, so ``f`` must act
+    value by value, as for ``integrate_rows``; one ``util.fsum_rows`` call
+    sums each measure's products exactly rounded.
+    """
+    sizes = [m.positions.size for m in measures]
+    positions = np.concatenate([m.positions for m in measures] or [np.zeros(0)])
+    weights = np.concatenate([m.weights for m in measures] or [np.zeros(0)])
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    return np.array(fsum_rows(weights * _finite_values(f, positions), rows, len(sizes)))
+
+
 def integrate_rows(positions: np.ndarray, weights: np.ndarray, f) -> np.ndarray:
     """``integrate`` against every row measure of ``mix_rows``, bit for bit.
 
@@ -368,17 +384,30 @@ def kr_lower_bound(a: DiscreteMeasure, b: DiscreteMeasure, f) -> float:
     1-Lipschitz functions equals the distance. ``f`` declares its bound as
     ``lipschitz_bound``; when it also declares ``lipschitz_radius`` R, the
     bound holds on [-R, R] only, and measures with an atom outside are
-    rejected.
+    rejected; so is a bound or radius of NaN. The one-pair case of
+    ``kr_lower_bound_rows``.
     """
+    return float(kr_lower_bound_rows([a], [b], f)[0])
+
+
+def kr_lower_bound_rows(firsts, seconds, f) -> np.ndarray:
+    """``kr_lower_bound`` of every pair (firsts[r], seconds[r]), with its bits
+    and its checks: one ``integrate_each`` call for all the measures."""
+    if len(firsts) != len(seconds):
+        raise ValueError("firsts and seconds must hold the same number of measures")
     bound = getattr(f, "lipschitz_bound", None)
-    if bound is None or bound > 1.0 + 1e-12:
+    if bound is None or not bound <= 1.0 + 1e-12:  # NaN fails too
         raise ValueError("test function must declare a Lipschitz bound <= 1")
     radius = getattr(f, "lipschitz_radius", math.inf)
-    if max(a.support_bound, b.support_bound) > radius:
+    if not radius >= 0.0:
+        raise ValueError(f"test function must declare a Lipschitz radius >= 0, not {radius!r}")
+    measures = [*firsts, *seconds]
+    if radius < math.inf and max((m.support_bound for m in measures), default=0.0) > radius:
         raise ValueError(
             f"an atom lies outside [-{radius:g}, {radius:g}], where the Lipschitz bound holds"
         )
-    return integrate(a, f) - integrate(b, f)
+    pairings = integrate_each(measures, f)
+    return pairings[: len(firsts)] - pairings[len(firsts) :]
 
 
 def signed_difference(a: DiscreteMeasure, b: DiscreteMeasure):

@@ -8,6 +8,7 @@ fresh interpreter must write the same bytes too.
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -146,3 +147,7 @@ def test_sweep_bytes_from_a_fresh_process(sweep, tmp_path):
     proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == canonical_json(report).encode("utf-8")
+    # stderr holds the timing of each criterion and nothing else, such as a
+    # numpy warning from an array path
+    timings = "".join(rf"{c['name']}: \d+\.\d\ds\n" for c in report["criteria"])
+    assert re.fullmatch(timings, proc.stderr), proc.stderr

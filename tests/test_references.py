@@ -32,6 +32,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from wasserstein_calculus import (
     BASE_POINT,
+    affine,
     BUMP_MODES,
     CylinderFunction,
     DerivativeField,
@@ -49,7 +50,11 @@ from wasserstein_calculus import (
     discretize_rows,
     gaussian,
     integrate,
+    integrate_each,
+    kr_lower_bound,
+    kr_lower_bound_rows,
     lift_to_field,
+    lipschitz_probes,
     measure_from_dict,
     mix,
     outer_exp,
@@ -61,7 +66,9 @@ from wasserstein_calculus import (
     segment_integral,
     signed_difference,
     sin_fn,
+    smooth_abs,
     standard_battery,
+    tanh_fn,
     w1,
     w1_rows,
     zero_field,
@@ -70,10 +77,12 @@ from wasserstein_calculus.acceptance import (
     MEASURES_PER_CASE,
     check_canonical_normalization,
     check_dawson_linear,
+    check_metric_properties,
     check_second_derivative_symmetry,
     discretization_case,
 )
 from wasserstein_calculus.derivative import MIN_STEP
+from wasserstein_calculus.functions import CylinderDerivatives
 from wasserstein_calculus.measures import JSON_MASS_TOL, MASS_TOL, MERGE_TOL, _values_at, mix_rows
 from wasserstein_calculus.partition import GRID_SNAP, WEIGHT_FLOOR, _mollifier, _smoothstep
 from wasserstein_calculus import sampling
@@ -1596,6 +1605,21 @@ def hessian_former(g, v) -> np.ndarray:
     return scale * np.outer(weights, weights)
 
 
+def value_former(g, v) -> float:
+    """The former per-point ``OuterMap.value``, frozen as the oracle."""
+    v = np.asarray(v, dtype=float)
+    kind = g.kind
+    if kind == "linear":
+        return float(g.params[1] + np.dot(np.asarray(g.params[0], dtype=float), v))
+    if kind == "product":
+        return float(np.prod(v))
+    if kind == "polynomial":
+        (terms,) = g.params
+        return math.fsum(c * math.prod(v[i] ** e for i, e in enumerate(exps)) for c, exps in terms)
+    s = float(np.dot(np.asarray(g.params[0], dtype=float), v))
+    return math.sin(s) if kind == "sin_of_sum" else math.exp(s)
+
+
 def exact_delta_loop(F, m, x):
     """The former ``CylinderFunction.exact_delta``: a moment pass per call,
     with the frozen gradient."""
@@ -1725,6 +1749,29 @@ def check_second_derivative_symmetry_loop(seed, samples=1000):
         "residual_max": float(residual_max),
         "functions": [F.label for F in curved],
         "samples": samples,
+        "seed": int(seed),
+    }
+
+
+def check_metric_properties_loop(seed, samples=1000):
+    """Criterion 8 as it was: per triple, its three distances, then one
+    duality pairing per probe, each of ``integrate`` pairs."""
+    probes = lipschitz_probes()
+    triangle_max = kr_max = -math.inf
+    for i in range(samples):
+        rng = stream_rng(seed, "metric", i)
+        a, b, c = (random_measure_former(rng, 2.0) for _ in range(3))
+        d_ab, d_bc, d_ac = w1(a, b), w1(b, c), w1(a, c)
+        triangle_max = max(triangle_max, d_ac - d_ab - d_bc)
+        kr_max = max(kr_max, max(integrate(a, f) - integrate(b, f) - d_ab for f in probes))
+    return {
+        "criterion": 8,
+        "name": "metric_properties",
+        "ok": triangle_max <= 1e-12 and kr_max <= 1e-12,
+        "triangle_excess_max": float(triangle_max),
+        "kr_excess_max": float(kr_max),
+        "samples": samples,
+        "lipschitz_probes": [f.name for f in probes],
         "seed": int(seed),
     }
 
@@ -1922,8 +1969,9 @@ def outer_rows(draw):
 
 
 def outer_outcome(derivative, v):
-    """The gradient's or Hessian's array, or the type of the error it raises
-    (math.exp overflows, math.cos of an infinite sum)."""
+    """The value, gradient or Hessian, or the type of the error it raises
+    (math.exp overflows, math.cos of an infinite sum, math.fsum of inf and
+    -inf)."""
     try:
         return derivative(v)
     except (OverflowError, ValueError) as exc:
@@ -1931,35 +1979,42 @@ def outer_outcome(derivative, v):
 
 
 def assert_rows_match_former(g, V):
-    """g.gradient on V as one batch and row by row, against the frozen
-    per-point gradient of each row."""
-    with np.errstate(all="ignore"):
-        expected = [outer_outcome(lambda v: gradient_former(g, v), row.copy()) for row in V]
-        errors = tuple({e for e in expected if isinstance(e, type)})
-        for row, want in zip(V, expected):
-            got = outer_outcome(g.gradient, row.copy())
-            assert got is want if isinstance(want, type) else same_bits(got, want)
-        if errors:
-            with pytest.raises(errors):
-                g.gradient(V)
-            return
-        batch = g.gradient(V)
-    assert batch.shape == V.shape
-    for got, want in zip(batch, expected):
-        assert same_bits(got, want)
+    """g.value, g.gradient and g.hessian on V as one batch and row by row,
+    against the frozen per-point value, gradient and Hessian of each row."""
+    k = V.shape[1]
+    for method, former, shape in (
+        (g.value, value_former, ()),
+        (g.gradient, gradient_former, (k,)),
+        (g.hessian, hessian_former, (k, k)),
+    ):
+        with np.errstate(all="ignore"):
+            expected = [outer_outcome(lambda v: former(g, v), row.copy()) for row in V]
+            errors = tuple({e for e in expected if isinstance(e, type)})
+            for row, want in zip(V, expected):
+                got = outer_outcome(method, row.copy())
+                assert got is want if isinstance(want, type) else same_bits(got, want)
+            if errors:
+                with pytest.raises(errors):
+                    method(V)
+                continue
+            batch = method(V)
+        assert batch.shape == V.shape[:1] + shape
+        for got, want in zip(batch, expected):
+            assert same_bits(got, want)
 
 
 class TestOuterGradient:
-    """``OuterMap.gradient`` on a point and on a (rows, k) batch: every row
-    keeps the bits of the frozen per-point gradient. The dense tests hold the
-    three batch formulas that lose bits on some values to many rows: a
-    matrix product for the weighted sums (another order of the terms, where
-    np.dot fuses a multiply and add), numpy's array exp and cos, and array
-    powers (x ** 2 squares; numpy's scalar power calls pow)."""
+    """``OuterMap.value``, ``gradient`` and ``hessian`` on a point and on a
+    (rows, k) batch: every row keeps the bits of the frozen per-point value,
+    gradient and Hessian. The dense tests hold the three batch formulas that
+    lose bits on some values to many rows: a matrix product for the weighted
+    sums (another order of the terms, where np.dot fuses a multiply and add),
+    numpy's array exp, sin and cos, and array powers (x ** 2 squares; numpy's
+    scalar power calls pow)."""
 
     @given(outer_rows())
     @settings(max_examples=400, deadline=None, derandomize=True)
-    def test_rows_match_the_frozen_gradient(self, case):
+    def test_rows_match_the_frozen_value_gradient_and_hessian(self, case):
         assert_rows_match_former(*case)
 
     @pytest.mark.parametrize(
@@ -2006,10 +2061,11 @@ class TestOuterGradient:
 
     def test_one_gradient_call_per_batch(self, monkeypatch):
         """A segment on the batched path calls the gradient once for all its
-        Gauss nodes; one more call per measure whose derivatives are taken."""
+        Gauss nodes: ``exact_delta_rows`` takes the derivatives of all its
+        rows at once, and each ``CylinderDerivatives`` calls it once."""
         from wasserstein_calculus import functions
 
-        calls = {"gradient": 0, "rows": 0, "points": 0}
+        calls = {"gradient": 0, "rows": 0, "derivatives": 0}
 
         def counting(name, method):
             def wrapper(*args, **kwargs):
@@ -2022,17 +2078,153 @@ class TestOuterGradient:
         monkeypatch.setattr(functions.CylinderFunction, "exact_delta_rows",
                             counting("rows", functions.CylinderFunction.exact_delta_rows))
         monkeypatch.setattr(functions.CylinderDerivatives, "__init__",
-                            counting("points", functions.CylinderDerivatives.__init__))
+                            counting("derivatives", functions.CylinderDerivatives.__init__))
         m = DiscreteMeasure([-0.5, 0.25, 1.0], [0.25, 0.25, 0.5])
         for F in standard_battery():
             antiderivative(lift_to_field(F), 32)(m)
         assert calls["rows"] == len(standard_battery())
-        assert calls["gradient"] == calls["rows"] + calls["points"]
+        assert calls["gradient"] == calls["derivatives"] == calls["rows"]
+
+
+INNER_FUNCTIONS = (
+    sin_fn(), cos_fn(), tanh_fn(), gaussian(0.3, 0.7), polynomial((0.5, -1.0, 0.25)), affine(2.0, -0.5), smooth_abs(0.1)
+)
+
+
+@st.composite
+def derivative_rows(draw):
+    """(F, V, xs, ys): a cylinder function with the outer map of
+    ``outer_rows`` (arity 1 to 4) and catalog inner functions, its (rows, k)
+    moments, and one point pair per row."""
+    g, V = draw(outer_rows())
+    inner = tuple(draw(st.sampled_from(INNER_FUNCTIONS)) for _ in range(g.arity))
+    per_row = st.lists(points, min_size=len(V), max_size=len(V))
+    return CylinderFunction(inner, g), V, np.array(draw(per_row)), np.array(draw(per_row))
+
+
+class AtMoments:
+    """F with the moments v at every measure: the loops read ``F.moments``."""
+
+    def __init__(self, F, v):
+        self.inner, self.outer, self.v = F.inner, F.outer, v
+
+    def moments(self, m):
+        return self.v
+
+
+def same_bits_or_nan(x, y) -> bool:
+    """``same_bits``, where any two NaNs match: an addition of two NaNs keeps
+    the sign and payload of its first operand, and the formulas keep the
+    order of their terms, not that of their operands."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    nan = np.isnan(x)
+    return x.shape == y.shape and bool((nan == np.isnan(y)).all()) and same_bits(x[~nan], y[~nan])
+
+
+def derivative_outcome(derivatives):
+    """``delta(x)``, ``delta2(x, y)``, ``delta2(y, x)`` and ``delta_dx(x)``
+    as ``derivatives()`` gives them, or the type of the error it raises."""
+    try:
+        return derivatives()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+class TestCylinderDerivativeRows:
+    """``CylinderDerivatives`` on (rows, k) moments: each row of ``delta``,
+    ``delta2`` and ``delta_dx`` at the row's own points keeps the bits of the
+    per-call loops, whose ``delta2`` is np.einsum on one point pair."""
+
+    @given(derivative_rows())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_rows_match_the_loops(self, case):
+        F, V, xs, ys = case
+        with np.errstate(all="ignore"):
+            expected = [
+                derivative_outcome(lambda: (
+                    exact_delta_loop(G, None, x), exact_delta2_loop(G, None, x, y),
+                    exact_delta2_loop(G, None, y, x), delta_dx_loop(G, None, x),
+                ))
+                for G, x, y in zip((AtMoments(F, v) for v in V), xs.tolist(), ys.tolist())
+            ]
+
+            def batch():
+                d = CylinderDerivatives(F, V)
+                return d.delta(xs), d.delta2(xs, ys), d.delta2(ys, xs), d.delta_dx(xs)
+
+            got = derivative_outcome(batch)
+        errors = {e for e in expected if isinstance(e, type)}
+        if errors:
+            assert got in errors
+            return
+        for r, want in enumerate(expected):
+            for column, value in zip(got, want):
+                assert same_bits_or_nan(column[r], value)
+
+    def test_rows_of_measures_are_their_one_measure_derivatives(self):
+        ms = [DiscreteMeasure([-0.5, 0.25, 1.0], [0.25, 0.25, 0.5]), dirac(0.3), dirac(-0.0)]
+        xs, ys = np.array([0.1, -0.7, 0.3]), np.array([0.4, -0.0, 2.0])
+        for F in standard_battery() + (CONSTANT,):
+            d = F.derivatives(ms)
+            assert same_bits(d.v, [F.moments(m) for m in ms])
+            rows = d.delta(xs), d.delta2(xs, ys), d.delta_dx(xs), d.delta(np.array([[0.5], [-1.0]]))
+            for r, (m, x, y) in enumerate(zip(ms, xs.tolist(), ys.tolist())):
+                one = F.derivatives(m)
+                want = one.delta(x), one.delta2(x, y), one.delta_dx(x), one.delta(np.array([0.5, -1.0]))
+                for column, value in zip(rows, want):
+                    assert same_bits(column[..., r], value)
+
+
+@st.composite
+def measure_lists(draw):
+    """0 to 12 measures of 1 to 12 atoms, some shared, some far out."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    out = []
+    for _ in range(draw(st.integers(0, 12))):
+        n = draw(st.integers(1, 12))
+        scale = draw(st.sampled_from([1.0, 12.0, 1e-300]))
+        out.append(DiscreteMeasure(rng.uniform(-scale, scale, n), rng.dirichlet(np.ones(n))))
+    if out and draw(st.booleans()):
+        out.append(out[0])
+    return out
+
+
+class TestPairingsOverMeasures:
+    """``integrate_each`` and ``kr_lower_bound_rows`` give each measure and
+    pair the bits and the errors of ``integrate`` and ``kr_lower_bound``."""
+
+    @given(measure_lists(), st.sampled_from(list(lipschitz_probes()) + [polynomial((0.0, 0.0, 0.05)), gaussian(0.0, 0.5)]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_bits_of_the_one_measure_calls(self, ms, f):
+        assert same_bits(integrate_each(ms, f), [integrate(m, f) for m in ms])
+        firsts, seconds = ms[: len(ms) // 2], ms[len(ms) // 2 : 2 * (len(ms) // 2)]
+        try:
+            want = [kr_lower_bound(a, b, f) for a, b in zip(firsts, seconds)]
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                kr_lower_bound_rows(firsts, seconds, f)
+        else:
+            assert same_bits(kr_lower_bound_rows(firsts, seconds, f), want)
+
+    def test_first_non_finite_value_is_named(self):
+        ms = [dirac(1.0), DiscreteMeasure([2.0, -3.0], [0.5, 0.5]), dirac(-4.0)]
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="not finite at atom") as each:
+                integrate_each(ms, np.sqrt)
+            with pytest.raises(ValueError) as one:
+                integrate(ms[1], np.sqrt)
+        assert str(each.value) == str(one.value)
+
+    def test_pairs_must_match(self):
+        with pytest.raises(ValueError, match="same number"):
+            kr_lower_bound_rows([dirac(0.0)], [], sin_fn())
 
 
 @pytest.mark.parametrize("seed", [0, 11, 29])
 class TestCriterionLoops:
-    """Criteria 2, 4 and 7 serialize to the bytes of their former loops."""
+    """Criteria 2, 4, 7 and 8 serialize to the bytes of their former loops;
+    7 and 8 also at 250 samples, which end in a partial draw pass (100
+    draws a pass for criterion 7, 33 triples for criterion 8)."""
 
     def test_criterion_2(self, seed):
         report, _ = check_dawson_linear(seed=seed)
@@ -2045,3 +2237,13 @@ class TestCriterionLoops:
     def test_criterion_7(self, seed):
         report, _ = check_second_derivative_symmetry(seed=seed)
         assert canonical_json(report) == canonical_json(check_second_derivative_symmetry_loop(seed))
+
+    def test_criterion_8(self, seed):
+        report, _ = check_metric_properties(seed=seed)
+        assert canonical_json(report) == canonical_json(check_metric_properties_loop(seed))
+
+    def test_criteria_7_and_8_in_partial_passes(self, seed):
+        report, _ = check_second_derivative_symmetry(seed=seed, samples=250)
+        assert canonical_json(report) == canonical_json(check_second_derivative_symmetry_loop(seed, 250))
+        report, _ = check_metric_properties(seed=seed, samples=250)
+        assert canonical_json(report) == canonical_json(check_metric_properties_loop(seed, 250))
