@@ -319,8 +319,7 @@ class OuterMap:
         v = np.asarray(v, dtype=float)
         kind = self.kind
         if kind == "linear":
-            offset = self.params[1]
-            return self._of_sum(lambda s: offset + s, v)
+            return self._of_sum(lambda s: self.params[1] + s, v)
         if kind == "product":
             return float(np.prod(v)) if v.ndim == 1 else np.prod(v, axis=1)
         if kind == "polynomial":
