@@ -307,7 +307,7 @@ def check_second_derivative_symmetry(seed: int = DEFAULT_SEED, samples: int = 10
     worst = []
     for chunk in _passes(random_draws(seed, "symmetry", range(samples), 1.0, points=2)):
         ms, xs, ys = zip(*chunk)
-        xs, ys = np.array(xs), np.array(ys)
+        xs, ys = np.array(xs)[:, None], np.array(ys)[:, None]  # one point per row
         for F in curved:
             d = F.derivatives(ms)
             residual = d.delta2(xs, ys) - d.delta(xs) - d.delta2(ys, xs) + d.delta(ys)

@@ -558,8 +558,7 @@ class CylinderFunction:
     def exact_delta_rows(self, positions: np.ndarray, weights: np.ndarray, x) -> np.ndarray:
         """``exact_delta`` at the points ``x`` for every row measure of a
         ``mix_rows`` batch, shape (rows, points), bit for bit."""
-        d = CylinderDerivatives(self, self.moments_rows(positions, weights))
-        return np.ascontiguousarray(d.delta(np.asarray(x, dtype=float)[:, None]).T)
+        return CylinderDerivatives(self, self.moments_rows(positions, weights)).delta(np.asarray(x, dtype=float))
 
     def exact_delta2(self, m: DiscreteMeasure, x, y):
         """Canonical second derivative, broadcasting elementwise over x, y.
@@ -587,10 +586,10 @@ class CylinderDerivatives:
     Hessian is computed on first use. ``delta``, ``delta2`` and ``delta_dx``
     are the formulas behind ``exact_delta``, ``exact_delta_rows``,
     ``exact_delta2`` and ``delta_dx``, each written once over the k moment
-    columns: floats for one measure, (rows,) arrays for rows, against which
-    the points broadcast. So on rows, points of shape (rows,) give one point
-    per row measure, and points of shape (n, 1) give n points on every row,
-    as an (n, rows) array. ``delta2`` on rows takes one point pair per row.
+    columns: floats for one measure, (rows, 1) arrays for rows, against
+    which the points broadcast. So on rows, points of shape (n,) give n
+    points on every row, as a (rows, n) array, and points of shape (rows, 1)
+    one point per row. ``delta2`` on rows takes one point pair per row.
     """
 
     def __init__(self, F: CylinderFunction, v: np.ndarray):
@@ -599,8 +598,12 @@ class CylinderDerivatives:
         self.v = v
         self.grad = F.outer.gradient(v)
         self._rows = v.ndim == 2
-        self._v = _columns(v, self._rows)
-        self._grad = _columns(self.grad, self._rows)
+        self._v = self._columns(v)
+        self._grad = self._columns(self.grad)
+
+    def _columns(self, a) -> list:
+        """``_columns``, with a row column of shape (rows, 1)."""
+        return list(np.transpose(a, (*range(1, a.ndim), 0))[..., None]) if self._rows else a.tolist()
 
     @functools.cached_property
     def hess(self) -> np.ndarray:
@@ -614,7 +617,7 @@ class CylinderDerivatives:
         """acc, a sum over the k terms from 0.0, or at k = 0 zeros of its shape."""
         if self.inner:
             return acc
-        shape = np.broadcast_shapes(self.v.shape[:-1], *(np.shape(p) for p in points))
+        shape = np.broadcast_shapes(self.v.shape[:-1] + (1,) * self._rows, *(np.shape(p) for p in points))
         return np.zeros(shape) if shape else 0.0
 
     def delta(self, x):
@@ -636,12 +639,13 @@ class CylinderDerivatives:
             return np.einsum("i...,ij,j...->...", dx, self.hess, dy) - np.einsum("i,i...->...", self.grad, dy)
         by_rows = len(dx) == 2
         quad = 0.0
-        for dxi, hess_row in zip(dx, _columns(self.hess, self._rows)):
+        for dxi, hess_row in zip(dx, self._columns(self.hess)):
             run = 0.0 if by_rows else quad
             for h, dyj in zip(hess_row, dy):
                 run = run + dxi * h * dyj
             quad = quad + run if by_rows else run
-        lin = np.einsum("...i,...i->...", self.grad, np.stack(dy, axis=-1)) if dy else 0.0
+        dy = np.stack(dy, axis=-1) if dy else np.zeros(self.grad.shape)
+        lin = np.einsum("...i,...i->...", self.grad.reshape(dy.shape), dy)
         return self._sized(quad - lin, x, y) if self._rows else float(quad - lin)
 
     def delta_dx(self, x):

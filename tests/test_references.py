@@ -6,11 +6,12 @@ per-group atom merge (and the merge of ``signed_difference``), the dense
 partition-of-unity weight matrix, the per-node segment quadrature (one
 ``mix`` and one field evaluation per Gauss node), the per-measure
 ``discretize`` and ``w1`` that criterion 1 called once per measure, the
-per-step difference quotients (one ``mix`` per step) and the per-call
-cylinder derivatives (one moment pass per call), with the criterion 2, 4
-and 7 loops built on them, and the former sampled draws (a ``dirichlet``
-weight draw), which ``random_measure`` and every value ``random_draws``
-yields must reproduce. The vectorised code must reproduce the loops bit
+per-step difference quotients (one ``mix`` per step), the per-call
+cylinder derivatives (one moment pass per call) and the per-point outer-map
+value, gradient and Hessian, with the criterion 2, 4, 7 and 8 loops built
+on them (criterion 8 on ``integrate`` pairs per probe and ``w1`` per pair),
+and the former sampled draws (a ``dirichlet`` weight draw), which
+``random_measure`` and every value ``random_draws`` yields must reproduce. The vectorised code must reproduce the loops bit
 for bit (and the private trusted constructor the validating one), and the
 banded grid weights must match the dense reference within ``GRID_TOL``. The rational
 oracles recompute ``w1`` and ``linear_hat`` discretization exactly with
@@ -2150,7 +2151,8 @@ class TestCylinderDerivativeRows:
 
             def batch():
                 d = CylinderDerivatives(F, V)
-                return d.delta(xs), d.delta2(xs, ys), d.delta2(ys, xs), d.delta_dx(xs)
+                x, y = xs[:, None], ys[:, None]  # one point per row
+                return d.delta(x), d.delta2(x, y), d.delta2(y, x), d.delta_dx(x)
 
             got = derivative_outcome(batch)
         errors = {e for e in expected if isinstance(e, type)}
@@ -2159,20 +2161,21 @@ class TestCylinderDerivativeRows:
             return
         for r, want in enumerate(expected):
             for column, value in zip(got, want):
-                assert same_bits_or_nan(column[r], value)
+                assert column.shape == (len(V), 1) and same_bits_or_nan(column[r, 0], value)
 
     def test_rows_of_measures_are_their_one_measure_derivatives(self):
         ms = [DiscreteMeasure([-0.5, 0.25, 1.0], [0.25, 0.25, 0.5]), dirac(0.3), dirac(-0.0)]
-        xs, ys = np.array([0.1, -0.7, 0.3]), np.array([0.4, -0.0, 2.0])
+        xs, ys = np.array([[0.1], [-0.7], [0.3]]), np.array([[0.4], [-0.0], [2.0]])
+        shared = np.array([0.5, -1.0, 0.0])
         for F in standard_battery() + (CONSTANT,):
             d = F.derivatives(ms)
             assert same_bits(d.v, [F.moments(m) for m in ms])
-            rows = d.delta(xs), d.delta2(xs, ys), d.delta_dx(xs), d.delta(np.array([[0.5], [-1.0]]))
-            for r, (m, x, y) in enumerate(zip(ms, xs.tolist(), ys.tolist())):
+            rows = d.delta(xs), d.delta2(xs, ys), d.delta_dx(xs), d.delta(shared), d.delta_dx(shared)
+            for r, (m, (x,), (y,)) in enumerate(zip(ms, xs.tolist(), ys.tolist())):
                 one = F.derivatives(m)
-                want = one.delta(x), one.delta2(x, y), one.delta_dx(x), one.delta(np.array([0.5, -1.0]))
+                want = one.delta(x), one.delta2(x, y), one.delta_dx(x), one.delta(shared), one.delta_dx(shared)
                 for column, value in zip(rows, want):
-                    assert same_bits(column[..., r], value)
+                    assert same_bits(column[r] if column.shape[1] > 1 else column[r, 0], value)
 
 
 @st.composite
