@@ -634,6 +634,16 @@ class TestNonFiniteResults:
         assert code == 2 and out == ""
         assert isinstance(strict_json(err)["error"], str)
 
+    def test_error_names_the_atom_as_a_plain_float(self, tmp_path):
+        function, measure = tmp_path / "f.json", tmp_path / "m.json"
+        function.write_text(json.dumps(
+            {"inner": [{"kind": "polynomial", "coeffs": [0, 0, 1e308]}], "outer": {"kind": "linear", "weights": [1]}}
+        ))
+        measure.write_text(json.dumps(THREE_ATOMS))
+        code, out, err = run_quiet(["dawson", "--x", "-3.0", str(function), str(measure)])
+        assert code == 2 and out == ""
+        assert strict_json(err)["error"] == "integrand is not finite at atom -3.0"
+
     def test_stderr_holds_only_the_error(self, tmp_path):
         # numpy's overflow warnings went to stderr ahead of the JSON error;
         # pytest captures warnings, so this runs in a fresh interpreter
