@@ -7,7 +7,6 @@ returned separately.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 
@@ -17,8 +16,7 @@ from .derivative import (
     DEFAULT_EPS,
     DEFAULT_QUAD_ORDER,
     DEFAULT_SEED,
-    dawson_extrapolated,
-    dawson_rows,
+    dawson_each,
     richardson,
     verify_deriv2,
 )
@@ -32,7 +30,7 @@ from .ftc import (
 from .functions import cos_fn, lift_to_field, lipschitz_probes, sin_fn, standard_battery
 from .measures import dirac, kr_lower_bound_rows, w1_rows
 from .partition import BUMP_MODES, PartitionScheme, discretize_rows
-from .sampling import _DRAW_CHUNK, random_draws
+from .sampling import _passes, random_draws
 
 __all__ = ["run_sweep", "CHECKS", "DEFAULT_SEED"]
 
@@ -105,26 +103,26 @@ def check_discretization(seed: int = DEFAULT_SEED):
 def check_dawson_linear(seed: int = DEFAULT_SEED, samples: int = 200):
     """The extrapolated quotient matches the exact derivative; order is one.
 
-    Each (function, sample) makes one ``dawson_rows`` call: the steps eps and
-    eps/2 of the extrapolated quotient, then the raw quotient's step grid.
+    Each draw pass makes one ``dawson_each`` call for every function, with
+    the steps eps and eps/2 of the extrapolated quotient, then the raw
+    quotient's step grid, and one ``derivatives`` batch per function.
     """
     started = time.perf_counter()
     battery = standard_battery()
-    K = 1.0
-    draws = list(random_draws(seed, "dawson-samples", range(samples), K, points=1))
     eps = 1e-3
     eps_grid = (1e-2, 5e-3, 2.5e-3)
     steps = (eps, 0.5 * eps) + eps_grid
+    worst = [[0.0] * (1 + len(eps_grid)) for _ in battery]  # extrapolated, then raw per step
+    for chunk in _passes(random_draws(seed, "dawson-samples", range(samples), 1.0, points=1)):
+        ms, xs = zip(*chunk)
+        points = np.array(xs)[:, None]  # one point per row
+        for F, quotients, errs in zip(battery, dawson_each(battery, ms, xs, steps), worst):
+            exact = F.derivatives(ms).delta(points).ravel().tolist()
+            for (q_full, q_half, *raw), e in zip(quotients.tolist(), exact):
+                errs[:] = [max(a, abs(q - e)) for a, q in zip(errs, (richardson(q_full, q_half), *raw))]
 
-    def one(F):
-        ext_err = 0.0
-        raw_err = {e: 0.0 for e in eps_grid}
-        for m, x in draws:
-            exact = F.exact_delta(m, x)
-            q_full, q_half, *raw = dawson_rows(F, m, x, steps).tolist()
-            ext_err = max(ext_err, abs(richardson(q_full, q_half) - exact))
-            for e, q in zip(eps_grid, raw):
-                raw_err[e] = max(raw_err[e], abs(q - exact))
+    def one(F, errs):
+        ext_err, raw_err = errs[0], dict(zip(eps_grid, errs[1:]))
         degenerate = raw_err[eps_grid[0]] <= 1e-10
         if degenerate:
             order = None
@@ -143,7 +141,7 @@ def check_dawson_linear(seed: int = DEFAULT_SEED, samples: int = 200):
             "ok": bool(ext_err <= 1e-5 and order_ok),
         }
 
-    per_fn = [one(F) for F in battery]
+    per_fn = [one(F, errs) for F, errs in zip(battery, worst)]
     return {
         "criterion": 2,
         "name": "dawson_matches_exact_derivative",
@@ -181,28 +179,26 @@ def check_integral_identity(
 
 
 def check_canonical_normalization(seed: int = DEFAULT_SEED, samples: int = 25):
-    """Exact and estimated derivatives both integrate to zero."""
+    """Exact and estimated derivatives both integrate to zero.
+
+    Each draw pass makes one ``dawson_each`` call for every function at
+    every (measure, atom) pair, with the steps eps and eps/2.
+    """
     started = time.perf_counter()
     battery = standard_battery()
-
-    def one(m):
-        exact_worst = 0.0
-        estimated_worst = 0.0
-        for F in battery:
-            exact_worst = max(
-                exact_worst,
-                abs(math.fsum((m.weights * F.exact_delta(m, m.positions)).tolist())),
-            )
-            est = math.fsum(
-                m.weights[j] * dawson_extrapolated(F, m, float(p), DEFAULT_EPS)
-                for j, p in enumerate(m.positions)
-            )
-            estimated_worst = max(estimated_worst, abs(est))
-        return exact_worst, estimated_worst
-
-    results = [one(m) for (m,) in random_draws(seed, "canonical", range(samples), 1.0)]
-    exact_max = max(r[0] for r in results)
-    estimated_max = max(r[1] for r in results)
+    exact_max = estimated_max = 0.0
+    for chunk in _passes(random_draws(seed, "canonical", range(samples), 1.0)):
+        ms = [m for (m,) in chunk]
+        pairs = [(m, x) for m in ms for x in m.positions.tolist()]
+        q = dawson_each(battery, *zip(*pairs), (DEFAULT_EPS, 0.5 * DEFAULT_EPS))
+        ends = np.cumsum([len(m) for m in ms]).tolist()
+        for F, extrapolated in zip(battery, richardson(q[..., 0], q[..., 1])):
+            for m, a, b in zip(ms, [0] + ends, ends):
+                exact_max = max(
+                    exact_max, abs(math.fsum((m.weights * F.exact_delta(m, m.positions)).tolist()))
+                )
+                estimated = math.fsum((m.weights * extrapolated[a:b]).tolist())
+                estimated_max = max(estimated_max, abs(estimated))
     return {
         "criterion": 4,
         "name": "canonical_normalization",
@@ -287,13 +283,6 @@ def check_counterexample(seed: int = DEFAULT_SEED):
         "ftc_verdict": ftc_report["verdict"],
         "seed": int(seed),
     }, time.perf_counter() - started
-
-
-def _passes(draws, measures: int = 1):
-    """The draws of ``random_draws`` in lists of one draw pass each: at most
-    ``_DRAW_CHUNK`` measures, whole indices of ``measures`` measures."""
-    while chunk := list(itertools.islice(draws, max(1, _DRAW_CHUNK // measures))):
-        yield chunk
 
 
 def check_second_derivative_symmetry(seed: int = DEFAULT_SEED, samples: int = 1000):

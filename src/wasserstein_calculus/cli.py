@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 check failure, 2 invalid input. Errors go to stderr
 as JSON. Option precedence: command-line flag, then --config file, then the
 module defaults. numpy's floating-point warnings are silenced, so stderr
-holds nothing but the error: a result that is not finite is refused when
-the report is written.
+holds nothing but the error, and for ``sweep`` one timing line per
+criterion: a result that is not finite is refused when the report is
+written.
 """
 
 from __future__ import annotations

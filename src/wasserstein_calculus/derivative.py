@@ -6,15 +6,18 @@ The directional difference quotient
 
 converges, for differentiable F, to the canonical functional derivative at
 (m, x). One Richardson level cancels the O(eps) truncation term, leaving an
-O(eps^2) estimator. ``dawson_rows`` is the one quotient routine: it takes
-any number of steps and evaluates F(m) once; ``dawson`` is its one-step case
-and ``dawson_extrapolated`` combines its steps (eps, eps/2). The perturbed
-measures of all steps share the support of m plus x, so a function of a
-measure may carry a batched evaluator ``evaluate_rows(positions, weights)``
-(as ``CylinderFunction`` does) that returns F of every row measure of a
-``measures.mix_rows`` batch, bit for bit; any other function, and any step
-set whose measures do not share a support, is evaluated step by step. The
-module also verifies the defining integral identity
+O(eps^2) estimator. ``dawson_each`` is the one quotient routine: it takes
+many functions, many (measure, point) pairs and any number of steps, and
+``dawson_rows`` is its one-pair case, ``dawson`` its one-step case and
+``dawson_extrapolated`` the combination of its steps (eps, eps/2). A
+function of a measure may carry a flat evaluator
+``evaluate_flat(positions, weights, rows, count)`` (as ``CylinderFunction``
+does) that returns F of each of ``count`` measures laid out flat, row after
+row, as ``util.fsum_rows`` takes them, bit for bit; it then evaluates all
+base measures in one call, and in another the perturbed measures of every
+pair whose steps share one support (see ``measures.mix_rows``). Any other
+function, and any other pair, is evaluated step by step. The module also
+verifies the defining integral identity
 
     F(m) - F(mu) = int_0^1 int H((1-t)*mu + t*m, x) d(m - mu)(x) dt
 
@@ -41,8 +44,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .measures import DiscreteMeasure, dirac, mix, mix_rows, signed_difference, _values_at
-from .sampling import random_draws
+from .measures import DiscreteMeasure, _flat_atoms, _values_at, dirac, mix, mix_rows, signed_difference
+from .sampling import _passes, random_draws
 from .util import fsum_rows, gauss_legendre_01
 
 __all__ = [
@@ -50,6 +53,7 @@ __all__ = [
     "MeasureFunction",
     "zero_field",
     "dawson",
+    "dawson_each",
     "dawson_rows",
     "dawson_extrapolated",
     "uniform_dawson_modulus",
@@ -123,30 +127,60 @@ def field_values(H: DerivativeField, m: DiscreteMeasure, xs: np.ndarray) -> np.n
     return _values_at(lambda t: H.value(m, t), xs)
 
 
-def dawson_rows(F, m: DiscreteMeasure, x: float, steps) -> np.ndarray:
-    """Difference quotients (F(mix(m, dirac(x), s)) - F(m)) / s, one per step s.
+def dawson_each(functions, measures, points, steps) -> np.ndarray:
+    """Difference quotients (F(mix(m, dirac(x), s)) - F(m)) / s of every
+    function F at every pair (m, x) = (measures[i], points[i]) and step s,
+    shape (functions, pairs, steps); F returns a float.
 
-    F(m) is evaluated once. When F has an ``evaluate_rows`` and the perturbed
-    measures share one support (see ``measures.mix_rows``), all steps are
-    evaluated as one batch; otherwise each is ``mix(m, dirac(x), s)``
-    evaluated by F. Both give the same bits. A step must lie in
-    [MIN_STEP, 0.5]: a smaller one amplifies the rounding of F by u/step
-    into the quotient, and below 2^-53 the mixture cannot even carry it
-    (1 - s rounds to one).
+    Each step must lie in [MIN_STEP, 0.5]: a smaller one amplifies the
+    rounding of F by u/step, and below 2^-53 the mixture cannot carry it.
+    Each pair makes at most one ``mix_rows`` call, shared by every function
+    with an ``evaluate_flat`` (see the module docstring). Every entry has
+    the bits of the step path, and an error is the one that ``dawson_rows``
+    calls, function by function and pair by pair, raise first.
     """
     steps = [float(s) for s in steps]
     for s in steps:
         if not MIN_STEP <= s <= 0.5:
             raise ValueError(f"step {s!r} must lie in [2**-26, 0.5]")
-    point = dirac(x)
-    base = F(m)
-    rows = getattr(F, "evaluate_rows", None)
-    batch = mix_rows(m, point, steps) if rows is not None else None
-    if batch is not None:
-        values = rows(*batch)
-    else:
-        values = np.array([F(mix(m, point, s)) for s in steps])
-    return (values - base) / np.array(steps)
+    if len(measures) != len(points):
+        raise ValueError("measures and points must be as many")
+    try:
+        return _quotients(functions, measures, points, steps)
+    except ValueError:
+        for F in functions:
+            for m, x in zip(measures, points):
+                _quotients((F,), (m,), (x,), steps)  # raises the first pair's error
+        raise
+
+
+def _quotients(functions, measures, points, steps) -> np.ndarray:
+    diracs = [dirac(x) for x in points]
+    flat = [getattr(F, "evaluate_flat", None) for F in functions]
+    if any(flat):
+        batches = [mix_rows(m, p, steps) for m, p in zip(measures, diracs)]
+        shared = [i for i, batch in enumerate(batches) if batch is not None]
+        bases = _flat_atoms((m.positions, m.weights) for m in measures)
+        mixtures = _flat_atoms((batches[i][0], w) for i in shared for w in batches[i][1])
+    out = np.empty((len(functions), len(measures), len(steps)))
+    for F, evaluate, q in zip(functions, flat, out):
+        if evaluate is None:
+            base, stepped = np.array([F(m) for m in measures]), range(len(measures))
+        else:
+            base, stepped = evaluate(*bases), [i for i, batch in enumerate(batches) if batch is None]
+            if shared:
+                q[shared] = evaluate(*mixtures).reshape(len(shared), len(steps))
+        for i in stepped:
+            q[i] = [F(mix(measures[i], diracs[i], s)) for s in steps]
+        q -= base[:, None]
+        q /= steps
+    return out
+
+
+def dawson_rows(F, m: DiscreteMeasure, x: float, steps) -> np.ndarray:
+    """Difference quotients (F(mix(m, dirac(x), s)) - F(m)) / s, one per step
+    s: the one-pair case of ``dawson_each``, with F(m) evaluated once."""
+    return dawson_each((F,), (m,), (x,), steps)[0, 0]
 
 
 def dawson(F, m: DiscreteMeasure, x: float, eps: float) -> float:
@@ -188,10 +222,14 @@ def uniform_dawson_modulus(
     if samples < 1:
         raise ValueError("samples must be at least 1")
 
-    return max(
-        abs(dawson(F, m, x, eps) - oracle.value(m, x))
-        for m, x in random_draws(seed, "dawson-modulus", range(samples), K, points=1)
-    )
+
+    def gaps():  # one dawson_each call per draw pass
+        for chunk in _passes(random_draws(seed, "dawson-modulus", range(samples), K, points=1)):
+            ms, xs = zip(*chunk)
+            for m, x, q in zip(ms, xs, dawson_each((F,), ms, xs, (eps,))[0, :, 0].tolist()):
+                yield abs(q - oracle.value(m, x))
+
+    return max(gaps())
 
 
 def segment_integral(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiscreteMeasure, integrate, integrate_each, integrate_rows
+from .measures import DiscreteMeasure, _flat_atoms, integrate, integrate_flat, integrate_rows
 from .util import check_keys, fsum_rows, json_number
 
 __all__ = [
@@ -519,10 +519,10 @@ class CylinderFunction:
     def moments(self, m: DiscreteMeasure) -> np.ndarray:
         return np.array([integrate(m, f) for f in self.inner])
 
-    def moments_rows(self, positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """``moments`` of every row measure of a ``mix_rows`` batch, shape
-        (rows, k), bit for bit."""
-        return self._moment_rows(lambda f: integrate_rows(positions, weights, f), len(weights))
+    def moments_flat(self, positions, weights, rows, count: int) -> np.ndarray:
+        """``moments`` of each of ``count`` measures laid out flat, as
+        ``measures.integrate_flat`` takes them: shape (count, k), bit for bit."""
+        return self._moment_rows(lambda f: integrate_flat(positions, weights, rows, count, f), count)
 
     def _moment_rows(self, pairing, rows: int) -> np.ndarray:
         v = np.empty((rows, len(self.inner)))
@@ -535,21 +535,21 @@ class CylinderFunction:
 
     def __call__(self, m: DiscreteMeasure) -> float:
         """F(m), as ``evaluate``; a CylinderFunction passed where a function
-        of a measure is expected brings its ``evaluate_rows`` along."""
+        of a measure is expected brings its ``evaluate_flat`` along."""
         return self.evaluate(m)
 
-    def evaluate_rows(self, positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """``evaluate`` on every row measure of a ``mix_rows`` batch, bit for bit."""
-        return self.outer.value(self.moments_rows(positions, weights))
+    def evaluate_flat(self, positions, weights, rows, count: int) -> np.ndarray:
+        """``evaluate`` on each measure of a ``moments_flat`` layout, bit for
+        bit and error for error, with one ``OuterMap.value`` call."""
+        return self.outer.value(self.moments_flat(positions, weights, rows, count))
 
     def derivatives(self, m) -> "CylinderDerivatives":
         """The moments of m, or of each measure of a list m (one
-        ``integrate_each`` per inner function), and the outer map's
-        derivatives there, computed once; every exact derivative there is
-        evaluated from them."""
+        ``moments_flat`` call), and the outer map's derivatives there,
+        computed once; every exact derivative there is evaluated from them."""
         if isinstance(m, DiscreteMeasure):
             return CylinderDerivatives(self, self.moments(m))
-        return CylinderDerivatives(self, self._moment_rows(lambda f: integrate_each(m, f), len(m)))
+        return CylinderDerivatives(self, self.moments_flat(*_flat_atoms((a.positions, a.weights) for a in m)))
 
     def exact_delta(self, m: DiscreteMeasure, x):
         """Canonical first derivative: sum_i dg_i(v) * (f_i(x) - v_i)."""
@@ -558,7 +558,8 @@ class CylinderFunction:
     def exact_delta_rows(self, positions: np.ndarray, weights: np.ndarray, x) -> np.ndarray:
         """``exact_delta`` at the points ``x`` for every row measure of a
         ``mix_rows`` batch, shape (rows, points), bit for bit."""
-        return CylinderDerivatives(self, self.moments_rows(positions, weights)).delta(np.asarray(x, dtype=float))
+        v = self._moment_rows(lambda f: integrate_rows(positions, weights, f), len(weights))
+        return CylinderDerivatives(self, v).delta(np.asarray(x, dtype=float))
 
     def exact_delta2(self, m: DiscreteMeasure, x, y):
         """Canonical second derivative, broadcasting elementwise over x, y.

@@ -293,7 +293,7 @@ def _finite_values(f, positions: np.ndarray) -> np.ndarray:
     finite = np.isfinite(vals)
     if not finite.all():
         bad = positions[~finite][0]
-        raise ValueError(f"integrand is not finite at atom {bad!r}")
+        raise ValueError(f"integrand is not finite at atom {float(bad)!r}")
     return vals
 
 
@@ -303,17 +303,27 @@ def integrate(m: DiscreteMeasure, f) -> float:
 
 
 def integrate_each(measures, f) -> np.ndarray:
-    """``integrate(m, f)`` for each measure of a list, with its bits and errors.
+    """``integrate(m, f)`` for each measure of a list, with its bits and errors:
+    ``integrate_flat`` of their atoms laid out flat."""
+    return integrate_flat(*_flat_atoms((m.positions, m.weights) for m in measures), f)
 
-    Evaluates ``f`` once on all their atoms, laid out flat, so ``f`` must act
-    value by value, as for ``integrate_rows``; one ``util.fsum_rows`` call
-    sums each measure's products exactly rounded.
-    """
-    sizes = [m.positions.size for m in measures]
-    positions = np.concatenate([m.positions for m in measures] or [np.zeros(0)])
-    weights = np.concatenate([m.weights for m in measures] or [np.zeros(0)])
-    rows = np.repeat(np.arange(len(sizes)), sizes)
-    return np.array(fsum_rows(weights * _finite_values(f, positions), rows, len(sizes)))
+
+def _flat_atoms(pairs):
+    """The atoms of (positions, weights) pairs laid out flat, pair after
+    pair, as ``util.fsum_rows`` takes rows: (positions, weights, rows, count)."""
+    pairs = list(pairs)
+    sizes = [p.size for p, _ in pairs]
+    positions = np.concatenate([p for p, _ in pairs] or [np.zeros(0)])
+    weights = np.concatenate([w for _, w in pairs] or [np.zeros(0)])
+    return positions, weights, np.repeat(np.arange(len(sizes)), sizes), len(sizes)
+
+
+def integrate_flat(positions, weights, rows, count: int, f) -> np.ndarray:
+    """``integrate`` against each of ``count`` measures laid out flat, row
+    after row, with their bits and their errors (the first bad atom in row
+    order). Evaluates ``f`` once on all the atoms, so ``f`` must act value by
+    value; one ``util.fsum_rows`` call sums each row's products."""
+    return np.array(fsum_rows(weights * _finite_values(f, positions), rows, count))
 
 
 def integrate_rows(positions: np.ndarray, weights: np.ndarray, f) -> np.ndarray:

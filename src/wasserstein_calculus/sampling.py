@@ -264,3 +264,10 @@ def random_draws(seed: int, stream: str, indices, K: float, *, measures: int = 1
         rows = None  # copied into the measures: free them while they are used
         for chunk_points in drawn_points:
             yield (*[next(built) for _ in range(measures)], *chunk_points)
+
+
+def _passes(draws, measures: int = 1):
+    """The draws of ``random_draws`` in lists of one draw pass each: at most
+    ``_DRAW_CHUNK`` measures, whole indices of ``measures`` measures."""
+    while chunk := list(itertools.islice(draws, max(1, _DRAW_CHUNK // measures))):
+        yield chunk

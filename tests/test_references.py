@@ -44,6 +44,7 @@ from wasserstein_calculus import (
     cos_fn,
     counterexample_field,
     dawson,
+    dawson_each,
     dawson_extrapolated,
     dawson_rows,
     dirac,
@@ -70,6 +71,7 @@ from wasserstein_calculus import (
     smooth_abs,
     standard_battery,
     tanh_fn,
+    uniform_dawson_modulus,
     w1,
     w1_rows,
     zero_field,
@@ -1823,8 +1825,8 @@ def quotient_cases(draw):
 
 
 class RowsOnly:
-    """F that answers F(m) at the base measure only; every step must come
-    through ``evaluate_rows``."""
+    """F that answers F(m) at the base measure only; every other measure
+    must come through ``evaluate_flat``."""
 
     def __init__(self, F, m):
         self.F, self.m = F, m
@@ -1833,8 +1835,8 @@ class RowsOnly:
         assert measure is self.m, "step evaluated through mix"
         return self.F(measure)
 
-    def evaluate_rows(self, positions, weights):
-        return self.F.evaluate_rows(positions, weights)
+    def evaluate_flat(self, positions, weights, rows, count):
+        return self.F.evaluate_flat(positions, weights, rows, count)
 
 
 @pytest.mark.parametrize("name", sorted(QUOTIENT_FUNCTIONS))
@@ -1894,6 +1896,76 @@ class TestQuotientPaths:
             got = dawson_rows(RowsOnly(F, m), m, x, CRITERION_STEPS)
             assert same_bits(got, [dawson_loop(F, m, x, s) for s in CRITERION_STEPS])
             assert same_bits(dawson_extrapolated(RowsOnly(F, m), m, x, 1e-3), dawson_extrapolated_loop(F, m, x, 1e-3))
+
+
+def uniform_dawson_modulus_loop(F, oracle, K, eps, samples, seed):
+    """The former ``uniform_dawson_modulus``: one quotient per sampled draw."""
+    gaps = []
+    for i in range(samples):
+        rng = stream_rng(seed, "dawson-modulus", i)
+        m = random_measure_former(rng, K)
+        x = random_point(rng, K)
+        gaps.append(abs(dawson_loop(F, m, x, eps) - oracle.value(m, x)))
+    return max(gaps)
+
+
+# overflows a double beyond |x| = 1, so the integrand is not finite there
+STEEP = CylinderFunction((polynomial((0.0, 0.0, 1e308)),), outer_linear((1.0,)), label="steep")
+
+
+class TestQuotientsOfManyPairs:
+    """``dawson_each`` gives every (function, pair) the bits of the step
+    loop, whichever of the flat and the step paths each pair takes, and the
+    error that the loop of ``dawson_rows`` calls raises first."""
+
+    @given(st.lists(quotient_cases(), min_size=1, max_size=6), st.lists(step_values, min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @example(  # the flat path, an underflowed step and a merged point in one batch
+        [("atom", DiscreteMeasure([-0.8, 0.1], [0.5, 0.5]), 0.1, []),
+         ("subnormal", DiscreteMeasure([0.0, 1.0], [5e-324, 1.0]), 0.5, []),
+         ("near", DiscreteMeasure([-0.8, 0.1], [0.5, 0.5]), 0.1 + 3e-13, [])],
+        [0.5, 1e-3],
+    )
+    def test_every_entry_is_the_step_loop(self, cases, steps):
+        functions = list(QUOTIENT_FUNCTIONS.values())
+        _, ms, xs, _ = zip(*cases)
+        got = dawson_each(functions, ms, xs, steps)
+        assert got.shape == (len(functions), len(cases), len(steps))
+        for F, rows in zip(functions, got):
+            for m, x, row in zip(ms, xs, rows):
+                assert same_bits(row, [dawson_loop(F, m, x, s) for s in steps])
+
+    def test_shared_supports_take_the_flat_path(self):
+        ms = [DiscreteMeasure([-0.8, 0.1, 0.6], [0.3, 0.4, 0.3]), dirac(0.2), DiscreteMeasure([0.0, 1.0], [0.5, 0.5])]
+        xs = [0.5, 0.2, -0.3]  # off an atom, on one, off
+        for F in standard_battery():
+            got = dawson_each([RowsOnly(F, None)], ms, xs, CRITERION_STEPS)[0]
+            assert same_bits(got, [[dawson_loop(F, m, x, s) for s in CRITERION_STEPS] for m, x in zip(ms, xs)])
+
+    def test_no_pairs_and_unmatched_pairs(self):
+        assert dawson_each(standard_battery(), [], [], CRITERION_STEPS).shape == (7, 0, 5)
+        with pytest.raises(ValueError, match="as many"):
+            dawson_each([user_function], [dirac(0.0)], [], CRITERION_STEPS)
+
+    @pytest.mark.parametrize("F", [STEEP, STEEP.evaluate], ids=["flat", "step"])
+    def test_error_of_the_first_failing_pair(self, F):
+        ms = [dirac(0.5), DiscreteMeasure([0.2, 0.9], [0.5, 0.5]), DiscreteMeasure([-2.0, 0.1], [0.5, 0.5])]
+        xs = [0.3, 1.5, 0.0]  # the second pair's point, the third pair's atom are bad
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError) as each:
+                dawson_each([standard_battery()[2], F], ms, xs, CRITERION_STEPS)
+            with pytest.raises(ValueError) as loop:
+                for G in (standard_battery()[2], F):
+                    for m, x in zip(ms, xs):
+                        dawson_rows(G, m, x, CRITERION_STEPS)
+        assert str(each.value) == str(loop.value) == "integrand is not finite at atom 1.5"
+
+    @pytest.mark.parametrize("F", [standard_battery()[6], standard_battery()[6].evaluate], ids=["flat", "step"])
+    def test_uniform_dawson_modulus_is_the_draw_loop(self, F):
+        oracle = lift_to_field(standard_battery()[6])
+        for samples in (1, 250):  # 250 ends in a partial draw pass
+            got = uniform_dawson_modulus(F, oracle, 1.5, 1e-3, samples, seed=5)
+            assert same_bits(got, uniform_dawson_modulus_loop(F, oracle, 1.5, 1e-3, samples, 5))
 
 
 # scalar points, both zeros included (f(-0.0) and f(0.0) may differ in sign)
@@ -2226,8 +2298,8 @@ class TestPairingsOverMeasures:
 @pytest.mark.parametrize("seed", [0, 11, 29])
 class TestCriterionLoops:
     """Criteria 2, 4, 7 and 8 serialize to the bytes of their former loops;
-    7 and 8 also at 250 samples, which end in a partial draw pass (100
-    draws a pass for criterion 7, 33 triples for criterion 8)."""
+    also at sample counts that end in a partial draw pass (100 draws a pass
+    for criteria 2, 4 and 7, 33 triples for criterion 8)."""
 
     def test_criterion_2(self, seed):
         report, _ = check_dawson_linear(seed=seed)
@@ -2250,3 +2322,9 @@ class TestCriterionLoops:
         assert canonical_json(report) == canonical_json(check_second_derivative_symmetry_loop(seed, 250))
         report, _ = check_metric_properties(seed=seed, samples=250)
         assert canonical_json(report) == canonical_json(check_metric_properties_loop(seed, 250))
+
+    def test_criteria_2_and_4_in_partial_passes(self, seed):
+        report, _ = check_dawson_linear(seed=seed, samples=250)
+        assert canonical_json(report) == canonical_json(check_dawson_linear_loop(seed, 250))
+        report, _ = check_canonical_normalization(seed=seed, samples=130)
+        assert canonical_json(report) == canonical_json(check_canonical_normalization_loop(seed, 130))
