@@ -6,18 +6,16 @@ The directional difference quotient
 
 converges, for differentiable F, to the canonical functional derivative at
 (m, x). One Richardson level cancels the O(eps) truncation term, leaving an
-O(eps^2) estimator. ``dawson_each`` is the one quotient routine: it takes
-many functions, many (measure, point) pairs and any number of steps, and
-``dawson_rows`` is its one-pair case, ``dawson`` its one-step case and
-``dawson_extrapolated`` the combination of its steps (eps, eps/2). A
-function of a measure may carry a flat evaluator
+O(eps^2) estimator. ``dawson_each`` is the one quotient routine, for many
+functions at many (measure, point) pairs; ``dawson_rows`` is its one-pair
+case, ``dawson`` its one-step case, and ``dawson_extrapolated`` combines its
+steps (eps, eps/2). A function of a measure may carry a flat evaluator
 ``evaluate_flat(positions, weights, rows, count)`` (as ``CylinderFunction``
-does) that returns F of each of ``count`` measures laid out flat, row after
-row, as ``util.fsum_rows`` takes them, bit for bit; it then evaluates all
-base measures in one call, and in another the perturbed measures of every
-pair whose steps share one support (see ``measures.mix_rows``). Any other
-function, and any other pair, is evaluated step by step. The module also
-verifies the defining integral identity
+does) that returns F of ``count`` measures laid out flat, as
+``util.fsum_rows`` takes rows, bit for bit: one call then evaluates all base
+measures, and one the perturbed measures of every pair whose steps share a
+support (see ``measures.mix_rows``); all else is evaluated step by step.
+The module also verifies the defining integral identity
 
     F(m) - F(mu) = int_0^1 int H((1-t)*mu + t*m, x) d(m - mu)(x) dt
 
@@ -222,14 +220,12 @@ def uniform_dawson_modulus(
     if samples < 1:
         raise ValueError("samples must be at least 1")
 
-
-    def gaps():  # one dawson_each call per draw pass
-        for chunk in _passes(random_draws(seed, "dawson-modulus", range(samples), K, points=1)):
-            ms, xs = zip(*chunk)
-            for m, x, q in zip(ms, xs, dawson_each((F,), ms, xs, (eps,))[0, :, 0].tolist()):
-                yield abs(q - oracle.value(m, x))
-
-    return max(gaps())
+    gaps = []
+    for chunk in _passes(random_draws(seed, "dawson-modulus", range(samples), K, points=1)):
+        ms, xs = zip(*chunk)  # one dawson_each call per draw pass
+        quotients = dawson_each((F,), ms, xs, (eps,))[0, :, 0].tolist()
+        gaps += [abs(q - oracle.value(m, x)) for q, m, x in zip(quotients, ms, xs)]
+    return max(gaps)
 
 
 def segment_integral(

@@ -319,10 +319,9 @@ def _flat_atoms(pairs):
 
 
 def integrate_flat(positions, weights, rows, count: int, f) -> np.ndarray:
-    """``integrate`` against each of ``count`` measures laid out flat, row
-    after row, with their bits and their errors (the first bad atom in row
-    order). Evaluates ``f`` once on all the atoms, so ``f`` must act value by
-    value; one ``util.fsum_rows`` call sums each row's products."""
+    """``integrate`` against each of ``count`` measures laid out flat, with
+    their bits and errors (the first bad atom in row order): ``f``, which
+    must act value by value, once on all atoms, and one ``fsum_rows`` call."""
     return np.array(fsum_rows(weights * _finite_values(f, positions), rows, count))
 
 
