@@ -8,8 +8,9 @@ partition-of-unity weight matrix, the per-node segment quadrature (one
 ``discretize`` and ``w1`` that criterion 1 called once per measure, the
 per-step difference quotients (one ``mix`` per step), the per-call
 cylinder derivatives (one moment pass per call) and the per-point outer-map
-value, gradient and Hessian, with the criterion 2, 4, 7 and 8 loops built
-on them (criterion 8 on ``integrate`` pairs per probe and ``w1`` per pair),
+value, gradient and Hessian, with the criterion 2, 4, 7 and 8 loops and the
+per-draw ``uniform_dawson_modulus`` built on them (criterion 8 on
+``integrate`` pairs per probe and ``w1`` per pair),
 and the former sampled draws (a ``dirichlet`` weight draw), which
 ``random_measure`` and every value ``random_draws`` yields must reproduce. The vectorised code must reproduce the loops bit
 for bit (and the private trusted constructor the validating one), and the
