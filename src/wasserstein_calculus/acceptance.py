@@ -28,8 +28,8 @@ from .ftc import (
     symmetry_residual,
 )
 from .functions import cos_fn, lift_to_field, lipschitz_probes, sin_fn, standard_battery
-from .measures import dirac, kr_lower_bound_rows, w1_rows
-from .partition import BUMP_MODES, PartitionScheme, discretize_rows
+from .measures import _flat_atoms, _w1_flat, dirac, kr_lower_bound_rows
+from .partition import BUMP_MODES, PartitionScheme, _discretize_flat
 from .sampling import _passes, random_draws
 
 __all__ = ["run_sweep", "CHECKS", "DEFAULT_SEED"]
@@ -41,22 +41,23 @@ DISCRETIZATION_BUDGET_S = 10.0
 def discretization_case(seed: int, K: int, n: int) -> dict:
     """One (K, n) case of criterion 1: 100 seeded measures, both bump modes.
 
-    Each mode discretizes all the measures with one ``discretize_rows`` call
-    and measures every distance with one ``w1_rows`` call.
+    The measures are laid out flat once; each mode discretizes them with one
+    ``_discretize_flat`` call and measures every distance with one
+    ``_w1_flat`` call.
     """
-    measures = [m for (m,) in random_draws(seed, f"discretize-K{K}-n{n}", range(MEASURES_PER_CASE), K)]
-    originals = [(m.positions, m.weights) for m in measures]
+    draws = random_draws(seed, f"discretize-K{K}-n{n}", range(MEASURES_PER_CASE), K)
+    originals = _flat_atoms((m.positions, m.weights) for (m,) in draws)
     bound = 3.0 / n
     violations = 0
     ratio_max = 0.0
     for mode in BUMP_MODES:
-        grid_rows = discretize_rows(PartitionScheme(n=n, K=K, bump_shape=mode), measures)
-        dists = w1_rows(originals, grid_rows)
+        grid = _discretize_flat(PartitionScheme(n=n, K=K, bump_shape=mode), *originals)
+        dists = _w1_flat(originals, grid)
         violations += int(np.count_nonzero(dists > bound + 1e-10))
         ratio_max = max(ratio_max, float(np.max(dists * n / 3.0)))
         if mode == "smooth_bump":
             w1_smooth_max = float(np.max(dists))
-            atoms_out_max = max(positions.size for positions, _ in grid_rows)
+            atoms_out_max = int(np.bincount(grid[2]).max())
     return {
         "K": K,
         "n": n,
@@ -316,18 +317,19 @@ def check_second_derivative_symmetry(seed: int = DEFAULT_SEED, samples: int = 10
 def check_metric_properties(seed: int = DEFAULT_SEED, samples: int = 1000):
     """Duality lower bounds never exceed the distance; triangle inequality.
 
-    Each draw pass of triples (a, b, c) makes one ``w1_rows`` call for its
-    three pairs per triple and one ``kr_lower_bound_rows`` call per probe.
+    Each draw pass of triples (a, b, c) lays out its pairs' first and second
+    measures flat once, makes one ``_w1_flat`` call for the three pairs of
+    every triple and one ``kr_lower_bound_rows`` call per probe.
     """
     started = time.perf_counter()
     probes = lipschitz_probes()
     triangle, kr = [], []
     for chunk in _passes(random_draws(seed, "metric", range(samples), 2.0, measures=3), 3):
-        a, b, c = ([(m.positions, m.weights) for m in ms] for ms in zip(*chunk))
-        d_ab, d_bc, d_ac = w1_rows(a + b + a, b + c + c).reshape(3, -1)
+        a, b, c = zip(*chunk)
+        firsts, seconds = (_flat_atoms((m.positions, m.weights) for m in ms) for ms in (a + b + a, b + c + c))
+        d_ab, d_bc, d_ac = _w1_flat(firsts, seconds).reshape(3, -1)
         triangle.append(float(np.max(d_ac - d_ab - d_bc)))
-        firsts, seconds, _ = zip(*chunk)
-        kr += [float(np.max(kr_lower_bound_rows(firsts, seconds, f) - d_ab)) for f in probes]
+        kr += [float(np.max(kr_lower_bound_rows(a, b, f) - d_ab)) for f in probes]
     triangle_max, kr_max = max(triangle), max(kr)
     return {
         "criterion": 8,

@@ -347,7 +347,7 @@ def w1(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
     """
     if a is b:
         return 0.0
-    return float(w1_rows([(a.positions, a.weights)], [(b.positions, b.weights)])[0])
+    return float(_w1_flat((a.positions, a.weights, None, 1), (b.positions, b.weights, None, 1))[0])
 
 
 def w1_rows(firsts, seconds) -> np.ndarray:
@@ -355,33 +355,44 @@ def w1_rows(firsts, seconds) -> np.ndarray:
 
     Each item is a ``(positions, weights)`` pair of a probability measure, as
     a ``DiscreteMeasure`` holds them or ``partition.discretize_rows`` returns
-    them. Row r holds the atoms of both measures of pair r, the second with
-    negated weights, padded at the end with atoms at +inf of weight 0. A
-    stable sort of each row puts the padding last and leaves the real atoms in
-    the order the one-row sort gives them; the running sums along the row are
-    sequential, so they see the same terms in the same order; and the gaps
-    that touch the padding are zeroed before one exactly rounded sum per row
-    (``util.fsum_rows``, the bits of ``math.fsum``). Each distance therefore
-    has the bits of its pair computed alone.
+    them; each side is laid out flat (``_flat_atoms``) for ``_w1_flat``.
     """
-    rows = [(pa, wa, pb, wb) for (pa, wa), (pb, wb) in zip(firsts, seconds, strict=True)]
-    if not rows:
-        return np.zeros(0)
-    lengths = [pa.size + pb.size for pa, _, pb, _ in rows]
-    width = max(lengths)
-    inf_pad, zero_pad = np.full(width - min(lengths), np.inf), np.zeros(width - min(lengths))
-    pos = np.concatenate(
-        [x for (pa, _, pb, _), n in zip(rows, lengths) for x in (pa, pb, inf_pad[: width - n])]
-    ).reshape(len(rows), width)
-    signed = np.concatenate(
-        [x for (_, wa, _, wb), n in zip(rows, lengths) for x in (wa, -wb, zero_pad[: width - n])]
-    ).reshape(len(rows), width)
+    pairs = list(zip(firsts, seconds, strict=True))
+    return _w1_flat(_flat_atoms(a for a, _ in pairs), _flat_atoms(b for _, b in pairs))
+
+
+def _w1_flat(first, second) -> np.ndarray:
+    """``w1`` of row r of one flat layout (positions, weights, rows, count) of
+    probability measures against row r of another, with the bits of each
+    pair alone.
+
+    Index arithmetic on the layouts fills a padded (count, width) array: row r
+    holds the first measure's atoms, the second's with negated weights, then
+    atoms at +inf of weight 0 (one row is the plain concatenation, and its
+    ``rows`` are not read). A stable sort of each row leaves the padding last
+    and the real atoms in the order of the one-row sort; the running sums are
+    sequential along the row; and the gaps that touch the padding are zeroed
+    before one exactly rounded sum per row (``util.fsum_rows``).
+    """
+    (pa, wa, ra, count), (pb, wb, rb, _) = first, second
+    if count == 1:
+        pos, signed = np.concatenate((pa, pb))[None, :], np.concatenate((wa, -wb))[None, :]
+    else:
+        na, nb = np.bincount(ra, minlength=count), np.bincount(rb, minlength=count)
+        width = int((na + nb).max(initial=1))
+        # flat index of an atom: its row's offset, plus its place in the row
+        ia = np.arange(pa.size) + (np.arange(0, count * width, width) - np.cumsum(na) + na)[ra]
+        ib = np.arange(pb.size) + (np.arange(0, count * width, width) - np.cumsum(nb) + nb + na)[rb]
+        pos, signed = np.full(count * width, np.inf), np.zeros(count * width)
+        pos[ia], pos[ib], signed[ia], signed[ib] = pa, pb, wa, -wb
+        pos, signed = pos.reshape(count, width), signed.reshape(count, width)
+    width = pos.shape[1]
     order = np.argsort(pos, axis=1, kind="stable")
     order += np.arange(0, pos.size, width)[:, None]  # flat indices
     pos = np.take(pos, order)
     cdf_gap = compensated_cumsum(np.take(signed, order))
     gaps = np.subtract(
-        pos[:, 1:], pos[:, :-1], out=np.zeros((len(rows), width - 1)), where=pos[:, 1:] < np.inf
+        pos[:, 1:], pos[:, :-1], out=np.zeros((count, width - 1)), where=pos[:, 1:] < np.inf
     )
     return np.array(fsum_rows(np.abs(cdf_gap[:, :-1]) * gaps))
 

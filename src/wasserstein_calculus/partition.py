@@ -15,11 +15,11 @@ uses non-negativity and support containment of the bumps, so both bump
 families below satisfy it.
 
 At any point at most two bumps are nonzero: those of the grid indices just
-below and just above n*x. ``discretize_rows`` evaluates only that band, for
-the atoms of many measures at once, and scatters it onto one grid row per
-measure, so its cost is O(total atoms) whatever n and K are; each row has the
-bits of its measure discretized alone. ``discretize`` is its one-row case.
-``PartitionScheme.weight_matrix`` densifies the same band into full rows.
+below and just above n*x. ``_discretize_flat`` evaluates only that band, for
+many measures laid out flat, and scatters it onto one grid row per measure,
+so its cost is O(total atoms) whatever n and K are; each row has the bits of
+its measure discretized alone. ``discretize_rows`` and ``discretize`` are
+its adapters, and ``PartitionScheme.weight_matrix`` densifies the band.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import MASS_TOL, DiscreteMeasure
+from .measures import MASS_TOL, DiscreteMeasure, _flat_atoms
 from .util import fsum_rows
 
 __all__ = ["PartitionScheme", "bump_weight", "discretize", "discretize_rows", "BUMP_MODES"]
@@ -181,7 +181,7 @@ def discretize(scheme: PartitionScheme, m: DiscreteMeasure) -> DiscreteMeasure:
     one-row case of ``discretize_rows``, whose row is already sorted, merged,
     positive, finite and mass-checked, so the measure is built unchecked.
     """
-    return DiscreteMeasure._trusted(*discretize_rows(scheme, [m])[0])
+    return DiscreteMeasure._trusted(*_discretize_flat(scheme, *_flat_atoms([(m.positions, m.weights)]))[:2])
 
 
 def discretize_rows(scheme: PartitionScheme, measures) -> list:
@@ -189,49 +189,51 @@ def discretize_rows(scheme: PartitionScheme, measures) -> list:
 
     Returns one ``(positions, weights)`` pair per measure: the grid points
     that keep more than ``WEIGHT_FLOOR`` and their renormalized weights, the
-    arrays ``discretize`` stores in its measure. The band of every atom of
-    every measure is evaluated at once and scattered by one ``np.bincount``
-    keyed by (measure, grid index); bincount adds each bin's terms in input
-    order, so each row's sums have the bits of that measure discretized
-    alone. The checks are those of ``discretize``, made for every row: the
-    support bound, the cover of every atom, the mass of the grid weights, and
-    the constructor's mass check on the kept weights.
+    arrays ``discretize`` stores in its measure. They are the rows of
+    ``_discretize_flat`` of the measures laid out flat (``_flat_atoms``).
     """
-    measures = list(measures)
-    if not measures:
-        return []
-    for m in measures:
-        if m.support_bound > scheme.K:
-            raise ValueError(
-                f"measure support bound {m.support_bound:g} exceeds the scheme bound K={scheme.K}"
-            )
+    layout = _flat_atoms((m.positions, m.weights) for m in measures)
+    positions, weights, rows, count = _discretize_flat(scheme, *layout)
+    ends = np.cumsum(np.bincount(rows, minlength=count)).tolist()
+    return [(positions[a:b], weights[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _discretize_flat(scheme: PartitionScheme, positions, weights, rows, count: int):
+    """``discretize`` of each of ``count`` measures in the flat layout of
+    ``measures._flat_atoms``: their grid measures in the same layout, each
+    row with the bits of its measure alone, as one ``np.bincount`` keyed by
+    (row, grid index) adds each bin's terms in input order.
+
+    The checks of ``discretize`` are array operations over all rows, and the
+    first bad row raises its error: the support bound (from each row's first
+    and last atom), the cover of every atom, the mass of the grid weights,
+    then the constructor's mass check on the kept weights.
+    """
+    sizes = np.bincount(rows, minlength=count)
+    ends = np.cumsum(sizes)
+    bounds = np.maximum(np.abs(positions[ends - sizes]), np.abs(positions[ends - 1]))
+    bad = np.flatnonzero(bounds > scheme.K)
+    if bad.size:
+        raise ValueError(f"measure support bound {bounds[bad[0]]:g} exceeds the scheme bound K={scheme.K}")
     size = scheme.indices.size
-    counts = [len(m) for m in measures]
-    cols, band = scheme._band(np.concatenate([m.positions for m in measures]))
-    cols += np.repeat(np.arange(len(measures)) * size, counts)
-    masses = np.concatenate([m.weights for m in measures])
+    cols, band = scheme._band(positions)
+    cols += rows * size
     grid_weights = np.bincount(
-        (cols[:, None] + _PAIR).ravel(),
-        (masses[:, None] * band).ravel(),
-        minlength=len(measures) * size,
-    ).reshape(len(measures), size)
+        (cols[:, None] + _PAIR).ravel(), (weights[:, None] * band).ravel(), minlength=count * size
+    ).reshape(count, size)
     # zeros leave an exact fsum unchanged: the rows' nonzero weights, laid
     # flat row after row, carry all the per-row bookkeeping
     rows, cols = np.nonzero(grid_weights)
     values = grid_weights[rows, cols]
-    totals = fsum_rows(values, rows, len(measures))
+    totals = fsum_rows(values, rows, count)
     keep = values > WEIGHT_FLOOR
     rows, kept = rows[keep], values[keep]
-    kept /= np.array(fsum_rows(kept, rows, len(measures)))[rows]
-    kept_masses = fsum_rows(kept, rows, len(measures))
-    ends = np.cumsum(np.bincount(rows, minlength=len(measures))).tolist()
-    positions = scheme.grid[cols[keep]]
-    out = []
-    for total, mass, a, b in zip(totals, kept_masses, [0] + ends[:-1], ends):
-        if abs(total - 1.0) > 1e-10:
-            raise RuntimeError(f"partition of unity leaked mass: total {total!r}")
-        if abs(mass - 1.0) > MASS_TOL:
-            raise ValueError(f"weights sum to {mass!r}, not 1")
-        out.append((positions[a:b], kept[a:b]))
-    return out
-
+    kept = kept / np.array(fsum_rows(kept, rows, count))[rows]
+    masses = fsum_rows(kept, rows, count)
+    leaked = np.abs(np.array(totals) - 1.0) > 1e-10
+    bad = np.flatnonzero(leaked | (np.abs(np.array(masses) - 1.0) > MASS_TOL))
+    if bad.size and leaked[bad[0]]:
+        raise RuntimeError(f"partition of unity leaked mass: total {totals[bad[0]]!r}")
+    if bad.size:
+        raise ValueError(f"weights sum to {masses[bad[0]]!r}, not 1")
+    return scheme.grid[cols[keep]], kept, rows, count

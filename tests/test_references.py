@@ -87,8 +87,9 @@ from wasserstein_calculus.acceptance import (
 )
 from wasserstein_calculus.derivative import MIN_STEP
 from wasserstein_calculus.functions import CylinderDerivatives
-from wasserstein_calculus.measures import JSON_MASS_TOL, MASS_TOL, MERGE_TOL, _values_at, mix_rows
-from wasserstein_calculus.partition import GRID_SNAP, WEIGHT_FLOOR, _mollifier, _smoothstep
+from wasserstein_calculus.measures import JSON_MASS_TOL, MASS_TOL, MERGE_TOL, _flat_atoms, _values_at, _w1_flat, mix_rows
+from wasserstein_calculus import partition as partition_module
+from wasserstein_calculus.partition import GRID_SNAP, WEIGHT_FLOOR, _discretize_flat, _mollifier, _smoothstep
 from wasserstein_calculus import sampling
 from wasserstein_calculus.sampling import (
     _DRAW_CHUNK,
@@ -596,6 +597,141 @@ class TestRowBatches:
     def test_criterion_1_cases_match_loop(self, K, n):
         case = discretization_case(0, K, n)
         assert canonical_json(case) == canonical_json(discretization_case_loop(0, K, n))
+
+
+# ------------------------------------------------------------ flat layouts against the measures alone
+
+
+def discretize_rows_former(scheme, measures):
+    """The former ``discretize_rows``: support bounds per measure, one
+    bincount, then one verdict and one output pair per row in a loop."""
+    measures = list(measures)
+    if not measures:
+        return []
+    for m in measures:
+        if m.support_bound > scheme.K:
+            raise ValueError(f"measure support bound {m.support_bound:g} exceeds the scheme bound K={scheme.K}")
+    size = scheme.indices.size
+    cols, band = scheme._band(np.concatenate([m.positions for m in measures]))
+    cols += np.repeat(np.arange(len(measures)) * size, [len(m) for m in measures])
+    masses = np.concatenate([m.weights for m in measures])
+    grid_weights = np.bincount(
+        (cols[:, None] + np.array([0, 1])).ravel(), (masses[:, None] * band).ravel(), minlength=len(measures) * size
+    ).reshape(len(measures), size)
+    rows, cols = np.nonzero(grid_weights)
+    values = grid_weights[rows, cols]
+    totals = partition_module.fsum_rows(values, rows, len(measures))
+    keep = values > WEIGHT_FLOOR
+    rows, kept = rows[keep], values[keep]
+    kept /= np.array(partition_module.fsum_rows(kept, rows, len(measures)))[rows]
+    kept_masses = partition_module.fsum_rows(kept, rows, len(measures))
+    ends = np.cumsum(np.bincount(rows, minlength=len(measures))).tolist()
+    positions = scheme.grid[cols[keep]]
+    out = []
+    for total, mass, a, b in zip(totals, kept_masses, [0] + ends[:-1], ends):
+        if abs(total - 1.0) > 1e-10:
+            raise RuntimeError(f"partition of unity leaked mass: total {total!r}")
+        if abs(mass - 1.0) > MASS_TOL:
+            raise ValueError(f"weights sum to {mass!r}, not 1")
+        out.append((positions[a:b], kept[a:b]))
+    return out
+
+
+@st.composite
+def flat_batches(draw):
+    """A scheme and none to six measures inside its bound."""
+    scheme = draw(grid_schemes())
+    return scheme, draw(st.lists(grid_measure(scheme), max_size=6))
+
+
+def flat_rows(layout):
+    """The (positions, weights) rows of a flat layout."""
+    positions, weights, rows, count = layout
+    ends = np.cumsum(np.bincount(rows, minlength=count)).tolist()
+    return [(positions[a:b], weights[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+
+
+# How a row of a batch goes bad: an atom beyond the scheme bound, a mass
+# that leaks from the partition of unity, or kept weights whose mass is off
+# (planted in the third row sum, which only a tampered sum can make).
+BAD_ROWS = ("good", "outside", "leak", "mass")
+
+
+def tampered_mass_sums(bad):
+    """Patch ``partition.fsum_rows`` so that every third call, the kept
+    weights' masses, reads 1.5 in the rows of ``bad``."""
+    calls = []
+
+    def tampered(values, rows=None, count=0):
+        out = fsum_rows(values, rows, count)
+        calls.append(count)
+        return [1.5 if len(calls) % 3 == 0 and r in bad else v for r, v in enumerate(out)]
+
+    return mock.patch.object(partition_module, "fsum_rows", tampered)
+
+
+def discretize_outcome(discretize_batch, scheme, measures, bad_mass):
+    """The rows' bits, or the error's type and message."""
+    with tampered_mass_sums(bad_mass):
+        try:
+            rows = discretize_batch(scheme, measures)
+        except (ValueError, RuntimeError) as exc:
+            return type(exc), str(exc)
+    return [(positions.tobytes(), weights.tobytes()) for positions, weights in rows]
+
+
+class TestFlatLayouts:
+    @given(flat_batches())
+    @SETTINGS
+    def test_rows_are_the_measures_alone(self, batch):
+        scheme, measures = batch
+        layout = _flat_atoms((m.positions, m.weights) for m in measures)
+        grid = _discretize_flat(scheme, *layout)
+        dists = _w1_flat(layout, grid)
+        assert grid[3] == len(measures) and dists.shape == (len(measures),)
+        for m, (positions, weights), dist in zip(measures, flat_rows(grid), dists):
+            one, ref = discretize(scheme, m), discretize_one(scheme, m)
+            for stored in (one, ref):
+                assert same_bits(positions, stored.positions) and same_bits(weights, stored.weights)
+            assert same_bits(dist, w1(m, one)) and same_bits(dist, w1_one(m, ref))
+
+    @given(st.lists(st.tuples(clustered_atoms(), clustered_atoms()), max_size=6))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_w1_of_rows_of_unequal_length(self, pairs):
+        a = [DiscreteMeasure(*p) for p, _ in pairs]
+        b = [DiscreteMeasure(*q) for _, q in pairs]
+        dists = _w1_flat(*(_flat_atoms((m.positions, m.weights) for m in ms) for ms in (a, b)))
+        assert dists.shape == (len(pairs),)
+        for x, y, d in zip(a, b, dists):
+            assert same_bits(d, w1(x, y)) and same_bits(d, w1_one(x, y))
+
+    @given(flat_batches(), st.lists(st.sampled_from(BAD_ROWS), min_size=6, max_size=6))
+    @SETTINGS
+    def test_first_bad_row_raises_the_former_error(self, batch, kinds):
+        scheme, measures = batch
+        rows = []
+        for m, kind in zip(measures, kinds):
+            if kind == "outside":
+                m = DiscreteMeasure._trusted(np.append(m.positions[:-1], scheme.K + 0.25), m.weights)
+            elif kind == "leak":
+                m = DiscreteMeasure._trusted(m.positions, m.weights * 0.5)
+            rows.append(m)
+        bad_mass = {r for r, kind in enumerate(kinds) if kind == "mass"}
+        former = discretize_outcome(discretize_rows_former, scheme, rows, bad_mass)
+        assert discretize_outcome(discretize_rows, scheme, rows, bad_mass) == former
+
+    def test_every_kind_of_bad_row_is_reached(self):
+        scheme = PartitionScheme(n=4, K=1)
+        good, leak = dirac(0.5), DiscreteMeasure._trusted(np.array([0.25]), np.array([0.5]))
+        outside = DiscreteMeasure._trusted(np.array([0.0, 1.5]), np.array([0.5, 0.5]))
+        cases = [
+            ([good, leak, outside], set(), (ValueError, "measure support bound 1.5 exceeds the scheme bound K=1")),
+            ([good, good, leak], {1}, (ValueError, "weights sum to 1.5, not 1")),
+            ([good, leak, good], {1, 2}, (RuntimeError, "partition of unity leaked mass: total 0.5")),
+        ]
+        for rows, bad_mass, error in cases:
+            assert discretize_outcome(discretize_rows, scheme, rows, bad_mass) == error
+            assert discretize_outcome(discretize_rows_former, scheme, rows, bad_mass) == error
 
 
 # ------------------------------------------------------------ the validating and the trusted constructor
