@@ -12,9 +12,13 @@ import re
 import subprocess
 import sys
 
+from unittest import mock
+
+import numpy as np
 import pytest
 
 import wasserstein_calculus
+from wasserstein_calculus import acceptance
 from wasserstein_calculus.acceptance import DISCRETIZATION_BUDGET_S, run_sweep
 from wasserstein_calculus.util import canonical_json
 
@@ -151,3 +155,52 @@ def test_sweep_bytes_from_a_fresh_process(sweep, tmp_path):
     # numpy warning from an array path
     timings = "".join(rf"{c['name']}: \d+\.\d\ds\n" for c in report["criteria"])
     assert re.fullmatch(timings, proc.stderr), proc.stderr
+
+
+SAMPLED_CHECKS = [check for check in acceptance.CHECKS if "samples" in check.__code__.co_varnames]
+
+
+def test_every_sampled_check_is_covered():
+    assert len(SAMPLED_CHECKS) == 5
+
+
+@pytest.mark.parametrize("samples", [0, -3, 2.5, True])
+@pytest.mark.parametrize("check", SAMPLED_CHECKS, ids=lambda check: check.__name__)
+def test_sample_counts_below_one_or_not_integers_are_refused(check, samples):
+    with pytest.raises(ValueError, match="^samples must be at least 1$"):
+        check(seed=1, samples=samples)
+
+
+def test_a_nan_residual_after_finite_ones_is_kept():
+    with mock.patch.object(acceptance, "verify_deriv2", side_effect=[0.0, math.nan, 0.0]):
+        report, _ = acceptance.check_integral_identity(seed=1, samples=3)
+    assert math.isnan(report["residual_max"]) and report["ok"] is False
+
+
+def test_a_nan_distance_is_kept_and_fails_criterion_1():
+    core = acceptance._w1_flat
+
+    def nan_in_second_row(first, second):
+        dists = core(first, second)
+        dists[1] = math.nan
+        return dists
+
+    with mock.patch.object(acceptance, "_w1_flat", nan_in_second_row):
+        case = acceptance.discretization_case(1, 1, 2)
+    assert math.isnan(case["ratio_max"]) and math.isnan(case["w1_actual"])
+    assert case["violations"] == 2  # one per bump mode
+
+
+def test_a_nan_metric_excess_is_kept():
+    core = acceptance._w1_flat
+
+    def nan_in_last_pass(first, second):
+        dists = core(first, second)
+        if len(dists) < 99:  # the last, short pass
+            dists[0] = math.nan
+        return dists
+
+    with mock.patch.object(acceptance, "_w1_flat", nan_in_last_pass):
+        report, _ = acceptance.check_metric_properties(seed=1, samples=40)
+    assert math.isnan(report["triangle_excess_max"]) and math.isnan(report["kr_excess_max"])
+    assert report["ok"] is False

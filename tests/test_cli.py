@@ -254,6 +254,17 @@ class TestNumericBounds:
         assert code == 2
         assert json.loads(err)["error"] == "samples must be at least 1"
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_deriv2_check_samples(self, capsys, samples):
+        code, out, err = run_cli(capsys, ["deriv2-check", "--samples", samples])
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "samples must be at least 1"}
+
+    def test_quadrature_order_above_the_cap(self, capsys):
+        code, out, err = run_cli(capsys, ["counterexample", "--samples", "3", "--quad", "100000"])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"].startswith("quadrature order must lie in [2, ")
+
 
 class TestMalformedJson:
     """Structurally wrong function JSON is invalid input: exit 2, JSON error."""

@@ -27,6 +27,7 @@ from wasserstein_calculus import (
     stream_rng,
 )
 from wasserstein_calculus.derivative import MIN_STEP
+from wasserstein_calculus.util import MAX_QUAD_ORDER, gauss_legendre_01
 
 
 def x_field():
@@ -148,9 +149,26 @@ class TestUniformModulus:
         b = uniform_dawson_modulus(F.evaluate, H, 1.0, 1e-3, 30, seed=12)
         assert a == b
 
-    def test_rejects_no_samples(self):
-        with pytest.raises(ValueError):
-            uniform_dawson_modulus(lambda _: 0.0, zero_field(), 1.0, 1e-3, 0)
+    @pytest.mark.parametrize("samples", [0, -3, 2.5, True])
+    def test_rejects_no_samples(self, samples):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            uniform_dawson_modulus(lambda _: 0.0, zero_field(), 1.0, 1e-3, samples)
+
+    def test_nan_gaps_are_kept(self):
+        # the oracle is NaN right of -0.4: 14 of the 20 sampled points
+        oracle = DerivativeField(value=lambda m, x: math.nan if x > -0.4 else 0.0, dx=lambda m, x: 0.0)
+        assert math.isnan(uniform_dawson_modulus(lambda _: 1.0, oracle, 1.0, 1e-2, 20, seed=4))
+
+
+class TestQuadratureOrder:
+    def test_orders_up_to_the_cap(self):
+        nodes, weights = gauss_legendre_01(MAX_QUAD_ORDER)
+        assert nodes.size == MAX_QUAD_ORDER and abs(math.fsum(weights.tolist()) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("order", [1, MAX_QUAD_ORDER + 1, 100_000])
+    def test_orders_outside_are_refused(self, order):
+        with pytest.raises(ValueError, match="quadrature order must lie in"):
+            gauss_legendre_01(order)
 
 
 class TestVerifyDeriv2:

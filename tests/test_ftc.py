@@ -30,7 +30,7 @@ from wasserstein_calculus import (
     random_point,
     stream_rng,
 )
-from wasserstein_calculus.ftc import ESTIMATED_SYMMETRY_TOL
+from wasserstein_calculus.ftc import ESTIMATED_SYMMETRY_TOL, _verdict
 
 
 class TestAntiderivative:
@@ -152,6 +152,36 @@ class TestFtcCheck:
         a = ftc_check(H, K=1.0, samples=12, seed=5)
         b = ftc_check(H, K=1.0, samples=12, seed=5)
         assert a == b
+
+
+def nan_off_atoms(nan_at=lambda x: True):
+    """Zero on the atoms of m, so that it passes the canonical gate and
+    integrates to zero, and NaN at the other points where ``nan_at`` holds."""
+
+    def value(m, x):
+        x = np.asarray(x, dtype=float)
+        out = np.where(np.isin(x, m.positions) | np.logical_not(nan_at(x)), 0.0, math.nan)
+        return float(out) if out.ndim == 0 else out
+
+    return DerivativeField(value=value, dx=value, label="nan-off-atoms")
+
+
+class TestNotANumber:
+    @pytest.mark.parametrize("estimated", [False, True])
+    def test_nan_residual_is_no_derivative(self, estimated):
+        assert _verdict(math.nan, estimated=estimated, field_max=1.0) == "not-a-derivative"
+        assert _verdict(0.0, estimated=estimated, field_max=math.nan) == "derivative"
+
+    def test_field_nan_off_the_atoms(self):
+        report = ftc_check(nan_off_atoms(), K=1.0, samples=5, seed=5)
+        assert math.isnan(report["symmetry_max"]) and math.isnan(report["mismatch_max"])
+        assert report["verdict"] == "not-a-derivative"
+
+    def test_a_nan_after_finite_residuals_is_kept(self):
+        # NaN only at points above 0.5: most samples are finite, a few are not
+        report = ftc_check(nan_off_atoms(lambda x: x > 0.5), K=1.0, samples=20, seed=5)
+        assert math.isnan(report["symmetry_max"]) and math.isnan(report["mismatch_max"])
+        assert report["verdict"] == "not-a-derivative"
 
 
 class TestCounterexampleReport:
