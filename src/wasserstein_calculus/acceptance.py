@@ -31,6 +31,7 @@ from .functions import cos_fn, lift_to_field, lipschitz_probes, sin_fn, standard
 from .measures import _flat_atoms, _w1_flat, dirac, kr_lower_bound_rows
 from .partition import BUMP_MODES, PartitionScheme, _discretize_flat
 from .sampling import _passes, random_draws
+from .util import check_samples, max_or_nan
 
 __all__ = ["run_sweep", "CHECKS", "DEFAULT_SEED"]
 
@@ -48,13 +49,12 @@ def discretization_case(seed: int, K: int, n: int) -> dict:
     draws = random_draws(seed, f"discretize-K{K}-n{n}", range(MEASURES_PER_CASE), K)
     originals = _flat_atoms((m.positions, m.weights) for (m,) in draws)
     bound = 3.0 / n
-    violations = 0
-    ratio_max = 0.0
+    violations, ratio_max = 0, 0.0
     for mode in BUMP_MODES:
         grid = _discretize_flat(PartitionScheme(n=n, K=K, bump_shape=mode), *originals)
         dists = _w1_flat(originals, grid)
-        violations += int(np.count_nonzero(dists > bound + 1e-10))
-        ratio_max = max(ratio_max, float(np.max(dists * n / 3.0)))
+        violations += int(np.count_nonzero(~(dists <= bound + 1e-10)))  # NaN is one
+        ratio_max = max_or_nan((ratio_max, float(np.max(dists * n / 3.0))))
         if mode == "smooth_bump":
             w1_smooth_max = float(np.max(dists))
             atoms_out_max = int(np.bincount(grid[2]).max())
@@ -83,21 +83,12 @@ def check_discretization(seed: int = DEFAULT_SEED):
         "name": "discretization_bound",
         "ok": violations == 0,
         "violations": int(violations),
-        "empirical_ratio_max": float(max(r["ratio_max"] for r in rows)),
+        "empirical_ratio_max": float(max_or_nan(r["ratio_max"] for r in rows)),
         "cases": len(cases),
         "measures_per_case": MEASURES_PER_CASE,
         "modes": list(BUMP_MODES),
         "seed": int(seed),
-        "per_n": [
-            {
-                "n": r["n"],
-                "K": r["K"],
-                "w1_bound": float(r["w1_bound"]),
-                "w1_actual": float(r["w1_actual"]),
-                "atoms_out": int(r["atoms_out"]),
-            }
-            for r in rows
-        ],
+        "per_n": [{key: r[key] for key in ("n", "K", "w1_bound", "w1_actual", "atoms_out")} for r in rows],
     }, elapsed
 
 
@@ -108,31 +99,28 @@ def check_dawson_linear(seed: int = DEFAULT_SEED, samples: int = 200):
     the steps eps and eps/2 of the extrapolated quotient, then the raw
     quotient's step grid, and one ``derivatives`` batch per function.
     """
+    check_samples(samples)
     started = time.perf_counter()
     battery = standard_battery()
     eps = 1e-3
     eps_grid = (1e-2, 5e-3, 2.5e-3)
     steps = (eps, 0.5 * eps) + eps_grid
-    worst = [[0.0] * (1 + len(eps_grid)) for _ in battery]  # extrapolated, then raw per step
+    worst = np.zeros((len(battery), 1 + len(eps_grid)))  # extrapolated, then raw per step
     for chunk in _passes(random_draws(seed, "dawson-samples", range(samples), 1.0, points=1)):
         ms, xs = zip(*chunk)
         points = np.array(xs)[:, None]  # one point per row
-        for F, quotients, errs in zip(battery, dawson_each(battery, ms, xs, steps), worst):
-            exact = F.derivatives(ms).delta(points).ravel().tolist()
-            for (q_full, q_half, *raw), e in zip(quotients.tolist(), exact):
-                errs[:] = [max(a, abs(q - e)) for a, q in zip(errs, (richardson(q_full, q_half), *raw))]
+        for F, q, errs in zip(battery, dawson_each(battery, ms, xs, steps), worst):
+            estimates = np.column_stack((richardson(q[:, 0], q[:, 1]), q[:, 2:]))
+            np.maximum(errs, np.abs(estimates - F.derivatives(ms).delta(points)).max(axis=0), out=errs)
 
     def one(F, errs):
-        ext_err, raw_err = errs[0], dict(zip(eps_grid, errs[1:]))
-        degenerate = raw_err[eps_grid[0]] <= 1e-10
+        ext_err, raw_err = errs[0], errs[1:]
+        degenerate = raw_err[0] <= 1e-10
         if degenerate:
             order = None
-            order_ok = all(v <= 1e-10 for v in raw_err.values())
+            order_ok = all(v <= 1e-10 for v in raw_err)
         else:
-            slope = np.polyfit(
-                np.log([e for e in eps_grid]), np.log([raw_err[e] for e in eps_grid]), 1
-            )[0]
-            order = float(slope)
+            order = float(np.polyfit(np.log(eps_grid), np.log(raw_err), 1)[0])
             order_ok = 0.9 <= order <= 1.1
         return {
             "label": F.label,
@@ -159,6 +147,7 @@ def check_integral_identity(
     seed: int = DEFAULT_SEED, samples: int = 100, quad_order: int = DEFAULT_QUAD_ORDER
 ):
     """Matched (function, exact field) pairs satisfy the defining identity."""
+    check_samples(samples)
     started = time.perf_counter()
     battery = standard_battery()
 
@@ -167,7 +156,7 @@ def check_integral_identity(
         return verify_deriv2(F.evaluate, lift_to_field(F), m, mu, quad_order)
 
     pairs = random_draws(seed, "integral-identity", range(samples), 1.0, measures=2)
-    residual_max = max(one(i, m, mu) for i, (m, mu) in enumerate(pairs))
+    residual_max = max_or_nan(one(i, m, mu) for i, (m, mu) in enumerate(pairs))
     return {
         "criterion": 3,
         "name": "derivative_integral_identity",
@@ -185,9 +174,10 @@ def check_canonical_normalization(seed: int = DEFAULT_SEED, samples: int = 25):
     Each draw pass makes one ``dawson_each`` call for every function at
     every (measure, atom) pair, with the steps eps and eps/2.
     """
+    check_samples(samples)
     started = time.perf_counter()
     battery = standard_battery()
-    exact_max = estimated_max = 0.0
+    exact, estimated = [], []
     for chunk in _passes(random_draws(seed, "canonical", range(samples), 1.0)):
         ms = [m for (m,) in chunk]
         pairs = [(m, x) for m in ms for x in m.positions.tolist()]
@@ -195,11 +185,9 @@ def check_canonical_normalization(seed: int = DEFAULT_SEED, samples: int = 25):
         ends = np.cumsum([len(m) for m in ms]).tolist()
         for F, extrapolated in zip(battery, richardson(q[..., 0], q[..., 1])):
             for m, a, b in zip(ms, [0] + ends, ends):
-                exact_max = max(
-                    exact_max, abs(math.fsum((m.weights * F.exact_delta(m, m.positions)).tolist()))
-                )
-                estimated = math.fsum((m.weights * extrapolated[a:b]).tolist())
-                estimated_max = max(estimated_max, abs(estimated))
+                exact.append(abs(math.fsum((m.weights * F.exact_delta(m, m.positions)).tolist())))
+                estimated.append(abs(math.fsum((m.weights * extrapolated[a:b]).tolist())))
+    exact_max, estimated_max = max_or_nan(exact), max_or_nan(estimated)
     return {
         "criterion": 4,
         "name": "canonical_normalization",
@@ -219,25 +207,19 @@ def check_ftc_soundness(seed: int = DEFAULT_SEED):
 
     def one(F):
         H = lift_to_field(F)
-        report = ftc_check(
-            H, K=1.0, quad_order=DEFAULT_QUAD_ORDER, eps=DEFAULT_EPS, samples=30, seed=seed
-        )
+        report = ftc_check(H, K=1.0, samples=30, seed=seed)
         built = antiderivative(H, DEFAULT_QUAD_ORDER)
         base = F.evaluate(dirac(0.0))
-        recovery = 0.0
-        for (m,) in random_draws(seed, "ftc-recovery", range(20), 1.0):
-            recovery = max(recovery, abs(built(m) - (F.evaluate(m) - base)))
+        recovery = max_or_nan(
+            abs(built(m) - (F.evaluate(m) - base)) for (m,) in random_draws(seed, "ftc-recovery", range(20), 1.0)
+        )
         return {
             "label": F.label,
             "mismatch_max": report["mismatch_max"],
             "symmetry_max": report["symmetry_max"],
             "verdict": report["verdict"],
             "recovery_err_max": float(recovery),
-            "ok": bool(
-                report["mismatch_max"] <= 1e-5
-                and report["verdict"] == "derivative"
-                and recovery <= 1e-9
-            ),
+            "ok": bool(report["mismatch_max"] <= 1e-5 and report["verdict"] == "derivative" and recovery <= 1e-9),
         }
 
     per_fn = [one(F) for F in battery]
@@ -262,9 +244,7 @@ def check_counterexample(seed: int = DEFAULT_SEED):
     H = counterexample_field(phi, psi)
     pinned = symmetry_residual(H, dirac(0.0), math.pi / 2.0, math.pi)
     pinned_ok = abs(pinned - (-2.0)) <= 1e-10
-    ftc_report = ftc_check(
-        H, K=K, quad_order=DEFAULT_QUAD_ORDER, eps=DEFAULT_EPS, samples=40, seed=seed
-    )
+    ftc_report = ftc_check(H, K=K, samples=40, seed=seed)
     mismatch_floor = max(0.1, 0.25 * report["closed_derivative_vs_field_max"])
     ok = (
         report["ok"]
@@ -292,6 +272,7 @@ def check_second_derivative_symmetry(seed: int = DEFAULT_SEED, samples: int = 10
     Each curved function takes the derivatives of a whole draw pass at once
     and evaluates the four terms at every row's own pair of points.
     """
+    check_samples(samples)
     started = time.perf_counter()
     curved = [F for F in standard_battery() if F.has_nontrivial_hessian()]
     worst = []
@@ -302,7 +283,7 @@ def check_second_derivative_symmetry(seed: int = DEFAULT_SEED, samples: int = 10
             d = F.derivatives(ms)
             residual = d.delta2(xs, ys) - d.delta(xs) - d.delta2(ys, xs) + d.delta(ys)
             worst.append(float(np.max(np.abs(residual))))
-    residual_max = max(worst)
+    residual_max = max_or_nan(worst)
     return {
         "criterion": 7,
         "name": "second_derivative_symmetry",
@@ -321,6 +302,7 @@ def check_metric_properties(seed: int = DEFAULT_SEED, samples: int = 1000):
     measures flat once, makes one ``_w1_flat`` call for the three pairs of
     every triple and one ``kr_lower_bound_rows`` call per probe.
     """
+    check_samples(samples)
     started = time.perf_counter()
     probes = lipschitz_probes()
     triangle, kr = [], []
@@ -330,7 +312,7 @@ def check_metric_properties(seed: int = DEFAULT_SEED, samples: int = 1000):
         d_ab, d_bc, d_ac = _w1_flat(firsts, seconds).reshape(3, -1)
         triangle.append(float(np.max(d_ac - d_ab - d_bc)))
         kr += [float(np.max(kr_lower_bound_rows(a, b, f) - d_ab)) for f in probes]
-    triangle_max, kr_max = max(triangle), max(kr)
+    triangle_max, kr_max = max_or_nan(triangle), max_or_nan(kr)
     return {
         "criterion": 8,
         "name": "metric_properties",

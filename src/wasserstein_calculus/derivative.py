@@ -44,7 +44,7 @@ import numpy as np
 
 from .measures import DiscreteMeasure, _flat_atoms, _values_at, dirac, mix, mix_rows, signed_difference
 from .sampling import _passes, random_draws
-from .util import fsum_rows, gauss_legendre_01
+from .util import check_samples, fsum_rows, gauss_legendre_01, max_or_nan
 
 __all__ = [
     "DerivativeField",
@@ -217,15 +217,13 @@ def uniform_dawson_modulus(
     (atom count <= 12, uniform positions, flat Dirichlet weights) is the
     reproducible surrogate.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-
+    check_samples(samples)
     gaps = []
     for chunk in _passes(random_draws(seed, "dawson-modulus", range(samples), K, points=1)):
         ms, xs = zip(*chunk)  # one dawson_each call per draw pass
         quotients = dawson_each((F,), ms, xs, (eps,))[0, :, 0].tolist()
         gaps += [abs(q - oracle.value(m, x)) for q, m, x in zip(quotients, ms, xs)]
-    return max(gaps)
+    return max_or_nan(gaps)
 
 
 def segment_integral(
@@ -241,12 +239,10 @@ def segment_integral(
     has a ``batch_value`` and the nodes share a support; otherwise each node
     is ``mix(mu, m, t)`` evaluated by ``value``. Both give the same bits.
     """
-    if quad_order < 2:
-        raise ValueError("quad_order must be at least 2")
+    nodes, weights = gauss_legendre_01(quad_order)
     pos, sw = signed_difference(m, mu)
     if pos.size == 0:
         return 0.0
-    nodes, weights = gauss_legendre_01(quad_order)
     batch = mix_rows(mu, m, nodes) if H.batch_value is not None else None
     if batch is not None:
         vals = H.batch_value(*batch, pos)

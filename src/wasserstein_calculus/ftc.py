@@ -50,6 +50,7 @@ from .functions import (
 )
 from .measures import DiscreteMeasure, dirac, integrate, integrate_rows
 from .sampling import random_draws
+from .util import check_samples, gauss_legendre_01, max_or_nan
 
 __all__ = [
     "BASE_POINT",
@@ -92,8 +93,7 @@ def antiderivative(H: DerivativeField, quad_order: int = DEFAULT_QUAD_ORDER) -> 
     The returned function evaluates the t-integral by Gauss-Legendre
     quadrature of the exact atom-sum; it is zero at the base point exactly.
     """
-    if quad_order < 2:
-        raise ValueError("quad_order must be at least 2")
+    gauss_legendre_01(quad_order)  # refuses a bad order when F is built
 
     def F(m: DiscreteMeasure) -> float:
         return segment_integral(H, BASE_POINT, m, quad_order)
@@ -129,18 +129,15 @@ def symmetry_residual(
 
 def _verdict(symmetry_max: float, *, estimated: bool, field_max: float) -> str:
     """"not-a-derivative" when the sampled symmetry residual exceeds the
-    threshold of its mode, else "derivative".
+    threshold of its mode or is NaN, else "derivative".
 
     An estimated residual carries the quotient's O(eps^2) error, so its
     threshold is 100 x ESTIMATED_SYMMETRY_TOL; an exact one carries rounding
     only, so its threshold is EXACT_SYMMETRY_TOL x max(1, field_max), where
     field_max is the sampled max |H(m, x)|.
     """
-    if estimated:
-        threshold = 100.0 * ESTIMATED_SYMMETRY_TOL
-    else:
-        threshold = EXACT_SYMMETRY_TOL * max(1.0, field_max)
-    return "not-a-derivative" if symmetry_max > threshold else "derivative"
+    threshold = 100.0 * ESTIMATED_SYMMETRY_TOL if estimated else EXACT_SYMMETRY_TOL * max(1.0, field_max)
+    return "derivative" if symmetry_max <= threshold else "not-a-derivative"
 
 
 def ftc_check(
@@ -159,8 +156,7 @@ def ftc_check(
     must ``canonicalize`` first. Verdict is "not-a-derivative" when the
     symmetry residual exceeds the threshold of its mode (see ``_verdict``).
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    check_samples(samples)
     for (probe,) in random_draws(seed, "canonical-gate", range(_N_GATE_PROBES), K):
         residual = math.fsum((probe.weights * field_values(H, probe, probe.positions)).tolist())
         if abs(residual) > CANONICAL_GATE_TOL:
@@ -173,15 +169,15 @@ def ftc_check(
 
     def symmetry_one(m, x, y):
         residual = symmetry_residual(H, m, x, y, eps=eps if estimated else None)
-        return abs(residual), max(abs(H.value(m, x)), abs(H.value(m, y)))
+        return abs(residual), max_or_nan((abs(H.value(m, x)), abs(H.value(m, y))))
 
-    mismatch_max = max(
+    mismatch_max = max_or_nan(
         abs(dawson_extrapolated(F, m, x, eps) - H.value(m, x))
         for m, x in random_draws(seed, "ftc-mismatch", range(samples), K, points=1)
     )
     symmetry = [symmetry_one(*draw) for draw in random_draws(seed, "ftc-symmetry", range(samples), K, points=2)]
-    symmetry_max = max(r[0] for r in symmetry)
-    verdict = _verdict(symmetry_max, estimated=estimated, field_max=max(r[1] for r in symmetry))
+    symmetry_max, field_max = (max_or_nan(column) for column in zip(*symmetry))
+    verdict = _verdict(symmetry_max, estimated=estimated, field_max=field_max)
     return {
         "check": "ftc",
         "field": H.label,
@@ -279,8 +275,7 @@ def counterexample_report(
     asserts exactly that, with the large-gap threshold additionally reported
     as half the realized closed-form gap.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    check_samples(samples)
     H = counterexample_field(phi, psi)
     F_quad = antiderivative(H, quad_order)
     F_closed = counterexample_closed_antiderivative(phi, psi)
@@ -292,14 +287,11 @@ def counterexample_report(
         h = H.value(m, x)
         c = abs(delta_closed(m, x) - h)
         s = abs(symmetry_residual(H, m, x, y))
-        return a, b, c, s, max(abs(h), abs(H.value(m, y)))
+        return a, b, c, s, max_or_nan((abs(h), abs(H.value(m, y))))
 
     results = [one(*draw) for draw in random_draws(seed, "counterexample", range(samples), K, points=2)]
-    a_max = max(r[0] for r in results)
-    b_max = max(r[1] for r in results)
-    c_max = max(r[2] for r in results)
-    symmetry_max = max(r[3] for r in results)
-    verdict = _verdict(symmetry_max, estimated=False, field_max=max(r[4] for r in results))
+    a_max, b_max, c_max, symmetry_max, field_max = (max_or_nan(column) for column in zip(*results))
+    verdict = _verdict(symmetry_max, estimated=False, field_max=field_max)
     ok = a_max <= closed_f_tol and b_max <= built_delta_tol and c_max >= gap_floor
     return {
         "check": "counterexample",

@@ -16,19 +16,22 @@ import numpy as np
 __all__ = ["gauss_legendre_01", "canonical_json", "compensated_cumsum"]
 
 
+# ``leggauss`` builds an order x order matrix, so orders above this are
+# refused before it runs; the cap also bounds the cache below at 255 orders.
+MAX_QUAD_ORDER = 256
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre_01(order: int):
-    """Gauss-Legendre nodes and weights on [0, 1].
-
-    Cached per order; the returned arrays are read-only.
-    """
-    if order < 2:
-        raise ValueError("quadrature order must be at least 2")
+    """Gauss-Legendre nodes and weights on [0, 1], for an order from 2 to
+    ``MAX_QUAD_ORDER``. Cached per order; the returned arrays are read-only."""
+    if not 2 <= order <= MAX_QUAD_ORDER:
+        raise ValueError(f"quadrature order must lie in [2, {MAX_QUAD_ORDER}], not {order!r}")
     nodes, weights = np.polynomial.legendre.leggauss(order)
     nodes = 0.5 * (nodes + 1.0)
     weights = 0.5 * weights
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
+    for a in (nodes, weights):
+        a.setflags(write=False)
     return nodes, weights
 
 
@@ -55,6 +58,18 @@ def json_number(value, what: str) -> float:
     if not math.isfinite(number):
         raise ValueError(f"{what} must be a finite number, not {number!r}")
     return number
+
+
+def check_samples(samples) -> None:
+    """A sample count is an integer (never a bool) of at least 1."""
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError("samples must be at least 1")
+
+
+def max_or_nan(values) -> float:
+    """The largest of some floats, or NaN if one is (``max`` keeps only a first NaN)."""
+    values = list(values)
+    return math.nan if any(v != v for v in values) else max(values)
 
 
 def check_keys(data: dict, known, what: str) -> None:
