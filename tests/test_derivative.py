@@ -149,8 +149,12 @@ class TestUniformModulus:
         b = uniform_dawson_modulus(F.evaluate, H, 1.0, 1e-3, 30, seed=12)
         assert a == b
 
-    @pytest.mark.parametrize("samples", [0, -3, 2.5, True])
-    def test_rejects_no_samples(self, samples):
+    def test_rejects_no_samples(self):
+        with pytest.raises(ValueError):
+            uniform_dawson_modulus(lambda _: 0.0, zero_field(), 1.0, 1e-3, 0)
+
+    @pytest.mark.parametrize("samples", [-3, 2.5, True])
+    def test_rejects_sample_counts_below_one_or_not_integers(self, samples):
         with pytest.raises(ValueError, match="samples must be at least 1"):
             uniform_dawson_modulus(lambda _: 0.0, zero_field(), 1.0, 1e-3, samples)
 
