@@ -172,6 +172,14 @@ class TestNotANumber:
         assert _verdict(math.nan, estimated=estimated, field_max=1.0) == "not-a-derivative"
         assert _verdict(0.0, estimated=estimated, field_max=math.nan) == "derivative"
 
+    def test_nan_everywhere_fails_the_canonical_gate(self):
+        # its integral against every probe is NaN, which no comparison with
+        # the gate's tolerance lets through
+        nan = DerivativeField(value=lambda m, x: np.full(np.shape(x), math.nan) + 0.0,
+                              dx=lambda m, x: np.zeros(np.shape(x)) + 0.0, label="nan")
+        with pytest.raises(ValueError, match="^field integrates to nan against a probe measure; canonicalize"):
+            ftc_check(nan, K=1.0, samples=3, seed=5)
+
     def test_field_nan_off_the_atoms(self):
         report = ftc_check(nan_off_atoms(), K=1.0, samples=5, seed=5)
         assert math.isnan(report["symmetry_max"]) and math.isnan(report["mismatch_max"])

@@ -7,6 +7,8 @@ import pytest
 
 from wasserstein_calculus import (
     CylinderFunction,
+    OuterMap,
+    ScalarFunction,
     DiscreteMeasure,
     affine,
     cos_fn,
@@ -17,6 +19,7 @@ from wasserstein_calculus import (
     identity_fn,
     integrate,
     lift_to_field,
+    outer_exp,
     outer_linear,
     outer_polynomial,
     outer_product,
@@ -82,6 +85,18 @@ class TestScalarCatalog:
             smooth_abs(-1.0)
         with pytest.raises(ValueError):
             polynomial(())
+
+    @pytest.mark.parametrize("kind", ["sin", "cos", "tanh"])
+    def test_kind_without_parameters_refuses_them(self, kind):
+        # they were dropped: tanh(3) went to JSON as {"kind": "tanh"}
+        with pytest.raises(ValueError, match=f"^{kind} takes no parameters$"):
+            ScalarFunction(kind, (3.0,))
+        assert ScalarFunction(kind, ()) == ScalarFunction(kind)
+
+    def test_parameter_count_checked_for_every_kind(self):
+        for kind, params in [("gaussian", (0.0, 1.0, 2.0)), ("affine", (1.0,)), ("smooth_abs", (0.1, 0.2))]:
+            with pytest.raises(ValueError, match=f"^{kind} needs "):
+                ScalarFunction(kind, params)
 
 
 class TestEvaluate:
@@ -220,6 +235,55 @@ class TestOuterMaps:
         assert np.allclose(g.gradient(v), [10.0, 0.0, 0.0])
         assert g.hessian(v)[1, 2] == 0.0
         assert g.hessian(v)[0, 1] == 5.0
+
+
+class TestOuterMapChecks:
+    """An ``OuterMap`` built directly is checked as its helper checks it."""
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("linear", (), "linear outer map takes"),
+            ("linear", ((1.0,), 0.0, 2.0), "linear outer map takes"),
+            ("linear", ((), 0.0), "^linear outer map needs at least one weight$"),
+            ("product", (0,), "^product outer map needs arity >= 1$"),
+            ("product", (2.7,), "product outer map needs"),
+            ("product", (math.nan,), "product outer map needs"),
+            ("product", (math.inf,), "product outer map needs"),
+            ("polynomial", ((),), "^polynomial outer map needs at least one term$"),
+            ("polynomial", (((1.0, (1,)), (1.0, (1, 2))),), "^all terms must share the same arity$"),
+            ("polynomial", (((1.0, (-1,)),),), "^polynomial exponents must be non-negative$"),
+            ("polynomial", (((1.0, (1.5,)),),), "polynomial exponents must be"),
+            ("sin_of_sum", ((),), "^sin_of_sum needs at least one weight$"),
+            ("exp_of_sum", ((),), "^exp_of_sum needs at least one weight$"),
+        ],
+    )
+    def test_refused_at_construction(self, kind, params, message):
+        with pytest.raises(ValueError, match=message):
+            OuterMap(kind, params)
+
+    def test_cylinder_of_a_bad_map_raises_value_error(self):
+        with pytest.raises(ValueError):
+            CylinderFunction((sin_fn(),), OuterMap("linear", ()))
+
+    def test_helper_refuses_a_fractional_arity(self):
+        with pytest.raises(ValueError):
+            outer_product(2.7)
+
+    def test_built_directly_equals_the_helper(self):
+        assert OuterMap("linear", ([1, np.float32(0.5)], 0)) == outer_linear((1.0, 0.5))
+        assert OuterMap("product", (np.int64(2),)) == outer_product(2)
+        assert OuterMap("polynomial", ([(1, [np.int64(2), 0])],)) == outer_polynomial([(1.0, (2, 0))])
+        assert OuterMap("sin_of_sum", ([np.float64(2.0)],)) == outer_sin((2.0,))
+        assert OuterMap("exp_of_sum", ((1,),)) == outer_exp((1.0,))
+
+    def test_what_was_accepted_stays_accepted(self):
+        assert outer_product(np.int64(3)).arity == 3
+        assert outer_product(2.0).params == (2,)
+        assert outer_linear([np.int64(1), 2], offset=np.float64(0.5)).params == ((1.0, 2.0), 0.5)
+        g = outer_polynomial([(np.float32(0.5), [np.int64(2)]), (2, (1.0,))])
+        assert g.params == (((0.5, (2,)), (2.0, (1,))),)
+        assert outer_polynomial([(2.0, ())]).arity == 0
 
 
 class TestLift:
