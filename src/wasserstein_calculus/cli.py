@@ -21,7 +21,7 @@ import numpy as np
 from .acceptance import run_sweep
 from .derivative import DEFAULT_EPS, DEFAULT_QUAD_ORDER, DEFAULT_SEED, dawson, dawson_extrapolated
 from .ftc import counterexample_report, field_from_dict, ftc_check
-from .functions import cylinder_from_dict, scalar_from_dict
+from .functions import _SCALAR_KINDS, ScalarFunction, cylinder_from_dict, scalar_from_dict
 from .measures import measure_from_dict, measure_to_dict, w1
 from .partition import BUMP_MODES, PartitionScheme, discretize
 from .util import canonical_json, check_keys
@@ -99,11 +99,10 @@ def _check_config_value(key, value, cast):
 def _parse_scalar_arg(text: str):
     if text.strip().startswith("{"):
         return scalar_from_dict(json.loads(text))
-    if text in ("sin", "cos", "tanh"):
-        return scalar_from_dict({"kind": text})
-    raise ValueError(
-        f"unknown function {text!r}: use sin, cos, tanh, or a JSON object"
-    )
+    names = [kind for kind, row in _SCALAR_KINDS.items() if not row.keys]
+    if text in names:
+        return ScalarFunction(text)
+    raise ValueError(f"unknown function {text!r}: use {', '.join(names)}, or a JSON object")
 
 
 def _emit(report: dict, out_path: str | None = None):

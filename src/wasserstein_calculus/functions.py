@@ -8,6 +8,9 @@ estimator in this package. Gradients and Hessians of the outer maps are
 hand-coded so the oracle does not depend on any differentiation machinery
 under test. A gradient takes one moment vector or a (rows, k) array of them,
 one per row measure of a batch, and each row keeps the bits of its own point.
+
+Each scalar kind is one row of ``_SCALAR_KINDS`` and each outer-map kind one
+of ``_OUTER_KINDS``; construction, evaluation and the JSON pair read the rows.
 """
 
 from __future__ import annotations
@@ -15,11 +18,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .measures import DiscreteMeasure, _flat_atoms, integrate, integrate_flat, integrate_rows
-from .util import check_keys, fsum_rows, json_number
+from .measures import DiscreteMeasure, _flat_atoms, integrate, integrate_flat
+from .util import _plain, check_keys, fsum_rows, json_number
 
 __all__ = [
     "ScalarFunction",
@@ -48,28 +52,76 @@ __all__ = [
     "lipschitz_probes",
 ]
 
-# each kind with the JSON keys it takes besides "kind"
-_SCALAR_KINDS = {
-    "sin": (),
-    "cos": (),
-    "tanh": (),
-    "polynomial": ("coeffs",),
-    "gaussian": ("center", "width"),
-    "affine": ("a", "b"),
-    "smooth_abs": ("eps",),
-}
-
 # A polynomial's declared Lipschitz bound holds on [-R, R] for this R only;
 # every other kind's bound is global.
 POLY_LIPSCHITZ_RADIUS = 10.0
+
+
+class _Scalar(NamedTuple):
+    """One scalar kind: its JSON keys in params order, each with its default;
+    the message of a parameter count or ``check`` that fails; f and f' of
+    (params, xs); and a bound on |f'| on [-radius, radius]. A ``listed``
+    kind takes the list under its one key as its params, of any count."""
+
+    keys: dict
+    message: str
+    f: Callable
+    df: Callable
+    lipschitz: Callable
+    check: Callable = lambda params: True
+    radius: float = math.inf
+    listed: bool = False
+
+
+def _polynomial_slope(params, xs):
+    dcoeffs = np.asarray(params[1:]) * np.arange(1, len(params))
+    return np.polynomial.polynomial.polyval(xs, dcoeffs) if dcoeffs.size else np.zeros_like(xs)
+
+
+def _gaussian(params, xs, slope=False):
+    center, width = params
+    z = (xs - center) / width
+    return -(z / width) * np.exp(-0.5 * z * z) if slope else np.exp(-0.5 * z * z)
+
+
+# each row: JSON keys and message; f, f' and Lipschitz bound; the rest
+_SCALAR_KINDS = {
+    "sin": _Scalar({}, "sin takes no parameters", lambda p, x: np.sin(x), lambda p, x: np.cos(x), lambda p: 1.0),
+    "cos": _Scalar({}, "cos takes no parameters", lambda p, x: np.cos(x), lambda p, x: -np.sin(x), lambda p: 1.0),
+    "tanh": _Scalar(
+        {}, "tanh takes no parameters",
+        lambda p, x: np.tanh(x), lambda p, x: 1.0 - (t := np.tanh(x)) * t, lambda p: 1.0,
+    ),
+    "polynomial": _Scalar(
+        {"coeffs": ()}, "polynomial needs at least one coefficient",
+        lambda p, x: np.polynomial.polynomial.polyval(x, np.asarray(p)), _polynomial_slope,
+        # the coefficient bound of the derivative on [-R, R]
+        lambda p: math.fsum(i * abs(c) * POLY_LIPSCHITZ_RADIUS ** (i - 1) for i, c in enumerate(p) if i >= 1),
+        check=lambda p: len(p) > 0, radius=POLY_LIPSCHITZ_RADIUS, listed=True,
+    ),
+    "gaussian": _Scalar(
+        {"center": 0.0, "width": 1.0}, "gaussian needs (center, width) with width > 0",
+        _gaussian, functools.partial(_gaussian, slope=True), lambda p: math.exp(-0.5) / p[1],
+        check=lambda p: p[1] > 0.0,
+    ),
+    "affine": _Scalar(
+        {"a": 1.0, "b": 0.0}, "affine needs (slope, intercept)",
+        lambda p, x: p[0] * x + p[1], lambda p, x: np.full_like(x, p[0]), lambda p: abs(p[0]),
+    ),
+    "smooth_abs": _Scalar(
+        {"eps": 0.1}, "smooth_abs needs a positive smoothing width",
+        lambda p, x: np.hypot(x, p[0]) - p[0], lambda p, x: x / np.hypot(x, p[0]), lambda p: 1.0,
+        check=lambda p: p[0] > 0.0,
+    ),
+}
 
 
 @dataclass(frozen=True)
 class ScalarFunction:
     """A catalog function R -> R with exact derivative and Lipschitz bound.
 
-    ``kind`` selects the formula, ``params`` its parameters. Values and
-    derivatives are defined on all of R and accept scalars or arrays.
+    ``kind`` selects the row of ``_SCALAR_KINDS``, ``params`` its parameters.
+    Values and derivatives are defined on all of R and accept scalars or arrays.
     """
 
     kind: str
@@ -78,95 +130,33 @@ class ScalarFunction:
     def __post_init__(self):
         if not (isinstance(self.kind, str) and self.kind in _SCALAR_KINDS):
             raise ValueError(f"unknown scalar function kind {self.kind!r}")
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if not all(math.isfinite(p) for p in self.params):
+        params = tuple(float(p) for p in self.params)
+        object.__setattr__(self, "params", params)
+        if not all(math.isfinite(p) for p in params):
             raise ValueError("function parameters must be finite")
-        if self.kind == "polynomial" and len(self.params) == 0:
-            raise ValueError("polynomial needs at least one coefficient")
-        if self.kind == "gaussian":
-            if len(self.params) != 2 or self.params[1] <= 0.0:
-                raise ValueError("gaussian needs (center, width) with width > 0")
-        if self.kind == "affine" and len(self.params) != 2:
-            raise ValueError("affine needs (slope, intercept)")
-        if self.kind == "smooth_abs":
-            if len(self.params) != 1 or self.params[0] <= 0.0:
-                raise ValueError("smooth_abs needs a positive smoothing width")
+        row = _SCALAR_KINDS[self.kind]
+        if not ((row.listed or len(params) == len(row.keys)) and row.check(params)):
+            raise ValueError(row.message)
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
-        out = self._value(xs)
+        out = _SCALAR_KINDS[self.kind].f(self.params, xs)
         return float(out) if xs.ndim == 0 else out
 
     def derivative(self, x):
         xs = np.asarray(x, dtype=float)
-        out = self._derivative(xs)
+        out = _SCALAR_KINDS[self.kind].df(self.params, xs)
         return float(out) if xs.ndim == 0 else out
-
-    def _value(self, xs):
-        kind = self.kind
-        if kind == "sin":
-            return np.sin(xs)
-        if kind == "cos":
-            return np.cos(xs)
-        if kind == "tanh":
-            return np.tanh(xs)
-        if kind == "polynomial":
-            return np.polynomial.polynomial.polyval(xs, np.asarray(self.params))
-        if kind == "gaussian":
-            center, width = self.params
-            z = (xs - center) / width
-            return np.exp(-0.5 * z * z)
-        if kind == "affine":
-            a, b = self.params
-            return a * xs + b
-        eps = self.params[0]  # smooth_abs
-        return np.hypot(xs, eps) - eps
-
-    def _derivative(self, xs):
-        kind = self.kind
-        if kind == "sin":
-            return np.cos(xs)
-        if kind == "cos":
-            return -np.sin(xs)
-        if kind == "tanh":
-            t = np.tanh(xs)
-            return 1.0 - t * t
-        if kind == "polynomial":
-            coeffs = np.asarray(self.params)
-            dcoeffs = coeffs[1:] * np.arange(1, coeffs.size)
-            if dcoeffs.size == 0:
-                return np.zeros_like(xs)
-            return np.polynomial.polynomial.polyval(xs, dcoeffs)
-        if kind == "gaussian":
-            center, width = self.params
-            z = (xs - center) / width
-            return -(z / width) * np.exp(-0.5 * z * z)
-        if kind == "affine":
-            return np.full_like(xs, self.params[0])
-        eps = self.params[0]
-        return xs / np.hypot(xs, eps)
 
     @property
     def lipschitz_bound(self) -> float:
         """Upper bound of |f'| on [-R, R], R = ``lipschitz_radius``."""
-        kind = self.kind
-        if kind in ("sin", "cos", "tanh", "smooth_abs"):
-            return 1.0
-        if kind == "affine":
-            return abs(self.params[0])
-        if kind == "gaussian":
-            return math.exp(-0.5) / self.params[1]
-        # polynomial: coefficient bound of the derivative on [-R, R]
-        return math.fsum(
-            i * abs(c) * POLY_LIPSCHITZ_RADIUS ** (i - 1)
-            for i, c in enumerate(self.params)
-            if i >= 1
-        )
+        return _SCALAR_KINDS[self.kind].lipschitz(self.params)
 
     @property
     def lipschitz_radius(self) -> float:
         """Half-width R of the interval [-R, R] on which ``lipschitz_bound`` holds."""
-        return POLY_LIPSCHITZ_RADIUS if self.kind == "polynomial" else math.inf
+        return _SCALAR_KINDS[self.kind].radius
 
     @property
     def name(self) -> str:
@@ -211,22 +201,18 @@ def identity_fn() -> ScalarFunction:
 
 
 def scalar_to_dict(f: ScalarFunction) -> dict:
-    out = {"kind": f.kind}
-    if f.kind == "polynomial":
-        out["coeffs"] = list(f.params)
-    elif f.kind == "gaussian":
-        out["center"], out["width"] = f.params
-    elif f.kind == "affine":
-        out["a"], out["b"] = f.params
-    elif f.kind == "smooth_abs":
-        out["eps"] = f.params[0]
-    return out
+    row = _SCALAR_KINDS[f.kind]
+    return {"kind": f.kind, **dict(zip(row.keys, (list(f.params),) if row.listed else f.params))}
 
 
-def _required(data: dict, key: str, what: str):
-    if key not in data:
+_REQUIRED = object()  # the default of a JSON key that has none
+
+
+def _key(data: dict, key: str, default, what: str):
+    """The value of ``key`` in a JSON object, else its default."""
+    if key not in data and default is _REQUIRED:
         raise ValueError(f"{what} JSON needs {key!r}")
-    return data[key]
+    return data.get(key, default)
 
 
 def _numbers(value, what: str) -> tuple:
@@ -241,43 +227,93 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def _kind_of(data: dict, keys: dict, what: str) -> str:
-    """The ``kind`` of a JSON object, checked against ``keys``, the keys each
-    kind takes besides ``kind``."""
+def _kind_of(data: dict, table: dict, what: str):
+    """The ``kind`` of a JSON object and its row of ``table``, once the
+    object's keys are checked against the row's ``keys``."""
+    if not isinstance(data, dict) or "kind" not in data:
+        raise ValueError(f'{what} JSON must be an object with a "kind"')
     kind = data["kind"]
-    if not (isinstance(kind, str) and kind in keys):
+    if not (isinstance(kind, str) and kind in table):
         raise ValueError(f"unknown {what} kind {kind!r}")
-    check_keys(data, ("kind", *keys[kind]), f"{kind} {what}")
-    return kind
+    check_keys(data, ("kind", *table[kind].keys), f"{kind} {what}")
+    return kind, table[kind]
 
 
 def scalar_from_dict(data: dict) -> ScalarFunction:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ValueError('scalar function JSON must be an object with a "kind"')
-    kind = _kind_of(data, _SCALAR_KINDS, "scalar function")
-    if kind in ("sin", "cos", "tanh"):
-        return ScalarFunction(kind)
-    if kind == "polynomial":
-        return polynomial(_numbers(data.get("coeffs", ()), "polynomial coeffs"))
-    if kind == "gaussian":
-        return gaussian(
-            json_number(data.get("center", 0.0), "gaussian center"),
-            json_number(data.get("width", 1.0), "gaussian width"),
-        )
-    if kind == "affine":
-        return affine(
-            json_number(data.get("a", 1.0), "affine a"), json_number(data.get("b", 0.0), "affine b")
-        )
-    return smooth_abs(json_number(data.get("eps", 0.1), "smooth_abs eps"))
+    kind, row = _kind_of(data, _SCALAR_KINDS, "scalar function")
+    read = _numbers if row.listed else json_number
+    params = [read(data.get(key, default), f"{kind} {key}") for key, default in row.keys.items()]
+    return ScalarFunction(kind, params[0] if row.listed else params)
 
 
-# each kind with the JSON keys it takes besides "kind"
+class _Param(NamedTuple):
+    """One parameter of an outer-map kind: its Python ``check``, which
+    returns the parameter or raises ``ValueError``; its JSON reader, of
+    (value, what); and its JSON default, if it has one."""
+
+    check: Callable
+    read: Callable
+    default: object = _REQUIRED
+
+
+class _Outer(NamedTuple):
+    """One outer-map kind: each parameter by JSON key, in params order, and
+    the number of moments it takes, of its params: by default its weights'."""
+
+    keys: dict
+    arity: Callable = lambda params: len(params[0])
+
+
+def _weights(weights, what: str) -> tuple:
+    if not (weights := tuple(float(w) for w in weights)):
+        raise ValueError(f"{what} needs at least one weight")
+    return weights
+
+
+def _whole(value, least: int, below: str, what: str) -> int:
+    """An integral number as an int of at least ``least``, else ValueError ``below``."""
+    if not value % 1 == 0:  # a fraction, NaN or an infinity
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(below)
+    return int(value)
+
+
+def _terms(terms) -> tuple:
+    """Multivariate polynomial terms coeff * v1^e1 * ... * vk^ek as (coeff,
+    exponents) pairs: at least one, all of one arity."""
+    below = "polynomial exponents must be non-negative"
+    terms = tuple((float(c), tuple(_whole(e, 0, below, "polynomial exponent") for e in exps)) for c, exps in terms)
+    if not terms:
+        raise ValueError("polynomial outer map needs at least one term")
+    if len({len(exps) for _, exps in terms}) > 1:
+        raise ValueError("all terms must share the same arity")
+    return terms
+
+
+def _read_terms(terms, what: str) -> list:
+    if not isinstance(terms, list):
+        raise ValueError(f"{what} must be a list of [coefficient, exponents]")
+    normalized = []
+    for term in terms:
+        if not (isinstance(term, (list, tuple)) and len(term) == 2 and isinstance(term[1], (list, tuple))):
+            raise ValueError(f"polynomial term must be [coefficient, exponents], not {term!r}")
+        coeff, exps = term
+        exps = [_integer(e, "polynomial exponent") for e in exps]
+        normalized.append((json_number(coeff, "polynomial coefficient"), exps))
+    return normalized
+
+
 _OUTER_KINDS = {
-    "linear": ("weights", "offset"),
-    "product": ("arity",),
-    "polynomial": ("terms",),
-    "sin_of_sum": ("weights",),
-    "exp_of_sum": ("weights",),
+    "linear": _Outer({"weights": _Param(functools.partial(_weights, what="linear outer map"), _numbers),
+                      "offset": _Param(float, json_number, 0.0)}),
+    "product": _Outer(
+        {"arity": _Param(lambda a: _whole(a, 1, "product outer map needs arity >= 1", "product arity"), _integer)},
+        lambda p: p[0],
+    ),
+    "polynomial": _Outer({"terms": _Param(_terms, _read_terms)}, lambda p: len(p[0][0][1])),
+    "sin_of_sum": _Outer({"weights": _Param(functools.partial(_weights, what="sin_of_sum"), _numbers)}),
+    "exp_of_sum": _Outer({"weights": _Param(functools.partial(_weights, what="exp_of_sum"), _numbers)}),
 }
 
 
@@ -292,16 +328,14 @@ class OuterMap:
     def __post_init__(self):
         if not (isinstance(self.kind, str) and self.kind in _OUTER_KINDS):
             raise ValueError(f"unknown outer map kind {self.kind!r}")
+        keys = _OUTER_KINDS[self.kind].keys
+        if len(self.params) != len(keys):
+            raise ValueError(f"{self.kind} outer map takes ({', '.join(keys)}), not {self.params!r}")
+        object.__setattr__(self, "params", tuple(p.check(v) for p, v in zip(keys.values(), self.params)))
 
     @property
     def arity(self) -> int:
-        if self.kind == "linear":
-            return len(self.params[0])
-        if self.kind == "product":
-            return int(self.params[0])
-        if self.kind == "polynomial":
-            return len(self.params[0][0][1])
-        return len(self.params[0])  # sin_of_sum / exp_of_sum
+        return _OUTER_KINDS[self.kind].arity(self.params)
 
     @functools.cached_property
     def _weights(self) -> np.ndarray:
@@ -411,85 +445,35 @@ def _power(x, e: int):
     return x if e == 1 else 1.0 if e == 0 else _each(lambda t: float(np.float64(t) ** e), x)
 
 
-def _weight_tuple(weights, what: str) -> tuple:
-    if not (weights := tuple(float(w) for w in weights)):
-        raise ValueError(f"{what} needs at least one weight")
-    return weights
-
-
 def outer_linear(weights, offset: float = 0.0) -> OuterMap:
-    return OuterMap("linear", (_weight_tuple(weights, "linear outer map"), float(offset)))
+    return OuterMap("linear", (weights, offset))
 
 
 def outer_product(arity: int) -> OuterMap:
-    if arity < 1:
-        raise ValueError("product outer map needs arity >= 1")
-    return OuterMap("product", (int(arity),))
+    return OuterMap("product", (arity,))
 
 
 def outer_polynomial(terms) -> OuterMap:
     """Multivariate polynomial sum of coeff * v1^e1 * ... * vk^ek terms."""
-    norm = []
-    arity = None
-    for coeff, exps in terms:
-        exps = tuple(int(e) for e in exps)
-        if any(e < 0 for e in exps):
-            raise ValueError("polynomial exponents must be non-negative")
-        if arity is None:
-            arity = len(exps)
-        elif len(exps) != arity:
-            raise ValueError("all terms must share the same arity")
-        norm.append((float(coeff), exps))
-    if not norm:
-        raise ValueError("polynomial outer map needs at least one term")
-    return OuterMap("polynomial", (tuple(norm),))
+    return OuterMap("polynomial", (terms,))
 
 
 def outer_sin(weights) -> OuterMap:
-    return OuterMap("sin_of_sum", (_weight_tuple(weights, "sin_of_sum"),))
+    return OuterMap("sin_of_sum", (weights,))
 
 
 def outer_exp(weights) -> OuterMap:
-    return OuterMap("exp_of_sum", (_weight_tuple(weights, "exp_of_sum"),))
+    return OuterMap("exp_of_sum", (weights,))
 
 
 def _outer_to_dict(g: OuterMap) -> dict:
-    if g.kind == "linear":
-        return {"kind": "linear", "weights": list(g.params[0]), "offset": g.params[1]}
-    if g.kind == "product":
-        return {"kind": "product", "arity": g.params[0]}
-    if g.kind == "polynomial":
-        return {"kind": "polynomial", "terms": [[c, list(e)] for c, e in g.params[0]]}
-    return {"kind": g.kind, "weights": list(g.params[0])}
+    return {"kind": g.kind, **_plain(dict(zip(_OUTER_KINDS[g.kind].keys, g.params)))}
 
 
 def _outer_from_dict(data: dict) -> OuterMap:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ValueError('outer map JSON must be an object with a "kind"')
-    kind = _kind_of(data, _OUTER_KINDS, "outer map")
-    what = f"{kind} outer map"
-    if kind == "linear":
-        return outer_linear(
-            _numbers(_required(data, "weights", what), "linear weights"),
-            json_number(data.get("offset", 0.0), "linear offset"),
-        )
-    if kind == "product":
-        return outer_product(_integer(_required(data, "arity", what), "product arity"))
-    if kind == "polynomial":
-        terms = _required(data, "terms", what)
-        if not isinstance(terms, list):
-            raise ValueError("polynomial terms must be a list of [coefficient, exponents]")
-        normalized = []
-        for term in terms:
-            if not (isinstance(term, (list, tuple)) and len(term) == 2
-                    and isinstance(term[1], (list, tuple))):
-                raise ValueError(f"polynomial term must be [coefficient, exponents], not {term!r}")
-            coeff, exps = term
-            exps = [_integer(e, "polynomial exponent") for e in exps]
-            normalized.append((json_number(coeff, "polynomial coefficient"), exps))
-        return outer_polynomial(normalized)
-    weights = _numbers(_required(data, "weights", what), f"{kind} weights")
-    return outer_sin(weights) if kind == "sin_of_sum" else outer_exp(weights)
+    kind, row = _kind_of(data, _OUTER_KINDS, "outer map")
+    params = (p.read(_key(data, key, p.default, f"{kind} outer map"), f"{kind} {key}") for key, p in row.keys.items())
+    return OuterMap(kind, tuple(params))
 
 
 @dataclass(frozen=True)
@@ -519,15 +503,12 @@ class CylinderFunction:
     def moments(self, m: DiscreteMeasure) -> np.ndarray:
         return np.array([integrate(m, f) for f in self.inner])
 
-    def moments_flat(self, positions, weights, rows, count: int) -> np.ndarray:
-        """``moments`` of each of ``count`` measures laid out flat, as
-        ``measures.integrate_flat`` takes them: shape (count, k), bit for bit."""
-        return self._moment_rows(lambda f: integrate_flat(positions, weights, rows, count, f), count)
-
-    def _moment_rows(self, pairing, rows: int) -> np.ndarray:
-        v = np.empty((rows, len(self.inner)))
+    def moments_flat(self, positions, weights, rows=None, count: int = 0) -> np.ndarray:
+        """``moments`` of each measure of a layout that ``measures.integrate_flat``
+        takes, shared support or flat: shape (measures, k), bit for bit."""
+        v = np.empty((len(weights) if rows is None else count, len(self.inner)))
         for i, f in enumerate(self.inner):
-            v[:, i] = pairing(f)
+            v[:, i] = integrate_flat(positions, weights, f, rows, count)
         return v
 
     def evaluate(self, m: DiscreteMeasure) -> float:
@@ -558,8 +539,7 @@ class CylinderFunction:
     def exact_delta_rows(self, positions: np.ndarray, weights: np.ndarray, x) -> np.ndarray:
         """``exact_delta`` at the points ``x`` for every row measure of a
         ``mix_rows`` batch, shape (rows, points), bit for bit."""
-        v = self._moment_rows(lambda f: integrate_rows(positions, weights, f), len(weights))
-        return CylinderDerivatives(self, v).delta(np.asarray(x, dtype=float))
+        return CylinderDerivatives(self, self.moments_flat(positions, weights)).delta(np.asarray(x, dtype=float))
 
     def exact_delta2(self, m: DiscreteMeasure, x, y):
         """Canonical second derivative, broadcasting elementwise over x, y.

@@ -305,7 +305,8 @@ def integrate(m: DiscreteMeasure, f) -> float:
 def integrate_each(measures, f) -> np.ndarray:
     """``integrate(m, f)`` for each measure of a list, with its bits and errors:
     ``integrate_flat`` of their atoms laid out flat."""
-    return integrate_flat(*_flat_atoms((m.positions, m.weights) for m in measures), f)
+    positions, weights, rows, count = _flat_atoms((m.positions, m.weights) for m in measures)
+    return integrate_flat(positions, weights, f, rows, count)
 
 
 def _flat_atoms(pairs):
@@ -318,20 +319,14 @@ def _flat_atoms(pairs):
     return positions, weights, np.repeat(np.arange(len(sizes)), sizes), len(sizes)
 
 
-def integrate_flat(positions, weights, rows, count: int, f) -> np.ndarray:
-    """``integrate`` against each of ``count`` measures laid out flat, with
-    their bits and errors (the first bad atom in row order): ``f``, which
-    must act value by value, once on all atoms, and one ``fsum_rows`` call."""
+def integrate_flat(positions, weights, f, rows=None, count: int = 0) -> np.ndarray:
+    """``integrate`` against each of many measures, with their bits and
+    errors (the first bad atom in row order): ``f``, which must act value by
+    value, once on all positions, and one ``fsum_rows`` call. The measures
+    are the rows of a 2-D ``weights`` on shared ``positions``, as
+    ``mix_rows`` gives them, or with ``rows`` the ``count`` measures laid
+    out flat, as ``_flat_atoms`` gives them."""
     return np.array(fsum_rows(weights * _finite_values(f, positions), rows, count))
-
-
-def integrate_rows(positions: np.ndarray, weights: np.ndarray, f) -> np.ndarray:
-    """``integrate`` against every row measure of ``mix_rows``, bit for bit.
-
-    Evaluates ``f`` once on the shared positions; returns one pairing per
-    row of ``weights``, each exactly rounded by ``util.fsum_rows``.
-    """
-    return np.array(fsum_rows(weights * _finite_values(f, positions)))
 
 
 def w1(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
