@@ -26,7 +26,7 @@ a field from its sampled symmetry residual, for both ``ftc_check`` and
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -314,13 +314,14 @@ def counterexample_report(
     }
 
 
-# one field kind: the builder of its field and the reader of each JSON key it
+# each field kind: the builder of its field and the reader of each JSON key it
 # takes besides "kind", all required, in the builder's order
-_Field = NamedTuple("_Field", [("build", Callable), ("keys", dict)])
 _FIELD_KINDS = {
-    "lifted": _Field(lift_to_field, {"cylinder": cylinder_from_dict}),
-    "counterexample": _Field(counterexample_field, {"phi": scalar_from_dict, "psi": scalar_from_dict}),
-    "zero": _Field(zero_field, {}),
+    "lifted": SimpleNamespace(build=lift_to_field, keys={"cylinder": cylinder_from_dict}),
+    "counterexample": SimpleNamespace(
+        build=counterexample_field, keys={"phi": scalar_from_dict, "psi": scalar_from_dict}
+    ),
+    "zero": SimpleNamespace(build=zero_field, keys={}),
 }
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,20 +57,14 @@ __all__ = [
 POLY_LIPSCHITZ_RADIUS = 10.0
 
 
-class _Scalar(NamedTuple):
+def _scalar(keys, message, f, df, lipschitz, check=lambda params: True, radius=math.inf, listed=False):
     """One scalar kind: its JSON keys in params order, each with its default;
     the message of a parameter count or ``check`` that fails; f and f' of
     (params, xs); and a bound on |f'| on [-radius, radius]. A ``listed``
     kind takes the list under its one key as its params, of any count."""
-
-    keys: dict
-    message: str
-    f: Callable
-    df: Callable
-    lipschitz: Callable
-    check: Callable = lambda params: True
-    radius: float = math.inf
-    listed: bool = False
+    return SimpleNamespace(
+        keys=keys, message=message, f=f, df=df, lipschitz=lipschitz, check=check, radius=radius, listed=listed
+    )
 
 
 def _polynomial_slope(params, xs):
@@ -86,29 +80,29 @@ def _gaussian(params, xs, slope=False):
 
 # each row: JSON keys and message; f, f' and Lipschitz bound; the rest
 _SCALAR_KINDS = {
-    "sin": _Scalar({}, "sin takes no parameters", lambda p, x: np.sin(x), lambda p, x: np.cos(x), lambda p: 1.0),
-    "cos": _Scalar({}, "cos takes no parameters", lambda p, x: np.cos(x), lambda p, x: -np.sin(x), lambda p: 1.0),
-    "tanh": _Scalar(
+    "sin": _scalar({}, "sin takes no parameters", lambda p, x: np.sin(x), lambda p, x: np.cos(x), lambda p: 1.0),
+    "cos": _scalar({}, "cos takes no parameters", lambda p, x: np.cos(x), lambda p, x: -np.sin(x), lambda p: 1.0),
+    "tanh": _scalar(
         {}, "tanh takes no parameters",
         lambda p, x: np.tanh(x), lambda p, x: 1.0 - (t := np.tanh(x)) * t, lambda p: 1.0,
     ),
-    "polynomial": _Scalar(
+    "polynomial": _scalar(
         {"coeffs": ()}, "polynomial needs at least one coefficient",
         lambda p, x: np.polynomial.polynomial.polyval(x, np.asarray(p)), _polynomial_slope,
         # the coefficient bound of the derivative on [-R, R]
         lambda p: math.fsum(i * abs(c) * POLY_LIPSCHITZ_RADIUS ** (i - 1) for i, c in enumerate(p) if i >= 1),
         check=lambda p: len(p) > 0, radius=POLY_LIPSCHITZ_RADIUS, listed=True,
     ),
-    "gaussian": _Scalar(
+    "gaussian": _scalar(
         {"center": 0.0, "width": 1.0}, "gaussian needs (center, width) with width > 0",
         _gaussian, functools.partial(_gaussian, slope=True), lambda p: math.exp(-0.5) / p[1],
         check=lambda p: p[1] > 0.0,
     ),
-    "affine": _Scalar(
+    "affine": _scalar(
         {"a": 1.0, "b": 0.0}, "affine needs (slope, intercept)",
         lambda p, x: p[0] * x + p[1], lambda p, x: np.full_like(x, p[0]), lambda p: abs(p[0]),
     ),
-    "smooth_abs": _Scalar(
+    "smooth_abs": _scalar(
         {"eps": 0.1}, "smooth_abs needs a positive smoothing width",
         lambda p, x: np.hypot(x, p[0]) - p[0], lambda p, x: x / np.hypot(x, p[0]), lambda p: 1.0,
         check=lambda p: p[0] > 0.0,
@@ -246,22 +240,17 @@ def scalar_from_dict(data: dict) -> ScalarFunction:
     return ScalarFunction(kind, params[0] if row.listed else params)
 
 
-class _Param(NamedTuple):
+def _param(check, read, default=_REQUIRED):
     """One parameter of an outer-map kind: its Python ``check``, which
     returns the parameter or raises ``ValueError``; its JSON reader, of
     (value, what); and its JSON default, if it has one."""
-
-    check: Callable
-    read: Callable
-    default: object = _REQUIRED
+    return SimpleNamespace(check=check, read=read, default=default)
 
 
-class _Outer(NamedTuple):
+def _outer(keys: dict, arity=lambda params: len(params[0])):
     """One outer-map kind: each parameter by JSON key, in params order, and
     the number of moments it takes, of its params: by default its weights'."""
-
-    keys: dict
-    arity: Callable = lambda params: len(params[0])
+    return SimpleNamespace(keys=keys, arity=arity)
 
 
 def _weights(weights, what: str) -> tuple:
@@ -305,15 +294,15 @@ def _read_terms(terms, what: str) -> list:
 
 
 _OUTER_KINDS = {
-    "linear": _Outer({"weights": _Param(functools.partial(_weights, what="linear outer map"), _numbers),
-                      "offset": _Param(float, json_number, 0.0)}),
-    "product": _Outer(
-        {"arity": _Param(lambda a: _whole(a, 1, "product outer map needs arity >= 1", "product arity"), _integer)},
+    "linear": _outer({"weights": _param(functools.partial(_weights, what="linear outer map"), _numbers),
+                      "offset": _param(float, json_number, 0.0)}),
+    "product": _outer(
+        {"arity": _param(lambda a: _whole(a, 1, "product outer map needs arity >= 1", "product arity"), _integer)},
         lambda p: p[0],
     ),
-    "polynomial": _Outer({"terms": _Param(_terms, _read_terms)}, lambda p: len(p[0][0][1])),
-    "sin_of_sum": _Outer({"weights": _Param(functools.partial(_weights, what="sin_of_sum"), _numbers)}),
-    "exp_of_sum": _Outer({"weights": _Param(functools.partial(_weights, what="exp_of_sum"), _numbers)}),
+    "polynomial": _outer({"terms": _param(_terms, _read_terms)}, lambda p: len(p[0][0][1])),
+    "sin_of_sum": _outer({"weights": _param(functools.partial(_weights, what="sin_of_sum"), _numbers)}),
+    "exp_of_sum": _outer({"weights": _param(functools.partial(_weights, what="exp_of_sum"), _numbers)}),
 }
 
 
