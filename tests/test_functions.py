@@ -247,13 +247,13 @@ class TestOuterMapChecks:
             ("linear", ((1.0,), 0.0, 2.0), "linear outer map takes"),
             ("linear", ((), 0.0), "^linear outer map needs at least one weight$"),
             ("product", (0,), "^product outer map needs arity >= 1$"),
-            ("product", (2.7,), "product outer map needs"),
-            ("product", (math.nan,), "product outer map needs"),
-            ("product", (math.inf,), "product outer map needs"),
+            ("product", (2.7,), "^product arity must be an integer, not 2.7$"),
+            ("product", (math.nan,), "^product arity must be an integer, not nan$"),
+            ("product", (math.inf,), "^product arity must be an integer, not inf$"),
             ("polynomial", ((),), "^polynomial outer map needs at least one term$"),
             ("polynomial", (((1.0, (1,)), (1.0, (1, 2))),), "^all terms must share the same arity$"),
             ("polynomial", (((1.0, (-1,)),),), "^polynomial exponents must be non-negative$"),
-            ("polynomial", (((1.0, (1.5,)),),), "polynomial exponents must be"),
+            ("polynomial", (((1.0, (1.5,)),),), "^polynomial exponent must be an integer, not 1.5$"),
             ("sin_of_sum", ((),), "^sin_of_sum needs at least one weight$"),
             ("exp_of_sum", ((),), "^exp_of_sum needs at least one weight$"),
         ],
