@@ -314,8 +314,8 @@ def counterexample_report(
     }
 
 
-# each field kind: the builder of its field and the reader of each JSON key it
-# takes besides "kind", all required, in the builder's order
+# each field kind: the function that makes its field and the reader of each
+# JSON key it takes besides "kind", all required, in that function's order
 _FIELD_KINDS = {
     "lifted": SimpleNamespace(build=lift_to_field, keys={"cylinder": cylinder_from_dict}),
     "counterexample": SimpleNamespace(
