@@ -256,11 +256,38 @@ class TestOuterMapChecks:
             ("polynomial", (((1.0, (1.5,)),),), "^polynomial exponent must be an integer, not 1.5$"),
             ("sin_of_sum", ((),), "^sin_of_sum needs at least one weight$"),
             ("exp_of_sum", ((),), "^exp_of_sum needs at least one weight$"),
+            ("linear", 5, "^linear outer map takes"),
+            ("product", 3, "^product outer map takes"),
+            ("linear", (5, 0.0), "^linear outer map weights must be a list of numbers, not 5$"),
+            ("sin_of_sum", (2.0,), "^sin_of_sum weights must be a list of numbers, not 2.0$"),
+            ("linear", ((1.0, math.nan), 0.0), "^linear outer map weights must be finite, not nan$"),
+            ("linear", ((math.inf,), 0.0), "^linear outer map weights must be finite, not inf$"),
+            ("linear", ((1.0,), math.nan), "^linear offset must be finite, not nan$"),
+            ("linear", ((1.0,), -math.inf), "^linear offset must be finite, not -inf$"),
+            ("polynomial", (((math.inf, (1,)),),), "^polynomial coefficient must be finite, not inf$"),
+            ("polynomial", (((1.0, (1,)), (math.nan, (2,))),), "^polynomial coefficient must be finite, not nan$"),
+            ("sin_of_sum", ((math.nan,),), "^sin_of_sum weights must be finite, not nan$"),
+            ("exp_of_sum", ((1.0, -math.inf),), "^exp_of_sum weights must be finite, not -inf$"),
         ],
     )
     def test_refused_at_construction(self, kind, params, message):
         with pytest.raises(ValueError, match=message):
             OuterMap(kind, params)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: outer_linear((math.nan,)),
+            lambda: outer_linear((1.0,), offset=math.inf),
+            lambda: outer_polynomial([(math.inf, (1,))]),
+            lambda: outer_sin(np.array([1.0, np.nan])),
+            lambda: outer_exp([np.float32("inf")]),
+        ],
+        ids=["linear-weight", "linear-offset", "polynomial", "sin", "exp"],
+    )
+    def test_helpers_refuse_non_finite_parameters(self, build):
+        with pytest.raises(ValueError, match="must be finite"):
+            build()
 
     def test_cylinder_of_a_bad_map_raises_value_error(self):
         with pytest.raises(ValueError):
