@@ -253,10 +253,21 @@ def _outer(keys: dict, arity=lambda params: len(params[0])):
     return SimpleNamespace(keys=keys, arity=arity)
 
 
+def _finite(value, what: str) -> float:
+    """A parameter as a finite float, as ``ScalarFunction`` takes them."""
+    if not math.isfinite(number := float(value)):
+        raise ValueError(f"{what} must be finite, not {number!r}")
+    return number
+
+
 def _weights(weights, what: str) -> tuple:
-    if not (weights := tuple(float(w) for w in weights)):
+    try:
+        numbers = tuple(_finite(w, f"{what} weights") for w in weights)
+    except TypeError:  # not a list, or an entry that is no number
+        raise ValueError(f"{what} weights must be a list of numbers, not {weights!r}") from None
+    if not numbers:
         raise ValueError(f"{what} needs at least one weight")
-    return weights
+    return numbers
 
 
 def _whole(value, least: int, below: str, what: str) -> int:
@@ -272,7 +283,10 @@ def _terms(terms) -> tuple:
     """Multivariate polynomial terms coeff * v1^e1 * ... * vk^ek as (coeff,
     exponents) pairs: at least one, all of one arity."""
     below = "polynomial exponents must be non-negative"
-    terms = tuple((float(c), tuple(_whole(e, 0, below, "polynomial exponent") for e in exps)) for c, exps in terms)
+    terms = tuple(
+        (_finite(c, "polynomial coefficient"), tuple(_whole(e, 0, below, "polynomial exponent") for e in exps))
+        for c, exps in terms
+    )
     if not terms:
         raise ValueError("polynomial outer map needs at least one term")
     if len({len(exps) for _, exps in terms}) > 1:
@@ -295,7 +309,7 @@ def _read_terms(terms, what: str) -> list:
 
 _OUTER_KINDS = {
     "linear": _outer({"weights": _param(functools.partial(_weights, what="linear outer map"), _numbers),
-                      "offset": _param(float, json_number, 0.0)}),
+                      "offset": _param(functools.partial(_finite, what="linear offset"), json_number, 0.0)}),
     "product": _outer(
         {"arity": _param(lambda a: _whole(a, 1, "product outer map needs arity >= 1", "product arity"), _integer)},
         lambda p: p[0],
@@ -318,7 +332,7 @@ class OuterMap:
         if not (isinstance(self.kind, str) and self.kind in _OUTER_KINDS):
             raise ValueError(f"unknown outer map kind {self.kind!r}")
         keys = _OUTER_KINDS[self.kind].keys
-        if len(self.params) != len(keys):
+        if not isinstance(self.params, (tuple, list)) or len(self.params) != len(keys):
             raise ValueError(f"{self.kind} outer map takes ({', '.join(keys)}), not {self.params!r}")
         object.__setattr__(self, "params", tuple(p.check(v) for p, v in zip(keys.values(), self.params)))
 

@@ -1,9 +1,25 @@
 """Shared numerical plumbing: quadrature nodes, compensated running sums,
 exactly rounded sums, canonical JSON and the one rule for JSON inputs.
 
-``fsum_rows`` gives each row of a batch the bits of ``math.fsum`` from
-per-(row, exponent) bin sums in numpy, and ``fsum`` is its one-row case;
-rows of at most ``_FSUM_ROW_CUTOFF`` = 64 values go to ``math.fsum``."""
+``fsum_rows`` gives each row of a batch the bits of ``math.fsum`` by one of
+three paths, chosen by the size of the batch and its values per row:
+
+- the lists: ``math.fsum`` on one list per row, for small batches and rows
+  of at most ``_FSUM_ROW_CUTOFF`` = 16 values on average;
+- the bracket, for rows of 17 to ``_FSUM_BIN_CUTOFF`` = 256 values: one
+  ``np.cumsum`` along the rows and the exact error of each step bound each
+  row's exact sum between two floats, and where both round to one float,
+  that float is the row's correctly rounded sum, as ``math.fsum`` returns
+  it (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005). The error of
+  a floating-point sum of n errors is at most gamma_(n-1) times the sum of
+  their absolute values, in any order of summation; the bracket is that
+  bound, doubled and widened by one ulp, and rounding is monotone. Other
+  rows go to ``math.fsum`` alone;
+- the bins, for longer rows and one-row sums: each value's two exact halves
+  are summed per (row, exponent) with ``np.bincount`` and ``math.fsum``
+  rounds each row's few bin sums.
+
+``fsum`` is the one-row case of ``fsum_rows``."""
 
 from __future__ import annotations
 
@@ -100,12 +116,23 @@ def _plain(obj):
 _FSUM_CUTOFF = 512
 # A batch of several rows up to this size is summed one list per row: at 600
 # to 1,000 values in 4 to 10 rows the lists still win (21-37 against 28-51 us).
+# Against the bracket (timeit medians here and below, on a shared 2-CPU Xeon)
+# they tie at segment quadrature's 32 rows of 33 values (40-48 against 41-57
+# us) and lose from 32 x 40 (50 against 44 us).
 _FSUM_BATCH_CUTOFF = 1024
 # Batches whose rows hold up to this many values on average are summed by
-# ``math.fsum`` one list per row. Measured on signed weight products (15-30
-# exponents per row), the bins tie with the lists at 32 rows of 64 values,
-# lose at 32 x 48 (102 against 88 us) and win at 32 x 128 (140 against 260).
-_FSUM_ROW_CUTOFF = 64
+# ``math.fsum`` one list per row. On the sweep's own batches the bracket ties
+# with the lists at 100 rows of 16 values (94 against 95 us) and wins at
+# 100 x 18 (95 against 104) and 100 x 35 (131 against 189); flat rows pay
+# for their padding and lose at 100 x 12 (111 against 93 us).
+_FSUM_ROW_CUTOFF = 16
+# Batches whose rows hold up to this many values on average, and more than
+# ``_FSUM_ROW_CUTOFF``, take the bracket; longer rows take the bins. On
+# segment quadrature's node rows the bracket beats the bins at 32 x 64 (75
+# against 128 us), 32 x 129 (81 against 116) and 32 x 256 (137 against 170);
+# it still measured faster at 32 x 512 (242 against 286), tied at 32 x 640
+# to 768 and lost at 32 x 1,024 (854 against 681 us).
+_FSUM_BIN_CUTOFF = 256
 
 
 def fsum(values: np.ndarray) -> float:
@@ -138,6 +165,27 @@ def fsum_rows(values: np.ndarray, rows: np.ndarray | None = None, count: int = 0
     and where its own errors must show: a NaN or an infinity, values so
     large that a partial sum could overflow ("intermediate overflow"), and
     more than 2^26 values.
+
+    Rows of more than ``_FSUM_ROW_CUTOFF`` and at most ``_FSUM_BIN_CUTOFF``
+    values on average take the bracket instead of the bins, flat rows padded
+    with zeros to the longest unless that more than doubles the values.
+    ``np.cumsum`` adds each row of n values left to right, so its partial
+    sums are s_k = fl(s_{k-1} + x_k), and TwoSum gives the exact error
+    e_k = s_{k-1} + x_k - s_k of each step: the row's exact sum is
+    S = s_n + sum(e). Summed by numpy in any order, the errors give E with
+    |E - sum(e)| <= gamma_(n-1) sum(|e|), where gamma_m = m u / (1 - m u) and
+    u = 2^-53, and the computed w = n 2^-52 sum(|e|) exceeds that bound. (Where w
+    underflows, every partial sum of the errors is below 2^-1021, hence
+    exact, and so is E.) So lo = nextafter(E - w, -inf) and
+    hi = nextafter(E + w, inf), each one ulp outside the rounded end, bound
+    sum(e), and S lies in [s_n + lo, s_n + hi]. Rounding to nearest is
+    monotone, so where fl(s_n + lo) = fl(s_n + hi), that float is
+    fl(S), the correctly rounded sum, which is ``math.fsum``'s. Every other
+    row goes to ``math.fsum`` alone, from its own values: a sum at or next
+    to a tie between two floats; a zero or subnormal sum, whose ends differ
+    by at least the one-ulp widening; a NaN or an infinity, which makes the
+    errors NaN; and partial sums above 2^1020, beyond which ``math.fsum``'s
+    own exact partial sums could overflow where numpy's do not.
     """
     if rows is None:
         count = len(values)
@@ -145,6 +193,8 @@ def fsum_rows(values: np.ndarray, rows: np.ndarray | None = None, count: int = 0
     small = _FSUM_CUTOFF if count == 1 else _FSUM_BATCH_CUTOFF
     if size <= small or size <= _FSUM_ROW_CUTOFF * count:
         return _fsum_each(values, rows, count)
+    if size <= _FSUM_BIN_CUTOFF * count and (sums := _fsum_bracketed(values, rows, count)) is not None:
+        return sums
     bits = values.view(np.int64)
     upper = (bits & -(1 << 26)).view(np.float64)
     keys = bits >> 52
@@ -179,6 +229,34 @@ def fsum_rows(values: np.ndarray, rows: np.ndarray | None = None, count: int = 0
     return [math.fsum(row) for row in parts.tolist()]
 
 
+def _fsum_bracketed(values: np.ndarray, rows: np.ndarray, count: int) -> list | None:
+    """``math.fsum`` of each row from a bracket proved in numpy (see
+    ``fsum_rows``), or None when padding flat rows with zeros to the longest
+    would more than double the values."""
+    padded, lengths = values, None
+    if rows is not None:
+        lengths = np.bincount(rows, minlength=count)
+        width = int(lengths.max())
+        if count * width > 2 * values.size:
+            return None
+        ends = np.cumsum(lengths)
+        padded = np.zeros((count, width))
+        padded[rows, np.arange(values.size) - (ends - lengths)[rows]] = values
+    with np.errstate(over="ignore", invalid="ignore"):  # rows with inf or NaN fail ``sure``
+        s, err = _two_sum_steps(padded)
+        total, near = s[:, -1], err.sum(axis=1)
+        wide = np.abs(err).sum(axis=1)
+        wide *= padded.shape[1] * 2.0**-52
+        low = total + np.nextafter(near - wide, -np.inf)
+        sure = low == total + np.nextafter(near + wide, np.inf)
+        sure &= np.abs(s).max(axis=1) <= 2.0**1020
+    sums = low.tolist()
+    for r in np.flatnonzero(~sure).tolist():
+        row = values[r] if lengths is None else values[ends[r] - lengths[r] : ends[r]]
+        sums[r] = math.fsum(row.tolist())
+    return sums
+
+
 def _fsum_each(values: np.ndarray, rows: np.ndarray, count: int) -> list:
     """``math.fsum`` of each row, one list per row."""
     if values.ndim == 2:
@@ -207,13 +285,19 @@ def compensated_cumsum(values) -> np.ndarray:
     left-to-right ``np.cumsum`` of the errors. Zeros agree in sign too:
     neither form ever returns -0.0.
     """
-    v = np.asarray(values, dtype=float)
+    s, err = _two_sum_steps(np.asarray(values, dtype=float))
+    np.add.accumulate(err, axis=-1, out=err)
+    err += s
+    return err
+
+
+def _two_sum_steps(v: np.ndarray):
+    """The partial sums ``np.cumsum(v, axis=-1)`` and the exact rounding
+    error of each step (Knuth's TwoSum), the first step's being zero."""
     sums = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,))
     np.add.accumulate(v, axis=-1, out=sums[..., 1:])
     prev, s = sums[..., :-1], sums[..., 1:]
     back = s - prev
     err = prev - (s - back)
     err += v - back
-    np.add.accumulate(err, axis=-1, out=err)
-    err += s
-    return err
+    return s, err

@@ -100,7 +100,9 @@ from wasserstein_calculus.sampling import (
     random_point,
     stream_rng,
 )
+from wasserstein_calculus import util as util_module
 from wasserstein_calculus.util import _FSUM_BATCH_CUTOFF as BATCH_CUTOFF
+from wasserstein_calculus.util import _FSUM_BIN_CUTOFF as BIN_CUTOFF
 from wasserstein_calculus.util import _FSUM_CUTOFF as FSUM_CUTOFF
 from wasserstein_calculus.util import _FSUM_ROW_CUTOFF as ROW_CUTOFF
 from wasserstein_calculus.util import canonical_json, compensated_cumsum, fsum, fsum_rows, gauss_legendre_01
@@ -1217,9 +1219,12 @@ class TestFsum:
         assert fsum_outcome(fsum, values) == fsum_outcome(fsum_former, values)
 
 
-# row lengths on both sides of the row cutoff, and far above it; with
-# enough rows, batches of the longer ones take the bins
-ROW_LENGTHS = (0, 1, ROW_CUTOFF - 1, ROW_CUTOFF, ROW_CUTOFF + 1, 2 * ROW_CUTOFF + 5, 300, 700)
+# row lengths on both sides of the row cutoff and of the bin cutoff, and far
+# above them; with enough rows, batches of the medium ones take the bracket
+# and batches of the longer ones the bins
+ROW_LENGTHS = (
+    0, 1, ROW_CUTOFF - 1, ROW_CUTOFF, ROW_CUTOFF + 1, 2 * ROW_CUTOFF + 5, BIN_CUTOFF, BIN_CUTOFF + 1, 300, 700
+)
 
 
 def fsum_rows_former(values, rows=None, count=0):
@@ -1255,6 +1260,61 @@ def sparse_rows(rng, count, length, nonzero):
     return x
 
 
+# rows the bracket of fsum_rows cannot settle, or must not: exact ties,
+# sums far below their terms, zero sums, one value, subnormals, partial sums
+# around the overflow guard, and last a row on which math.fsum raises
+BRACKET_KINDS = ("half-ulp", "cancel", "zeros", "one-value", "subnormal", "largest", "intermediate-overflow")
+
+
+def bracket_rows(rng, kind, count=40, length=BIN_CUTOFF // 4):
+    """``count`` rows of ``length`` values of one kind, mostly zeros for the
+    kinds with few terms, each row shuffled."""
+    x = np.zeros((count, length))
+    if kind == "half-ulp":  # a + b an exact tie, or a tie moved by a far smaller c
+        a = np.concatenate((rng.dirichlet(np.ones(3), count // 2)[:, 0], np.ones(count - count // 2)))
+        x[:, 0] = a
+        x[:, 1] = np.spacing(a) / 2 * rng.choice([1, -1, 3, -3], count)
+        x[:, 2] = np.where(rng.random(count) < 0.25, np.spacing(a) * 2.0**-60 * rng.choice([1, -1], count), 0.0)
+    elif kind == "cancel":  # x beside -x over 2^120, and one small value
+        half = rng.standard_normal((count, length // 2)) * 2.0 ** rng.integers(-60, 60, (count, length // 2))
+        x[:, : 2 * half.shape[1]] = np.concatenate((half, -half), axis=1)
+        x[:, -1] += rng.choice([5e-324, 1e-300, 2.0**-52, 1.0], count)
+    elif kind == "zeros":  # x beside -x; all +0.0; all -0.0
+        half = rng.standard_normal((count, length // 2)) * 2.0 ** rng.integers(-60, 60, (count, length // 2))
+        x[:, : 2 * half.shape[1]] = np.concatenate((half, -half), axis=1)
+        x[: count // 4] = 0.0
+        x[count // 4 : count // 2] = -0.0
+    elif kind == "one-value":
+        x[:, 0] = rng.standard_normal(count) * 2.0 ** rng.integers(-1074, 1020, count)
+        x[:4, 0] = (-0.0, 5e-324, 2.0**-1022, 1.7976931348623157e308)
+    elif kind == "subnormal":
+        x = rng.integers(-(2**40), 2**40, (count, length)) * 5e-324
+    elif kind == "largest":  # partial sums on both sides of 2^1020
+        x = rng.random((count, length)) * 2.0 ** (1021 - length.bit_length() + 1) * rng.choice([1.0, -1.0], (count, 1))
+    else:  # finite partial sums, but math.fsum's exact ones overflow
+        x[:] = 0.5
+        x[7, :5] = (1.7976931348623157e308, 2.0**969, 2.0**969, -1.7976931348623157e308, 2.0**1000)
+        return x
+    return rng.permuted(x, axis=1)
+
+
+BRACKETED = util_module._fsum_bracketed
+
+
+class BracketSpy:
+    """Stands in for ``util._fsum_bracketed``: counts its calls and keeps
+    what each returned (None where it left the batch to the bins)."""
+
+    def __init__(self):
+        self.calls = 0
+        self.returned = []
+
+    def __call__(self, *args):
+        self.calls += 1
+        self.returned.append(BRACKETED(*args))
+        return self.returned[-1]
+
+
 class TestFsumRows:
     @given(fsum_row_batches())
     @SETTINGS
@@ -1267,7 +1327,8 @@ class TestFsumRows:
             got = fsum_outcome(lambda v: fsum_rows(v, rows, count), values)
             assert got == fsum_outcome(lambda v: fsum_rows_former(v, rows, count), values)
 
-    @pytest.mark.parametrize("length", [ROW_CUTOFF, ROW_CUTOFF + 1, 300])
+    # in 40 rows: the lists, the bracket, the bins
+    @pytest.mark.parametrize("length", [ROW_CUTOFF, 64, 65, BIN_CUTOFF, BIN_CUTOFF + 1, 300])
     @pytest.mark.parametrize(
         "plant, expected",
         [
@@ -1306,6 +1367,40 @@ class TestFsumRows:
         assert fsum_outcome(fsum_rows, values) == former
         rows = np.repeat(np.arange(40), 300)
         assert fsum_outcome(lambda v: fsum_rows(v, rows, 40), values.ravel()) == former
+
+    @pytest.mark.parametrize("kind", BRACKET_KINDS)
+    def test_rows_the_bracket_leaves_to_math_fsum(self, kind):
+        values = bracket_rows(np.random.default_rng(BRACKET_KINDS.index(kind)), kind)
+        count, length = values.shape
+        assert ROW_CUTOFF < length <= BIN_CUTOFF and values.size > BATCH_CUTOFF
+        former = fsum_outcome(fsum_rows_former, values)
+        rows = np.repeat(np.arange(count), length)
+        with mock.patch.object(util_module, "_fsum_bracketed", BracketSpy()) as bracket:
+            assert fsum_outcome(fsum_rows, values) == former
+            assert fsum_outcome(lambda v: fsum_rows(v, rows, count), values.ravel()) == former
+        assert bracket.calls == 2 and None not in bracket.returned
+
+    def test_ragged_flat_rows_with_empty_ones(self):
+        rng = np.random.default_rng(8)
+        lengths = rng.integers(2 * ROW_CUTOFF, 4 * ROW_CUTOFF, 40)
+        lengths[[0, 7, 8, 39]] = 0
+        kinds = [BRACKET_KINDS[i] for i in rng.integers(0, len(BRACKET_KINDS) - 1, 40)]  # none that raises
+        values = np.concatenate([bracket_rows(rng, k, 4, int(n))[rng.integers(4)] if n else [] for k, n in zip(kinds, lengths)])
+        rows = np.repeat(np.arange(40), lengths)
+        with mock.patch.object(util_module, "_fsum_bracketed", BracketSpy()) as bracket:
+            got = fsum_outcome(lambda v: fsum_rows(v, rows, 40), values)
+        assert got == fsum_outcome(lambda v: fsum_rows_former(v, rows, 40), values)
+        assert bracket.calls == 1 and None not in bracket.returned
+        # one long row among short ones: padding would more than double the
+        # values, so the batch takes the bins
+        lengths = np.full(40, ROW_CUTOFF)
+        lengths[5] = 50 * ROW_CUTOFF
+        values = rng.dirichlet(np.ones(lengths.sum())) * rng.choice([-1.0, 1.0], lengths.sum())
+        rows = np.repeat(np.arange(40), lengths)
+        with mock.patch.object(util_module, "_fsum_bracketed", BracketSpy()) as bracket:
+            got = fsum_outcome(lambda v: fsum_rows(v, rows, 40), values)
+        assert got == fsum_outcome(lambda v: fsum_rows_former(v, rows, 40), values)
+        assert bracket.returned == [None]
 
     @pytest.mark.parametrize("size", [BATCH_CUTOFF, BATCH_CUTOFF + 2])
     def test_two_rows_beside_the_batch_cutoff(self, size):
@@ -1354,17 +1449,19 @@ def wide_invalid(pos, w, kind):
     return pos, w
 
 
-# 65 to 400 atoms inside [-2, 2]: batches of eight take the bins of fsum_rows
-# in w1_rows (rows of 130 to 800 terms) and in discretize_rows on a grid of
-# 257 points, where a measure alone stays below FSUM_CUTOFF
+# 17 to 400 atoms inside [-2, 2]: batches of eight take the bracket or the
+# bins of fsum_rows in w1_rows (rows of 34 to 800 terms) and in
+# discretize_rows on a grid of 257 points, where a measure alone stays below
+# FSUM_CUTOFF
 row_atoms = st.sampled_from([ROW_CUTOFF + 1, 150, 400]).flatmap(lambda size: wide_atoms(size, 1.9))
 
 
 class TestWideMeasures:
     """Measures wider than the cutoff, whose sums take the binned path of
     ``fsum``, against the former constructor and the former per-pair ``w1``;
-    batches with rows wider than the row cutoff, which take the bins of
-    ``fsum_rows``, against per-pair ``w1`` and per-measure ``discretize``."""
+    batches with rows wider than the row cutoff, which take the bracket or
+    the bins of ``fsum_rows``, against per-pair ``w1`` and per-measure
+    ``discretize``."""
 
     @given(wide_atoms(), st.sampled_from(["valid", "valid", "mass", "negative", "nonfinite", "overflow", "inf-inf"]))
     @settings(max_examples=25, deadline=None, derandomize=True)
