@@ -261,13 +261,9 @@ def _finite(value, what: str) -> float:
 
 
 def _weights(weights, what: str) -> tuple:
-    try:
-        numbers = tuple(_finite(w, f"{what} weights") for w in weights)
-    except TypeError:  # not a list, or an entry that is no number
-        raise ValueError(f"{what} weights must be a list of numbers, not {weights!r}") from None
-    if not numbers:
+    if not (weights := tuple(_finite(w, f"{what} weights") for w in weights)):
         raise ValueError(f"{what} needs at least one weight")
-    return numbers
+    return weights
 
 
 def _whole(value, least: int, below: str, what: str) -> int:
@@ -332,9 +328,14 @@ class OuterMap:
         if not (isinstance(self.kind, str) and self.kind in _OUTER_KINDS):
             raise ValueError(f"unknown outer map kind {self.kind!r}")
         keys = _OUTER_KINDS[self.kind].keys
+        takes = f"{self.kind} outer map takes ({', '.join(keys)}), not {self.params!r}"
         if not isinstance(self.params, (tuple, list)) or len(self.params) != len(keys):
-            raise ValueError(f"{self.kind} outer map takes ({', '.join(keys)}), not {self.params!r}")
-        object.__setattr__(self, "params", tuple(p.check(v) for p, v in zip(keys.values(), self.params)))
+            raise ValueError(takes)
+        try:
+            params = tuple(p.check(v) for p, v in zip(keys.values(), self.params))
+        except TypeError:  # a parameter that is no number, or no list where one is due
+            raise ValueError(takes) from None
+        object.__setattr__(self, "params", params)
 
     @property
     def arity(self) -> int:

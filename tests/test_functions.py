@@ -258,8 +258,8 @@ class TestOuterMapChecks:
             ("exp_of_sum", ((),), "^exp_of_sum needs at least one weight$"),
             ("linear", 5, "^linear outer map takes"),
             ("product", 3, "^product outer map takes"),
-            ("linear", (5, 0.0), "^linear outer map weights must be a list of numbers, not 5$"),
-            ("sin_of_sum", (2.0,), "^sin_of_sum weights must be a list of numbers, not 2.0$"),
+            ("linear", (5, 0.0), r"^linear outer map takes \(weights, offset\), not \(5, 0.0\)$"),
+            ("sin_of_sum", (2.0,), r"^sin_of_sum outer map takes \(weights\), not \(2.0,\)$"),
             ("linear", ((1.0, math.nan), 0.0), "^linear outer map weights must be finite, not nan$"),
             ("linear", ((math.inf,), 0.0), "^linear outer map weights must be finite, not inf$"),
             ("linear", ((1.0,), math.nan), "^linear offset must be finite, not nan$"),
@@ -268,6 +268,10 @@ class TestOuterMapChecks:
             ("polynomial", (((1.0, (1,)), (math.nan, (2,))),), "^polynomial coefficient must be finite, not nan$"),
             ("sin_of_sum", ((math.nan,),), "^sin_of_sum weights must be finite, not nan$"),
             ("exp_of_sum", ((1.0, -math.inf),), "^exp_of_sum weights must be finite, not -inf$"),
+            ("linear", ((1.0, None), 0.0), "^linear outer map takes"),
+            ("product", ("2",), "^product outer map takes"),
+            ("polynomial", ((5,),), "^polynomial outer map takes"),
+            ("polynomial", ([(1.0, 5)],), "^polynomial outer map takes"),
         ],
     )
     def test_refused_at_construction(self, kind, params, message):
