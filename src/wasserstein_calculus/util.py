@@ -6,7 +6,7 @@ three paths, chosen by the size of the batch and its values per row:
 
 - the lists: ``math.fsum`` on one list per row, for small batches and rows
   of at most ``_FSUM_ROW_CUTOFF`` = 16 values on average;
-- the bracket, for rows of 17 to ``_FSUM_BIN_CUTOFF`` = 256 values: one
+- the bracket, for rows of 17 to ``_FSUM_BIN_CUTOFF`` = 256 values on average:
   ``np.cumsum`` along the rows and the exact error of each step bound each
   row's exact sum between two floats, and where both round to one float,
   that float is the row's correctly rounded sum, as ``math.fsum`` returns
@@ -172,18 +172,18 @@ def fsum_rows(values: np.ndarray, rows: np.ndarray | None = None, count: int = 0
     ``np.cumsum`` adds each row of n values left to right, so its partial
     sums are s_k = fl(s_{k-1} + x_k), and TwoSum gives the exact error
     e_k = s_{k-1} + x_k - s_k of each step: the row's exact sum is
-    S = s_n + sum(e). Summed by numpy in any order, the errors give E with
-    |E - sum(e)| <= gamma_(n-1) sum(|e|), where gamma_m = m u / (1 - m u) and
-    u = 2^-53, and the computed w = n 2^-52 sum(|e|) exceeds that bound. (Where w
-    underflows, every partial sum of the errors is below 2^-1021, hence
-    exact, and so is E.) So lo = nextafter(E - w, -inf) and
-    hi = nextafter(E + w, inf), each one ulp outside the rounded end, bound
+    S = s_n + sum(e). Summed by numpy in any order, the errors give c with
+    |c - sum(e)| <= gamma_(n-1) sum(|e|), where gamma_m = m u / (1 - m u)
+    and u = 2^-53, and the computed w = n 2^-52 sum(|e|) exceeds that
+    bound. (Where w underflows, every partial sum of the errors is below
+    2^-1021, hence exact, and so is c.) So lo = nextafter(c - w, -inf) and
+    hi = nextafter(c + w, inf), each one ulp outside the rounded end, bound
     sum(e), and S lies in [s_n + lo, s_n + hi]. Rounding to nearest is
-    monotone, so where fl(s_n + lo) = fl(s_n + hi), that float is
-    fl(S), the correctly rounded sum, which is ``math.fsum``'s. Every other
-    row goes to ``math.fsum`` alone, from its own values: a sum at or next
-    to a tie between two floats; a zero or subnormal sum, whose ends differ
-    by at least the one-ulp widening; a NaN or an infinity, which makes the
+    monotone, so where fl(s_n + lo) = fl(s_n + hi), that float is fl(S),
+    the correctly rounded sum, which is ``math.fsum``'s. Every other row
+    goes to ``math.fsum`` alone, from its own values: a sum at or next to a
+    tie between two floats; a zero or subnormal sum, whose ends differ by
+    at least the one-ulp widening; a NaN or an infinity, which makes the
     errors NaN; and partial sums above 2^1020, beyond which ``math.fsum``'s
     own exact partial sums could overflow where numpy's do not.
     """

@@ -1385,7 +1385,8 @@ class TestFsumRows:
         lengths = rng.integers(2 * ROW_CUTOFF, 4 * ROW_CUTOFF, 40)
         lengths[[0, 7, 8, 39]] = 0
         kinds = [BRACKET_KINDS[i] for i in rng.integers(0, len(BRACKET_KINDS) - 1, 40)]  # none that raises
-        values = np.concatenate([bracket_rows(rng, k, 4, int(n))[rng.integers(4)] if n else [] for k, n in zip(kinds, lengths)])
+        parts = [bracket_rows(rng, k, 4, int(n))[rng.integers(4)] if n else [] for k, n in zip(kinds, lengths)]
+        values = np.concatenate(parts)
         rows = np.repeat(np.arange(40), lengths)
         with mock.patch.object(util_module, "_fsum_bracketed", BracketSpy()) as bracket:
             got = fsum_outcome(lambda v: fsum_rows(v, rows, 40), values)
