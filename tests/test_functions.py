@@ -98,6 +98,27 @@ class TestScalarCatalog:
             with pytest.raises(ValueError, match=f"^{kind} needs "):
                 ScalarFunction(kind, params)
 
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("sin", 5, r"^sin takes \(\), not 5$"),
+            ("gaussian", (0.0, None), r"^gaussian takes \(center, width\), not \(0.0, None\)$"),
+            ("gaussian", 0.5, r"^gaussian takes \(center, width\), not 0.5$"),
+            ("affine", (1.0, "b"), r"^affine takes \(a, b\), not \(1.0, 'b'\)$"),
+            ("affine", "12", r"^affine takes \(a, b\), not '12'$"),
+            ("smooth_abs", ([0.1],), r"^smooth_abs takes \(eps\), not \(\[0.1\],\)$"),
+            ("polynomial", 2.0, r"^polynomial takes \(coeffs\), not 2.0$"),
+            ("polynomial", (1.0, {}), r"^polynomial takes \(coeffs\), not \(1.0, \{\}\)$"),
+        ],
+    )
+    def test_parameters_of_the_wrong_type_or_shape_refused(self, kind, params, message):
+        # the message names the parameters of the kind, as OuterMap's does
+        with pytest.raises(ValueError, match=message):
+            ScalarFunction(kind, params)
+
+    def test_parameters_as_list_or_tuple_alike(self):
+        assert ScalarFunction("gaussian", [0.5, 2]) == gaussian(0.5, 2.0)
+
 
 class TestEvaluate:
     def test_sin_moment_at_origin(self):
