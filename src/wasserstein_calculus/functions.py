@@ -124,11 +124,17 @@ class ScalarFunction:
     def __post_init__(self):
         if not (isinstance(self.kind, str) and self.kind in _SCALAR_KINDS):
             raise ValueError(f"unknown scalar function kind {self.kind!r}")
-        params = tuple(float(p) for p in self.params)
+        row = _SCALAR_KINDS[self.kind]
+        takes = f"{self.kind} takes ({', '.join(row.keys)}), not {self.params!r}"
+        if not isinstance(self.params, (tuple, list)):
+            raise ValueError(takes)
+        try:
+            params = tuple(float(p) for p in self.params)
+        except (TypeError, ValueError):  # a parameter that is no number, as None or "b"
+            raise ValueError(takes) from None
         object.__setattr__(self, "params", params)
         if not all(math.isfinite(p) for p in params):
             raise ValueError("function parameters must be finite")
-        row = _SCALAR_KINDS[self.kind]
         if not ((row.listed or len(params) == len(row.keys)) and row.check(params)):
             raise ValueError(row.message)
 
