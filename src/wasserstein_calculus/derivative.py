@@ -19,19 +19,27 @@ The module also verifies the defining integral identity
 
     F(m) - F(mu) = int_0^1 int H((1-t)*mu + t*m, x) d(m - mu)(x) dt
 
-whose right side ``segment_integral`` evaluates by Gauss-Legendre quadrature
-in t (the integrand is analytic in t for atomic measures, so a fixed order
-gives near-machine precision). It is the one quadrature routine:
-``verify_deriv2`` and the antiderivative of ``ftc`` both call it.
+whose right side ``segment_integral_each`` evaluates by Gauss-Legendre
+quadrature in t (the integrand is analytic in t for atomic measures, so a
+fixed order gives near-machine precision), from one base point mu to many
+measures m. It is the one quadrature routine: ``segment_integral`` is its
+one-segment case, and ``verify_deriv2`` and the antiderivative of ``ftc``
+call it.
 
-The measures at the quadrature nodes share one support and differ only in
-their weights, which are linear in t. A field may therefore carry a batched
-evaluator ``batch_value(positions, weights, xs)``: ``weights`` has one row
-per node, and it must return the (rows, len(xs)) array whose row k equals
-``value(DiscreteMeasure(positions, weights[k]), xs)`` bit for bit. The
-fields built in this package carry one, and ``canonicalize`` keeps it; any
-other field is evaluated node by node, as is every segment whose nodes do
-not share a support (see ``measures.mix_rows``).
+The measures at the quadrature nodes of a segment share one support and
+differ only in their weights, which are linear in t. A field may therefore
+carry a batched evaluator ``batch_value(positions, weights, xs)``: row k of
+``weights`` (shape (nodes, atoms)) holds the weights of one node's measure
+on ``positions``, and it must return the (nodes, len(xs)) array whose row k
+equals ``value(DiscreteMeasure(positions, weights[k]), xs)`` bit for bit.
+It must also broadcast over a leading segment axis: ``positions`` (segments,
+atoms), ``weights`` (segments, nodes, atoms) and ``xs`` (segments, points)
+give (segments, nodes, points), each segment on its own support. Segments
+go to it in padded blocks of at most ``SEGMENT_BLOCK``; a pad is an atom of
+weight 0, or a point of signed weight 0, at a copy of its row's last one.
+The fields built in this package carry one, and ``canonicalize`` keeps it;
+any other field is evaluated node by node, as is every segment whose nodes
+do not share a support (see ``measures.mix_rows``).
 """
 
 from __future__ import annotations
@@ -54,8 +62,10 @@ __all__ = [
     "dawson_each",
     "dawson_rows",
     "dawson_extrapolated",
+    "dawson_extrapolated_each",
     "uniform_dawson_modulus",
     "segment_integral",
+    "segment_integral_each",
     "verify_deriv2",
     "canonicalize",
     "DEFAULT_EPS",
@@ -72,6 +82,12 @@ DEFAULT_EPS = 1e-3
 MIN_STEP = 2.0**-26
 DEFAULT_QUAD_ORDER = 32
 DEFAULT_SEED = 0
+# A padded block of ``segment_integral_each`` holds at most this many
+# segments, and at most this many node weights (segments x nodes x the
+# widest support): 32 segments of 32 nodes make 1,024 node rows, and a
+# block of the sweep's measures peaks near 1 MiB.
+SEGMENT_BLOCK = 32
+BLOCK_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -94,10 +110,12 @@ class DerivativeField:
 
 @dataclass(frozen=True)
 class MeasureFunction:
-    """Black-box deterministic function of a measure."""
+    """Black-box deterministic function of a measure, with an optional flat
+    evaluator (see the module docstring)."""
 
     fn: Callable[[DiscreteMeasure], float]
     label: str = ""
+    evaluate_flat: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray, int], np.ndarray]] = None
 
     def __call__(self, m: DiscreteMeasure) -> float:
         return float(self.fn(m))
@@ -113,7 +131,7 @@ def zero_field() -> DerivativeField:
         return float(out) if out.ndim == 0 else out
 
     def zero_rows(positions, weights, xs):
-        return np.zeros((len(weights), np.size(xs)))
+        return np.zeros(weights.shape[:-1] + np.shape(xs)[-1:])
 
     return DerivativeField(
         value=zero2, dx=zero2, linear_delta=zero3, label="zero", batch_value=zero_rows
@@ -188,12 +206,19 @@ def dawson(F, m: DiscreteMeasure, x: float, eps: float) -> float:
 
 
 def dawson_extrapolated(F, m: DiscreteMeasure, x: float, eps: float) -> float:
-    """Richardson-corrected quotient: 2*q(eps/2) - q(eps), error O(eps^2),
-    from one ``dawson_rows`` call with the steps (eps, eps/2)."""
+    """Richardson-corrected quotient: 2*q(eps/2) - q(eps), error O(eps^2):
+    the one-pair case of ``dawson_extrapolated_each``."""
+    return float(dawson_extrapolated_each(F, (m,), (x,), eps)[0])
+
+
+def dawson_extrapolated_each(F, measures, points, eps: float) -> np.ndarray:
+    """``dawson_extrapolated`` at every pair (measures[i], points[i]), from
+    one ``dawson_each`` call with the steps (eps, eps/2)."""
     eps = float(eps)
     if not eps <= 0.25:
         raise ValueError("eps must lie in (0, 0.25]")
-    return richardson(*dawson_rows(F, m, x, (eps, 0.5 * eps)).tolist())
+    q = dawson_each((F,), measures, points, (eps, 0.5 * eps))[0]
+    return richardson(q[:, 0], q[:, 1])
 
 
 def richardson(q_full: float, q_half: float) -> float:
@@ -232,23 +257,79 @@ def segment_integral(
     m: DiscreteMeasure,
     quad_order: int = DEFAULT_QUAD_ORDER,
 ) -> float:
-    """int_0^1 int H((1-t)*mu + t*m, x) d(m - mu)(x) dt.
+    """int_0^1 int H((1-t)*mu + t*m, x) d(m - mu)(x) dt: the one-segment case
+    of ``segment_integral_each``."""
+    return _segments(H, mu, (m,), *gauss_legendre_01(quad_order))[0]
+
+
+def segment_integral_each(H: DerivativeField, mu: DiscreteMeasure, measures, quad_order: int = DEFAULT_QUAD_ORDER):
+    """``segment_integral`` from mu to each of many measures, with the bits
+    and errors of each segment alone.
 
     Gauss-Legendre quadrature in t of the exact atom-sum against m - mu; zero
-    when m - mu has no atom. All nodes go to the field as one batch when it
-    has a ``batch_value`` and the nodes share a support; otherwise each node
-    is ``mix(mu, m, t)`` evaluated by ``value``. Both give the same bits.
+    when m - mu has no atom. A segment whose nodes share a support goes to
+    the field's ``batch_value`` in a padded block of at most
+    ``SEGMENT_BLOCK`` segments (see the module docstring); any other is
+    ``mix(mu, m, t)`` at each node, evaluated by ``value``. A block segment
+    whose value is not finite is computed again alone, as pads can turn an
+    infinite value into NaN; an error is the one the segments, computed
+    alone in order, raise first.
     """
-    nodes, weights = gauss_legendre_01(quad_order)
-    pos, sw = signed_difference(m, mu)
-    if pos.size == 0:
-        return 0.0
-    batch = mix_rows(mu, m, nodes) if H.batch_value is not None else None
-    if batch is not None:
-        vals = H.batch_value(*batch, pos)
-    else:
-        vals = [field_values(H, mix(mu, m, float(t)), pos) for t in nodes]
-    return math.fsum([gw * s for gw, s in zip(weights.tolist(), fsum_rows(sw * vals))])
+    try:
+        return np.array(_segments(H, mu, measures, *gauss_legendre_01(quad_order)))
+    except (ArithmeticError, ValueError):
+        return np.array([segment_integral(H, mu, m, quad_order) for m in measures])
+
+
+def _segments(H, mu, measures, nodes, weights) -> list:
+    out, block, width = [0.0] * len(measures), [], 0
+
+    def flush():
+        for (j, *_), value in zip(block, _block(H, weights, block)):
+            alone = len(block) == 1 or math.isfinite(value)
+            out[j] = value if alone else segment_integral(H, mu, measures[j], nodes.size)
+        block.clear()
+
+    for i, m in enumerate(measures):
+        pos, sw = signed_difference(m, mu)
+        batch = None if H.batch_value is None or pos.size == 0 else mix_rows(mu, m, nodes)
+        if batch is not None:
+            width = max(width, batch[0].size) if block else batch[0].size
+            if block and (len(block) + 1) * nodes.size * width > BLOCK_VALUES:
+                flush()
+                width = batch[0].size
+            block.append((i, pos, sw, *batch))
+            if len(block) == SEGMENT_BLOCK:
+                flush()
+        elif pos.size:  # node by node
+            vals = np.array([field_values(H, mix(mu, m, float(t)), pos) for t in nodes])
+            out[i] = _quadrature(weights, fsum_rows(sw * vals))
+    if block:
+        flush()
+    return out
+
+
+def _block(H, weights, block) -> list:
+    """The segment integrals of a block of (index, points, signed weights,
+    mixture positions, mixture weights) segments, laid out as padded rows;
+    one segment goes to the field as it is."""
+    if len(block) == 1:
+        _, xs, sw, positions, w = block[0]
+        return [_quadrature(weights, fsum_rows(sw * H.batch_value(positions, w, xs)))]
+    n, k = max(b[1].size for b in block), max(b[3].size for b in block)
+    xs, sw = np.empty((len(block), n)), np.zeros((len(block), n))
+    positions, w = np.empty((len(block), k)), np.zeros((len(block), len(weights), k))
+    for r, (_, x, s, p, pw) in enumerate(block):
+        xs[r], positions[r] = x[-1], p[-1]  # pads: copies of the last atom, of weight 0
+        xs[r, : x.size], sw[r, : s.size], positions[r, : p.size], w[r, :, : p.size] = x, s, p, pw
+    products = sw[:, None, :] * H.batch_value(positions, w, xs)
+    sums = np.array(fsum_rows(products.reshape(-1, n))).reshape(len(block), -1)
+    return fsum_rows(weights * sums)  # each row as _quadrature sums it
+
+
+def _quadrature(weights, sums) -> float:
+    """The Gauss-Legendre sum of a segment's node sums, exactly rounded."""
+    return math.fsum([gw * s for gw, s in zip(weights.tolist(), sums)])
 
 
 def verify_deriv2(
@@ -304,8 +385,9 @@ def canonicalize(H: DerivativeField) -> DerivativeField:
 
         def batch_value(positions, weights, xs):
             # mean_of for every row: the same products, exactly rounded
-            means = np.array(fsum_rows(weights * base_rows(positions, weights, positions)))
-            return base_rows(positions, weights, xs) - means[:, None]
+            products = weights * base_rows(positions, weights, positions)
+            means = np.array(fsum_rows(products.reshape(-1, products.shape[-1]))).reshape(weights.shape[:-1])
+            return base_rows(positions, weights, xs) - means[..., None]
 
     return DerivativeField(
         value=value,

@@ -16,11 +16,15 @@ antiderivative has a closed form with a visibly different derivative. Both
 closed forms are implemented here so every quadrature and finite-difference
 path can be checked against exact values.
 
-The t-integral is ``derivative.segment_integral``, the package's one segment
-quadrature; the fields built here carry the batched evaluator it uses (see
-the ``derivative`` module docstring). One verdict rule, ``_verdict``, labels
-a field from its sampled symmetry residual, for both ``ftc_check`` and
-``counterexample_report``.
+The t-integral is ``derivative.segment_integral_each``, the package's one
+segment quadrature; the fields built here carry the batched evaluator it
+uses (see the ``derivative`` module docstring). An antiderivative carries a
+flat evaluator, which integrates the segments of many measures at once, so
+``derivative.dawson_each`` batches its quotients: ``ftc_check``'s mismatch
+loop and ``counterexample_report``'s antiderivative values and quotients
+make one call per draw pass, and every value keeps the bits of its segment
+alone. One verdict rule, ``_verdict``, labels a field from its sampled
+symmetry residual, for both ``ftc_check`` and ``counterexample_report``.
 """
 
 from __future__ import annotations
@@ -37,8 +41,10 @@ from .derivative import (
     DerivativeField,
     MeasureFunction,
     dawson_extrapolated,
+    dawson_extrapolated_each,
     field_values,
     segment_integral,
+    segment_integral_each,
     zero_field,
 )
 from .functions import (
@@ -51,7 +57,7 @@ from .functions import (
     scalar_from_dict,
 )
 from .measures import DiscreteMeasure, dirac, integrate, integrate_flat
-from .sampling import random_draws
+from .sampling import _passes, random_draws
 from .util import check_samples, gauss_legendre_01, max_or_nan
 
 __all__ = [
@@ -94,13 +100,22 @@ def antiderivative(H: DerivativeField, quad_order: int = DEFAULT_QUAD_ORDER) -> 
 
     The returned function evaluates the t-integral by Gauss-Legendre
     quadrature of the exact atom-sum; it is zero at the base point exactly.
+    Its ``evaluate_flat`` takes measures laid out flat, as
+    ``derivative.dawson_each`` passes them, and integrates their segments
+    in blocks, with the bits of each segment alone.
     """
     gauss_legendre_01(quad_order)  # refuses a bad order when F is built
 
     def F(m: DiscreteMeasure) -> float:
         return segment_integral(H, BASE_POINT, m, quad_order)
 
-    return MeasureFunction(F, label=f"antiderivative[{H.label}]" if H.label else "antiderivative")
+    def evaluate_flat(positions, weights, rows, count):
+        ends = np.cumsum(np.bincount(rows, minlength=count)).tolist()
+        measures = [DiscreteMeasure._trusted(positions[a:b], weights[a:b]) for a, b in zip([0] + ends, ends)]
+        return segment_integral_each(H, BASE_POINT, measures, quad_order)
+
+    label = f"antiderivative[{H.label}]" if H.label else "antiderivative"
+    return MeasureFunction(F, label=label, evaluate_flat=evaluate_flat)
 
 
 def symmetry_residual(
@@ -173,10 +188,12 @@ def ftc_check(
         residual = symmetry_residual(H, m, x, y, eps=eps if estimated else None)
         return abs(residual), max_or_nan((abs(H.value(m, x)), abs(H.value(m, y))))
 
-    mismatch_max = max_or_nan(
-        abs(dawson_extrapolated(F, m, x, eps) - H.value(m, x))
-        for m, x in random_draws(seed, "ftc-mismatch", range(samples), K, points=1)
-    )
+    mismatch = []
+    for chunk in _passes(random_draws(seed, "ftc-mismatch", range(samples), K, points=1)):
+        ms, xs = zip(*chunk)  # one dawson_extrapolated_each call per draw pass
+        quotients = dawson_extrapolated_each(F, ms, xs, eps).tolist()
+        mismatch += [abs(q - H.value(m, x)) for q, m, x in zip(quotients, ms, xs)]
+    mismatch_max = max_or_nan(mismatch)
     symmetry = [symmetry_one(*draw) for draw in random_draws(seed, "ftc-symmetry", range(samples), K, points=2)]
     symmetry_max, field_max = (max_or_nan(column) for column in zip(*symmetry))
     verdict = _verdict(symmetry_max, estimated=estimated, field_max=field_max)
@@ -214,9 +231,9 @@ def counterexample_field(phi: ScalarFunction, psi: ScalarFunction) -> Derivative
         return (phi(x) - pm) * (psi(y) - sm) - (phi(y) - pm) * sm
 
     def batch_value(positions, weights, xs):
-        pm = integrate_flat(positions, weights, phi)[:, None]
-        sm = integrate_flat(positions, weights, psi)[:, None]
-        return (phi(np.asarray(xs, dtype=float)) - pm) * sm
+        pm = integrate_flat(positions, weights, phi)[..., None]
+        sm = integrate_flat(positions, weights, psi)[..., None]
+        return (phi(np.asarray(xs, dtype=float))[..., None, :] - pm) * sm
 
     return DerivativeField(
         value=value,
@@ -283,15 +300,25 @@ def counterexample_report(
     F_closed = counterexample_closed_antiderivative(phi, psi)
     delta_closed = counterexample_closed_delta(phi, psi)
 
-    def one(m, x, y):
-        a = abs(F_quad(m) - F_closed(m))
-        b = abs(dawson_extrapolated(F_quad, m, x, eps) - delta_closed(m, x))
+    def one(m, x, y, quad=None, quotient=None):
+        a = abs((F_quad(m) if quad is None else quad) - F_closed(m))
+        b = abs((dawson_extrapolated(F_quad, m, x, eps) if quotient is None else quotient) - delta_closed(m, x))
         h = H.value(m, x)
         c = abs(delta_closed(m, x) - h)
         s = abs(symmetry_residual(H, m, x, y))
         return a, b, c, s, max_or_nan((abs(h), abs(H.value(m, y))))
 
-    results = [one(*draw) for draw in random_draws(seed, "counterexample", range(samples), K, points=2)]
+    results = []
+    for chunk in _passes(random_draws(seed, "counterexample", range(samples), K, points=2)):
+        ms, xs, _ = zip(*chunk)
+        try:  # one call per draw pass for F_quad and one for its quotients
+            batched = zip(
+                segment_integral_each(H, BASE_POINT, ms, quad_order).tolist(),
+                dawson_extrapolated_each(F_quad, ms, xs, eps).tolist(),
+            )
+        except (ArithmeticError, ValueError):  # draw by draw, to raise the first draw's error
+            batched = [()] * len(chunk)
+        results += [one(*draw, *q) for draw, q in zip(chunk, batched)]
     a_max, b_max, c_max, symmetry_max, field_max = (max_or_nan(column) for column in zip(*results))
     verdict = _verdict(symmetry_max, estimated=False, field_max=field_max)
     ok = a_max <= closed_f_tol and b_max <= built_delta_tol and c_max >= gap_floor

@@ -515,10 +515,10 @@ class CylinderFunction:
 
     def moments_flat(self, positions, weights, rows=None, count: int = 0) -> np.ndarray:
         """``moments`` of each measure of a layout that ``measures.integrate_flat``
-        takes, shared support or flat: shape (measures, k), bit for bit."""
-        v = np.empty((len(weights) if rows is None else count, len(self.inner)))
+        takes, shared supports or flat: shape (..., measures, k), bit for bit."""
+        v = np.empty((weights.shape[:-1] if rows is None else (count,)) + (len(self.inner),))
         for i, f in enumerate(self.inner):
-            v[:, i] = integrate_flat(positions, weights, f, rows, count)
+            v[..., i] = integrate_flat(positions, weights, f, rows, count)
         return v
 
     def evaluate(self, m: DiscreteMeasure) -> float:
@@ -547,9 +547,11 @@ class CylinderFunction:
         return self.derivatives(m).delta(x)
 
     def exact_delta_rows(self, positions: np.ndarray, weights: np.ndarray, x) -> np.ndarray:
-        """``exact_delta`` at the points ``x`` for every row measure of a
-        ``mix_rows`` batch, shape (rows, points), bit for bit."""
-        return CylinderDerivatives(self, self.moments_flat(positions, weights)).delta(np.asarray(x, dtype=float))
+        """``exact_delta`` at the points ``x`` (shape (..., points)) for every
+        row measure of ``mix_rows`` batches (see ``measures.integrate_flat``),
+        shape (..., rows, points), bit for bit."""
+        x = np.asarray(x, dtype=float)[..., None, :]
+        return CylinderDerivatives(self, self.moments_flat(positions, weights)).delta(x)
 
     def exact_delta2(self, m: DiscreteMeasure, x, y):
         """Canonical second derivative, broadcasting elementwise over x, y.
@@ -573,7 +575,8 @@ class CylinderDerivatives:
     row measure of a batch.
 
     Holds the moments v = (<f_1, m>, ..., <f_k, m>), shape (k,) for one
-    measure or (rows, k) for rows, and the outer map's gradient at v; the
+    measure or (rows, k) for rows ((..., rows, k) with leading axes, as a
+    block of segments gives them), and the outer map's gradient at v; the
     Hessian is computed on first use. ``delta``, ``delta2`` and ``delta_dx``
     are the formulas behind ``exact_delta``, ``exact_delta_rows``,
     ``exact_delta2`` and ``delta_dx``, each written once over the k moment
@@ -587,14 +590,19 @@ class CylinderDerivatives:
         self.inner = F.inner
         self.outer = F.outer
         self.v = v
-        self.grad = F.outer.gradient(v)
-        self._rows = v.ndim == 2
+        if v.ndim > 2:  # rows with leading axes: the gradient of their rows
+            self.grad = F.outer.gradient(v.reshape(math.prod(v.shape[:-1]), v.shape[-1])).reshape(v.shape)
+        else:
+            self.grad = F.outer.gradient(v)
+        self._rows = v.ndim - 1  # the number of row axes
         self._v = self._columns(v)
         self._grad = self._columns(self.grad)
 
     def _columns(self, a) -> list:
-        """``_columns``, with a row column of shape (rows, 1)."""
-        return list(np.transpose(a, (*range(1, a.ndim), 0))[..., None]) if self._rows else a.tolist()
+        """``_columns``, with the row axes moved last and a column of shape
+        (rows, 1), or (..., rows, 1) for rows with leading axes."""
+        lead = self._rows
+        return list(np.transpose(a, (*range(lead, a.ndim), *range(lead)))[..., None]) if lead else a.tolist()
 
     @functools.cached_property
     def hess(self) -> np.ndarray:
@@ -608,7 +616,7 @@ class CylinderDerivatives:
         """acc, a sum over the k terms from 0.0, or at k = 0 zeros of its shape."""
         if self.inner:
             return acc
-        shape = np.broadcast_shapes(self.v.shape[:-1] + (1,) * self._rows, *(np.shape(p) for p in points))
+        shape = np.broadcast_shapes(self.v.shape[:-1] + (1,) * bool(self._rows), *(np.shape(p) for p in points))
         return np.zeros(shape) if shape else 0.0
 
     def delta(self, x):

@@ -323,9 +323,13 @@ def integrate_flat(positions, weights, f, rows=None, count: int = 0) -> np.ndarr
     """``integrate`` against each of many measures, with their bits and
     errors (the first bad atom in row order): ``f``, which must act value by
     value, once on all positions, and one ``fsum_rows`` call. The measures
-    are the rows of a 2-D ``weights`` on shared ``positions``, as
+    are the rows of ``weights`` (shape (..., rows, atoms)) on the
+    ``positions`` (shape (..., atoms)) of their leading index, as
     ``mix_rows`` gives them, or with ``rows`` the ``count`` measures laid
     out flat, as ``_flat_atoms`` gives them."""
+    if rows is None:
+        products = weights * _finite_values(f, positions)[..., None, :]
+        return np.array(fsum_rows(products.reshape(-1, products.shape[-1]))).reshape(weights.shape[:-1])
     return np.array(fsum_rows(weights * _finite_values(f, positions), rows, count))
 
 

@@ -4,9 +4,9 @@ exactly rounded sums, canonical JSON and the one rule for JSON inputs.
 ``fsum_rows`` gives each row of a batch the bits of ``math.fsum`` by one of
 three paths, chosen by the size of the batch and its values per row:
 
-- the lists: ``math.fsum`` on one list per row, for small batches and rows
-  of at most ``_FSUM_ROW_CUTOFF`` = 16 values on average;
-- the bracket, for rows of 17 to ``_FSUM_BIN_CUTOFF`` = 256 values on average:
+- the lists: ``math.fsum`` on one list per row, for small batches and flat
+  rows of at most ``_FSUM_ROW_CUTOFF`` = 16 values on average;
+- the bracket, for rows of 17 to ``_FSUM_BIN_CUTOFF`` = 512 values on average:
   ``np.cumsum`` along the rows and the exact error of each step bound each
   row's exact sum between two floats, and where both round to one float,
   that float is the row's correctly rounded sum, as ``math.fsum`` returns
@@ -14,7 +14,11 @@ three paths, chosen by the size of the batch and its values per row:
   a floating-point sum of n errors is at most gamma_(n-1) times the sum of
   their absolute values, in any order of summation; the bracket is that
   bound, doubled and widened by one ulp, and rounding is monotone. Other
-  rows go to ``math.fsum`` alone;
+  rows go to ``math.fsum`` alone. 2-D batches of more than
+  ``_FSUM_BATCH_CUTOFF`` = 1,024 values in rows of at most 16 take the
+  bracket in the column layout: the batch transposed, so that the running
+  sums are one vector add per column across all rows, and the error sums
+  and maxima reduce along axis 0;
 - the bins, for longer rows and one-row sums: each value's two exact halves
   are summed per (row, exponent) with ``np.bincount`` and ``math.fsum``
   rounds each row's few bin sums.
@@ -118,21 +122,29 @@ _FSUM_CUTOFF = 512
 # to 1,000 values in 4 to 10 rows the lists still win (21-37 against 28-51 us).
 # Against the bracket (timeit medians here and below, on a shared 2-CPU Xeon)
 # they tie at segment quadrature's 32 rows of 33 values (40-48 against 41-57
-# us) and lose from 32 x 40 (50 against 44 us).
+# us) and lose from 32 x 40 (50 against 44 us). Larger 2-D batches of rows of
+# at most ``_FSUM_ROW_CUTOFF`` values take the bracket in the column layout.
+# On the sweep's own batches the lists still win at 128 x 7 (48 against 53
+# us) and 334 x 2 (62 against 70), tie at 100 x 12 (53 against 50) and
+# 500 x 2 (107 against 103), and lose at 128 x 13 (101 against 71), 256 x 8
+# (99 against 56) and a segment block's 1,024 x 13 (612 against 286 us).
 _FSUM_BATCH_CUTOFF = 1024
 # Batches whose rows hold up to this many values on average are summed by
-# ``math.fsum`` one list per row. On the sweep's own batches the bracket ties
-# with the lists at 100 rows of 16 values (94 against 95 us) and wins at
-# 100 x 18 (95 against 104) and 100 x 35 (131 against 189); flat rows pay
-# for their padding and lose at 100 x 12 (111 against 93 us).
+# ``math.fsum`` one list per row, or in the column layout (above). On the
+# sweep's own batches the bracket ties with the lists at 100 rows of 16
+# values (94 against 95 us) and wins at 100 x 18 (95 against 104) and
+# 100 x 35 (131 against 189); flat rows pay for their padding and lose at
+# 100 x 12 (111 against 93 us). At 1,024 rows the column layout beats the
+# row layout up to this many values (16: 369 against 557 us), ties at 17
+# (546 against 571) and loses at 24 (744 against 702 us).
 _FSUM_ROW_CUTOFF = 16
 # Batches whose rows hold up to this many values on average, and more than
 # ``_FSUM_ROW_CUTOFF``, take the bracket; longer rows take the bins. On
 # segment quadrature's node rows the bracket beats the bins at 32 x 64 (75
-# against 128 us), 32 x 129 (81 against 116) and 32 x 256 (137 against 170);
-# it still measured faster at 32 x 512 (242 against 286), tied at 32 x 640
-# to 768 and lost at 32 x 1,024 (854 against 681 us).
-_FSUM_BIN_CUTOFF = 256
+# against 128 us), 32 x 129 (81 against 116), 32 x 256 (138 against 147)
+# and 32 x 257 (145 against 169), ties from 32 x 384 to 32 x 768 (32 x 512:
+# 194-261 against 198-237 us) and loses at 32 x 1,024 (400 against 348-391).
+_FSUM_BIN_CUTOFF = 512
 
 
 def fsum(values: np.ndarray) -> float:
@@ -168,7 +180,10 @@ def fsum_rows(values: np.ndarray, rows: np.ndarray | None = None, count: int = 0
 
     Rows of more than ``_FSUM_ROW_CUTOFF`` and at most ``_FSUM_BIN_CUTOFF``
     values on average take the bracket instead of the bins, flat rows padded
-    with zeros to the longest unless that more than doubles the values.
+    with zeros to the longest unless that more than doubles the values; so
+    do 2-D batches of more than ``_FSUM_BATCH_CUTOFF`` values in rows of at
+    most ``_FSUM_ROW_CUTOFF``, instead of the lists, in the column layout
+    (the transposed batch, summed along axis 0; the proof is the same).
     ``np.cumsum`` adds each row of n values left to right, so its partial
     sums are s_k = fl(s_{k-1} + x_k), and TwoSum gives the exact error
     e_k = s_{k-1} + x_k - s_k of each step: the row's exact sum is
@@ -192,6 +207,8 @@ def fsum_rows(values: np.ndarray, rows: np.ndarray | None = None, count: int = 0
     size = values.size
     small = _FSUM_CUTOFF if count == 1 else _FSUM_BATCH_CUTOFF
     if size <= small or size <= _FSUM_ROW_CUTOFF * count:
+        if rows is None and size > small:  # many short rows: the column layout
+            return _fsum_bracketed(values, None, count)
         return _fsum_each(values, rows, count)
     if size <= _FSUM_BIN_CUTOFF * count and (sums := _fsum_bracketed(values, rows, count)) is not None:
         return sums
@@ -231,8 +248,9 @@ def fsum_rows(values: np.ndarray, rows: np.ndarray | None = None, count: int = 0
 
 def _fsum_bracketed(values: np.ndarray, rows: np.ndarray, count: int) -> list | None:
     """``math.fsum`` of each row from a bracket proved in numpy (see
-    ``fsum_rows``), or None when padding flat rows with zeros to the longest
-    would more than double the values."""
+    ``fsum_rows``), in the column layout for rows of at most
+    ``_FSUM_ROW_CUTOFF`` values, or None when padding flat rows with zeros to
+    the longest would more than double the values."""
     padded, lengths = values, None
     if rows is not None:
         lengths = np.bincount(rows, minlength=count)
@@ -242,14 +260,17 @@ def _fsum_bracketed(values: np.ndarray, rows: np.ndarray, count: int) -> list | 
         ends = np.cumsum(lengths)
         padded = np.zeros((count, width))
         padded[rows, np.arange(values.size) - (ends - lengths)[rows]] = values
+    axis = 1
+    if padded.shape[1] <= _FSUM_ROW_CUTOFF:  # the column layout
+        padded, axis = np.ascontiguousarray(padded.T), 0
     with np.errstate(over="ignore", invalid="ignore"):  # rows with inf or NaN fail ``sure``
-        s, err = _two_sum_steps(padded)
-        total, near = s[:, -1], err.sum(axis=1)
-        wide = np.abs(err).sum(axis=1)
-        wide *= padded.shape[1] * 2.0**-52
+        s, err = _two_sum_steps(padded, axis)
+        total, near = s.take(-1, axis), err.sum(axis=axis)
+        wide = np.abs(err, out=err).sum(axis=axis)
+        wide *= padded.shape[axis] * 2.0**-52
         low = total + np.nextafter(near - wide, -np.inf)
         sure = low == total + np.nextafter(near + wide, np.inf)
-        sure &= np.abs(s).max(axis=1) <= 2.0**1020
+        sure &= np.abs(s, out=s).max(axis=axis) <= 2.0**1020
     sums = low.tolist()
     for r in np.flatnonzero(~sure).tolist():
         row = values[r] if lengths is None else values[ends[r] - lengths[r] : ends[r]]
@@ -291,13 +312,18 @@ def compensated_cumsum(values) -> np.ndarray:
     return err
 
 
-def _two_sum_steps(v: np.ndarray):
-    """The partial sums ``np.cumsum(v, axis=-1)`` and the exact rounding
-    error of each step (Knuth's TwoSum), the first step's being zero."""
-    sums = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,))
-    np.add.accumulate(v, axis=-1, out=sums[..., 1:])
-    prev, s = sums[..., :-1], sums[..., 1:]
+def _two_sum_steps(v: np.ndarray, axis: int = -1):
+    """The partial sums ``np.cumsum(v, axis)`` and the exact rounding error
+    of each step (Knuth's TwoSum), the first step's being zero."""
+    axis %= v.ndim
+    shape = list(v.shape)
+    shape[axis] += 1
+    sums = np.zeros(shape)
+    lead = (slice(None),) * axis
+    prev, s = sums[lead + (slice(-1),)], sums[lead + (slice(1, None),)]
+    np.add.accumulate(v, axis=axis, out=s)
     back = s - prev
-    err = prev - (s - back)
-    err += v - back
+    err = s - back
+    np.subtract(prev, err, out=err)  # prev - (s - back)
+    err += np.subtract(v, back, out=back)
     return s, err

@@ -22,6 +22,7 @@ by row, and measures and rows wider than their cutoffs must still match the
 former constructor, per-pair ``w1`` and per-measure ``discretize``.
 """
 
+import contextlib
 import math
 import re
 import weakref
@@ -47,6 +48,7 @@ from wasserstein_calculus import (
     dawson,
     dawson_each,
     dawson_extrapolated,
+    dawson_extrapolated_each,
     dawson_rows,
     dirac,
     discretize,
@@ -67,6 +69,7 @@ from wasserstein_calculus import (
     outer_sin,
     polynomial,
     segment_integral,
+    segment_integral_each,
     signed_difference,
     sin_fn,
     smooth_abs,
@@ -77,15 +80,19 @@ from wasserstein_calculus import (
     w1_rows,
     zero_field,
 )
+from wasserstein_calculus import acceptance as acceptance_module
+from wasserstein_calculus import ftc as ftc_module
 from wasserstein_calculus.acceptance import (
     MEASURES_PER_CASE,
     check_canonical_normalization,
+    check_counterexample,
     check_dawson_linear,
+    check_ftc_soundness,
     check_metric_properties,
     check_second_derivative_symmetry,
     discretization_case,
 )
-from wasserstein_calculus.derivative import MIN_STEP
+from wasserstein_calculus.derivative import BLOCK_VALUES, MIN_STEP, SEGMENT_BLOCK
 from wasserstein_calculus.functions import CylinderDerivatives
 from wasserstein_calculus.measures import JSON_MASS_TOL, MASS_TOL, MERGE_TOL, _flat_atoms, _values_at, _w1_flat, mix_rows
 from wasserstein_calculus import partition as partition_module
@@ -1124,10 +1131,9 @@ FSUM_SIZES = (1, 2, 5, FSUM_CUTOFF - 1, FSUM_CUTOFF, FSUM_CUTOFF + 1, FSUM_CUTOF
 FSUM_KINDS = ("wide", "weights", "cancel", "zeros", "subnormal", "ints")
 # planted values: the largest doubles, subnormals, both zeros, and the
 # non-finite ones that make math.fsum return NaN or raise
-FSUM_PLANTS = st.floats(width=64) | st.sampled_from(
-    [1.7976931348623157e308, -1.7976931348623157e308, 2.0**1023, 5e-324, -5e-324, 2.2e-308, 0.0, -0.0,
-     math.inf, -math.inf, math.nan]
-)
+PLANT_VALUES = [1.7976931348623157e308, -1.7976931348623157e308, 2.0**1023, 5e-324, -5e-324, 2.2e-308, 0.0, -0.0,
+                math.inf, -math.inf, math.nan]
+FSUM_PLANTS = st.floats(width=64) | st.sampled_from(PLANT_VALUES)
 
 
 def fsum_outcome(sum_of, values):
@@ -1249,6 +1255,27 @@ def fsum_row_batches(draw):
         return np.array(rows).reshape(count, length[0]), None
     parts = [draw(fsum_arrays(ROW_LENGTHS, kinds, 3 if r == planted else 0)) for r in range(count)]
     return np.concatenate(parts), np.repeat(np.arange(count), [x.size for x in parts])
+
+
+def short_rows(rng, kind, count, length):
+    """``count`` rows of ``length`` values of one ``fsum_arrays`` kind, drawn
+    with numpy; "cancel" rows pair x with -x over 2^240 and add one small
+    value."""
+    shape = (count, length)
+    if kind == "wide":
+        return rng.standard_normal(shape) * 2.0 ** rng.integers(-1074, 1000, shape)
+    if kind == "weights":
+        return rng.dirichlet(np.ones(length), count)
+    if kind == "cancel":
+        half = rng.standard_normal(shape) * 2.0 ** rng.integers(-120, 120, shape)
+        x = np.where(np.arange(length) % 2, -np.roll(half, 1, axis=1), half)
+        x[np.arange(count), rng.integers(0, length, count)] += rng.choice([0.0, 5e-324, 2.0**-52, 1.0], count)
+        return rng.permuted(x, axis=1)
+    if kind == "zeros":
+        return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    if kind == "subnormal":
+        return rng.integers(-(2**30), 2**30, shape) * 5e-324
+    return rng.integers(-(2**53), 2**53, shape).astype(float)
 
 
 def sparse_rows(rng, count, length, nonzero):
@@ -1402,6 +1429,58 @@ class TestFsumRows:
             got = fsum_outcome(lambda v: fsum_rows(v, rows, 40), values)
         assert got == fsum_outcome(lambda v: fsum_rows_former(v, rows, 40), values)
         assert bracket.returned == [None]
+
+    @given(st.sampled_from(FSUM_KINDS), st.sampled_from([2, 5, 9, ROW_CUTOFF]), st.integers(0, 2**32 - 1))
+    @SETTINGS
+    def test_column_layout_bits_and_errors_per_row(self, kind, length, seed):
+        rng = np.random.default_rng(seed)
+        values = short_rows(rng, kind, BATCH_CUTOFF // length + 1 + int(rng.integers(0, 300)), length)
+        for r in rng.integers(0, len(values), int(rng.integers(0, 3))):  # plants in up to two rows
+            values[r, rng.integers(length)] = PLANT_VALUES[rng.integers(len(PLANT_VALUES))]
+        with mock.patch.object(util_module, "_two_sum_steps", wraps=util_module._two_sum_steps) as steps:
+            assert fsum_outcome(fsum_rows, values) == fsum_outcome(fsum_rows_former, values)
+        assert [c.args[1] for c in steps.call_args_list] == [0]
+
+    # 2-D batches of more than BATCH_CUTOFF values in rows of at most
+    # ROW_CUTOFF take the column layout of the bracket; one row fewer, the lists
+    @pytest.mark.parametrize("length", [5, ROW_CUTOFF - 3, ROW_CUTOFF, ROW_CUTOFF + 1])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-batch-cutoff", "above"])
+    @pytest.mark.parametrize("kind", BRACKET_KINDS + ("inf-nan", "-inf+inf"))
+    def test_column_layout(self, kind, extra, length):
+        count = BATCH_CUTOFF // length + extra
+        rng = np.random.default_rng([BRACKET_KINDS.index(kind) if kind in BRACKET_KINDS else 9, length])
+        values = bracket_rows(rng, kind if kind in BRACKET_KINDS else "cancel", count, length)
+        if kind == "inf-nan":  # rows of inf, -inf or NaN beside finite ones
+            values[2, 0], values[5, 1], values[6, :2], values[9, 0] = math.inf, -math.inf, math.inf, math.nan
+        elif kind == "-inf+inf":  # math.fsum raises on row 4 only
+            values[3, 0], values[4, :2] = math.nan, (math.inf, -math.inf)
+        column = values.size > BATCH_CUTOFF and length <= ROW_CUTOFF
+        with mock.patch.object(util_module, "_two_sum_steps", wraps=util_module._two_sum_steps) as steps:
+            assert fsum_outcome(fsum_rows, values) == fsum_outcome(fsum_rows_former, values)
+        assert [c.args[1] for c in steps.call_args_list] == ([0] if column else [1] if values.size > BATCH_CUTOFF else [])
+
+    def test_column_layout_zero_rows(self):
+        """Rows of -0.0 or +0.0 only, and rows whose real values are followed
+        by +0.0 or -0.0 pads, as a block of segments lays them out: each
+        sums to ``math.fsum`` of its values without the pads."""
+        rng = np.random.default_rng(4)
+        lengths = rng.integers(1, ROW_CUTOFF + 1, 200)
+        real = [np.where(rng.random(n) < 0.5, -0.0, 0.0) if r % 3 else rng.standard_normal(n) for r, n in enumerate(lengths)]
+        real[:2] = [np.full(4, -0.0), np.full(ROW_CUTOFF, 0.0)]
+        values = np.zeros((len(real), ROW_CUTOFF))
+        values[1::2] = -0.0
+        for row, x in zip(values, real):
+            row[: x.size] = x
+        assert values.size > BATCH_CUTOFF
+        got = fsum_outcome(fsum_rows, values)
+        assert got == fsum_outcome(fsum_rows_former, values)
+        assert got == [sum_bits(math.fsum(x.tolist())) for x in real]
+        assert got[0] == np.float64(0.0).tobytes()
+
+    def test_column_layout_subnormal_rows(self):
+        values = np.random.default_rng(6).integers(-(2**20), 2**20, (300, 7)) * 5e-324
+        values[::5, 1:] = 0.0  # one subnormal value in every fifth row
+        assert fsum_outcome(fsum_rows, values) == fsum_outcome(fsum_rows_former, values)
 
     @pytest.mark.parametrize("size", [BATCH_CUTOFF, BATCH_CUTOFF + 2])
     def test_two_rows_beside_the_batch_cutoff(self, size):
@@ -1750,6 +1829,148 @@ class TestCanonicalBatch:
         for quad_order in (2, 32):
             got = segment_integral(batched_only, mu, m, quad_order)
             assert same_bits(got, segment_integral_loop(H, mu, m, quad_order))
+
+
+PASS_FEATURES = ("plain", "plain", "near", "joined", "equal", "subnormal", "wide")
+
+
+@st.composite
+def segment_passes(draw):
+    """(mu, measures, quad_order): the base point or a drawn measure, and a
+    pass of 1 to 45 measures of 1 to 12 atoms, which ends in a full block,
+    mid-block or in the second block. Each measure has a feature: an atom
+    within MERGE_TOL of an atom of mu (its nodes take the node path) or
+    exactly on one (it joins); mu itself (no atom); a subnormal weight; or
+    40 atoms, wider than the others."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mu = BASE_POINT if draw(st.booleans()) else DiscreteMeasure(rng.uniform(-2, 2, 5), rng.dirichlet(np.ones(5)))
+    measures = []
+    for _ in range(draw(st.sampled_from([1, 2, 7, SEGMENT_BLOCK, SEGMENT_BLOCK + 1, 45]))):
+        feature = PASS_FEATURES[rng.integers(len(PASS_FEATURES))]
+        n = 40 if feature == "wide" else int(rng.integers(1, 13))
+        pos, w = rng.uniform(-2.0, 2.0, n), rng.dirichlet(np.ones(n))
+        atom = mu.positions[rng.integers(len(mu))]
+        if feature == "near":
+            pos[0] = atom + rng.choice([6e-13, -MERGE_TOL])
+        elif feature == "joined":
+            pos[0] = atom
+        elif feature == "subnormal" and n > 1:
+            w[0] = 1e-320
+            w[1:] = w[1:] / math.fsum(w[1:].tolist())
+        measures.append(mu if feature == "equal" else DiscreteMeasure(pos, w))
+    return mu, measures, draw(st.sampled_from([2, 32]))
+
+
+def segment_outcome(integrals):
+    """The bits of the values ``integrals()`` gives, or its error's type and
+    message."""
+    try:
+        values = integrals()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+class TestSegmentBlocks:
+    """``segment_integral_each`` gives every segment of a pass the bits of
+    the node loop on that segment alone."""
+
+    @given(segment_passes())
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_bit_identical_to_node_loop(self, name, case):
+        mu, measures, quad_order = case
+        H = FIELDS[name]
+        got = segment_integral_each(H, mu, measures, quad_order)
+        assert same_bits(got, [segment_integral_loop(H, mu, m, quad_order) for m in measures])
+
+
+def antiderivative_pass():
+    """45 measures of a draw pass, one block and a partial one: measure 3
+    has an atom within MERGE_TOL of 0 (the node path), measure 5 one at 0
+    (it joins), measure 7 is the base point; and their quotient points,
+    within MERGE_TOL of an atom for measure 2 (the step path) and on one for
+    measure 4."""
+    ms, xs = zip(*random_draws(5, "antiderivative-pass", range(45), 1.5, points=1))
+    ms, xs = list(ms), list(xs)
+    ms[3] = DiscreteMeasure(np.append(ms[3].positions, 6e-13), np.append(0.5 * ms[3].weights, 0.5))
+    ms[5] = DiscreteMeasure(np.append(ms[5].positions, 0.0), np.append(0.5 * ms[5].weights, 0.5))
+    ms[7] = BASE_POINT
+    xs[2], xs[4] = float(ms[2].positions[0]) + 7e-13, float(ms[4].positions[-1])
+    return ms, xs
+
+
+class TestAntiderivativePasses:
+    @pytest.mark.parametrize("name", ["lift-sin_cos_product", "counterexample-sin-cos", "canonical-lift", "zero"])
+    def test_values_and_quotients_of_a_pass(self, name):
+        H = FIELDS[name]
+        F = antiderivative(H, 32)
+        ms, xs = antiderivative_pass()
+        nodes, _ = gauss_legendre_01(32)
+        assert mix_rows(BASE_POINT, ms[3], nodes) is None and mix_rows(BASE_POINT, ms[5], nodes) is not None
+        assert mix_rows(ms[2], dirac(xs[2]), (1e-3, 5e-4)) is None
+
+        def F_loop(m):
+            return segment_integral_loop(H, BASE_POINT, m, 32)
+
+        assert same_bits(F.evaluate_flat(*_flat_atoms((m.positions, m.weights) for m in ms)), [F_loop(m) for m in ms])
+        expected = [dawson_extrapolated_loop(F_loop, m, x, 1e-3) for m, x in zip(ms, xs)]
+        assert same_bits(dawson_extrapolated_each(F, ms, xs, 1e-3), expected)
+
+    def test_errors_raised_as_the_segments_alone_raise_them(self):
+        # phi overflows to inf beyond |x| = 1.2e4, so integrating it over a
+        # measure with an atom there raises. Measures 1 (in the block) and 3
+        # (on the node path, which runs before the block) have one
+        H = counterexample_field(polynomial((0.0, 0.0, 1e300)), cos_fn())
+        ms, _ = antiderivative_pass()
+        for i, x in ((1, -2e4), (3, 3e4), (20, 4e4)):
+            ms[i] = DiscreteMeasure(np.append(ms[i].positions, x), np.append(0.5 * ms[i].weights, 0.5))
+        with np.errstate(over="ignore"):
+            for pass_ in (ms, ms[2:]):
+                expected = segment_outcome(lambda: [segment_integral_loop(H, BASE_POINT, m, 32) for m in pass_])
+                assert expected[0] is ValueError and "not finite at atom" in expected[1]
+                assert segment_outcome(lambda: segment_integral_each(H, BASE_POINT, pass_, 32)) == expected
+
+    def test_non_finite_values_keep_the_bits_of_their_segment(self):
+        # H(m, x) = c (x - <x, m>) with c = 1.5e308 overflows where
+        # |x - <x, m>| > 1.2: dirac(3) and dirac(-2.5) integrate to inf and
+        # -inf, and [-3, 3] raises on -inf + inf. In a block, dirac(3)'s two
+        # points are padded with a copy of 3 of weight 0, and 0 * inf is NaN:
+        # the segment is computed again alone
+        H = lift_to_field(CylinderFunction((affine(1.0, 0.0),), outer_linear((1.5e308,))))
+        narrow = DiscreteMeasure(np.linspace(-0.05, 0.05, 6), np.full(6, 1 / 6))
+        both = DiscreteMeasure([-3.0, 3.0], [0.5, 0.5])
+        for ms in ([narrow, dirac(3.0), narrow], [dirac(3.0), narrow], [narrow, dirac(-2.5), dirac(3.0)], [narrow, both]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = segment_outcome(lambda: [segment_integral_loop(H, BASE_POINT, m, 32) for m in ms])
+                assert segment_outcome(lambda: segment_integral_each(H, BASE_POINT, ms, 32)) == expected
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert segment_integral_each(H, BASE_POINT, [narrow, dirac(3.0), dirac(-2.5)], 32)[1:].tolist() == [
+                math.inf, -math.inf
+            ]
+            with pytest.raises(ValueError, match=re.escape("-inf + inf in fsum")):
+                segment_integral_each(H, BASE_POINT, [narrow, both], 32)
+
+    def test_blocks_bounded(self):
+        """Blocks of at most SEGMENT_BLOCK segments and BLOCK_VALUES node
+        weights; one segment goes to the field with no leading axis."""
+        H = FIELDS["lift-sin_cos_product"]
+        shapes = []
+
+        def spy(positions, weights, xs):
+            shapes.append(weights.shape)
+            return H.batch_value(positions, weights, xs)
+
+        spied = DerivativeField(value=H.value, dx=H.dx, batch_value=spy)
+        ms, _ = antiderivative_pass()
+        wide = DiscreteMeasure(np.linspace(-1, 1, 300), np.full(300, 1 / 300))
+        segment_integral_each(spied, BASE_POINT, ms + [wide, wide] + ms[:2], 32)
+        # measure 3 takes the node path and measure 7 has no atom: 43 segments
+        assert [s[0] for s in shapes[:2]] == [SEGMENT_BLOCK, 43 - SEGMENT_BLOCK]
+        assert shapes[2:4] == [(32, 301), (32, 301)] and shapes[4][:2] == (2, 32)  # a wide one alone
+        assert all(math.prod(s) <= BLOCK_VALUES for s in shapes)
+        segment_integral(spied, BASE_POINT, ms[0], 32)
+        assert len(shapes[-1]) == 2
 
 
 # ------------------------------------------------------------ Richardson steps and cylinder derivatives against the loops
@@ -2532,11 +2753,48 @@ class TestPairingsOverMeasures:
             kr_lower_bound_rows([dirac(0.0)], [], sin_fn())
 
 
+def segment_integral_each_loop(H, mu, measures, quad_order=32):
+    """The former per-draw loop of antiderivative values: one
+    ``segment_integral`` per measure."""
+    return np.array([segment_integral(H, mu, m, quad_order) for m in measures])
+
+
+def dawson_extrapolated_each_loop(F, measures, points, eps):
+    """The former per-draw loop of quotients: one ``dawson_extrapolated``
+    per pair, its steps made by ``mix``."""
+    return np.array([dawson_extrapolated_loop(F, m, x, eps) for m, x in zip(measures, points)])
+
+
+def per_draw_loops():
+    """Criteria 5 and 6 and ``ftc_check`` with their former per-draw loops."""
+    return (
+        mock.patch.object(ftc_module, "segment_integral_each", segment_integral_each_loop),
+        mock.patch.object(ftc_module, "dawson_extrapolated_each", dawson_extrapolated_each_loop),
+        mock.patch.object(acceptance_module, "segment_integral_each", segment_integral_each_loop),
+    )
+
+
 @pytest.mark.parametrize("seed", [0, 11, 29])
 class TestCriterionLoops:
-    """Criteria 2, 4, 7 and 8 serialize to the bytes of their former loops;
-    also at sample counts that end in a partial draw pass (100 draws a pass
-    for criteria 2, 4 and 7, 33 triples for criterion 8)."""
+    """Criteria 2, 4, 5, 6, 7 and 8 serialize to the bytes of their former
+    loops; also at sample counts that end in a partial draw pass (100 draws a
+    pass for criteria 2, 4 and 7 and ``ftc_check``, 33 triples for criterion
+    8)."""
+
+    def test_criteria_5_and_6(self, seed):
+        got = [canonical_json(check(seed=seed)[0]) for check in (check_ftc_soundness, check_counterexample)]
+        with contextlib.ExitStack() as stack:
+            for patch in per_draw_loops():
+                stack.enter_context(patch)
+            assert got == [canonical_json(check(seed=seed)[0]) for check in (check_ftc_soundness, check_counterexample)]
+
+    def test_ftc_check_in_a_partial_pass(self, seed):
+        H = counterexample_field(sin_fn(), cos_fn())
+        got = canonical_json(ftc_module.ftc_check(H, K=2.0, samples=250, seed=seed))
+        with contextlib.ExitStack() as stack:
+            for patch in per_draw_loops():
+                stack.enter_context(patch)
+            assert got == canonical_json(ftc_module.ftc_check(H, K=2.0, samples=250, seed=seed))
 
     def test_criterion_2(self, seed):
         report, _ = check_dawson_linear(seed=seed)
