@@ -269,7 +269,8 @@ def segment_integral_each(H: DerivativeField, mu: DiscreteMeasure, measures, qua
     Gauss-Legendre quadrature in t of the exact atom-sum against m - mu; zero
     when m - mu has no atom. A segment whose nodes share a support goes to
     the field's ``batch_value`` in a padded block of at most
-    ``SEGMENT_BLOCK`` segments (see the module docstring); any other is
+    ``SEGMENT_BLOCK`` segments and ``BLOCK_VALUES`` node weights (see the
+    module docstring); any other is
     ``mix(mu, m, t)`` at each node, evaluated by ``value``. A block segment
     whose value is not finite is computed again alone, as pads can turn an
     infinite value into NaN; an error is the one the segments, computed

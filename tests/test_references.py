@@ -10,8 +10,10 @@ per-step difference quotients (one ``mix`` per step), the per-call
 cylinder derivatives (one moment pass per call) and the per-point outer-map
 value, gradient and Hessian, with the criterion 2, 4, 7 and 8 loops and the
 per-draw ``uniform_dawson_modulus`` built on them (criterion 8 on
-``integrate`` pairs per probe and ``w1`` per pair),
-and the former sampled draws (a ``dirichlet`` weight draw), which
+``integrate`` pairs per probe and ``w1`` per pair), the per-draw
+antiderivative and quotient loops of criteria 5 and 6 and ``ftc_check``
+(each segment of a padded block alone on the node loop), and the former
+sampled draws (a ``dirichlet`` weight draw), which
 ``random_measure`` and every value ``random_draws`` yields must reproduce. The vectorised code must reproduce the loops bit
 for bit (and the private trusted constructor the validating one), and the
 banded grid weights must match the dense reference within ``GRID_TOL``. The rational
@@ -1355,7 +1357,7 @@ class TestFsumRows:
             assert got == fsum_outcome(lambda v: fsum_rows_former(v, rows, count), values)
 
     # in 40 rows: the lists, the bracket, the bins
-    @pytest.mark.parametrize("length", [ROW_CUTOFF, 64, 65, BIN_CUTOFF, BIN_CUTOFF + 1, 300])
+    @pytest.mark.parametrize("length", [ROW_CUTOFF, 64, 65, 256, 257, 300, BIN_CUTOFF, BIN_CUTOFF + 1])
     @pytest.mark.parametrize(
         "plant, expected",
         [
