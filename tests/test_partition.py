@@ -77,6 +77,14 @@ class TestBumpWeight:
         assert np.all(psi >= 0.0)
         assert np.max(np.abs(psi.sum(axis=1) - 1.0)) <= SUM_TOL
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, mode, x):
+        s = PartitionScheme(n=3, K=1, bump_shape=mode)
+        with pytest.raises(ValueError, match=f"must be finite, not {x!r}"):
+            bump_weight(s, 0, x)
+        with pytest.raises(ValueError, match=f"must be finite, not {x!r}"):
+            s.weight_matrix([0.25, x, 0.5])
+
     def test_out_of_range_index_rejected(self, mode):
         s = PartitionScheme(n=3, K=1, bump_shape=mode)
         with pytest.raises(ValueError):
