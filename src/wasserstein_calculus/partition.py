@@ -93,9 +93,13 @@ class PartitionScheme:
 
         Returns an array of shape (len(xs), 2*n*K + 1) whose [i, j] entry is
         the weight of grid index j - n*K at xs[i]: the two band weights of
-        ``_band`` written into an otherwise zero row.
+        ``_band`` written into an otherwise zero row. A point that is NaN or
+        infinite raises ``ValueError``.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        bad = np.flatnonzero(~np.isfinite(xs))
+        if bad.size:
+            raise ValueError(f"points must be finite, not {float(xs.flat[bad[0]])!r}")
         cols, band = self._band(xs)
         out = np.zeros((xs.size, self.indices.size))
         rows = np.arange(xs.size)[:, None]
