@@ -24,6 +24,7 @@ from wasserstein_calculus import (
     zero_field,
     random_measure,
     random_point,
+    segment_integral_each,
     stream_rng,
 )
 from wasserstein_calculus.derivative import MIN_STEP
@@ -173,6 +174,14 @@ class TestQuadratureOrder:
     def test_orders_outside_are_refused(self, order):
         with pytest.raises(ValueError, match="quadrature order must lie in"):
             gauss_legendre_01(order)
+
+    @pytest.mark.parametrize("order", [1, MAX_QUAD_ORDER + 1])
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_segment_passes_refuse_orders_outside(self, order, count):
+        H = lift_to_field(standard_battery()[2])
+        measures = [DiscreteMeasure([-0.4, 0.2], [0.5, 0.5])] * count
+        with pytest.raises(ValueError, match="quadrature order must lie in"):
+            segment_integral_each(H, dirac(0.0), measures, quad_order=order)
 
 
 class TestVerifyDeriv2:
