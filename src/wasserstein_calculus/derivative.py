@@ -276,8 +276,9 @@ def segment_integral_each(H: DerivativeField, mu: DiscreteMeasure, measures, qua
     infinite value into NaN; an error is the one the segments, computed
     alone in order, raise first.
     """
+    nodes, weights = gauss_legendre_01(quad_order)
     try:
-        return np.array(_segments(H, mu, measures, *gauss_legendre_01(quad_order)))
+        return np.array(_segments(H, mu, measures, nodes, weights))
     except (ArithmeticError, ValueError):
         return np.array([segment_integral(H, mu, m, quad_order) for m in measures])
 
