@@ -71,6 +71,9 @@ __all__ = [
     "counterexample_report",
     "field_from_dict",
     "CANONICAL_GATE_TOL",
+    "COUNTEREXAMPLE_CLOSED_F_TOL",
+    "COUNTEREXAMPLE_BUILT_DELTA_TOL",
+    "COUNTEREXAMPLE_GAP_FLOOR",
     "ESTIMATED_SYMMETRY_TOL",
     "EXACT_SYMMETRY_TOL",
 ]
@@ -82,6 +85,14 @@ BASE_POINT = dirac(0.0)
 
 # ftc_check refuses fields whose integral against a probe measure exceeds this.
 CANONICAL_GATE_TOL = 1e-10
+
+# counterexample_report is ok when the quadrature antiderivative is within
+# COUNTEREXAMPLE_CLOSED_F_TOL of the closed form, its estimated derivative
+# within COUNTEREXAMPLE_BUILT_DELTA_TOL of the closed-form derivative, and
+# that derivative at least COUNTEREXAMPLE_GAP_FLOOR from the field.
+COUNTEREXAMPLE_CLOSED_F_TOL = 1e-10
+COUNTEREXAMPLE_BUILT_DELTA_TOL = 1e-5
+COUNTEREXAMPLE_GAP_FLOOR = 0.1
 
 # Tolerance of the estimated-mode symmetry residual; the not-a-derivative
 # verdict fires at 100x this value.
@@ -281,9 +292,6 @@ def counterexample_report(
     eps: float = DEFAULT_EPS,
     samples: int = 200,
     seed: int = DEFAULT_SEED,
-    closed_f_tol: float = 1e-10,
-    built_delta_tol: float = 1e-5,
-    gap_floor: float = 0.1,
 ) -> dict:
     """Quantify how the counterexample field fails to be a derivative.
 
@@ -321,7 +329,11 @@ def counterexample_report(
         results += [one(*draw, *q) for draw, q in zip(chunk, batched)]
     a_max, b_max, c_max, symmetry_max, field_max = (max_or_nan(column) for column in zip(*results))
     verdict = _verdict(symmetry_max, estimated=False, field_max=field_max)
-    ok = a_max <= closed_f_tol and b_max <= built_delta_tol and c_max >= gap_floor
+    ok = (
+        a_max <= COUNTEREXAMPLE_CLOSED_F_TOL
+        and b_max <= COUNTEREXAMPLE_BUILT_DELTA_TOL
+        and c_max >= COUNTEREXAMPLE_GAP_FLOOR
+    )
     return {
         "check": "counterexample",
         "phi": phi.name,
