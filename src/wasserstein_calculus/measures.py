@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .util import _FSUM_CUTOFF, check_keys, compensated_cumsum, fsum, fsum_rows, json_number
+from .util import check_keys, compensated_cumsum, fsum, fsum_rows, json_number
 
 __all__ = [
     "DiscreteMeasure",
@@ -75,8 +75,8 @@ class DiscreteMeasure:
 
     Every sum over a whole measure, here, in ``total_mass``, ``integrate``,
     ``w1`` and the JSON reader, has the bits of ``math.fsum`` on the list of
-    its terms. Above ``util._FSUM_CUTOFF`` terms, ``util.fsum`` gives those
-    bits from exact per-exponent sums in numpy, without the long list.
+    its terms: ``util.fsum`` sums a long row from exact per-exponent sums in
+    numpy, without the long list.
     """
 
     positions: np.ndarray
@@ -90,7 +90,7 @@ class DiscreteMeasure:
         order = pos.argsort(kind="stable")
         sorted_pos, sorted_w = pos[order], w[order]
         try:
-            total = math.fsum(sorted_w.tolist()) if sorted_w.size <= _FSUM_CUTOFF else fsum(sorted_w)
+            total = fsum(sorted_w)
         except (ValueError, OverflowError):  # -inf + inf, or overflow
             total = math.nan
         lightest = np.minimum.reduce(sorted_w)
@@ -132,8 +132,7 @@ class DiscreteMeasure:
 
     @cached_property
     def total_mass(self) -> float:
-        w = self.weights
-        return math.fsum(w.tolist()) if w.size <= _FSUM_CUTOFF else fsum(w)
+        return fsum(self.weights)
 
     def __len__(self) -> int:
         return int(self.positions.size)

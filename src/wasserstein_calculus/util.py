@@ -1,29 +1,26 @@
 """Shared numerical plumbing: quadrature nodes, compensated running sums,
 exactly rounded sums, canonical JSON and the one rule for JSON inputs.
 
-``fsum_rows`` gives each row of a batch the bits of ``math.fsum`` by one of
-three paths, chosen by the size of the batch and its values per row:
+``fsum`` and ``fsum_rows`` give each row the bits of ``math.fsum``, by one
+path per shape of input:
 
-- the lists: ``math.fsum`` on one list per row, for small batches and flat
-  rows of at most ``_FSUM_ROW_CUTOFF`` = 16 values on average;
-- the bracket, for rows of 17 to ``_FSUM_BIN_CUTOFF`` = 512 values on average:
-  ``np.cumsum`` along the rows and the exact error of each step bound each
-  row's exact sum between two floats, and where both round to one float,
-  that float is the row's correctly rounded sum, as ``math.fsum`` returns
-  it (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005). The error of
-  a floating-point sum of n errors is at most gamma_(n-1) times the sum of
-  their absolute values, in any order of summation; the bracket is that
-  bound, doubled and widened by one ulp, and rounding is monotone. Other
-  rows go to ``math.fsum`` alone. 2-D batches of more than
-  ``_FSUM_BATCH_CUTOFF`` = 1,024 values in rows of at most 16 take the
-  bracket in the column layout: the batch transposed, so that the running
-  sums are one vector add per column across all rows, and the error sums
-  and maxima reduce along axis 0;
-- the bins, for longer rows and one-row sums: each value's two exact halves
-  are summed per (row, exponent) with ``np.bincount`` and ``math.fsum``
-  rounds each row's few bin sums.
-
-``fsum`` is the one-row case of ``fsum_rows``."""
+- one row (``fsum``, and ``fsum_rows`` of one row): ``math.fsum`` on a list
+  up to ``_FSUM_CUTOFF`` = 512 values, else the bins: each value's two
+  exact halves are summed per exponent with ``np.bincount``, and
+  ``math.fsum`` rounds the few bin sums;
+- the lists, for rows laid flat and 2-D batches of at most
+  ``_FSUM_BATCH_CUTOFF`` = 1,024 values: ``math.fsum`` on one list per row;
+- the bracket, for larger 2-D batches: ``np.cumsum`` along the rows and the
+  exact error of each step bound each row's exact sum between two floats,
+  and where both round to one float, that float is the row's correctly
+  rounded sum, as ``math.fsum`` returns it (Ogita, Rump and Oishi, SIAM J.
+  Sci. Comput. 26, 2005). The error of a floating-point sum of n errors is
+  at most gamma_(n-1) times the sum of their absolute values, in any order
+  of summation; the bracket is that bound, doubled and widened by one ulp,
+  and rounding is monotone. Other rows go to ``math.fsum`` alone. Rows of
+  at most ``_FSUM_ROW_CUTOFF`` = 16 values take the column layout: the
+  batch transposed, so that the running sums are one vector add per column
+  across all rows, and the error sums and maxima reduce along axis 0."""
 
 from __future__ import annotations
 
@@ -114,43 +111,62 @@ def _plain(obj):
     return obj
 
 
-# One array up to this size is summed by ``math.fsum`` on a list. Measured on
+# One row up to this size is summed by ``math.fsum`` on a list. Measured on
 # probability weights and signed products, the bins of ``fsum`` tie with the
 # list at 512 values and win from 576 (16-20 against 17-27 us).
 _FSUM_CUTOFF = 512
-# A batch of several rows up to this size is summed one list per row: at 600
-# to 1,000 values in 4 to 10 rows the lists still win (21-37 against 28-51 us).
-# Against the bracket (timeit medians here and below, on a shared 2-CPU Xeon)
-# they tie at segment quadrature's 32 rows of 33 values (40-48 against 41-57
-# us) and lose from 32 x 40 (50 against 44 us). Larger 2-D batches of rows of
-# at most ``_FSUM_ROW_CUTOFF`` values take the bracket in the column layout.
-# On the sweep's own batches the lists still win at 128 x 7 (48 against 53
-# us) and 334 x 2 (62 against 70), tie at 100 x 12 (53 against 50) and
+# A 2-D batch of several rows up to this size is summed one list per row: at
+# 600 to 1,000 values in 4 to 10 rows the lists still win (21-37 against
+# 28-51 us). Against the bracket (timeit medians here and below, on a shared
+# 2-CPU Xeon) they tie at segment quadrature's 32 rows of 33 values (40-48
+# against 41-57 us) and lose from 32 x 40 (50 against 44 us). In rows of at
+# most ``_FSUM_ROW_CUTOFF`` values, they still win at 128 x 7 (48 against
+# 53 us) and 334 x 2 (62 against 70), tie at 100 x 12 (53 against 50) and
 # 500 x 2 (107 against 103), and lose at 128 x 13 (101 against 71), 256 x 8
 # (99 against 56) and a segment block's 1,024 x 13 (612 against 286 us).
 _FSUM_BATCH_CUTOFF = 1024
-# Batches whose rows hold up to this many values on average are summed by
-# ``math.fsum`` one list per row, or in the column layout (above). On the
-# sweep's own batches the bracket ties with the lists at 100 rows of 16
-# values (94 against 95 us) and wins at 100 x 18 (95 against 104) and
-# 100 x 35 (131 against 189); flat rows pay for their padding and lose at
-# 100 x 12 (111 against 93 us). At 1,024 rows the column layout beats the
-# row layout up to this many values (16: 369 against 557 us), ties at 17
-# (546 against 571) and loses at 24 (744 against 702 us).
+# Larger 2-D batches whose rows hold up to this many values take the bracket
+# in the column layout. At 1,024 rows the column layout beats the row layout
+# up to this many values (16: 369 against 557 us), ties at 17 (546 against
+# 571) and loses at 24 (744 against 702 us).
 _FSUM_ROW_CUTOFF = 16
-# Batches whose rows hold up to this many values on average, and more than
-# ``_FSUM_ROW_CUTOFF``, take the bracket; longer rows take the bins. On
-# segment quadrature's node rows the bracket beats the bins at 32 x 64 (75
-# against 128 us), 32 x 129 (81 against 116), 32 x 256 (138 against 147)
-# and 32 x 257 (145 against 169), ties from 32 x 384 to 32 x 768 (32 x 512:
-# 194-261 against 198-237 us) and loses at 32 x 1,024 (400 against 348-391).
-_FSUM_BIN_CUTOFF = 512
 
 
 def fsum(values: np.ndarray) -> float:
-    """``math.fsum(values.tolist())`` of a 1-D float64 array, with its bits:
-    the one-row case of ``fsum_rows``."""
-    return fsum_rows(values[None, :])[0]
+    """``math.fsum(values.tolist())`` of a 1-D float64 array, with its bits
+    and its errors.
+
+    Up to ``_FSUM_CUTOFF`` values, that is how it is computed. Longer rows
+    take the bins: each value splits exactly into an upper half, the value
+    with the 26 low bits of its fraction cleared, and the rest. One
+    ``np.bincount`` each sums the halves per biased exponent E, where
+    subnormals count as E = 1 and zeros, which add nothing, join bin 0. A
+    value of exponent E is a multiple of 2^(E-1075), so its upper half is a
+    multiple of 2^(E-1049) below 2^(E-1022) and the rest a multiple of
+    2^(E-1075) below 2^(E-1049). With at most 2^26 values, every partial sum
+    of a bin is a multiple of the same unit, and below 2^53 of them, so each
+    bin sum is exact. The nonzero bin sums are then exact parts of the
+    total, and ``math.fsum`` of them rounds that total correctly, as it
+    would round the row itself (Neal 2015, arXiv:1505.05571; Shewchuk 1997).
+
+    ``math.fsum`` sums the row itself where its own errors must show: a NaN
+    or an infinity, values so large that a partial sum could overflow
+    ("intermediate overflow"), and more than 2^26 values.
+    """
+    if values.size <= _FSUM_CUTOFF:
+        return math.fsum(values.tolist())
+    bits = values.view(np.int64)
+    keys = bits >> 52
+    keys &= 2047
+    top = int(keys.max())
+    # |x| < 2^(E-1022) for the largest E, so the sum of |x| is below
+    # 2^(E-1022+bit_length(size)). Under 2^1021, math.fsum's partial sums
+    # stay below 2^1023 and it cannot overflow. E = 2047 holds inf and NaN.
+    if top + values.size.bit_length() > 2043 or values.size > 1 << 26:
+        return math.fsum(values.tolist())
+    upper = (bits & -(1 << 26)).view(np.float64)
+    parts = np.concatenate((np.bincount(keys, upper, top + 1), np.bincount(keys, values - upper, top + 1)))
+    return math.fsum(parts[parts != 0.0].tolist())
 
 
 def fsum_rows(values: np.ndarray, rows: np.ndarray | None = None, count: int = 0) -> list:
@@ -158,32 +174,16 @@ def fsum_rows(values: np.ndarray, rows: np.ndarray | None = None, count: int = 0
 
     The rows are those of a 2-D float64 array, or ``count`` rows laid flat in
     a 1-D ``values``, row after row, with ``rows`` giving each entry's row.
+    The shape of the input picks one of three paths:
 
-    Each value splits exactly into an upper half, the value with the 26 low
-    bits of its fraction cleared, and the rest. One ``np.bincount`` each sums
-    the halves per row and biased exponent E, where subnormals count as
-    E = 1 and zeros, which add nothing, may join any bin. A value of
-    exponent E is a multiple of 2^(E-1075), so its upper half is a multiple
-    of 2^(E-1049) below 2^(E-1022) and the rest a multiple of 2^(E-1075)
-    below 2^(E-1049). With at most 2^26 values, every partial sum of a bin is
-    a multiple of the same unit, and below 2^53 of them, so each bin sum is
-    exact. The nonzero bin sums of a row are then exact parts of its total,
-    and ``math.fsum`` of them rounds that total correctly, as it would round
-    the row itself (Neal 2015, arXiv:1505.05571; Shewchuk 1997).
+    - one row is ``fsum``'s;
+    - the flat layout, and 2-D batches of at most ``_FSUM_BATCH_CUTOFF``
+      values, take ``math.fsum`` on one list per row;
+    - larger 2-D batches take the bracket, in the column layout for rows of
+      at most ``_FSUM_ROW_CUTOFF`` values: the transposed batch, summed
+      along axis 0, so that the running sums are one vector add per column
+      across all rows (the proof is the same).
 
-    ``math.fsum`` sums each row itself when the rows are short (at most
-    ``_FSUM_ROW_CUTOFF`` values on average) or the input small (at most
-    ``_FSUM_CUTOFF`` values in one row, ``_FSUM_BATCH_CUTOFF`` in several),
-    and where its own errors must show: a NaN or an infinity, values so
-    large that a partial sum could overflow ("intermediate overflow"), and
-    more than 2^26 values.
-
-    Rows of more than ``_FSUM_ROW_CUTOFF`` and at most ``_FSUM_BIN_CUTOFF``
-    values on average take the bracket instead of the bins, flat rows padded
-    with zeros to the longest unless that more than doubles the values; so
-    do 2-D batches of more than ``_FSUM_BATCH_CUTOFF`` values in rows of at
-    most ``_FSUM_ROW_CUTOFF``, instead of the lists, in the column layout
-    (the transposed batch, summed along axis 0; the proof is the same).
     ``np.cumsum`` adds each row of n values left to right, so its partial
     sums are s_k = fl(s_{k-1} + x_k), and TwoSum gives the exact error
     e_k = s_{k-1} + x_k - s_k of each step: the row's exact sum is
@@ -195,86 +195,41 @@ def fsum_rows(values: np.ndarray, rows: np.ndarray | None = None, count: int = 0
     hi = nextafter(c + w, inf), each one ulp outside the rounded end, bound
     sum(e), and S lies in [s_n + lo, s_n + hi]. Rounding to nearest is
     monotone, so where fl(s_n + lo) = fl(s_n + hi), that float is fl(S),
-    the correctly rounded sum, which is ``math.fsum``'s. Every other row
-    goes to ``math.fsum`` alone, from its own values: a sum at or next to a
-    tie between two floats; a zero or subnormal sum, whose ends differ by
-    at least the one-ulp widening; a NaN or an infinity, which makes the
-    errors NaN; and partial sums above 2^1020, beyond which ``math.fsum``'s
-    own exact partial sums could overflow where numpy's do not.
+    the correctly rounded sum, which is ``math.fsum``'s (Ogita, Rump and
+    Oishi, SIAM J. Sci. Comput. 26, 2005). Every other row goes to
+    ``math.fsum`` alone: a sum at or next to a tie between two floats; a
+    zero or subnormal sum, whose ends differ by at least the one-ulp
+    widening; a NaN or an infinity, which makes the errors NaN; and partial
+    sums above 2^1020, beyond which ``math.fsum``'s own exact partial sums
+    could overflow where numpy's do not.
     """
     if rows is None:
         count = len(values)
-    size = values.size
-    small = _FSUM_CUTOFF if count == 1 else _FSUM_BATCH_CUTOFF
-    if size <= small or size <= _FSUM_ROW_CUTOFF * count:
-        if rows is None and size > small:  # many short rows: the column layout
-            return _fsum_bracketed(values, None, count)
+    if count == 1:
+        return [fsum(values.reshape(-1))]
+    if rows is not None or values.size <= _FSUM_BATCH_CUTOFF:
         return _fsum_each(values, rows, count)
-    if size <= _FSUM_BIN_CUTOFF * count and (sums := _fsum_bracketed(values, rows, count)) is not None:
-        return sums
-    bits = values.view(np.int64)
-    upper = (bits & -(1 << 26)).view(np.float64)
-    keys = bits >> 52
-    keys &= 2047
-    top = int(keys.max())
-    # |x| < 2^(E-1022) for the largest E, so the sum of |x| is below
-    # 2^(E-1022+bit_length(size)). Under 2^1021, math.fsum's partial sums
-    # stay below 2^1023 and it cannot overflow. E = 2047 holds inf and NaN.
-    if top + size.bit_length() > 2043 or size > 1 << 26:
-        return _fsum_each(values, rows, count)
-    if count > 1:
-        # zeros (exponent field 0) join the largest exponent's bin, so that
-        # the bins of a row span only the exponents of nonzero values
-        keys = np.where(values != 0.0, keys, top)
-        low = int(keys.min())
-        width = top - low + 1
-        if 2 * width >= size // count:  # more bin sums than values per row
-            return _fsum_each(values, rows, count)
-        keys += (np.arange(count)[:, None] if rows is None else rows) * width - low
-    else:
-        width = top + 1
-    keys = keys.ravel()
-    parts = np.concatenate(
-        (
-            np.bincount(keys, upper.ravel(), count * width).reshape(count, width),
-            np.bincount(keys, (values - upper).ravel(), count * width).reshape(count, width),
-        ),
-        axis=1,
-    )
-    if count == 1:  # one row's bins run from exponent 0: keep the used ones
-        return [math.fsum(parts[parts != 0.0].tolist())]
-    return [math.fsum(row) for row in parts.tolist()]
+    return _fsum_bracketed(values)
 
 
-def _fsum_bracketed(values: np.ndarray, rows: np.ndarray, count: int) -> list | None:
-    """``math.fsum`` of each row from a bracket proved in numpy (see
-    ``fsum_rows``), in the column layout for rows of at most
-    ``_FSUM_ROW_CUTOFF`` values, or None when padding flat rows with zeros to
-    the longest would more than double the values."""
-    padded, lengths = values, None
-    if rows is not None:
-        lengths = np.bincount(rows, minlength=count)
-        width = int(lengths.max())
-        if count * width > 2 * values.size:
-            return None
-        ends = np.cumsum(lengths)
-        padded = np.zeros((count, width))
-        padded[rows, np.arange(values.size) - (ends - lengths)[rows]] = values
-    axis = 1
-    if padded.shape[1] <= _FSUM_ROW_CUTOFF:  # the column layout
-        padded, axis = np.ascontiguousarray(padded.T), 0
+def _fsum_bracketed(values: np.ndarray) -> list:
+    """``math.fsum`` of each row of a 2-D batch from a bracket proved in
+    numpy (see ``fsum_rows``), in the column layout for rows of at most
+    ``_FSUM_ROW_CUTOFF`` values."""
+    layout, axis = values, 1
+    if values.shape[1] <= _FSUM_ROW_CUTOFF:  # the column layout
+        layout, axis = np.ascontiguousarray(values.T), 0
     with np.errstate(over="ignore", invalid="ignore"):  # rows with inf or NaN fail ``sure``
-        s, err = _two_sum_steps(padded, axis)
+        s, err = _two_sum_steps(layout, axis)
         total, near = s.take(-1, axis), err.sum(axis=axis)
         wide = np.abs(err, out=err).sum(axis=axis)
-        wide *= padded.shape[axis] * 2.0**-52
+        wide *= layout.shape[axis] * 2.0**-52
         low = total + np.nextafter(near - wide, -np.inf)
         sure = low == total + np.nextafter(near + wide, np.inf)
         sure &= np.abs(s, out=s).max(axis=axis) <= 2.0**1020
     sums = low.tolist()
     for r in np.flatnonzero(~sure).tolist():
-        row = values[r] if lengths is None else values[ends[r] - lengths[r] : ends[r]]
-        sums[r] = math.fsum(row.tolist())
+        sums[r] = math.fsum(values[r].tolist())
     return sums
 
 

@@ -18,7 +18,7 @@ sampled draws (a ``dirichlet`` weight draw), which
 for bit (and the private trusted constructor the validating one), and the
 banded grid weights must match the dense reference within ``GRID_TOL``. The rational
 oracles recompute ``w1`` and ``linear_hat`` discretization exactly with
-``fractions.Fraction`` on dyadic inputs. The binned exact sums ``util.fsum``
+``fractions.Fraction`` on dyadic inputs. The exact sums ``util.fsum``
 and ``util.fsum_rows`` must give the bits and errors of ``math.fsum``, row
 by row, and measures and rows wider than their cutoffs must still match the
 former constructor, per-pair ``w1`` and per-measure ``discretize``.
@@ -111,10 +111,13 @@ from wasserstein_calculus.sampling import (
 )
 from wasserstein_calculus import util as util_module
 from wasserstein_calculus.util import _FSUM_BATCH_CUTOFF as BATCH_CUTOFF
-from wasserstein_calculus.util import _FSUM_BIN_CUTOFF as BIN_CUTOFF
 from wasserstein_calculus.util import _FSUM_CUTOFF as FSUM_CUTOFF
 from wasserstein_calculus.util import _FSUM_ROW_CUTOFF as ROW_CUTOFF
 from wasserstein_calculus.util import canonical_json, compensated_cumsum, fsum, fsum_rows, gauss_legendre_01
+
+# One row of more than this many values takes the bins of fsum. Fixed here,
+# not read from util, so that the test ids built from it stay put.
+BIN_CUTOFF = 512
 
 # Banded against dense grid weights, absolute; fixed before measuring.
 GRID_TOL = 1e-15
@@ -1227,9 +1230,9 @@ class TestFsum:
         assert fsum_outcome(fsum, values) == fsum_outcome(fsum_former, values)
 
 
-# row lengths on both sides of the row cutoff and of the bin cutoff, and far
-# above them; with enough rows, batches of the medium ones take the bracket
-# and batches of the longer ones the bins
+# row lengths on both sides of the row cutoff and of 512, and far above
+# them; with enough rows, 2-D batches take the bracket, one row of more than
+# 512 values the bins of fsum, and flat rows the lists
 ROW_LENGTHS = (
     0, 1, ROW_CUTOFF - 1, ROW_CUTOFF, ROW_CUTOFF + 1, 2 * ROW_CUTOFF + 5, BIN_CUTOFF, BIN_CUTOFF + 1, 300, 700
 )
@@ -1327,21 +1330,9 @@ def bracket_rows(rng, kind, count=40, length=BIN_CUTOFF // 4):
     return rng.permuted(x, axis=1)
 
 
-BRACKETED = util_module._fsum_bracketed
-
-
-class BracketSpy:
-    """Stands in for ``util._fsum_bracketed``: counts its calls and keeps
-    what each returned (None where it left the batch to the bins)."""
-
-    def __init__(self):
-        self.calls = 0
-        self.returned = []
-
-    def __call__(self, *args):
-        self.calls += 1
-        self.returned.append(BRACKETED(*args))
-        return self.returned[-1]
+def spy(name):
+    """A spy on ``util``'s function ``name``, which it still calls."""
+    return mock.patch.object(util_module, name, wraps=getattr(util_module, name))
 
 
 class TestFsumRows:
@@ -1356,7 +1347,7 @@ class TestFsumRows:
             got = fsum_outcome(lambda v: fsum_rows(v, rows, count), values)
             assert got == fsum_outcome(lambda v: fsum_rows_former(v, rows, count), values)
 
-    # in 40 rows: the lists, the bracket, the bins
+    # in 40 rows: the lists, the bracket; laid flat, the lists
     @pytest.mark.parametrize("length", [ROW_CUTOFF, 64, 65, 256, 257, 300, BIN_CUTOFF, BIN_CUTOFF + 1])
     @pytest.mark.parametrize(
         "plant, expected",
@@ -1382,7 +1373,7 @@ class TestFsumRows:
         "nonzero",
         [
             lambda rng, n: rng.integers(-(2**40), 2**40, n) * 5e-324,  # subnormals
-            lambda rng, n: rng.random(n) * 2.0 ** (1021 - 14),  # the largest the bins take
+            lambda rng, n: rng.random(n) * 2.0 ** (1021 - 14),  # the largest one bin of 12,000 takes
             lambda rng, n: rng.random(n) * 2.0**1021,  # beyond: math.fsum, which may raise
         ],
         ids=["subnormal", "largest-binned", "near-2^1021"],
@@ -1404,10 +1395,10 @@ class TestFsumRows:
         assert ROW_CUTOFF < length <= BIN_CUTOFF and values.size > BATCH_CUTOFF
         former = fsum_outcome(fsum_rows_former, values)
         rows = np.repeat(np.arange(count), length)
-        with mock.patch.object(util_module, "_fsum_bracketed", BracketSpy()) as bracket:
+        with spy("_fsum_bracketed") as bracket:
             assert fsum_outcome(fsum_rows, values) == former
             assert fsum_outcome(lambda v: fsum_rows(v, rows, count), values.ravel()) == former
-        assert bracket.calls == 2 and None not in bracket.returned
+        assert bracket.call_count == 1  # the 2-D batch; flat rows take the lists
 
     def test_ragged_flat_rows_with_empty_ones(self):
         rng = np.random.default_rng(8)
@@ -1417,20 +1408,19 @@ class TestFsumRows:
         parts = [bracket_rows(rng, k, 4, int(n))[rng.integers(4)] if n else [] for k, n in zip(kinds, lengths)]
         values = np.concatenate(parts)
         rows = np.repeat(np.arange(40), lengths)
-        with mock.patch.object(util_module, "_fsum_bracketed", BracketSpy()) as bracket:
+        with spy("_fsum_bracketed") as bracket:
             got = fsum_outcome(lambda v: fsum_rows(v, rows, 40), values)
         assert got == fsum_outcome(lambda v: fsum_rows_former(v, rows, 40), values)
-        assert bracket.calls == 1 and None not in bracket.returned
-        # one long row among short ones: padding would more than double the
-        # values, so the batch takes the bins
+        assert bracket.call_count == 0  # flat rows take the lists
+        # one long row among short ones
         lengths = np.full(40, ROW_CUTOFF)
         lengths[5] = 50 * ROW_CUTOFF
         values = rng.dirichlet(np.ones(lengths.sum())) * rng.choice([-1.0, 1.0], lengths.sum())
         rows = np.repeat(np.arange(40), lengths)
-        with mock.patch.object(util_module, "_fsum_bracketed", BracketSpy()) as bracket:
+        with spy("_fsum_bracketed") as bracket:
             got = fsum_outcome(lambda v: fsum_rows(v, rows, 40), values)
         assert got == fsum_outcome(lambda v: fsum_rows_former(v, rows, 40), values)
-        assert bracket.returned == [None]
+        assert bracket.call_count == 0
 
     @given(st.sampled_from(FSUM_KINDS), st.sampled_from([2, 5, 9, ROW_CUTOFF]), st.integers(0, 2**32 - 1))
     @SETTINGS
@@ -1439,7 +1429,7 @@ class TestFsumRows:
         values = short_rows(rng, kind, BATCH_CUTOFF // length + 1 + int(rng.integers(0, 300)), length)
         for r in rng.integers(0, len(values), int(rng.integers(0, 3))):  # plants in up to two rows
             values[r, rng.integers(length)] = PLANT_VALUES[rng.integers(len(PLANT_VALUES))]
-        with mock.patch.object(util_module, "_two_sum_steps", wraps=util_module._two_sum_steps) as steps:
+        with spy("_two_sum_steps") as steps:
             assert fsum_outcome(fsum_rows, values) == fsum_outcome(fsum_rows_former, values)
         assert [c.args[1] for c in steps.call_args_list] == [0]
 
@@ -1457,7 +1447,7 @@ class TestFsumRows:
         elif kind == "-inf+inf":  # math.fsum raises on row 4 only
             values[3, 0], values[4, :2] = math.nan, (math.inf, -math.inf)
         column = values.size > BATCH_CUTOFF and length <= ROW_CUTOFF
-        with mock.patch.object(util_module, "_two_sum_steps", wraps=util_module._two_sum_steps) as steps:
+        with spy("_two_sum_steps") as steps:
             assert fsum_outcome(fsum_rows, values) == fsum_outcome(fsum_rows_former, values)
         assert [c.args[1] for c in steps.call_args_list] == ([0] if column else [1] if values.size > BATCH_CUTOFF else [])
 
@@ -1492,6 +1482,42 @@ class TestFsumRows:
     def test_empty_batches(self):
         assert fsum_rows(np.zeros((0, 300))) == [] == fsum_rows(np.zeros(0), np.zeros(0, dtype=int), 0)
         assert fsum_rows(np.zeros((3, 0))) == [0.0] * 3 == fsum_rows(np.zeros(0), np.zeros(0, dtype=int), 3)
+
+    # one row: math.fsum on a list, or the bins; a 2-D batch: the lists, or
+    # the bracket in the column or the row layout; rows laid flat: the lists
+    @pytest.mark.parametrize(
+        "count, length, flat, path",
+        [
+            (1, FSUM_CUTOFF, False, "list"),
+            (1, FSUM_CUTOFF + 1, False, "bins"),
+            (1, FSUM_CUTOFF + 1, True, "bins"),
+            (BATCH_CUTOFF // ROW_CUTOFF, ROW_CUTOFF, False, "lists"),
+            (BATCH_CUTOFF // ROW_CUTOFF + 1, ROW_CUTOFF, False, "column"),
+            (BATCH_CUTOFF // (ROW_CUTOFF + 1), ROW_CUTOFF + 1, False, "lists"),
+            (BATCH_CUTOFF // (ROW_CUTOFF + 1) + 1, ROW_CUTOFF + 1, False, "row"),
+            (40, 200, True, "lists"),
+        ],
+    )
+    def test_one_path_per_shape(self, count, length, flat, path):
+        values = np.random.default_rng(length).dirichlet(np.ones(length), count)
+        former = fsum_outcome(fsum_rows_former, values)
+        args = (values.ravel(), np.repeat(np.arange(count), length), count) if flat else (values,)
+        with contextlib.ExitStack() as stack:
+            one, each, bracket, steps = (
+                stack.enter_context(spy(name)) for name in ("fsum", "_fsum_each", "_fsum_bracketed", "_two_sum_steps")
+            )
+            bincount = stack.enter_context(mock.patch.object(util_module.np, "bincount", wraps=np.bincount))
+            assert fsum_outcome(lambda _: fsum_rows(*args), values) == former
+        calls = [one.call_count, each.call_count, bracket.call_count, [c.args[1] for c in steps.call_args_list]]
+        assert calls == {
+            "list": [1, 0, 0, []],
+            "bins": [1, 0, 0, []],
+            "lists": [0, 1, 0, []],
+            "column": [0, 0, 1, [0]],
+            "row": [0, 0, 1, [1]],
+        }[path]
+        # the bins are fsum's two np.bincount calls; the flat lists make one
+        assert bincount.call_count == {"bins": 2, "lists": int(flat)}.get(path, 0)
 
 
 # ------------------------------------------------------------ measures wider than the cutoff
@@ -1531,8 +1557,8 @@ def wide_invalid(pos, w, kind):
     return pos, w
 
 
-# 17 to 400 atoms inside [-2, 2]: batches of eight take the bracket or the
-# bins of fsum_rows in w1_rows (rows of 34 to 800 terms) and in
+# 17 to 400 atoms inside [-2, 2]: batches of eight take the bracket of
+# fsum_rows in w1_rows (rows of 34 to 800 terms) and the lists in
 # discretize_rows on a grid of 257 points, where a measure alone stays below
 # FSUM_CUTOFF
 row_atoms = st.sampled_from([ROW_CUTOFF + 1, 150, 400]).flatmap(lambda size: wide_atoms(size, 1.9))
@@ -1542,7 +1568,7 @@ class TestWideMeasures:
     """Measures wider than the cutoff, whose sums take the binned path of
     ``fsum``, against the former constructor and the former per-pair ``w1``;
     batches with rows wider than the row cutoff, which take the bracket or
-    the bins of ``fsum_rows``, against per-pair ``w1`` and per-measure
+    the lists of ``fsum_rows``, against per-pair ``w1`` and per-measure
     ``discretize``."""
 
     @given(wide_atoms(), st.sampled_from(["valid", "valid", "mass", "negative", "nonfinite", "overflow", "inf-inf"]))
