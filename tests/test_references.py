@@ -1557,8 +1557,8 @@ def wide_invalid(pos, w, kind):
     return pos, w
 
 
-# 17 to 400 atoms inside [-2, 2]: batches of eight take the bracket of
-# fsum_rows in w1_rows (rows of 34 to 800 terms) and the lists in
+# 17 to 400 atoms inside [-2, 2]: batches of eight take the lists or the
+# bracket of fsum_rows in w1_rows (rows of 34 to 800 terms) and the lists in
 # discretize_rows on a grid of 257 points, where a measure alone stays below
 # FSUM_CUTOFF
 row_atoms = st.sampled_from([ROW_CUTOFF + 1, 150, 400]).flatmap(lambda size: wide_atoms(size, 1.9))
