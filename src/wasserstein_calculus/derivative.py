@@ -40,6 +40,12 @@ weight 0, or a point of signed weight 0, at a copy of its row's last one.
 The fields built in this package carry one, and ``canonicalize`` keeps it;
 any other field is evaluated node by node, as is every segment whose nodes
 do not share a support (see ``measures.mix_rows``).
+
+All segments of a call start at mu, so one stable sort of padded rows
+(mu's atoms with negated weights, then those of m) prepares them all: a row
+is the signed difference m - mu and the support of the node mixtures. A
+row that ``signed_difference`` would merge or ``mix_rows`` refuse is
+prepared alone by them (see ``_prepared``).
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .measures import DiscreteMeasure, _flat_atoms, _values_at, dirac, mix, mix_rows, signed_difference
+from .measures import MASS_TOL, MERGE_TOL, DiscreteMeasure, _flat_atoms, _values_at, dirac, mix, mix_rows, signed_difference
 from .sampling import _passes, random_draws
 from .util import check_samples, fsum_rows, gauss_legendre_01, max_or_nan
 
@@ -99,6 +105,13 @@ class DerivativeField:
     present, is the exact canonical derivative of m -> value(m, x) at y.
     ``batch_value``, when present, evaluates ``value`` on a batch of measures
     sharing one support, as the module docstring specifies.
+    ``batch_linear_delta(positions, weights, xs, ys)``, when present, is
+    ``linear_delta`` on the same layout at point pairs: with ``xs`` and
+    ``ys`` of shape (segments, points), entry [s, k, p] of its (segments,
+    nodes, points) result equals ``linear_delta(m, xs[s, p], ys[s, p])``
+    bit for bit, m being the measure of row k of segment s. The lifted
+    fields (``functions.lift_to_field``), the counterexample field of
+    ``ftc`` and the zero field carry both.
     """
 
     value: Callable[[DiscreteMeasure, float], float]
@@ -106,6 +119,7 @@ class DerivativeField:
     linear_delta: Optional[Callable[[DiscreteMeasure, float, float], float]] = None
     label: str = ""
     batch_value: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
+    batch_linear_delta: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -130,11 +144,11 @@ def zero_field() -> DerivativeField:
         out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
         return float(out) if out.ndim == 0 else out
 
-    def zero_rows(positions, weights, xs):
+    def zero_rows(positions, weights, xs, ys=None):
         return np.zeros(weights.shape[:-1] + np.shape(xs)[-1:])
 
     return DerivativeField(
-        value=zero2, dx=zero2, linear_delta=zero3, label="zero", batch_value=zero_rows
+        value=zero2, dx=zero2, linear_delta=zero3, label="zero", batch_value=zero_rows, batch_linear_delta=zero_rows
     )
 
 
@@ -267,14 +281,14 @@ def segment_integral_each(H: DerivativeField, mu: DiscreteMeasure, measures, qua
     and errors of each segment alone.
 
     Gauss-Legendre quadrature in t of the exact atom-sum against m - mu; zero
-    when m - mu has no atom. A segment whose nodes share a support goes to
-    the field's ``batch_value`` in a padded block of at most
-    ``SEGMENT_BLOCK`` segments and ``BLOCK_VALUES`` node weights (see the
-    module docstring); any other is
-    ``mix(mu, m, t)`` at each node, evaluated by ``value``. A block segment
-    whose value is not finite is computed again alone, as pads can turn an
-    infinite value into NaN; an error is the one the segments, computed
-    alone in order, raise first.
+    when m - mu has no atom. One padded sort prepares the segments
+    (``_prepared``); a segment whose nodes share a support goes to the
+    field's ``batch_value``, in a padded block of at most ``SEGMENT_BLOCK``
+    segments and ``BLOCK_VALUES`` node weights when the sort prepared it
+    (see the module docstring), and any other is ``mix(mu, m, t)`` at each
+    node, evaluated by ``value``. A block segment whose value is not finite
+    is computed again alone, as pads can turn an infinite value into NaN;
+    an error is the one the segments, computed alone in order, raise first.
     """
     nodes, weights = gauss_legendre_01(quad_order)
     try:
@@ -284,48 +298,124 @@ def segment_integral_each(H: DerivativeField, mu: DiscreteMeasure, measures, qua
 
 
 def _segments(H, mu, measures, nodes, weights) -> list:
-    out, block, width = [0.0] * len(measures), [], 0
+    if H.batch_value is None or not measures:
+        return [_segment(H, mu, m, nodes, weights) for m in measures]
+    out, block = [0.0] * len(measures), []
+    positions, signed, sizes, fast = _prepared(mu, measures, nodes)
 
-    def flush():
-        for (j, *_), value in zip(block, _block(H, weights, block)):
+    def flush(width):
+        rows = block[0] if len(block) == 1 else block  # one segment without the leading axis
+        for j, value in zip(block, _block(H, nodes, weights, positions[rows, :width], signed[rows, :width])):
             alone = len(block) == 1 or math.isfinite(value)
             out[j] = value if alone else segment_integral(H, mu, measures[j], nodes.size)
         block.clear()
 
-    for i, m in enumerate(measures):
-        pos, sw = signed_difference(m, mu)
-        batch = None if H.batch_value is None or pos.size == 0 else mix_rows(mu, m, nodes)
-        if batch is not None:
-            width = max(width, batch[0].size) if block else batch[0].size
-            if block and (len(block) + 1) * nodes.size * width > BLOCK_VALUES:
-                flush()
-                width = batch[0].size
-            block.append((i, pos, sw, *batch))
-            if len(block) == SEGMENT_BLOCK:
-                flush()
-        elif pos.size:  # node by node
-            vals = np.array([field_values(H, mix(mu, m, float(t)), pos) for t in nodes])
-            out[i] = _quadrature(weights, fsum_rows(sw * vals))
+    width = 0
+    for i, size in enumerate(sizes.tolist()):
+        if not fast[i]:
+            out[i] = _segment(H, mu, measures[i], nodes, weights)
+            continue
+        if block and (len(block) + 1) * nodes.size * max(width, size) > BLOCK_VALUES:
+            flush(width)
+        width = max(width, size) if block else size
+        block.append(i)
+        if len(block) == SEGMENT_BLOCK:
+            flush(width)
     if block:
-        flush()
+        flush(width)
     return out
 
 
-def _block(H, weights, block) -> list:
-    """The segment integrals of a block of (index, points, signed weights,
-    mixture positions, mixture weights) segments, laid out as padded rows;
-    one segment goes to the field as it is."""
-    if len(block) == 1:
-        _, xs, sw, positions, w = block[0]
-        return [_quadrature(weights, fsum_rows(sw * H.batch_value(positions, w, xs)))]
-    n, k = max(b[1].size for b in block), max(b[3].size for b in block)
-    xs, sw = np.empty((len(block), n)), np.zeros((len(block), n))
-    positions, w = np.empty((len(block), k)), np.zeros((len(block), len(weights), k))
-    for r, (_, x, s, p, pw) in enumerate(block):
-        xs[r], positions[r] = x[-1], p[-1]  # pads: copies of the last atom, of weight 0
-        xs[r, : x.size], sw[r, : s.size], positions[r, : p.size], w[r, :, : p.size] = x, s, p, pw
-    products = sw[:, None, :] * H.batch_value(positions, w, xs)
-    sums = np.array(fsum_rows(products.reshape(-1, n))).reshape(len(block), -1)
+def _padded_rows(measures, base=None):
+    """Each measure's atoms as a row of a padded block, filled by index
+    arithmetic as in ``measures._w1_flat``: (positions, weights) of shape
+    (rows, width), the row sizes, and the mask of the pads (None if none).
+    With a ``base``, row r holds its atoms with negated weights and then
+    those of measures[r], sorted stably by position. A pad is an atom of
+    weight 0 at a copy of its row's last atom."""
+    lead_p, lead_w = (np.zeros(0), np.zeros(0)) if base is None else (base.positions, -base.weights)
+    if len(measures) == 1:
+        m = measures[0]
+        positions, weights = np.concatenate((lead_p, m.positions)), np.concatenate((lead_w, m.weights))
+        if base is not None:
+            order = positions.argsort(kind="stable")
+            positions, weights = positions[order], weights[order]
+        return positions[None], weights[None], np.array([positions.size]), None
+    pb, wb, rb, count = _flat_atoms((m.positions, m.weights) for m in measures)
+    nb = np.bincount(rb, minlength=count)
+    sizes = nb + lead_p.size
+    width = int(sizes.max())
+    positions, weights = np.full((count, width), np.inf), np.zeros((count, width))  # pads sort last
+    positions[:, : lead_p.size], weights[:, : lead_p.size] = lead_p, lead_w
+    at = np.arange(pb.size) + (np.arange(lead_p.size, count * width, width) - np.cumsum(nb) + nb)[rb]
+    positions.reshape(-1)[at], weights.reshape(-1)[at] = pb, wb
+    if base is not None:
+        order = np.argsort(positions, axis=1, kind="stable")
+        order += np.arange(0, positions.size, width)[:, None]  # flat indices
+        positions, weights = np.take(positions, order), np.take(weights, order)
+    pads = np.arange(width) >= sizes[:, None]
+    if not pads.any():
+        return positions, weights, sizes, None
+    np.copyto(positions, positions[np.arange(count), sizes - 1][:, None], where=pads)
+    return positions, weights, sizes, pads
+
+
+def _prepared(mu, measures, nodes):
+    """The segments from mu to each measure by one padded sort: (positions,
+    signed, sizes, fast) of ``_padded_rows(measures, mu)``.
+
+    A ``fast`` row has the bits of ``signed_difference(m, mu)`` and, through
+    ``_mixtures``, of ``mix_rows(mu, m, nodes)``: no two of its atoms lie
+    within MERGE_TOL, so nothing merges or cancels; mu and m pass the mass
+    check of ``mix_rows``; and every mixture weight is positive, as (1-t) w
+    and t w are at least w times the smallest factor (rounding is
+    monotone). Any other row is prepared alone (``_segment``).
+    """
+    positions, signed, sizes, pads = _padded_rows(measures, mu)
+    ok = min(1.0 - nodes[-1], nodes[0]) * np.abs(signed) > 0.0  # the nodes ascend
+    ok[:, 1:] &= positions[:, 1:] - positions[:, :-1] > MERGE_TOL
+    if pads is not None:  # a pad has weight 0 and a gap of 0 before it
+        ok |= pads
+    fast = ok.all(axis=1)
+    if abs(mu.total_mass - 1.0) > 0.5 * MASS_TOL:
+        fast[:] = False
+    masses = fsum_rows(np.where(signed > 0.0, signed, 0.0))  # m's weights, exactly summed
+    fast &= [abs(mass - 1.0) <= 0.5 * MASS_TOL for mass in masses]
+    return positions, signed, sizes, fast
+
+
+def _mixtures(signed, nodes):
+    """The weights (1-t) * mu + t * m at each node t, on a prepared row or
+    on each row of a block: shape (..., nodes, atoms), with the bits of
+    ``mix_rows``. An atom of mu has a negative signed weight, one of m a
+    positive one, and a pad keeps weight 0."""
+    signed, t = signed[..., None, :], nodes[:, None]
+    return np.where(signed < 0.0, 1.0 - t, t) * np.abs(signed)
+
+
+def _segment(H, mu, m, nodes, weights) -> float:
+    """One segment prepared alone, by ``signed_difference`` and
+    ``mix_rows`` with their merges, cancellations and None; node by node
+    when the nodes do not share a support or H has no ``batch_value``."""
+    pos, sw = signed_difference(m, mu)
+    if pos.size == 0:
+        return 0.0
+    batch = None if H.batch_value is None else mix_rows(mu, m, nodes)
+    if batch is None:
+        vals = np.array([field_values(H, mix(mu, m, float(t)), pos) for t in nodes])
+    else:
+        vals = H.batch_value(*batch, pos)
+    return _quadrature(weights, fsum_rows(sw * vals))
+
+
+def _block(H, nodes, weights, positions, signed) -> list:
+    """The segment integrals of a block of prepared rows, padded: positions
+    and signed weights of shape (segments, atoms), or (atoms,) for one
+    segment, which goes to the field without the leading axis."""
+    products = signed[..., None, :] * H.batch_value(positions, _mixtures(signed, nodes), positions)
+    if positions.ndim == 1:
+        return [_quadrature(weights, fsum_rows(products))]
+    sums = np.array(fsum_rows(products.reshape(-1, positions.shape[1]))).reshape(len(positions), -1)
     return fsum_rows(weights * sums)  # each row as _quadrature sums it
 
 

@@ -23,8 +23,11 @@ flat evaluator, which integrates the segments of many measures at once, so
 ``derivative.dawson_each`` batches its quotients: ``ftc_check``'s mismatch
 loop and ``counterexample_report``'s antiderivative values and quotients
 make one call per draw pass, and every value keeps the bits of its segment
-alone. One verdict rule, ``_verdict``, labels a field from its sampled
-symmetry residual, for both ``ftc_check`` and ``counterexample_report``.
+alone. So do their symmetry terms, through the row hooks ``batch_value``
+and ``batch_linear_delta``, and the closed forms, from one
+``integrate_each`` per moment; ``symmetry_residual`` is the one-draw form.
+One verdict rule, ``_verdict``, labels a field from its sampled symmetry
+residual, for both ``ftc_check`` and ``counterexample_report``.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .derivative import (
     DEFAULT_SEED,
     DerivativeField,
     MeasureFunction,
+    _padded_rows,
     dawson_extrapolated,
     dawson_extrapolated_each,
     field_values,
@@ -56,7 +60,7 @@ from .functions import (
     lift_to_field,
     scalar_from_dict,
 )
-from .measures import DiscreteMeasure, dirac, integrate, integrate_flat
+from .measures import DiscreteMeasure, dirac, integrate, integrate_each, integrate_flat
 from .sampling import _passes, random_draws
 from .util import check_samples, gauss_legendre_01, max_or_nan
 
@@ -155,6 +159,26 @@ def symmetry_residual(
     return (dxy - H.value(m, x)) - (dyx - H.value(m, y))
 
 
+def _symmetry_pass(H: DerivativeField, ms, xs, ys, eps: float | None):
+    """The symmetry residual, H(m, x) and H(m, y) of each draw (m, x, y) of
+    a pass: three lists with the bits of ``symmetry_residual`` and ``value``
+    at each draw. A field with both row hooks makes one call of each on the
+    padded rows of the measures, with the points (x, y) of each row; any
+    other field, and a pass that raises, goes draw by draw, which raises
+    the first draw's error."""
+    if H.linear_delta is not None and H.batch_value is not None and H.batch_linear_delta is not None:
+        try:
+            positions, weights, *_ = _padded_rows(ms)
+            weights, pairs = weights[:, None, :], np.column_stack((xs, ys))
+            hx, hy = H.batch_value(positions, weights, pairs)[:, 0].T
+            dxy, dyx = H.batch_linear_delta(positions, weights, pairs, pairs[:, ::-1])[:, 0].T
+            return ((dxy - hx) - (dyx - hy)).tolist(), hx.tolist(), hy.tolist()
+        except (ArithmeticError, ValueError):
+            pass
+    draws = [(symmetry_residual(H, m, x, y, eps=eps), H.value(m, x), H.value(m, y)) for m, x, y in zip(ms, xs, ys)]
+    return [list(column) for column in zip(*draws)]
+
+
 def _verdict(symmetry_max: float, *, estimated: bool, field_max: float) -> str:
     """"not-a-derivative" when the sampled symmetry residual exceeds the
     threshold of its mode or is NaN, else "derivative".
@@ -183,6 +207,10 @@ def ftc_check(
     residual over measures in [-K, K]. Rejects non-canonical fields: callers
     must ``canonicalize`` first. Verdict is "not-a-derivative" when the
     symmetry residual exceeds the threshold of its mode (see ``_verdict``).
+
+    A draw pass (at most 100 draws) makes one ``dawson_extrapolated_each``
+    call and one ``_symmetry_pass``; the report has the bits of the
+    per-draw loop, and an error is its first draw's.
     """
     check_samples(samples)
     for (probe,) in random_draws(seed, "canonical-gate", range(_N_GATE_PROBES), K):
@@ -194,19 +222,16 @@ def ftc_check(
             )
     F = antiderivative(H, quad_order)
     estimated = H.linear_delta is None
-
-    def symmetry_one(m, x, y):
-        residual = symmetry_residual(H, m, x, y, eps=eps if estimated else None)
-        return abs(residual), max_or_nan((abs(H.value(m, x)), abs(H.value(m, y))))
-
-    mismatch = []
+    mismatch, symmetry, field = [], [], []
     for chunk in _passes(random_draws(seed, "ftc-mismatch", range(samples), K, points=1)):
         ms, xs = zip(*chunk)  # one dawson_extrapolated_each call per draw pass
         quotients = dawson_extrapolated_each(F, ms, xs, eps).tolist()
         mismatch += [abs(q - H.value(m, x)) for q, m, x in zip(quotients, ms, xs)]
-    mismatch_max = max_or_nan(mismatch)
-    symmetry = [symmetry_one(*draw) for draw in random_draws(seed, "ftc-symmetry", range(samples), K, points=2)]
-    symmetry_max, field_max = (max_or_nan(column) for column in zip(*symmetry))
+    for chunk in _passes(random_draws(seed, "ftc-symmetry", range(samples), K, points=2)):
+        residuals, hx, hy = _symmetry_pass(H, *zip(*chunk), eps if estimated else None)
+        symmetry += map(abs, residuals)
+        field += map(abs, hx + hy)
+    mismatch_max, symmetry_max, field_max = max_or_nan(mismatch), max_or_nan(symmetry), max_or_nan(field)
     verdict = _verdict(symmetry_max, estimated=estimated, field_max=field_max)
     return {
         "check": "ftc",
@@ -241,10 +266,17 @@ def counterexample_field(phi: ScalarFunction, psi: ScalarFunction) -> Derivative
         sm = integrate(m, psi)
         return (phi(x) - pm) * (psi(y) - sm) - (phi(y) - pm) * sm
 
+    def moments(positions, weights):  # <phi, m> and <psi, m> of each row, as a column
+        return (integrate_flat(positions, weights, f)[..., None] for f in (phi, psi))
+
     def batch_value(positions, weights, xs):
-        pm = integrate_flat(positions, weights, phi)[..., None]
-        sm = integrate_flat(positions, weights, psi)[..., None]
+        pm, sm = moments(positions, weights)
         return (phi(np.asarray(xs, dtype=float))[..., None, :] - pm) * sm
+
+    def batch_linear_delta(positions, weights, xs, ys):
+        pm, sm = moments(positions, weights)
+        xs, ys = (np.asarray(p, dtype=float)[..., None, :] for p in (xs, ys))
+        return (phi(xs) - pm) * (psi(ys) - sm) - (phi(ys) - pm) * sm
 
     return DerivativeField(
         value=value,
@@ -252,6 +284,7 @@ def counterexample_field(phi: ScalarFunction, psi: ScalarFunction) -> Derivative
         linear_delta=linear_delta,
         label=f"counterexample[{phi.name},{psi.name}]",
         batch_value=batch_value,
+        batch_linear_delta=batch_linear_delta,
     )
 
 
@@ -263,9 +296,19 @@ def counterexample_closed_antiderivative(phi: ScalarFunction, psi: ScalarFunctio
     """
 
     def F(m: DiscreteMeasure) -> float:
-        return 0.5 * (psi(0.0) + integrate(m, psi)) * (integrate(m, phi) - phi(0.0))
+        sm = integrate(m, psi)
+        return _closed_antiderivative(phi, psi, integrate(m, phi), sm)
 
     return MeasureFunction(F, label=f"closed_antiderivative[{phi.name},{psi.name}]")
+
+
+# the two closed forms from the moments pm = <phi, m> and sm = <psi, m>, floats or arrays
+def _closed_antiderivative(phi, psi, pm, sm):
+    return 0.5 * (psi(0.0) + sm) * (pm - phi(0.0))
+
+
+def _closed_delta(phi, psi, pm, sm, x):
+    return 0.5 * (psi(x) - sm) * (pm - phi(0.0)) + 0.5 * (psi(0.0) + sm) * (phi(x) - pm)
 
 
 def counterexample_closed_delta(phi: ScalarFunction, psi: ScalarFunction):
@@ -276,9 +319,7 @@ def counterexample_closed_delta(phi: ScalarFunction, psi: ScalarFunction):
     """
 
     def delta(m: DiscreteMeasure, x):
-        pm = integrate(m, phi)
-        sm = integrate(m, psi)
-        return 0.5 * (psi(x) - sm) * (pm - phi(0.0)) + 0.5 * (psi(0.0) + sm) * (phi(x) - pm)
+        return _closed_delta(phi, psi, integrate(m, phi), integrate(m, psi), x)
 
     return delta
 
@@ -301,6 +342,12 @@ def counterexample_report(
     vs the field itself. (a) and (b) should be small, (c) large; ``ok``
     asserts exactly that, with the large-gap threshold additionally reported
     as half the realized closed-form gap.
+
+    A draw pass (at most 100 draws) makes one call for the antiderivatives,
+    one for their quotients, one ``integrate_each`` per moment for the
+    closed forms and one ``_symmetry_pass``; one that raises goes again
+    draw by draw, to raise the first draw's error. The report has the bits
+    of the per-draw loop.
     """
     check_samples(samples)
     H = counterexample_field(phi, psi)
@@ -308,26 +355,32 @@ def counterexample_report(
     F_closed = counterexample_closed_antiderivative(phi, psi)
     delta_closed = counterexample_closed_delta(phi, psi)
 
-    def one(m, x, y, quad=None, quotient=None):
-        a = abs((F_quad(m) if quad is None else quad) - F_closed(m))
-        b = abs((dawson_extrapolated(F_quad, m, x, eps) if quotient is None else quotient) - delta_closed(m, x))
+    def one(m, x, y):
+        a = abs(F_quad(m) - F_closed(m))
+        b = abs(dawson_extrapolated(F_quad, m, x, eps) - delta_closed(m, x))
         h = H.value(m, x)
         c = abs(delta_closed(m, x) - h)
         s = abs(symmetry_residual(H, m, x, y))
         return a, b, c, s, max_or_nan((abs(h), abs(H.value(m, y))))
 
-    results = []
+    def one_pass(ms, xs, ys):
+        quad = segment_integral_each(H, BASE_POINT, ms, quad_order)
+        quotient = dawson_extrapolated_each(F_quad, ms, xs, eps)
+        pm, sm = integrate_each(ms, phi), integrate_each(ms, psi)
+        residual, hx, hy = (np.array(c) for c in _symmetry_pass(H, ms, xs, ys, None))
+        delta = _closed_delta(phi, psi, pm, sm, np.array(xs))
+        a = np.abs(quad - _closed_antiderivative(phi, psi, pm, sm))
+        return a, np.abs(quotient - delta), np.abs(delta - hx), np.abs(residual), np.abs(np.append(hx, hy))
+
+    columns = ([], [], [], [], [])
     for chunk in _passes(random_draws(seed, "counterexample", range(samples), K, points=2)):
-        ms, xs, _ = zip(*chunk)
-        try:  # one call per draw pass for F_quad and one for its quotients
-            batched = zip(
-                segment_integral_each(H, BASE_POINT, ms, quad_order).tolist(),
-                dawson_extrapolated_each(F_quad, ms, xs, eps).tolist(),
-            )
+        try:  # one call per draw pass for each term
+            terms = [t.tolist() for t in one_pass(*zip(*chunk))]
         except (ArithmeticError, ValueError):  # draw by draw, to raise the first draw's error
-            batched = [()] * len(chunk)
-        results += [one(*draw, *q) for draw, q in zip(chunk, batched)]
-    a_max, b_max, c_max, symmetry_max, field_max = (max_or_nan(column) for column in zip(*results))
+            terms = zip(*[one(*draw) for draw in chunk])
+        for column, values in zip(columns, terms):
+            column += values
+    a_max, b_max, c_max, symmetry_max, field_max = (max_or_nan(column) for column in columns)
     verdict = _verdict(symmetry_max, estimated=False, field_max=field_max)
     ok = (
         a_max <= COUNTEREXAMPLE_CLOSED_F_TOL

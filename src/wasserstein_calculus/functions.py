@@ -560,6 +560,17 @@ class CylinderFunction:
         """
         return self.derivatives(m).delta2(x, y)
 
+    def exact_delta2_rows(self, positions: np.ndarray, weights: np.ndarray, x, y) -> np.ndarray:
+        """``exact_delta2`` at the point pairs (x[..., p], y[..., p]) (shape
+        (..., points)) for every row measure of ``mix_rows`` batches, shape
+        (..., rows, points), bit for bit: one ``CylinderDerivatives`` on all
+        the rows, whose ``delta2`` takes one pair per row, per point column."""
+        v = self.moments_flat(positions, weights)
+        shape = v.shape[:-1] + np.shape(x)[-1:]
+        x, y = (np.broadcast_to(np.asarray(p, dtype=float)[..., None, :], shape).reshape(-1, shape[-1]) for p in (x, y))
+        d = CylinderDerivatives(self, v.reshape(math.prod(v.shape[:-1]), v.shape[-1]))
+        return np.concatenate([d.delta2(x[:, [p]], y[:, [p]]) for p in range(shape[-1])], axis=1).reshape(shape)
+
     def delta_dx(self, m: DiscreteMeasure, x):
         """x-derivative of exact_delta: sum_i dg_i(v) * f_i'(x)."""
         return self.derivatives(m).delta_dx(x)
@@ -694,6 +705,7 @@ def lift_to_field(F: CylinderFunction):
         linear_delta=F.exact_delta2,
         label=f"lift[{F.label}]",
         batch_value=F.exact_delta_rows,
+        batch_linear_delta=F.exact_delta2_rows,
     )
 
 

@@ -83,6 +83,7 @@ from wasserstein_calculus import (
     zero_field,
 )
 from wasserstein_calculus import acceptance as acceptance_module
+from wasserstein_calculus import derivative as derivative_module
 from wasserstein_calculus import ftc as ftc_module
 from wasserstein_calculus.acceptance import (
     MEASURES_PER_CASE,
@@ -102,6 +103,7 @@ from wasserstein_calculus.partition import GRID_SNAP, WEIGHT_FLOOR, _discretize_
 from wasserstein_calculus import sampling
 from wasserstein_calculus.sampling import (
     _DRAW_CHUNK,
+    _passes,
     MAX_ATOMS,
     _check_half_width,
     random_draws,
@@ -113,7 +115,7 @@ from wasserstein_calculus import util as util_module
 from wasserstein_calculus.util import _FSUM_BATCH_CUTOFF as BATCH_CUTOFF
 from wasserstein_calculus.util import _FSUM_CUTOFF as FSUM_CUTOFF
 from wasserstein_calculus.util import _FSUM_ROW_CUTOFF as ROW_CUTOFF
-from wasserstein_calculus.util import canonical_json, compensated_cumsum, fsum, fsum_rows, gauss_legendre_01
+from wasserstein_calculus.util import canonical_json, check_samples, compensated_cumsum, fsum, fsum_rows, gauss_legendre_01, max_or_nan
 
 # One row of more than this many values takes the bins of fsum. Fixed here,
 # not read from util, so that the test ids built from it stay put.
@@ -1916,7 +1918,8 @@ class TestSegmentBlocks:
 def antiderivative_pass():
     """45 measures of a draw pass, one block and a partial one: measure 3
     has an atom within MERGE_TOL of 0 (the node path), measure 5 one at 0
-    (it joins), measure 7 is the base point; and their quotient points,
+    (prepared alone, its nodes share a support), measure 7 is the base
+    point; and their quotient points,
     within MERGE_TOL of an atom for measure 2 (the step path) and on one for
     measure 4."""
     ms, xs = zip(*random_draws(5, "antiderivative-pass", range(45), 1.5, points=1))
@@ -1993,12 +1996,220 @@ class TestAntiderivativePasses:
         ms, _ = antiderivative_pass()
         wide = DiscreteMeasure(np.linspace(-1, 1, 300), np.full(300, 1 / 300))
         segment_integral_each(spied, BASE_POINT, ms + [wide, wide] + ms[:2], 32)
-        # measure 3 takes the node path and measure 7 has no atom: 43 segments
-        assert [s[0] for s in shapes[:2]] == [SEGMENT_BLOCK, 43 - SEGMENT_BLOCK]
-        assert shapes[2:4] == [(32, 301), (32, 301)] and shapes[4][:2] == (2, 32)  # a wide one alone
+        # measure 3 takes the node path, measure 5 (an atom on the base point)
+        # is prepared and evaluated alone in its turn, and measure 7 has no
+        # atom: 42 segments in blocks
+        assert len(shapes[0]) == 2 and [s[0] for s in shapes[1:3]] == [SEGMENT_BLOCK, 42 - SEGMENT_BLOCK]
+        assert shapes[3:5] == [(32, 301), (32, 301)] and shapes[5][:2] == (2, 32)  # a wide one alone
         assert all(math.prod(s) <= BLOCK_VALUES for s in shapes)
         segment_integral(spied, BASE_POINT, ms[0], 32)
         assert len(shapes[-1]) == 2
+
+
+PREP_FEATURES = ("plain", "plain", "on-base", "equal", "near", "underflow", "subnormal", "heavy", "marked", "wide")
+# The segments a feature sends to the per-segment preparation
+PREPARED_ALONE = ("on-base", "equal", "near", "underflow", "heavy")
+MARK = 1.75
+
+
+@st.composite
+def preparation_cases(draw):
+    """(mu, [(feature, m)], quad_order): the base point, or a drawn measure
+    of 2 to 30 atoms as ``verify_deriv2`` takes it, and 1 to 35 measures
+    of 1 to 12 atoms. Each has a feature: an atom exactly on an atom of mu
+    (a zero gap), or mu itself (no atom); an atom within MERGE_TOL of one
+    but not on it; a weight of 5e-324, whose mixture weight underflows to
+    0 at the first node, or of 1e-310, which stays positive; a mass 0.9
+    MASS_TOL above one, which the constructor keeps and ``mix_rows``
+    refuses; an atom at MARK (see ``marked_field``); or 200 atoms, so that
+    a pass at 32 nodes splits at BLOCK_VALUES."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        mu = BASE_POINT
+    else:
+        n = int(rng.integers(2, 31))
+        mu = DiscreteMeasure(rng.uniform(-2.0, 2.0, n), rng.dirichlet(np.ones(n)))
+    measures = []
+    for _ in range(draw(st.sampled_from([1, 2, 5, SEGMENT_BLOCK + 3]))):
+        feature = PREP_FEATURES[rng.integers(len(PREP_FEATURES))]
+        n = 200 if feature == "wide" else int(rng.integers(1, 13))
+        pos, w = rng.uniform(-2.0, 2.0, n), rng.dirichlet(np.ones(n))
+        atom = mu.positions[rng.integers(len(mu))]
+        if feature == "on-base":
+            pos[0] = atom
+        elif feature == "near":
+            pos[0] = atom + rng.choice([3e-13, -6e-13])
+        elif feature in ("underflow", "subnormal") and n > 1:
+            w[0] = 5e-324 if feature == "underflow" else 1e-310
+            w[1:] = w[1:] / math.fsum(w[1:].tolist())
+        elif feature == "heavy":
+            w[0] += 0.9 * MASS_TOL
+        elif feature == "marked":
+            pos[0] = MARK
+        if feature in ("underflow", "subnormal") and n == 1:
+            feature = "plain"
+        measures.append((feature, mu if feature == "equal" else DiscreteMeasure(pos, w)))
+    return mu, measures, draw(st.sampled_from([2, 32]))
+
+
+def marked_field(kind):
+    """The sin/cos counterexample field, except at a measure with an atom
+    at MARK, where its value and derivative are NaN (``kind`` "nan") or
+    raise a ValueError that names the measure's first atom ("raise"), in
+    ``value``, ``linear_delta``, ``batch_value`` and ``batch_linear_delta``
+    alike; a batch with several marked rows names the last one's, so only
+    a rerun draw by draw raises the first draw's error."""
+    base = FIELDS["counterexample-sin-cos"]
+
+    def one(f):
+        def marked(m, *points):
+            if MARK not in m.positions.tolist():
+                return f(m, *points)
+            if kind == "raise":
+                raise ValueError(f"marked measure from {float(m.positions[0])!r}")
+            return f(m, *points) * math.nan
+
+        return marked
+
+    def rows(f):
+        def marked(positions, weights, *points):
+            out = f(positions, weights, *points)
+            hit = ((positions[..., None, :] == MARK) & (weights > 0.0)).any(axis=-1)
+            if hit.any() and kind == "raise":  # the last marked row's error: not the first draw's
+                last = positions[tuple(np.argwhere(hit)[-1][:-1])][0]
+                raise ValueError(f"marked measure from {float(last)!r}")
+            out[hit] = math.nan
+            return out
+
+        return marked
+
+    return DerivativeField(
+        value=one(base.value),
+        dx=base.dx,
+        linear_delta=one(base.linear_delta),
+        label=f"marked-{kind}",
+        batch_value=rows(base.batch_value),
+        batch_linear_delta=rows(base.batch_linear_delta),
+    )
+
+
+PREP_FIELDS = {
+    **{name: FIELDS[name] for name in ("lift-gauss_poly", "counterexample-sin-cos", "lift-constant", "zero", "user")},
+    "marked-nan": marked_field("nan"),
+    "marked-raise": marked_field("raise"),
+}
+
+
+class TestSegmentPreparation:
+    """One padded sort prepares the segments from one base point: every row
+    it keeps has the bits of ``signed_difference`` and ``mix_rows`` on that
+    segment alone, and every other row goes to them."""
+
+    @given(preparation_cases())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_rows_have_the_bits_of_the_segments_alone(self, case):
+        mu, measures, quad_order = case
+        nodes, _ = gauss_legendre_01(quad_order)
+        positions, signed, sizes, fast = derivative_module._prepared(mu, [m for _, m in measures], nodes)
+        for (feature, m), row, sw, size, kept in zip(measures, positions, signed, sizes.tolist(), fast.tolist()):
+            assert kept == (feature not in PREPARED_ALONE), feature
+            if not kept:
+                continue
+            pos, diff = signed_difference(m, mu)
+            support, mixtures = mix_rows(mu, m, nodes)
+            assert same_bits(row[:size], pos) and same_bits(sw[:size], diff) and same_bits(row[:size], support)
+            assert same_bits(derivative_module._mixtures(sw[:size], nodes), mixtures)
+            # pads: weight 0 at a copy of the row's last atom
+            assert np.all(row[size:] == row[size - 1]) and np.all(sw[size:] == 0.0)
+            assert np.all(derivative_module._mixtures(sw, nodes)[:, size:] == 0.0)
+
+    @pytest.mark.parametrize("name", sorted(PREP_FIELDS))
+    @given(preparation_cases())
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_segment_integral_each_is_each_segment_alone(self, name, case):
+        mu, measures, quad_order = case
+        H, ms = PREP_FIELDS[name], [m for _, m in measures]
+        with np.errstate(invalid="ignore"):
+            got = segment_outcome(lambda: segment_integral_each(H, mu, ms, quad_order))
+            assert got == segment_outcome(lambda: [segment_integral(H, mu, m, quad_order) for m in ms])
+            assert got == segment_outcome(lambda: [segment_integral_loop(H, mu, m, quad_order) for m in ms])
+
+    def test_one_segment_is_the_one_row_case(self):
+        H, nodes = FIELDS["lift-gauss_poly"], gauss_legendre_01(32)[0]
+        m = DiscreteMeasure([-0.5, 0.25, 1.0], [0.25, 0.25, 0.5])
+        positions, signed, sizes, fast = derivative_module._prepared(BASE_POINT, [m], nodes)
+        assert positions.shape == (1, 4) and sizes.tolist() == [4] and fast.tolist() == [True]
+        assert same_bits(segment_integral(H, BASE_POINT, m, 32), segment_integral_loop(H, BASE_POINT, m, 32))
+        assert segment_integral(H, m, m, 32) == 0.0  # m == mu: no atom
+
+
+def symmetry_outcome(terms):
+    """The bits of the symmetry terms ``terms()`` gives, or its error's type
+    and message."""
+    try:
+        return [np.asarray(column, dtype=float).tobytes() for column in terms()]
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSymmetryPasses:
+    """``ftc``'s symmetry pass gives each draw the bits of the former
+    per-draw loop, and raises its first error."""
+
+    @pytest.mark.parametrize("name", sorted(FIELDS) + ["marked-nan", "marked-raise"])
+    @given(preparation_cases(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    def test_terms_of_each_draw(self, name, case, seed):
+        H = PREP_FIELDS.get(name) or FIELDS[name]
+        ms = [m for _, m in case[1]]
+        xs, ys = np.random.default_rng(seed).uniform(-2.0, 2.0, (2, len(ms))).tolist()
+        eps = 1e-3 if H.linear_delta is None else None
+        with np.errstate(invalid="ignore"):
+            got = symmetry_outcome(lambda: ftc_module._symmetry_pass(H, ms, xs, ys, eps))
+
+            def former():
+                draws = [
+                    (ftc_module.symmetry_residual(H, m, x, y, eps=eps), H.value(m, x), H.value(m, y))
+                    for m, x, y in zip(ms, xs, ys)
+                ]
+                return list(zip(*draws))
+
+            assert got == symmetry_outcome(former)
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_row_hook_is_linear_delta_at_each_pair(self, name):
+        """``batch_linear_delta`` on ``batch_value``'s layout: segments of
+        padded rows, each with three node measures on its support."""
+        H = FIELDS[name]
+        if H.batch_linear_delta is None:
+            assert name.startswith(("canonical", "user"))
+            return
+        ms = antiderivative_pass()[0][:9]
+        positions, weights, sizes, _ = derivative_module._padded_rows(ms)
+        even = (np.arange(positions.shape[1]) < sizes[:, None]) / sizes[:, None]
+        t = np.array([0.0, 0.25, 0.75])[:, None]
+        nodes = (1.0 - t) * weights[:, None, :] + t * even[:, None, :]  # (segments, nodes, atoms)
+        xs = np.random.default_rng(3).uniform(-2.0, 2.0, (len(ms), 2))
+        ys = xs[:, ::-1] + 0.5
+        got = H.batch_linear_delta(positions, nodes, xs, ys)
+        assert got.shape == (len(ms), 3, 2)
+        for s, size in enumerate(sizes.tolist()):
+            for k in range(3):
+                m = DiscreteMeasure(positions[s, :size], nodes[s, k, :size])
+                for p in range(2):
+                    assert same_bits(got[s, k, p], H.linear_delta(m, xs[s, p], ys[s, p]))
+
+    def test_counterexample_report_raises_the_first_draw_error(self):
+        # phi overflows to inf beyond |x| = 1.2e4, so a measure with an atom
+        # there makes integrate raise, in the pass as draw by draw
+        phi, psi = polynomial((0.0, 0.0, 1e300)), cos_fn()
+        with np.errstate(over="ignore"), contextlib.ExitStack() as stack:
+            got = segment_outcome(lambda: [ftc_module.counterexample_report(phi, psi, 2e4, samples=30, seed=4)])
+            for patch in per_draw_loops():
+                stack.enter_context(patch)
+            expected = segment_outcome(lambda: [ftc_module.counterexample_report(phi, psi, 2e4, samples=30, seed=4)])
+        assert expected[0] is ValueError and "not finite at atom" in expected[1]
+        assert got == expected
 
 
 # ------------------------------------------------------------ Richardson steps and cylinder derivatives against the loops
@@ -2793,12 +3004,123 @@ def dawson_extrapolated_each_loop(F, measures, points, eps):
     return np.array([dawson_extrapolated_loop(F, m, x, eps) for m, x in zip(measures, points)])
 
 
+def symmetry_draws_former(H, draws, eps=None):
+    """The former per-draw symmetry loop: one ``symmetry_residual`` and two
+    ``H.value`` calls per draw; (|residual|, max |H|) per draw."""
+    return [
+        (abs(ftc_module.symmetry_residual(H, m, x, y, eps=eps)), max_or_nan((abs(H.value(m, x)), abs(H.value(m, y)))))
+        for m, x, y in draws
+    ]
+
+
+def ftc_check_former(H, K, quad_order=32, eps=1e-3, samples=200, *, seed=0):
+    """The former ``ftc_check``: per-draw field values in the mismatch loop
+    and the per-draw symmetry loop; its quotients come from the module's
+    ``dawson_extrapolated_each``, which ``per_draw_loops`` replaces too."""
+    check_samples(samples)
+    for (probe,) in random_draws(seed, "canonical-gate", range(8), K):
+        residual = math.fsum((probe.weights * _values_at(lambda t: H.value(probe, t), probe.positions)).tolist())
+        if not abs(residual) <= ftc_module.CANONICAL_GATE_TOL:
+            raise ValueError(
+                f"field integrates to {residual!r} against a probe measure; canonicalize it before checking"
+            )
+    F = antiderivative(H, quad_order)
+    estimated = H.linear_delta is None
+    mismatch = []
+    for chunk in _passes(random_draws(seed, "ftc-mismatch", range(samples), K, points=1)):
+        ms, xs = zip(*chunk)
+        quotients = ftc_module.dawson_extrapolated_each(F, ms, xs, eps).tolist()
+        mismatch += [abs(q - H.value(m, x)) for q, m, x in zip(quotients, ms, xs)]
+    draws = random_draws(seed, "ftc-symmetry", range(samples), K, points=2)
+    symmetry_max, field_max = (max_or_nan(c) for c in zip(*symmetry_draws_former(H, draws, eps if estimated else None)))
+    return {
+        "check": "ftc",
+        "field": H.label,
+        "mismatch_max": float(max_or_nan(mismatch)),
+        "symmetry_max": float(symmetry_max),
+        "symmetry_mode": "estimated" if estimated else "exact",
+        "seed": int(seed),
+        "quad_order": int(quad_order),
+        "eps": float(eps),
+        "K": float(K),
+        "samples": int(samples),
+        "verdict": ftc_module._verdict(symmetry_max, estimated=estimated, field_max=field_max),
+    }
+
+
+def counterexample_report_former(phi, psi, K, *, quad_order=32, eps=1e-3, samples=200, seed=0):
+    """The former ``counterexample_report``: the closed forms, the field
+    values and the symmetry residual draw by draw (each closed form
+    integrating its own moments), beside the module's per-pass antiderivative
+    values and quotients, which ``per_draw_loops`` replaces too."""
+    check_samples(samples)
+    H = counterexample_field(phi, psi)
+    F_quad = antiderivative(H, quad_order)
+
+    def F_closed(m):
+        return 0.5 * (psi(0.0) + integrate(m, psi)) * (integrate(m, phi) - phi(0.0))
+
+    def delta_closed(m, x):
+        pm = integrate(m, phi)
+        sm = integrate(m, psi)
+        return 0.5 * (psi(x) - sm) * (pm - phi(0.0)) + 0.5 * (psi(0.0) + sm) * (phi(x) - pm)
+
+    def one(m, x, y, quad=None, quotient=None):
+        a = abs((F_quad(m) if quad is None else quad) - F_closed(m))
+        b = abs((dawson_extrapolated(F_quad, m, x, eps) if quotient is None else quotient) - delta_closed(m, x))
+        h = H.value(m, x)
+        c = abs(delta_closed(m, x) - h)
+        s = abs(ftc_module.symmetry_residual(H, m, x, y))
+        return a, b, c, s, max_or_nan((abs(h), abs(H.value(m, y))))
+
+    results = []
+    for chunk in _passes(random_draws(seed, "counterexample", range(samples), K, points=2)):
+        ms, xs, _ = zip(*chunk)
+        try:
+            batched = zip(
+                ftc_module.segment_integral_each(H, BASE_POINT, ms, quad_order).tolist(),
+                ftc_module.dawson_extrapolated_each(F_quad, ms, xs, eps).tolist(),
+            )
+        except (ArithmeticError, ValueError):
+            batched = [()] * len(chunk)
+        results += [one(*draw, *q) for draw, q in zip(chunk, batched)]
+    a_max, b_max, c_max, symmetry_max, field_max = (max_or_nan(column) for column in zip(*results))
+    ok = (
+        a_max <= ftc_module.COUNTEREXAMPLE_CLOSED_F_TOL
+        and b_max <= ftc_module.COUNTEREXAMPLE_BUILT_DELTA_TOL
+        and c_max >= ftc_module.COUNTEREXAMPLE_GAP_FLOOR
+    )
+    return {
+        "check": "counterexample",
+        "phi": phi.name,
+        "psi": psi.name,
+        "K": float(K),
+        "quadrature_vs_closed_max": float(a_max),
+        "built_derivative_vs_closed_max": float(b_max),
+        "closed_derivative_vs_field_max": float(c_max),
+        "derived_gap_threshold": float(0.5 * c_max),
+        "symmetry_max": float(symmetry_max),
+        "seed": int(seed),
+        "eps": float(eps),
+        "quad_order": int(quad_order),
+        "samples": int(samples),
+        "verdict": ftc_module._verdict(symmetry_max, estimated=False, field_max=field_max),
+        "ok": bool(ok),
+    }
+
+
 def per_draw_loops():
-    """Criteria 5 and 6 and ``ftc_check`` with their former per-draw loops."""
+    """Criteria 5 and 6 and ``ftc_check`` with their former per-draw loops:
+    the antiderivative values and quotients, the symmetry residuals and
+    field values, and the closed forms of ``counterexample_report``."""
     return (
         mock.patch.object(ftc_module, "segment_integral_each", segment_integral_each_loop),
         mock.patch.object(ftc_module, "dawson_extrapolated_each", dawson_extrapolated_each_loop),
         mock.patch.object(acceptance_module, "segment_integral_each", segment_integral_each_loop),
+        mock.patch.object(ftc_module, "ftc_check", ftc_check_former),
+        mock.patch.object(acceptance_module, "ftc_check", ftc_check_former),
+        mock.patch.object(ftc_module, "counterexample_report", counterexample_report_former),
+        mock.patch.object(acceptance_module, "counterexample_report", counterexample_report_former),
     )
 
 
