@@ -106,12 +106,10 @@ class DerivativeField:
     ``batch_value``, when present, evaluates ``value`` on a batch of measures
     sharing one support, as the module docstring specifies.
     ``batch_linear_delta(positions, weights, xs, ys)``, when present, is
-    ``linear_delta`` on the same layout at point pairs: with ``xs`` and
-    ``ys`` of shape (segments, points), entry [s, k, p] of its (segments,
-    nodes, points) result equals ``linear_delta(m, xs[s, p], ys[s, p])``
-    bit for bit, m being the measure of row k of segment s. The lifted
-    fields (``functions.lift_to_field``), the counterexample field of
-    ``ftc`` and the zero field carry both.
+    ``linear_delta`` on that layout at the point pairs of ``xs`` and ``ys``
+    (segments, points): entry [s, k, p] equals ``linear_delta(m, xs[s, p],
+    ys[s, p])`` bit for bit, m the measure of row k of segment s. Lifted,
+    counterexample and zero fields carry both.
     """
 
     value: Callable[[DiscreteMeasure, float], float]
@@ -365,10 +363,9 @@ def _prepared(mu, measures, nodes):
     signed, sizes, fast) of ``_padded_rows(measures, mu)``.
 
     A ``fast`` row has the bits of ``signed_difference(m, mu)`` and, through
-    ``_mixtures``, of ``mix_rows(mu, m, nodes)``: no two of its atoms lie
-    within MERGE_TOL, so nothing merges or cancels; mu and m pass the mass
-    check of ``mix_rows``; and every mixture weight is positive, as (1-t) w
-    and t w are at least w times the smallest factor (rounding is
+    ``_mixtures``, of ``mix_rows(mu, m, nodes)``: no two atoms lie within
+    MERGE_TOL, mu and m pass the mass check of ``mix_rows``, and (1-t) w and
+    t w are positive at the smallest factor, so at every node (rounding is
     monotone). Any other row is prepared alone (``_segment``).
     """
     positions, signed, sizes, pads = _padded_rows(measures, mu)

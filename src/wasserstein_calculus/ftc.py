@@ -343,11 +343,10 @@ def counterexample_report(
     asserts exactly that, with the large-gap threshold additionally reported
     as half the realized closed-form gap.
 
-    A draw pass (at most 100 draws) makes one call for the antiderivatives,
-    one for their quotients, one ``integrate_each`` per moment for the
-    closed forms and one ``_symmetry_pass``; one that raises goes again
-    draw by draw, to raise the first draw's error. The report has the bits
-    of the per-draw loop.
+    A draw pass (at most 100 draws) makes one call for each term, and one
+    ``integrate_each`` per moment for the closed forms; one that raises goes
+    again draw by draw, to raise the first draw's error. The report has the
+    bits of the per-draw loop.
     """
     check_samples(samples)
     H = counterexample_field(phi, psi)
