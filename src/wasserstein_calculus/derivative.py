@@ -325,12 +325,12 @@ def _segments(H, mu, measures, nodes, weights) -> list:
 
 
 def _padded_rows(measures, base=None):
-    """Each measure's atoms as a row of a padded block, filled by index
-    arithmetic as in ``measures._w1_flat``: (positions, weights) of shape
-    (rows, width), the row sizes, and the mask of the pads (None if none).
-    With a ``base``, row r holds its atoms with negated weights and then
-    those of measures[r], sorted stably by position. A pad is an atom of
-    weight 0 at a copy of its row's last atom."""
+    """Each measure's atoms as a row of a padded block, filled through a
+    mask: (positions, weights) of shape (rows, width), the row sizes, and
+    the mask of the pads (None if none). With a ``base``, row r holds its
+    atoms with negated weights and then those of measures[r], sorted
+    stably by position. A pad is an atom of weight 0 at a copy of its
+    row's last atom."""
     lead_p, lead_w = (np.zeros(0), np.zeros(0)) if base is None else (base.positions, -base.weights)
     if len(measures) == 1:
         m = measures[0]
@@ -339,19 +339,18 @@ def _padded_rows(measures, base=None):
             order = positions.argsort(kind="stable")
             positions, weights = positions[order], weights[order]
         return positions[None], weights[None], np.array([positions.size]), None
-    pb, wb, rb, count = _flat_atoms((m.positions, m.weights) for m in measures)
-    nb = np.bincount(rb, minlength=count)
-    sizes = nb + lead_p.size
-    width = int(sizes.max())
-    positions, weights = np.full((count, width), np.inf), np.zeros((count, width))  # pads sort last
+    count, sizes = len(measures), np.array([m.positions.size for m in measures]) + lead_p.size
+    columns = np.arange(sizes.max())
+    positions, weights = np.full((count, columns.size), np.inf), np.zeros((count, columns.size))  # pads sort last
     positions[:, : lead_p.size], weights[:, : lead_p.size] = lead_p, lead_w
-    at = np.arange(pb.size) + (np.arange(lead_p.size, count * width, width) - np.cumsum(nb) + nb)[rb]
-    positions.reshape(-1)[at], weights.reshape(-1)[at] = pb, wb
+    atoms = (columns >= lead_p.size) & (columns < sizes[:, None])  # row by row, as concatenated
+    positions[atoms] = np.concatenate([m.positions for m in measures])
+    weights[atoms] = np.concatenate([m.weights for m in measures])
     if base is not None:
         order = np.argsort(positions, axis=1, kind="stable")
-        order += np.arange(0, positions.size, width)[:, None]  # flat indices
+        order += np.arange(0, positions.size, columns.size)[:, None]  # flat indices
         positions, weights = np.take(positions, order), np.take(weights, order)
-    pads = np.arange(width) >= sizes[:, None]
+    pads = columns >= sizes[:, None]
     if not pads.any():
         return positions, weights, sizes, None
     np.copyto(positions, positions[np.arange(count), sizes - 1][:, None], where=pads)

@@ -11,8 +11,10 @@ cylinder derivatives (one moment pass per call) and the per-point outer-map
 value, gradient and Hessian, with the criterion 2, 4, 7 and 8 loops and the
 per-draw ``uniform_dawson_modulus`` built on them (criterion 8 on
 ``integrate`` pairs per probe and ``w1`` per pair), the per-draw
-antiderivative and quotient loops of criteria 5 and 6 and ``ftc_check``
-(each segment of a padded block alone on the node loop), and the former
+antiderivative, quotient, symmetry and closed-form loops of criteria 5 and
+6, ``ftc_check`` and ``counterexample_report`` (each segment of a padded
+block alone on the node loop, each segment prepared alone by
+``signed_difference`` and ``mix_rows``), and the former
 sampled draws (a ``dirichlet`` weight draw), which
 ``random_measure`` and every value ``random_draws`` yields must reproduce. The vectorised code must reproduce the loops bit
 for bit (and the private trusted constructor the validating one), and the
