@@ -60,7 +60,7 @@ from .functions import (
     lift_to_field,
     scalar_from_dict,
 )
-from .measures import DiscreteMeasure, dirac, integrate, integrate_each, integrate_flat
+from .measures import DiscreteMeasure, _flat_rows, dirac, integrate, integrate_each, integrate_flat
 from .sampling import _passes, random_draws
 from .util import check_samples, gauss_legendre_01, max_or_nan
 
@@ -125,8 +125,7 @@ def antiderivative(H: DerivativeField, quad_order: int = DEFAULT_QUAD_ORDER) -> 
         return segment_integral(H, BASE_POINT, m, quad_order)
 
     def evaluate_flat(positions, weights, rows, count):
-        ends = np.cumsum(np.bincount(rows, minlength=count)).tolist()
-        measures = [DiscreteMeasure._trusted(positions[a:b], weights[a:b]) for a, b in zip([0] + ends, ends)]
+        measures = [DiscreteMeasure._trusted(*row) for row in _flat_rows(positions, weights, rows, count)]
         return segment_integral_each(H, BASE_POINT, measures, quad_order)
 
     label = f"antiderivative[{H.label}]" if H.label else "antiderivative"

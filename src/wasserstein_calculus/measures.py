@@ -318,6 +318,12 @@ def _flat_atoms(pairs):
     return positions, weights, np.repeat(np.arange(len(sizes)), sizes), len(sizes)
 
 
+def _flat_rows(positions, weights, rows, count: int) -> list:
+    """The (positions, weights) pair of each row of a flat layout, as views."""
+    ends = np.cumsum(np.bincount(rows, minlength=count)).tolist()
+    return [(positions[a:b], weights[a:b]) for a, b in zip([0] + ends, ends)]
+
+
 def integrate_flat(positions, weights, f, rows=None, count: int = 0) -> np.ndarray:
     """``integrate`` against each of many measures, with their bits and
     errors (the first bad atom in row order): ``f``, which must act value by

@@ -16,10 +16,11 @@ families below satisfy it.
 
 At any point at most two bumps are nonzero: those of the grid indices just
 below and just above n*x. ``_discretize_flat`` evaluates only that band, for
-many measures laid out flat, and scatters it onto one grid row per measure,
-so its cost is O(total atoms) whatever n and K are; each row has the bits of
-its measure discretized alone. ``discretize_rows`` and ``discretize`` are
-its adapters, and ``PartitionScheme.weight_matrix`` densifies the band.
+many measures laid out flat, each with its own n and K, and scatters it onto
+one grid row per measure, so its cost is O(total atoms) whatever n and K
+are; each row has the bits of its measure discretized alone.
+``discretize_rows`` and ``discretize`` are its adapters for one scheme, and
+``PartitionScheme.weight_matrix`` densifies the band.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import MASS_TOL, DiscreteMeasure, _flat_atoms
+from .measures import MASS_TOL, DiscreteMeasure, _flat_atoms, _flat_rows
 from .util import fsum_rows
 
 __all__ = ["PartitionScheme", "bump_weight", "discretize", "discretize_rows", "BUMP_MODES"]
@@ -100,43 +101,44 @@ class PartitionScheme:
         bad = np.flatnonzero(~np.isfinite(xs))
         if bad.size:
             raise ValueError(f"points must be finite, not {float(xs.flat[bad[0]])!r}")
-        cols, band = self._band(xs)
+        cols, band = _band(self.bump_shape, self.n, self.edge_index, xs)
         out = np.zeros((xs.size, self.indices.size))
         rows = np.arange(xs.size)[:, None]
         out[rows, cols[:, None] + _PAIR] = band
         return out
 
-    def _band(self, xs: np.ndarray):
-        """The only bumps that can be nonzero at each point, with their weights.
 
-        At a point x only the bumps of grid indices floor(n*x) and
-        floor(n*x) + 1 can be nonzero, clamped to [-n*K, n*K]; the tail ramps
-        only in the two edge cells. Returns the column (grid index + n*K) of
-        the first of the two bumps for each point, and a (len(xs), 2) array of
-        their weights, each row summing to one.
-        """
-        N = self.edge_index
-        nx = self.n * xs
-        first = np.minimum(np.maximum(np.floor(nx), -N), N - 1)
-        u = nx[:, None] - (first[:, None] + _PAIR)
-        # snap near-integer cell coordinates (see GRID_SNAP)
-        nearest = np.rint(u)
-        u = np.where(np.abs(u - nearest) <= GRID_SNAP, nearest, u)
-        if self.bump_shape == "smooth_bump":
-            raw, ramp = _mollifier(u), _smoothstep
-        else:
-            raw, ramp = np.clip(1.0 - np.abs(u), 0.0, None), _clip_ramp
-        left = first == -N
-        if left.any():
-            raw[left, 0] = ramp((-N + 1) - nx[left])
-        right = first == N - 1
-        if right.any():
-            raw[right, 1] = ramp(nx[right] - (N - 1))
-        totals = raw[:, 0] + raw[:, 1]
-        if np.any(totals <= 0.0):
-            raise RuntimeError("bump family failed to cover a point")
-        raw /= totals[:, None]
-        return first.astype(np.intp) + N, raw
+def _band(bump_shape: str, n, N, xs: np.ndarray):
+    """The only bumps that can be nonzero at each point, with their weights.
+
+    Each point has its grid resolution n and edge index N = n*K, or all
+    share scalar ones. At a point x only the bumps of grid indices
+    floor(n*x) and floor(n*x) + 1 can be nonzero, clamped to [-N, N]; the
+    tail ramps only in the two edge cells. Returns the column (grid index +
+    N) of the first of the two bumps for each point, and a (len(xs), 2)
+    array of their weights, each row summing to one.
+    """
+    nx = n * xs
+    first = np.minimum(np.maximum(np.floor(nx), -N), N - 1)
+    u = nx[:, None] - (first[:, None] + _PAIR)
+    # snap near-integer cell coordinates (see GRID_SNAP)
+    nearest = np.rint(u)
+    u = np.where(np.abs(u - nearest) <= GRID_SNAP, nearest, u)
+    if bump_shape == "smooth_bump":
+        raw, ramp = _mollifier(u), _smoothstep
+    else:
+        raw, ramp = np.clip(1.0 - np.abs(u), 0.0, None), _clip_ramp
+    left = first == -N
+    if left.any():
+        raw[left, 0] = ramp((1 - _at(N, left)) - nx[left])
+    right = first == N - 1
+    if right.any():
+        raw[right, 1] = ramp(nx[right] - (_at(N, right) - 1))
+    totals = raw[:, 0] + raw[:, 1]
+    if np.any(totals <= 0.0):
+        raise RuntimeError("bump family failed to cover a point")
+    raw /= totals[:, None]
+    return first.astype(np.intp) + N, raw
 
 
 def _mollifier(u: np.ndarray) -> np.ndarray:
@@ -185,7 +187,8 @@ def discretize(scheme: PartitionScheme, m: DiscreteMeasure) -> DiscreteMeasure:
     one-row case of ``discretize_rows``, whose row is already sorted, merged,
     positive, finite and mass-checked, so the measure is built unchecked.
     """
-    return DiscreteMeasure._trusted(*_discretize_flat(scheme, *_flat_atoms([(m.positions, m.weights)]))[:2])
+    layout = _flat_atoms([(m.positions, m.weights)])
+    return DiscreteMeasure._trusted(*_discretize_flat(scheme.bump_shape, scheme.n, scheme.K, *layout)[:2])
 
 
 def discretize_rows(scheme: PartitionScheme, measures) -> list:
@@ -197,16 +200,17 @@ def discretize_rows(scheme: PartitionScheme, measures) -> list:
     ``_discretize_flat`` of the measures laid out flat (``_flat_atoms``).
     """
     layout = _flat_atoms((m.positions, m.weights) for m in measures)
-    positions, weights, rows, count = _discretize_flat(scheme, *layout)
-    ends = np.cumsum(np.bincount(rows, minlength=count)).tolist()
-    return [(positions[a:b], weights[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+    return _flat_rows(*_discretize_flat(scheme.bump_shape, scheme.n, scheme.K, *layout))
 
 
-def _discretize_flat(scheme: PartitionScheme, positions, weights, rows, count: int):
+def _discretize_flat(bump_shape: str, n, K, positions, weights, rows, count: int):
     """``discretize`` of each of ``count`` measures in the flat layout of
-    ``measures._flat_atoms``: their grid measures in the same layout, each
-    row with the bits of its measure alone, as one ``np.bincount`` keyed by
-    (row, grid index) adds each bin's terms in input order.
+    ``measures._flat_atoms``, row r on the grid of ``bump_shape``, n[r] and
+    K[r] (those of a valid ``PartitionScheme``; scalars serve every row):
+    their grid measures in the same layout, each row with the bits of its
+    measure alone, as one ``np.bincount`` keyed by (row, grid index) adds
+    each bin's terms in input order. Each row has the bins of the widest
+    grid; bin j holds grid point (j - n*K)/n.
 
     The checks of ``discretize`` are array operations over all rows, and the
     first bad row raises its error: the support bound (from each row's first
@@ -216,15 +220,16 @@ def _discretize_flat(scheme: PartitionScheme, positions, weights, rows, count: i
     sizes = np.bincount(rows, minlength=count)
     ends = np.cumsum(sizes)
     bounds = np.maximum(np.abs(positions[ends - sizes]), np.abs(positions[ends - 1]))
-    bad = np.flatnonzero(bounds > scheme.K)
+    bad = np.flatnonzero(bounds > K)
     if bad.size:
-        raise ValueError(f"measure support bound {bounds[bad[0]]:g} exceeds the scheme bound K={scheme.K}")
-    size = scheme.indices.size
-    cols, band = scheme._band(positions)
-    cols += rows * size
+        raise ValueError(f"measure support bound {bounds[bad[0]]:g} exceeds the scheme bound K={_at(K, bad[0])}")
+    N = n * K
+    width = 2 * (int(N.max(initial=0)) if isinstance(N, np.ndarray) else N) + 1
+    cols, band = _band(bump_shape, _at(n, rows), _at(N, rows), positions)
+    cols += rows * width
     grid_weights = np.bincount(
-        (cols[:, None] + _PAIR).ravel(), (weights[:, None] * band).ravel(), minlength=count * size
-    ).reshape(count, size)
+        (cols[:, None] + _PAIR).ravel(), (weights[:, None] * band).ravel(), minlength=count * width
+    ).reshape(count, width)
     # zeros leave an exact fsum unchanged: the rows' nonzero weights, laid
     # flat row after row, carry all the per-row bookkeeping
     rows, cols = np.nonzero(grid_weights)
@@ -240,4 +245,9 @@ def _discretize_flat(scheme: PartitionScheme, positions, weights, rows, count: i
         raise RuntimeError(f"partition of unity leaked mass: total {totals[bad[0]]!r}")
     if bad.size:
         raise ValueError(f"weights sum to {masses[bad[0]]!r}, not 1")
-    return scheme.grid[cols[keep]], kept, rows, count
+    return (cols[keep] - _at(N, rows)) / _at(n, rows), kept, rows, count
+
+
+def _at(values, index):
+    """``values[index]`` of per-row values; a scalar is every row's."""
+    return values[index] if isinstance(values, np.ndarray) else values

@@ -5,14 +5,16 @@ index), so a sample draws the same values whatever was drawn before it.
 ``stream_rng`` builds one such generator. ``stream_rngs`` yields the
 generators of many indices of one stream in the same states, without
 numpy's per-generator seeding cost: it re-runs numpy's seeding for all the
-indices at once. It yields one generator object per call, reset before each
-yield, so a yielded generator is valid only until the next one. A seed or
-index of 2^32 or more takes ``stream_rng``'s path.
+indices at once (``_rngs``, which takes a stream tag per index). It yields
+one generator object per call, reset before each yield, so a yielded
+generator is valid only until the next one. A seed or index of 2^32 or more
+takes ``stream_rng``'s path.
 
 ``random_measure`` and ``random_point`` draw from one generator.
 ``random_draws`` yields the measures and points of many indices of one
 stream, with the same bits: one ``stream_rngs`` call seeds them, and every
-``_DRAW_CHUNK`` measures are built in one array pass.
+``_DRAW_CHUNK`` measures are built in one array pass, laid out flat.
+``_flat_draws`` lays out the measures of several streams in one pass.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import zlib
 
 import numpy as np
 
-from .measures import MASS_TOL, MERGE_TOL, DiscreteMeasure
+from .measures import MASS_TOL, MERGE_TOL, DiscreteMeasure, _flat_rows
 from .util import fsum_rows
 
 __all__ = ["stream_rng", "stream_rngs", "random_measure", "random_point", "random_draws", "MAX_ATOMS"]
@@ -86,21 +88,21 @@ def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
     return values
 
 
-def _pcg64_seed_words(seed: int, tag: int, indices: np.ndarray) -> np.ndarray:
+def _pcg64_seed_words(seed: int, tags: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """The four 64-bit words ``PCG64(SeedSequence([seed, tag, i]))`` seeds
-    from, for each index below 2^32, as numpy derives them: one row per
-    index, holding the high and low halves of the initial state, then those
-    of the stream.
+    from, for each row's stream tag and index below 2^32, as numpy derives
+    them: one row per index, holding the high and low halves of the initial
+    state, then those of the stream.
 
     ``SeedSequence`` pools its three entropy words and a zero, hashed, mixes
     every pool word into every other, and hashes the pool twice over into
     eight 32-bit words; ``PCG64`` pairs them, low word first, into the four.
     Every step is uint32 arithmetic modulo 2^32, run here once for all the
-    indices and, where steps do not depend on each other, for several pool
+    rows and, where steps do not depend on each other, for several pool
     words at once.
     """
     pool = np.zeros((4, indices.size), dtype=np.uint32)
-    pool[0], pool[1], pool[2] = seed, tag, indices
+    pool[0], pool[1], pool[2] = seed, tags, indices
     pool = _hash(pool, _HASHMIX[:5])
     for src in range(4):
         dst = [i for i in range(4) if i != src]
@@ -116,30 +118,39 @@ def stream_rngs(seed: int, stream: str, indices):
     """Yield, in order, the generator of each index of one stream, in the
     state ``stream_rng(seed, stream, index)`` starts in, with its bits.
 
-    The seeding runs once for all the indices (``_pcg64_seed_words``). Then one
-    ``PCG64`` and its ``Generator``, made once per call, take each index's
-    state before it is yielded: a yielded generator is valid only until the
-    next yield, when it is the same object in the next state. Generators of
-    nested calls are separate. A seed or index of 2^32 or more is more than
-    one entropy word in ``SeedSequence``; such an index, or every index of
-    such a seed, gets its own ``stream_rng``.
+    A yielded generator is valid only until the next yield, when it is the
+    same object in the next state (``_rngs``). Generators of nested calls
+    are separate.
     """
     seed = _word("seed", seed)
     indices = [_word("index", i) for i in indices]
-    if seed > _MASK32:
-        for i in indices:
-            yield stream_rng(seed, stream, i)
-        return
     tag = zlib.crc32(stream.encode("utf-8"))
-    small = np.array([i for i in indices if i <= _MASK32], dtype=np.uint32)
+    yield from _rngs(seed, [(tag, i) for i in indices])
+
+
+def _rngs(seed: int, keys: list):
+    """Yield the generator of each (stream tag, index) pair of ``keys``, in
+    the state ``stream_rng`` gives it, for a checked seed and indices.
+
+    The seeding runs once for all the pairs (``_pcg64_seed_words``). Then one
+    ``PCG64`` and its ``Generator``, made once per call, take each pair's
+    state before it is yielded. A seed or index of 2^32 or more is more than
+    one entropy word in ``SeedSequence``; such an index, or every index of
+    such a seed, gets its own generator, as ``stream_rng`` makes it.
+    """
+    if seed > _MASK32:
+        for key in keys:
+            yield np.random.default_rng(np.random.SeedSequence([seed, *key]))
+        return
+    small = np.array([key for key in keys if key[1] <= _MASK32], dtype=np.uint32).reshape(-1, 2)
     # one row at a time: Python ints for every index at once would raise the
     # peak memory of a 1,000-sample check by about 0.3 MiB
-    seeds = iter(_pcg64_seed_words(seed, tag, small))
+    seeds = iter(_pcg64_seed_words(seed, small[:, 0], small[:, 1]))
     bit_generator = np.random.PCG64()
     rng = np.random.Generator(bit_generator)
-    for i in indices:
-        if i > _MASK32:
-            yield stream_rng(seed, stream, i)
+    for key in keys:
+        if key[1] > _MASK32:
+            yield np.random.default_rng(np.random.SeedSequence([seed, *key]))
             continue
         state_hi, state_lo, seq_hi, seq_lo = next(seeds).tolist()
         # pcg64_srandom_r: the stream's odd increment, then two LCG steps
@@ -169,8 +180,9 @@ def _draw(rng: np.random.Generator, K: float, max_atoms: int):
     return rng.uniform(-K, K, size=n), rng.standard_exponential(n)
 
 
-def _measures(draws: list) -> list:
-    """The measure of each ``_draw``, in one array pass for all of them.
+def _measures(draws: list):
+    """The measure of each ``_draw``, in one array pass for all of them,
+    laid out flat (``measures._flat_atoms``).
 
     Rows of padded arrays hold the draws: positions padded with +inf,
     exponentials with zeros. Each row's weights are its exponentials times
@@ -180,9 +192,9 @@ def _measures(draws: list) -> list:
     and NaN for all-zero draws. A row sorted by one stable argsort whose
     ``math.fsum`` mass (``util.fsum_rows``) is within ``MASS_TOL`` of one,
     whose weights are positive and whose gaps exceed ``MERGE_TOL`` is
-    canonical: ``DiscreteMeasure._trusted`` takes it, with the constructor's
-    bits. Any other row goes through the constructor, with its merges and
-    errors.
+    canonical: it holds the constructor's bits. Any other row goes through
+    the constructor, with its merges and errors, and its atoms are spliced
+    in.
     """
     sizes = [pos.size for pos, _ in draws]
     counts = np.array(sizes)
@@ -205,12 +217,14 @@ def _measures(draws: list) -> list:
     )
     # the padding sorts last, so the real atoms of every row stay in place
     flat_pos, flat_w = sorted_pos[real], sorted_w[real]
-    return [
-        DiscreteMeasure._trusted(flat_pos[end - n : end], flat_w[end - n : end])
-        if ok
-        else DiscreteMeasure(draw[0], weights[r, :n])
-        for r, (draw, n, end, ok) in enumerate(zip(draws, sizes, itertools.accumulate(sizes), trusted.tolist()))
-    ]
+    rebuilt = np.flatnonzero(~trusted).tolist()
+    if rebuilt:
+        rows = _flat_rows(flat_pos, flat_w, np.repeat(np.arange(len(sizes)), counts), len(sizes))
+        for r in rebuilt:
+            m = DiscreteMeasure(draws[r][0], weights[r, : sizes[r]])
+            rows[r], counts[r] = (m.positions, m.weights), len(m)
+        flat_pos, flat_w = (np.concatenate(arrays) for arrays in zip(*rows))
+    return flat_pos, flat_w, np.repeat(np.arange(len(sizes)), counts), len(sizes)
 
 
 def random_measure(rng: np.random.Generator, K: float, max_atoms: int = MAX_ATOMS) -> DiscreteMeasure:
@@ -222,7 +236,7 @@ def random_measure(rng: np.random.Generator, K: float, max_atoms: int = MAX_ATOM
     draw; a loop over the indices of a stream should use ``random_draws``.
     """
     _check_half_width(K)
-    return _measures([_draw(rng, K, _word("max_atoms", max_atoms, least=1))])[0]
+    return DiscreteMeasure._trusted(*_measures([_draw(rng, K, _word("max_atoms", max_atoms, least=1))])[:2])
 
 
 def random_point(rng: np.random.Generator, K: float) -> float:
@@ -246,7 +260,8 @@ def random_draws(seed: int, stream: str, indices, K: float, *, measures: int = 1
     index, and each generator makes its own draws. The measures of every
     ``_DRAW_CHUNK // measures`` indices (at least one) are then built in one
     ``_measures`` pass, where rows whose atoms merge or whose draws are all
-    zero go through the constructor, with its merges and errors. So a pass
+    zero go through the constructor, with its merges and errors, and the
+    measures are sliced from its flat layout. So a pass
     holds at most ``_DRAW_CHUNK`` measures, or one index's, and it frees the
     draws once the measures are built.
     """
@@ -260,10 +275,23 @@ def random_draws(seed: int, stream: str, indices, K: float, *, measures: int = 1
             drawn_points.append(rng.uniform(-K, K, points).tolist() if points else [])
         if not drawn_points:
             return
-        built = iter(_measures(rows) if rows else ())
+        built = iter([DiscreteMeasure._trusted(*row) for row in _flat_rows(*_measures(rows))] if rows else ())
         rows = None  # copied into the measures: free them while they are used
         for chunk_points in drawn_points:
             yield (*[next(built) for _ in range(measures)], *chunk_points)
+
+
+def _flat_draws(seed: int, streams, indices, Ks):
+    """The measures ``random_draws(seed, stream, indices, K)`` yields, for
+    each stream and its K in turn, laid out flat as ``_measures`` builds
+    them: one ``_rngs`` call seeds every stream's indices."""
+    for K in Ks:
+        _check_half_width(K)
+    seed = _word("seed", seed)
+    indices = [_word("index", i) for i in indices]
+    keys = [(zlib.crc32(stream.encode("utf-8")), i) for stream in streams for i in indices]
+    rngs = _rngs(seed, keys)
+    return _measures([_draw(next(rngs), K, MAX_ATOMS) for K in Ks for _ in indices])
 
 
 def _passes(draws, measures: int = 1):

@@ -17,7 +17,7 @@ from unittest import mock
 import pytest
 
 import wasserstein_calculus
-from wasserstein_calculus import acceptance
+from wasserstein_calculus import acceptance, sampling
 from wasserstein_calculus.acceptance import DISCRETIZATION_BUDGET_S, run_sweep
 from wasserstein_calculus.util import canonical_json
 
@@ -188,6 +188,70 @@ def test_a_nan_distance_is_kept_and_fails_criterion_1():
         case = acceptance.discretization_case(1, 1, 2)
     assert math.isnan(case["ratio_max"]) and math.isnan(case["w1_actual"])
     assert case["violations"] == 2  # one per bump mode
+
+
+FLAT_DRAWS = acceptance._flat_draws
+DRAW = sampling._draw
+
+
+def planted_draws(seed, streams, indices, Ks):
+    """Criterion 1's draws, with an atom at 1.5 in every measure of case
+    (1, 64), inside the bound of K = 2 but not of its own, and all-zero
+    exponentials in every measure of case (2, 3)."""
+    row_streams = iter([stream for stream in streams for _ in indices])
+
+    def draw(rng, K, max_atoms):
+        positions, exps = DRAW(rng, K, max_atoms)
+        stream = next(row_streams)
+        if stream == "discretize-K1-n64":
+            positions[-1] = 1.5
+        if stream == "discretize-K2-n3":
+            exps[:] = 0.0
+        return positions, exps
+
+    with mock.patch.object(sampling, "_draw", draw):
+        return FLAT_DRAWS(seed, streams, indices, Ks)
+
+
+def test_a_block_that_raises_runs_its_cases_one_at_a_time():
+    """The block of (1, 64) and (2, 3) raises the draw error of its second
+    case first; criterion 1 raises the bound error of the first case, as its
+    cases one at a time do."""
+    bound = "^measure support bound 1.5 exceeds the scheme bound K=1$"
+    with mock.patch.object(acceptance, "_flat_draws", planted_draws):
+        with pytest.raises(ValueError, match="^positions and weights must be finite$"):
+            acceptance._discretization_block(1, [(1, 64), (2, 3)])
+        with pytest.raises(ValueError, match=bound):
+            acceptance.discretization_case(1, 1, 64)
+        with pytest.raises(ValueError, match=bound):
+            acceptance.check_discretization(seed=1)
+
+
+def test_criterion_1_makes_one_call_per_bump_mode_per_block():
+    """One draw call per block, then one ``_discretize_flat`` and one
+    ``_w1_flat`` call per bump mode, each on at most the block's measures."""
+    counts = {"_flat_draws": [], "_discretize_flat": [], "_w1_flat": []}
+
+    def spy(name, count_of):
+        core = getattr(acceptance, name)
+
+        def counted(*args):
+            out = core(*args)
+            counts[name].append(count_of(args, out))
+            return out
+
+        return mock.patch.object(acceptance, name, counted)
+
+    with spy("_flat_draws", lambda args, out: out[3]), spy("_discretize_flat", lambda args, out: args[6]), spy(
+        "_w1_flat", lambda args, out: args[0][3]
+    ):
+        report, _ = acceptance.check_discretization(seed=1)
+    blocks = -(-report["cases"] // acceptance.CASES_PER_BLOCK)
+    assert blocks == 63
+    assert len(counts["_flat_draws"]) == blocks
+    assert len(counts["_discretize_flat"]) == len(counts["_w1_flat"]) == 2 * blocks
+    most = acceptance.CASES_PER_BLOCK * acceptance.MEASURES_PER_CASE
+    assert max(max(c) for c in counts.values()) == most
 
 
 def test_a_nan_metric_excess_is_kept():

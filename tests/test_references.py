@@ -92,6 +92,7 @@ from wasserstein_calculus.acceptance import (
     check_canonical_normalization,
     check_counterexample,
     check_dawson_linear,
+    check_discretization,
     check_ftc_soundness,
     check_metric_properties,
     check_second_derivative_symmetry,
@@ -250,7 +251,7 @@ def discretize_one(scheme, m):
     """The former per-measure ``discretize``: one band and one bincount."""
     if m.support_bound > scheme.K:
         raise ValueError("support outside [-K, K]")
-    cols, band = scheme._band(m.positions)
+    cols, band = partition_module._band(scheme.bump_shape, scheme.n, scheme.edge_index, m.positions)
     weights = np.bincount(
         (cols[:, None] + np.array([0, 1])).ravel(),
         (m.weights[:, None] * band).ravel(),
@@ -611,10 +612,13 @@ class TestRowBatches:
         with pytest.raises(ValueError, match="exceeds the scheme bound"):
             discretize_rows(scheme, [dirac(0.0), dirac(1.5), dirac(0.5)])
 
-    @pytest.mark.parametrize("K, n", [(1, 2), (2, 37), (1, 64)])
-    def test_criterion_1_cases_match_loop(self, K, n):
-        case = discretization_case(0, K, n)
-        assert canonical_json(case) == canonical_json(discretization_case_loop(0, K, n))
+    @pytest.mark.parametrize(
+        "cases", [[(1, 2)], [(2, 37)], [(1, 64)], [(1, 64), (2, 3)]], ids=lambda cases: "-".join(map(str, sum(cases, ())))
+    )
+    def test_criterion_1_cases_match_loop(self, cases):
+        """One-case blocks, and a block that holds both K."""
+        rows = acceptance_module._discretization_block(0, cases)
+        assert [canonical_json(r) for r in rows] == [canonical_json(discretization_case_loop(0, K, n)) for K, n in cases]
 
 
 # ------------------------------------------------------------ flat layouts against the measures alone
@@ -630,7 +634,8 @@ def discretize_rows_former(scheme, measures):
         if m.support_bound > scheme.K:
             raise ValueError(f"measure support bound {m.support_bound:g} exceeds the scheme bound K={scheme.K}")
     size = scheme.indices.size
-    cols, band = scheme._band(np.concatenate([m.positions for m in measures]))
+    xs = np.concatenate([m.positions for m in measures])
+    cols, band = partition_module._band(scheme.bump_shape, scheme.n, scheme.edge_index, xs)
     cols += np.repeat(np.arange(len(measures)) * size, [len(m) for m in measures])
     masses = np.concatenate([m.weights for m in measures])
     grid_weights = np.bincount(
@@ -660,6 +665,15 @@ def flat_batches(draw):
     """A scheme and none to six measures inside its bound."""
     scheme = draw(grid_schemes())
     return scheme, draw(st.lists(grid_measure(scheme), max_size=6))
+
+
+@st.composite
+def mixed_grid_batches(draw):
+    """One bump mode and one to six measures, each inside the bound of its
+    own (n, K)."""
+    mode = draw(st.sampled_from(BUMP_MODES))
+    schemes = [PartitionScheme(s.n, s.K, mode) for s in draw(st.lists(grid_schemes(), min_size=1, max_size=6))]
+    return mode, [(scheme, draw(grid_measure(scheme))) for scheme in schemes]
 
 
 def flat_rows(layout):
@@ -704,7 +718,7 @@ class TestFlatLayouts:
     def test_rows_are_the_measures_alone(self, batch):
         scheme, measures = batch
         layout = _flat_atoms((m.positions, m.weights) for m in measures)
-        grid = _discretize_flat(scheme, *layout)
+        grid = _discretize_flat(scheme.bump_shape, scheme.n, scheme.K, *layout)
         dists = _w1_flat(layout, grid)
         assert grid[3] == len(measures) and dists.shape == (len(measures),)
         for m, (positions, weights), dist in zip(measures, flat_rows(grid), dists):
@@ -712,6 +726,32 @@ class TestFlatLayouts:
             for stored in (one, ref):
                 assert same_bits(positions, stored.positions) and same_bits(weights, stored.weights)
             assert same_bits(dist, w1(m, one)) and same_bits(dist, w1_one(m, ref))
+
+    @given(mixed_grid_batches())
+    @SETTINGS
+    def test_rows_on_their_own_grids(self, batch):
+        """Rows of mixed (n, K) in one call, as a block of criterion 1 cases
+        makes: each row has the bits of its measure under its own scheme."""
+        mode, rows = batch
+        schemes, measures = zip(*rows)
+        layout = _flat_atoms((m.positions, m.weights) for m in measures)
+        ns, Ks = (np.array([getattr(s, key) for s in schemes]) for key in ("n", "K"))
+        grid = _discretize_flat(mode, ns, Ks, *layout)
+        assert grid[3] == len(measures)
+        for scheme, m, (positions, weights) in zip(schemes, measures, flat_rows(grid), strict=True):
+            for stored in (discretize(scheme, m), discretize_one(scheme, m)):
+                assert same_bits(positions, stored.positions) and same_bits(weights, stored.weights)
+
+    def test_a_row_beyond_its_own_K_raises(self):
+        """A row inside [-2, 2] but beyond its own K = 1 raises the error of
+        its measure discretized alone, though wider grids share the call."""
+        m = DiscreteMeasure([0.0, 1.5], [0.5, 0.5])
+        layout = _flat_atoms([(m.positions, m.weights)] * 3)
+        message = "^measure support bound 1.5 exceeds the scheme bound K=1$"
+        with pytest.raises(ValueError, match=message):
+            discretize(PartitionScheme(n=3, K=1), m)
+        with pytest.raises(ValueError, match=message):
+            _discretize_flat("smooth_bump", np.array([3, 64, 3]), np.array([2, 2, 1]), *layout)
 
     @given(st.lists(st.tuples(clustered_atoms(), clustered_atoms()), max_size=6))
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -1032,6 +1072,11 @@ INDEX_LISTS = st.sampled_from([0, 1, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK +
 )
 
 
+# half-widths that every measure of a criterion 1 block may have, and two
+# that merge every atom
+FLAT_HALF_WIDTHS = st.sampled_from([0.0, 5e-324, 1.0, 2.0, math.pi, 1e300])
+
+
 class TestRandomDraws:
     """``random_draws`` against the former draws of each index alone."""
 
@@ -1124,6 +1169,28 @@ class TestRandomDraws:
             count * measures % per_pass > 0
         )
         assert max(passes) <= max(_DRAW_CHUNK, measures)
+
+    @given(
+        seeds,
+        st.lists(st.tuples(st.text(max_size=8), FLAT_HALF_WIDTHS), min_size=1, max_size=3),
+        st.lists(st.integers(0, 2**33) | st.sampled_from([0, 2**32 - 1, 2**32]), min_size=1, max_size=12),
+    )
+    @example(seed=0, cases=[("discretize-K1-n64", 1.0), ("discretize-K2-n3", 2.0)], indices=list(range(100)))
+    @example(seed=2**32 + 5, cases=[("discretize-K1-n64", 1.0), ("discretize-K2-n3", 2.0)], indices=[0, 1, 2])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_flat_draws_of_several_streams(self, seed, cases, indices):
+        """The draws of several streams laid out flat in one call: each
+        stream's rows are the measures ``random_draws`` yields for it, with
+        their bits; K = 0.0 and 5e-324 merge every atom, so those rows go
+        through the constructor."""
+        streams, Ks = zip(*cases)
+        layout = sampling._flat_draws(seed, streams, indices, Ks)
+        expected = [value_bits(m) for stream, K in cases for (m,) in random_draws(seed, stream, indices, K)]
+        assert [(p.tobytes(), w.tobytes()) for p, w in flat_rows(layout)] == expected
+
+    def test_flat_draws_check_every_K_first(self):
+        with pytest.raises(ValueError, match="^K must be"):
+            sampling._flat_draws(0, ["a", "b"], [0], [1.0, math.nan])
 
     def test_one_stream_rngs_call(self):
         spy = StreamSpy()
@@ -3111,6 +3178,26 @@ def counterexample_report_former(phi, psi, K, *, quad_order=32, eps=1e-3, sample
     }
 
 
+def check_discretization_by_case(seed):
+    """Criterion 1's report assembled from one ``discretization_case`` call
+    per (K, n) case, as the criterion ran before its blocks."""
+    cases = [(K, n) for K in (1, 2) for n in range(K + 1, 65)]
+    rows = [discretization_case(seed, K, n) for K, n in cases]
+    violations = sum(r["violations"] for r in rows)
+    return {
+        "criterion": 1,
+        "name": "discretization_bound",
+        "ok": violations == 0,
+        "violations": int(violations),
+        "empirical_ratio_max": float(max_or_nan(r["ratio_max"] for r in rows)),
+        "cases": len(cases),
+        "measures_per_case": MEASURES_PER_CASE,
+        "modes": list(BUMP_MODES),
+        "seed": int(seed),
+        "per_n": [{key: r[key] for key in ("n", "K", "w1_bound", "w1_actual", "atoms_out")} for r in rows],
+    }
+
+
 def per_draw_loops():
     """Criteria 5 and 6 and ``ftc_check`` with their former per-draw loops:
     the antiderivative values and quotients, the symmetry residuals and
@@ -3131,7 +3218,12 @@ class TestCriterionLoops:
     """Criteria 2, 4, 5, 6, 7 and 8 serialize to the bytes of their former
     loops; also at sample counts that end in a partial draw pass (100 draws a
     pass for criteria 2, 4 and 7 and ``ftc_check``, 33 triples for criterion
-    8)."""
+    8). Criterion 1's blocks serialize to the bytes of its cases run one at
+    a time."""
+
+    def test_criterion_1(self, seed):
+        report, _ = check_discretization(seed=seed)
+        assert canonical_json(report) == canonical_json(check_discretization_by_case(seed))
 
     def test_criteria_5_and_6(self, seed):
         got = [canonical_json(check(seed=seed)[0]) for check in (check_ftc_soundness, check_counterexample)]

@@ -1,6 +1,7 @@
-"""Seeded generators: ``stream_rngs`` against numpy's own seeding, the seed
-and index checks of ``stream_rng`` and ``stream_rngs``, and the atom-count
-check of the sampled measures."""
+"""Seeded generators: ``stream_rngs``, and the seeding of many streams at
+once, against numpy's own seeding, the seed and index checks of
+``stream_rng`` and ``stream_rngs``, and the atom-count check of the sampled
+measures."""
 
 import re
 import zlib
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wasserstein_calculus import ftc_check, lift_to_field, standard_battery
-from wasserstein_calculus.sampling import random_measure, stream_rng, stream_rngs
+from wasserstein_calculus.sampling import _rngs, random_measure, stream_rng, stream_rngs
 
 # 2^32 - 1 is the largest single entropy word; 2^32 and above take stream_rng
 WORDS = st.sampled_from([0, 1, 2**31, 2**32 - 1, 2**32, 2**40 + 3]) | st.integers(0, 2**33)
@@ -32,6 +33,17 @@ class TestStreamRngs:
     def test_states_and_draws_of_numpy(self, seed, stream, indices):
         for index, rng in zip(indices, stream_rngs(seed, stream, indices), strict=True):
             expected = numpy_rng(seed, stream, index)
+            assert rng.bit_generator.state == expected.bit_generator.state
+            assert next_draws(rng) == next_draws(expected)
+
+    @given(seed=WORDS, keys=st.lists(st.tuples(STREAMS, WORDS), max_size=12))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_many_streams_at_once(self, seed, keys):
+        """One seeding call for (stream, index) pairs of several streams, as
+        criterion 1 seeds a block of cases, gives each pair its own state."""
+        tags = [(zlib.crc32(stream.encode("utf-8")), index) for stream, index in keys]
+        for (stream, index), rng in zip(keys, _rngs(seed, tags), strict=True):
+            expected = stream_rng(seed, stream, index)
             assert rng.bit_generator.state == expected.bit_generator.state
             assert next_draws(rng) == next_draws(expected)
 
