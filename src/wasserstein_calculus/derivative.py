@@ -41,11 +41,11 @@ The fields built in this package carry one, and ``canonicalize`` keeps it;
 any other field is evaluated node by node, as is every segment whose nodes
 do not share a support (see ``measures.mix_rows``).
 
-All segments of a call start at mu, so one stable sort of padded rows
-(mu's atoms with negated weights, then those of m) prepares them all: a row
-is the signed difference m - mu and the support of the node mixtures. A
-row that ``signed_difference`` would merge or ``mix_rows`` refuse is
-prepared alone by them (see ``_prepared``).
+All segments of a call start at mu, so one ``measures._padded_rows`` sort
+prepares them all, with mu's atoms (negated weights) as the part every row
+shares and then those of m: a row is the signed difference m - mu and the
+support of the node mixtures. A row that ``signed_difference`` would merge
+or ``mix_rows`` refuse is prepared alone by them (see ``_prepared``).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .measures import MASS_TOL, MERGE_TOL, DiscreteMeasure, _flat_atoms, _values_at, dirac, mix, mix_rows, signed_difference
+from .measures import MASS_TOL, MERGE_TOL, DiscreteMeasure, _atom_rows, _flat_atoms, _padded_rows, _values_at, dirac, mix, mix_rows, signed_difference
 from .sampling import _passes, random_draws
 from .util import check_samples, fsum_rows, gauss_legendre_01, max_or_nan
 
@@ -324,42 +324,9 @@ def _segments(H, mu, measures, nodes, weights) -> list:
     return out
 
 
-def _padded_rows(measures, base=None):
-    """Each measure's atoms as a row of a padded block, filled through a
-    mask: (positions, weights) of shape (rows, width), the row sizes, and
-    the mask of the pads (None if none). With a ``base``, row r holds its
-    atoms with negated weights and then those of measures[r], sorted
-    stably by position. A pad is an atom of weight 0 at a copy of its
-    row's last atom."""
-    lead_p, lead_w = (np.zeros(0), np.zeros(0)) if base is None else (base.positions, -base.weights)
-    if len(measures) == 1:
-        m = measures[0]
-        positions, weights = np.concatenate((lead_p, m.positions)), np.concatenate((lead_w, m.weights))
-        if base is not None:
-            order = positions.argsort(kind="stable")
-            positions, weights = positions[order], weights[order]
-        return positions[None], weights[None], np.array([positions.size]), None
-    count, sizes = len(measures), np.array([m.positions.size for m in measures]) + lead_p.size
-    columns = np.arange(sizes.max())
-    positions, weights = np.full((count, columns.size), np.inf), np.zeros((count, columns.size))  # pads sort last
-    positions[:, : lead_p.size], weights[:, : lead_p.size] = lead_p, lead_w
-    atoms = (columns >= lead_p.size) & (columns < sizes[:, None])  # row by row, as concatenated
-    positions[atoms] = np.concatenate([m.positions for m in measures])
-    weights[atoms] = np.concatenate([m.weights for m in measures])
-    if base is not None:
-        order = np.argsort(positions, axis=1, kind="stable")
-        order += np.arange(0, positions.size, columns.size)[:, None]  # flat indices
-        positions, weights = np.take(positions, order), np.take(weights, order)
-    pads = columns >= sizes[:, None]
-    if not pads.any():
-        return positions, weights, sizes, None
-    np.copyto(positions, positions[np.arange(count), sizes - 1][:, None], where=pads)
-    return positions, weights, sizes, pads
-
-
 def _prepared(mu, measures, nodes):
     """The segments from mu to each measure by one padded sort: (positions,
-    signed, sizes, fast) of ``_padded_rows(measures, mu)``.
+    signed, sizes, fast), from ``_padded_rows`` of mu, negated and shared.
 
     A ``fast`` row has the bits of ``signed_difference(m, mu)`` and, through
     ``_mixtures``, of ``mix_rows(mu, m, nodes)``: no two atoms lie within
@@ -367,16 +334,13 @@ def _prepared(mu, measures, nodes):
     t w are positive at the smallest factor, so at every node (rounding is
     monotone). Any other row is prepared alone (``_segment``).
     """
-    positions, signed, sizes, pads = _padded_rows(measures, mu)
+    positions, signed, sizes, pads = _padded_rows((mu.positions, -mu.weights, mu.positions.size), _atom_rows(measures))
     ok = min(1.0 - nodes[-1], nodes[0]) * np.abs(signed) > 0.0  # the nodes ascend
     ok[:, 1:] &= positions[:, 1:] - positions[:, :-1] > MERGE_TOL
     if pads is not None:  # a pad has weight 0 and a gap of 0 before it
         ok |= pads
     fast = ok.all(axis=1)
-    if abs(mu.total_mass - 1.0) > 0.5 * MASS_TOL:
-        fast[:] = False
-    masses = fsum_rows(np.where(signed > 0.0, signed, 0.0))  # m's weights, exactly summed
-    fast &= [abs(mass - 1.0) <= 0.5 * MASS_TOL for mass in masses]
+    fast &= [max(abs(mu.total_mass - 1.0), abs(m.total_mass - 1.0)) <= 0.5 * MASS_TOL for m in measures]
     return positions, signed, sizes, fast
 
 

@@ -43,7 +43,6 @@ from .derivative import (
     DEFAULT_SEED,
     DerivativeField,
     MeasureFunction,
-    _padded_rows,
     dawson_extrapolated,
     dawson_extrapolated_each,
     field_values,
@@ -60,7 +59,7 @@ from .functions import (
     lift_to_field,
     scalar_from_dict,
 )
-from .measures import DiscreteMeasure, _flat_rows, dirac, integrate, integrate_each, integrate_flat
+from .measures import DiscreteMeasure, _atom_rows, _flat_rows, _padded_rows, dirac, integrate, integrate_each, integrate_flat
 from .sampling import _passes, random_draws
 from .util import check_samples, gauss_legendre_01, max_or_nan
 
@@ -167,7 +166,7 @@ def _symmetry_pass(H: DerivativeField, ms, xs, ys, eps: float | None):
     the first draw's error."""
     if H.linear_delta is not None and H.batch_value is not None and H.batch_linear_delta is not None:
         try:
-            positions, weights, *_ = _padded_rows(ms)
+            positions, weights, *_ = _padded_rows(_atom_rows(ms))
             weights, pairs = weights[:, None, :], np.column_stack((xs, ys))
             hx, hy = H.batch_value(positions, weights, pairs)[:, 0].T
             dxy, dyx = H.batch_linear_delta(positions, weights, pairs, pairs[:, ::-1])[:, 0].T

@@ -318,6 +318,15 @@ def _flat_atoms(pairs):
     return positions, weights, np.repeat(np.arange(len(sizes)), sizes), len(sizes)
 
 
+def _atom_rows(measures):
+    """The measures as one part of ``_padded_rows``, row after row; one
+    measure is the part of a one-row block: its own arrays, an int size."""
+    if len(measures) == 1:
+        return measures[0].positions, measures[0].weights, measures[0].positions.size
+    sizes = np.array([m.positions.size for m in measures])
+    return np.concatenate([m.positions for m in measures]), np.concatenate([m.weights for m in measures]), sizes
+
+
 def _flat_rows(positions, weights, rows, count: int) -> list:
     """The (positions, weights) pair of each row of a flat layout, as views."""
     ends = np.cumsum(np.bincount(rows, minlength=count)).tolist()
@@ -368,37 +377,58 @@ def w1_rows(firsts, seconds) -> np.ndarray:
 def _w1_flat(first, second) -> np.ndarray:
     """``w1`` of row r of one flat layout (positions, weights, rows, count) of
     probability measures against row r of another, with the bits of each
-    pair alone.
+    pair alone; a layout whose ``rows`` are None is one row.
 
-    Index arithmetic on the layouts fills a padded (count, width) array: row r
-    holds the first measure's atoms, the second's with negated weights, then
-    atoms at +inf of weight 0 (one row is the plain concatenation, and its
-    ``rows`` are not read). A stable sort of each row leaves the padding last
-    and the real atoms in the order of the one-row sort; the running sums are
-    sequential along the row; and the gaps that touch the padding are zeroed
-    before one exactly rounded sum per row (``util.fsum_rows``).
+    ``_padded_rows`` sorts row r of the first and of the second, with negated
+    weights, into one padded row in the order of the one-row sort; the
+    running sums are sequential along the row, a pad adds a gap of 0, and
+    each row has one exactly rounded sum (``util.fsum_rows``).
     """
     (pa, wa, ra, count), (pb, wb, rb, _) = first, second
-    if count == 1:
-        pos, signed = np.concatenate((pa, pb))[None, :], np.concatenate((wa, -wb))[None, :]
-    else:
-        na, nb = np.bincount(ra, minlength=count), np.bincount(rb, minlength=count)
-        width = int((na + nb).max(initial=1))
-        # flat index of an atom: its row's offset, plus its place in the row
-        ia = np.arange(pa.size) + (np.arange(0, count * width, width) - np.cumsum(na) + na)[ra]
-        ib = np.arange(pb.size) + (np.arange(0, count * width, width) - np.cumsum(nb) + nb + na)[rb]
-        pos, signed = np.full(count * width, np.inf), np.zeros(count * width)
-        pos[ia], pos[ib], signed[ia], signed[ib] = pa, pb, wa, -wb
-        pos, signed = pos.reshape(count, width), signed.reshape(count, width)
-    width = pos.shape[1]
-    order = np.argsort(pos, axis=1, kind="stable")
-    order += np.arange(0, pos.size, width)[:, None]  # flat indices
-    pos = np.take(pos, order)
-    cdf_gap = compensated_cumsum(np.take(signed, order))
-    gaps = np.subtract(
-        pos[:, 1:], pos[:, :-1], out=np.zeros((count, width - 1)), where=pos[:, 1:] < np.inf
-    )
-    return np.array(fsum_rows(np.abs(cdf_gap[:, :-1]) * gaps))
+    na, nb = (p.size if r is None else np.bincount(r, minlength=count) for p, r in ((pa, ra), (pb, rb)))
+    pos, signed, _, _ = _padded_rows((pa, wa, na), (pb, -wb, nb))
+    cdf_gap = compensated_cumsum(signed)
+    return np.array(fsum_rows(np.abs(cdf_gap[:, :-1]) * (pos[:, 1:] - pos[:, :-1])))
+
+
+def _padded_rows(*parts):
+    """Rows of atoms, each stably sorted by position, in one padded block.
+
+    A part is (positions, weights, sizes): with per-row ``sizes``, its atoms
+    laid out row after row, as ``_flat_atoms`` lays them; with an int, one
+    row that every row shares, before every per-row part. Row r holds each
+    part's row r in turn, stably sorted, so tied atoms keep part order; one
+    row is the plain concatenation of the parts, sorted. Returns (positions,
+    weights, sizes, pads): (rows, width) blocks, the atoms of each row, and
+    the mask of the pads, or None if none. A pad has weight 0 at a copy of
+    its row's last atom, so a padded row must hold an atom.
+    """
+    positions, weights, sizes = zip(*parts)
+    sizes = sum(sizes)
+    if np.size(sizes) == 1:
+        positions, weights = np.concatenate(positions), np.concatenate(weights)
+        order = positions.argsort(kind="stable")
+        return positions[order][None], weights[order][None], np.array([positions.size]), None
+    widths = sizes.tolist()
+    count, columns = len(widths), np.arange(max(widths, default=0))
+    positions, weights = np.full((count, columns.size), np.inf), np.zeros((count, columns.size))  # pads sort last
+    start = 0  # the first column of the next part: an int, then one per row
+    for p, w, s in parts:
+        if np.ndim(s) == 0:  # shared: the same columns in every row
+            positions[:, start : start + s], weights[:, start : start + s] = p, w
+            start += s
+        else:
+            end = start + s[:, None]
+            cells = (columns >= start) & (columns < end)
+            positions[cells], weights[cells] = p, w
+            start = end
+    rows, order = np.arange(count)[:, None], np.argsort(positions, axis=1, kind="stable")
+    positions, weights = positions[rows, order], weights[rows, order]
+    if min(widths, default=0) == columns.size:
+        return positions, weights, sizes, None
+    pads = columns >= start
+    np.copyto(positions, positions[rows, start - 1], where=pads)
+    return positions, weights, sizes, pads
 
 
 def kr_lower_bound(a: DiscreteMeasure, b: DiscreteMeasure, f) -> float:

@@ -28,6 +28,7 @@ from wasserstein_calculus import (
     random_point,
     stream_rng,
 )
+from wasserstein_calculus.measures import _padded_rows, w1_rows
 
 TOL = 1e-12
 
@@ -62,6 +63,28 @@ def measures(draw, max_atoms=6, bound=1.0):
     raws = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
     total = math.fsum(raws)
     return DiscreteMeasure(np.array(positions), np.array(raws) / total)
+
+
+@st.composite
+def padded_parts(draw):
+    """Parts of ``_padded_rows``: maybe a shared part, shared by at least one
+    row, then per-row parts whose rows may be empty, though no padded row
+    is. Positions come from four values, so atoms tie within and across
+    parts; every weight is a distinct positive number, so each atom can be
+    told apart from a pad."""
+    shared = draw(st.none() | st.integers(0, 3))
+    count = draw(st.integers(shared is not None, 4))
+    per_row = [draw(st.lists(st.integers(0, 3), min_size=count, max_size=count)) for _ in range(draw(st.integers(shared is None, 3)))]
+    for r in range(count):
+        if per_row and not (shared or any(sizes[r] for sizes in per_row)):
+            per_row[-1][r] = 1
+    parts, ids = [], 1.0
+    for sizes in ([] if shared is None else [shared]) + per_row:
+        n = sum(sizes) if isinstance(sizes, list) else sizes
+        positions = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=n, max_size=n)))
+        parts.append((positions, ids + np.arange(n), np.array(sizes, dtype=int) if isinstance(sizes, list) else sizes))
+        ids += n
+    return parts
 
 
 class TestConstruction:
@@ -267,6 +290,37 @@ class TestKRLowerBound:
         d = w1(a, b)
         for f in lipschitz_probes():
             assert kr_lower_bound(a, b, f) <= d + TOL
+
+
+class TestPaddedRows:
+    @given(padded_parts())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_rows_are_stable_sorts_of_their_parts(self, parts):
+        positions, weights, sizes, pads = _padded_rows(*parts)
+        per_row = [s for _, _, s in parts if np.ndim(s)]
+        count = per_row[0].size if per_row else 1
+        rows = [[] for _ in range(count)]  # each row's atoms, part after part
+        for p, w, s in parts:
+            ends = np.cumsum(np.broadcast_to(s, count)) if np.ndim(s) else [s] * count
+            for r, end in enumerate(ends):
+                start = end - (s[r] if np.ndim(s) else s)
+                rows[r] += list(zip(p[start:end], w[start:end]))
+        totals = [len(atoms) for atoms in rows]
+        width = max(totals, default=0)
+        assert positions.shape == weights.shape == (count, width)
+        assert sizes.tolist() == totals
+        assert (pads is None) == all(size == width for size in totals)
+        for r, atoms in enumerate(rows):
+            order = np.argsort([x for x, _ in atoms], kind="stable").tolist()
+            assert positions[r, : totals[r]].tolist() == [atoms[i][0] for i in order]
+            assert weights[r, : totals[r]].tolist() == [atoms[i][1] for i in order]
+            if pads is not None:  # a pad: weight 0 at a copy of its row's last atom
+                assert pads[r].tolist() == [c >= totals[r] for c in range(width)]
+                assert (weights[r, totals[r] :] == 0.0).all()
+                assert (positions[r, totals[r] :] == positions[r, totals[r] - 1]).all()
+
+    def test_no_rows(self):
+        assert w1_rows([], []).shape == (0,)
 
 
 class TestSignedDifference:

@@ -100,7 +100,17 @@ from wasserstein_calculus.acceptance import (
 )
 from wasserstein_calculus.derivative import BLOCK_VALUES, MIN_STEP, SEGMENT_BLOCK
 from wasserstein_calculus.functions import CylinderDerivatives
-from wasserstein_calculus.measures import JSON_MASS_TOL, MASS_TOL, MERGE_TOL, _flat_atoms, _values_at, _w1_flat, mix_rows
+from wasserstein_calculus.measures import (
+    JSON_MASS_TOL,
+    MASS_TOL,
+    MERGE_TOL,
+    _atom_rows,
+    _flat_atoms,
+    _padded_rows,
+    _values_at,
+    _w1_flat,
+    mix_rows,
+)
 from wasserstein_calculus import partition as partition_module
 from wasserstein_calculus.partition import GRID_SNAP, WEIGHT_FLOOR, _discretize_flat, _mollifier, _smoothstep
 from wasserstein_calculus import sampling
@@ -2254,7 +2264,7 @@ class TestSymmetryPasses:
             assert name.startswith(("canonical", "user"))
             return
         ms = antiderivative_pass()[0][:9]
-        positions, weights, sizes, _ = derivative_module._padded_rows(ms)
+        positions, weights, sizes, _ = _padded_rows(_atom_rows(ms))
         even = (np.arange(positions.shape[1]) < sizes[:, None]) / sizes[:, None]
         t = np.array([0.0, 0.25, 0.75])[:, None]
         nodes = (1.0 - t) * weights[:, None, :] + t * even[:, None, :]  # (segments, nodes, atoms)
