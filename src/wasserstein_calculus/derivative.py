@@ -340,7 +340,10 @@ def _prepared(mu, measures, nodes):
     if pads is not None:  # a pad has weight 0 and a gap of 0 before it
         ok |= pads
     fast = ok.all(axis=1)
-    fast &= [max(abs(mu.total_mass - 1.0), abs(m.total_mass - 1.0)) <= 0.5 * MASS_TOL for m in measures]
+    if abs(mu.total_mass - 1.0) > 0.5 * MASS_TOL:
+        fast[:] = False
+    masses = fsum_rows(np.maximum(signed, 0.0))  # m's weights, exactly summed
+    fast &= [abs(mass - 1.0) <= 0.5 * MASS_TOL for mass in masses]
     return positions, signed, sizes, fast
 
 

@@ -401,33 +401,34 @@ def _padded_rows(*parts):
     row is the plain concatenation of the parts, sorted. Returns (positions,
     weights, sizes, pads): (rows, width) blocks, the atoms of each row, and
     the mask of the pads, or None if none. A pad has weight 0 at a copy of
-    its row's last atom, so a padded row must hold an atom.
+    its row's last atom, so a padded row must hold an atom; the atoms must
+    be finite, as the pads are the cells that sort last at +inf.
     """
     positions, weights, sizes = zip(*parts)
     sizes = sum(sizes)
-    if np.size(sizes) == 1:
+    if not isinstance(sizes, np.ndarray):  # every part is one shared row
         positions, weights = np.concatenate(positions), np.concatenate(weights)
         order = positions.argsort(kind="stable")
-        return positions[order][None], weights[order][None], np.array([positions.size]), None
-    widths = sizes.tolist()
-    count, columns = len(widths), np.arange(max(widths, default=0))
-    positions, weights = np.full((count, columns.size), np.inf), np.zeros((count, columns.size))  # pads sort last
+        return positions[order][None], weights[order][None], np.array([sizes]), None
+    count, width = sizes.size, int(sizes.max(initial=0))
+    firsts = np.arange(count) * width  # flat index of each row's first cell
+    positions, weights = np.full(count * width, np.inf), np.zeros(count * width)  # pads sort last
     start = 0  # the first column of the next part: an int, then one per row
     for p, w, s in parts:
-        if np.ndim(s) == 0:  # shared: the same columns in every row
-            positions[:, start : start + s], weights[:, start : start + s] = p, w
-            start += s
-        else:
-            end = start + s[:, None]
-            cells = (columns >= start) & (columns < end)
+        end = start + s
+        if isinstance(s, np.ndarray):  # an atom's cell: its row's first free one, plus its place in the row
+            cells = np.arange(p.size) + (firsts + end - s.cumsum()).repeat(s)
             positions[cells], weights[cells] = p, w
-            start = end
-    rows, order = np.arange(count)[:, None], np.argsort(positions, axis=1, kind="stable")
-    positions, weights = positions[rows, order], weights[rows, order]
-    if min(widths, default=0) == columns.size:
+        else:  # shared: the same columns in every row
+            positions.reshape(count, width)[:, start:end] = p
+            weights.reshape(count, width)[:, start:end] = w
+        start = end
+    order = positions.reshape(count, width).argsort(axis=1, kind="stable") + firsts[:, None]
+    positions, weights = positions.take(order), weights.take(order)
+    if sizes.min(initial=width) == width:
         return positions, weights, sizes, None
-    pads = columns >= start
-    np.copyto(positions, positions[rows, start - 1], where=pads)
+    pads = positions == np.inf
+    np.copyto(positions, positions.take(firsts + sizes - 1)[:, None], where=pads)
     return positions, weights, sizes, pads
 
 

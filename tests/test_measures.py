@@ -74,7 +74,8 @@ def padded_parts(draw):
     told apart from a pad."""
     shared = draw(st.none() | st.integers(0, 3))
     count = draw(st.integers(shared is not None, 4))
-    per_row = [draw(st.lists(st.integers(0, 3), min_size=count, max_size=count)) for _ in range(draw(st.integers(shared is None, 3)))]
+    row_sizes = st.lists(st.integers(0, 3), min_size=count, max_size=count)
+    per_row = [draw(row_sizes) for _ in range(draw(st.integers(shared is None, 3)))]
     for r in range(count):
         if per_row and not (shared or any(sizes[r] for sizes in per_row)):
             per_row[-1][r] = 1
@@ -301,10 +302,10 @@ class TestPaddedRows:
         count = per_row[0].size if per_row else 1
         rows = [[] for _ in range(count)]  # each row's atoms, part after part
         for p, w, s in parts:
-            ends = np.cumsum(np.broadcast_to(s, count)) if np.ndim(s) else [s] * count
-            for r, end in enumerate(ends):
-                start = end - (s[r] if np.ndim(s) else s)
-                rows[r] += list(zip(p[start:end], w[start:end]))
+            ends = np.cumsum(s).tolist() if np.ndim(s) else None
+            bounds = zip([0, *ends], ends) if ends is not None else [(0, s)] * count  # shared: all in every row
+            for r, (a, b) in enumerate(bounds):
+                rows[r] += list(zip(p[a:b], w[a:b]))
         totals = [len(atoms) for atoms in rows]
         width = max(totals, default=0)
         assert positions.shape == weights.shape == (count, width)
