@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wasserstein_calculus import ftc_check, lift_to_field, standard_battery
-from wasserstein_calculus.sampling import _rngs, random_measure, stream_rng, stream_rngs
+from wasserstein_calculus.sampling import _rngs, random_draws, random_measure, stream_rng, stream_rngs
 
 # 2^32 - 1 is the largest single entropy word; 2^32 and above take stream_rng
 WORDS = st.sampled_from([0, 1, 2**31, 2**32 - 1, 2**32, 2**40 + 3]) | st.integers(0, 2**33)
@@ -122,3 +122,22 @@ class TestMaxAtoms:
     @pytest.mark.parametrize("value", [1, np.int64(4), np.uint8(12)])
     def test_integer_types(self, value):
         assert 1 <= len(random_measure(stream_rng(0, "s", 0), 1.0, value)) <= value
+
+
+class TestDrawCounts:
+    """The measure and point counts of ``random_draws`` are non-negative
+    integers, refused before any draw: -1 measures yielded none, True was
+    taken as 1, 1.5 measures failed in ``islice``, and 1.5 or -1 points in
+    numpy."""
+
+    @pytest.mark.parametrize("name", ["measures", "points"])
+    @pytest.mark.parametrize("value", [-1, -(2**70), 1.5, 2.0, np.float64(1.0), True, np.True_, "1", None])
+    def test_refused(self, name, value):
+        message = f"^{name} must be a non-negative integer, not {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            next(random_draws(0, "s", range(3), 1.0, **{name: value}))
+
+    @pytest.mark.parametrize("value", [0, np.int64(2), np.uint8(1)])
+    def test_integer_types(self, value):
+        (draw,) = random_draws(0, "s", [5], 1.0, measures=value, points=value)
+        assert len(draw) == 2 * int(value)
