@@ -12,13 +12,20 @@ takes ``stream_rng``'s path.
 
 ``random_measure`` and ``random_point`` draw from one generator.
 ``random_draws`` yields the measures and points of many indices of one
-stream, with the same bits: one ``stream_rngs`` call seeds them, and every
-``_DRAW_CHUNK`` measures are built in one array pass, laid out flat.
-``_flat_draws`` lays out the measures of several streams in one pass.
+stream, with the same bits, without a generator per index: ``_draw_passes``
+re-implements, in uint64 arrays for every index of a pass at once, numpy's
+seeding, ``PCG64``'s output (``_pcg64_words``), the bounded integer of an
+atom count, uniform doubles and the fast path of numpy's exponential
+ziggurat (``_decode``), whose tables ``_ziggurat`` reads from numpy. An
+index whose draws leave that fast path takes numpy's own generator, set to
+the state the arrays give it. Every ``_DRAW_CHUNK`` measures are built in
+one array pass, laid out flat. ``_flat_draws`` lays out the measures of
+several streams in one pass.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -44,6 +51,17 @@ _MASK32 = 0xFFFFFFFF
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+_MASK64 = (1 << 64) - 1
+# uint64 operands throughout: under numpy 1.x, uint64 mixed with a signed
+# integer becomes float64
+_U1, _U3, _U11, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 3, 11, 32, 58, 63, 64))
+_LOW32 = np.uint64(_MASK32)
+# Lemire's bounded draw of an atom count in 1..MAX_ATOMS (numpy's
+# buffered_bounded_lemire_uint32): a 32-bit word times MAX_ATOMS, rejected
+# when its low half is below (2^32 - MAX_ATOMS) mod MAX_ATOMS
+_ATOM_SPAN = np.uint64(MAX_ATOMS)
+_LEMIRE_THRESHOLD = np.uint64((2**32 - MAX_ATOMS) % MAX_ATOMS)
+_ZIGGURAT_STRIPS = 256
 
 
 def _word(name: str, value, least: int = 0) -> int:
@@ -114,6 +132,87 @@ def _pcg64_seed_words(seed: int, tags: np.ndarray, indices: np.ndarray) -> np.nd
     return (state[0::2] | state[1::2] << 32).T
 
 
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    """a * b modulo 2^128 on (high, low) uint64 limbs, broadcast: the high
+    word of the low words' product from their 32-bit halves, the cross
+    terms wrapped. In place, to keep few temporaries alive."""
+    a0, a1, b0, b1 = a_lo & _LOW32, a_lo >> _U32, b_lo & _LOW32, b_lo >> _U32
+    hi = a_lo * b_hi
+    term = np.multiply(a_hi, b_lo)
+    hi += term
+    hi += np.multiply(a1, b1, out=term)
+    part = a0 * b0
+    part >>= _U32
+    for x, y in ((a0, b1), (a1, b0)):
+        cross = np.multiply(x, y, out=term)
+        hi += cross >> _U32
+        part += np.bitwise_and(cross, _LOW32, out=cross)
+    hi += np.right_shift(part, _U32, out=part)
+    return hi, np.multiply(a_lo, b_lo, out=part)
+
+
+@functools.cache
+def _jumps(count: int) -> np.ndarray:
+    """The limbs (high and low of A_k, then of C_k) of ``count`` LCG jumps:
+    A_k = M^(k+1) and C_k = 1 + M + ... + M^k modulo 2^128, so that k + 1
+    steps from a state t - inc ... reach A_k t + C_k inc."""
+    a, c, limbs = _PCG_MULT, 1, []
+    for _ in range(count):
+        limbs.append((a >> 64, a & _MASK64, c >> 64, c & _MASK64))
+        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+    return np.array(limbs, dtype=np.uint64).reshape(count, 4).T
+
+
+def _pcg64_states(seed: int, tags: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """For each (tag, index) row below 2^32, the limbs of t = initstate +
+    inc and of the odd increment inc of its seeded ``PCG64``: one (4, rows)
+    array of t_hi, t_lo, inc_hi, inc_lo.
+
+    ``pcg64_srandom_r`` steps once from state 0 (to inc), adds the initial
+    state and steps again, so the seeded state is M t + inc, and the state
+    of the k-th output is A_k t + C_k inc (``_jumps``).
+    """
+    init_hi, init_lo, seq_hi, seq_lo = _pcg64_seed_words(seed, tags, indices).T
+    inc_hi, inc_lo = seq_hi << _U1 | seq_lo >> _U63, seq_lo << _U1 | _U1
+    t_lo = init_lo + inc_lo
+    return np.stack((init_hi + inc_hi + (t_lo < init_lo), t_lo, inc_hi, inc_lo))
+
+
+def _jumped(starts: np.ndarray, count: int):
+    """The (high, low) limbs of the first ``count`` LCG states of each row of
+    ``starts`` (``_pcg64_states``): the seeded state, then the state of each
+    output in turn; shape (rows, count) each."""
+    a_hi, a_lo, c_hi, c_lo = _jumps(count)
+    t_hi, t_lo, inc_hi, inc_lo = starts[:, :, None]
+    x_hi, x_lo = _mul128(t_hi, t_lo, a_hi, a_lo)
+    y_hi, y_lo = _mul128(inc_hi, inc_lo, c_hi, c_lo)
+    x_lo += y_lo
+    x_hi += y_hi
+    x_hi += x_lo < y_lo  # the carry
+    return x_hi, x_lo
+
+
+def _pcg64_words(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's output of each 128-bit state: XSL-RR, the XOR of its halves
+    rotated right by its top six bits."""
+    folded, rot = hi ^ lo, hi >> _U58
+    left = np.subtract(_U64, rot)
+    left &= _U63
+    np.left_shift(folded, left, out=left)
+    folded >>= rot
+    folded |= left
+    return folded
+
+
+def _set_state(bit_generator, state_hi: int, state_lo: int, inc_hi: int, inc_lo: int) -> None:
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def stream_rngs(seed: int, stream: str, indices):
     """Yield, in order, the generator of each index of one stream, in the
     state ``stream_rng(seed, stream, index)`` starts in, with its bits.
@@ -132,7 +231,7 @@ def _rngs(seed: int, keys: list):
     """Yield the generator of each (stream tag, index) pair of ``keys``, in
     the state ``stream_rng`` gives it, for a checked seed and indices.
 
-    The seeding runs once for all the pairs (``_pcg64_seed_words``). Then one
+    The seeding runs once for all the pairs (``_pcg64_states``). Then one
     ``PCG64`` and its ``Generator``, made once per call, take each pair's
     state before it is yielded. A seed or index of 2^32 or more is more than
     one entropy word in ``SeedSequence``; such an index, or every index of
@@ -143,27 +242,142 @@ def _rngs(seed: int, keys: list):
             yield np.random.default_rng(np.random.SeedSequence([seed, *key]))
         return
     small = np.array([key for key in keys if key[1] <= _MASK32], dtype=np.uint32).reshape(-1, 2)
+    starts = _pcg64_states(seed, small[:, 0], small[:, 1])
+    state_hi, state_lo = (limb[:, 0] for limb in _jumped(starts, 1))
     # one row at a time: Python ints for every index at once would raise the
     # peak memory of a 1,000-sample check by about 0.3 MiB
-    seeds = iter(_pcg64_seed_words(seed, small[:, 0], small[:, 1]))
+    states = iter(np.stack((state_hi, state_lo, *starts[2:]), axis=1))
     bit_generator = np.random.PCG64()
     rng = np.random.Generator(bit_generator)
     for key in keys:
         if key[1] > _MASK32:
             yield np.random.default_rng(np.random.SeedSequence([seed, *key]))
             continue
-        state_hi, state_lo, seq_hi, seq_lo = next(seeds).tolist()
-        # pcg64_srandom_r: the stream's odd increment, then two LCG steps
-        # from state 0, adding the initial state between them
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        state = ((state_hi << 64 | state_lo) + inc) * _PCG_MULT + inc
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state & _MASK128, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        _set_state(bit_generator, *next(states).tolist())
         yield rng
+
+
+def _exponential_of(rng: np.random.Generator, word: int):
+    """numpy's standard exponential of one 64-bit output ``word`` of
+    ``rng``, whose state is set so that its next output is ``word``, and
+    whether that draw used exactly the one word (the ziggurat's fast path).
+
+    The state whose next step lands on ``word`` itself, high half zero, has
+    rotation 0, so its output is ``word``.
+    """
+    _set_state(rng.bit_generator, *divmod((word - 1) * _PCG_MULT_INV & _MASK128, 1 << 64), 0, 1)
+    value = rng.standard_exponential()
+    return value, rng.bit_generator.state["state"]["state"] == word
+
+
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)
+
+
+def _strip_word(strip: int, ri: int) -> int:
+    """The output word the ziggurat reads as strip ``strip`` and 53-bit
+    value ``ri``: ri above bit 11, the strip in bits 3-10."""
+    return ri << 11 | strip << 3
+
+
+def _fast_bound(fast, guess: int) -> int:
+    """The least ri that ``fast`` refuses, where ``fast`` holds for every ri
+    below it and none above, searched from ``guess``: steps of doubling
+    length away from it until a fast ri and a refused one bracket the
+    bound, then bisection. ri is a 53-bit value: -1 counts as fast and 2^53
+    as refused, and neither is probed."""
+
+    def holds(ri):
+        return ri < 0 or (ri < 2**53 and fast(ri))
+
+    lo = min(max(guess, 0), 2**53) - 1
+    hi, step = lo + 1, 1
+    while not holds(lo):
+        lo, hi, step = max(lo - step, -1), lo, 2 * step
+    while holds(hi):
+        lo, hi, step = hi, min(hi + step, 2**53), 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return hi
+
+
+@functools.cache
+def _ziggurat():
+    """numpy's exponential ziggurat tables (``ziggurat_constants.h``),
+    ``ke`` (uint64) and ``we`` (float64), read once per process through a
+    private generator: a draw of strip i and 53-bit value ri is ri * we[i],
+    returned at once when ri < ke[i].
+
+    Strip i's width we[i] is the draw of ri = 1 where that is fast (0 where
+    it is not, as on strip 1, whose ke is 0). Its bound ke[i] is searched
+    (``_fast_bound``) from the value of Marsaglia and Tsang's construction,
+    the width ratio we[i - 1] / we[i] times 2^53 (we[255] / we[0] for strip
+    0), which lies within a few units of numpy's table.
+    """
+    rng = np.random.Generator(np.random.PCG64())
+    we = np.zeros(_ZIGGURAT_STRIPS)
+    for strip in range(_ZIGGURAT_STRIPS):
+        value, fast = _exponential_of(rng, _strip_word(strip, 1))
+        we[strip] = value if fast else 0.0
+    ke = np.zeros(_ZIGGURAT_STRIPS, dtype=np.uint64)
+    for strip in range(_ZIGGURAT_STRIPS):
+        guess = int(we[strip - 1] / we[strip] * 2.0**53) if we[strip] > 0.0 else 0
+        ke[strip] = _fast_bound(lambda ri: _exponential_of(rng, _strip_word(strip, ri))[1], guess)
+    return ke, we
+
+
+def _decode(words: np.ndarray, low: np.ndarray, width: np.ndarray, measures: int, points: int):
+    """Each row's draws from its output ``words``, as a ``Generator`` in
+    that state makes them: ``measures`` times an atom count, then that many
+    uniform positions in [low, low + width) and standard exponentials;
+    then ``points`` uniform points.
+
+    An atom count is Lemire's bounded draw on 32 bits: the low half of the
+    next word, or the high half that numpy's ``next_uint32`` buffered from
+    the previous count's word. A uniform is low + width (w >> 11) 2^-53.
+    An exponential is the ziggurat's fast path, ri we[i] for ri = w >> 11
+    and strip i = bits 3-10 of w when ri < ke[i] (``_ziggurat``).
+
+    Returns the positions (rows, measures, MAX_ATOMS, padded with +inf), the
+    exponentials (padded with zeros), the atom counts (rows, measures), the
+    points (rows, points) and whether each row was decoded: False where an
+    exponential leaves the fast path or a count is rejected, which would use
+    more words.
+    """
+    ke, we = _ziggurat()
+    rows, width_words = words.shape
+    flat_start = np.arange(rows) * width_words
+    atoms = np.arange(MAX_ATOMS)
+    at = np.zeros(rows, dtype=np.intp)  # each row's next word
+    decoded = np.ones(rows, dtype=bool)
+    positions = np.full((rows, measures, MAX_ATOMS), np.inf)
+    exponentials = np.zeros((rows, measures, MAX_ATOMS))
+    counts = np.zeros((rows, measures), dtype=np.intp)
+
+    def uniforms(ahead):
+        # the gathered words past a row's end are only read where masked
+        drawn = np.take(words, (flat_start + at)[:, None] + ahead, mode="clip") >> _U11
+        return low + width * (drawn * 2.0**-53)
+
+    for j in range(measures):
+        if j % 2 == 0:
+            word = words[np.arange(rows), at]
+            at += 1
+            half, spare = word & _LOW32, word >> _U32
+        else:
+            half = spare
+        scaled = half * _ATOM_SPAN
+        decoded &= (scaled & _LOW32) >= _LEMIRE_THRESHOLD
+        counts[:, j] = n = (scaled >> _U32).astype(np.intp) + 1
+        real = atoms < n[:, None]
+        positions[:, j] = np.where(real, uniforms(atoms), np.inf)
+        at += n
+        drawn = np.take(words, (flat_start + at)[:, None] + atoms, mode="clip")
+        ri, strip = drawn >> _U11, (drawn >> _U3).astype(np.uint8)
+        decoded &= ((ri < ke[strip]) | ~real).all(axis=1)
+        exponentials[:, j] = np.where(real, ri * we[strip], 0.0)
+        at += n
+    return positions, exponentials, counts, uniforms(np.arange(points)), decoded
 
 
 def _check_half_width(K: float) -> None:
@@ -180,29 +394,80 @@ def _draw(rng: np.random.Generator, K: float, max_atoms: int):
     return rng.uniform(-K, K, size=n), rng.standard_exponential(n)
 
 
-def _measures(draws: list):
-    """The measure of each ``_draw``, in one array pass for all of them,
+def _draw_passes(seed: int, keys: list, Ks: list, measures: int, points: int, per_pass: int):
+    """The draws of each run of ``per_pass`` keys, in order: ``measures``
+    measures, then ``points`` points, of each (stream tag, index) key with
+    its half-width K, with the bits of ``_draw`` and ``uniform(-K, K,
+    points)`` on the key's ``stream_rng``, as ``_draw_pass`` makes them.
+
+    One ``_pcg64_states`` call seeds every key below 2^32, and one
+    ``PCG64`` and its ``Generator``, made once per call, draw the keys that
+    ``_decode`` refuses.
+    """
+    big = np.array([seed > _MASK32 or index > _MASK32 for _, index in keys], dtype=bool).reshape(-1)
+    starts = np.zeros((4, len(keys)), dtype=np.uint64)
+    if not big.all():
+        small = np.array([key for key, large in zip(keys, big) if not large], dtype=np.uint32)
+        starts[:, ~big] = _pcg64_states(seed, small[:, 0], small[:, 1])
+    rng = np.random.Generator(np.random.PCG64())
+    for a in range(0, len(keys), per_pass):
+        run = slice(a, a + per_pass)
+        yield _draw_pass(seed, keys[run], Ks[run], starts[:, run], big[run], rng, measures, points)
+
+
+def _draw_pass(seed: int, keys: list, Ks: list, starts: np.ndarray, big: np.ndarray, rng, measures: int, points: int):
+    """One pass of ``_draw_passes``: padded rows of measures, key after key,
+    as ``_measures`` takes them, and the points (keys, points).
+
+    Each key's state is jumped ahead to all the words its draws may use, at
+    most one per two counts, two per atom and one per point, and the words
+    are decoded (``_decode``). A key that ``_decode`` refuses draws with
+    ``rng``, set to the key's seeded state, and a key of ``big`` with a
+    generator seeded by ``SeedSequence``.
+    """
+    count = (measures + 1) // 2 + 2 * MAX_ATOMS * measures + points
+    hi, lo = _jumped(starts, count + 1)
+    row_Ks = np.array(Ks, dtype=float)[:, None]
+    positions, exponentials, counts, drawn, decoded = _decode(
+        _pcg64_words(hi[:, 1:], lo[:, 1:]), -row_Ks, row_Ks - -row_Ks, measures, points  # -K + (K - -K) u
+    )
+    refused = np.flatnonzero(~decoded | big)
+    seeded = np.stack((hi[refused, 0], lo[refused, 0], *starts[2:, refused]), axis=1).tolist()
+    for r, state in zip(refused.tolist(), seeded):
+        if big[r]:
+            drawer = np.random.default_rng(np.random.SeedSequence([seed, *keys[r]]))
+        else:
+            _set_state(rng.bit_generator, *state)
+            drawer = rng
+        for j in range(measures):
+            pos, exps = _draw(drawer, Ks[r], MAX_ATOMS)
+            counts[r, j] = n = pos.size
+            positions[r, j, :n], positions[r, j, n:] = pos, np.inf
+            exponentials[r, j, :n], exponentials[r, j, n:] = exps, 0.0
+        if points:
+            drawn[r] = drawer.uniform(-Ks[r], Ks[r], points)
+    return positions.reshape(-1, MAX_ATOMS), exponentials.reshape(-1, MAX_ATOMS), counts.ravel(), drawn
+
+
+def _measures(positions: np.ndarray, exponentials: np.ndarray, counts: np.ndarray):
+    """The measure of each row of draws, in one array pass for all of them,
     laid out flat (``measures._flat_atoms``).
 
-    Rows of padded arrays hold the draws: positions padded with +inf,
-    exponentials with zeros. Each row's weights are its exponentials times
-    one over their left-to-right sum (``np.add.accumulate``, which the zero
-    padding does not change). That is ``rng.dirichlet(np.ones(n))`` step for
-    step, as numpy's gamma variate of shape one is a standard exponential,
-    and NaN for all-zero draws. A row sorted by one stable argsort whose
+    The rows hold the draws in draw order: the first ``counts[r]`` entries
+    of row r are its positions and exponentials, padded after them with
+    +inf and zeros. Each row's weights are its exponentials times one over
+    their left-to-right sum (``np.add.accumulate``, which the zero padding
+    does not change). That is ``rng.dirichlet(np.ones(n))`` step for step,
+    as numpy's gamma variate of shape one is a standard exponential, and
+    NaN for all-zero draws. A row sorted by one stable argsort whose
     ``math.fsum`` mass (``util.fsum_rows``) is within ``MASS_TOL`` of one,
     whose weights are positive and whose gaps exceed ``MERGE_TOL`` is
     canonical: it holds the constructor's bits. Any other row goes through
     the constructor, with its merges and errors, and its atoms are spliced
-    in.
+    in. ``exponentials`` becomes the weights, in place.
     """
-    sizes = [pos.size for pos, _ in draws]
-    counts = np.array(sizes)
-    real = np.arange(max(sizes)) < counts[:, None]
-    pos = np.full(real.shape, np.inf)
-    pos[real] = np.concatenate([pos for pos, _ in draws])
-    weights = np.zeros(real.shape)
-    weights[real] = np.concatenate([exps for _, exps in draws])
+    pos, weights = positions, exponentials
+    real = np.arange(pos.shape[1]) < counts[:, None]
     order = np.argsort(pos, axis=1, kind="stable")
     order += np.arange(0, pos.size, pos.shape[1])[:, None]  # flat indices
     sorted_pos = np.take(pos, order)
@@ -218,13 +483,14 @@ def _measures(draws: list):
     # the padding sorts last, so the real atoms of every row stay in place
     flat_pos, flat_w = sorted_pos[real], sorted_w[real]
     rebuilt = np.flatnonzero(~trusted).tolist()
+    counts = counts.copy()
     if rebuilt:
-        rows = _flat_rows(flat_pos, flat_w, np.repeat(np.arange(len(sizes)), counts), len(sizes))
+        rows = _flat_rows(flat_pos, flat_w, np.repeat(np.arange(counts.size), counts), counts.size)
         for r in rebuilt:
-            m = DiscreteMeasure(draws[r][0], weights[r, : sizes[r]])
+            m = DiscreteMeasure(pos[r, : counts[r]], weights[r, : counts[r]])
             rows[r], counts[r] = (m.positions, m.weights), len(m)
         flat_pos, flat_w = (np.concatenate(arrays) for arrays in zip(*rows))
-    return flat_pos, flat_w, np.repeat(np.arange(len(sizes)), counts), len(sizes)
+    return flat_pos, flat_w, np.repeat(np.arange(counts.size), counts), counts.size
 
 
 def random_measure(rng: np.random.Generator, K: float, max_atoms: int = MAX_ATOMS) -> DiscreteMeasure:
@@ -236,7 +502,8 @@ def random_measure(rng: np.random.Generator, K: float, max_atoms: int = MAX_ATOM
     draw; a loop over the indices of a stream should use ``random_draws``.
     """
     _check_half_width(K)
-    return DiscreteMeasure._trusted(*_measures([_draw(rng, K, _word("max_atoms", max_atoms, least=1))])[:2])
+    positions, exponentials = _draw(rng, K, _word("max_atoms", max_atoms, least=1))
+    return DiscreteMeasure._trusted(*_measures(positions[None], exponentials[None], np.array([positions.size]))[:2])
 
 
 def random_point(rng: np.random.Generator, K: float) -> float:
@@ -250,48 +517,51 @@ def random_point(rng: np.random.Generator, K: float) -> float:
 _DRAW_CHUNK = 100
 
 
+def _keys(seed, streams, indices):
+    """The checked seed and the (stream tag, index) key of each index of
+    each stream in turn."""
+    seed = _word("seed", seed)
+    indices = [_word("index", i) for i in indices]
+    return seed, [(zlib.crc32(stream.encode("utf-8")), i) for stream in streams for i in indices]
+
+
 def random_draws(seed: int, stream: str, indices, K: float, *, measures: int = 1, points: int = 0):
     """Yield, for each index in order, a tuple of ``measures`` measures, then
     ``points`` floats: ``random_measure(rng, K)`` that many times, then
     ``random_point(rng, K)`` that many times, on
     ``stream_rng(seed, stream, index)``, with their bits.
 
-    K is checked once, before any draw. One ``stream_rngs`` call seeds every
-    index, and each generator makes its own draws. The measures of every
-    ``_DRAW_CHUNK // measures`` indices (at least one) are then built in one
+    K and the two counts are checked once, before any draw. The draws of
+    every ``_DRAW_CHUNK // measures`` indices (at least one) are made in
+    one array pass (``_draw_passes``), and their measures built in one
     ``_measures`` pass, where rows whose atoms merge or whose draws are all
     zero go through the constructor, with its merges and errors, and the
-    measures are sliced from its flat layout. So a pass
-    holds at most ``_DRAW_CHUNK`` measures, or one index's, and it frees the
-    draws once the measures are built.
+    measures are sliced from its flat layout. So a pass holds at most
+    ``_DRAW_CHUNK`` measures, or one index's, and it frees the draws once
+    the measures are built.
     """
     _check_half_width(K)
-    rngs = stream_rngs(seed, stream, indices)
+    measures, points = _word("measures", measures), _word("points", points)
+    seed, keys = _keys(seed, [stream], indices)
     per_pass = max(1, _DRAW_CHUNK // max(1, measures))
-    while True:
-        rows, drawn_points = [], []
-        for rng in itertools.islice(rngs, per_pass):
-            rows += [_draw(rng, K, MAX_ATOMS) for _ in range(measures)]
-            drawn_points.append(rng.uniform(-K, K, points).tolist() if points else [])
-        if not drawn_points:
-            return
-        built = iter([DiscreteMeasure._trusted(*row) for row in _flat_rows(*_measures(rows))] if rows else ())
-        rows = None  # copied into the measures: free them while they are used
-        for chunk_points in drawn_points:
+    for draws in _draw_passes(seed, keys, [K] * len(keys), measures, points, per_pass):
+        drawn = draws[-1].tolist()
+        built = iter([DiscreteMeasure._trusted(*row) for row in _flat_rows(*_measures(*draws[:3]))] if measures else ())
+        draws = None  # copied into the measures: free them while they are used
+        for chunk_points in drawn:
             yield (*[next(built) for _ in range(measures)], *chunk_points)
 
 
 def _flat_draws(seed: int, streams, indices, Ks):
     """The measures ``random_draws(seed, stream, indices, K)`` yields, for
     each stream and its K in turn, laid out flat as ``_measures`` builds
-    them: one ``_rngs`` call seeds every stream's indices."""
+    them: one draw pass for every stream's indices."""
     for K in Ks:
         _check_half_width(K)
-    seed = _word("seed", seed)
-    indices = [_word("index", i) for i in indices]
-    keys = [(zlib.crc32(stream.encode("utf-8")), i) for stream in streams for i in indices]
-    rngs = _rngs(seed, keys)
-    return _measures([_draw(next(rngs), K, MAX_ATOMS) for K in Ks for _ in indices])
+    seed, keys = _keys(seed, streams, indices)
+    row_Ks = [K for K in Ks for _ in range(len(keys) // len(streams))]
+    (draws,) = _draw_passes(seed, keys, row_Ks, 1, 0, max(1, len(keys)))
+    return _measures(*draws[:3])
 
 
 def _passes(draws, measures: int = 1):

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import wasserstein_calculus
@@ -191,25 +192,24 @@ def test_a_nan_distance_is_kept_and_fails_criterion_1():
 
 
 FLAT_DRAWS = acceptance._flat_draws
-DRAW = sampling._draw
+DRAW_PASSES = sampling._draw_passes
 
 
 def planted_draws(seed, streams, indices, Ks):
     """Criterion 1's draws, with an atom at 1.5 in every measure of case
     (1, 64), inside the bound of K = 2 but not of its own, and all-zero
     exponentials in every measure of case (2, 3)."""
-    row_streams = iter([stream for stream in streams for _ in indices])
+    row_streams = np.repeat(streams, len(indices))
 
-    def draw(rng, K, max_atoms):
-        positions, exps = DRAW(rng, K, max_atoms)
-        stream = next(row_streams)
-        if stream == "discretize-K1-n64":
-            positions[-1] = 1.5
-        if stream == "discretize-K2-n3":
-            exps[:] = 0.0
-        return positions, exps
+    def draw_passes(*args):
+        # one pass holds every row of the block
+        for positions, exps, counts, points in DRAW_PASSES(*args):
+            planted = np.flatnonzero(row_streams == "discretize-K1-n64")
+            positions[planted, counts[planted] - 1] = 1.5
+            exps[row_streams == "discretize-K2-n3"] = 0.0
+            yield positions, exps, counts, points
 
-    with mock.patch.object(sampling, "_draw", draw):
+    with mock.patch.object(sampling, "_draw_passes", draw_passes):
         return FLAT_DRAWS(seed, streams, indices, Ks)
 
 

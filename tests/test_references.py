@@ -1008,18 +1008,6 @@ class ZeroDraws:
         return np.zeros(n) if zero else self.rng.standard_exponential(n)
 
 
-class FirstWeightZero(ZeroDraws):
-    """Draws at least two atoms, the first of weight zero."""
-
-    def integers(self, low, high):
-        return self.rng.integers(max(low, 2), high)
-
-    def standard_exponential(self, n):
-        draws = self.rng.standard_exponential(n)
-        draws[0] = 0.0
-        return draws
-
-
 class DriftingDraws(ZeroDraws):
     """100,001 atoms; after a first exponential of 1.0, every one is 0.75
     ulp of 1.0, which each step of the sum rounds up to a whole ulp."""
@@ -1031,28 +1019,35 @@ class DriftingDraws(ZeroDraws):
         return np.array([1.0] + [1.5 * 2.0**-53] * (n - 1))
 
 
-class StreamSpy:
-    """Stands in for ``sampling.stream_rngs``: counts its calls and, when
-    ``random_draws`` asks for the next generator, keeps the previous one's
-    next draws, which follow the draws ``random_draws`` made from it."""
+class SeedSpy:
+    """Stands in for ``sampling._pcg64_states``, the seeding of every index
+    of a ``random_draws`` call below 2^32: counts its calls."""
 
     def __init__(self):
         self.calls = 0
-        self.after = []
 
-    def __call__(self, seed, stream, indices):
+    def __call__(self, *args):
         self.calls += 1
-        for rng in STREAM_RNGS(seed, stream, indices):
-            yield rng
-            self.after.append(next_draws(rng))
+        return PCG64_STATES(*args)
 
 
-STREAM_RNGS = sampling.stream_rngs
+class ZeroRows:
+    """Stands in for ``sampling._measures``: zeroes the exponentials of the
+    rows ``zero`` names, counted from 1 over all passes (all by default)."""
+
+    def __init__(self, zero=None):
+        self.zero = zero
+        self.rows = 0
+
+    def __call__(self, positions, exponentials, counts):
+        numbers = range(self.rows + 1, self.rows + 1 + counts.size)
+        self.rows += counts.size
+        exponentials[[self.zero is None or r in self.zero for r in numbers]] = 0.0
+        return MEASURES(positions, exponentials, counts)
+
+
+PCG64_STATES = sampling._pcg64_states
 MEASURES = sampling._measures
-
-
-def next_draws(rng):
-    return rng.random(3).tobytes(), rng.integers(0, 2**63, 2).tobytes()
 
 
 def value_bits(value):
@@ -1064,15 +1059,14 @@ def value_bits(value):
 
 def former_draws(seed, stream, indices, K, measures, points):
     """Each index's draws by ``random_measure_former`` and ``random_point``
-    on its own ``stream_rng``, with the generator's next draws."""
-    out, after = [], []
+    on its own ``stream_rng``."""
+    out = []
     for index in indices:
         rng = stream_rng(seed, stream, index)
         values = [random_measure_former(rng, K) for _ in range(measures)]
         values += [random_point(rng, K) for _ in range(points)]
         out.append([value_bits(v) for v in values])
-        after.append(next_draws(rng))
-    return out, after
+    return out
 
 
 # index lists on both sides of a pass boundary, and across two of them: a
@@ -1103,11 +1097,12 @@ class TestRandomDraws:
     @example(seed=7, stream="", indices=list(range(_DRAW_CHUNK)), K=1.0, measures=2, points=0)
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_equal_to_the_former_draws(self, seed, stream, indices, K, measures, points):
-        """Every measure and point has the former bits, and every generator
-        the former state after them; K = 0.0 and 5e-324 merge every atom."""
-        spy = StreamSpy()
+        """Every measure and point has the former bits, and the indices
+        below 2^32 of a seed below 2^32 are seeded in one call; K = 0.0 and
+        5e-324 merge every atom."""
+        spy = SeedSpy()
         draws = random_draws(seed, stream, indices, K, measures=measures, points=points)
-        with mock.patch.object(sampling, "stream_rngs", spy):
+        with mock.patch.object(sampling, "_pcg64_states", spy):
             try:
                 _check_half_width(K)
             except ValueError as exc:
@@ -1116,30 +1111,36 @@ class TestRandomDraws:
                 assert spy.calls == 0
                 return
             got = [[value_bits(v) for v in values] for values in draws]
-        assert (got, spy.after) == former_draws(seed, stream, indices, K, measures, points)
-        assert spy.calls == 1
+        assert got == former_draws(seed, stream, indices, K, measures, points)
+        assert spy.calls == (seed < 2**32 and min(indices, default=2**32) < 2**32)
 
     @pytest.mark.parametrize("zero", [None, {2}, {_DRAW_CHUNK + 7}])
     def test_all_zero_draws_are_rejected_as_not_finite(self, zero):
         """A row of zero exponentials raises the constructor's error, in a
         chunk of rows that pass and in the second chunk."""
-        rng = ZeroDraws(zero)
-        with mock.patch.object(sampling, "stream_rngs", lambda *args: iter([rng] * 250)):
+        with mock.patch.object(sampling, "_measures", ZeroRows(zero)):
             with pytest.raises(ValueError, match="must be finite"):
                 list(random_draws(0, "s", range(250), 1.0))
 
     def test_zero_weight_atoms_are_dropped(self):
-        """A row with one zero exponential goes through the constructor,
-        which drops that atom, as it does for the former draws."""
-        with mock.patch.object(sampling, "stream_rngs", lambda *args: iter([FirstWeightZero()] * 150)):
+        """A row of two or more atoms whose first exponential is zero goes
+        through the constructor, which drops that atom, as it does for the
+        former draws."""
+
+        def first_zero(positions, exponentials, counts):
+            exponentials[counts > 1, 0] = 0.0
+            return MEASURES(positions, exponentials, counts)
+
+        with mock.patch.object(sampling, "_measures", first_zero):
             drawn = list(random_draws(0, "s", range(150), 1.0, measures=2))
-        rng = FirstWeightZero()
-        for ms in drawn:
+        for index, ms in enumerate(drawn):
+            rng = stream_rng(0, "s", index)
             for m in ms:
                 n = int(rng.integers(1, MAX_ATOMS + 1))
                 positions, draws = rng.uniform(-1.0, 1.0, n), rng.standard_exponential(n)
+                draws[0] = 0.0 if n > 1 else draws[0]
                 expected = DiscreteMeasure(positions, draws * (1.0 / sum(draws.tolist())))
-                assert len(m) == n - 1 and value_bits(m) == value_bits(expected)
+                assert len(m) == n - (n > 1) and value_bits(m) == value_bits(expected)
 
     def test_mass_off_by_rounding_is_rejected(self):
         """100,001 exponentials, each sum step rounding up by a quarter ulp:
@@ -1148,14 +1149,17 @@ class TestRandomDraws:
         message = "^weights sum to 0.9999999999944489, not 1$"
         with pytest.raises(ValueError, match=message):
             random_measure(DriftingDraws(), 1.0, 200_000)
-        with mock.patch.object(sampling, "stream_rngs", lambda *args: iter([DriftingDraws()])):
+        drifting = DriftingDraws()
+        n = drifting.integers(1, 2)
+        row = drifting.uniform(-1.0, 1.0, n)[None], drifting.standard_exponential(n)[None], np.array([n])
+        with mock.patch.object(sampling, "_measures", lambda *draws: MEASURES(*row)):
             with pytest.raises(ValueError, match=message):
                 list(random_draws(0, "s", [0], 1.0))
 
     @pytest.mark.parametrize("K", [-1.0, math.nan, 9e307])
     def test_bad_K_raises_before_any_draw(self, K):
-        spy = StreamSpy()
-        with mock.patch.object(sampling, "stream_rngs", spy):
+        spy = SeedSpy()
+        with mock.patch.object(sampling, "_pcg64_states", spy):
             with pytest.raises(ValueError, match="^K must be"):
                 next(random_draws(0, "s", range(5), K, points=1))
         assert spy.calls == 0
@@ -1166,10 +1170,10 @@ class TestRandomDraws:
         index's, and its draw arrays are gone before its measures are used."""
         passes, alive = [], []
 
-        def spy(rows):
-            passes.append(len(rows))
-            alive.append([weakref.ref(array) for draw in rows for array in draw])
-            return MEASURES(rows)
+        def spy(*draws):
+            passes.append(draws[-1].size)
+            alive.append([weakref.ref(a) for array in draws for a in (array, array.base) if a is not None])
+            return MEASURES(*draws)
 
         with mock.patch.object(sampling, "_measures", spy):
             for _ in random_draws(3, "s", range(count), 1.0, measures=measures):
@@ -1202,11 +1206,11 @@ class TestRandomDraws:
         with pytest.raises(ValueError, match="^K must be"):
             sampling._flat_draws(0, ["a", "b"], [0], [1.0, math.nan])
 
-    def test_one_stream_rngs_call(self):
-        spy = StreamSpy()
-        with mock.patch.object(sampling, "stream_rngs", spy):
+    def test_one_seeding_call(self):
+        spy = SeedSpy()
+        with mock.patch.object(sampling, "_pcg64_states", spy):
             drawn = list(random_draws(3, "s", range(250), 1.0, measures=2, points=1))
-        assert spy.calls == 1 and len(spy.after) == len(drawn) == 250
+        assert spy.calls == 1 and len(drawn) == 250
         assert all(len(d) == 3 for d in drawn)
 
 
