@@ -204,13 +204,33 @@ def _pcg64_words(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return folded
 
 
-def _set_state(bit_generator, state_hi: int, state_lo: int, inc_hi: int, inc_lo: int) -> None:
-    bit_generator.state = {
+def _seeded(seed: int, keys: list):
+    """The seeding of every (stream tag, index) key: the (4, keys) limbs of
+    ``_pcg64_states``, zero for a key of a seed or index of 2^32 or more,
+    and which keys those are."""
+    big = np.array([seed > _MASK32 or index > _MASK32 for _, index in keys], dtype=bool).reshape(-1)
+    starts = np.zeros((4, len(keys)), dtype=np.uint64)
+    if not big.all():
+        small = np.array([key for key, large in zip(keys, big) if not large], dtype=np.uint32)
+        starts[:, ~big] = _pcg64_states(seed, small[:, 0], small[:, 1])
+    return starts, big
+
+
+def _key_rng(rng: np.random.Generator, seed: int, key, state):
+    """``rng`` set to the seeded state of ``key``, given as the limbs of its
+    LCG state and increment, or for ``state`` None (a seed or index of 2^32
+    or more, more than one entropy word in ``SeedSequence``) a generator of
+    its own, as ``stream_rng`` makes it."""
+    if state is None:
+        return np.random.default_rng(np.random.SeedSequence([seed, *key]))
+    state_hi, state_lo, inc_hi, inc_lo = state
+    rng.bit_generator.state = {
         "bit_generator": "PCG64",
         "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
         "has_uint32": 0,
         "uinteger": 0,
     }
+    return rng
 
 
 def stream_rngs(seed: int, stream: str, indices):
@@ -231,30 +251,18 @@ def _rngs(seed: int, keys: list):
     """Yield the generator of each (stream tag, index) pair of ``keys``, in
     the state ``stream_rng`` gives it, for a checked seed and indices.
 
-    The seeding runs once for all the pairs (``_pcg64_states``). Then one
+    The seeding runs once for all the pairs (``_seeded``). Then one
     ``PCG64`` and its ``Generator``, made once per call, take each pair's
-    state before it is yielded. A seed or index of 2^32 or more is more than
-    one entropy word in ``SeedSequence``; such an index, or every index of
-    such a seed, gets its own generator, as ``stream_rng`` makes it.
+    state before it is yielded (``_key_rng``).
     """
-    if seed > _MASK32:
-        for key in keys:
-            yield np.random.default_rng(np.random.SeedSequence([seed, *key]))
-        return
-    small = np.array([key for key in keys if key[1] <= _MASK32], dtype=np.uint32).reshape(-1, 2)
-    starts = _pcg64_states(seed, small[:, 0], small[:, 1])
-    state_hi, state_lo = (limb[:, 0] for limb in _jumped(starts, 1))
-    # one row at a time: Python ints for every index at once would raise the
-    # peak memory of a 1,000-sample check by about 0.3 MiB
-    states = iter(np.stack((state_hi, state_lo, *starts[2:]), axis=1))
-    bit_generator = np.random.PCG64()
-    rng = np.random.Generator(bit_generator)
-    for key in keys:
-        if key[1] > _MASK32:
-            yield np.random.default_rng(np.random.SeedSequence([seed, *key]))
-            continue
-        _set_state(bit_generator, *next(states).tolist())
-        yield rng
+    starts, big = _seeded(seed, keys)
+    hi, lo = _jumped(starts, 1)
+    states = np.stack((hi[:, 0], lo[:, 0], *starts[2:]), axis=1)
+    rng = np.random.Generator(np.random.PCG64())
+    for r, key in enumerate(keys):
+        # one row at a time: Python ints for every index at once would raise
+        # the peak memory of a 1,000-sample check by about 0.3 MiB
+        yield _key_rng(rng, seed, key, None if big[r] else states[r].tolist())
 
 
 def _exponential_of(rng: np.random.Generator, word: int):
@@ -262,21 +270,15 @@ def _exponential_of(rng: np.random.Generator, word: int):
     ``rng``, whose state is set so that its next output is ``word``, and
     whether that draw used exactly the one word (the ziggurat's fast path).
 
-    The state whose next step lands on ``word`` itself, high half zero, has
-    rotation 0, so its output is ``word``.
+    The state one step before ``word`` itself (increment 1), whose high
+    half is zero, has rotation 0, so its output is ``word``.
     """
-    _set_state(rng.bit_generator, *divmod((word - 1) * _PCG_MULT_INV & _MASK128, 1 << 64), 0, 1)
-    value = rng.standard_exponential()
+    before = divmod((word - 1) * _PCG_MULT_INV & _MASK128, 1 << 64)
+    value = _key_rng(rng, 0, None, (*before, 0, 1)).standard_exponential()
     return value, rng.bit_generator.state["state"]["state"] == word
 
 
 _PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)
-
-
-def _strip_word(strip: int, ri: int) -> int:
-    """The output word the ziggurat reads as strip ``strip`` and 53-bit
-    value ``ri``: ri above bit 11, the strip in bits 3-10."""
-    return ri << 11 | strip << 3
 
 
 def _fast_bound(fast, guess: int) -> int:
@@ -305,8 +307,9 @@ def _fast_bound(fast, guess: int) -> int:
 def _ziggurat():
     """numpy's exponential ziggurat tables (``ziggurat_constants.h``),
     ``ke`` (uint64) and ``we`` (float64), read once per process through a
-    private generator: a draw of strip i and 53-bit value ri is ri * we[i],
-    returned at once when ri < ke[i].
+    private generator: a draw from a word of strip i (bits 3-10) and 53-bit
+    value ri (the bits above) is ri * we[i], returned at once when ri <
+    ke[i].
 
     Strip i's width we[i] is the draw of ri = 1 where that is fast (0 where
     it is not, as on strip 1, whose ke is 0). Its bound ke[i] is searched
@@ -317,12 +320,12 @@ def _ziggurat():
     rng = np.random.Generator(np.random.PCG64())
     we = np.zeros(_ZIGGURAT_STRIPS)
     for strip in range(_ZIGGURAT_STRIPS):
-        value, fast = _exponential_of(rng, _strip_word(strip, 1))
+        value, fast = _exponential_of(rng, 1 << 11 | strip << 3)
         we[strip] = value if fast else 0.0
     ke = np.zeros(_ZIGGURAT_STRIPS, dtype=np.uint64)
     for strip in range(_ZIGGURAT_STRIPS):
         guess = int(we[strip - 1] / we[strip] * 2.0**53) if we[strip] > 0.0 else 0
-        ke[strip] = _fast_bound(lambda ri: _exponential_of(rng, _strip_word(strip, ri))[1], guess)
+        ke[strip] = _fast_bound(lambda ri: _exponential_of(rng, ri << 11 | strip << 3)[1], guess)
     return ke, we
 
 
@@ -399,16 +402,9 @@ def _draw_passes(seed: int, keys: list, Ks: list, measures: int, points: int, pe
     measures, then ``points`` points, of each (stream tag, index) key with
     its half-width K, with the bits of ``_draw`` and ``uniform(-K, K,
     points)`` on the key's ``stream_rng``, as ``_draw_pass`` makes them.
-
-    One ``_pcg64_states`` call seeds every key below 2^32, and one
-    ``PCG64`` and its ``Generator``, made once per call, draw the keys that
-    ``_decode`` refuses.
+    One ``_seeded`` call seeds every key.
     """
-    big = np.array([seed > _MASK32 or index > _MASK32 for _, index in keys], dtype=bool).reshape(-1)
-    starts = np.zeros((4, len(keys)), dtype=np.uint64)
-    if not big.all():
-        small = np.array([key for key, large in zip(keys, big) if not large], dtype=np.uint32)
-        starts[:, ~big] = _pcg64_states(seed, small[:, 0], small[:, 1])
+    starts, big = _seeded(seed, keys)
     rng = np.random.Generator(np.random.PCG64())
     for a in range(0, len(keys), per_pass):
         run = slice(a, a + per_pass)
@@ -421,9 +417,8 @@ def _draw_pass(seed: int, keys: list, Ks: list, starts: np.ndarray, big: np.ndar
 
     Each key's state is jumped ahead to all the words its draws may use, at
     most one per two counts, two per atom and one per point, and the words
-    are decoded (``_decode``). A key that ``_decode`` refuses draws with
-    ``rng``, set to the key's seeded state, and a key of ``big`` with a
-    generator seeded by ``SeedSequence``.
+    are decoded (``_decode``). A key that ``_decode`` refuses, or of
+    ``big``, draws from its own generator (``_key_rng`` on ``rng``).
     """
     count = (measures + 1) // 2 + 2 * MAX_ATOMS * measures + points
     hi, lo = _jumped(starts, count + 1)
@@ -434,11 +429,7 @@ def _draw_pass(seed: int, keys: list, Ks: list, starts: np.ndarray, big: np.ndar
     refused = np.flatnonzero(~decoded | big)
     seeded = np.stack((hi[refused, 0], lo[refused, 0], *starts[2:, refused]), axis=1).tolist()
     for r, state in zip(refused.tolist(), seeded):
-        if big[r]:
-            drawer = np.random.default_rng(np.random.SeedSequence([seed, *keys[r]]))
-        else:
-            _set_state(rng.bit_generator, *state)
-            drawer = rng
+        drawer = _key_rng(rng, seed, keys[r], None if big[r] else state)
         for j in range(measures):
             pos, exps = _draw(drawer, Ks[r], MAX_ATOMS)
             counts[r, j] = n = pos.size
@@ -449,24 +440,24 @@ def _draw_pass(seed: int, keys: list, Ks: list, starts: np.ndarray, big: np.ndar
     return positions.reshape(-1, MAX_ATOMS), exponentials.reshape(-1, MAX_ATOMS), counts.ravel(), drawn
 
 
-def _measures(positions: np.ndarray, exponentials: np.ndarray, counts: np.ndarray):
+def _measures(pos: np.ndarray, weights: np.ndarray, counts: np.ndarray):
     """The measure of each row of draws, in one array pass for all of them,
     laid out flat (``measures._flat_atoms``).
 
     The rows hold the draws in draw order: the first ``counts[r]`` entries
-    of row r are its positions and exponentials, padded after them with
-    +inf and zeros. Each row's weights are its exponentials times one over
-    their left-to-right sum (``np.add.accumulate``, which the zero padding
-    does not change). That is ``rng.dirichlet(np.ones(n))`` step for step,
+    of row r of ``pos`` and ``weights`` are its positions and exponentials,
+    padded after them with +inf and zeros. Each row's weights, computed in
+    place, are its exponentials times one over their left-to-right sum
+    (``np.add.accumulate``, which the zero padding does not change). That
+    is ``rng.dirichlet(np.ones(n))`` step for step,
     as numpy's gamma variate of shape one is a standard exponential, and
     NaN for all-zero draws. A row sorted by one stable argsort whose
     ``math.fsum`` mass (``util.fsum_rows``) is within ``MASS_TOL`` of one,
     whose weights are positive and whose gaps exceed ``MERGE_TOL`` is
     canonical: it holds the constructor's bits. Any other row goes through
     the constructor, with its merges and errors, and its atoms are spliced
-    in. ``exponentials`` becomes the weights, in place.
+    in.
     """
-    pos, weights = positions, exponentials
     real = np.arange(pos.shape[1]) < counts[:, None]
     order = np.argsort(pos, axis=1, kind="stable")
     order += np.arange(0, pos.size, pos.shape[1])[:, None]  # flat indices
@@ -483,8 +474,8 @@ def _measures(positions: np.ndarray, exponentials: np.ndarray, counts: np.ndarra
     # the padding sorts last, so the real atoms of every row stay in place
     flat_pos, flat_w = sorted_pos[real], sorted_w[real]
     rebuilt = np.flatnonzero(~trusted).tolist()
-    counts = counts.copy()
     if rebuilt:
+        counts = counts.copy()
         rows = _flat_rows(flat_pos, flat_w, np.repeat(np.arange(counts.size), counts), counts.size)
         for r in rebuilt:
             m = DiscreteMeasure(pos[r, : counts[r]], weights[r, : counts[r]])
