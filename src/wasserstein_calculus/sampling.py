@@ -5,10 +5,9 @@ index), so a sample draws the same values whatever was drawn before it.
 ``stream_rng`` builds one such generator. ``stream_rngs`` yields the
 generators of many indices of one stream in the same states, without
 numpy's per-generator seeding cost: it re-runs numpy's seeding for all the
-indices at once (``_rngs``, which takes a stream tag per index). It yields
-one generator object per call, reset before each yield, so a yielded
-generator is valid only until the next one. A seed or index of 2^32 or more
-takes ``stream_rng``'s path.
+indices at once (``_seeded``). It yields one generator object per call,
+reset before each yield, so a yielded generator is valid only until the
+next one. A seed or index of 2^32 or more takes ``stream_rng``'s path.
 
 ``random_measure`` and ``random_point`` draw from one generator.
 ``random_draws`` yields the measures and points of many indices of one
@@ -163,24 +162,9 @@ def _jumps(count: int) -> np.ndarray:
     return np.array(limbs, dtype=np.uint64).reshape(count, 4).T
 
 
-def _pcg64_states(seed: int, tags: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """For each (tag, index) row below 2^32, the limbs of t = initstate +
-    inc and of the odd increment inc of its seeded ``PCG64``: one (4, rows)
-    array of t_hi, t_lo, inc_hi, inc_lo.
-
-    ``pcg64_srandom_r`` steps once from state 0 (to inc), adds the initial
-    state and steps again, so the seeded state is M t + inc, and the state
-    of the k-th output is A_k t + C_k inc (``_jumps``).
-    """
-    init_hi, init_lo, seq_hi, seq_lo = _pcg64_seed_words(seed, tags, indices).T
-    inc_hi, inc_lo = seq_hi << _U1 | seq_lo >> _U63, seq_lo << _U1 | _U1
-    t_lo = init_lo + inc_lo
-    return np.stack((init_hi + inc_hi + (t_lo < init_lo), t_lo, inc_hi, inc_lo))
-
-
 def _jumped(starts: np.ndarray, count: int):
     """The (high, low) limbs of the first ``count`` LCG states of each row of
-    ``starts`` (``_pcg64_states``): the seeded state, then the state of each
+    ``starts`` (``_seeded``): the seeded state, then the state of each
     output in turn; shape (rows, count) each."""
     a_hi, a_lo, c_hi, c_lo = _jumps(count)
     t_hi, t_lo, inc_hi, inc_lo = starts[:, :, None]
@@ -205,14 +189,23 @@ def _pcg64_words(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 
 def _seeded(seed: int, keys: list):
-    """The seeding of every (stream tag, index) key: the (4, keys) limbs of
-    ``_pcg64_states``, zero for a key of a seed or index of 2^32 or more,
-    and which keys those are."""
+    """The seeding of every (stream tag, index) key, and which keys have a
+    seed or index of 2^32 or more, whose rows are left zero: one (4, keys)
+    array of the limbs t_hi, t_lo, inc_hi, inc_lo of each key's ``PCG64``,
+    where inc is its odd increment and t = initial state + inc.
+
+    ``pcg64_srandom_r`` steps once from state 0 (to inc), adds the initial
+    state and steps again, so the seeded state is M t + inc, and the state
+    of the k-th output is A_k t + C_k inc (``_jumps``).
+    """
     big = np.array([seed > _MASK32 or index > _MASK32 for _, index in keys], dtype=bool).reshape(-1)
     starts = np.zeros((4, len(keys)), dtype=np.uint64)
     if not big.all():
         small = np.array([key for key, large in zip(keys, big) if not large], dtype=np.uint32)
-        starts[:, ~big] = _pcg64_states(seed, small[:, 0], small[:, 1])
+        init_hi, init_lo, seq_hi, seq_lo = _pcg64_seed_words(seed, small[:, 0], small[:, 1]).T
+        inc_hi, inc_lo = seq_hi << _U1 | seq_lo >> _U63, seq_lo << _U1 | _U1
+        t_lo = init_lo + inc_lo
+        starts[:, ~big] = init_hi + inc_hi + (t_lo < init_lo), t_lo, inc_hi, inc_lo
     return starts, big
 
 
@@ -237,24 +230,13 @@ def stream_rngs(seed: int, stream: str, indices):
     """Yield, in order, the generator of each index of one stream, in the
     state ``stream_rng(seed, stream, index)`` starts in, with its bits.
 
-    A yielded generator is valid only until the next yield, when it is the
-    same object in the next state (``_rngs``). Generators of nested calls
-    are separate.
+    The seeding runs once for all the indices (``_seeded``). Then one
+    ``PCG64`` and its ``Generator``, made once per call, take each index's
+    state before it is yielded (``_key_rng``), so a yielded generator is
+    valid only until the next yield, when it is the same object in the next
+    state. Generators of nested calls are separate.
     """
-    seed = _word("seed", seed)
-    indices = [_word("index", i) for i in indices]
-    tag = zlib.crc32(stream.encode("utf-8"))
-    yield from _rngs(seed, [(tag, i) for i in indices])
-
-
-def _rngs(seed: int, keys: list):
-    """Yield the generator of each (stream tag, index) pair of ``keys``, in
-    the state ``stream_rng`` gives it, for a checked seed and indices.
-
-    The seeding runs once for all the pairs (``_seeded``). Then one
-    ``PCG64`` and its ``Generator``, made once per call, take each pair's
-    state before it is yielded (``_key_rng``).
-    """
+    seed, keys = _keys(seed, [stream], indices)
     starts, big = _seeded(seed, keys)
     hi, lo = _jumped(starts, 1)
     states = np.stack((hi[:, 0], lo[:, 0], *starts[2:]), axis=1)
@@ -513,7 +495,8 @@ def _keys(seed, streams, indices):
     each stream in turn."""
     seed = _word("seed", seed)
     indices = [_word("index", i) for i in indices]
-    return seed, [(zlib.crc32(stream.encode("utf-8")), i) for stream in streams for i in indices]
+    tags = [zlib.crc32(stream.encode("utf-8")) for stream in streams]
+    return seed, [(tag, i) for tag in tags for i in indices]
 
 
 def random_draws(seed: int, stream: str, indices, K: float, *, measures: int = 1, points: int = 0):

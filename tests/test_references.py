@@ -1020,15 +1020,15 @@ class DriftingDraws(ZeroDraws):
 
 
 class SeedSpy:
-    """Stands in for ``sampling._pcg64_states``, the seeding of every index
-    of a ``random_draws`` call below 2^32: counts its calls."""
+    """Stands in for ``sampling._pcg64_seed_words``, the seeding of every
+    index of a ``random_draws`` call below 2^32: counts its calls."""
 
     def __init__(self):
         self.calls = 0
 
     def __call__(self, *args):
         self.calls += 1
-        return PCG64_STATES(*args)
+        return SEED_WORDS(*args)
 
 
 class ZeroRows:
@@ -1046,7 +1046,7 @@ class ZeroRows:
         return MEASURES(positions, exponentials, counts)
 
 
-PCG64_STATES = sampling._pcg64_states
+SEED_WORDS = sampling._pcg64_seed_words
 MEASURES = sampling._measures
 
 
@@ -1102,7 +1102,7 @@ class TestRandomDraws:
         5e-324 merge every atom."""
         spy = SeedSpy()
         draws = random_draws(seed, stream, indices, K, measures=measures, points=points)
-        with mock.patch.object(sampling, "_pcg64_states", spy):
+        with mock.patch.object(sampling, "_pcg64_seed_words", spy):
             try:
                 _check_half_width(K)
             except ValueError as exc:
@@ -1159,7 +1159,7 @@ class TestRandomDraws:
     @pytest.mark.parametrize("K", [-1.0, math.nan, 9e307])
     def test_bad_K_raises_before_any_draw(self, K):
         spy = SeedSpy()
-        with mock.patch.object(sampling, "_pcg64_states", spy):
+        with mock.patch.object(sampling, "_pcg64_seed_words", spy):
             with pytest.raises(ValueError, match="^K must be"):
                 next(random_draws(0, "s", range(5), K, points=1))
         assert spy.calls == 0
@@ -1208,7 +1208,7 @@ class TestRandomDraws:
 
     def test_one_seeding_call(self):
         spy = SeedSpy()
-        with mock.patch.object(sampling, "_pcg64_states", spy):
+        with mock.patch.object(sampling, "_pcg64_seed_words", spy):
             drawn = list(random_draws(3, "s", range(250), 1.0, measures=2, points=1))
         assert spy.calls == 1 and len(drawn) == 250
         assert all(len(d) == 3 for d in drawn)

@@ -1,10 +1,10 @@
-"""Seeded generators: ``stream_rngs``, and the seeding of many streams at
-once, against numpy's own seeding, the seed and index checks of
-``stream_rng`` and ``stream_rngs``, and the atom-count check of the sampled
-measures. The array pass of ``random_draws``: PCG64's words against numpy's
-raw outputs, the word decoder against numpy's ``Generator`` fed the same
-words, the ziggurat tables it reads from numpy, and its draws against a
-generator per index."""
+"""Seeded generators: ``stream_rngs`` against numpy's own seeding, the seed
+and index checks of ``stream_rng`` and ``stream_rngs``, and the atom-count
+check of the sampled measures. The array pass of ``random_draws``: the
+seeding of many streams at once and PCG64's words against numpy's raw
+outputs, the word decoder against numpy's ``Generator`` fed the same words,
+the ziggurat tables it reads from numpy, the measure and point counts it
+takes, and its draws against a generator per index."""
 
 import ctypes
 import re
@@ -19,7 +19,6 @@ from wasserstein_calculus import ftc_check, lift_to_field, sampling, standard_ba
 from wasserstein_calculus.sampling import (
     MAX_ATOMS,
     _draw,
-    _rngs,
     random_draws,
     random_measure,
     random_point,
@@ -47,17 +46,6 @@ class TestStreamRngs:
     def test_states_and_draws_of_numpy(self, seed, stream, indices):
         for index, rng in zip(indices, stream_rngs(seed, stream, indices), strict=True):
             expected = numpy_rng(seed, stream, index)
-            assert rng.bit_generator.state == expected.bit_generator.state
-            assert next_draws(rng) == next_draws(expected)
-
-    @given(seed=WORDS, keys=st.lists(st.tuples(STREAMS, WORDS), max_size=12))
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_many_streams_at_once(self, seed, keys):
-        """One seeding call for (stream, index) pairs of several streams, as
-        criterion 1 seeds a block of cases, gives each pair its own state."""
-        tags = [(zlib.crc32(stream.encode("utf-8")), index) for stream, index in keys]
-        for (stream, index), rng in zip(keys, _rngs(seed, tags), strict=True):
-            expected = stream_rng(seed, stream, index)
             assert rng.bit_generator.state == expected.bit_generator.state
             assert next_draws(rng) == next_draws(expected)
 
@@ -246,19 +234,22 @@ def check_decoded(words, K=1.0, measures=1, points=0):
 
 
 class TestWords:
-    @given(seed=st.integers(0, 2**32 - 1), keys=st.lists(st.tuples(st.integers(0, 2**32 - 1), WORDS), max_size=8))
+    @given(seed=WORDS, keys=st.lists(st.tuples(st.integers(0, 2**32 - 1), WORDS), max_size=8))
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_states_and_words_of_numpy(self, seed, keys):
-        """The seeded state and the first outputs of each (tag, index) key
-        below 2^32 are those of numpy's ``PCG64`` for it."""
-        keys = [(tag, index) for tag, index in keys if index < 2**32]
-        tags, indices = np.array(keys, dtype=np.uint32).reshape(-1, 2).T
-        hi, lo = sampling._jumped(sampling._pcg64_states(seed, tags, indices), 30)
+        """One seeding of (stream tag, index) keys of several streams: each
+        key below 2^32 gets the seeded state and the first outputs of
+        numpy's ``PCG64`` for it; a key of a seed or index of 2^32 or more
+        is left to ``SeedSequence``."""
+        starts, big = sampling._seeded(seed, keys)
+        hi, lo = sampling._jumped(starts, 30)
         words = sampling._pcg64_words(hi[:, 1:], lo[:, 1:])
         for r, key in enumerate(keys):
-            bit_generator = np.random.PCG64(np.random.SeedSequence([seed, *key]))
-            assert bit_generator.state["state"]["state"] == int(hi[r, 0]) << 64 | int(lo[r, 0])
-            assert words[r].tolist() == bit_generator.random_raw(29).tolist()
+            assert big[r] == (seed >= 2**32 or key[1] >= 2**32)
+            if not big[r]:
+                bit_generator = np.random.PCG64(np.random.SeedSequence([seed, *key]))
+                assert bit_generator.state["state"]["state"] == int(hi[r, 0]) << 64 | int(lo[r, 0])
+                assert words[r].tolist() == bit_generator.random_raw(29).tolist()
 
 
 class TestDecode:
