@@ -49,6 +49,7 @@ _MIX_MULT_R = 0x4973F715
 _MASK32 = 0xFFFFFFFF
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)
 _MASK128 = (1 << 128) - 1
 _MASK64 = (1 << 64) - 1
 # uint64 operands throughout: under numpy 1.x, uint64 mixed with a signed
@@ -150,16 +151,19 @@ def _mul128(a_hi, a_lo, b_hi, b_lo):
     return hi, np.multiply(a_lo, b_lo, out=part)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=16)  # bounded: the count follows the caller's measure and point counts
 def _jumps(count: int) -> np.ndarray:
     """The limbs (high and low of A_k, then of C_k) of ``count`` LCG jumps:
-    A_k = M^(k+1) and C_k = 1 + M + ... + M^k modulo 2^128, so that k + 1
-    steps from a state t - inc ... reach A_k t + C_k inc."""
+    A_k = M^(k+1) and C_k = 1 + M + ... + M^k modulo 2^128, so that A_0 t +
+    C_0 inc is the state M t + inc and each LCG step, s -> M s + inc, moves
+    on to the next k."""
     a, c, limbs = _PCG_MULT, 1, []
     for _ in range(count):
         limbs.append((a >> 64, a & _MASK64, c >> 64, c & _MASK64))
         a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
-    return np.array(limbs, dtype=np.uint64).reshape(count, 4).T
+    limbs = np.array(limbs, dtype=np.uint64).reshape(count, 4).T
+    limbs.flags.writeable = False  # shared by every caller of the cache
+    return limbs
 
 
 def _jumped(starts: np.ndarray, count: int):
@@ -260,9 +264,6 @@ def _exponential_of(rng: np.random.Generator, word: int):
     return value, rng.bit_generator.state["state"]["state"] == word
 
 
-_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)
-
-
 def _fast_bound(fast, guess: int) -> int:
     """The least ri that ``fast`` refuses, where ``fast`` holds for every ri
     below it and none above, searched from ``guess``: steps of doubling
@@ -308,6 +309,7 @@ def _ziggurat():
     for strip in range(_ZIGGURAT_STRIPS):
         guess = int(we[strip - 1] / we[strip] * 2.0**53) if we[strip] > 0.0 else 0
         ke[strip] = _fast_bound(lambda ri: _exponential_of(rng, ri << 11 | strip << 3)[1], guess)
+    ke.flags.writeable = we.flags.writeable = False  # shared by every caller of the cache
     return ke, we
 
 
