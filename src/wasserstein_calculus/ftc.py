@@ -177,6 +177,23 @@ def _symmetry_pass(H: DerivativeField, ms, xs, ys, eps: float | None):
     return [list(column) for column in zip(*draws)]
 
 
+def _pass_values(H: DerivativeField, ms, points):
+    """H(m, x) at each draw m of a pass and the points x of its row of
+    ``points`` (draws, k), or of its own atoms for None, from one
+    ``batch_value`` call on the padded rows of the measures, as
+    ``_symmetry_pass`` makes it: the (draws, k) values, with the padded
+    weights and the atom count of each row. None for a field without the
+    hook and for a pass that raises, which the caller takes draw by draw."""
+    if H.batch_value is None:
+        return None
+    try:
+        positions, weights, sizes, _ = _padded_rows(_atom_rows(ms))
+        values = H.batch_value(positions, weights[:, None, :], positions if points is None else points)[:, 0]
+        return values, weights, sizes
+    except (ArithmeticError, ValueError):
+        return None
+
+
 def _verdict(symmetry_max: float, *, estimated: bool, field_max: float) -> str:
     """"not-a-derivative" when the sampled symmetry residual exceeds the
     threshold of its mode or is NaN, else "derivative".
@@ -207,12 +224,20 @@ def ftc_check(
     symmetry residual exceeds the threshold of its mode (see ``_verdict``).
 
     A draw pass (at most 100 draws) makes one ``dawson_extrapolated_each``
-    call and one ``_symmetry_pass``; the report has the bits of the
-    per-draw loop, and an error is its first draw's.
+    call and one ``_symmetry_pass``, and the field values of the mismatch
+    and of the canonical gate one ``batch_value`` call per pass
+    (``_pass_values``); the report has the bits of the per-draw loop, and
+    an error is its first draw's.
     """
     check_samples(samples)
-    for (probe,) in random_draws(seed, "canonical-gate", range(_N_GATE_PROBES), K):
-        residual = math.fsum((probe.weights * field_values(H, probe, probe.positions)).tolist())
+    probes = [probe for (probe,) in random_draws(seed, "canonical-gate", range(_N_GATE_PROBES), K)]
+    batch = _pass_values(H, probes, None)
+    if batch is None:  # probe by probe, so that a gate error comes before a later probe's
+        residuals = (math.fsum((p.weights * field_values(H, p, p.positions)).tolist()) for p in probes)
+    else:
+        values, weights, sizes = batch
+        residuals = [math.fsum((w[:n] * v[:n]).tolist()) for v, w, n in zip(values, weights, sizes.tolist())]
+    for residual in residuals:
         if not abs(residual) <= CANONICAL_GATE_TOL:  # NaN too
             raise ValueError(
                 f"field integrates to {residual!r} against a probe measure; "
@@ -224,7 +249,9 @@ def ftc_check(
     for chunk in _passes(random_draws(seed, "ftc-mismatch", range(samples), K, points=1)):
         ms, xs = zip(*chunk)  # one dawson_extrapolated_each call per draw pass
         quotients = dawson_extrapolated_each(F, ms, xs, eps).tolist()
-        mismatch += [abs(q - H.value(m, x)) for q, m, x in zip(quotients, ms, xs)]
+        batch = _pass_values(H, ms, np.array(xs)[:, None])
+        values = (H.value(m, x) for m, x in zip(ms, xs)) if batch is None else batch[0][:, 0].tolist()
+        mismatch += [abs(q - h) for q, h in zip(quotients, values)]
     for chunk in _passes(random_draws(seed, "ftc-symmetry", range(samples), K, points=2)):
         residuals, hx, hy = _symmetry_pass(H, *zip(*chunk), eps if estimated else None)
         symmetry += map(abs, residuals)

@@ -18,7 +18,10 @@ At any point at most two bumps are nonzero: those of the grid indices just
 below and just above n*x. ``_discretize_flat`` evaluates only that band, for
 many measures laid out flat, each with its own n and K, and scatters it onto
 one grid row per measure, so its cost is O(total atoms) whatever n and K
-are; each row has the bits of its measure discretized alone.
+are; each row has the bits of its measure discretized alone. Of its three
+row sums, only the renormalizer of the kept weights is summed exactly; the
+two mass checks are verdicts, decided from a float row sum where its error
+bound allows (``util.fsum_near_one``).
 ``discretize_rows`` and ``discretize`` are its adapters for one scheme, and
 ``PartitionScheme.weight_matrix`` densifies the band.
 """
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import MASS_TOL, DiscreteMeasure, _flat_atoms, _flat_rows
-from .util import fsum_rows
+from .util import fsum, fsum_near_one, fsum_rows
 
 __all__ = ["PartitionScheme", "bump_weight", "discretize", "discretize_rows", "BUMP_MODES"]
 
@@ -215,7 +218,11 @@ def _discretize_flat(bump_shape: str, n, K, positions, weights, rows, count: int
     The checks of ``discretize`` are array operations over all rows, and the
     first bad row raises its error: the support bound (from each row's first
     and last atom), the cover of every atom, the mass of the grid weights,
-    then the constructor's mass check on the kept weights.
+    then the constructor's mass check on the kept weights. Those two masses
+    are verdicts, |sum - 1| <= tol, read from ``util.fsum_near_one``; a row
+    it refuses takes one exact sum for its message. The one exact sum of
+    every row is the renormalizer of the kept weights (``util.fsum_rows``),
+    whose bits reach them.
     """
     sizes = np.bincount(rows, minlength=count)
     ends = np.cumsum(sizes)
@@ -232,20 +239,25 @@ def _discretize_flat(bump_shape: str, n, K, positions, weights, rows, count: int
     ).reshape(count, width)
     # zeros leave an exact fsum unchanged: the rows' nonzero weights, laid
     # flat row after row, carry all the per-row bookkeeping
-    rows, cols = np.nonzero(grid_weights)
-    values = grid_weights[rows, cols]
-    totals = fsum_rows(values, rows, count)
+    grid_rows, cols = np.nonzero(grid_weights)
+    values = grid_weights[grid_rows, cols]
+    whole = fsum_near_one(values, 1e-10, grid_rows, count)
     keep = values > WEIGHT_FLOOR
-    rows, kept = rows[keep], values[keep]
+    rows, kept = grid_rows[keep], values[keep]
     kept = kept / np.array(fsum_rows(kept, rows, count))[rows]
-    masses = fsum_rows(kept, rows, count)
-    leaked = np.abs(np.array(totals) - 1.0) > 1e-10
-    bad = np.flatnonzero(leaked | (np.abs(np.array(masses) - 1.0) > MASS_TOL))
-    if bad.size and leaked[bad[0]]:
-        raise RuntimeError(f"partition of unity leaked mass: total {totals[bad[0]]!r}")
-    if bad.size:
-        raise ValueError(f"weights sum to {masses[bad[0]]!r}, not 1")
+    held = fsum_near_one(kept, MASS_TOL, rows, count)
+    # a row a screen refuses is checked on its exact sum, which a NaN passes
+    for r in np.flatnonzero(~(whole & held)).tolist():
+        if not whole[r] and abs((total := _row_fsum(values, grid_rows, r)) - 1.0) > 1e-10:
+            raise RuntimeError(f"partition of unity leaked mass: total {total!r}")
+        if not held[r] and abs((mass := _row_fsum(kept, rows, r)) - 1.0) > MASS_TOL:
+            raise ValueError(f"weights sum to {mass!r}, not 1")
     return (cols[keep] - _at(N, rows)) / _at(n, rows), kept, rows, count
+
+
+def _row_fsum(values, rows, r):
+    """The exact sum (``util.fsum``) of row r of a flat layout."""
+    return fsum(values[np.searchsorted(rows, r) : np.searchsorted(rows, r, "right")])
 
 
 def _at(values, index):

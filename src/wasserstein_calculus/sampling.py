@@ -33,7 +33,7 @@ import zlib
 import numpy as np
 
 from .measures import MASS_TOL, MERGE_TOL, DiscreteMeasure, _flat_rows
-from .util import fsum_rows
+from .util import fsum_near_one
 
 __all__ = ["stream_rng", "stream_rngs", "random_measure", "random_point", "random_draws", "MAX_ATOMS"]
 
@@ -192,9 +192,10 @@ def _pcg64_words(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return folded
 
 
-def _seeded(seed: int, keys: list):
-    """The seeding of every (stream tag, index) key, and which keys have a
-    seed or index of 2^32 or more, whose rows are left zero: one (4, keys)
+def _seeded(seed: int, keys: np.ndarray):
+    """The seeding of every (stream tag, index) key (``_keys``), and which
+    keys have a seed or index of 2^32 or more, whose rows are left zero, as
+    one array comparison: one (4, keys)
     array of the limbs t_hi, t_lo, inc_hi, inc_lo of each key's ``PCG64``,
     where inc is its odd increment and t = initial state + inc.
 
@@ -202,11 +203,10 @@ def _seeded(seed: int, keys: list):
     state and steps again, so the seeded state is M t + inc, and the state
     of the k-th output is A_k t + C_k inc (``_jumps``).
     """
-    big = np.array([seed > _MASK32 or index > _MASK32 for _, index in keys], dtype=bool).reshape(-1)
-    starts = np.zeros((4, len(keys)), dtype=np.uint64)
+    big = (keys[1] > _MASK32) | (seed > _MASK32)
+    starts = np.zeros((4, big.size), dtype=np.uint64)
     if not big.all():
-        small = np.array([key for key, large in zip(keys, big) if not large], dtype=np.uint32)
-        init_hi, init_lo, seq_hi, seq_lo = _pcg64_seed_words(seed, small[:, 0], small[:, 1]).T
+        init_hi, init_lo, seq_hi, seq_lo = _pcg64_seed_words(seed, *keys[:, ~big]).T
         inc_hi, inc_lo = seq_hi << _U1 | seq_lo >> _U63, seq_lo << _U1 | _U1
         t_lo = init_lo + inc_lo
         starts[:, ~big] = init_hi + inc_hi + (t_lo < init_lo), t_lo, inc_hi, inc_lo
@@ -219,7 +219,7 @@ def _key_rng(rng: np.random.Generator, seed: int, key, state):
     or more, more than one entropy word in ``SeedSequence``) a generator of
     its own, as ``stream_rng`` makes it."""
     if state is None:
-        return np.random.default_rng(np.random.SeedSequence([seed, *key]))
+        return np.random.default_rng(np.random.SeedSequence([seed, *map(int, key)]))
     state_hi, state_lo, inc_hi, inc_lo = state
     rng.bit_generator.state = {
         "bit_generator": "PCG64",
@@ -245,10 +245,10 @@ def stream_rngs(seed: int, stream: str, indices):
     hi, lo = _jumped(starts, 1)
     states = np.stack((hi[:, 0], lo[:, 0], *starts[2:]), axis=1)
     rng = np.random.Generator(np.random.PCG64())
-    for r, key in enumerate(keys):
+    for r in range(big.size):
         # one row at a time: Python ints for every index at once would raise
         # the peak memory of a 1,000-sample check by about 0.3 MiB
-        yield _key_rng(rng, seed, key, None if big[r] else states[r].tolist())
+        yield _key_rng(rng, seed, keys[:, r], None if big[r] else states[r].tolist())
 
 
 def _exponential_of(rng: np.random.Generator, word: int):
@@ -381,7 +381,7 @@ def _draw(rng: np.random.Generator, K: float, max_atoms: int):
     return rng.uniform(-K, K, size=n), rng.standard_exponential(n)
 
 
-def _draw_passes(seed: int, keys: list, Ks: list, measures: int, points: int, per_pass: int):
+def _draw_passes(seed: int, keys: np.ndarray, Ks, measures: int, points: int, per_pass: int):
     """The draws of each run of ``per_pass`` keys, in order: ``measures``
     measures, then ``points`` points, of each (stream tag, index) key with
     its half-width K, with the bits of ``_draw`` and ``uniform(-K, K,
@@ -390,12 +390,12 @@ def _draw_passes(seed: int, keys: list, Ks: list, measures: int, points: int, pe
     """
     starts, big = _seeded(seed, keys)
     rng = np.random.Generator(np.random.PCG64())
-    for a in range(0, len(keys), per_pass):
+    for a in range(0, keys.shape[1], per_pass):
         run = slice(a, a + per_pass)
-        yield _draw_pass(seed, keys[run], Ks[run], starts[:, run], big[run], rng, measures, points)
+        yield _draw_pass(seed, keys[:, run], Ks[run], starts[:, run], big[run], rng, measures, points)
 
 
-def _draw_pass(seed: int, keys: list, Ks: list, starts: np.ndarray, big: np.ndarray, rng, measures: int, points: int):
+def _draw_pass(seed: int, keys: np.ndarray, Ks, starts: np.ndarray, big: np.ndarray, rng, measures: int, points: int):
     """One pass of ``_draw_passes``: padded rows of measures, key after key,
     as ``_measures`` takes them, and the points (keys, points).
 
@@ -413,7 +413,7 @@ def _draw_pass(seed: int, keys: list, Ks: list, starts: np.ndarray, big: np.ndar
     refused = np.flatnonzero(~decoded | big)
     seeded = np.stack((hi[refused, 0], lo[refused, 0], *starts[2:, refused]), axis=1).tolist()
     for r, state in zip(refused.tolist(), seeded):
-        drawer = _key_rng(rng, seed, keys[r], None if big[r] else state)
+        drawer = _key_rng(rng, seed, keys[:, r], None if big[r] else state)
         for j in range(measures):
             pos, exps = _draw(drawer, Ks[r], MAX_ATOMS)
             counts[r, j] = n = pos.size
@@ -436,11 +436,12 @@ def _measures(pos: np.ndarray, weights: np.ndarray, counts: np.ndarray):
     is ``rng.dirichlet(np.ones(n))`` step for step,
     as numpy's gamma variate of shape one is a standard exponential, and
     NaN for all-zero draws. A row sorted by one stable argsort whose
-    ``math.fsum`` mass (``util.fsum_rows``) is within ``MASS_TOL`` of one,
-    whose weights are positive and whose gaps exceed ``MERGE_TOL`` is
-    canonical: it holds the constructor's bits. Any other row goes through
-    the constructor, with its merges and errors, and its atoms are spliced
-    in.
+    ``math.fsum`` mass is within ``MASS_TOL`` of one, whose weights are
+    positive and whose gaps exceed ``MERGE_TOL`` is canonical: it holds the
+    constructor's bits. The mass is read only as that verdict, which
+    ``util.fsum_near_one`` decides without an exact sum for almost every
+    row. Any other row goes through the constructor, with its merges and
+    errors, and its atoms are spliced in.
     """
     real = np.arange(pos.shape[1]) < counts[:, None]
     order = np.argsort(pos, axis=1, kind="stable")
@@ -450,11 +451,7 @@ def _measures(pos: np.ndarray, weights: np.ndarray, counts: np.ndarray):
         weights *= 1.0 / np.add.accumulate(weights, axis=1)[:, -1:]
         close = (sorted_pos[:, 1:] - sorted_pos[:, :-1] <= MERGE_TOL).any(axis=1)
     sorted_w = np.take(weights, order)
-    trusted = (
-        (np.abs(np.array(fsum_rows(sorted_w)) - 1.0) <= MASS_TOL)
-        & (np.count_nonzero(sorted_w > 0.0, axis=1) == counts)
-        & ~close
-    )
+    trusted = fsum_near_one(sorted_w, MASS_TOL) & (np.count_nonzero(sorted_w > 0.0, axis=1) == counts) & ~close
     # the padding sorts last, so the real atoms of every row stay in place
     flat_pos, flat_w = sorted_pos[real], sorted_w[real]
     rebuilt = np.flatnonzero(~trusted).tolist()
@@ -494,11 +491,19 @@ _DRAW_CHUNK = 100
 
 def _keys(seed, streams, indices):
     """The checked seed and the (stream tag, index) key of each index of
-    each stream in turn."""
+    each stream in turn, as a column each: a (2, keys) array, int64, or of
+    Python ints where an index is 2^63 or more. A ``range`` whose ends lie
+    in [0, 2^63) is checked from its ends alone."""
     seed = _word("seed", seed)
-    indices = [_word("index", i) for i in indices]
-    tags = [zlib.crc32(stream.encode("utf-8")) for stream in streams]
-    return seed, [(tag, i) for tag in tags for i in indices]
+    ends = sorted((indices[0], indices[-1])) if isinstance(indices, range) and indices else None
+    if ends and 0 <= ends[0] and ends[1] < 1 << 63:
+        step = indices.step if len(indices) > 1 else 0  # one index: any step
+        column = indices[0] + np.arange(len(indices), dtype=np.int64) * step
+    else:
+        column = [_word("index", i) for i in indices]
+        column = np.array(column, dtype=np.int64 if max(column, default=0) < 1 << 63 else object)
+    tags = np.array([zlib.crc32(stream.encode("utf-8")) for stream in streams], dtype=column.dtype)
+    return seed, np.stack((tags.repeat(column.size), np.tile(column, tags.size)))
 
 
 def random_draws(seed: int, stream: str, indices, K: float, *, measures: int = 1, points: int = 0):
@@ -520,7 +525,7 @@ def random_draws(seed: int, stream: str, indices, K: float, *, measures: int = 1
     measures, points = _word("measures", measures), _word("points", points)
     seed, keys = _keys(seed, [stream], indices)
     per_pass = max(1, _DRAW_CHUNK // max(1, measures))
-    for draws in _draw_passes(seed, keys, [K] * len(keys), measures, points, per_pass):
+    for draws in _draw_passes(seed, keys, [K] * keys.shape[1], measures, points, per_pass):
         drawn = draws[-1].tolist()
         built = iter([DiscreteMeasure._trusted(*row) for row in _flat_rows(*_measures(*draws[:3]))] if measures else ())
         draws = None  # copied into the measures: free them while they are used
@@ -535,8 +540,8 @@ def _flat_draws(seed: int, streams, indices, Ks):
     for K in Ks:
         _check_half_width(K)
     seed, keys = _keys(seed, streams, indices)
-    row_Ks = [K for K in Ks for _ in range(len(keys) // len(streams))]
-    (draws,) = _draw_passes(seed, keys, row_Ks, 1, 0, max(1, len(keys)))
+    row_Ks = np.repeat(np.array(Ks, dtype=float), keys.shape[1] // len(streams))
+    (draws,) = _draw_passes(seed, keys, row_Ks, 1, 0, max(1, keys.shape[1]))
     return _measures(*draws[:3])
 
 

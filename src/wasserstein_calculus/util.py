@@ -20,7 +20,14 @@ path per shape of input:
   and rounding is monotone. Other rows go to ``math.fsum`` alone. Rows of
   at most ``_FSUM_ROW_CUTOFF`` = 16 values take the column layout: the
   batch transposed, so that the running sums are one vector add per column
-  across all rows, and the error sums and maxima reduce along axis 0."""
+  across all rows, and the error sums and maxima reduce along axis 0.
+
+Beside the sums, ``fsum_near_one`` is the one verdict path: whether each
+row's ``math.fsum`` lies within a tolerance of one, for mass checks that read
+nothing else of the sum. Each row's float sum and the a-priori bound on its
+error decide almost every row in numpy (Higham, Accuracy and Stability of
+Numerical Algorithms, 2002, 4.2); a row within the bound of the threshold
+goes to ``math.fsum`` alone."""
 
 from __future__ import annotations
 
@@ -240,6 +247,44 @@ def _fsum_each(values: np.ndarray, rows: np.ndarray, count: int) -> list:
     ends = np.cumsum(np.bincount(rows, minlength=count)).tolist()
     flat = values.tolist()
     return [math.fsum(flat[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+
+
+def fsum_near_one(values: np.ndarray, tol: float, rows: np.ndarray | None = None, count: int = 0) -> np.ndarray:
+    """``abs(math.fsum(row) - 1.0) <= tol`` of each row, a bool array, with
+    the errors of ``math.fsum``; a NaN row reads False. The rows are those
+    of ``fsum_rows``: of a 2-D batch, or ``count`` rows laid flat.
+
+    Each row of n values has c, their numpy sum in any order, and a, that
+    of their absolute values. Each errs by at most gamma_(n-1) sum(|x|), so
+    the error of c is at most gamma_(n-1) a / (1 - gamma_(n-1)), which the
+    computed w = n 2^-52 a exceeds. (Where that product is below 2^-1073, a
+    is below 2^-1021: every partial sum of the row is a multiple of 2^-1074
+    below 2^-1021, hence exact, and so is c.) So lo = nextafter(c - w, -inf)
+    and hi = nextafter(c + w, inf) bound the row's exact sum S. The verdict
+    is that fl(fl(S) - 1) lies in [-tol, tol], and rounding is monotone, so
+    fl(lo - 1) <= fl(fl(S) - 1) <= fl(hi - 1): a row whose ends both lie in
+    [-tol, tol] reads True, and one whose ends lie on the same side of it
+    False. Every other row goes to ``math.fsum`` alone: a sum within the
+    bracket's width of a bound; a NaN or an infinity, which leaves a not
+    finite; and a above 2^1020, beyond which ``math.fsum`` could overflow
+    (see ``fsum``). So a row decided in numpy is one on which ``math.fsum``
+    would not raise.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # rows with inf or NaN are not ``sure``
+        if rows is None:
+            sizes, near, spread = values.shape[1], values.sum(axis=1), np.abs(values).sum(axis=1)
+        else:
+            sizes = np.bincount(rows, minlength=count)
+            near, spread = np.bincount(rows, values, count), np.bincount(rows, np.abs(values), count)
+        wide = spread * (sizes * 2.0**-52)
+        low = np.nextafter(near - wide, -np.inf) - 1.0
+        high = np.nextafter(near + wide, np.inf) - 1.0
+    inside = (low >= -tol) & (high <= tol)
+    sure = (inside | (high < -tol) | (low > tol)) & (spread <= 2.0**1020)
+    for r in np.flatnonzero(~sure).tolist():
+        row = values[r] if rows is None else values[np.searchsorted(rows, r) : np.searchsorted(rows, r, "right")]
+        inside[r] = abs(math.fsum(row.tolist()) - 1.0) <= tol
+    return inside
 
 
 def compensated_cumsum(values) -> np.ndarray:

@@ -1,9 +1,11 @@
-"""Partition-of-unity bumps and the grid discretization guarantee."""
+"""Partition-of-unity bumps, the grid discretization guarantee and the mass
+screen of its checks (``util.fsum_near_one``) against ``math.fsum``."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wasserstein_calculus import (
     BUMP_MODES,
@@ -16,6 +18,8 @@ from wasserstein_calculus import (
     random_measure,
     stream_rng,
 )
+from wasserstein_calculus.measures import MASS_TOL
+from wasserstein_calculus.util import fsum_near_one
 
 SUM_TOL = 1e-10
 
@@ -159,3 +163,128 @@ class TestConvergenceBound:
         d = w1(m, discretize(s, m))
         assert 0.0 < d <= 3.0 / 8.0 + 1e-10
         assert d == pytest.approx(1.0 / 16.0, rel=1e-6)
+
+
+# ------------------------------------------------------------ the mass screen
+
+
+def near_one_oracle(rows, tol):
+    """``abs(math.fsum(row) - 1.0) <= tol`` row by row, or the first error."""
+    try:
+        return [abs(math.fsum(row) - 1.0) <= tol for row in rows]
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def near_one_outcomes(rows, tol):
+    """``fsum_near_one`` of the rows laid flat, and as a 2-D batch when they
+    are equally long: each its verdicts or its error."""
+    layouts = [(np.array(sum(rows, []), dtype=float), np.repeat(np.arange(len(rows)), [len(r) for r in rows]), len(rows))]
+    if len({len(r) for r in rows}) <= 1:
+        layouts.append((np.array(rows, dtype=float).reshape(len(rows), -1), None, 0))
+    outcomes = []
+    for values, rows_of, count in layouts:
+        try:
+            verdicts = fsum_near_one(values, tol, rows_of, count)
+            assert verdicts.dtype == bool and verdicts.shape == (len(rows),)
+            outcomes.append(verdicts.tolist())
+        except (ValueError, OverflowError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def row_summing_to(total, n):
+    """n values whose exact sum is the float ``total`` (near one): n - 1
+    copies of 2^-10 and the rest, which is exact."""
+    return [total - (n - 1) * 2.0**-10] + [2.0**-10] * (n - 1)
+
+
+def ulps_from(x, k):
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.copysign(math.inf, k)))
+    return x
+
+
+SCREEN_TOLS = [0.0, 5e-324, 1e-15, MASS_TOL, 1e-10, 0.5, 1.0]
+SPECIALS = [math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.0, -0.0]
+
+
+@st.composite
+def screen_row(draw, tol, size):
+    """A row of ``size`` values: its sum at 1 +- tol +- a few ulp, with a
+    large canceling pair or not, arbitrary floats, or special values."""
+    kind = draw(st.sampled_from(["near", "cancel", "special", "any"]))
+    if size == 0:
+        return []
+    if kind == "any":
+        return draw(st.lists(st.floats(width=64), min_size=size, max_size=size))
+    if kind == "special":
+        row = draw(st.lists(st.floats(-2.0, 2.0), min_size=size, max_size=size))
+        for i in draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=2)):
+            row[i] = draw(st.sampled_from(SPECIALS))
+        return row
+    target = ulps_from(1.0 + draw(st.sampled_from([-1.0, 1.0])) * tol, draw(st.integers(-4, 4)))
+    parts = draw(st.lists(st.floats(0.0, 1.0), min_size=size - 1, max_size=size - 1))
+    rest = [p / (size * max(1.0, sum(parts))) for p in parts]
+    row = rest + [target - math.fsum(rest)]  # an exact sum within an ulp of target
+    if kind == "cancel" and size >= 3:
+        big = draw(st.sampled_from([1e3, 1e6, 2.0**40, 1e15]))
+        row[0], row[1] = row[0] + big, row[1] - big
+    return draw(st.permutations(row))
+
+
+@st.composite
+def screen_batches(draw):
+    """A tolerance and one to five rows: of 0-24 values each, or all of one
+    length from 1 to 24."""
+    tol = draw(st.sampled_from(SCREEN_TOLS))
+    count = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        size = draw(st.integers(1, 24))
+        sizes = [size] * count
+    else:
+        sizes = draw(st.lists(st.integers(0, 24), min_size=count, max_size=count))
+    return tol, [draw(screen_row(tol, n)) for n in sizes]
+
+
+class TestMassScreen:
+    """``util.fsum_near_one`` is ``abs(math.fsum(row) - 1.0) <= tol`` of each
+    row, decision for decision and error for error, in both layouts."""
+
+    @given(screen_batches())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_verdicts_and_errors_of_math_fsum(self, batch):
+        tol, rows = batch
+        expected = near_one_oracle(rows, tol)
+        assert all(outcome == expected for outcome in near_one_outcomes(rows, tol))
+
+    @pytest.mark.parametrize("tol", [MASS_TOL, 1e-10])
+    def test_rows_at_the_bounds(self, tol):
+        """Exact sums at 1 +- tol +- k ulp, k <= 4, of 1 to 24 values, one
+        row per call and all in one call."""
+        rows = [
+            row_summing_to(ulps_from(1.0 + sign * tol, k), n)
+            for sign in (-1.0, 1.0)
+            for k in range(-4, 5)
+            for n in (1, 2, 12, 24)
+        ]
+        for row in rows:
+            assert near_one_outcomes([row], tol) == [near_one_oracle([row], tol)] * 2
+        padded = [row + [0.0] * (24 - len(row)) for row in rows]
+        assert near_one_outcomes(padded, tol) == [near_one_oracle(rows, tol)] * 2
+        assert near_one_outcomes(rows, tol) == [near_one_oracle(rows, tol)]
+
+    def test_empty_rows_and_special_values(self):
+        empty = np.zeros(0)
+        assert fsum_near_one(empty, 0.5, np.zeros(0, dtype=int), 3).tolist() == [False] * 3
+        assert fsum_near_one(empty, 1.0, np.zeros(0, dtype=int), 2).tolist() == [True] * 2
+        assert fsum_near_one(np.zeros((0, 4)), 0.5).tolist() == []
+        for rows, expected in [
+            ([[math.nan, 1.0], [1.0, 0.0]], [False, True]),
+            ([[math.inf, 1.0], [1.0, -0.0]], [False, True]),
+            ([[1.0, 0.0], [math.inf, -math.inf]], (ValueError, "-inf + inf in fsum")),
+            ([[1e308, 1e308], [1.0, 0.0]], (OverflowError, "intermediate overflow in fsum")),
+            ([[5e-324, 1.0], [-5e-324, 1.0]], [True, True]),
+        ]:
+            assert near_one_oracle(rows, 1e-12) == expected
+            assert near_one_outcomes(rows, 1e-12) == [expected] * 2

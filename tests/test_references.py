@@ -695,21 +695,40 @@ def flat_rows(layout):
 
 # How a row of a batch goes bad: an atom beyond the scheme bound, a mass
 # that leaks from the partition of unity, or kept weights whose mass is off
-# (planted in the third row sum, which only a tampered sum can make).
+# (planted in the kept weights' mass, which only a tampered sum can make).
 BAD_ROWS = ("good", "outside", "leak", "mass")
 
 
+@contextlib.contextmanager
 def tampered_mass_sums(bad):
-    """Patch ``partition.fsum_rows`` so that every third call, the kept
-    weights' masses, reads 1.5 in the rows of ``bad``."""
-    calls = []
+    """Make the kept weights' mass read 1.5 in the rows of ``bad``: the mass
+    screen (``partition.fsum_near_one`` at ``MASS_TOL``) refuses those rows,
+    and the one exact sum of such a row's kept weights for its message
+    (``partition._row_fsum``) reads 1.5. The former's mass is its third
+    ``partition.fsum_rows`` call, which reads 1.5 in those rows; the
+    discretization itself makes one, the renormalizer."""
+    calls, screened = [], []
+    screen, row_fsum = partition_module.fsum_near_one, partition_module._row_fsum
 
-    def tampered(values, rows=None, count=0):
+    def former_sums(values, rows=None, count=0):
         out = fsum_rows(values, rows, count)
         calls.append(count)
         return [1.5 if len(calls) % 3 == 0 and r in bad else v for r, v in enumerate(out)]
 
-    return mock.patch.object(partition_module, "fsum_rows", tampered)
+    def tampered_screen(values, tol, rows=None, count=0):
+        out = screen(values, tol, rows, count)
+        if tol == MASS_TOL:
+            screened.append(values)
+            out &= ~np.isin(np.arange(out.size), list(bad))
+        return out
+
+    def tampered_row_fsum(values, rows, r):
+        return 1.5 if r in bad and any(values is kept for kept in screened) else row_fsum(values, rows, r)
+
+    with contextlib.ExitStack() as stack:
+        for name, tampered in [("fsum_rows", former_sums), ("fsum_near_one", tampered_screen), ("_row_fsum", tampered_row_fsum)]:
+            stack.enter_context(mock.patch.object(partition_module, name, tampered))
+        yield
 
 
 def discretize_outcome(discretize_batch, scheme, measures, bad_mass):
@@ -3225,6 +3244,64 @@ def per_draw_loops():
         mock.patch.object(ftc_module, "counterexample_report", counterexample_report_former),
         mock.patch.object(acceptance_module, "counterexample_report", counterexample_report_former),
     )
+
+
+def ftc_outcome(check, H, samples=5):
+    """The report bytes of ``check`` on H, or its error's type and message."""
+    try:
+        return canonical_json(check(H, 1.0, quad_order=4, samples=samples, seed=3))
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def sine_field(batch_value=None):
+    """H(m, x) = sin(x), which no measure cancels, with a row hook that
+    gives its bits, or the ``batch_value`` given."""
+
+    def rows(positions, weights, xs):
+        return np.broadcast_to(np.sin(xs)[..., None, :], weights.shape[:-1] + np.shape(xs)[-1:]).copy()
+
+    return DerivativeField(lambda m, x: np.sin(x), lambda m, x: np.cos(x), label="sine", batch_value=batch_value or rows)
+
+
+class TestFieldValuesPerPass:
+    """``ftc_check`` takes the field values of its canonical gate and of its
+    mismatch loop from one ``batch_value`` call per pass, with the report
+    and the errors of the former per-draw loop."""
+
+    def test_gate_error_of_the_former(self):
+        outcome = ftc_outcome(ftc_module.ftc_check, sine_field())
+        assert outcome[0] is ValueError and outcome[1].startswith("field integrates to ")
+        assert outcome == ftc_outcome(ftc_check_former, sine_field())
+
+    def test_a_pass_that_raises_goes_draw_by_draw(self):
+        """A hook that refuses every pass, and a field that passes the gate."""
+
+        def refused(positions, weights, xs):
+            raise ValueError("no rows")
+
+        for H in (sine_field(batch_value=refused), counterexample_field(sin_fn(), cos_fn())):
+            assert ftc_outcome(ftc_module.ftc_check, H) == ftc_outcome(ftc_check_former, H)
+
+    def test_the_first_draws_error(self):
+        """A field that refuses measures with an atom above 0.5: the pass
+        raises, and the error is the first such draw's."""
+        H = counterexample_field(sin_fn(), cos_fn())
+
+        def value(m, x):
+            if m.positions[-1] > 0.5:
+                raise ValueError(f"refused at {m.positions[-1]!r}")
+            return H.value(m, x)
+
+        def rows(positions, weights, xs):
+            if (positions > 0.5).any():
+                raise ValueError("refused in a pass")
+            return H.batch_value(positions, weights, xs)
+
+        refusing = DerivativeField(value=value, dx=H.dx, label="refusing", batch_value=rows)
+        outcome = ftc_outcome(ftc_module.ftc_check, refusing, samples=30)
+        assert outcome[0] is ValueError and outcome[1].startswith("refused at ")
+        assert outcome == ftc_outcome(ftc_check_former, refusing, samples=30)
 
 
 @pytest.mark.parametrize("seed", [0, 11, 29])

@@ -82,6 +82,44 @@ class TestSeedChecks:
             list(stream_rngs(0, "s", [0, -3]))
 
 
+class TestKeyColumns:
+    """``_keys`` holds the keys as a tag column and an index column; a
+    ``range`` is checked from its ends, any other iterable index by index,
+    with the same keys and the same refusals."""
+
+    RANGES = [range(0), range(5), range(3, 40, 7), range(9, -1, -1), range(2**32 - 2, 2**32 + 2),
+              range(2**63 - 2, 2**63 + 1), range(5, 2**70, 2**70), range(7, 8, -(2**80)), range(2, -5, -3)]
+
+    @pytest.mark.parametrize("indices", RANGES, ids=str)
+    def test_a_range_is_its_list(self, indices):
+        streams = ["a", "ストリーム✓"]
+        outcomes = []
+        for given_indices in (indices, list(indices)):
+            try:
+                seed, keys = sampling._keys(3, streams, given_indices)
+            except ValueError as exc:
+                outcomes.append(str(exc))
+                continue
+            tags = [zlib.crc32(stream.encode("utf-8")) for stream in streams]
+            assert seed == 3 and keys.shape == (2, len(streams) * len(indices))
+            assert keys.T.tolist() == [[tag, i] for tag in tags for i in indices]
+            big = sampling._seeded(seed, keys)[1]
+            assert big.tolist() == [i >= 2**32 for _ in tags for i in indices]
+            outcomes.append(keys.dtype)
+        assert outcomes[0] == outcomes[1]
+
+    def test_a_negative_in_a_range_is_named(self):
+        for indices in (range(-2, 3), range(1, -3, -1), range(4, -3, -2)):
+            first = next(i for i in indices if i < 0)
+            with pytest.raises(ValueError, match=f"^index must be a non-negative integer, not {first}$"):
+                sampling._keys(0, ["s"], indices)
+
+    def test_huge_keys_draw_as_stream_rng(self):
+        indices = [2**64 + 1, 0, 2**63]
+        for index, rng in zip(indices, stream_rngs(5, "s", indices), strict=True):
+            assert rng.bit_generator.state == numpy_rng(5, "s", index).bit_generator.state
+
+
 class TestIntegerSeeds:
     """A seed or index is an integer: a float was truncated (2.9 ran as seed
     2) and a bool taken as 0 or 1. Integers of other types still work."""
@@ -241,7 +279,7 @@ class TestWords:
         key below 2^32 gets the seeded state and the first outputs of
         numpy's ``PCG64`` for it; a key of a seed or index of 2^32 or more
         is left to ``SeedSequence``."""
-        starts, big = sampling._seeded(seed, keys)
+        starts, big = sampling._seeded(seed, np.array(keys, dtype=np.int64).reshape(-1, 2).T)
         hi, lo = sampling._jumped(starts, 30)
         words = sampling._pcg64_words(hi[:, 1:], lo[:, 1:])
         for r, key in enumerate(keys):
