@@ -63,9 +63,9 @@ class DiscreteMeasure:
 
     Instances are immutable: the stored arrays are read-only and every
     operation on measures returns a new value. ``total_mass`` is cached on
-    first use. Outside input is always validated; only ``dirac`` and
-    ``discretize``, whose arrays are canonical by construction, skip the
-    checks through the private ``_trusted``, with the same bits.
+    first use. Outside input is always validated; canonical arrays skip the
+    checks, with the same bits, through the private ``_trusted`` (``dirac``,
+    ``discretize``, ``sampling``'s draws, ``ftc.antiderivative``, ``mix``).
 
     Validation is one screen on the sorted atoms: one exactly rounded sum of
     the weights within ``MASS_TOL`` of one, finite end positions and a
@@ -178,15 +178,13 @@ def _store(m: DiscreteMeasure, pos: np.ndarray, w: np.ndarray) -> None:
 
 
 def _group_atoms(pos: np.ndarray, w: np.ndarray, weighted: bool):
-    """Combine sorted atoms whose positions chain within MERGE_TOL.
-
-    Each run of atoms becomes one atom whose weight is the ``math.fsum`` of
-    the run's weights. A run of identical positions keeps that position
-    exactly (grid atoms rely on it). Otherwise the atom sits at the
-    weight-averaged position when ``weighted`` and the total is positive, and
-    at the mean position when not. Runs of two, the common case, are done
-    with array arithmetic, which for two terms rounds exactly as ``fsum``
-    and ``mean`` do; only runs of three or more loop.
+    """Combine sorted atoms whose positions chain within MERGE_TOL, for the
+    constructor and where ``_merged`` refuses: each run becomes one atom
+    weighing the ``math.fsum`` of its weights. A run of identical positions
+    keeps that position exactly (grid atoms rely on it); any other sits at
+    the weight-averaged position when ``weighted`` and the total is
+    positive, else at the mean. Runs of two are array arithmetic, which for
+    two terms rounds as ``fsum`` and ``mean`` do; only longer runs loop.
     """
     split = (pos[1:] - pos[:-1]) > MERGE_TOL
     if split.all():
@@ -228,7 +226,8 @@ def dirac(x: float) -> DiscreteMeasure:
 
 
 def mix(a: DiscreteMeasure, b: DiscreteMeasure, t: float) -> DiscreteMeasure:
-    """Convex combination (1-t)*a + t*b."""
+    """Convex combination (1-t)*a + t*b: the one-row case of ``mix_rows``,
+    and the constructor where that returns None."""
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError("mixture parameter must lie in [0, 1]")
@@ -236,44 +235,53 @@ def mix(a: DiscreteMeasure, b: DiscreteMeasure, t: float) -> DiscreteMeasure:
         return a
     if t == 1.0:
         return b
-    pos = np.concatenate((a.positions, b.positions))
-    w = np.concatenate(((1.0 - t) * a.weights, t * b.weights))
-    return DiscreteMeasure(pos, w)
+    row = mix_rows(a, b, t)
+    if row is not None:
+        return DiscreteMeasure._trusted(*row)
+    return DiscreteMeasure(np.concatenate((a.positions, b.positions)), np.concatenate(((1.0 - t) * a.weights, t * b.weights)))
 
 
 def mix_rows(a: DiscreteMeasure, b: DiscreteMeasure, ts):
     """All mixtures (1-t)*a + t*b, t in ``ts``, on their one shared support.
 
     Returns ``(positions, weights)`` where row k of the 2-D ``weights`` holds
-    the weights of ``mix(a, b, ts[k])`` on ``positions``, bit for bit, with
-    one sort and one grouping for all rows. Returns None when the rows do
-    not share a support: when two distinct positions lie within MERGE_TOL
-    (their merged atom sits at a weight average that moves with t), or when
-    a weight is not positive, as when it underflows to zero (that row drops
-    the atom) or t lies outside (0, 1). Callers then build the rows with
-    ``mix``.
+    the weights of ``mix(a, b, ts[k])`` on ``positions``, bit for bit, from
+    one ``_merged`` call; a float t gives its row 1-D. Returns None when the
+    rows do not share a support (two distinct positions within MERGE_TOL,
+    whose merged atom moves with t), when a weight is not positive (it
+    underflows to zero, or t lies outside (0, 1)), and when an input's mass
+    lies over MASS_TOL / 2 from one (a row's differs by rounding only, so
+    every row passes the constructor's mass check); ``mix`` then takes the
+    constructor, which merges, drops and checks.
     """
-    # a row's mass differs from the inputs' by rounding only (< 1e-15), so
-    # inputs this close to one pass the constructor's mass check in every row
     if max(abs(a.total_mass - 1.0), abs(b.total_mass - 1.0)) > 0.5 * MASS_TOL:
         return None
-    ts = np.asarray(ts, dtype=float)[:, None]
-    pos = np.concatenate((a.positions, b.positions))
-    order = pos.argsort(kind="stable")
-    pos = pos[order]
-    w = np.concatenate(((1.0 - ts) * a.weights, ts * b.weights), axis=1)[:, order]
-    gaps = pos[1:] - pos[:-1]
-    joined = np.flatnonzero(gaps <= MERGE_TOL)
-    if joined.size:
-        # a measure's own atoms lie farther apart than MERGE_TOL, so a zero
-        # gap joins one atom of a to one of b, at a position that stays put
-        if (gaps[joined] != 0.0).any():
-            return None
-        w[:, joined] += w[:, joined + 1]
-        pos, w = np.delete(pos, joined + 1), np.delete(w, joined + 1, axis=1)
-    if not (w > 0.0).all():
+    ts = np.asarray(ts, dtype=float)[..., None]
+    rows = _merged(a.positions, (1.0 - ts) * a.weights, b.positions, ts * b.weights)
+    if rows is None or not np.minimum.reduce(rows[1], axis=None, initial=1.0) > 0.0:
         return None
-    return pos, w
+    return rows
+
+
+def _merged(pa, wa, pb, wb, group: bool = False):
+    """The atoms of two measures, each sorted with gaps above MERGE_TOL, in
+    one stable sort, weights of shape (..., atoms). A gap within MERGE_TOL
+    joins an atom of a to one of b: where all such gaps are zero, each
+    pair's weights add as in ``_group_atoms`` and its second atom goes;
+    else (or for a run of three) None, or with ``group`` ``_group_atoms``."""
+    pos = np.concatenate((pa, pb))
+    order = pos.argsort(kind="stable")
+    pos, w = pos.take(order), np.concatenate((wa, wb), axis=-1).take(order, axis=-1)
+    gaps = pos[1:] - pos[:-1]
+    if np.minimum.reduce(gaps) > MERGE_TOL:
+        return pos, w
+    joined = np.flatnonzero(gaps <= MERGE_TOL)
+    if (gaps[joined] != 0.0).any() or (joined[1:] - joined[:-1] == 1).any():
+        return _group_atoms(pos, w, weighted=False) if group else None
+    w[..., joined] += w[..., joined + 1]
+    keep = np.concatenate(([True], gaps != 0.0))  # all but a pair's second atom
+    # a 1-D mask is several times faster than one along the last axis
+    return pos[keep], w[keep] if w.ndim == 1 else np.compress(keep, w, axis=-1)
 
 
 def _values_at(f, xs: np.ndarray) -> np.ndarray:
@@ -466,15 +474,10 @@ def kr_lower_bound_rows(firsts, seconds, f) -> np.ndarray:
 
 
 def signed_difference(a: DiscreteMeasure, b: DiscreteMeasure):
-    """Atoms of the signed measure a - b.
-
-    Returns (positions, signed_weights) over the merged support; positions
-    within MERGE_TOL combine, exact cancellations are dropped.
-    """
-    pos = np.concatenate((a.positions, b.positions))
-    signed = np.concatenate((a.weights, -b.weights))
-    order = np.argsort(pos, kind="stable")
-    pos, signed = _group_atoms(pos[order], signed[order], weighted=False)
+    """Atoms of the signed measure a - b: (positions, signed_weights) over
+    the merged support (``_merged``), where positions within MERGE_TOL
+    combine and exact cancellations are dropped."""
+    pos, signed = _merged(a.positions, a.weights, b.positions, -b.weights, group=True)
     keep = signed != 0.0
     return pos[keep], signed[keep]
 

@@ -106,6 +106,8 @@ from wasserstein_calculus.measures import (
     MERGE_TOL,
     _atom_rows,
     _flat_atoms,
+    _group_atoms,
+    _merged,
     _padded_rows,
     _values_at,
     _w1_flat,
@@ -229,6 +231,28 @@ def signed_difference_loop(a, b):
             out_w[g] = math.fsum(signed[i:j].tolist())
     keep = out_w != 0.0
     return out_p[keep], out_w[keep]
+
+
+def mix_rows_former(a, b, ts):
+    """The former ``mix_rows``: the rows' weights sorted as 2-D, a joined
+    atom dropped by ``np.delete``."""
+    if max(abs(a.total_mass - 1.0), abs(b.total_mass - 1.0)) > 0.5 * MASS_TOL:
+        return None
+    ts = np.asarray(ts, dtype=float)[:, None]
+    pos = np.concatenate((a.positions, b.positions))
+    order = pos.argsort(kind="stable")
+    pos = pos[order]
+    w = np.concatenate(((1.0 - ts) * a.weights, ts * b.weights), axis=1)[:, order]
+    gaps = pos[1:] - pos[:-1]
+    joined = np.flatnonzero(gaps <= MERGE_TOL)
+    if joined.size:
+        if (gaps[joined] != 0.0).any():
+            return None
+        w[:, joined] += w[:, joined + 1]
+        pos, w = np.delete(pos, joined + 1), np.delete(w, joined + 1, axis=1)
+    if not (w > 0.0).all():
+        return None
+    return pos, w
 
 
 def dense_weight_matrix(scheme, xs) -> np.ndarray:
@@ -407,10 +431,25 @@ class TestAtomGrouping:
         assert same_bits(m.positions, ref_p)
         assert same_bits(m.weights, ref_w)
 
-    @given(clustered_atoms(), clustered_atoms(), st.sampled_from([0.25, 0.5, 1.0 / 3.0]))
+    @given(
+        clustered_atoms(),
+        clustered_atoms(),
+        st.sampled_from([0.25, 0.5, 1.0 / 3.0, 1e-310, 2.0**-53, 1.0 - 2.0**-53]),
+        st.booleans(),
+        st.sampled_from([0.0, 0.75 * MASS_TOL, -0.75 * MASS_TOL]),
+    )
     @SETTINGS
-    def test_mix_bit_identical_to_merge_loop(self, a, b, t):
-        a, b = DiscreteMeasure(*a), DiscreteMeasure(*b)
+    def test_mix_bit_identical_to_merge_loop(self, a, b, t, subnormal, drift):
+        # t = 1e-310 underflows the lightest weights of b, 2^-53 a subnormal
+        # weight of b and 1 - 2^-53 one of a: the constructor drops those
+        # atoms. A drift puts a's mass between MASS_TOL / 2 and MASS_TOL of
+        # one, where mix_rows refuses and mix takes the constructor.
+        (pos_a, w_a), (pos_b, w_b) = a, b
+        if subnormal:  # zero weights become 1e-310, which leaves the sums
+            w_a, w_b = (np.where(w == 0.0, 1e-310, w) for w in (w_a, w_b))
+        a, b = DiscreteMeasure(pos_a, w_a * (1.0 + drift)), DiscreteMeasure(pos_b, w_b)
+        if drift:
+            assert mix_rows(a, b, t) is None
         mixed = mix(a, b, t)
         ref_p, ref_w = construct_loop(
             np.concatenate((a.positions, b.positions)),
@@ -418,6 +457,51 @@ class TestAtomGrouping:
         )
         assert same_bits(mixed.positions, ref_p)
         assert same_bits(mixed.weights, ref_w)
+
+    @given(clustered_atoms(), clustered_atoms(), st.lists(st.sampled_from([0.25, 0.5, 1e-310, 2.0**-53]), max_size=3))
+    @SETTINGS
+    def test_mix_rows_bit_identical_to_former(self, a, b, ts):
+        a, b = DiscreteMeasure(*a), DiscreteMeasure(*b)
+        rows, former = mix_rows(a, b, ts), mix_rows_former(a, b, ts)
+        assert (rows is None) == (former is None)
+        if rows is not None:
+            assert same_bits(rows[0], former[0]) and same_bits(rows[1], former[1])
+
+    @given(clustered_positions(), clustered_positions(), st.data())
+    @SETTINGS
+    def test_merge_is_none_or_the_grouping(self, pa, pb, data):
+        # sorted atoms, canonical or not, with signed weights: where the
+        # merge does not refuse, it has the bits of _group_atoms
+        pa, pb = np.sort(pa), np.sort(pb)
+        signed = st.sampled_from(RAWS + tuple(-r for r in RAWS))
+        wa, wb = (np.array(data.draw(st.lists(signed, min_size=p.size, max_size=p.size))) for p in (pa, pb))
+        merged = _merged(pa, wa, pb, wb)
+        pos = np.concatenate((pa, pb))
+        order = pos.argsort(kind="stable")
+        ref_p, ref_w = _group_atoms(pos[order], np.concatenate((wa, wb))[order], weighted=False)
+        if merged is not None:
+            assert same_bits(merged[0], ref_p) and same_bits(merged[1], ref_w)
+
+    @pytest.mark.parametrize("near", [False, True], ids=["coincident", "near-pair"])
+    def test_long_input_bit_identical(self, near):
+        # 10% of b's atoms sit on atoms of a; a pair 6e-13 apart makes the
+        # merge refuse, and mix and signed_difference group as before
+        rng = np.random.default_rng(11)
+        pos_a, pos_b = rng.uniform(-2.0, 2.0, (2, 100_000))
+        pos_b[::10] = pos_a[::10]
+        if near:
+            pos_b[1] = pos_a[1] + 6e-13
+        a, b = (DiscreteMeasure(p, rng.dirichlet(np.ones(p.size))) for p in (pos_a, pos_b))
+        assert (mix_rows(a, b, 0.3) is None) == near
+        mixed = mix(a, b, 0.3)
+        ref_p, ref_w = construct_loop(
+            np.concatenate((a.positions, b.positions)),
+            np.concatenate(((1.0 - 0.3) * a.weights, 0.3 * b.weights)),
+        )
+        assert same_bits(mixed.positions, ref_p) and same_bits(mixed.weights, ref_w)
+        pos, signed = signed_difference(a, b)
+        ref_p, ref_w = signed_difference_loop(a, b)
+        assert same_bits(pos, ref_p) and same_bits(signed, ref_w)
 
     @given(difference_pairs())
     @SETTINGS
