@@ -2,7 +2,8 @@
 
 The loop references are the library's former sequential implementations:
 the Neumaier running sum, the former validating constructor with its
-per-group atom merge (and the merge of ``signed_difference``), the dense
+per-group atom merge (and the merge of ``signed_difference``), the former
+``mix_rows``, which dropped joined atoms with ``np.delete``, the dense
 partition-of-unity weight matrix, the per-node segment quadrature (one
 ``mix`` and one field evaluation per Gauss node), the per-measure
 ``discretize`` and ``w1`` that criterion 1 called once per measure, the
