@@ -9,18 +9,20 @@ path per shape of input:
   exact halves are summed per exponent with ``np.bincount``, and
   ``math.fsum`` rounds the few bin sums;
 - the lists, for rows laid flat and 2-D batches of at most
-  ``_FSUM_BATCH_CUTOFF`` = 1,024 values: ``math.fsum`` on one list per row;
-- the bracket, for larger 2-D batches: ``np.cumsum`` along the rows and the
-  exact error of each step bound each row's exact sum between two floats,
-  and where both round to one float, that float is the row's correctly
-  rounded sum, as ``math.fsum`` returns it (Ogita, Rump and Oishi, SIAM J.
-  Sci. Comput. 26, 2005). The error of a floating-point sum of n errors is
-  at most gamma_(n-1) times the sum of their absolute values, in any order
-  of summation; the bracket is that bound, doubled and widened by one ulp,
-  and rounding is monotone. Other rows go to ``math.fsum`` alone. Rows of
-  at most ``_FSUM_ROW_CUTOFF`` = 16 values take the column layout: the
-  batch transposed, so that the running sums are one vector add per column
-  across all rows, and the error sums and maxima reduce along axis 0.
+  ``_FSUM_BATCH_CUTOFF`` = 768 values: ``math.fsum`` on one list per row;
+- the bracket, for larger 2-D batches: one error-free extraction splits each
+  row exactly into high parts q, whose numpy sum t is exact in any order,
+  and low parts r (Rump, Ogita and Oishi, "Accurate floating-point
+  summation part I", SIAM J. Sci. Comput. 31, 2008). Their numpy sum c,
+  in any order, errs by at most gamma_(n-1) times the sum of their
+  absolute values, below a power of two w; c - w and c + w, each widened
+  by one ulp, bracket the low parts' exact sum. Rounding is monotone, so
+  where t plus either end rounds to one float, that float is the row's
+  correctly rounded sum, as ``math.fsum`` returns it. Other rows go to
+  ``math.fsum`` alone.
+  Rows of at most ``_FSUM_ROW_CUTOFF`` = 16 values take the column layout:
+  the batch transposed, so that each step is one vector operation across
+  all rows, and the sums and maxima reduce along axis 0.
 
 Beside the sums, ``fsum_near_one`` is the one verdict path: whether each
 row's ``math.fsum`` lies within a tolerance of one, for mass checks that read
@@ -122,20 +124,20 @@ def _plain(obj):
 # probability weights and signed products, the bins of ``fsum`` tie with the
 # list at 512 values and win from 576 (16-20 against 17-27 us).
 _FSUM_CUTOFF = 512
-# A 2-D batch of several rows up to this size is summed one list per row: at
-# 600 to 1,000 values in 4 to 10 rows the lists still win (21-37 against
-# 28-51 us). Against the bracket (timeit medians here and below, on a shared
-# 2-CPU Xeon) they tie at segment quadrature's 32 rows of 33 values (40-48
-# against 41-57 us) and lose from 32 x 40 (50 against 44 us). In rows of at
-# most ``_FSUM_ROW_CUTOFF`` values, they still win at 128 x 7 (48 against
-# 53 us) and 334 x 2 (62 against 70), tie at 100 x 12 (53 against 50) and
-# 500 x 2 (107 against 103), and lose at 128 x 13 (101 against 71), 256 x 8
-# (99 against 56) and a segment block's 1,024 x 13 (612 against 286 us).
-_FSUM_BATCH_CUTOFF = 1024
+# A 2-D batch of several rows up to this size is summed one list per row.
+# Against the bracket (timeit medians here and below, on a shared 2-CPU Xeon,
+# of rows of signed probability weights) the lists still win at 768 values
+# (32 x 24: 26 against 30 us; 24 x 32: 25 against 29), tie from 800 to 840
+# (4 x 200, 8 x 100, 60 x 14: 25-31 against 26-32 us) and lose at 896
+# (128 x 7: 37 against 32 us), at segment quadrature's 32 x 32 (35 against
+# 31 us) and at a segment block's 1,024 x 13 (719 against 171 us).
+_FSUM_BATCH_CUTOFF = 768
 # Larger 2-D batches whose rows hold up to this many values take the bracket
 # in the column layout. At 1,024 rows the column layout beats the row layout
-# up to this many values (16: 369 against 557 us), ties at 17 (546 against
-# 571) and loses at 24 (744 against 702 us).
+# at 8 to 16 values (13: 127 against 218 us; 16: 136 against 232). Beyond 16
+# its lead depends on the number of rows: at 1,024 rows it still leads at 24
+# (162 against 264 us), but at 2,000 x 32 it trails (1,059 against 579 us),
+# so a cutoff on the row length alone stays here.
 _FSUM_ROW_CUTOFF = 16
 
 
@@ -187,28 +189,35 @@ def fsum_rows(values: np.ndarray, rows: np.ndarray | None = None, count: int = 0
     - the flat layout, and 2-D batches of at most ``_FSUM_BATCH_CUTOFF``
       values, take ``math.fsum`` on one list per row;
     - larger 2-D batches take the bracket, in the column layout for rows of
-      at most ``_FSUM_ROW_CUTOFF`` values: the transposed batch, summed
-      along axis 0, so that the running sums are one vector add per column
-      across all rows (the proof is the same).
+      at most ``_FSUM_ROW_CUTOFF`` values: the transposed batch, reduced
+      along axis 0, so that each step is one vector operation across all
+      rows (the proof is the same).
 
-    ``np.cumsum`` adds each row of n values left to right, so its partial
-    sums are s_k = fl(s_{k-1} + x_k), and TwoSum gives the exact error
-    e_k = s_{k-1} + x_k - s_k of each step: the row's exact sum is
-    S = s_n + sum(e). Summed by numpy in any order, the errors give c with
-    |c - sum(e)| <= gamma_(n-1) sum(|e|), where gamma_m = m u / (1 - m u)
-    and u = 2^-53, and the computed w = n 2^-52 sum(|e|) exceeds that
-    bound. (Where w underflows, every partial sum of the errors is below
-    2^-1021, hence exact, and so is c.) So lo = nextafter(c - w, -inf) and
-    hi = nextafter(c + w, inf), each one ulp outside the rounded end, bound
-    sum(e), and S lies in [s_n + lo, s_n + hi]. Rounding to nearest is
-    monotone, so where fl(s_n + lo) = fl(s_n + hi), that float is fl(S),
-    the correctly rounded sum, which is ``math.fsum``'s (Ogita, Rump and
-    Oishi, SIAM J. Sci. Comput. 26, 2005). Every other row goes to
-    ``math.fsum`` alone: a sum at or next to a tie between two floats; a
-    zero or subnormal sum, whose ends differ by at least the one-ulp
-    widening; a NaN or an infinity, which makes the errors NaN; and partial
-    sums above 2^1020, beyond which ``math.fsum``'s own exact partial sums
-    could overflow where numpy's do not.
+    Each row of n values x_i is split exactly by one extraction (Rump, Ogita
+    and Oishi, "Accurate floating-point summation part I", SIAM J. Sci.
+    Comput. 31, 2008). Let top = max |x_i| < 2^e, M the bit length of n + 1
+    (so that 2^M >= n + 2) and sigma = 2^(e+M). Then sigma + x_i lies within
+    2^-M sigma of sigma, in [sigma/2, 2 sigma], where floats are multiples
+    of 2^-53 sigma; so q_i = fl(sigma + x_i) - sigma is exact (Sterbenz), a
+    multiple of 2^-53 sigma with |q_i| <= 2^-M sigma, and r_i = x_i - q_i is
+    the rounding error of one addition, a float, so it is exact too, with
+    |r_i| <= 2^-53 sigma. Every partial sum of the q, in any order, is a
+    multiple of 2^-53 sigma of at most n 2^-M sigma < sigma, hence a float:
+    their numpy sum t is exact. The numpy sum c of the r errs by at most
+    gamma_(n-1) sum(|r|) <= gamma_(n-1) n 2^-53 sigma, where
+    gamma_m = m u / (1 - m u) and u = 2^-53, which is below
+    n^2 2^-105 sigma and so below w = 2^(2M-105) sigma, a power of two. So
+    lo = nextafter(c - w, -inf) and hi = nextafter(c + w, inf), each one ulp
+    outside the rounded end, bound sum(r), and the row's exact sum S lies in
+    [t + lo, t + hi]. Rounding to nearest is monotone, so where
+    fl(t + lo) = fl(t + hi), that float is fl(S), the correctly rounded
+    sum, which is ``math.fsum``'s. Every other row goes to ``math.fsum``
+    alone: a sum at or next to a tie between two floats; a zero sum, whose
+    ends have opposite signs; a NaN or an infinity, which fails the guards;
+    and a row whose top lies outside 2^-900 <= top < 2^(1021-M). Those
+    guards keep sigma and w normal and finite, and the row's partial sums,
+    below sigma <= 2^1021, where ``math.fsum`` cannot overflow (see
+    ``fsum``).
     """
     if rows is None:
         count = len(values)
@@ -226,14 +235,20 @@ def _fsum_bracketed(values: np.ndarray) -> list:
     layout, axis = values, 1
     if values.shape[1] <= _FSUM_ROW_CUTOFF:  # the column layout
         layout, axis = np.ascontiguousarray(values.T), 0
+    bits = (layout.shape[axis] + 1).bit_length()  # M
     with np.errstate(over="ignore", invalid="ignore"):  # rows with inf or NaN fail ``sure``
-        s, err = _two_sum_steps(layout, axis)
-        total, near = s.take(-1, axis), err.sum(axis=axis)
-        wide = np.abs(err, out=err).sum(axis=axis)
-        wide *= layout.shape[axis] * 2.0**-52
+        part = np.abs(layout)
+        top = part.max(axis=axis)
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + bits)
+        wide = sigma * 2.0 ** (2 * bits - 105)
+        sigma = np.expand_dims(sigma, axis)
+        np.add(layout, sigma, out=part)
+        part -= sigma  # q
+        total = part.sum(axis=axis)
+        near = np.subtract(layout, part, out=part).sum(axis=axis)  # the sum of r
         low = total + np.nextafter(near - wide, -np.inf)
         sure = low == total + np.nextafter(near + wide, np.inf)
-        sure &= np.abs(s, out=s).max(axis=axis) <= 2.0**1020
+        sure &= (top >= 2.0**-900) & (top < 2.0 ** (1021 - bits))
     sums = low.tolist()
     for r in np.flatnonzero(~sure).tolist():
         sums[r] = math.fsum(values[r].tolist())
@@ -312,16 +327,12 @@ def compensated_cumsum(values) -> np.ndarray:
     return err
 
 
-def _two_sum_steps(v: np.ndarray, axis: int = -1):
-    """The partial sums ``np.cumsum(v, axis)`` and the exact rounding error
-    of each step (Knuth's TwoSum), the first step's being zero."""
-    axis %= v.ndim
-    shape = list(v.shape)
-    shape[axis] += 1
-    sums = np.zeros(shape)
-    lead = (slice(None),) * axis
-    prev, s = sums[lead + (slice(-1),)], sums[lead + (slice(1, None),)]
-    np.add.accumulate(v, axis=axis, out=s)
+def _two_sum_steps(v: np.ndarray):
+    """The partial sums ``np.cumsum(v, axis=-1)`` and the exact rounding
+    error of each step (Knuth's TwoSum), the first step's being zero."""
+    sums = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,))
+    prev, s = sums[..., :-1], sums[..., 1:]
+    np.add.accumulate(v, axis=-1, out=s)
     back = s - prev
     err = s - back
     np.subtract(prev, err, out=err)  # prev - (s - back)

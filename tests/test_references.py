@@ -1524,6 +1524,52 @@ def spy(name):
     return mock.patch.object(util_module, name, wraps=getattr(util_module, name))
 
 
+def transposes():
+    """A spy on ``np.ascontiguousarray``, which still copies: the column
+    layout of the bracket is the one that copies the batch transposed, so
+    its one call has the shape (length, rows); the row layout makes none."""
+    return mock.patch.object(util_module.np, "ascontiguousarray", wraps=np.ascontiguousarray)
+
+
+def shapes(spied):
+    return [c.args[0].shape for c in spied.call_args_list]
+
+
+# the extraction's edges: row lengths 2^M - 2 and 2^M - 1 (M, the bit length
+# of length + 1, steps up between them), in the column and the row layout
+EDGE_LENGTHS = (6, 7, 14, 15, 30, 31, 254, 255)
+LOWER_GUARD = 2.0**-900
+
+
+def upper_guard(length):
+    return 2.0 ** (1021 - (length + 1).bit_length())
+
+
+# each row's largest magnitude: a power of two and a float below one, and
+# each guard with one ulp either side of it
+EDGE_TOPS = {
+    "power-of-two": lambda n: 1.0,
+    "below-power-of-two": lambda n: np.nextafter(1.0, 0.0),
+    "lower-guard-below": lambda n: np.nextafter(LOWER_GUARD, 0.0),
+    "lower-guard": lambda n: LOWER_GUARD,
+    "lower-guard-above": lambda n: np.nextafter(LOWER_GUARD, 1.0),
+    "upper-guard-below": lambda n: np.nextafter(upper_guard(n), 0.0),
+    "upper-guard": upper_guard,
+    "upper-guard-above": lambda n: np.nextafter(upper_guard(n), math.inf),
+}
+
+
+def edge_rows(rng, count, length, top):
+    """``count`` rows of ``length`` values whose largest magnitude is ``top``
+    in every row, with either sign; in every third row the second half
+    cancels the first, all but the value of magnitude ``top``."""
+    x = rng.uniform(-1.0, 1.0, (count, length)) * top
+    half = length // 2
+    x[::3, half : 2 * half] = -x[::3, :half]
+    x[np.arange(count), rng.integers(0, length, count)] = top * rng.choice([1.0, -1.0], count)
+    return x
+
+
 class TestFsumRows:
     @given(fsum_row_batches())
     @SETTINGS
@@ -1618,9 +1664,9 @@ class TestFsumRows:
         values = short_rows(rng, kind, BATCH_CUTOFF // length + 1 + int(rng.integers(0, 300)), length)
         for r in rng.integers(0, len(values), int(rng.integers(0, 3))):  # plants in up to two rows
             values[r, rng.integers(length)] = PLANT_VALUES[rng.integers(len(PLANT_VALUES))]
-        with spy("_two_sum_steps") as steps:
+        with transposes() as transposed:
             assert fsum_outcome(fsum_rows, values) == fsum_outcome(fsum_rows_former, values)
-        assert [c.args[1] for c in steps.call_args_list] == [0]
+        assert shapes(transposed) == [(length, len(values))]
 
     # 2-D batches of more than BATCH_CUTOFF values in rows of at most
     # ROW_CUTOFF take the column layout of the bracket; one row fewer, the lists
@@ -1636,9 +1682,10 @@ class TestFsumRows:
         elif kind == "-inf+inf":  # math.fsum raises on row 4 only
             values[3, 0], values[4, :2] = math.nan, (math.inf, -math.inf)
         column = values.size > BATCH_CUTOFF and length <= ROW_CUTOFF
-        with spy("_two_sum_steps") as steps:
+        with spy("_fsum_bracketed") as bracket, transposes() as transposed:
             assert fsum_outcome(fsum_rows, values) == fsum_outcome(fsum_rows_former, values)
-        assert [c.args[1] for c in steps.call_args_list] == ([0] if column else [1] if values.size > BATCH_CUTOFF else [])
+        assert bracket.call_count == int(values.size > BATCH_CUTOFF)
+        assert shapes(transposed) == ([(length, count)] if column else [])
 
     def test_column_layout_zero_rows(self):
         """Rows of -0.0 or +0.0 only, and rows whose real values are followed
@@ -1662,6 +1709,37 @@ class TestFsumRows:
         values = np.random.default_rng(6).integers(-(2**20), 2**20, (300, 7)) * 5e-324
         values[::5, 1:] = 0.0  # one subnormal value in every fifth row
         assert fsum_outcome(fsum_rows, values) == fsum_outcome(fsum_rows_former, values)
+
+    @pytest.mark.parametrize("top", EDGE_TOPS)
+    @pytest.mark.parametrize("length", EDGE_LENGTHS)
+    def test_extraction_edges(self, length, top):
+        rng = np.random.default_rng([length, list(EDGE_TOPS).index(top)])
+        count = BATCH_CUTOFF // length + 1
+        values = edge_rows(rng, count, length, EDGE_TOPS[top](length))
+        former = fsum_outcome(fsum_rows_former, values)
+        with spy("_fsum_bracketed") as bracket, transposes() as transposed:
+            with mock.patch.object(util_module.math, "fsum", wraps=math.fsum) as alone:
+                assert fsum_outcome(fsum_rows, values) == former
+        assert bracket.call_count == 1
+        assert shapes(transposed) == ([(length, count)] if length <= ROW_CUTOFF else [])
+        if top in ("lower-guard-below", "upper-guard", "upper-guard-above"):  # outside the guards
+            assert alone.call_count == count
+
+    # rows of -0.0 only, rows of both zeros, and one value among zeros
+    @pytest.mark.parametrize("length", [7, ROW_CUTOFF, ROW_CUTOFF + 1, 255])
+    def test_zero_rows_and_one_value(self, length):
+        rng = np.random.default_rng(length)
+        count = BATCH_CUTOFF // length + 1
+        values = np.where(rng.random((count, length)) < 0.5, -0.0, 0.0)
+        values[: count // 3] = -0.0
+        ones = np.arange(count // 3, 2 * count // 3)
+        one = rng.choice([1.0, -1.0, 5e-324, -2.0**-1022, LOWER_GUARD, 1e300, upper_guard(length)], ones.size)
+        values[ones, rng.integers(0, length, ones.size)] = one * rng.uniform(0.5, 1.0, ones.size)
+        former = fsum_outcome(fsum_rows_former, values)
+        with transposes() as transposed:
+            assert fsum_outcome(fsum_rows, values) == former
+        assert shapes(transposed) == ([(length, count)] if length <= ROW_CUTOFF else [])
+        assert former[0] == np.float64(0.0).tobytes()  # math.fsum never returns -0.0
 
     @pytest.mark.parametrize("size", [BATCH_CUTOFF, BATCH_CUTOFF + 2])
     def test_two_rows_beside_the_batch_cutoff(self, size):
@@ -1692,18 +1770,17 @@ class TestFsumRows:
         former = fsum_outcome(fsum_rows_former, values)
         args = (values.ravel(), np.repeat(np.arange(count), length), count) if flat else (values,)
         with contextlib.ExitStack() as stack:
-            one, each, bracket, steps = (
-                stack.enter_context(spy(name)) for name in ("fsum", "_fsum_each", "_fsum_bracketed", "_two_sum_steps")
-            )
+            one, each, bracket = (stack.enter_context(spy(name)) for name in ("fsum", "_fsum_each", "_fsum_bracketed"))
+            transposed = stack.enter_context(transposes())
             bincount = stack.enter_context(mock.patch.object(util_module.np, "bincount", wraps=np.bincount))
             assert fsum_outcome(lambda _: fsum_rows(*args), values) == former
-        calls = [one.call_count, each.call_count, bracket.call_count, [c.args[1] for c in steps.call_args_list]]
+        calls = [one.call_count, each.call_count, bracket.call_count, shapes(transposed)]
         assert calls == {
             "list": [1, 0, 0, []],
             "bins": [1, 0, 0, []],
             "lists": [0, 1, 0, []],
-            "column": [0, 0, 1, [0]],
-            "row": [0, 0, 1, [1]],
+            "column": [0, 0, 1, [(length, count)]],
+            "row": [0, 0, 1, []],
         }[path]
         # the bins are fsum's two np.bincount calls; the flat lists make one
         assert bincount.call_count == {"bins": 2, "lists": int(flat)}.get(path, 0)
