@@ -1725,6 +1725,18 @@ class TestFsumRows:
         if top in ("lower-guard-below", "upper-guard", "upper-guard-above"):  # outside the guards
             assert alone.call_count == count
 
+    # 1 + 2^-53 + 2^-103, just above a tie, whose low parts numpy sums to
+    # 2^-53 - 2^-103, two ulp below the exact 2^-53 + 2^-103, as it adds
+    # them in order in the column layout and in pairs in the row layout: so
+    # the bracket's ends need w, more than their one-ulp widening
+    @pytest.mark.parametrize("length", [7, ROW_CUTOFF + 1])
+    def test_low_parts_summed_with_an_error(self, length):
+        row = np.zeros(length)
+        row[:7] = (2.0**-50, 2.0**-103, 2.0**-103, 0.0, -(2.0**-50) + 2.0**-53 - 2.0**-103, 0.0, 1.0)
+        values = np.tile(row, (BATCH_CUTOFF // length + 1, 1))
+        assert fsum_outcome(fsum_rows, values) == fsum_outcome(fsum_rows_former, values)
+        assert fsum_rows(values)[0] == 1.0 + 2.0**-52
+
     # rows of -0.0 only, rows of both zeros, and one value among zeros
     @pytest.mark.parametrize("length", [7, ROW_CUTOFF, ROW_CUTOFF + 1, 255])
     def test_zero_rows_and_one_value(self, length):
