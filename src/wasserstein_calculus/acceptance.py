@@ -29,7 +29,7 @@ from .ftc import (
     symmetry_residual,
 )
 from .functions import cos_fn, lift_to_field, lipschitz_probes, sin_fn, standard_battery
-from .measures import _flat_atoms, _w1_flat, dirac, kr_lower_bound_rows
+from .measures import _atom_rows, _w1_flat, dirac, kr_lower_bound_rows
 from .partition import BUMP_MODES, _discretize_flat
 from .sampling import _flat_draws, _passes, random_draws
 from .util import check_samples, max_or_nan
@@ -66,7 +66,7 @@ def _discretization_block(seed: int, cases: list) -> list:
         ratio_max = np.maximum(ratio_max, np.max(dists * ns / 3.0, axis=1))  # NaN stays
         if mode == "smooth_bump":
             w1_smooth_max = np.max(dists, axis=1)
-            atoms_out_max = np.bincount(grid[2]).reshape(len(cases), MEASURES_PER_CASE).max(axis=1)
+            atoms_out_max = grid[2].reshape(len(cases), MEASURES_PER_CASE).max(axis=1)
     return [
         {"K": K, "n": n, "w1_bound": 3.0 / n, "w1_actual": float(w1), "atoms_out": int(atoms),
          "violations": int(bad), "ratio_max": float(ratio)}
@@ -226,7 +226,7 @@ def check_ftc_soundness(seed: int = DEFAULT_SEED):
         base = F.evaluate(dirac(0.0))
         ms = [m for (m,) in random_draws(seed, "ftc-recovery", range(20), 1.0)]
         built = segment_integral_each(H, BASE_POINT, ms, DEFAULT_QUAD_ORDER)
-        exact = F.evaluate_flat(*_flat_atoms((m.positions, m.weights) for m in ms))
+        exact = F.evaluate_flat(*_atom_rows(ms))
         recovery = max_or_nan(np.abs(built - (exact - base)).tolist())
         return {
             "label": F.label,
@@ -323,7 +323,7 @@ def check_metric_properties(seed: int = DEFAULT_SEED, samples: int = 1000):
     triangle, kr = [], []
     for chunk in _passes(random_draws(seed, "metric", range(samples), 2.0, measures=3), 3):
         a, b, c = zip(*chunk)
-        firsts, seconds = (_flat_atoms((m.positions, m.weights) for m in ms) for ms in (a + b + a, b + c + c))
+        firsts, seconds = (_atom_rows(ms) for ms in (a + b + a, b + c + c))
         d_ab, d_bc, d_ac = _w1_flat(firsts, seconds).reshape(3, -1)
         triangle.append(float(np.max(d_ac - d_ab - d_bc)))
         kr += [float(np.max(kr_lower_bound_rows(a, b, f) - d_ab)) for f in probes]

@@ -10,11 +10,12 @@ O(eps^2) estimator. ``dawson_each`` is the one quotient routine, for many
 functions at many (measure, point) pairs; ``dawson_rows`` is its one-pair
 case, ``dawson`` its one-step case, and ``dawson_extrapolated`` combines its
 steps (eps, eps/2). A function of a measure may carry a flat evaluator
-``evaluate_flat(positions, weights, rows, count)`` (as ``CylinderFunction``
-does) that returns F of ``count`` measures laid out flat, as
-``util.fsum_rows`` takes rows, bit for bit: one call then evaluates all base
-measures, and one the perturbed measures of every pair whose steps share a
-support (see ``measures.mix_rows``); all else is evaluated step by step.
+``evaluate_flat(positions, weights, sizes)`` (as ``CylinderFunction`` does)
+that returns F of measures laid out flat, row after row, with the atom
+count of each row in ``sizes`` (``measures._flat_atoms``), bit for bit:
+one call then evaluates all base measures, and one the perturbed measures
+of every pair whose steps share a support (see ``measures.mix_rows``); all
+else is evaluated step by step.
 The module also verifies the defining integral identity
 
     F(m) - F(mu) = int_0^1 int H((1-t)*mu + t*m, x) d(m - mu)(x) dt
@@ -127,7 +128,7 @@ class MeasureFunction:
 
     fn: Callable[[DiscreteMeasure], float]
     label: str = ""
-    evaluate_flat: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray, int], np.ndarray]] = None
+    evaluate_flat: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __call__(self, m: DiscreteMeasure) -> float:
         return float(self.fn(m))
@@ -188,7 +189,7 @@ def _quotients(functions, measures, points, steps) -> np.ndarray:
     if any(flat):
         batches = [mix_rows(m, p, steps) for m, p in zip(measures, diracs)]
         shared = [i for i, batch in enumerate(batches) if batch is not None]
-        bases = _flat_atoms((m.positions, m.weights) for m in measures)
+        bases = _atom_rows(measures)
         mixtures = _flat_atoms((batches[i][0], w) for i in shared for w in batches[i][1])
     out = np.empty((len(functions), len(measures), len(steps)))
     for F, evaluate, q in zip(functions, flat, out):

@@ -123,8 +123,8 @@ def antiderivative(H: DerivativeField, quad_order: int = DEFAULT_QUAD_ORDER) -> 
     def F(m: DiscreteMeasure) -> float:
         return segment_integral(H, BASE_POINT, m, quad_order)
 
-    def evaluate_flat(positions, weights, rows, count):
-        measures = [DiscreteMeasure._trusted(*row) for row in _flat_rows(positions, weights, rows, count)]
+    def evaluate_flat(positions, weights, sizes):
+        measures = [DiscreteMeasure._trusted(*row) for row in _flat_rows(positions, weights, sizes)]
         return segment_integral_each(H, BASE_POINT, measures, quad_order)
 
     label = f"antiderivative[{H.label}]" if H.label else "antiderivative"

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .measures import DiscreteMeasure, _flat_atoms, integrate, integrate_flat
+from .measures import DiscreteMeasure, _atom_rows, integrate, integrate_flat
 from .util import _plain, check_keys, fsum_rows, json_number
 
 __all__ = [
@@ -513,12 +513,12 @@ class CylinderFunction:
     def moments(self, m: DiscreteMeasure) -> np.ndarray:
         return np.array([integrate(m, f) for f in self.inner])
 
-    def moments_flat(self, positions, weights, rows=None, count: int = 0) -> np.ndarray:
+    def moments_flat(self, positions, weights, sizes=None) -> np.ndarray:
         """``moments`` of each measure of a layout that ``measures.integrate_flat``
         takes, shared supports or flat: shape (..., measures, k), bit for bit."""
-        v = np.empty((weights.shape[:-1] if rows is None else (count,)) + (len(self.inner),))
+        v = np.empty((weights.shape[:-1] if sizes is None else sizes.shape) + (len(self.inner),))
         for i, f in enumerate(self.inner):
-            v[..., i] = integrate_flat(positions, weights, f, rows, count)
+            v[..., i] = integrate_flat(positions, weights, f, sizes)
         return v
 
     def evaluate(self, m: DiscreteMeasure) -> float:
@@ -529,10 +529,10 @@ class CylinderFunction:
         of a measure is expected brings its ``evaluate_flat`` along."""
         return self.evaluate(m)
 
-    def evaluate_flat(self, positions, weights, rows, count: int) -> np.ndarray:
+    def evaluate_flat(self, positions, weights, sizes) -> np.ndarray:
         """``evaluate`` on each measure of a ``moments_flat`` layout, bit for
         bit and error for error, with one ``OuterMap.value`` call."""
-        return self.outer.value(self.moments_flat(positions, weights, rows, count))
+        return self.outer.value(self.moments_flat(positions, weights, sizes))
 
     def derivatives(self, m) -> "CylinderDerivatives":
         """The moments of m, or of each measure of a list m (one
@@ -540,7 +540,7 @@ class CylinderFunction:
         computed once; every exact derivative there is evaluated from them."""
         if isinstance(m, DiscreteMeasure):
             return CylinderDerivatives(self, self.moments(m))
-        return CylinderDerivatives(self, self.moments_flat(*_flat_atoms((a.positions, a.weights) for a in m)))
+        return CylinderDerivatives(self, self.moments_flat(*_atom_rows(m)))
 
     def exact_delta(self, m: DiscreteMeasure, x):
         """Canonical first derivative: sum_i dg_i(v) * (f_i(x) - v_i)."""

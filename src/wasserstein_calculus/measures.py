@@ -312,47 +312,44 @@ def integrate(m: DiscreteMeasure, f) -> float:
 def integrate_each(measures, f) -> np.ndarray:
     """``integrate(m, f)`` for each measure of a list, with its bits and errors:
     ``integrate_flat`` of their atoms laid out flat."""
-    positions, weights, rows, count = _flat_atoms((m.positions, m.weights) for m in measures)
-    return integrate_flat(positions, weights, f, rows, count)
+    positions, weights, sizes = _atom_rows(measures)
+    return integrate_flat(positions, weights, f, sizes)
 
 
 def _flat_atoms(pairs):
     """The atoms of (positions, weights) pairs laid out flat, pair after
-    pair, as ``util.fsum_rows`` takes rows: (positions, weights, rows, count)."""
+    pair, with the atom count of each pair: (positions, weights, sizes), a
+    part of ``_padded_rows`` and the rows ``util.fsum_rows`` takes."""
     pairs = list(pairs)
-    sizes = [p.size for p, _ in pairs]
+    sizes = np.array([p.size for p, _ in pairs], dtype=np.intp)
     positions = np.concatenate([p for p, _ in pairs] or [np.zeros(0)])
     weights = np.concatenate([w for _, w in pairs] or [np.zeros(0)])
-    return positions, weights, np.repeat(np.arange(len(sizes)), sizes), len(sizes)
+    return positions, weights, sizes
 
 
 def _atom_rows(measures):
-    """The measures as one part of ``_padded_rows``, row after row; one
-    measure is the part of a one-row block: its own arrays, an int size."""
-    if len(measures) == 1:
-        return measures[0].positions, measures[0].weights, measures[0].positions.size
-    sizes = np.array([m.positions.size for m in measures])
-    return np.concatenate([m.positions for m in measures]), np.concatenate([m.weights for m in measures]), sizes
+    """The measures laid out flat (``_flat_atoms``), row after row."""
+    return _flat_atoms((m.positions, m.weights) for m in measures)
 
 
-def _flat_rows(positions, weights, rows, count: int) -> list:
+def _flat_rows(positions, weights, sizes) -> list:
     """The (positions, weights) pair of each row of a flat layout, as views."""
-    ends = np.cumsum(np.bincount(rows, minlength=count)).tolist()
+    ends = np.cumsum(sizes).tolist()
     return [(positions[a:b], weights[a:b]) for a, b in zip([0] + ends, ends)]
 
 
-def integrate_flat(positions, weights, f, rows=None, count: int = 0) -> np.ndarray:
+def integrate_flat(positions, weights, f, sizes=None) -> np.ndarray:
     """``integrate`` against each of many measures, with their bits and
     errors (the first bad atom in row order): ``f``, which must act value by
     value, once on all positions, and one ``fsum_rows`` call. The measures
     are the rows of ``weights`` (shape (..., rows, atoms)) on the
     ``positions`` (shape (..., atoms)) of their leading index, as
-    ``mix_rows`` gives them, or with ``rows`` the ``count`` measures laid
-    out flat, as ``_flat_atoms`` gives them."""
-    if rows is None:
+    ``mix_rows`` gives them, or with ``sizes`` those laid out flat, as
+    ``_flat_atoms`` gives them."""
+    if sizes is None:
         products = weights * _finite_values(f, positions)[..., None, :]
         return np.array(fsum_rows(products.reshape(-1, products.shape[-1]))).reshape(weights.shape[:-1])
-    return np.array(fsum_rows(weights * _finite_values(f, positions), rows, count))
+    return np.array(fsum_rows(weights * _finite_values(f, positions), sizes))
 
 
 def w1(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
@@ -368,7 +365,7 @@ def w1(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
     """
     if a is b:
         return 0.0
-    return float(_w1_flat((a.positions, a.weights, None, 1), (b.positions, b.weights, None, 1))[0])
+    return float(_w1_flat((a.positions, a.weights, a.positions.size), (b.positions, b.weights, b.positions.size))[0])
 
 
 def w1_rows(firsts, seconds) -> np.ndarray:
@@ -383,18 +380,17 @@ def w1_rows(firsts, seconds) -> np.ndarray:
 
 
 def _w1_flat(first, second) -> np.ndarray:
-    """``w1`` of row r of one flat layout (positions, weights, rows, count) of
+    """``w1`` of row r of one flat layout (positions, weights, sizes) of
     probability measures against row r of another, with the bits of each
-    pair alone; a layout whose ``rows`` are None is one row.
+    pair alone; a layout whose size is an int is one row.
 
     ``_padded_rows`` sorts row r of the first and of the second, with negated
     weights, into one padded row in the order of the one-row sort; the
     running sums are sequential along the row, a pad adds a gap of 0, and
     each row has one exactly rounded sum (``util.fsum_rows``).
     """
-    (pa, wa, ra, count), (pb, wb, rb, _) = first, second
-    na, nb = (p.size if r is None else np.bincount(r, minlength=count) for p, r in ((pa, ra), (pb, rb)))
-    pos, signed, _, _ = _padded_rows((pa, wa, na), (pb, -wb, nb))
+    pb, wb, nb = second
+    pos, signed, _, _ = _padded_rows(first, (pb, -wb, nb))
     cdf_gap = compensated_cumsum(signed)
     return np.array(fsum_rows(np.abs(cdf_gap[:, :-1]) * (pos[:, 1:] - pos[:, :-1])))
 
@@ -405,19 +401,20 @@ def _padded_rows(*parts):
     A part is (positions, weights, sizes): with per-row ``sizes``, its atoms
     laid out row after row, as ``_flat_atoms`` lays them; with an int, one
     row that every row shares, before every per-row part. Row r holds each
-    part's row r in turn, stably sorted, so tied atoms keep part order; one
-    row is the plain concatenation of the parts, sorted. Returns (positions,
-    weights, sizes, pads): (rows, width) blocks, the atoms of each row, and
-    the mask of the pads, or None if none. A pad has weight 0 at a copy of
-    its row's last atom, so a padded row must hold an atom; the atoms must
-    be finite, as the pads are the cells that sort last at +inf.
+    part's row r in turn, stably sorted, so tied atoms keep part order; a
+    block of one row (an int size, or one per-row size) is the plain
+    concatenation of the parts, sorted. Returns (positions, weights, sizes,
+    pads): (rows, width) blocks, the atoms of each row, and the mask of the
+    pads, or None if none. A pad has weight 0 at a copy of its row's last
+    atom, so a padded row must hold an atom; the atoms must be finite, as
+    the pads are the cells that sort last at +inf.
     """
     positions, weights, sizes = zip(*parts)
-    sizes = sum(sizes)
-    if not isinstance(sizes, np.ndarray):  # every part is one shared row
+    sizes = np.atleast_1d(sum(sizes))
+    if sizes.size == 1:  # one row
         positions, weights = np.concatenate(positions), np.concatenate(weights)
         order = positions.argsort(kind="stable")
-        return positions[order][None], weights[order][None], np.array([sizes]), None
+        return positions[order][None], weights[order][None], sizes, None
     count, width = sizes.size, int(sizes.max(initial=0))
     firsts = np.arange(count) * width  # flat index of each row's first cell
     positions, weights = np.full(count * width, np.inf), np.zeros(count * width)  # pads sort last

@@ -16,12 +16,13 @@ families below satisfy it.
 
 At any point at most two bumps are nonzero: those of the grid indices just
 below and just above n*x. ``_discretize_flat`` evaluates only that band, for
-many measures laid out flat, each with its own n and K, and scatters it onto
-one grid row per measure, so its cost is O(total atoms) whatever n and K
-are; each row has the bits of its measure discretized alone. Of its three
-row sums, only the renormalizer of the kept weights is summed exactly; the
-two mass checks are verdicts, decided from a float row sum where its error
-bound allows (``util.fsum_near_one``).
+many measures laid out flat, each with its own n and K, in O(total atoms).
+It scatters the band onto one dense grid row per measure, each with the
+2*n*K + 1 bins of the widest grid, and reads back the nonzero bins, which
+costs O(rows x widest grid) more. Each row has the bits of its measure
+discretized alone. Of its three row sums, only the renormalizer of the
+kept weights is summed exactly; the two mass checks are verdicts, decided
+from a float row sum where its error bound allows (``util.fsum_near_one``).
 ``discretize_rows`` and ``discretize`` are its adapters for one scheme, and
 ``PartitionScheme.weight_matrix`` densifies the band.
 """
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import MASS_TOL, DiscreteMeasure, _flat_atoms, _flat_rows
+from .measures import MASS_TOL, DiscreteMeasure, _atom_rows, _flat_rows
 from .util import fsum, fsum_near_one, fsum_rows
 
 __all__ = ["PartitionScheme", "bump_weight", "discretize", "discretize_rows", "BUMP_MODES"]
@@ -190,7 +191,7 @@ def discretize(scheme: PartitionScheme, m: DiscreteMeasure) -> DiscreteMeasure:
     one-row case of ``discretize_rows``, whose row is already sorted, merged,
     positive, finite and mass-checked, so the measure is built unchecked.
     """
-    layout = _flat_atoms([(m.positions, m.weights)])
+    layout = _atom_rows([m])
     return DiscreteMeasure._trusted(*_discretize_flat(scheme.bump_shape, scheme.n, scheme.K, *layout)[:2])
 
 
@@ -202,18 +203,18 @@ def discretize_rows(scheme: PartitionScheme, measures) -> list:
     arrays ``discretize`` stores in its measure. They are the rows of
     ``_discretize_flat`` of the measures laid out flat (``_flat_atoms``).
     """
-    layout = _flat_atoms((m.positions, m.weights) for m in measures)
+    layout = _atom_rows(measures)
     return _flat_rows(*_discretize_flat(scheme.bump_shape, scheme.n, scheme.K, *layout))
 
 
-def _discretize_flat(bump_shape: str, n, K, positions, weights, rows, count: int):
-    """``discretize`` of each of ``count`` measures in the flat layout of
-    ``measures._flat_atoms``, row r on the grid of ``bump_shape``, n[r] and
-    K[r] (those of a valid ``PartitionScheme``; scalars serve every row):
-    their grid measures in the same layout, each row with the bits of its
-    measure alone, as one ``np.bincount`` keyed by (row, grid index) adds
-    each bin's terms in input order. Each row has the bins of the widest
-    grid; bin j holds grid point (j - n*K)/n.
+def _discretize_flat(bump_shape: str, n, K, positions, weights, sizes):
+    """``discretize`` of each measure in the flat layout (positions,
+    weights, sizes) of ``measures._flat_atoms``, row r on the grid of
+    ``bump_shape``, n[r] and K[r] (those of a valid ``PartitionScheme``;
+    scalars serve every row): their grid measures in the same layout, each
+    row with the bits of its measure alone, as one ``np.bincount`` keyed by
+    (row, grid index) adds each bin's terms in input order. Each row has the
+    bins of the widest grid; bin j holds grid point (j - n*K)/n.
 
     The checks of ``discretize`` are array operations over all rows, and the
     first bad row raises its error: the support bound (from each row's first
@@ -224,14 +225,14 @@ def _discretize_flat(bump_shape: str, n, K, positions, weights, rows, count: int
     every row is the renormalizer of the kept weights (``util.fsum_rows``),
     whose bits reach them.
     """
-    sizes = np.bincount(rows, minlength=count)
-    ends = np.cumsum(sizes)
+    count, ends = sizes.size, np.cumsum(sizes)
     bounds = np.maximum(np.abs(positions[ends - sizes]), np.abs(positions[ends - 1]))
     bad = np.flatnonzero(bounds > K)
     if bad.size:
         raise ValueError(f"measure support bound {bounds[bad[0]]:g} exceeds the scheme bound K={_at(K, bad[0])}")
     N = n * K
     width = 2 * (int(N.max(initial=0)) if isinstance(N, np.ndarray) else N) + 1
+    rows = np.repeat(np.arange(count), sizes)
     cols, band = _band(bump_shape, _at(n, rows), _at(N, rows), positions)
     cols += rows * width
     grid_weights = np.bincount(
@@ -240,24 +241,25 @@ def _discretize_flat(bump_shape: str, n, K, positions, weights, rows, count: int
     # zeros leave an exact fsum unchanged: the rows' nonzero weights, laid
     # flat row after row, carry all the per-row bookkeeping
     grid_rows, cols = np.nonzero(grid_weights)
-    values = grid_weights[grid_rows, cols]
-    whole = fsum_near_one(values, 1e-10, grid_rows, count)
+    values, grid_sizes = grid_weights[grid_rows, cols], np.count_nonzero(grid_weights, axis=1)
+    whole = fsum_near_one(values, 1e-10, grid_sizes)
     keep = values > WEIGHT_FLOOR
     rows, kept = grid_rows[keep], values[keep]
-    kept = kept / np.array(fsum_rows(kept, rows, count))[rows]
-    held = fsum_near_one(kept, MASS_TOL, rows, count)
+    sizes = np.bincount(rows, minlength=count)
+    kept = kept / np.array(fsum_rows(kept, sizes))[rows]
+    held = fsum_near_one(kept, MASS_TOL, sizes)
     # a row a screen refuses is checked on its exact sum, which a NaN passes
     for r in np.flatnonzero(~(whole & held)).tolist():
-        if not whole[r] and abs((total := _row_fsum(values, grid_rows, r)) - 1.0) > 1e-10:
+        if not whole[r] and abs((total := _row_fsum(values, grid_sizes, r)) - 1.0) > 1e-10:
             raise RuntimeError(f"partition of unity leaked mass: total {total!r}")
-        if not held[r] and abs((mass := _row_fsum(kept, rows, r)) - 1.0) > MASS_TOL:
+        if not held[r] and abs((mass := _row_fsum(kept, sizes, r)) - 1.0) > MASS_TOL:
             raise ValueError(f"weights sum to {mass!r}, not 1")
-    return (cols[keep] - _at(N, rows)) / _at(n, rows), kept, rows, count
+    return (cols[keep] - _at(N, rows)) / _at(n, rows), kept, sizes
 
 
-def _row_fsum(values, rows, r):
+def _row_fsum(values, sizes, r):
     """The exact sum (``util.fsum``) of row r of a flat layout."""
-    return fsum(values[np.searchsorted(rows, r) : np.searchsorted(rows, r, "right")])
+    return fsum(values[sizes[:r].sum() : sizes[: r + 1].sum()])
 
 
 def _at(values, index):

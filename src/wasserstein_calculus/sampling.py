@@ -457,12 +457,12 @@ def _measures(pos: np.ndarray, weights: np.ndarray, counts: np.ndarray):
     rebuilt = np.flatnonzero(~trusted).tolist()
     if rebuilt:
         counts = counts.copy()
-        rows = _flat_rows(flat_pos, flat_w, np.repeat(np.arange(counts.size), counts), counts.size)
+        rows = _flat_rows(flat_pos, flat_w, counts)
         for r in rebuilt:
             m = DiscreteMeasure(pos[r, : counts[r]], weights[r, : counts[r]])
             rows[r], counts[r] = (m.positions, m.weights), len(m)
         flat_pos, flat_w = (np.concatenate(arrays) for arrays in zip(*rows))
-    return flat_pos, flat_w, np.repeat(np.arange(counts.size), counts), counts.size
+    return flat_pos, flat_w, counts
 
 
 def random_measure(rng: np.random.Generator, K: float, max_atoms: int = MAX_ATOMS) -> DiscreteMeasure:

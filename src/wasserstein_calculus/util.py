@@ -178,11 +178,11 @@ def fsum(values: np.ndarray) -> float:
     return math.fsum(parts[parts != 0.0].tolist())
 
 
-def fsum_rows(values: np.ndarray, rows: np.ndarray | None = None, count: int = 0) -> list:
+def fsum_rows(values: np.ndarray, sizes: np.ndarray | None = None) -> list:
     """``math.fsum`` of each row, with its bits and its errors.
 
-    The rows are those of a 2-D float64 array, or ``count`` rows laid flat in
-    a 1-D ``values``, row after row, with ``rows`` giving each entry's row.
+    The rows are those of a 2-D float64 array, or rows laid flat in a 1-D
+    ``values``, row after row, with ``sizes`` giving each row's length.
     The shape of the input picks one of three paths:
 
     - one row is ``fsum``'s;
@@ -219,12 +219,10 @@ def fsum_rows(values: np.ndarray, rows: np.ndarray | None = None, count: int = 0
     below sigma <= 2^1021, where ``math.fsum`` cannot overflow (see
     ``fsum``).
     """
-    if rows is None:
-        count = len(values)
-    if count == 1:
+    if len(values if sizes is None else sizes) == 1:
         return [fsum(values.reshape(-1))]
-    if rows is not None or values.size <= _FSUM_BATCH_CUTOFF:
-        return _fsum_each(values, rows, count)
+    if sizes is not None or values.size <= _FSUM_BATCH_CUTOFF:
+        return _fsum_each(values, sizes)
     return _fsum_bracketed(values)
 
 
@@ -255,19 +253,19 @@ def _fsum_bracketed(values: np.ndarray) -> list:
     return sums
 
 
-def _fsum_each(values: np.ndarray, rows: np.ndarray, count: int) -> list:
+def _fsum_each(values: np.ndarray, sizes: np.ndarray | None) -> list:
     """``math.fsum`` of each row, one list per row."""
-    if values.ndim == 2:
+    if sizes is None:
         return [math.fsum(row) for row in values.tolist()]
-    ends = np.cumsum(np.bincount(rows, minlength=count)).tolist()
+    ends = np.cumsum(sizes).tolist()
     flat = values.tolist()
     return [math.fsum(flat[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
 
-def fsum_near_one(values: np.ndarray, tol: float, rows: np.ndarray | None = None, count: int = 0) -> np.ndarray:
+def fsum_near_one(values: np.ndarray, tol: float, sizes: np.ndarray | None = None) -> np.ndarray:
     """``abs(math.fsum(row) - 1.0) <= tol`` of each row, a bool array, with
     the errors of ``math.fsum``; a NaN row reads False. The rows are those
-    of ``fsum_rows``: of a 2-D batch, or ``count`` rows laid flat.
+    of ``fsum_rows``: of a 2-D batch, or laid flat with their ``sizes``.
 
     Each row of n values has c, their numpy sum in any order, and a, that
     of their absolute values. Each errs by at most gamma_(n-1) sum(|x|), so
@@ -286,18 +284,18 @@ def fsum_near_one(values: np.ndarray, tol: float, rows: np.ndarray | None = None
     would not raise.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # rows with inf or NaN are not ``sure``
-        if rows is None:
-            sizes, near, spread = values.shape[1], values.sum(axis=1), np.abs(values).sum(axis=1)
+        if sizes is None:
+            lengths, near, spread = values.shape[1], values.sum(axis=1), np.abs(values).sum(axis=1)
         else:
-            sizes = np.bincount(rows, minlength=count)
-            near, spread = np.bincount(rows, values, count), np.bincount(rows, np.abs(values), count)
-        wide = spread * (sizes * 2.0**-52)
+            lengths, rows = sizes, np.repeat(np.arange(sizes.size), sizes)
+            near, spread = np.bincount(rows, values, sizes.size), np.bincount(rows, np.abs(values), sizes.size)
+        wide = spread * (lengths * 2.0**-52)
         low = np.nextafter(near - wide, -np.inf) - 1.0
         high = np.nextafter(near + wide, np.inf) - 1.0
     inside = (low >= -tol) & (high <= tol)
     sure = (inside | (high < -tol) | (low > tol)) & (spread <= 2.0**1020)
     for r in np.flatnonzero(~sure).tolist():
-        row = values[r] if rows is None else values[np.searchsorted(rows, r) : np.searchsorted(rows, r, "right")]
+        row = values[r] if sizes is None else values[sizes[:r].sum() : sizes[: r + 1].sum()]
         inside[r] = abs(math.fsum(row.tolist()) - 1.0) <= tol
     return inside
 
@@ -321,20 +319,14 @@ def compensated_cumsum(values) -> np.ndarray:
     left-to-right ``np.cumsum`` of the errors. Zeros agree in sign too:
     neither form ever returns -0.0.
     """
-    s, err = _two_sum_steps(np.asarray(values, dtype=float))
-    np.add.accumulate(err, axis=-1, out=err)
-    err += s
-    return err
-
-
-def _two_sum_steps(v: np.ndarray):
-    """The partial sums ``np.cumsum(v, axis=-1)`` and the exact rounding
-    error of each step (Knuth's TwoSum), the first step's being zero."""
+    v = np.asarray(values, dtype=float)
     sums = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,))
-    prev, s = sums[..., :-1], sums[..., 1:]
+    prev, s = sums[..., :-1], sums[..., 1:]  # the partial sums before and after each step
     np.add.accumulate(v, axis=-1, out=s)
     back = s - prev
     err = s - back
     np.subtract(prev, err, out=err)  # prev - (s - back)
-    err += np.subtract(v, back, out=back)
-    return s, err
+    err += np.subtract(v, back, out=back)  # the exact error of each step
+    np.add.accumulate(err, axis=-1, out=err)
+    err += s
+    return err

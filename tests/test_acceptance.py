@@ -242,8 +242,8 @@ def test_criterion_1_makes_one_call_per_bump_mode_per_block():
 
         return mock.patch.object(acceptance, name, counted)
 
-    with spy("_flat_draws", lambda args, out: out[3]), spy("_discretize_flat", lambda args, out: args[6]), spy(
-        "_w1_flat", lambda args, out: args[0][3]
+    with spy("_flat_draws", lambda args, out: out[2].size), spy("_discretize_flat", lambda args, out: args[5].size), spy(
+        "_w1_flat", lambda args, out: args[0][2].size
     ):
         report, _ = acceptance.check_discretization(seed=1)
     blocks = -(-report["cases"] // acceptance.CASES_PER_BLOCK)

@@ -209,6 +209,13 @@ class TestNumericBounds:
         assert code == 2 and out == ""
         assert "step" in json.loads(err)["error"]
 
+    def test_grid_beyond_any_address_space(self, files, capsys):
+        # 2 * 10^15 + 1 grid indices of 8 bytes, 14.2 PiB: numpy refuses the
+        # allocation before it touches memory, with a MemoryError
+        code, out, err = run_cli(capsys, ["discretize", files["m5.json"], "--n", "1000000000000000", "--K", "1"])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"].startswith("Unable to allocate")
+
     @pytest.mark.parametrize("K", ["inf", "1e308", "nan", "-1"])
     def test_counterexample_K(self, capsys, K):
         code, _, err = run_cli(capsys, ["counterexample", f"--K={K}", "--samples", "2", "--quad", "2"])
@@ -319,6 +326,16 @@ class TestArgparseErrors:
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
         assert isinstance(json.loads(err)["error"], str)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["deriv2-check"], ["ftc-check", "field.json"], ["counterexample"]],
+        ids=["deriv2-check", "ftc-check", "counterexample"],
+    )
+    def test_threads_is_an_option_of_sweep_alone(self, capsys, argv):
+        code, out, err = run_cli(capsys, [*argv, "--threads", "1"])
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "unrecognized arguments: --threads 1"}
 
     def test_help_still_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wasserstein_calculus import (
     DiscreteMeasure,
@@ -28,7 +28,7 @@ from wasserstein_calculus import (
     random_point,
     stream_rng,
 )
-from wasserstein_calculus.measures import _padded_rows, w1_rows
+from wasserstein_calculus.measures import _flat_atoms, _flat_rows, _padded_rows, w1_rows
 
 TOL = 1e-12
 
@@ -322,6 +322,33 @@ class TestPaddedRows:
 
     def test_no_rows(self):
         assert w1_rows([], []).shape == (0,)
+
+
+@st.composite
+def atom_pairs(draw):
+    """None to four (positions, weights) pairs of one to four atoms each,
+    of any finite floats: the rows of a flat layout."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    sizes = draw(st.lists(st.integers(1, 4), max_size=4))
+    return [tuple(np.array(draw(st.lists(finite, min_size=n, max_size=n))) for _ in "pw") for n in sizes]
+
+
+ONE_ATOM = (np.array([0.5]), np.array([1.0]))
+
+
+class TestFlatLayout:
+    @given(atom_pairs())
+    @example([])
+    @example([ONE_ATOM])
+    @example([ONE_ATOM, (np.array([-1.0, 2.0]), np.array([0.25, 0.75])), ONE_ATOM])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_flat_rows_of_flat_atoms_are_the_pairs(self, pairs):
+        positions, weights, sizes = _flat_atoms(pairs)
+        assert sizes.dtype == np.intp and sizes.tolist() == [p.size for p, _ in pairs]
+        rows = _flat_rows(positions, weights, sizes)
+        assert len(rows) == len(pairs)
+        for (p, w), (q, v) in zip(rows, pairs):
+            assert p.tobytes() == q.tobytes() and w.tobytes() == v.tobytes()
 
 
 class TestSignedDifference:

@@ -179,13 +179,13 @@ def near_one_oracle(rows, tol):
 def near_one_outcomes(rows, tol):
     """``fsum_near_one`` of the rows laid flat, and as a 2-D batch when they
     are equally long: each its verdicts or its error."""
-    layouts = [(np.array(sum(rows, []), dtype=float), np.repeat(np.arange(len(rows)), [len(r) for r in rows]), len(rows))]
+    layouts = [(np.array(sum(rows, []), dtype=float), np.array([len(r) for r in rows], dtype=np.intp))]
     if len({len(r) for r in rows}) <= 1:
-        layouts.append((np.array(rows, dtype=float).reshape(len(rows), -1), None, 0))
+        layouts.append((np.array(rows, dtype=float).reshape(len(rows), -1), None))
     outcomes = []
-    for values, rows_of, count in layouts:
+    for values, sizes in layouts:
         try:
-            verdicts = fsum_near_one(values, tol, rows_of, count)
+            verdicts = fsum_near_one(values, tol, sizes)
             assert verdicts.dtype == bool and verdicts.shape == (len(rows),)
             outcomes.append(verdicts.tolist())
         except (ValueError, OverflowError) as exc:
@@ -276,8 +276,8 @@ class TestMassScreen:
 
     def test_empty_rows_and_special_values(self):
         empty = np.zeros(0)
-        assert fsum_near_one(empty, 0.5, np.zeros(0, dtype=int), 3).tolist() == [False] * 3
-        assert fsum_near_one(empty, 1.0, np.zeros(0, dtype=int), 2).tolist() == [True] * 2
+        assert fsum_near_one(empty, 0.5, np.zeros(3, dtype=np.intp)).tolist() == [False] * 3
+        assert fsum_near_one(empty, 1.0, np.zeros(2, dtype=np.intp)).tolist() == [True] * 2
         assert fsum_near_one(np.zeros((0, 4)), 0.5).tolist() == []
         for rows, expected in [
             ([[math.nan, 1.0], [1.0, 0.0]], [False, True]),

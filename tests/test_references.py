@@ -738,12 +738,13 @@ def discretize_rows_former(scheme, measures):
     ).reshape(len(measures), size)
     rows, cols = np.nonzero(grid_weights)
     values = grid_weights[rows, cols]
-    totals = partition_module.fsum_rows(values, rows, len(measures))
+    totals = partition_module.fsum_rows(values, np.bincount(rows, minlength=len(measures)))
     keep = values > WEIGHT_FLOOR
     rows, kept = rows[keep], values[keep]
-    kept /= np.array(partition_module.fsum_rows(kept, rows, len(measures)))[rows]
-    kept_masses = partition_module.fsum_rows(kept, rows, len(measures))
-    ends = np.cumsum(np.bincount(rows, minlength=len(measures))).tolist()
+    sizes = np.bincount(rows, minlength=len(measures))
+    kept /= np.array(partition_module.fsum_rows(kept, sizes))[rows]
+    kept_masses = partition_module.fsum_rows(kept, sizes)
+    ends = np.cumsum(sizes).tolist()
     positions = scheme.grid[cols[keep]]
     out = []
     for total, mass, a, b in zip(totals, kept_masses, [0] + ends[:-1], ends):
@@ -773,8 +774,8 @@ def mixed_grid_batches(draw):
 
 def flat_rows(layout):
     """The (positions, weights) rows of a flat layout."""
-    positions, weights, rows, count = layout
-    ends = np.cumsum(np.bincount(rows, minlength=count)).tolist()
+    positions, weights, sizes = layout
+    ends = np.cumsum(sizes).tolist()
     return [(positions[a:b], weights[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
 
@@ -795,20 +796,20 @@ def tampered_mass_sums(bad):
     calls, screened = [], []
     screen, row_fsum = partition_module.fsum_near_one, partition_module._row_fsum
 
-    def former_sums(values, rows=None, count=0):
-        out = fsum_rows(values, rows, count)
-        calls.append(count)
+    def former_sums(values, sizes=None):
+        out = fsum_rows(values, sizes)
+        calls.append(len(out))
         return [1.5 if len(calls) % 3 == 0 and r in bad else v for r, v in enumerate(out)]
 
-    def tampered_screen(values, tol, rows=None, count=0):
-        out = screen(values, tol, rows, count)
+    def tampered_screen(values, tol, sizes=None):
+        out = screen(values, tol, sizes)
         if tol == MASS_TOL:
             screened.append(values)
             out &= ~np.isin(np.arange(out.size), list(bad))
         return out
 
-    def tampered_row_fsum(values, rows, r):
-        return 1.5 if r in bad and any(values is kept for kept in screened) else row_fsum(values, rows, r)
+    def tampered_row_fsum(values, sizes, r):
+        return 1.5 if r in bad and any(values is kept for kept in screened) else row_fsum(values, sizes, r)
 
     with contextlib.ExitStack() as stack:
         for name, tampered in [("fsum_rows", former_sums), ("fsum_near_one", tampered_screen), ("_row_fsum", tampered_row_fsum)]:
@@ -834,7 +835,7 @@ class TestFlatLayouts:
         layout = _flat_atoms((m.positions, m.weights) for m in measures)
         grid = _discretize_flat(scheme.bump_shape, scheme.n, scheme.K, *layout)
         dists = _w1_flat(layout, grid)
-        assert grid[3] == len(measures) and dists.shape == (len(measures),)
+        assert grid[2].size == len(measures) and dists.shape == (len(measures),)
         for m, (positions, weights), dist in zip(measures, flat_rows(grid), dists):
             one, ref = discretize(scheme, m), discretize_one(scheme, m)
             for stored in (one, ref):
@@ -851,7 +852,7 @@ class TestFlatLayouts:
         layout = _flat_atoms((m.positions, m.weights) for m in measures)
         ns, Ks = (np.array([getattr(s, key) for s in schemes]) for key in ("n", "K"))
         grid = _discretize_flat(mode, ns, Ks, *layout)
-        assert grid[3] == len(measures)
+        assert grid[2].size == len(measures)
         for scheme, m, (positions, weights) in zip(schemes, measures, flat_rows(grid), strict=True):
             for stored in (discretize(scheme, m), discretize_one(scheme, m)):
                 assert same_bits(positions, stored.positions) and same_bits(weights, stored.weights)
@@ -1428,10 +1429,16 @@ ROW_LENGTHS = (
 
 
 def fsum_rows_former(values, rows=None, count=0):
-    """``math.fsum`` of each row, one list per row, in row order."""
+    """``math.fsum`` of each row, one list per row, in row order; flat rows
+    are given by the row of each value (``row_ids``)."""
     if rows is None:
         return [math.fsum(row) for row in values.tolist()]
     return [math.fsum(values[rows == r].tolist()) for r in range(count)]
+
+
+def row_ids(sizes):
+    """The row of each value of rows laid flat with these sizes."""
+    return np.repeat(np.arange(len(sizes)), sizes)
 
 
 @st.composite
@@ -1439,7 +1446,7 @@ def fsum_row_batches(draw):
     """1 to 40 rows of the ``fsum_arrays`` kinds, mostly all of one kind,
     else each of its own, with values planted in one row or none: a 2-D
     array of rows of one drawn length, or ragged rows laid flat with their
-    row ids, empty rows included."""
+    sizes, empty rows included."""
     count = draw(st.sampled_from([1, 2, 17, 40]))
     kinds = FSUM_KINDS if draw(st.integers(0, 3)) == 0 else (draw(st.sampled_from(FSUM_KINDS)),)
     planted = draw(st.integers(0, count))  # a row, or count for none
@@ -1448,7 +1455,7 @@ def fsum_row_batches(draw):
         rows = [draw(fsum_arrays(length, kinds, 3 if r == planted else 0)) for r in range(count)]
         return np.array(rows).reshape(count, length[0]), None
     parts = [draw(fsum_arrays(ROW_LENGTHS, kinds, 3 if r == planted else 0)) for r in range(count)]
-    return np.concatenate(parts), np.repeat(np.arange(count), [x.size for x in parts])
+    return np.concatenate(parts), np.array([x.size for x in parts])
 
 
 def short_rows(rng, kind, count, length):
@@ -1574,13 +1581,13 @@ class TestFsumRows:
     @given(fsum_row_batches())
     @SETTINGS
     def test_bits_and_errors_of_math_fsum_per_row(self, batch):
-        values, rows = batch
-        if rows is None:
+        values, sizes = batch
+        if sizes is None:
             assert fsum_outcome(fsum_rows, values) == fsum_outcome(fsum_rows_former, values)
         else:
-            count = int(rows.max(initial=-1)) + 1 + 2  # two empty rows at the end
-            got = fsum_outcome(lambda v: fsum_rows(v, rows, count), values)
-            assert got == fsum_outcome(lambda v: fsum_rows_former(v, rows, count), values)
+            sizes = np.append(sizes, [0, 0])  # two empty rows at the end
+            got = fsum_outcome(lambda v: fsum_rows(v, sizes), values)
+            assert got == fsum_outcome(lambda v: fsum_rows_former(v, row_ids(sizes), sizes.size), values)
 
     # in 40 rows: the lists, the bracket; laid flat, the lists
     @pytest.mark.parametrize("length", [ROW_CUTOFF, 64, 65, 256, 257, 300, BIN_CUTOFF, BIN_CUTOFF + 1])
@@ -1601,8 +1608,7 @@ class TestFsumRows:
         former = fsum_outcome(fsum_rows_former, values)
         assert fsum_outcome(fsum_rows, values) == former
         assert (former if isinstance(former, tuple) else former[7]) == expected
-        rows = np.repeat(np.arange(40), length)
-        assert fsum_outcome(lambda v: fsum_rows(v, rows, 40), values.ravel()) == former
+        assert fsum_outcome(lambda v: fsum_rows(v, np.full(40, length)), values.ravel()) == former
 
     @pytest.mark.parametrize(
         "nonzero",
@@ -1620,8 +1626,7 @@ class TestFsumRows:
         values[4] = -0.0
         former = fsum_outcome(fsum_rows_former, values)
         assert fsum_outcome(fsum_rows, values) == former
-        rows = np.repeat(np.arange(40), 300)
-        assert fsum_outcome(lambda v: fsum_rows(v, rows, 40), values.ravel()) == former
+        assert fsum_outcome(lambda v: fsum_rows(v, np.full(40, 300)), values.ravel()) == former
 
     @pytest.mark.parametrize("kind", BRACKET_KINDS)
     def test_rows_the_bracket_leaves_to_math_fsum(self, kind):
@@ -1629,10 +1634,9 @@ class TestFsumRows:
         count, length = values.shape
         assert ROW_CUTOFF < length <= BIN_CUTOFF and values.size > BATCH_CUTOFF
         former = fsum_outcome(fsum_rows_former, values)
-        rows = np.repeat(np.arange(count), length)
         with spy("_fsum_bracketed") as bracket:
             assert fsum_outcome(fsum_rows, values) == former
-            assert fsum_outcome(lambda v: fsum_rows(v, rows, count), values.ravel()) == former
+            assert fsum_outcome(lambda v: fsum_rows(v, np.full(count, length)), values.ravel()) == former
         assert bracket.call_count == 1  # the 2-D batch; flat rows take the lists
 
     def test_ragged_flat_rows_with_empty_ones(self):
@@ -1642,19 +1646,17 @@ class TestFsumRows:
         kinds = [BRACKET_KINDS[i] for i in rng.integers(0, len(BRACKET_KINDS) - 1, 40)]  # none that raises
         parts = [bracket_rows(rng, k, 4, int(n))[rng.integers(4)] if n else [] for k, n in zip(kinds, lengths)]
         values = np.concatenate(parts)
-        rows = np.repeat(np.arange(40), lengths)
         with spy("_fsum_bracketed") as bracket:
-            got = fsum_outcome(lambda v: fsum_rows(v, rows, 40), values)
-        assert got == fsum_outcome(lambda v: fsum_rows_former(v, rows, 40), values)
+            got = fsum_outcome(lambda v: fsum_rows(v, lengths), values)
+        assert got == fsum_outcome(lambda v: fsum_rows_former(v, row_ids(lengths), 40), values)
         assert bracket.call_count == 0  # flat rows take the lists
         # one long row among short ones
         lengths = np.full(40, ROW_CUTOFF)
         lengths[5] = 50 * ROW_CUTOFF
         values = rng.dirichlet(np.ones(lengths.sum())) * rng.choice([-1.0, 1.0], lengths.sum())
-        rows = np.repeat(np.arange(40), lengths)
         with spy("_fsum_bracketed") as bracket:
-            got = fsum_outcome(lambda v: fsum_rows(v, rows, 40), values)
-        assert got == fsum_outcome(lambda v: fsum_rows_former(v, rows, 40), values)
+            got = fsum_outcome(lambda v: fsum_rows(v, lengths), values)
+        assert got == fsum_outcome(lambda v: fsum_rows_former(v, row_ids(lengths), 40), values)
         assert bracket.call_count == 0
 
     @given(st.sampled_from(FSUM_KINDS), st.sampled_from([2, 5, 9, ROW_CUTOFF]), st.integers(0, 2**32 - 1))
@@ -1759,8 +1761,8 @@ class TestFsumRows:
         assert fsum_outcome(fsum_rows, values) == fsum_outcome(fsum_rows_former, values)
 
     def test_empty_batches(self):
-        assert fsum_rows(np.zeros((0, 300))) == [] == fsum_rows(np.zeros(0), np.zeros(0, dtype=int), 0)
-        assert fsum_rows(np.zeros((3, 0))) == [0.0] * 3 == fsum_rows(np.zeros(0), np.zeros(0, dtype=int), 3)
+        assert fsum_rows(np.zeros((0, 300))) == [] == fsum_rows(np.zeros(0), np.zeros(0, dtype=np.intp))
+        assert fsum_rows(np.zeros((3, 0))) == [0.0] * 3 == fsum_rows(np.zeros(0), np.zeros(3, dtype=np.intp))
 
     # one row: math.fsum on a list, or the bins; a 2-D batch: the lists, or
     # the bracket in the column or the row layout; rows laid flat: the lists
@@ -1780,7 +1782,7 @@ class TestFsumRows:
     def test_one_path_per_shape(self, count, length, flat, path):
         values = np.random.default_rng(length).dirichlet(np.ones(length), count)
         former = fsum_outcome(fsum_rows_former, values)
-        args = (values.ravel(), np.repeat(np.arange(count), length), count) if flat else (values,)
+        args = (values.ravel(), np.full(count, length)) if flat else (values,)
         with contextlib.ExitStack() as stack:
             one, each, bracket = (stack.enter_context(spy(name)) for name in ("fsum", "_fsum_each", "_fsum_bracketed"))
             transposed = stack.enter_context(transposes())
@@ -1794,8 +1796,8 @@ class TestFsumRows:
             "column": [0, 0, 1, [(length, count)]],
             "row": [0, 0, 1, []],
         }[path]
-        # the bins are fsum's two np.bincount calls; the flat lists make one
-        assert bincount.call_count == {"bins": 2, "lists": int(flat)}.get(path, 0)
+        # the bins are fsum's two np.bincount calls; the lists make none
+        assert bincount.call_count == {"bins": 2}.get(path, 0)
 
 
 # ------------------------------------------------------------ measures wider than the cutoff
@@ -2806,8 +2808,8 @@ class RowsOnly:
         assert measure is self.m, "step evaluated through mix"
         return self.F(measure)
 
-    def evaluate_flat(self, positions, weights, rows, count):
-        return self.F.evaluate_flat(positions, weights, rows, count)
+    def evaluate_flat(self, positions, weights, sizes):
+        return self.F.evaluate_flat(positions, weights, sizes)
 
 
 @pytest.mark.parametrize("name", sorted(QUOTIENT_FUNCTIONS))
